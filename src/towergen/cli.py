@@ -38,7 +38,7 @@ from .twogen import build_plan, diag_coefficient, verify_facts
 from .units import UnitalEmbedding, canonical_units, subrank, unit_defects
 
 _TOWER_PROPS = {
-    "preset": {"type": "string"},
+    "preset": {"enum": sorted(list_presets())},
     "shapes": {
         "type": "array",
         "minItems": 1,
@@ -49,7 +49,6 @@ _TOWER_PROPS = {
     "seed": {"type": "integer"},
     "recipe": {"enum": ["leading-factor", "uhf"]},
     "closure": {"type": "boolean"},
-    "word_cap": {"type": "integer", "minimum": 1},
 }
 
 SCHEMAS: Dict[str, dict] = {
@@ -248,11 +247,10 @@ def run_recover(config: dict) -> RunReport:
     report.extra["trace"] = result.trace_json()
 
     if config.get("closure", False):
-        cap = config.get("word_cap", 8)
-        pair_basis = subalgebra_closure([plan.gen_a, plan.gen_b], word_cap=cap)
+        pair_basis = subalgebra_closure([plan.gen_a, plan.gen_b])
         oracle_gens = [m for blk in model.blocks for _, m in blk.iter_units()]
         oracle_gens += [lv.coupling for lv in plan.levels] + [model.identity]
-        oracle_basis = subalgebra_closure(oracle_gens, word_cap=cap)
+        oracle_basis = subalgebra_closure(oracle_gens)
         report.add(
             "closure.dimension_match",
             pair_basis.size, oracle_basis.size, pair_basis.size == oracle_basis.size,

@@ -1,24 +1,32 @@
-"""Multiplicative span closure and subspace distances.
+"""Block-structure certificate of the unital *-algebra generated by matrices.
 
-``subalgebra_closure`` grows a Frobenius-orthonormal basis of the unital
-*-algebra generated by a matrix family.  Growth proceeds by multiplying the
-current basis from the left by a multiplier pool and re-orthonormalizing
-with a rank-revealing threshold; the span stabilizes exactly when it is
-closed under multiplication.  Word budgets are counted in doubling
-generations: ``word_cap`` g admits words up to length 2**g, and the presets
-stabilize well inside the default budget.
+A unital *-subalgebra of M_d is, up to a unitary, a direct sum of blocks
+I_m (x) M_n.  A generic Hermitian element h of it reads I_m (x) H on each
+block, with the n eigenvalues of H simple and distinct across blocks, and
+every element of the algebra vanishes between eigenvectors of h from
+different blocks.  ``subalgebra_closure`` reads the blocks off one seeded
+element (Murota, Kanno, Kojima & Kojima, JJIAM 27, 2010):
 
-Spans of words over a family closed under adjoints are themselves closed
-under adjoints, so every intermediate span splits as H + iH for a real
-subspace H of Hermitian matrices.  The engine exploits that: it stores an
-orthonormal REAL basis of H (same dimension as the complex span) and runs
-all projections in real arithmetic, at half the arithmetic cost.
+- h = x + (xy + yx)/2 + i(xy - yx)/2, with x and y random mixtures of the
+  generators (each scaled to unit Frobenius norm) and their adjoints;
+- eigenvalues of h whose gap is at most ``GAP_TOL * ||h||`` form a cluster;
+- two clusters are joined when some scaled generator has an entry above
+  ``EDGE_TOL`` between them in h's eigenbasis;
+- a component of n clusters of size m is a block I_m (x) M_n, and the
+  algebra's dimension is the sum of the n^2.
 
-For large generator families the multiplier pool is a fixed-seed set of
-random mixtures of the generators.  Mixtures can only under-approximate the
-closure, so a non-saturated stabilized run re-verifies closure against the
-full family and resumes if any product escapes the span; a saturated run is
-the full matrix algebra and needs no check.
+Tolerances.  ``eigh`` is backward stable, so an eigenvector whose eigenvalue
+lies a gap g from the rest of the spectrum is off by an angle of about
+eps*||h||/g, and an entry that is zero between two clusters is computed at
+about eps*||h||/g.  Clusters split only at relative gaps above GAP_TOL, so
+such entries stay near eps/GAP_TOL ~ 2e-10, some 45 times under EDGE_TOL.
+Eigenvalues closer than GAP_TOL * ||h|| are not resolved.  The certificate
+records its margins: the smallest relative gap between clusters, the weakest
+edge that keeps a component connected, and the strongest edge it cut.
+
+It fails closed with ``NoSpectralGap``: when a component's clusters differ
+in size (h was not generic at this tolerance), and when a distance is asked
+on a component with repeated clusters and more than one cluster.
 """
 
 from __future__ import annotations
@@ -28,304 +36,144 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import CapExceeded, DimensionMismatch
+from .errors import DimensionMismatch, NoSpectralGap
 from .linalg import as_operator, op_norm
 
-POOL_LIMIT = 8
-POOL_MIX_COUNT = 3
-_POOL_SEED = 20260809
-_SQRT2 = np.sqrt(2.0)
+GAP_TOL = 1e-6
+EDGE_TOL = 1e-8
+_SEED = 20260809
+_CHUNK = 64  # generators per stacked product, so peak memory does not grow
 
 
 @dataclass
-class SpanBasis:
-    """Frobenius-orthonormal basis of a multiplicatively closed subspace.
-
-    The rows of ``vectors`` are flattened Hermitian matrices; they are
-    simultaneously a real-orthonormal basis of the span's Hermitian part and
-    a complex-orthonormal basis of the span itself.
-    """
+class StructureCertificate:
+    """Blocks of the algebra: eigenvector ``eigvecs[:, i]`` of the generic
+    element lies in component ``labels[i]``, a block I_m (x) M_n with
+    ``(m, n) = blocks[labels[i]]``."""
 
     dim: int
-    vectors: np.ndarray  # (m, dim*dim) complex, rows orthonormal
-    word_cap: int
-    tol: float
-    stabilized: bool
-    saturated: bool
-    max_word_length: int
+    eigvecs: np.ndarray
+    labels: np.ndarray
+    blocks: List[Tuple[int, int]]
+    min_gap: float  # smallest relative eigenvalue gap between clusters
+    weakest_edge: float  # weakest edge keeping a component connected
+    strongest_cut: float  # strongest edge between components
 
     @property
     def size(self) -> int:
-        return int(self.vectors.shape[0])
+        return sum(n * n for _, n in self.blocks)
+
+    def _projectable(self) -> None:
+        if any(m > 1 and n > 1 for m, n in self.blocks):
+            raise NoSpectralGap("a component repeats its clusters; its block basis is not aligned")
 
     def matrices(self) -> np.ndarray:
-        return self.vectors.reshape(self.size, self.dim, self.dim)
-
-    def project_coefficients(self, x: np.ndarray) -> np.ndarray:
-        v = as_operator(x).reshape(-1)
-        if v.shape[0] != self.dim * self.dim:
-            raise DimensionMismatch("operand dimension does not match basis")
-        return self.vectors.conj() @ v
-
-    def residual_matrix(self, x: np.ndarray) -> np.ndarray:
-        v = as_operator(x).reshape(-1)
-        coeffs = self.project_coefficients(x)
-        resid = v - self.vectors.T @ coeffs
-        return resid.reshape(self.dim, self.dim)
+        """A Frobenius-orthonormal basis of the algebra, as a (size, d, d) stack."""
+        self._projectable()
+        v, mats = self.eigvecs, []
+        for j, (m, _) in enumerate(self.blocks):
+            idx = np.flatnonzero(self.labels == j)
+            if m > 1:
+                mats.append(v[:, idx] @ v[:, idx].conj().T / np.sqrt(m))
+            else:
+                mats.extend(np.outer(v[:, i], v[:, k].conj()) for i in idx for k in idx)
+        return np.array(mats)
 
 
-def distance_to_span(x: np.ndarray, basis: SpanBasis) -> Tuple[float, float]:
-    """Frobenius residual and the operator norm of the residual matrix.
+def distance_to_span(x: np.ndarray, basis: StructureCertificate) -> Tuple[float, float]:
+    """Frobenius norm and operator norm of x minus its projection onto the algebra.
 
-    The operator norm of the Frobenius-orthogonal residual upper-bounds the
-    operator-norm distance from x to the span.
+    The operator norm upper-bounds the operator-norm distance from x to the
+    algebra.  Both are exactly 0.0 when the algebra is all of M_d.
     """
-    resid = basis.residual_matrix(x)
+    x = as_operator(x)
+    if x.shape[0] != basis.dim:
+        raise DimensionMismatch("operand dimension does not match the algebra")
+    if basis.size == basis.dim**2:
+        return 0.0, 0.0
+    basis._projectable()
+    v, labels = basis.eigvecs, basis.labels
+    y = v.conj().T @ x @ v
+    resid = np.where(labels[:, None] == labels[None, :], 0.0, y)
+    for j, (m, _) in enumerate(basis.blocks):
+        if m > 1:
+            idx = np.ix_(labels == j, labels == j)
+            resid[idx] = y[idx] - np.trace(y[idx]) / m * np.eye(m)
     return float(np.linalg.norm(resid)), float(op_norm(resid))
 
 
-class _HermCoder:
-    """Isometry between Hermitian d x d matrices and real vectors of length d^2."""
-
-    def __init__(self, d: int):
-        self.d = d
-        self.rows, self.cols = np.triu_indices(d, k=1)
-        self.n_off = len(self.rows)
-
-    def encode_products(self, prods: np.ndarray) -> np.ndarray:
-        """Hermitian and skew-Hermitian parts of a product stack, as real rows."""
-        k, d, _ = prods.shape
-        adj = prods.conj().transpose(0, 2, 1)
-        herm = (prods + adj) / 2
-        skew = (prods - adj) / 2j
-        return np.concatenate([self.encode(herm), self.encode(skew)], axis=0)
-
-    def encode(self, mats: np.ndarray) -> np.ndarray:
-        """(k, d, d) Hermitian stack -> (k, d^2) real rows."""
-        k = mats.shape[0]
-        out = np.empty((k, self.d * self.d), dtype=np.float64)
-        out[:, : self.d] = mats[:, np.arange(self.d), np.arange(self.d)].real
-        off = mats[:, self.rows, self.cols]
-        out[:, self.d : self.d + self.n_off] = _SQRT2 * off.real
-        out[:, self.d + self.n_off :] = _SQRT2 * off.imag
-        return out
-
-    def decode(self, rows: np.ndarray) -> np.ndarray:
-        """(k, d^2) real rows -> (k, d, d) complex Hermitian stack."""
-        k = rows.shape[0]
-        mats = np.zeros((k, self.d, self.d), dtype=np.complex128)
-        mats[:, np.arange(self.d), np.arange(self.d)] = rows[:, : self.d]
-        off = (
-            rows[:, self.d : self.d + self.n_off]
-            + 1j * rows[:, self.d + self.n_off :]
-        ) / _SQRT2
-        mats[:, self.rows, self.cols] = off
-        mats[:, self.cols, self.rows] = off.conj()
-        return mats
+def _unit_chunks(gens: List[np.ndarray]):
+    """(offset, stack) per chunk of generators, each scaled to unit Frobenius norm."""
+    for lo in range(0, len(gens), _CHUNK):
+        stack = np.stack(gens[lo : lo + _CHUNK])
+        norms = np.linalg.norm(stack, axis=(1, 2))
+        yield lo, stack / np.where(norms > 0, norms, 1.0)[:, None, None]
 
 
-class _GrowingBasis:
-    """Row-orthonormal real basis with preallocated storage."""
+def _components(w: np.ndarray) -> Tuple[np.ndarray, float]:
+    """Components of the graph of edges above EDGE_TOL, and their weakest tree edge.
 
-    def __init__(self, full_dim: int, capacity_hint: int):
-        self.full_dim = full_dim
-        cap = min(capacity_hint, full_dim)
-        self.data = np.zeros((cap, full_dim), dtype=np.float64)
-        self.m = 0
-
-    def _ensure(self, extra: int):
-        need = self.m + extra
-        if need <= self.data.shape[0]:
-            return
-        new_cap = min(self.full_dim, max(need, 2 * self.data.shape[0]))
-        grown = np.zeros((new_cap, self.full_dim), dtype=np.float64)
-        grown[: self.m] = self.data[: self.m]
-        self.data = grown
-
-    def rows(self) -> np.ndarray:
-        return self.data[: self.m]
-
-
-def _absorb(basis: _GrowingBasis, block: np.ndarray, tol: float) -> int:
-    """Orthonormalize candidate rows against the basis; return count added.
-
-    Blocked throughout: one coefficient product drives both the residual
-    screen and the survivor reconstruction, survivors are orthonormalized by
-    QR, and kept directions are re-projected until their coupling onto the
-    basis sits at the rounding floor.
+    Prim's maximum spanning tree per component: its weakest edge is the
+    largest threshold at which no component splits.
     """
-    if block.shape[0] == 0:
-        return 0
-    cols = np.ascontiguousarray(block.T)
-    norms = np.linalg.norm(cols, axis=0)
-    keep = norms > tol
-    if not np.any(keep):
-        return 0
-    cols = cols[:, keep] / norms[keep]
-    if basis.m:
-        q_rows = basis.rows()
-        coef = q_rows @ cols
-        res_sq = np.einsum("ij,ij->j", cols, cols) - np.einsum("ij,ij->j", coef, coef)
-        keep = np.sqrt(np.clip(res_sq, 0.0, None)) > tol
-        if not np.any(keep):
-            return 0
-        cols = cols[:, keep] - q_rows.T @ coef[:, keep]
-    # iterated QR with rank filtering: near-dependent survivor sets produce
-    # q-columns that are amplified noise, and only re-factorizing after
-    # subtracting their basis coupling eliminates them reliably
-    for _ in range(4):
-        norms = np.linalg.norm(cols, axis=0)
-        keep = norms > tol
-        if not np.any(keep):
-            return 0
-        cols = cols[:, keep]
-        q, r = np.linalg.qr(cols)
-        solid = np.abs(np.diag(r)) > tol
-        if not np.any(solid):
-            return 0
-        cols = q[:, solid]
-        if basis.m == 0:
-            break
-        coupling = basis.rows() @ cols
-        if np.max(np.abs(coupling)) < 1e-12:
-            break
-        cols = cols - basis.rows().T @ coupling
-    room = basis.full_dim - basis.m
-    if cols.shape[1] > room:
-        cols = cols[:, :room]
-    added = cols.shape[1]
-    if added:
-        basis._ensure(added)
-        basis.data[basis.m : basis.m + added] = cols.T
-        basis.m += added
-    return added
+    labels = np.full(w.shape[0], -1)
+    weakest = np.inf
+    for start in range(w.shape[0]):
+        if labels[start] < 0:
+            labels[start] = comp = labels.max() + 1
+            reach = w[start].copy()
+            while True:
+                reach[labels >= 0] = -1.0
+                nxt = int(np.argmax(reach))
+                if reach[nxt] <= EDGE_TOL:
+                    break
+                weakest = min(weakest, float(reach[nxt]))
+                labels[nxt] = comp
+                reach = np.maximum(reach, w[nxt])
+    return labels, weakest
 
 
-def _build_pool(gens: List[np.ndarray]) -> Tuple[List[np.ndarray], bool]:
-    family: List[np.ndarray] = []
-    for g in gens:
-        family.append(g)
-        family.append(g.conj().T)
-    if len(family) <= 2 * POOL_LIMIT:
-        pool = []
-        for m in family:
-            if not any(np.array_equal(m, q) for q in pool):
-                pool.append(m)
-        return pool, False
-    rng = np.random.default_rng(_POOL_SEED)
-    pool = []
-    for _ in range(POOL_MIX_COUNT):
-        coeffs = rng.standard_normal(len(family)) + 1j * rng.standard_normal(len(family))
-        mix = sum(c * m for c, m in zip(coeffs, family))
-        pool.append(mix / max(op_norm(mix), 1e-300))
-    return pool, True
-
-
-def _left_products(p: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """Stack of p @ m over a block of matrices."""
-    k, d, _ = mats.shape
-    wide = mats.transpose(1, 0, 2).reshape(d, k * d)
-    return (p @ wide).reshape(d, k, d).transpose(1, 0, 2)
-
-
-def subalgebra_closure(
-    generators: Sequence[np.ndarray], word_cap: int = 8, tol: float = 1e-9
-) -> SpanBasis:
-    """Orthonormal basis of the span of words in the generators and adjoints.
-
-    Raises CapExceeded (carrying the partial basis) if the word budget
-    2**word_cap runs out before the span stops growing.
-    """
-    if word_cap < 1:
-        raise DimensionMismatch("word_cap must be at least 1")
+def subalgebra_closure(generators: Sequence[np.ndarray]) -> StructureCertificate:
+    """Certified block structure of the unital *-algebra the generators generate."""
     gens = [as_operator(g) for g in generators]
     if not gens:
         raise DimensionMismatch("need at least one generator")
     d = gens[0].shape[0]
     if any(g.shape[0] != d for g in gens):
         raise DimensionMismatch("generators must share their dimension")
-    full_dim = d * d
-    max_len = 2**word_cap
-    coder = _HermCoder(d)
 
-    basis = _GrowingBasis(full_dim, capacity_hint=min(full_dim, 4096))
-    seed_stack = np.stack([np.eye(d, dtype=np.complex128)] + gens)
-    _absorb(basis, coder.encode_products(seed_stack), tol)
-    max_word = 1 if len(gens) else 0
-    new_start = 0
-    new_lens = [1] * basis.m
+    rng = np.random.default_rng(_SEED)
+    coeffs = rng.standard_normal((2, len(gens))) + 1j * rng.standard_normal((2, len(gens)))
+    z = sum(np.tensordot(coeffs[:, lo : lo + _CHUNK], s, axes=1) for lo, s in _unit_chunks(gens))
+    x, y = z + z.conj().transpose(0, 2, 1)
+    xy = x @ y
+    evals, v = np.linalg.eigh(x + (xy + xy.conj().T) / 2 + 1j * (xy - xy.conj().T) / 2)
+    gaps = np.diff(evals) / max(float(np.abs(evals).max()), np.finfo(float).tiny)
+    split = gaps > GAP_TOL
+    starts = np.concatenate([[0], np.flatnonzero(split) + 1])
+    sizes = np.diff(np.append(starts, d))
 
-    pool, reduced = _build_pool(gens)
-    capped = False
-    verified = False
-    chunk_rows = 768
-
-    def finish(saturated: bool) -> SpanBasis:
-        mats = coder.decode(basis.rows())
-        vectors = mats.reshape(basis.m, full_dim)
-        return SpanBasis(d, vectors, word_cap, tol, True, saturated, max_word)
-
-    while True:
-        if basis.m >= full_dim:
-            return finish(True)
-        new_count = basis.m - new_start
-        added_this_pass = 0
-        pass_lens: List[int] = []
-        if new_count:
-            new_mats = coder.decode(basis.rows()[new_start:])
-            cand_lens = [ln + 1 for ln in new_lens]
-            allowed = [i for i, ln in enumerate(cand_lens) if ln <= max_len]
-            if len(allowed) < len(cand_lens):
-                capped = True
-            new_start = basis.m
-            if allowed:
-                mats = new_mats[allowed]
-                lens_arr = [cand_lens[i] for i in allowed]
-                for p in pool:
-                    for lo in range(0, mats.shape[0], chunk_rows):
-                        prods = _left_products(p, mats[lo : lo + chunk_rows])
-                        n_add = _absorb(basis, coder.encode_products(prods), tol)
-                        if n_add:
-                            wl = max(lens_arr[lo : lo + chunk_rows])
-                            max_word = max(max_word, wl)
-                            pass_lens.extend([wl] * n_add)
-                            added_this_pass += n_add
-                        if basis.m >= full_dim:
-                            return finish(True)
-        if added_this_pass == 0:
-            if reduced and not verified:
-                escapes = _closure_escapes(basis, coder, gens, tol)
-                verified = True
-                if escapes.shape[0]:
-                    new_start_val = basis.m
-                    n_add = _absorb(basis, escapes, tol)
-                    if n_add:
-                        new_start = new_start_val
-                        new_lens = [max_word + 1] * n_add
-                        max_word += 1
-                        continue
-            if capped:
-                partial = finish(False)
-                partial.stabilized = False
-                raise CapExceeded(f"span still growing at word budget 2**{word_cap}", partial)
-            return finish(False)
-        new_lens = pass_lens
-        verified = False
-
-
-def _closure_escapes(
-    basis: _GrowingBasis, coder: _HermCoder, gens: List[np.ndarray], tol: float
-) -> np.ndarray:
-    """Products g @ basis that leave the span (reduced-pool verification)."""
-    escapes = []
-    mats = coder.decode(basis.rows())
-    q_rows = basis.rows()
-    for g in gens:
-        for lo in range(0, mats.shape[0], 256):
-            block = coder.encode_products(_left_products(g, mats[lo : lo + 256]))
-            cols = block.T
-            resid = cols - q_rows.T @ (q_rows @ cols)
-            norms = np.linalg.norm(resid, axis=0)
-            for col in np.nonzero(norms > 10 * tol)[0]:
-                escapes.append(block[col])
-    return np.array(escapes) if escapes else np.zeros((0, coder.d**2), dtype=np.float64)
+    entry = np.zeros((d, d))
+    for _, s in _unit_chunks(gens):
+        entry = np.maximum(entry, np.abs(v.conj().T @ s @ v).max(axis=0))
+    w = np.maximum.reduceat(np.maximum.reduceat(entry, starts, axis=0), starts, axis=1)
+    w = np.maximum(w, w.T)
+    np.fill_diagonal(w, 0.0)
+    comp, weakest = _components(w)
+    blocks = []
+    for j in range(comp.max() + 1):
+        members = sizes[comp == j]
+        if np.any(members != members[0]):
+            sizes_seen = sorted(set(members.tolist()))
+            raise NoSpectralGap(f"component {j} mixes clusters of sizes {sizes_seen}")
+        blocks.append((int(members[0]), len(members)))
+    cut = w[comp[:, None] != comp[None, :]]
+    return StructureCertificate(
+        dim=d,
+        eigvecs=v,
+        labels=np.repeat(comp, sizes),
+        blocks=blocks,
+        min_gap=float(gaps[split].min(initial=np.inf)),
+        weakest_edge=weakest,
+        strongest_cut=float(cut.max(initial=0.0)),
+    )

@@ -53,17 +53,6 @@ class SubrankTooSmall(TowergenError):
     pass
 
 
-class CapExceeded(TowergenError):
-    """Raised when span closure hits its word budget before stabilizing.
-
-    Carries the partial basis so callers can inspect how far the closure got.
-    """
-
-    def __init__(self, message, partial_basis=None):
-        super().__init__(message)
-        self.partial_basis = partial_basis
-
-
 class ConfigInvalid(TowergenError):
     """Raised for configs that fail schema validation; names the offending path."""
 

@@ -83,10 +83,10 @@ def test_criterion_2_recovery_round_trip(t0_plan, t1_plan):
 def test_criterion_3_generation_distance(t1_plan):
     started = time.time()
     model = t1_plan.model
-    pair = subalgebra_closure([t1_plan.gen_a, t1_plan.gen_b], word_cap=8)
+    pair = subalgebra_closure([t1_plan.gen_a, t1_plan.gen_b])
     oracle_gens = [m for blk in model.blocks for _, m in blk.iter_units()]
     oracle_gens += [lv.coupling for lv in t1_plan.levels] + [model.identity]
-    oracle = subalgebra_closure(oracle_gens, word_cap=8)
+    oracle = subalgebra_closure(oracle_gens)
     dims_match = pair.size == oracle.size
     bound = 2.0 ** (-2) + 1e-6
     distances = []

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import towergen
 from towergen.cli import main, run, validate_config
 from towergen.errors import ConfigInvalid
 from towergen.presets import list_presets, preset_spec
@@ -79,6 +84,37 @@ def test_cli_main_config_invalid(tmp_path):
     cfg.write_text(json.dumps({"shapes": [[0]]}))
     code = main(["tower-build", "--config", str(cfg)])
     assert code == 2
+
+
+def test_unknown_preset_is_config_invalid(tmp_path):
+    with pytest.raises(ConfigInvalid) as info:
+        run("tower-check", {"preset": "T9"})
+    assert info.value.path == "preset"
+    cfg = tmp_path / "t9.json"
+    cfg.write_text(json.dumps({"preset": "T9"}))
+    assert main(["tower-check", "--config", str(cfg)]) == 2
+
+
+def test_all_bodies_identical_across_blas_threads(tmp_path):
+    src = str(Path(towergen.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        out = tmp_path / f"all-{threads}.json"
+        cmd = [sys.executable, "-m", "towergen.cli", "all", "--out", str(out)]
+        runs.append((subprocess.Popen(cmd, env=env), out))
+    try:
+        assert [proc.wait(timeout=600) for proc, _ in runs] == [0, 0]
+    finally:
+        for proc, _ in runs:
+            proc.kill()
+    bodies = []
+    for _, out in runs:
+        payload = json.loads(out.read_text())
+        del payload["timing"]
+        bodies.append(json.dumps(payload, sort_keys=True, indent=2))
+    assert bodies[0] == bodies[1]
 
 
 def test_cli_exit_code_on_failure(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from towergen.closure import distance_to_span, subalgebra_closure
-from towergen.errors import CapExceeded, LadderBreakdown, NoSpectralGap
+from towergen.errors import LadderBreakdown, NoSpectralGap
 from towergen.linalg import identity, op_norm
 from towergen.recovery import (
     RecoveredLevel,
@@ -152,53 +152,27 @@ def test_reconstruct_witness_zero_coupling(t1_plan):
 
 
 def test_closure_identity_only():
-    basis = subalgebra_closure([identity(3)], word_cap=4)
+    basis = subalgebra_closure([identity(3)])
     assert basis.size == 1
-    assert basis.stabilized and not basis.saturated
+    assert basis.blocks == [(3, 1)]
 
 
 def test_closure_full_m2():
     gens = [mat for _, mat in canonical_units([2]).iter_units()]
-    basis = subalgebra_closure(gens, word_cap=4)
+    basis = subalgebra_closure(gens)
     assert basis.size == 4
-    assert basis.saturated
+    assert basis.blocks == [(1, 2)]
 
 
 def test_closure_idempotent(t0_plan):
-    basis = subalgebra_closure([t0_plan.gen_a, t0_plan.gen_b], word_cap=8)
+    basis = subalgebra_closure([t0_plan.gen_a, t0_plan.gen_b])
     assert basis.size == 9
-    again = subalgebra_closure(list(basis.matrices()), word_cap=8)
+    again = subalgebra_closure(list(basis.matrices()))
     assert again.size == basis.size
 
 
-def test_closure_monotone_in_cap(t0_plan):
-    dims = []
-    for cap in (1, 2, 3, 8):
-        try:
-            basis = subalgebra_closure([t0_plan.gen_a, t0_plan.gen_b], word_cap=cap)
-            dims.append(basis.size)
-        except CapExceeded as exc:
-            dims.append(exc.partial_basis.size)
-    assert all(dims[i] <= dims[i + 1] for i in range(len(dims) - 1))
-    assert dims[-1] == 9
-
-
-def test_closure_cap_exceeded_carries_partial():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    a = (a + a.conj().T) / 2
-    b = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    b = (b + b.conj().T) / 2
-    with pytest.raises(CapExceeded) as info:
-        subalgebra_closure([a, b], word_cap=1)
-    partial = info.value.partial_basis
-    assert partial is not None
-    assert 0 < partial.size < 36
-    assert not partial.stabilized
-
-
 def test_distance_to_span_examples():
-    basis = subalgebra_closure([identity(3)], word_cap=2)
+    basis = subalgebra_closure([identity(3)])
     fro, upper = distance_to_span(identity(3) * 2.5, basis)
     assert fro <= 1e-12 and upper <= 1e-12
     traceless = np.diag([1.0, -1.0, 0.0]) / np.sqrt(2)
@@ -208,10 +182,10 @@ def test_distance_to_span_examples():
 
 def test_closure_mutual_containment_t0(t0_plan):
     model = t0_plan.model
-    pair = subalgebra_closure([t0_plan.gen_a, t0_plan.gen_b], word_cap=8)
+    pair = subalgebra_closure([t0_plan.gen_a, t0_plan.gen_b])
     oracle_gens = [m for _, m in model.blocks[0].iter_units()]
     oracle_gens += [t0_plan.levels[0].coupling, model.identity]
-    oracle = subalgebra_closure(oracle_gens, word_cap=8)
+    oracle = subalgebra_closure(oracle_gens)
     assert pair.size == oracle.size == 9
     for m in oracle.matrices():
         fro, _ = distance_to_span(m, pair)
