@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import sys
 from typing import Dict, List
@@ -119,9 +120,33 @@ def validate_config(command: str, config: dict) -> None:
         first = errors[0]
         path = ".".join(str(p) for p in first.absolute_path) or "<root>"
         raise ConfigInvalid(f"config field {path}: {first.message}", path=path)
+    bad = _non_finite_path(config)
+    if bad is not None:
+        path = ".".join(str(p) for p in bad)
+        raise ConfigInvalid(f"config field {path}: not a finite number", path=path)
     if command in ("tower-build", "tower-check", "gen-construct", "gen-verify", "recover"):
         if "preset" not in config and "shapes" not in config:
             raise ConfigInvalid("config needs either 'preset' or 'shapes'", path="shapes")
+
+
+def _non_finite_path(value, path=()):
+    """Path of the first NaN or infinite number in a config, else None.
+
+    JSON schema bounds such as ``minimum`` let NaN and infinities through.
+    """
+    if isinstance(value, float):
+        return None if math.isfinite(value) else path
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return None
+    for key, item in items:
+        found = _non_finite_path(item, path + (key,))
+        if found is not None:
+            return found
+    return None
 
 
 def resolve_tower_spec(config: dict) -> TowerSpec:
@@ -291,7 +316,7 @@ def run_stabilize_sweep(config: dict) -> RunReport:
             defects_in = unit_defects(noisy)
             fixed, dist = stabilize_units(noisy, params)
             defects_out = unit_defects(fixed)
-            worst_out = max(worst_out, defects_out.max())
+            worst_out = float(np.maximum(worst_out, defects_out.max()))  # NaN propagates
             dists.append(dist)
             sweep_rows.append(
                 {
@@ -370,19 +395,15 @@ def _pinched_basis_count(shape, mult, k: int) -> int:
     survivors enumerates a basis of the compressed Hermitian space.
     """
     units = canonical_units(shape, UnitalEmbedding(shape, mult, k))
-    supports = []
-    for s, size in enumerate(shape, start=1):
-        for i in range(1, size + 1):
-            diag = np.diag(units.unit(s, i, i))
-            if np.max(np.abs(units.unit(s, i, i) - np.diag(diag))) > 0:
-                raise TowergenError("canonical diagonal unit is not coordinate-aligned")
-            supports.append(np.flatnonzero(diag.real > 0.5))
-    count = 0
-    for supp in supports:
-        n = len(supp)
-        count += n  # diagonal elements E_ii
-        count += n * (n - 1)  # symmetric + antisymmetric pair per i < j
-    return count
+    projections = np.stack(
+        [units.unit(s, i, i) for s, size in enumerate(shape, start=1) for i in range(1, size + 1)]
+    )
+    if np.any(projections * ~np.eye(k, dtype=bool)):
+        raise TowergenError("canonical diagonal unit is not coordinate-aligned")
+    diags = np.einsum("nii->ni", projections)
+    n = np.count_nonzero(diags.real > 0.5, axis=1)  # support size per projection
+    # diagonal elements E_ii, plus a symmetric and an antisymmetric pair per i < j
+    return int(np.sum(n + n * (n - 1)))
 
 
 def _sorted_shapes_upto(total: int) -> List[tuple]:

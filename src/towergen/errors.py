@@ -41,6 +41,10 @@ class NonConvergence(TowergenError):
     pass
 
 
+class NonFiniteValue(TowergenError):
+    """A kernel result is NaN or infinite, so its input was not finite."""
+
+
 class LadderBreakdown(TowergenError):
     pass
 

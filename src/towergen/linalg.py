@@ -2,20 +2,38 @@
 
 Everything in the package works on square ``numpy`` arrays of complex128.
 This module holds the norm, spectral, polar, tensor and direct-sum
-primitives plus the JSON wire format for matrices.
+primitives, batched over stacks of matrices where callers need many norms,
+plus the JSON wire format for matrices.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import math
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, DimensionOverflow, EigenvalueNearThreshold
+from .errors import (
+    DimensionMismatch,
+    DimensionOverflow,
+    EigenvalueNearThreshold,
+    NonConvergence,
+    NonFiniteValue,
+)
 
 DEFAULT_DIM_CAP = 4096
 
 _HERMITIAN_TOL = 1e-12
+
+# Relative rounding margin of the Frobenius screen in ``screened_max_norm``.
+# Both norms of one computed d x d matrix carry relative rounding errors of
+# order d^2 * eps, under 4e-9 up to DEFAULT_DIM_CAP, so a candidate whose
+# Frobenius norm times (1 + SCREEN_MARGIN) is at most the running maximum
+# cannot exceed it: ||X|| <= ||X||_F.
+SCREEN_MARGIN = 1e-8
+
+# Bytes of one candidate stack formed by ``screened_max_norm``.
+_WORKSPACE_BYTES = 1 << 18
 
 
 def as_operator(entries) -> np.ndarray:
@@ -47,19 +65,89 @@ def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=np.complex128)
 
 
-def op_norm(a: np.ndarray) -> float:
-    """Largest singular value, via a Hermitian eigensolve of A*A.
+def op_norms(stack: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix of an (n, p, q) stack.
 
+    One Hermitian eigensolve of A*A per matrix; a 1 x 1 matrix gives its
+    modulus.  Each result is bit-identical to ``op_norm`` of that matrix.
     Deterministic; for Hermitian input this equals the spectral radius.
+    Raises NonFiniteValue when a result is NaN or infinite.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    if a.size == 0:
-        return 0.0
-    if a.shape == (1, 1):
-        return float(abs(a[0, 0]))
-    w = np.linalg.eigvalsh(a.conj().T @ a)
-    top = float(w[-1])
-    return float(np.sqrt(top)) if top > 0.0 else 0.0
+    return _op_norms(np.asarray(stack, dtype=np.complex128))
+
+
+def op_norm(a: np.ndarray) -> float:
+    """Largest singular value of one matrix; see ``op_norms``."""
+    return float(_op_norms(np.asarray(a, dtype=np.complex128)[None])[0])
+
+
+def _op_norms(stack: np.ndarray) -> np.ndarray:
+    """The kernel of ``op_norms`` and ``op_norm``; both call it directly so that
+    each stays a leaf whose time a profile attributes to it alone."""
+    if stack.size == 0:
+        return np.zeros(stack.shape[0])
+    if stack.shape[1:] == (1, 1):
+        # libm's hypot, which np.abs of a complex array does not always match
+        norms = np.hypot(stack.real[:, 0, 0], stack.imag[:, 0, 0])
+    else:
+        try:
+            top = np.linalg.eigvalsh(stack.conj().transpose(0, 2, 1) @ stack)[:, -1]
+        except np.linalg.LinAlgError as exc:  # LAPACK may reject NaN input outright
+            if np.isfinite(stack).all():
+                raise NonConvergence(f"operator norm eigensolve failed: {exc}") from exc
+            raise NonFiniteValue("operator norm of a matrix with non-finite entries") from exc
+        # rounding may leave the top eigenvalue at or below zero; adding 0.0
+        # turns a -0.0 from maximum into 0.0, and NaN passes through
+        norms = np.sqrt(np.maximum(top, 0.0) + 0.0)
+    if not math.isfinite(norms.max()):
+        raise NonFiniteValue("operator norm is NaN or infinite")
+    return norms
+
+
+def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a (..., p, q) stack."""
+    flat = np.ascontiguousarray(stack, dtype=np.complex128).view(np.float64)
+    flat = flat.reshape(*stack.shape[:-2], -1)
+    return np.sqrt(np.einsum("...k,...k->...", flat, flat))
+
+
+def screened_max_norm(
+    rows: int, cols: int, dim: int, residual: Callable[[np.ndarray, np.ndarray], np.ndarray]
+) -> float:
+    """Exact maximum operator norm of ``residual(l, r)`` over a rows x cols grid.
+
+    ``residual(li, ri)`` takes broadcastable index arrays and returns the
+    dim x dim residuals of those pairs, stacked in their broadcast shape;
+    it must give each pair the same bits whatever else it is asked for,
+    as batched matrix products do.  The Frobenius norms of all pairs are
+    taken a bounded block at a time; pairs are then measured in decreasing
+    Frobenius order until the next one, raised by SCREEN_MARGIN, is at most
+    the running maximum.  Since ||X|| <= ||X||_F no unmeasured pair can
+    exceed it, and an exactly vanishing grid needs no measurement.
+    """
+    per_block = max(1, _WORKSPACE_BYTES // max(1, 16 * dim * dim))
+    width = max(1, min(cols, per_block))
+    height = max(1, per_block // width)
+    fro = np.zeros((rows, cols))
+    for top in range(0, rows, height):
+        li = np.arange(top, min(top + height, rows))[:, None]
+        for left in range(0, cols, width):
+            ri = np.arange(left, min(left + width, cols))[None, :]
+            fro[li, ri] = _frobenius_norms(residual(li, ri))
+    fro = fro.ravel()
+    if not np.isfinite(fro).all():
+        raise NonFiniteValue("Frobenius norm is NaN or infinite")
+    order = np.argsort(-fro, kind="stable")
+    bound = fro[order] * (1.0 + SCREEN_MARGIN)
+    best, start, step = 0.0, 0, 1  # the largest alone first: its norm prunes the rest
+    while start < len(order):
+        idx = order[start : start + step][bound[start : start + step] > best]
+        if not len(idx):
+            break
+        best = max(best, float(op_norms(residual(idx // cols, idx % cols)).max()))
+        start += step
+        step = max(1, per_block // 4)  # a measurement holds about four stacks at once
+    return best
 
 
 def tuple_norm(elems: Sequence[np.ndarray]) -> float:

@@ -17,7 +17,7 @@ from typing import List, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange
-from .linalg import hermitian_part, identity, op_norm, tuple_norm
+from .linalg import hermitian_part, identity, op_norm, op_norms, tuple_norm
 from .units import MatrixUnitSystem, UnitalEmbedding, normalize_shape, rank, subrank
 
 Point = Union[np.ndarray, Sequence[np.ndarray]]
@@ -172,41 +172,64 @@ def greedy_packing(cloud: Sequence[Point], omega: float) -> CoveringEstimate:
     Points at distance exactly omega are kept (closed separation), which
     maximizes the certified lower bound: balls of radius omega/2 contain at
     most one kept point, so any cover at that radius needs packing_count
-    balls.
+    balls.  A point is kept exactly when no earlier kept point lies within
+    omega of it, which is when no earlier ball of the greedy open-ball
+    cover holds it: the kept points are that cover's centers, so one scan
+    gives both counts.
+    """
+    points = list(cloud)
+    if not points:
+        raise DimensionMismatch("cloud must be nonempty")
+    count = greedy_cover(points, omega)
+    return CoveringEstimate(
+        omega=float(omega),
+        sample_count=len(points),
+        packing_count=count,
+        implied_cover_lower=count,
+        greedy_cover_count=count,
+    )
+
+
+def greedy_cover(cloud: Sequence[Point], omega: float) -> int:
+    """Greedy open-ball cover count: an upper estimate for the cloud itself.
+
+    In scan order every point outside the earlier balls becomes a center;
+    each new ball is measured against all points still uncovered at once.
     """
     if omega <= 0:
         raise DimensionMismatch("omega must be positive")
     points = list(cloud)
     if not points:
-        raise DimensionMismatch("cloud must be nonempty")
-    kept: List[Point] = []
-    for p in points:
-        if all(point_distance(p, q) >= omega for q in kept):
-            kept.append(p)
-    return CoveringEstimate(
-        omega=float(omega),
-        sample_count=len(points),
-        packing_count=len(kept),
-        implied_cover_lower=len(kept),
-        greedy_cover_count=greedy_cover(points, omega),
-    )
-
-
-def greedy_cover(cloud: Sequence[Point], omega: float) -> int:
-    """Greedy open-ball cover count: an upper estimate for the cloud itself."""
-    if omega <= 0:
-        raise DimensionMismatch("omega must be positive")
-    points = list(cloud)
-    covered = [False] * len(points)
+        return 0
+    stack = _stack_cloud(points)
+    num, width = stack.shape[:2]
+    uncovered = np.ones(num, dtype=bool)
     balls = 0
-    for i, p in enumerate(points):
-        if covered[i]:
+    for i in range(num):
+        if not uncovered[i]:
             continue
         balls += 1
-        for j in range(i, len(points)):
-            if not covered[j] and point_distance(p, points[j]) < omega:
-                covered[j] = True
+        rest = i + np.flatnonzero(uncovered[i:])
+        diffs = stack[i] - stack[rest]
+        dist = op_norms(diffs.reshape(-1, *diffs.shape[2:])).reshape(-1, width).max(axis=1)
+        uncovered[rest[dist < omega]] = False
     return balls
+
+
+def _stack_cloud(points: List[Point]) -> np.ndarray:
+    """A nonempty cloud as one (points, tuple length, p, q) array."""
+    first = _as_tuple(points[0])
+    shape = np.shape(first[0])
+    stack = np.empty((len(points), len(first)) + shape, dtype=np.complex128)
+    for n, point in enumerate(points):
+        mats = _as_tuple(point)
+        if len(mats) != len(first):
+            raise DimensionMismatch("tuple lengths differ")
+        for t, m in enumerate(mats):
+            if np.shape(m) != shape:
+                raise DimensionMismatch("cloud matrices have mixed shapes")
+            stack[n, t] = m
+    return stack
 
 
 @dataclass

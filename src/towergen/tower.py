@@ -9,14 +9,13 @@ the 2^-m margin the construction needs.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DimensionMismatch, DimensionOverflow, StrictModeViolation
-from .linalg import DEFAULT_DIM_CAP, frobenius, hermitian_part, identity, op_norm
+from .linalg import DEFAULT_DIM_CAP, hermitian_part, identity, op_norm, screened_max_norm
 from .units import MatrixUnitSystem, Shape, canonical_units, normalize_shape, rank, subrank
 
 DISTANCE_MARGIN = 0.75  # fraction of the 2^-m budget the recipes actually spend
@@ -140,31 +139,19 @@ def commutant_projection(x: np.ndarray, block: MatrixUnitSystem) -> np.ndarray:
 def _screened_max_commutator(left: List[np.ndarray], right: List[np.ndarray]) -> float:
     """Max operator norm of [u, v] over the two unit families.
 
-    Frobenius screening first; operator norms only for candidates that can
-    still hold the maximum (op <= fro <= sqrt(dim) * op).
+    Exact: every commutator's Frobenius norm screens the operator-norm
+    measurements (``screened_max_norm``), so on commuting families, whose
+    commutators vanish exactly, no operator norm is evaluated.
     """
     if not left or not right:
         return 0.0
-    d = left[0].shape[0]
-    heap: list = []
-    order = 0
-    lstack = np.stack(left)
-    rstack = np.stack(right).transpose(1, 0, 2).reshape(d, -1)
-    for li, u in enumerate(lstack):
-        uv = (u @ rstack).reshape(d, len(right), d).transpose(1, 0, 2)
-        for ri, v in enumerate(right):
-            comm = uv[ri] - v @ u
-            f = frobenius(comm)
-            order += 1
-            if len(heap) < 64:
-                heapq.heappush(heap, (f, order, li, ri))
-            elif f > heap[0][0]:
-                heapq.heapreplace(heap, (f, order, li, ri))
-    best = 0.0
-    for _, _, li, ri in heap:
-        u, v = left[li], right[ri]
-        best = max(best, op_norm(u @ v - v @ u))
-    return best
+    lstack, rstack = np.stack(left), np.stack(right)
+
+    def commutators(li: np.ndarray, ri: np.ndarray) -> np.ndarray:
+        u, v = lstack[li], rstack[ri]
+        return u @ v - v @ u
+
+    return screened_max_norm(len(left), len(right), lstack.shape[1], commutators)
 
 
 def _draw_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -7,14 +7,14 @@ explicit ambient matrices e_ij^(s), indexed 1-based by (s, i, j).
 
 from __future__ import annotations
 
-import heapq
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, Iterator, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import as_operator, frobenius, identity, matrix_to_json, op_norm
+from .linalg import as_operator, identity, matrix_to_json, op_norm, op_norms, screened_max_norm
 
 Shape = Tuple[int, ...]
 
@@ -139,16 +139,12 @@ def canonical_units(shape: Sequence[int], embedding: UnitalEmbedding | None = No
     units: Dict[Tuple[int, int, int], np.ndarray] = {}
     offset = 0
     for s, (k, c) in enumerate(zip(shape, embedding.multiplicities), start=1):
-        amp = np.eye(c)
-        for i in range(1, k + 1):
-            for j in range(1, k + 1):
-                e = np.zeros((k, k))
-                e[i - 1, j - 1] = 1.0
-                block = np.kron(e, amp)
-                mat = np.zeros((dim, dim), dtype=np.complex128)
-                span = k * c
-                mat[offset : offset + span, offset : offset + span] = block
-                units[(s, i, j)] = mat
+        # block[i, j] = E_ij (x) I_c on the window: ones at (rows[i, t], rows[j, t])
+        block = np.zeros((k, k, dim, dim), dtype=np.complex128)
+        rows = offset + np.arange(k * c).reshape(k, c)
+        idx = np.arange(k)
+        block[idx[:, None, None], idx[None, :, None], rows[:, None, :], rows[None, :, :]] = 1.0
+        units.update(((s, i + 1, j + 1), block[i, j]) for i in range(k) for j in range(k))
         offset += k * c
     return MatrixUnitSystem(shape=shape, ambient_dim=dim, units=units, unital=True)
 
@@ -162,7 +158,8 @@ class UnitDefects:
     multiplication: float
 
     def max(self) -> float:
-        return max(self.adjoint, self.unitality, self.multiplication)
+        """Largest defect; NaN if any defect is NaN."""
+        return float(np.max([self.adjoint, self.unitality, self.multiplication]))
 
     def to_json(self) -> dict:
         return {
@@ -172,61 +169,46 @@ class UnitDefects:
         }
 
 
-_SKIP = object()
+_SKIP = -2  # matched pair whose composite unit a partial system lacks
+_ZERO = -1  # pair whose product should vanish
 
 
-def _expected_product(shape, key_a, key_b, units):
-    """Expected value of a unit product: a matched in-block pair multiplies to
-    the composite unit, everything else to zero.  Pairs whose composite is
-    absent from a partial system cannot be scored and are skipped."""
-    s, i, j = key_a
-    s1, i1, j1 = key_b
-    if s == s1 and j == i1:
-        return units.get((s, i, j1), _SKIP)
-    return None
-
-
-def unit_defects(system: MatrixUnitSystem, exact_eval_limit: int = 512) -> UnitDefects:
+def unit_defects(system: MatrixUnitSystem) -> UnitDefects:
     """Measure adjoint, unitality and multiplication defects.
 
     Multiplication covers both the in-block product rule and the vanishing
-    of cross-block (or mismatched-index) products.  All-pairs products are
-    screened with Frobenius norms; the worst candidates are then re-measured
-    in operator norm.  Frobenius dominates operator norm, so the screening
-    threshold max_F / sqrt(dim) cannot discard the true maximizer.
+    of cross-block (or mismatched-index) products: a matched in-block pair
+    e_ij e_jl should give e_il, every other pair zero.  Matched pairs whose
+    composite is absent from a partial system cannot be scored and are
+    skipped (scored as zero).  The maximum over all pairs is exact
+    (``screened_max_norm``).
     """
     keys = system.keys()
+    index = {key: n for n, key in enumerate(keys)}
     mats = np.stack([system.units[k] for k in keys])
     n, d, _ = mats.shape
 
-    adj = 0.0
-    for s, i, j in keys:
-        adj = max(adj, op_norm(system.units[(s, i, j)].conj().T - system.units[(s, j, i)]))
+    partners = np.stack([system.units[(s, j, i)] for s, i, j in keys])
+    adj = op_norms(mats.conj().transpose(0, 2, 1) - partners).max()
 
     unitality = op_norm(system.diagonal_sum() - identity(d))
 
-    # Frobenius screen over all ordered pairs, chunked on the left factor.
-    flat_right = mats.transpose(1, 0, 2).reshape(d, n * d)
-    top: list = []  # min-heap of (fro, left_idx, right_idx)
-    order = 0
-    for li in range(n):
-        prods = (mats[li] @ flat_right).reshape(d, n, d).transpose(1, 0, 2)
-        for ri in range(n):
-            expected = _expected_product(system.shape, keys[li], keys[ri], system.units)
-            if expected is _SKIP:
-                continue
-            resid = prods[ri] if expected is None else prods[ri] - expected
-            f = frobenius(resid)
-            order += 1
-            if len(top) < exact_eval_limit:
-                heapq.heappush(top, (f, order, li, ri))
-            elif f > top[0][0]:
-                heapq.heapreplace(top, (f, order, li, ri))
-    mult = 0.0
-    for _, _, li, ri in top:
-        expected = _expected_product(system.shape, keys[li], keys[ri], system.units)
-        resid = mats[li] @ mats[ri]
-        if expected is not None and expected is not _SKIP:
-            resid = resid - expected
-        mult = max(mult, op_norm(resid))
+    # expected[l, r]: index of the unit e_l e_r should equal, _ZERO or _SKIP
+    by_row = defaultdict(list)
+    for r, (s, i, j) in enumerate(keys):
+        by_row[(s, i)].append((r, j))
+    expected = np.full((n, n), _ZERO)
+    for l, (s, i, j) in enumerate(keys):
+        for r, j1 in by_row[(s, j)]:
+            expected[l, r] = index.get((s, i, j1), _SKIP)
+
+    def residuals(li: np.ndarray, ri: np.ndarray) -> np.ndarray:
+        out = mats[li] @ mats[ri]
+        exp = expected[li, ri]
+        hit = exp >= 0
+        out[hit] -= mats[exp[hit]]
+        out[exp == _SKIP] = 0.0
+        return out
+
+    mult = screened_max_norm(n, n, d, residuals)
     return UnitDefects(adjoint=float(adj), unitality=float(unitality), multiplication=float(mult))

@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 import towergen
+import towergen.cli as cli
 from towergen.cli import main, run, validate_config
 from towergen.errors import ConfigInvalid
+from towergen.units import UnitDefects
 from towergen.presets import list_presets, preset_spec
 from towergen.report import RunReport
 
@@ -93,6 +95,32 @@ def test_unknown_preset_is_config_invalid(tmp_path):
     cfg = tmp_path / "t9.json"
     cfg.write_text(json.dumps({"preset": "T9"}))
     assert main(["tower-check", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize(
+    "command,config,path",
+    [
+        ("stabilize-sweep", {"shape": [2, 2], "deltas": [float("nan")]}, "deltas.0"),
+        ("stabilize-sweep", {"shape": [2, 2], "deltas": [1e-4, float("inf")]}, "deltas.1"),
+        ("cover-estimate", {"k": 1, "omega": float("nan")}, "omega"),
+        ("cover-estimate", {"k": 1, "omegas": [0.5, float("inf")]}, "omegas.1"),
+    ],
+)
+def test_non_finite_config_is_config_invalid(tmp_path, command, config, path):
+    with pytest.raises(ConfigInvalid) as info:
+        run(command, config)
+    assert info.value.path == path
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))  # writes the NaN / Infinity literals json.load accepts
+    assert main([command, "--config", str(cfg)]) == 2
+
+
+def test_stabilize_sweep_fails_on_nan_defects(monkeypatch):
+    monkeypatch.setattr(cli, "unit_defects", lambda system: UnitDefects(0.0, float("nan"), 0.0))
+    report = run("stabilize-sweep", {"shape": [2], "deltas": [1e-6], "seeds": 2})
+    row = next(r for r in report.rows if r.name.endswith("defects_out"))
+    assert not row.passed
+    assert not report.passed
 
 
 def test_all_bodies_identical_across_blas_threads(tmp_path):

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from towergen.errors import DimensionMismatch, DimensionOverflow, EigenvalueNearThreshold
+import towergen.linalg as linalg
+from towergen.errors import (
+    DimensionMismatch,
+    DimensionOverflow,
+    EigenvalueNearThreshold,
+    NonFiniteValue,
+)
 from towergen.linalg import (
     as_operator,
     direct_sum,
@@ -10,8 +16,10 @@ from towergen.linalg import (
     matrix_from_json,
     matrix_to_json,
     op_norm,
+    op_norms,
     polar_partial_isometry,
     require_hermitian,
+    screened_max_norm,
     spectral_projection,
     tuple_norm,
 )
@@ -35,6 +43,78 @@ def test_op_norm_rank_one():
 
 def test_op_norm_zero():
     assert op_norm(np.zeros((4, 4))) == 0.0
+
+
+def test_op_norms_match_singular_values():
+    rng = np.random.default_rng(4)
+    for shape in [(7, 1, 1), (6, 2, 2), (5, 6, 6), (3, 4, 2)]:
+        stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        norms = op_norms(stack)
+        assert norms == pytest.approx(np.linalg.norm(stack, ord=2, axis=(1, 2)), rel=1e-12)
+        assert [op_norm(m) for m in stack] == list(norms)
+    scalars = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    assert list(op_norms(scalars[:, None, None])) == [float(abs(z)) for z in scalars]
+    assert list(op_norms(np.zeros((2, 0, 0)))) == [0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [[[np.nan, 0.0], [0.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]], [[np.nan]], [[complex(0, np.inf)]]],
+)
+def test_op_norm_non_finite_fails_closed(entries):
+    with pytest.raises(NonFiniteValue):
+        op_norm(np.array(entries))
+    stack = np.stack([identity(len(entries)), np.array(entries, dtype=complex)])
+    with pytest.raises(NonFiniteValue):
+        op_norms(stack)
+
+
+def _grid(rng, rows, cols, dim, scale):
+    """Residuals r(l, r) = A_l B_r - B_r of random families, scaled per pair."""
+    a = rng.standard_normal((rows, dim, dim)) + 1j * rng.standard_normal((rows, dim, dim))
+    b = rng.standard_normal((cols, dim, dim)) + 1j * rng.standard_normal((cols, dim, dim))
+    weight = scale(rng.uniform(size=(rows, cols)))
+
+    def residual(li, ri):
+        return weight[li, ri][..., None, None] * (a[li] @ b[ri] - b[ri])
+
+    return residual
+
+
+@pytest.mark.parametrize("dim", [1, 3, 9])
+@pytest.mark.parametrize("scale", [lambda w: w, lambda w: 1.0 + 1e-12 * w, lambda w: 0 * w + 1.0])
+def test_screened_max_norm_matches_all_pairs(dim, scale):
+    rng = np.random.default_rng(dim)
+    rows, cols = 11, 37
+    residual = _grid(rng, rows, cols, dim, scale)
+    brute = max(
+        op_norm(residual(np.array([l]), np.array([r]))[0])
+        for l in range(rows)
+        for r in range(cols)
+    )
+    assert screened_max_norm(rows, cols, dim, residual) == brute
+
+
+def test_screened_max_norm_vanishing_grid_measures_nothing(monkeypatch):
+    measured = []
+    monkeypatch.setattr(linalg, "op_norms", lambda stack: measured.append(stack) or 0)
+
+    def zeros(li, ri):
+        return np.zeros(np.broadcast(li, ri).shape + (4, 4), dtype=complex)
+
+    assert screened_max_norm(5, 6, 4, zeros) == 0.0
+    assert screened_max_norm(0, 6, 4, zeros) == 0.0
+    assert measured == []
+
+
+def test_screened_max_norm_non_finite_fails_closed():
+    def residual(li, ri):
+        out = np.ones(np.broadcast(li, ri).shape + (2, 2), dtype=complex)
+        out[(li == 3) & (ri == 1)] = np.nan
+        return out
+
+    with pytest.raises(NonFiniteValue):
+        screened_max_norm(4, 2, 2, residual)
 
 
 def test_tuple_norm_examples():

@@ -20,6 +20,7 @@ from towergen.microstates import (
     haar_unitary,
     orbit_cloud,
     pinching_defect,
+    point_distance,
 )
 from towergen.units import UnitalEmbedding, canonical_units
 
@@ -163,6 +164,65 @@ def test_cover_trivial_cases():
     assert greedy_cover(cloud, 0.5) == 1
     circle = [np.array([[np.exp(2j * np.pi * t / 64)]]) for t in range(64)]
     assert greedy_cover(circle, 2.1) == 1
+
+
+def naive_packing(cloud, omega):
+    kept = []
+    for p in cloud:
+        if all(point_distance(p, q) >= omega for q in kept):
+            kept.append(p)
+    return len(kept)
+
+
+def naive_cover(cloud, omega):
+    covered = [False] * len(cloud)
+    balls = 0
+    for i, p in enumerate(cloud):
+        if covered[i]:
+            continue
+        balls += 1
+        for j in range(i, len(cloud)):
+            if not covered[j] and point_distance(p, cloud[j]) < omega:
+                covered[j] = True
+    return balls
+
+
+def _tuple_cloud():
+    """Pairs of 2 x 2 unitaries, with repeated points and pairs at equal distance."""
+    cloud = [(haar_unitary(2, seed=s), haar_unitary(2, seed=s + 500)) for s in range(120)]
+    cloud += cloud[:5] + [(cloud[7][0], -cloud[7][1])]
+    return cloud
+
+
+_CIRCLE = [np.array([[np.exp(2j * np.pi * t / 360)]]) for t in range(360)]
+
+
+@pytest.mark.parametrize(
+    "cloud,omegas,ties",
+    [
+        (_tuple_cloud(), [0.3, 1.0, 1.6, 2.5], [1, 3, 5]),
+        (_CIRCLE, [0.1, 0.5, 1.0, 2.0], [9, 40, 120]),
+        ([np.array([[x]]) for x in (0.0, 0.5, 1.0, 0.25, 1.5, 0.75)], [0.25, 0.5], [1, 3]),
+    ],
+)
+def test_packing_and_cover_match_naive_scans(cloud, omegas, ties):
+    # distances that occur in the cloud exercise the closed/open boundary rule
+    omegas = omegas + [point_distance(cloud[0], cloud[k]) for k in ties]
+    for omega in omegas:
+        est = greedy_packing(cloud, omega)
+        assert est.packing_count == est.implied_cover_lower == naive_packing(cloud, omega)
+        assert est.greedy_cover_count == greedy_cover(cloud, omega) == naive_cover(cloud, omega)
+        assert est.sample_count == len(cloud)
+
+
+def test_packing_rejects_mixed_clouds():
+    with pytest.raises(DimensionMismatch):
+        greedy_packing([identity(2), identity(3)], 0.5)
+    with pytest.raises(DimensionMismatch):
+        greedy_cover([(identity(2), identity(2)), (identity(2),)], 0.5)
+    with pytest.raises(DimensionMismatch):
+        greedy_packing([], 0.5)
+    assert greedy_cover([], 0.5) == 0
 
 
 def test_unitary_bounds_k1():

@@ -3,8 +3,10 @@ import pytest
 
 from towergen.errors import DimensionMismatch, DimensionOverflow, StrictModeViolation
 from towergen.linalg import identity, op_norm
+import towergen.linalg as linalg
 from towergen.tower import (
     TowerSpec,
+    _screened_max_commutator,
     build_tower,
     check_conditions,
     commutant_projection,
@@ -87,6 +89,23 @@ def test_scalar_generator_zero_distance():
     model.generators[0] = 0.4 * identity(3)
     witness = witnesses_at_level(model, 1)
     assert witness.distances[0] <= 1e-13
+
+
+def test_cross_commutator_matches_all_pairs():
+    rng = np.random.default_rng(12)
+    left = [rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)) for _ in range(7)]
+    right = [rng.standard_normal((6, 6)) * 10.0 ** -rng.integers(0, 4) for _ in range(30)]
+    brute = max(op_norm(u @ v - v @ u) for u in left for v in right)
+    assert _screened_max_commutator(left, right) == brute
+
+
+def test_cross_commutator_of_commuting_levels_needs_no_norm(t1_model, monkeypatch):
+    calls = []
+    monkeypatch.setattr(linalg, "op_norms", lambda stack: calls.append(len(stack)))
+    left = [mat for _, mat in t1_model.blocks[0].iter_units()]
+    right = [mat for _, mat in t1_model.blocks[1].iter_units()]
+    assert _screened_max_commutator(left, right[::8]) == 0.0
+    assert calls == []
 
 
 def test_commutant_projection_fixed_point(t1_model):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from towergen.errors import DimensionMismatch
+from towergen.errors import DimensionMismatch, NonFiniteValue
 from towergen.linalg import identity, op_norm
 from towergen.stabilize import perturb_units
 from towergen.units import (
     MatrixUnitSystem,
     UnitalEmbedding,
+    UnitDefects,
     canonical_units,
     rank,
     subrank,
@@ -40,20 +41,43 @@ def test_invalid_shapes():
         subrank([0, 2])
 
 
-def brute_force_product_table(system: MatrixUnitSystem) -> float:
-    """Exhaustive defect of all pairwise product relations."""
-    worst = 0.0
+def reference_defects(system: MatrixUnitSystem) -> UnitDefects:
+    """Exhaustive defects: every adjoint pair and every scored ordered product."""
+    adjoint = multiplication = 0.0
     keys = system.keys()
     for s, i, j in keys:
         a = system.unit(s, i, j)
-        worst = max(worst, op_norm(a.conj().T - system.unit(s, j, i)))
+        adjoint = max(adjoint, op_norm(a.conj().T - system.unit(s, j, i)))
         for s1, i1, j1 in keys:
             prod = a @ system.unit(s1, i1, j1)
             if s == s1 and j == i1:
+                if (s, i, j1) not in system.units:
+                    continue
                 prod = prod - system.unit(s, i, j1)
-            worst = max(worst, op_norm(prod))
-    worst = max(worst, op_norm(system.diagonal_sum() - identity(system.ambient_dim)))
-    return worst
+            multiplication = max(multiplication, op_norm(prod))
+    unitality = op_norm(system.diagonal_sum() - identity(system.ambient_dim))
+    return UnitDefects(adjoint, unitality, multiplication)
+
+
+def brute_force_product_table(system: MatrixUnitSystem) -> float:
+    """Exhaustive defect of all pairwise product relations."""
+    return reference_defects(system).max()
+
+
+def kron_units(shape, mult):
+    """The per-unit construction: E_ij (x) I_c placed on block s's window."""
+    dim = sum(c * k for c, k in zip(mult, shape))
+    units, offset = {}, 0
+    for s, (k, c) in enumerate(zip(shape, mult), start=1):
+        for i in range(1, k + 1):
+            for j in range(1, k + 1):
+                e = np.zeros((k, k))
+                e[i - 1, j - 1] = 1.0
+                mat = np.zeros((dim, dim), dtype=np.complex128)
+                mat[offset : offset + k * c, offset : offset + k * c] = np.kron(e, np.eye(c))
+                units[(s, i, j)] = mat
+        offset += k * c
+    return units
 
 
 def test_canonical_units_m2_elementary():
@@ -87,6 +111,20 @@ def test_canonical_units_product_table(shape, mult):
     assert target <= 32
     system = canonical_units(shape, UnitalEmbedding(shape, mult, target))
     assert brute_force_product_table(system) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "shape,mult",
+    [((1,), (1,)), ((2,), (3,)), ((2, 3), (1, 1)), ((2, 2, 2), (2, 1, 3)), ((3, 1, 4), (1, 5, 2))],
+)
+def test_canonical_units_match_kron_construction(shape, mult):
+    target = sum(c * k for c, k in zip(mult, shape))
+    system = canonical_units(shape, UnitalEmbedding(shape, mult, target))
+    reference = kron_units(shape, mult)
+    assert list(system.units) == list(reference)
+    for key, mat in reference.items():
+        assert system.unit(*key).dtype == mat.dtype
+        assert np.array_equal(system.unit(*key), mat)
 
 
 def test_embedding_validation():
@@ -128,6 +166,47 @@ def test_unit_defects_non_unital():
     )
     defects = unit_defects(partial)
     assert defects.unitality == pytest.approx(1.0, abs=1e-14)
+
+
+def _partial_three_block():
+    """Block 1 of M_3 without e_13, e_31, e_33: e_12 e_23 and others go unscored."""
+    full = canonical_units([3, 2])
+    keep = [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2), (1, 2, 3), (1, 3, 2)]
+    keep += [key for key in full.keys() if key[0] == 2]
+    units = {key: full.unit(*key) for key in keep}
+    return MatrixUnitSystem(shape=(3, 2), ambient_dim=5, units=units, unital=False)
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        canonical_units((4, 4, 2), UnitalEmbedding((4, 4, 2), (1, 2, 1), 14)),  # 36 units
+        canonical_units((2, 3), UnitalEmbedding((2, 3), (3, 2), 12)),
+        canonical_units((5, 5)),
+        _partial_three_block(),
+    ],
+)
+@pytest.mark.parametrize("delta", [0.0, 1e-9, 1e-3, 0.2])
+def test_unit_defects_match_all_pairs(system, delta):
+    noisy = perturb_units(system, delta, seed=len(system.units))
+    assert unit_defects(noisy) == reference_defects(noisy)
+
+
+def test_unit_defects_non_finite_fails_closed():
+    system = canonical_units([2, 2])
+    poisoned = dict(system.units)
+    poisoned[(2, 1, 2)] = poisoned[(2, 1, 2)].copy()
+    poisoned[(2, 1, 2)][0, 0] = np.nan
+    with pytest.raises(NonFiniteValue):
+        unit_defects(MatrixUnitSystem(shape=(2, 2), ambient_dim=4, units=poisoned))
+
+
+@pytest.mark.parametrize("position", range(3))
+def test_unit_defects_max_propagates_nan(position):
+    values = [0.0, 0.0, 0.0]
+    values[position] = float("nan")
+    assert np.isnan(UnitDefects(*values).max())
+    assert UnitDefects(1e-3, 2e-3, 0.0).max() == 2e-3
 
 
 def test_unit_system_serialization():
