@@ -35,29 +35,32 @@ from .report import RunReport
 from .similarity import run_identity_sweep
 from .stabilize import StabilizeParams, perturb_units, stabilize_units
 from .tower import TowerSpec, build_tower, check_conditions
-from .twogen import build_plan, diag_coefficient, verify_facts
+from .twogen import build_plan, verify_facts
 from .units import UnitalEmbedding, canonical_units, subrank, unit_defects
 
-_TOWER_PROPS = {
-    "preset": {"enum": sorted(list_presets())},
-    "shapes": {
-        "type": "array",
-        "minItems": 1,
-        "items": {"type": "array", "minItems": 1, "items": {"type": "integer", "minimum": 1}},
+# One schema serves every tower-style command; a config names a preset or shapes.
+TOWER_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "preset": {"enum": sorted(list_presets())},
+        "shapes": {
+            "type": "array",
+            "minItems": 1,
+            "items": {"type": "array", "minItems": 1, "items": {"type": "integer", "minimum": 1}},
+        },
+        "generators": {"type": "integer", "minimum": 1},
+        "mode": {"enum": ["strict", "relaxed"]},
+        "seed": {"type": "integer"},
+        "recipe": {"enum": ["leading-factor", "uhf"]},
+        "closure": {"type": "boolean"},
     },
-    "generators": {"type": "integer", "minimum": 1},
-    "mode": {"enum": ["strict", "relaxed"]},
-    "seed": {"type": "integer"},
-    "recipe": {"enum": ["leading-factor", "uhf"]},
-    "closure": {"type": "boolean"},
+    "additionalProperties": False,
 }
 
 SCHEMAS: Dict[str, dict] = {
-    "tower-build": {"type": "object", "properties": _TOWER_PROPS, "additionalProperties": False},
-    "tower-check": {"type": "object", "properties": _TOWER_PROPS, "additionalProperties": False},
-    "gen-construct": {"type": "object", "properties": _TOWER_PROPS, "additionalProperties": False},
-    "gen-verify": {"type": "object", "properties": _TOWER_PROPS, "additionalProperties": False},
-    "recover": {"type": "object", "properties": _TOWER_PROPS, "additionalProperties": False},
+    "tower-check": TOWER_SCHEMA,
+    "gen-verify": TOWER_SCHEMA,
+    "recover": TOWER_SCHEMA,
     "stabilize-sweep": {
         "type": "object",
         "properties": {
@@ -111,9 +114,12 @@ SCHEMAS: Dict[str, dict] = {
     "all": {"type": "object", "properties": {}, "additionalProperties": False},
 }
 
+# Older subcommand names; each runs, and reports exactly as, its canonical command.
+ALIASES = {"tower-build": "tower-check", "gen-construct": "gen-verify"}
+
 
 def validate_config(command: str, config: dict) -> None:
-    schema = SCHEMAS[command]
+    schema = SCHEMAS[ALIASES.get(command, command)]
     validator = Draft202012Validator(schema)
     errors = sorted(validator.iter_errors(config), key=lambda e: list(e.absolute_path))
     if errors:
@@ -124,9 +130,8 @@ def validate_config(command: str, config: dict) -> None:
     if bad is not None:
         path = ".".join(str(p) for p in bad)
         raise ConfigInvalid(f"config field {path}: not a finite number", path=path)
-    if command in ("tower-build", "tower-check", "gen-construct", "gen-verify", "recover"):
-        if "preset" not in config and "shapes" not in config:
-            raise ConfigInvalid("config needs either 'preset' or 'shapes'", path="shapes")
+    if schema is TOWER_SCHEMA and "preset" not in config and "shapes" not in config:
+        raise ConfigInvalid("config needs either 'preset' or 'shapes'", path="shapes")
 
 
 def _non_finite_path(value, path=()):
@@ -169,20 +174,6 @@ def resolve_tower_spec(config: dict) -> TowerSpec:
     )
 
 
-def run_tower_build(config: dict) -> RunReport:
-    report = RunReport("tower-build", config)
-    spec = resolve_tower_spec(config)
-    model = build_tower(spec)
-    report.add("ambient_dim", model.ambient_dim, None, True)
-    cond = check_conditions(model)
-    for row in cond.rows:
-        report.add(f"level{row.level}.unitality", row.unitality_defect, 1e-12,
-                   row.unitality_defect <= 1e-12)
-        report.add(f"level{row.level}.cross_commutator", row.max_cross_commutator, 1e-12,
-                   row.max_cross_commutator <= 1e-12)
-    return report.close()
-
-
 def run_tower_check(config: dict) -> RunReport:
     report = RunReport("tower-check", config)
     spec = resolve_tower_spec(config)
@@ -205,46 +196,15 @@ def run_tower_check(config: dict) -> RunReport:
     return report.close()
 
 
-def _construction_rows(report: RunReport, plan) -> None:
-    shapes = plan.model.spec.block_shapes
-    ranks = [len(s) for s in shapes]
-    for lv in plan.levels:
-        z_target = 2.0 ** (-(sum(ranks[: lv.level]) + 1))
-        report.add(
-            f"level{lv.level}.coupling_norm_gap",
-            abs(op_norm(lv.coupling) - z_target), 1e-10,
-            abs(op_norm(lv.coupling) - z_target) <= 1e-10,
-        )
-        a_target = diag_coefficient(shapes, lv.level, 1)
-        report.add(
-            f"level{lv.level}.diag_norm_gap",
-            abs(op_norm(lv.diag_term) - a_target), 1e-10,
-            abs(op_norm(lv.diag_term) - a_target) <= 1e-10,
-        )
-        b_cap = 2.0 ** (-2 * lv.level + 1) + 1e-12
-        report.add(
-            f"level{lv.level}.ladder_norm",
-            op_norm(lv.ladder_term), b_cap, op_norm(lv.ladder_term) <= b_cap,
-        )
-        report.add(f"level{lv.level}.coupling_scale", lv.coupling_scale, None, True)
-
-
-def run_gen_construct(config: dict) -> RunReport:
-    report = RunReport("gen-construct", config)
-    spec = resolve_tower_spec(config)
-    model = build_tower(spec)
-    plan = build_plan(model)
-    _construction_rows(report, plan)
-    return report.close()
-
-
 def run_gen_verify(config: dict) -> RunReport:
     report = RunReport("gen-verify", config)
     spec = resolve_tower_spec(config)
     model = build_tower(spec)
-    plan = build_plan(model)
-    _construction_rows(report, plan)
-    facts = verify_facts(plan)
+    facts = verify_facts(build_plan(model))
+    for lv in facts.levels:
+        for row in lv.rows():
+            report.add(row.name, row.measured, row.threshold, row.passed)
+        report.add(f"level{lv.level}.coupling_scale", lv.coupling_scale, None, True)
     for row in facts.rows:
         report.add(row.name, row.measured, row.threshold, row.passed)
     return report.close()
@@ -557,9 +517,7 @@ def run_all(config: dict) -> RunReport:
 
 
 RUNNERS = {
-    "tower-build": run_tower_build,
     "tower-check": run_tower_check,
-    "gen-construct": run_gen_construct,
     "gen-verify": run_gen_verify,
     "recover": run_recover,
     "stabilize-sweep": run_stabilize_sweep,
@@ -573,6 +531,7 @@ RUNNERS = {
 
 def run(command: str, config: dict) -> RunReport:
     """Validate and dispatch; errors come back as failed reports."""
+    command = ALIASES.get(command, command)
     validate_config(command, config)
     try:
         return RUNNERS[command](config)
@@ -589,7 +548,7 @@ def main(argv=None) -> int:
         description="Build commuting block towers, run the two-generator "
         "construction, and verify its identities numerically.",
     )
-    parser.add_argument("command", choices=sorted(RUNNERS))
+    parser.add_argument("command", choices=sorted([*RUNNERS, *ALIASES]))
     parser.add_argument("--config", help="JSON config path")
     parser.add_argument("--out", help="write the report JSON here")
     parser.add_argument("--seed", type=int, help="override the config seed")

@@ -37,7 +37,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .errors import DimensionMismatch, NoSpectralGap
-from .linalg import as_operator, op_norm
+from .linalg import _lapack, as_operator, op_norm
 
 GAP_TOL = 1e-6
 EDGE_TOL = 1e-8
@@ -147,7 +147,8 @@ def subalgebra_closure(generators: Sequence[np.ndarray]) -> StructureCertificate
     z = sum(np.tensordot(coeffs[:, lo : lo + _CHUNK], s, axes=1) for lo, s in _unit_chunks(gens))
     x, y = z + z.conj().transpose(0, 2, 1)
     xy = x @ y
-    evals, v = np.linalg.eigh(x + (xy + xy.conj().T) / 2 + 1j * (xy - xy.conj().T) / 2)
+    h = x + (xy + xy.conj().T) / 2 + 1j * (xy - xy.conj().T) / 2
+    evals, v = _lapack(np.linalg.eigh, h, "generic element eigensolve")
     gaps = np.diff(evals) / max(float(np.abs(evals).max()), np.finfo(float).tiny)
     split = gaps > GAP_TOL
     starts = np.concatenate([[0], np.flatnonzero(split) + 1])

@@ -71,7 +71,7 @@ def op_norms(stack: np.ndarray) -> np.ndarray:
     One Hermitian eigensolve of A*A per matrix; a 1 x 1 matrix gives its
     modulus.  Each result is bit-identical to ``op_norm`` of that matrix.
     Deterministic; for Hermitian input this equals the spectral radius.
-    Raises NonFiniteValue when a result is NaN or infinite.
+    Raises NonFiniteValue on non-finite entries, also when A*A overflows.
     """
     return _op_norms(np.asarray(stack, dtype=np.complex128))
 
@@ -89,19 +89,32 @@ def _op_norms(stack: np.ndarray) -> np.ndarray:
     if stack.shape[1:] == (1, 1):
         # libm's hypot, which np.abs of a complex array does not always match
         norms = np.hypot(stack.real[:, 0, 0], stack.imag[:, 0, 0])
-    else:
-        try:
-            top = np.linalg.eigvalsh(stack.conj().transpose(0, 2, 1) @ stack)[:, -1]
-        except np.linalg.LinAlgError as exc:  # LAPACK may reject NaN input outright
-            if np.isfinite(stack).all():
-                raise NonConvergence(f"operator norm eigensolve failed: {exc}") from exc
-            raise NonFiniteValue("operator norm of a matrix with non-finite entries") from exc
-        # rounding may leave the top eigenvalue at or below zero; adding 0.0
-        # turns a -0.0 from maximum into 0.0, and NaN passes through
-        norms = np.sqrt(np.maximum(top, 0.0) + 0.0)
-    if not math.isfinite(norms.max()):
-        raise NonFiniteValue("operator norm is NaN or infinite")
-    return norms
+        if not math.isfinite(norms.max()):
+            raise NonFiniteValue("operator norm is NaN or infinite")
+        return norms
+    # A*A is finite once _lapack accepts it, so its eigenvalues are too; an
+    # overflow of A*A itself is rejected as non-finite input
+    gram = stack.conj().transpose(0, 2, 1) @ stack
+    top = _lapack(np.linalg.eigvalsh, gram, "operator norm eigensolve of A*A")[:, -1]
+    # rounding may leave the top eigenvalue at or below zero; adding 0.0
+    # turns a -0.0 from maximum into 0.0
+    return np.sqrt(np.maximum(top, 0.0) + 0.0)
+
+
+def _lapack(routine: Callable, a: np.ndarray, what: str):
+    """``routine(a)`` for a LAPACK-backed numpy routine, failing closed.
+
+    Non-finite input raises NonFiniteValue before LAPACK sees it: LAPACK
+    may reject it, return NaN beside finite values that pass a threshold
+    test, or not return at all (an SVD with an infinite entry).  A
+    LinAlgError on finite input raises NonConvergence.
+    """
+    if not np.isfinite(a).all():
+        raise NonFiniteValue(f"{what}: input has non-finite entries")
+    try:
+        return routine(a)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"{what} failed: {exc}") from exc
 
 
 def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
@@ -169,7 +182,7 @@ def spectral_projection(h: np.ndarray, threshold: float) -> np.ndarray:
     EigenvalueNearThreshold is raised.
     """
     h = require_hermitian(h, tol=1e-10)
-    w, v = np.linalg.eigh(hermitian_part(h))
+    w, v = _lapack(np.linalg.eigh, hermitian_part(h), "spectral projection")
     if np.min(np.abs(w - threshold)) < 1e-8:
         raise EigenvalueNearThreshold(
             f"eigenvalue within 1e-8 of threshold {threshold}: spectrum {np.round(w, 12)}"
@@ -188,7 +201,7 @@ def polar_partial_isometry(a: np.ndarray, cutoff: float) -> np.ndarray:
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
     a = as_operator(a)
-    u, s, vh = np.linalg.svd(a)
+    u, s, vh = _lapack(np.linalg.svd, a, "polar decomposition")
     keep = s > cutoff
     if not np.any(keep):
         return np.zeros_like(a)
@@ -218,10 +231,6 @@ def direct_sum(blocks: Iterable[np.ndarray], dim_cap: int = DEFAULT_DIM_CAP) -> 
         out[pos : pos + d, pos : pos + d] = m
         pos += d
     return out
-
-
-def frobenius(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
 
 
 def matrix_to_json(a: np.ndarray) -> dict:

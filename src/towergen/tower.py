@@ -99,9 +99,6 @@ class TowerModel:
     def depth(self) -> int:
         return len(self.blocks)
 
-    def block_rank(self, level: int) -> int:
-        return rank(self.blocks[level - 1].shape)
-
 
 def _embed_factor(x: np.ndarray, factor_dims: Sequence[int], position: int) -> np.ndarray:
     before = int(np.prod(factor_dims[:position], dtype=np.int64)) if position else 1

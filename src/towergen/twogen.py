@@ -318,9 +318,42 @@ class FactRow:
         }
 
 
+@dataclass(frozen=True)
+class LevelNorms:
+    """Level n's summand norms and the closed forms the construction fixes for
+    them: ||z_n|| = 2^-(r_1+...+r_n+1), ||a_n|| = diag_coefficient(shapes, n, 1),
+    ||b_n|| <= 2^(-2n+1)."""
+
+    level: int
+    coupling_scale: float
+    coupling_norm: float
+    coupling_target: float
+    diag_norm: float
+    diag_target: float
+    ladder_norm: float
+    ladder_cap: float
+
+    @property
+    def coupling_gap(self) -> float:
+        return abs(self.coupling_norm - self.coupling_target)
+
+    @property
+    def diag_gap(self) -> float:
+        return abs(self.diag_norm - self.diag_target)
+
+    def rows(self) -> List[FactRow]:
+        n = self.level
+        return [
+            FactRow(f"level{n}.coupling_norm_gap", self.coupling_gap, 1e-10),
+            FactRow(f"level{n}.diag_norm_gap", self.diag_gap, 1e-10),
+            FactRow(f"level{n}.ladder_norm", self.ladder_norm, self.ladder_cap + 1e-12),
+        ]
+
+
 @dataclass
 class FactReport:
     rows: List[FactRow]
+    levels: List[LevelNorms]  # per level; not part of to_json()
 
     @property
     def passed(self) -> bool:
@@ -372,19 +405,23 @@ def verify_facts(plan: GeneratorPlan) -> FactReport:
         f3 = max(f3, op_norm(la.coupling @ lb.coupling), op_norm(lb.coupling @ la.coupling))
         eq9 = max(eq9, op_norm(la.diag_term @ lb.diag_term), op_norm(lb.diag_term @ la.diag_term))
 
-    eq10 = 0.0
-    eq11 = 0.0
-    for lv in levels:
-        expected = diag_coefficient(shapes, lv.level, 1)
-        eq10 = max(eq10, abs(op_norm(lv.diag_term) - expected))
-        eq11 = max(eq11, op_norm(lv.ladder_term) - 2.0 ** (-2 * lv.level + 1))
-    eq11 = max(eq11, 0.0)
-
-    z_norm_gap = 0.0
     ranks = [len(s) for s in shapes]
-    for lv in levels:
-        target = 2.0 ** (-(sum(ranks[: lv.level]) + 1))
-        z_norm_gap = max(z_norm_gap, abs(op_norm(lv.coupling) - target))
+    norms = [
+        LevelNorms(
+            level=lv.level,
+            coupling_scale=lv.coupling_scale,
+            coupling_norm=op_norm(lv.coupling),
+            coupling_target=2.0 ** (-(sum(ranks[: lv.level]) + 1)),
+            diag_norm=op_norm(lv.diag_term),
+            diag_target=diag_coefficient(shapes, lv.level, 1),
+            ladder_norm=op_norm(lv.ladder_term),
+            ladder_cap=2.0 ** (-2 * lv.level + 1),
+        )
+        for lv in levels
+    ]
+    eq10 = max([0.0] + [x.diag_gap for x in norms])
+    eq11 = max([0.0] + [x.ladder_norm - x.ladder_cap for x in norms])
+    z_norm_gap = max([0.0] + [x.coupling_gap for x in norms])
 
     e11_first = model.blocks[0].unit(1, 1, 1)
     rest = (eye - e11_first) @ (2.0 * plan.gen_a) @ (eye - e11_first)
@@ -407,4 +444,4 @@ def verify_facts(plan: GeneratorPlan) -> FactReport:
         FactRow("leading_complement_margin", float(leading_margin), 0.5 + 1e-10),
         FactRow("totals_hermitian_defect", float(herm), 1e-12),
     ]
-    return FactReport(rows=rows)
+    return FactReport(rows=rows, levels=norms)

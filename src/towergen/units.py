@@ -87,10 +87,6 @@ class MatrixUnitSystem:
                 )
             self.units[key] = m
 
-    @property
-    def num_blocks(self) -> int:
-        return len(self.shape)
-
     def unit(self, s: int, i: int, j: int) -> np.ndarray:
         return self.units[(s, i, j)]
 

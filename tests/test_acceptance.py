@@ -1,220 +1,154 @@
-"""Acceptance criteria, one test per criterion.
+"""Acceptance criteria, one test per criterion, as views of the `all` battery.
 
-Each test prints a single PASS/FAIL line (run pytest with -s to see them
-all) and asserts the stated numeric tolerances.  Heavy shared objects are
-module fixtures so the whole file stays inside the suite's time target.
+`towergen all` runs every experiment once with fixed seeds.  Criteria 1-8
+read its rows: each asserts that every row of its segments passed, that
+its rows keep thresholds no looser than the criterion's, and the few checks
+no runner row makes, read from the rows.  Criterion 9 runs the battery once
+more.  Each test prints a single PASS/FAIL line (run pytest with -s to see
+them all).
 """
 
-import statistics
-import time
+import math
 
-import numpy as np
 import pytest
 
-from towergen.cli import run, run_all
-from towergen.closure import distance_to_span, subalgebra_closure
-from towergen.linalg import op_norm
-from towergen.microstates import greedy_packing, haar_unitary, pinching_defect
-from towergen.recovery import round_trip
-from towergen.similarity import run_identity_sweep
-from towergen.stabilize import StabilizeParams, perturb_units, stabilize_units
-from towergen.twogen import diag_coefficient, verify_facts
-from towergen.units import UnitalEmbedding, canonical_units, unit_defects
+from towergen.cli import run
 
 
-def _report(name: str, ok: bool, started: float, detail: str = ""):
-    status = "PASS" if ok else "FAIL"
-    elapsed = time.time() - started
-    print(f"ACCEPTANCE {name}: {status} ({elapsed:.1f}s) {detail}")
-    assert ok, f"{name} failed: {detail}"
+@pytest.fixture(scope="module")
+def battery():
+    return run("all", {})
 
 
-def test_criterion_1_construction_identities(t1_plan):
-    started = time.time()
-    assert t1_plan.model.ambient_dim == 63
-    facts = verify_facts(t1_plan)
-    corner_z = facts.row("corner_annihilates_coupling")
-    z_e11 = facts.row("coupling_kills_first_columns")
-    z_z = facts.row("couplings_mutually_orthogonal")
-    a_a = facts.row("diag_terms_mutually_orthogonal")
-    norm_gap = facts.row("diag_term_norm_gap")
-    comp = facts.row("coupling_compression_identity")
-    ok = (
-        corner_z.measured <= 1e-12
-        and z_e11.measured <= 1e-12
-        and z_z.measured <= 1e-12
-        and a_a.measured <= 1e-12
-        and norm_gap.measured <= 1e-10
-        and comp.measured <= 1e-12
-    )
-    for lv in t1_plan.levels:
-        ok = ok and op_norm(lv.ladder_term) <= 2.0 ** (-2 * lv.level + 1) + 1e-12
-        expected = diag_coefficient(t1_plan.model.spec.block_shapes, lv.level, 1)
-        ok = ok and abs(op_norm(lv.diag_term) - expected) <= 1e-10
-    _report(
-        "1 construction identities (T1)",
-        ok,
-        started,
-        f"corner*z={corner_z.measured:.2e} z*e11={z_e11.measured:.2e} "
-        f"z*z={z_z.measured:.2e} a_n*a_m={a_a.measured:.2e} "
-        f"norm_gap={norm_gap.measured:.2e} compression={comp.measured:.2e}",
-    )
+def _segment(battery, prefix):
+    """Rows under one segment of the battery, keyed by their name inside it."""
+    rows = {r.name[len(prefix) + 1 :]: r for r in battery.rows if r.name.startswith(prefix + ".")}
+    assert rows, f"the battery has no {prefix} rows: {battery.error}"
+    return rows
 
 
-def test_criterion_2_recovery_round_trip(t0_plan, t1_plan):
-    started = time.time()
-    worst_unit = 0.0
-    worst_witness = 0.0
-    worst_squarings = 0
-    for plan in (t0_plan, t1_plan):
-        _, report = round_trip(plan)
-        worst_unit = max(worst_unit, max(report.unit_residuals), max(report.coupling_residuals))
-        worst_witness = max(worst_witness, max(report.witness_residuals))
-        worst_squarings = max(worst_squarings, report.max_squarings)
-    ok = worst_unit <= 1e-6 and worst_witness <= 1e-8 and worst_squarings <= 64
-    _report(
-        "2 recovery round trip (T0, T1)",
-        ok,
-        started,
-        f"max_unit={worst_unit:.2e} max_witness={worst_witness:.2e} squarings={worst_squarings}",
-    )
+def _report(title, rows, checks, detail=""):
+    """Print one PASS/FAIL line; assert every row and every (name, ok) check passed."""
+    failed = [name for name, row in rows.items() if not row.passed]
+    failed += [name for name, ok in checks if not ok]
+    print(f"ACCEPTANCE {title}: {'FAIL' if failed else 'PASS'} ({len(rows)} rows) {detail}")
+    assert not failed, f"{title} failed: {failed}"
 
 
-def test_criterion_3_generation_distance(t1_plan):
-    started = time.time()
-    model = t1_plan.model
-    pair = subalgebra_closure([t1_plan.gen_a, t1_plan.gen_b])
-    oracle_gens = [m for blk in model.blocks for _, m in blk.iter_units()]
-    oracle_gens += [lv.coupling for lv in t1_plan.levels] + [model.identity]
-    oracle = subalgebra_closure(oracle_gens)
-    dims_match = pair.size == oracle.size
-    bound = 2.0 ** (-2) + 1e-6
-    distances = []
-    for x in model.generators:
-        _, upper = distance_to_span(x, pair)
-        distances.append(upper)
-    ok = dims_match and all(d <= bound for d in distances)
-    _report(
-        "3 generation distance (T1)",
-        ok,
-        started,
-        f"dims {pair.size}/{oracle.size} distances={[f'{d:.2e}' for d in distances]}",
-    )
+def _within(rows, caps):
+    """(name, ok) checks that each named row exists with a threshold at most its cap."""
+    return [
+        (f"{name} threshold <= {cap:g}", name in rows and rows[name].threshold <= cap)
+        for name, cap in caps.items()
+    ]
 
 
-def test_criterion_4_stabilizer_sweep():
-    started = time.time()
-    shape = (5, 5)
-    units = canonical_units(shape, UnitalEmbedding(shape, (1, 1), 10))
-    params = StabilizeParams()
-    medians = []
-    worst_defect = 0.0
-    for delta in (1e-6, 1e-4, 1e-3):
-        dists = []
-        for seed in range(20):
-            noisy = perturb_units(units, delta, seed=seed)
-            fixed, dist = stabilize_units(noisy, params)
-            worst_defect = max(worst_defect, unit_defects(fixed).max())
-            dists.append(dist)
-        medians.append(statistics.median(dists))
-    monotone = all(medians[i] <= medians[i + 1] for i in range(len(medians) - 1))
-    out1, d1 = stabilize_units(units, params)
-    out2, d2 = stabilize_units(out1, params)
-    bitstable = (
-        d1 == 0.0
-        and d2 == 0.0
-        and all(np.array_equal(out1.units[k], units.units[k]) for k in units.keys())
-        and all(np.array_equal(out2.units[k], out1.units[k]) for k in units.keys())
-    )
-    ok = worst_defect <= 1e-12 and monotone and bitstable
-    _report(
-        "4 stabilizer (5+5 blocks)",
-        ok,
-        started,
-        f"defects_out={worst_defect:.2e} medians={[f'{m:.2e}' for m in medians]} "
-        f"bitstable={bitstable}",
-    )
+def test_criterion_1_construction_identities(battery):
+    rows = _segment(battery, "construction")  # gen-verify on T1, depth 2
+    caps = {
+        "corner_annihilates_coupling": 1e-12,
+        "coupling_kills_first_columns": 1e-12,
+        "couplings_mutually_orthogonal": 1e-12,
+        "diag_terms_mutually_orthogonal": 1e-12,
+        "diag_term_norm_gap": 1e-10,
+        "coupling_compression_identity": 1e-12,
+    }
+    for n in (1, 2):
+        caps[f"level{n}.ladder_norm"] = 2.0 ** (-2 * n + 1) + 1e-12
+        caps[f"level{n}.diag_norm_gap"] = 1e-10
+    detail = " ".join(f"{name}={rows[name].measured:.2e}" for name in caps if name in rows)
+    _report("1 construction identities (T1)", rows, _within(rows, caps), detail)
 
 
-def test_criterion_5_covering_bounds():
-    started = time.time()
-    samples = 10**4
-    grid = [np.array([[np.exp(2j * np.pi * t / samples)]]) for t in range(samples)]
-    seeds = np.random.SeedSequence(404).spawn(samples)
-    haar = [haar_unitary(1, int(s.generate_state(1)[0])) for s in seeds]
-    ok = True
-    details = []
+def test_criterion_2_recovery_round_trip(battery):
+    rows = {}
+    for prefix in ("recovery_t0", "recovery_t1"):
+        seg = _segment(battery, prefix)
+        rows.update({f"{prefix}.{name}": row for name, row in seg.items()})
+    caps = {"recovery_t0.level1.unit_residual": 1e-6, "recovery_t0.witness1.residual": 1e-8}
+    for n in (1, 2):
+        caps[f"recovery_t1.level{n}.unit_residual"] = 1e-6
+        caps[f"recovery_t1.level{n}.coupling_residual"] = 1e-6
+        caps[f"recovery_t1.witness{n}.residual"] = 1e-8
+    caps.update({"recovery_t0.max_squarings": 64, "recovery_t1.max_squarings": 64})
+    squarings = [rows[f"{p}.max_squarings"].measured for p in ("recovery_t0", "recovery_t1")]
+    _report("2 recovery round trip (T0, T1)", rows, _within(rows, caps), f"squarings={squarings}")
+
+
+def test_criterion_3_generation_distance(battery):
+    seg = _segment(battery, "recovery_t1")
+    rows = {name: row for name, row in seg.items() if name.startswith("closure.")}
+    distances = [name for name in rows if name.startswith("closure.distance_g")]
+    checks = [("closure.dimension_match", "closure.dimension_match" in rows)]
+    checks.append(("one distance per generator", len(distances) == 1))  # T1 has one generator
+    checks += _within(rows, {name: 2.0 ** (-2) + 1e-6 for name in distances})
+    match = rows.get("closure.dimension_match")
+    detail = f"dims {match.measured}/{match.threshold}" if match else ""
+    _report("3 generation distance (T1)", rows, checks, detail)
+
+
+def test_criterion_4_stabilizer_sweep(battery):
+    rows = _segment(battery, "stabilizer")
+    deltas = ("1e-06", "0.0001", "0.001")
+    medians = [rows[f"delta{d}.median_distance"].measured for d in deltas]
+    checks = _within(rows, {f"delta{d}.defects_out": 1e-12 for d in deltas})
+    checks += [
+        ("median distance non-decreasing", all(a <= b for a, b in zip(medians, medians[1:]))),
+        ("fixed_point_distance == 0.0", rows["fixed_point_distance"].measured == 0.0),
+        ("fixed_point_bitstable", rows["fixed_point_bitstable"].measured is True),
+    ]
+    detail = f"medians={[f'{m:.2e}' for m in medians]}"
+    _report("4 stabilizer (5+5 blocks)", rows, checks, detail)
+
+
+def test_criterion_5_covering_bounds(battery):
+    rows = _segment(battery, "covering")
+    checks = []
     for radius, target in ((0.5, 2), (0.25, 4)):
-        oracle = greedy_packing(grid, 2 * radius)
-        sampled = greedy_packing(haar, 2 * radius)
-        upper = (9 * np.pi * np.e / radius) ** 1
-        ok = ok and oracle.packing_count >= target
-        ok = ok and sampled.packing_count >= target
-        ok = ok and max(
-            oracle.packing_count, sampled.packing_count, oracle.greedy_cover_count,
-            sampled.greedy_cover_count,
-        ) <= upper
-        details.append(
-            f"r={radius}: oracle={oracle.packing_count} haar={sampled.packing_count} "
-            f"target={target} cap={upper:.0f}"
-        )
-    _report("5 covering bounds (circle)", ok, started, "; ".join(details))
-
-
-def test_criterion_6_counting_oracle():
-    started = time.time()
-    report = run("counting-check", {"max_dim": 12})
-    ok = report.passed
-    cases = next(r.measured for r in report.rows if r.name == "cases")
-    _report("6 counting oracle (k <= 12)", ok, started, f"cases={cases}")
-
-
-def test_criterion_7_commuting_norm_identity():
-    started = time.time()
-    rows = run_identity_sweep([[2], [3], [2, 3]], [2, 3], 100, 2, seed=808)
-    worst_gap = max(r["gap"] for r in rows)
-    worst_cross = max(r["cross_gap"] for r in rows)
-    ok = len(rows) >= 100 and worst_gap <= 1e-10 and worst_cross <= 1e-10
-    _report(
-        "7 commuting norm identity",
-        ok,
-        started,
-        f"runs={len(rows)} max_gap={worst_gap:.2e} max_cross={worst_cross:.2e}",
+        upper = 9 * math.pi * math.e / radius
+        oracle = rows.get(f"omega{radius:g}.circle_oracle_lower")
+        haar = rows.get(f"omega{radius:g}.haar_certified_lower")
+        checks += [
+            (f"r={radius} circle oracle >= {target}", oracle and oracle.threshold >= target),
+            (f"r={radius} haar packing >= {target}", haar and haar.threshold >= target),
+            (f"r={radius} circle oracle <= 9 pi e / r", oracle and oracle.measured <= upper),
+        ]
+        checks += _within(rows, {
+            f"omega{radius:g}.upper_consistent": upper,
+            f"omega{radius:g}.cover_estimate_sane": upper,
+        })
+    detail = " ".join(
+        f"{name}={row.measured}" for name, row in rows.items() if name.endswith("_lower")
     )
+    _report("5 covering bounds (circle)", rows, checks, detail)
 
 
-def test_criterion_8_compression_defect():
-    started = time.time()
-    shape = (2, 3)
-    units = canonical_units(shape)
-    diags = [units.unit(s, i, i) for s, k in enumerate(shape, 1) for i in range(1, k + 1)]
-    root = np.random.SeedSequence(515)
-    ok = True
-    worst_ratio = 0.0
-    for omega in (0.1, 0.01):
-        for child in root.spawn(20):
-            rng = np.random.default_rng(child)
-            h = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-            h = (h + h.conj().T) / 2
-            blockdiag = sum(p @ h @ p for p in diags)
-            noise = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-            noise = (noise + noise.conj().T) / 2
-            noise = omega * noise / op_norm(noise)
-            defect = pinching_defect([blockdiag + noise], units)[0]
-            ok = ok and defect <= 2 * omega + 1e-10
-            worst_ratio = max(worst_ratio, defect / omega)
-    _report("8 compression defect (2w bound)", ok, started, f"worst defect/omega={worst_ratio:.3f}")
+def test_criterion_6_counting_oracle(battery):
+    rows = _segment(battery, "counting")  # counting-check, k <= 12
+    _report("6 counting oracle (k <= 12)", rows, [], f"cases={rows['cases'].measured}")
 
 
-def test_criterion_9_determinism():
-    started = time.time()
-    first = run_all({})
-    second = run_all({})
-    identical = first.body_bytes() == second.body_bytes()
-    ok = identical and first.passed and second.passed
-    _report(
-        "9 determinism (full battery twice)",
-        ok,
-        started,
-        f"bytes={len(first.body_bytes())} identical={identical} pass={first.passed}",
-    )
+def test_criterion_7_commuting_norm_identity(battery):
+    rows = _segment(battery, "similarity")
+    checks = [("runs >= 100", rows["runs"].measured >= 100)]
+    checks += _within(rows, {"max_gap": 1e-10, "max_cross_gap": 1e-10})
+    detail = f"runs={rows['runs'].measured} max_gap={rows['max_gap'].measured:.2e}"
+    _report("7 commuting norm identity", rows, checks, detail)
+
+
+def test_criterion_8_compression_defect(battery):
+    seg = _segment(battery, "counting")
+    rows = {name: row for name, row in seg.items() if name.startswith("pinching_defect_")}
+    caps = {f"pinching_defect_omega{w:g}": 2 * w + 1e-10 for w in (0.1, 0.01)}
+    detail = " ".join(f"{name}={row.measured:.3e}" for name, row in rows.items())
+    _report("8 compression defect (2w bound)", rows, _within(rows, caps), detail)
+
+
+def test_criterion_9_determinism(battery):
+    second = run("all", {})
+    identical = battery.body_bytes() == second.body_bytes()
+    rows = {row.name: row for row in battery.rows}
+    checks = [("bodies identical", identical), ("second run passed", second.passed)]
+    checks.append(("no error", battery.error is None))
+    detail = f"bytes={len(battery.body_bytes())} identical={identical}"
+    _report("9 determinism (full battery twice)", rows, checks, detail)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import towergen
@@ -46,6 +47,12 @@ def test_gen_verify_t0_report():
     names = [r.name for r in report.rows]
     assert "corner_annihilates_coupling" in names
     assert "level1.coupling_norm_gap" in names
+
+
+@pytest.mark.parametrize("alias,canonical", sorted(cli.ALIASES.items()))
+def test_alias_reports_are_canonical_reports(alias, canonical):
+    config = {"preset": "T0"}
+    assert run(alias, config).body_bytes() == run(canonical, config).body_bytes()
 
 
 def test_error_path_structured_report():
@@ -120,6 +127,16 @@ def test_stabilize_sweep_fails_on_nan_defects(monkeypatch):
     report = run("stabilize-sweep", {"shape": [2], "deltas": [1e-6], "seeds": 2})
     row = next(r for r in report.rows if r.name.endswith("defects_out"))
     assert not row.passed
+    assert not report.passed
+
+
+def test_lapack_failure_is_a_structured_report(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)  # the stabilizer's polar decompositions
+    report = run("stabilize-sweep", {"shape": [2], "deltas": [1e-6], "seeds": 1})
+    assert report.error.startswith("NonConvergence")
     assert not report.passed
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from towergen import closure
 from towergen.closure import EDGE_TOL, distance_to_span, subalgebra_closure
-from towergen.errors import NoSpectralGap
+from towergen.errors import NonConvergence, NonFiniteValue, NoSpectralGap
 from towergen.linalg import op_norm
 
 # Blocks (m, n) of a sum of I_m (x) M_n, d <= 8; identity-only comes first.
@@ -80,3 +80,15 @@ def test_closure_unequal_clusters_fail_closed(monkeypatch):
         except NoSpectralGap:
             raised += 1
     assert raised
+
+
+def test_closure_eigensolve_fails_closed(monkeypatch):
+    with pytest.raises(NonFiniteValue):
+        subalgebra_closure([np.diag([np.nan, 1.0, 1.0])])
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NonConvergence):
+        subalgebra_closure([np.eye(3)])

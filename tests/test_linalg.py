@@ -6,6 +6,7 @@ from towergen.errors import (
     DimensionMismatch,
     DimensionOverflow,
     EigenvalueNearThreshold,
+    NonConvergence,
     NonFiniteValue,
 )
 from towergen.linalg import (
@@ -67,6 +68,29 @@ def test_op_norm_non_finite_fails_closed(entries):
     stack = np.stack([identity(len(entries)), np.array(entries, dtype=complex)])
     with pytest.raises(NonFiniteValue):
         op_norms(stack)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_eigh_and_svd_kernels_fail_closed_on_non_finite_input(bad):
+    entries = np.diag([bad, 1.0, 1.0])
+    with pytest.raises(NonFiniteValue):  # NaN passes the Hermitian and gap checks
+        spectral_projection(entries, 0.5)
+    with pytest.raises(NonFiniteValue):  # LAPACK's SVD may not return on an infinity
+        polar_partial_isometry(entries, 0.5)
+
+
+def test_lapack_failure_on_finite_input_is_non_convergence(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, fail)
+    with pytest.raises(NonConvergence):
+        spectral_projection(np.diag([1.0, 0.0]), 0.5)
+    with pytest.raises(NonConvergence):
+        polar_partial_isometry(identity(2), 0.5)
+    with pytest.raises(NonConvergence):
+        op_norm(identity(2))
 
 
 def _grid(rng, rows, cols, dim, scale):

@@ -142,6 +142,18 @@ def test_verify_facts_t1(t1_plan):
     assert report.row("leading_complement_margin").measured <= 0.5 + 1e-10
 
 
+def test_verify_facts_level_norms_t1(t1_plan):
+    report = verify_facts(t1_plan)
+    targets = [(lv.coupling_target, lv.diag_target, lv.ladder_cap) for lv in report.levels]
+    assert targets == [(0.25, 0.5, 0.5), (0.125, 0.25, 0.125)]
+    for lv, plan_level in zip(report.levels, t1_plan.levels):
+        assert lv.ladder_norm == op_norm(plan_level.ladder_term)
+        assert lv.coupling_scale == plan_level.coupling_scale
+        assert all(row.passed for row in lv.rows())
+    worst = max(lv.coupling_gap for lv in report.levels)
+    assert report.row("coupling_norm_gap").measured == worst
+
+
 def test_verify_facts_detects_corrupted_coupling(t1_plan):
     import copy
 
