@@ -26,8 +26,9 @@ from .microstates import (
     compression_dimension,
     enumerate_multiplicities,
     greedy_packing,
-    haar_unitary,
+    haar_unitaries,
     pinching_defect,
+    spawned_seeds,
 )
 from .presets import list_presets, preset_spec
 from .recovery import round_trip
@@ -258,7 +259,7 @@ def run_stabilize_sweep(config: dict) -> RunReport:
     units = canonical_units(shape, UnitalEmbedding(shape, mult, target))
     params = StabilizeParams()
 
-    exact_out, exact_dist = stabilize_units(units, params)
+    exact_out, exact_dist, _ = stabilize_units(units, params)
     bitstable = all(
         np.array_equal(exact_out.units[key], units.units[key]) for key in units.keys()
     )
@@ -273,8 +274,9 @@ def run_stabilize_sweep(config: dict) -> RunReport:
         for s in range(per_delta):
             seed = base_seed + 1000 * s + int(1e9 * delta) % 997
             noisy = perturb_units(units, delta, seed)
-            defects_in = unit_defects(noisy)
-            fixed, dist = stabilize_units(noisy, params)
+            fixed, dist, defects_in = stabilize_units(noisy, params)
+            if defects_in is None:  # the admissibility gate scores only small systems
+                defects_in = unit_defects(noisy)
             defects_out = unit_defects(fixed)
             worst_out = float(np.maximum(worst_out, defects_out.max()))  # NaN propagates
             dists.append(dist)
@@ -303,8 +305,9 @@ def run_cover_estimate(config: dict) -> RunReport:
     radii = config.get("omegas", [config.get("omega", 0.5)])
     samples = config.get("samples", 10000)
     seed = config.get("seed", 404)
-    seeds = np.random.SeedSequence(seed).spawn(samples)
-    cloud = [haar_unitary(k, int(s.generate_state(1)[0])) for s in seeds]
+    cloud = haar_unitaries(k, spawned_seeds(seed, samples))
+    if k == 1:
+        grid = [np.array([[np.exp(2j * np.pi * t / samples)]]) for t in range(samples)]
     for radius in radii:
         sep = 2.0 * radius
         est = greedy_packing(cloud, sep)
@@ -324,9 +327,6 @@ def run_cover_estimate(config: dict) -> RunReport:
             est.greedy_cover_count <= bounds.paper_upper,
         )
         if k == 1:
-            grid = [
-                np.array([[np.exp(2j * np.pi * t / samples)]]) for t in range(samples)
-            ]
             oracle = greedy_packing(grid, sep)
             report.add(
                 f"omega{radius:g}.circle_oracle_lower",

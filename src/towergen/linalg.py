@@ -163,6 +163,29 @@ def screened_max_norm(
     return best
 
 
+def max_distance(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray]) -> float:
+    """Exact maximum over k of ||xs[k] - ys[k]|| for two same-length families.
+
+    ``screened_max_norm`` over a 1 x n grid: a difference is formed only for
+    the indices the screen asks for, a bounded block at a time, and each
+    measured one gets the bits ``op_norm`` gives it.  Empty families give 0.0.
+    """
+    if len(xs) != len(ys):
+        raise DimensionMismatch(f"families differ in length: {len(xs)} vs {len(ys)}")
+    if not len(xs):
+        return 0.0
+    dim = xs[0].shape[0]
+
+    def residual(li: np.ndarray, ri: np.ndarray) -> np.ndarray:
+        ks = np.broadcast_to(ri, np.broadcast_shapes(li.shape, ri.shape))
+        out = np.empty(ks.shape + (dim, dim), dtype=np.complex128)
+        for pos, k in np.ndenumerate(ks):
+            np.subtract(xs[k], ys[k], out=out[pos])
+        return out
+
+    return screened_max_norm(1, len(xs), dim, residual)
+
+
 def tuple_norm(elems: Sequence[np.ndarray]) -> float:
     """Max of the operator norms across a tuple of same-dimension matrices."""
     mats = list(elems)

@@ -112,27 +112,39 @@ def gamma_member(elems: Sequence[np.ndarray], spec: MicrostateSpec) -> Tuple[boo
     return all(g < spec.epsilon for g in gaps), gaps
 
 
-def haar_unitary(k: int, seed: int) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian with phase fix."""
+def haar_unitaries(k: int, seeds: Sequence[int]) -> np.ndarray:
+    """(n, k, k) stack of Haar-distributed unitaries, one per seed.
+
+    Sample t is the QR of a complex Gaussian drawn from
+    ``default_rng(seeds[t])``, with the phase fix; one stacked
+    factorization serves all samples.
+    """
     if k < 1:
         raise DimensionMismatch("dimension must be positive")
-    rng = np.random.default_rng(seed)
-    z = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+    z = np.empty((len(seeds), k, k), dtype=np.complex128)
+    for t, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        z[t] = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    q, r = np.linalg.qr(z / np.sqrt(2))
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def haar_unitary(k: int, seed: int) -> np.ndarray:
+    """One Haar-distributed unitary: ``haar_unitaries`` for one seed."""
+    return haar_unitaries(k, [seed])[0]
+
+
+def spawned_seeds(seed: int, count: int) -> List[int]:
+    """``count`` independent integer seeds spawned from one root seed."""
+    return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(count)]
 
 
 def orbit_cloud(a: np.ndarray, count: int, seed: int) -> List[np.ndarray]:
     """Unitary conjugates W*AW for independent Haar samples."""
     if count < 1:
         raise DimensionMismatch("need at least one sample")
-    seeds = np.random.SeedSequence(seed).spawn(count)
-    out = []
-    for s in seeds:
-        w = haar_unitary(a.shape[0], seed=int(s.generate_state(1)[0]))
-        out.append(w.conj().T @ a @ w)
-    return out
+    return [w.conj().T @ a @ w for w in haar_unitaries(a.shape[0], spawned_seeds(seed, count))]
 
 
 def _as_tuple(point: Point) -> List[np.ndarray]:

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import LadderBreakdown, NoSpectralGap, NonConvergence
-from .linalg import hermitian_part, identity, op_norm, polar_partial_isometry
+from .linalg import hermitian_part, identity, max_distance, op_norm, polar_partial_isometry
 from .stabilize import StabilizeParams, stabilize_units
 from .twogen import GeneratorPlan, RowAssignment, diag_coefficient, index_atoms
 from .units import MatrixUnitSystem, Shape
@@ -199,7 +199,7 @@ def recover_next_level(
         stripped = hermitian_part(comp @ stripped @ comp)
 
     candidate, trace = ladder_units(corners, b_eff, shape, n, unital=(n == 1), trace=trace)
-    stabilized, moved = stabilize_units(candidate, ctx.stabilize_params)
+    stabilized, moved, _ = stabilize_units(candidate, ctx.stabilize_params)
     trace.add(f"stabilize_l{n}", 1, moved)
 
     if n == 1:
@@ -342,10 +342,10 @@ def round_trip(plan: GeneratorPlan, params: StabilizeParams = StabilizeParams())
     max_squarings = 0
     for lv, stored in zip(result.levels, plan.levels):
         block = model.blocks[lv.level - 1]
-        worst = 0.0
-        for key, mat in block.iter_units():
-            worst = max(worst, op_norm(lv.units.units[key] - mat))
-        unit_residuals.append(float(worst))
+        keys = block.keys()
+        unit_residuals.append(
+            max_distance([lv.units.units[key] for key in keys], [block.units[key] for key in keys])
+        )
         coupling_residuals.append(float(op_norm(lv.coupling - stored.coupling)))
         units_chain = [r.units for r in result.levels[: lv.level]]
         for j in range(1, len(stored.witness.approximants) + 1):

@@ -9,7 +9,7 @@ checkable gap condition and fails loudly when the input is too corrupted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -17,12 +17,13 @@ from .errors import EigenvalueNearThreshold, StabilizationFailed
 from .linalg import (
     hermitian_part,
     identity,
+    max_distance,
     op_norm,
     op_norms,
     polar_partial_isometry,
     spectral_projection,
 )
-from .units import MatrixUnitSystem, unit_defects
+from .units import MatrixUnitSystem, UnitDefects, unit_defects
 
 _EXACT_TOL = 1e-14  # inputs already satisfying a step's contract are kept bitwise
 
@@ -47,9 +48,12 @@ def _is_projection(q: np.ndarray) -> bool:
 
 def stabilize_units(
     candidate: MatrixUnitSystem, params: StabilizeParams = StabilizeParams()
-) -> Tuple[MatrixUnitSystem, float]:
-    """Exact matrix units near an approximate system, plus the max distance.
+) -> Tuple[MatrixUnitSystem, float, Optional[UnitDefects]]:
+    """Exact matrix units near an approximate system, plus the max distance
+    and the candidate's defects.
 
+    The defects are those the admissibility gate measured; they are None
+    for systems of more than 128 units, which the gate does not score.
     Steps that an input unit already satisfies to rounding precision keep
     the input matrix unchanged, making exact systems bit-stable fixed
     points.  Raises StabilizationFailed when a spectral gap or isometry
@@ -58,6 +62,7 @@ def stabilize_units(
     dim = candidate.ambient_dim
     shape = candidate.shape
     n_units = len(candidate.units)
+    defects = None
     if n_units <= 128:
         defects = unit_defects(candidate)
         scored = max(
@@ -132,7 +137,6 @@ def stabilize_units(
             isometries[(s, i)] = v
 
     units: Dict[Tuple[int, int, int], np.ndarray] = {}
-    max_distance = 0.0
     for s, k in enumerate(shape, start=1):
         for i in range(1, k + 1):
             for j in range(1, k + 1):
@@ -145,12 +149,13 @@ def stabilize_units(
                 else:
                     e = isometries[(s, i)] @ isometries[(s, j)].conj().T
                 units[(s, i, j)] = e
-                if params.max_distance_report:
-                    max_distance = max(max_distance, op_norm(candidate.unit(s, i, j) - e))
+    distance = 0.0
+    if params.max_distance_report:
+        distance = max_distance([candidate.units[key] for key in units], list(units.values()))
     out = MatrixUnitSystem(
         shape=shape, ambient_dim=dim, units=units, unital=candidate.unital
     )
-    return out, float(max_distance)
+    return out, distance, defects
 
 
 def perturb_units(units: MatrixUnitSystem, delta: float, seed: int) -> MatrixUnitSystem:

@@ -11,7 +11,8 @@ import towergen
 import towergen.cli as cli
 from towergen.cli import main, run, validate_config
 from towergen.errors import ConfigInvalid
-from towergen.units import UnitDefects
+from towergen.stabilize import perturb_units
+from towergen.units import UnitDefects, UnitalEmbedding, canonical_units, unit_defects
 from towergen.presets import list_presets, preset_spec
 from towergen.report import RunReport
 
@@ -128,6 +129,17 @@ def test_stabilize_sweep_fails_on_nan_defects(monkeypatch):
     row = next(r for r in report.rows if r.name.endswith("defects_out"))
     assert not row.passed
     assert not report.passed
+
+
+def test_stabilize_sweep_defects_in_match_an_independent_scoring():
+    config = {"shape": [2, 3], "multiplicities": [2, 1], "deltas": [1e-4, 1e-3], "seeds": 3}
+    report = run("stabilize-sweep", config)
+    units = canonical_units((2, 3), UnitalEmbedding((2, 3), (2, 1), 7))
+    rows = report.extra["sweep"]
+    assert len(rows) == 6
+    for row in rows:
+        noisy = perturb_units(units, row["delta"], row["seed"])
+        assert row["defects_in"] == unit_defects(noisy).to_json()
 
 
 def test_lapack_failure_is_a_structured_report(monkeypatch):

@@ -15,6 +15,7 @@ from towergen.linalg import (
     identity,
     kron,
     matrix_from_json,
+    max_distance,
     matrix_to_json,
     op_norm,
     op_norms,
@@ -139,6 +140,19 @@ def test_screened_max_norm_non_finite_fails_closed():
 
     with pytest.raises(NonFiniteValue):
         screened_max_norm(4, 2, 2, residual)
+
+
+@pytest.mark.parametrize("dim", [1, 4])
+def test_max_distance_matches_per_pair_loop(dim):
+    rng = np.random.default_rng(dim)
+    xs = list(rng.standard_normal((40, dim, dim)) + 1j * rng.standard_normal((40, dim, dim)))
+    ys = [x + 1e-3 * rng.uniform() * rng.standard_normal((dim, dim)) for x in xs]
+    ys[7] = xs[7].copy()  # one exactly vanishing difference
+    assert max_distance(xs, ys) == max(op_norm(x - y) for x, y in zip(xs, ys))
+    assert max_distance(xs, xs) == 0.0
+    assert max_distance([], []) == 0.0
+    with pytest.raises(DimensionMismatch):
+        max_distance(xs, ys[:-1])
 
 
 def test_tuple_norm_examples():

@@ -17,6 +17,7 @@ from towergen.microstates import (
     gamma_member,
     greedy_cover,
     greedy_packing,
+    haar_unitaries,
     haar_unitary,
     orbit_cloud,
     pinching_defect,
@@ -102,6 +103,23 @@ def test_gamma_t1_amplified_embedding(t1_model):
 def test_haar_scalar_case():
     u = haar_unitary(1, seed=4)
     assert abs(abs(u[0, 0]) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_haar_stack_equals_per_sample_draws(k):
+    def one_sample(seed):  # a per-sample draw and 2-D QR with the phase fix
+        rng = np.random.default_rng(seed)
+        z = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) / np.sqrt(2)
+        q, r = np.linalg.qr(z)
+        d = np.diag(r)
+        return q * (d / np.abs(d))
+
+    seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(404).spawn(300)]
+    stack = haar_unitaries(k, seeds)
+    assert stack.shape == (300, k, k)
+    for w, seed in zip(stack, seeds):
+        assert np.array_equal(w, one_sample(seed))
+        assert np.array_equal(w, haar_unitary(k, seed))
 
 
 def test_haar_unitarity():

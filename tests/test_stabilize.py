@@ -11,7 +11,7 @@ from towergen.units import MatrixUnitSystem, UnitalEmbedding, canonical_units, u
 
 def test_exact_units_fixed_point_bitwise():
     units = canonical_units([3])
-    out, dist = stabilize_units(units)
+    out, dist, _ = stabilize_units(units)
     assert dist == 0.0
     for key in units.keys():
         assert np.array_equal(out.units[key], units.units[key])
@@ -20,8 +20,8 @@ def test_exact_units_fixed_point_bitwise():
 def test_idempotence_bitwise_after_repair():
     units = canonical_units([3, 2])
     noisy = perturb_units(units, 1e-3, seed=7)
-    once, _ = stabilize_units(noisy)
-    twice, dist = stabilize_units(once)
+    once, _, _ = stabilize_units(noisy)
+    twice, dist, _ = stabilize_units(once)
     assert dist == 0.0
     for key in units.keys():
         assert np.array_equal(twice.units[key], once.units[key])
@@ -32,7 +32,7 @@ def test_m5_m5_perturbation_sweep():
     units = canonical_units(shape, UnitalEmbedding(shape, (1, 1), 10))
     for seed in range(20):
         noisy = perturb_units(units, 1e-3, seed=seed)
-        fixed, dist = stabilize_units(noisy)
+        fixed, dist, _ = stabilize_units(noisy)
         defects = unit_defects(fixed)
         assert defects.max() <= 1e-12
         assert dist <= 1e-2
@@ -73,7 +73,7 @@ def test_perturb_defect_scaling():
 def test_perturb_then_stabilize_round_trip():
     units = canonical_units([3])
     noisy = perturb_units(units, 1e-3, seed=5)
-    fixed, dist = stabilize_units(noisy)
+    fixed, dist, _ = stabilize_units(noisy)
     for key in units.keys():
         assert op_norm(fixed.units[key] - units.units[key]) <= 1e-2
     assert dist <= 1e-2
@@ -87,7 +87,7 @@ def test_median_distance_monotone_in_delta():
         dists = []
         for seed in range(20):
             noisy = perturb_units(units, delta, seed=seed)
-            _, dist = stabilize_units(noisy)
+            _, dist, _ = stabilize_units(noisy)
             dists.append(dist)
         medians.append(statistics.median(dists))
     assert all(medians[i] <= medians[i + 1] for i in range(len(medians) - 1))
@@ -101,7 +101,7 @@ def test_non_unital_candidate_stays_non_unital():
         if i <= 2 and j <= 2:
             partial_units[(s, i, j)] = compress @ mat @ compress
     candidate = MatrixUnitSystem(shape=(2,), ambient_dim=3, units=partial_units, unital=False)
-    fixed, _ = stabilize_units(candidate)
+    fixed, _, _ = stabilize_units(candidate)
     assert not fixed.unital
     assert op_norm(fixed.diagonal_sum() - compress) <= 1e-12
 
