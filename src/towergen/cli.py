@@ -51,7 +51,7 @@ TOWER_SCHEMA = {
         },
         "generators": {"type": "integer", "minimum": 1},
         "mode": {"enum": ["strict", "relaxed"]},
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
         "recipe": {"enum": ["leading-factor", "uhf"]},
         "closure": {"type": "boolean"},
     },
@@ -69,7 +69,7 @@ SCHEMAS: Dict[str, dict] = {
             "multiplicities": {"type": "array", "items": {"type": "integer", "minimum": 1}},
             "deltas": {"type": "array", "minItems": 1, "items": {"type": "number", "minimum": 0}},
             "seeds": {"type": "integer", "minimum": 1},
-            "seed": {"type": "integer"},
+            "seed": {"type": "integer", "minimum": 0},
         },
         "required": ["shape"],
         "additionalProperties": False,
@@ -81,7 +81,7 @@ SCHEMAS: Dict[str, dict] = {
             "omega": {"type": "number", "exclusiveMinimum": 0},
             "omegas": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}},
             "samples": {"type": "integer", "minimum": 1},
-            "seed": {"type": "integer"},
+            "seed": {"type": "integer", "minimum": 0},
         },
         "additionalProperties": False,
     },
@@ -93,7 +93,7 @@ SCHEMAS: Dict[str, dict] = {
             "pinching_multiplicities": {"type": "array", "items": {"type": "integer", "minimum": 1}},
             "omegas": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}},
             "seeds": {"type": "integer", "minimum": 1},
-            "seed": {"type": "integer"},
+            "seed": {"type": "integer", "minimum": 0},
         },
         "additionalProperties": False,
     },
@@ -107,7 +107,7 @@ SCHEMAS: Dict[str, dict] = {
             "block_sizes": {"type": "array", "items": {"type": "integer", "minimum": 2}},
             "runs": {"type": "integer", "minimum": 1},
             "coeff_dim": {"type": "integer", "minimum": 1},
-            "seed": {"type": "integer"},
+            "seed": {"type": "integer", "minimum": 0},
         },
         "additionalProperties": False,
     },
@@ -351,17 +351,12 @@ def _pinched_basis_count(shape, mult, k: int) -> int:
 
     The canonical diagonal units are coordinate-aligned 0/1 projections, so
     a basis element E_ii (or the Hermitian pair at (i, j)) survives exactly
-    when its coordinates lie inside one projection's support; counting the
-    survivors enumerates a basis of the compressed Hermitian space.
+    when its coordinates lie inside one projection's support, which is the
+    unit's row of the row table; counting the survivors enumerates a basis
+    of the compressed Hermitian space.
     """
     units = canonical_units(shape, UnitalEmbedding(shape, mult, k))
-    projections = np.stack(
-        [units.unit(s, i, i) for s, size in enumerate(shape, start=1) for i in range(1, size + 1)]
-    )
-    if np.any(projections * ~np.eye(k, dtype=bool)):
-        raise TowergenError("canonical diagonal unit is not coordinate-aligned")
-    diags = np.einsum("nii->ni", projections)
-    n = np.count_nonzero(diags.real > 0.5, axis=1)  # support size per projection
+    n = np.array([row.size for table in units.rows for row in table])  # support sizes
     # diagonal elements E_ii, plus a symmetric and an antisymmetric pair per i < j
     return int(np.sum(n + n * (n - 1)))
 

@@ -15,7 +15,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import LadderBreakdown, NoSpectralGap, NonConvergence
-from .linalg import hermitian_part, identity, max_distance, op_norm, polar_partial_isometry
+from .linalg import (
+    _lapack,
+    hermitian_part,
+    identity,
+    max_distance,
+    op_norm,
+    polar_partial_isometry,
+)
 from .stabilize import StabilizeParams, stabilize_units
 from .twogen import GeneratorPlan, RowAssignment, diag_coefficient, index_atoms
 from .units import MatrixUnitSystem, Shape
@@ -58,7 +65,7 @@ def extract_leading_projection(
     if trace is None:
         trace = RecoveryTrace()
     m = hermitian_part(scale * a)
-    eigs = np.linalg.eigvalsh(m)
+    eigs = _lapack(np.linalg.eigvalsh, m, f"{label}: eigensolve")
     near_one = np.abs(eigs - 1.0) <= CLUSTER_HALFWIDTH
     if not np.any(near_one):
         raise NoSpectralGap(f"{label}: no eigenvalue cluster at 1 (top {eigs[-1]:.6f})")

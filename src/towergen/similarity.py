@@ -14,8 +14,8 @@ from typing import List, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, SubrankTooSmall
-from .linalg import kron, identity, op_norm
-from .units import MatrixUnitSystem, canonical_units, normalize_shape, rank, subrank
+from .linalg import identity, op_norm
+from .units import MatrixUnitSystem, amplify, canonical_units, normalize_shape, subrank
 
 
 @dataclass
@@ -43,15 +43,9 @@ def build_commuting_model(n: int, shape: Sequence[int], d: int, seed: int) -> Co
         raise SubrankTooSmall(f"subrank {subrank(shape)} below n={n}")
     if d < 1:
         raise DimensionMismatch("coefficient factor needs positive dimension")
-    small = canonical_units(shape)
-    big = rank(shape)
-    ambient = d * big
-    units = {
-        key: np.kron(identity(d), mat) for key, mat in small.units.items()
-    }
-    system = MatrixUnitSystem(shape=shape, ambient_dim=ambient, units=units, unital=True)
+    system = amplify(canonical_units(shape), d, 1)
     return CommutingModel(
-        ambient_dim=ambient, coeff_dim=d, block_size=n, units=system, seed=seed
+        ambient_dim=system.ambient_dim, coeff_dim=d, block_size=n, units=system, seed=seed
     )
 
 

@@ -9,6 +9,7 @@ the 2^-m margin the construction needs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DimensionOverflow, StrictModeViolation
 from .linalg import DEFAULT_DIM_CAP, hermitian_part, identity, op_norm, screened_max_norm
-from .units import MatrixUnitSystem, Shape, canonical_units, normalize_shape, rank, subrank
+from .units import MatrixUnitSystem, Shape, amplify, canonical_units, normalize_shape, rank, subrank
 
 DISTANCE_MARGIN = 0.75  # fraction of the 2^-m budget the recipes actually spend
 
@@ -116,20 +117,25 @@ def commutant_projection(x: np.ndarray, block: MatrixUnitSystem) -> np.ndarray:
     """Average x against the block's units: E(x) = sum_s (1/k_s) sum_ij e_ij x e_ji.
 
     The output commutes with every unit of the block, E is idempotent and a
-    contraction, and it fixes anything already in the commutant.
+    contraction, and it fixes anything already in the commutant.  For an
+    exact block, e_ij x e_ji is the c_s x c_s submatrix of x on the rows
+    R_s[j] placed on the rows R_s[i], so one gather, one sum over j and one
+    scatter per block give what the dense sum gives, bit for bit: that sum
+    also adds each such submatrix, in j order, to zeros.
     """
     if x.shape[0] != block.ambient_dim:
         raise DimensionMismatch(
             f"operand dimension {x.shape[0]} does not match ambient {block.ambient_dim}"
         )
+    if block.rows is None:
+        raise DimensionMismatch("commutant_projection needs an exact unit system")
     out = np.zeros_like(x, dtype=np.complex128)
-    for s, k in enumerate(block.shape, start=1):
-        acc = np.zeros_like(out)
-        for i in range(1, k + 1):
-            for j in range(1, k + 1):
-                e_ij = block.unit(s, i, j)
-                acc += e_ij @ x @ block.unit(s, j, i)
-        out += acc / k
+    for k, table in zip(block.shape, block.rows):
+        square = (table[:, :, None], table[:, None, :])
+        acc = np.zeros((table.shape[1],) * 2, dtype=np.complex128)
+        for part in x[square]:
+            acc += part
+        out[square] += acc / k
     return out
 
 
@@ -149,6 +155,26 @@ def _screened_max_commutator(left: List[np.ndarray], right: List[np.ndarray]) ->
         return u @ v - v @ u
 
     return screened_max_norm(len(left), len(right), lstack.shape[1], commutators)
+
+
+def _max_cross_commutator(left: MatrixUnitSystem, right: MatrixUnitSystem) -> float:
+    """Max operator norm of [u, v] over the units of two exact systems.
+
+    Both products of two partial permutations are partial permutations, so
+    [u, v] vanishes exactly when the composed column maps u[v] and v[u]
+    agree.  Only the units of pairs whose maps disagree go to the dense
+    ``_screened_max_commutator``, which gives every pair the bits the full
+    grid would; the others contribute exactly 0.
+    """
+    lmaps, rmaps = left.column_maps(), right.column_maps()
+    clash = np.stack([np.any(u[rmaps] != rmaps[:, u], axis=1) for u in lmaps])
+    li, ri = np.flatnonzero(clash.any(axis=1)), np.flatnonzero(clash.any(axis=0))
+    if not len(li):
+        return 0.0
+    lkeys, rkeys = left.keys(), right.keys()
+    return _screened_max_commutator(
+        [left.units[lkeys[n]] for n in li], [right.units[rkeys[n]] for n in ri]
+    )
 
 
 def _draw_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -262,13 +288,8 @@ def build_tower(spec: TowerSpec, dim_cap: int = DEFAULT_DIM_CAP) -> TowerModel:
                 )
     blocks = []
     for pos, shape in enumerate(shapes):
-        small = canonical_units(shape)
-        units = {
-            key: _embed_factor(mat, factor_dims, pos) for key, mat in small.units.items()
-        }
-        blocks.append(
-            MatrixUnitSystem(shape=shape, ambient_dim=ambient, units=units, unital=True)
-        )
+        before, after = math.prod(factor_dims[:pos]), math.prod(factor_dims[pos + 1 :])
+        blocks.append(amplify(canonical_units(shape), before, after))
     if spec.generator_recipe == "leading-factor":
         gens = _leading_factor_generators(spec, factor_dims, blocks)
     else:
@@ -346,16 +367,12 @@ def check_conditions(model: TowerModel) -> ConditionReport:
     shapes = spec.block_shapes
     rows = []
     ok = True
-    all_units = [[mat for _, mat in blk.iter_units()] for blk in model.blocks]
     for level in range(1, model.depth + 1):
         blk = model.blocks[level - 1]
-        unitality = op_norm(blk.diagonal_sum() - model.identity)
+        unitality = blk.unitality_defect()
         cross = 0.0
-        for other in range(level + 1, model.depth + 1):
-            cross = max(
-                cross,
-                _screened_max_commutator(all_units[level - 1], all_units[other - 1]),
-            )
+        for other in model.blocks[level:]:
+            cross = max(cross, _max_cross_commutator(blk, other))
         if spec.mode == "strict":
             need = required_subrank_strict(shapes, level)
         else:

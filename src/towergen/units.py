@@ -2,19 +2,20 @@
 
 A shape [k_1, ..., k_r] describes a multi-block algebra whose block s is a
 full k_s x k_s matrix algebra.  A matrix-unit system realizes the blocks as
-explicit ambient matrices e_ij^(s), indexed 1-based by (s, i, j).
+ambient matrices e_ij^(s), indexed 1-based by (s, i, j): an exact system as
+row tables of 0/1 partial isometries, an approximate one as dense matrices.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterator, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import as_operator, identity, matrix_to_json, op_norm, op_norms, screened_max_norm
+from .linalg import as_operator, identity, op_norm, op_norms, screened_max_norm
 
 Shape = Tuple[int, ...]
 
@@ -64,33 +65,58 @@ class UnitalEmbedding:
         return UnitalEmbedding(s, tuple(1 for _ in s), sum(s))
 
 
-@dataclass
 class MatrixUnitSystem:
     """Family of ambient matrices e_ij^(s); may be exact or approximate.
+
+    An exact system is stored as one row table per block: an int array R_s
+    of shape (k_s, c_s) whose entries are distinct ambient coordinates, with
+    e_ij^(s) = sum_t |R_s[i, t]><R_s[j, t]|, a 0/1 partial isometry of rank
+    c_s.  Its dense ``units`` are a read-only view built from the tables on
+    first access and then kept.  Recovered, perturbed and stabilized
+    systems are dense: they are given ``units`` and have ``rows`` None.
 
     ``unital`` records whether the diagonal units are meant to sum to the
     ambient identity (partial systems produced mid-recovery are not).
     """
 
-    shape: Shape
-    ambient_dim: int
-    units: Dict[Tuple[int, int, int], np.ndarray]
-    unital: bool = True
+    def __init__(
+        self,
+        shape: Sequence[int],
+        ambient_dim: int,
+        units: Optional[Dict[Tuple[int, int, int], np.ndarray]] = None,
+        unital: bool = True,
+        rows: Optional[Sequence[np.ndarray]] = None,
+    ):
+        self.shape = normalize_shape(shape)
+        self.ambient_dim = int(ambient_dim)
+        self.unital = unital
+        if (units is None) == (rows is None):
+            raise DimensionMismatch("a unit system takes either dense units or row tables")
+        self.rows = None if rows is None else _checked_rows(self.shape, self.ambient_dim, rows)
+        self._units = None
+        if units is not None:
+            for key, mat in units.items():
+                m = as_operator(mat)
+                if m.shape[0] != self.ambient_dim:
+                    raise DimensionMismatch(
+                        f"unit {key} has dimension {m.shape[0]}, ambient is {self.ambient_dim}"
+                    )
+                units[key] = m
+            self._units = units
 
-    def __post_init__(self):
-        self.shape = normalize_shape(self.shape)
-        for key, mat in self.units.items():
-            m = as_operator(mat)
-            if m.shape[0] != self.ambient_dim:
-                raise DimensionMismatch(
-                    f"unit {key} has dimension {m.shape[0]}, ambient is {self.ambient_dim}"
-                )
-            self.units[key] = m
+    @property
+    def units(self) -> Dict[Tuple[int, int, int], np.ndarray]:
+        if self._units is None:
+            self._units = _dense_view(self.rows, self.ambient_dim)
+        return self._units
 
     def unit(self, s: int, i: int, j: int) -> np.ndarray:
         return self.units[(s, i, j)]
 
     def keys(self):
+        if self.rows is not None:
+            return [(s, i, j) for s, k in enumerate(self.shape, start=1)
+                    for i in range(1, k + 1) for j in range(1, k + 1)]
         return sorted(self.units.keys())
 
     def iter_units(self) -> Iterator[Tuple[Tuple[int, int, int], np.ndarray]]:
@@ -106,17 +132,66 @@ class MatrixUnitSystem:
                     out = out + unit
         return out
 
+    def unitality_defect(self) -> float:
+        """||sum of the diagonal units - I||; an exact system's is read off its tables.
+
+        The diagonal units of an exact system sum to the 0/1 diagonal that
+        marks the coordinates its tables cover, so the defect is 0.0 when
+        they cover every coordinate and 1.0 otherwise, as ``op_norm`` gives.
+        """
+        if self.rows is None:
+            return op_norm(self.diagonal_sum() - identity(self.ambient_dim))
+        covered = sum(table.size for table in self.rows)
+        return 0.0 if covered == self.ambient_dim else 1.0
+
+    def column_maps(self) -> np.ndarray:
+        """Each unit of an exact system as a map of column coordinates.
+
+        Row n, for the n-th key, has length ambient_dim + 1: entry c is the
+        row of the unit's 1 in column c, or -1 where the column is zero.
+        The last entry is always -1, so composing maps by indexing,
+        ``u[v]``, gives the map of the product u v.
+        """
+        maps = []
+        for table in self.rows:
+            k = table.shape[0]
+            block = np.full((k, k, self.ambient_dim + 1), -1, dtype=np.intp)
+            idx = np.arange(k)
+            block[idx[:, None, None], idx[None, :, None], table[None, :, :]] = table[:, None, :]
+            maps.append(block.reshape(k * k, -1))
+        return np.concatenate(maps)
+
     def corner_row_projection(self, rows_by_block: Sequence[int]) -> np.ndarray:
         out = np.zeros((self.ambient_dim, self.ambient_dim), dtype=np.complex128)
         for s, row in enumerate(rows_by_block, start=1):
             out += self.units[(s, row, row)]
         return out
 
-    def to_json(self) -> list:
-        return [
-            {"s": s, "i": i, "j": j, "matrix": matrix_to_json(mat)}
-            for (s, i, j), mat in self.iter_units()
-        ]
+
+def _checked_rows(shape: Shape, dim: int, rows: Sequence[np.ndarray]) -> Tuple[np.ndarray, ...]:
+    tables = tuple(np.asarray(table, dtype=np.intp) for table in rows)
+    if len(tables) != len(shape) or any(
+        t.ndim != 2 or t.shape[0] != k or t.shape[1] < 1 for t, k in zip(tables, shape)
+    ):
+        raise DimensionMismatch(f"need one (k_s, c_s) row table per block of shape {shape}")
+    flat = np.concatenate([t.ravel() for t in tables])
+    if flat.min() < 0 or flat.max() >= dim or np.bincount(flat).max() > 1:
+        raise DimensionMismatch(f"row tables must hold distinct coordinates below {dim}")
+    return tables
+
+
+def _dense_view(rows: Sequence[np.ndarray], dim: int) -> Dict[Tuple[int, int, int], np.ndarray]:
+    """Dense units of an exact system, one read-only (k, k, dim, dim) array per block."""
+    units: Dict[Tuple[int, int, int], np.ndarray] = {}
+    for s, table in enumerate(rows, start=1):
+        k = table.shape[0]
+        # block[i, j] = e_ij: ones at (table[i, t], table[j, t])
+        block = np.zeros((k, k, dim, dim), dtype=np.complex128)
+        idx = np.arange(k)
+        block[idx[:, None, None], idx[None, :, None], table[:, None, :], table[None, :, :]] = 1.0
+        block.flags.writeable = False
+        units.update(((s, i + 1, j + 1), block[i, j]) for i in range(k) for j in range(k))
+    return units
 
 
 def canonical_units(shape: Sequence[int], embedding: UnitalEmbedding | None = None) -> MatrixUnitSystem:
@@ -131,18 +206,24 @@ def canonical_units(shape: Sequence[int], embedding: UnitalEmbedding | None = No
         embedding = UnitalEmbedding.minimal(shape)
     if embedding.shape != shape:
         raise DimensionMismatch(f"embedding shape {embedding.shape} does not match {shape}")
-    dim = embedding.target_dim
-    units: Dict[Tuple[int, int, int], np.ndarray] = {}
-    offset = 0
-    for s, (k, c) in enumerate(zip(shape, embedding.multiplicities), start=1):
-        # block[i, j] = E_ij (x) I_c on the window: ones at (rows[i, t], rows[j, t])
-        block = np.zeros((k, k, dim, dim), dtype=np.complex128)
-        rows = offset + np.arange(k * c).reshape(k, c)
-        idx = np.arange(k)
-        block[idx[:, None, None], idx[None, :, None], rows[:, None, :], rows[None, :, :]] = 1.0
-        units.update(((s, i + 1, j + 1), block[i, j]) for i in range(k) for j in range(k))
+    rows, offset = [], 0
+    for k, c in zip(shape, embedding.multiplicities):
+        # E_ij (x) I_c on the window: row t of unit i is window coordinate i * c + t
+        rows.append(offset + np.arange(k * c).reshape(k, c))
         offset += k * c
-    return MatrixUnitSystem(shape=shape, ambient_dim=dim, units=units, unital=True)
+    return MatrixUnitSystem(shape, embedding.target_dim, unital=True, rows=rows)
+
+
+def amplify(system: MatrixUnitSystem, before: int, after: int) -> MatrixUnitSystem:
+    """The exact system I_before (x) e_ij (x) I_after, by index arithmetic."""
+    dim = system.ambient_dim
+    b = np.arange(before)[None, :, None, None]
+    a = np.arange(after)[None, None, None, :]
+    rows = [
+        ((b * dim + table[:, None, :, None]) * after + a).reshape(table.shape[0], -1)
+        for table in system.rows
+    ]
+    return MatrixUnitSystem(system.shape, before * dim * after, unital=system.unital, rows=rows)
 
 
 @dataclass
@@ -187,7 +268,7 @@ def unit_defects(system: MatrixUnitSystem) -> UnitDefects:
     partners = np.stack([system.units[(s, j, i)] for s, i, j in keys])
     adj = op_norms(mats.conj().transpose(0, 2, 1) - partners).max()
 
-    unitality = op_norm(system.diagonal_sum() - identity(d))
+    unitality = system.unitality_defect()
 
     # expected[l, r]: index of the unit e_l e_r should equal, _ZERO or _SKIP
     by_row = defaultdict(list)

@@ -123,6 +123,54 @@ def test_non_finite_config_is_config_invalid(tmp_path, command, config, path):
     assert main([command, "--config", str(cfg)]) == 2
 
 
+SEEDED_CONFIGS = {
+    "tower-check": {"preset": "T0"},
+    "stabilize-sweep": {"shape": [2]},
+    "cover-estimate": {},
+    "counting-check": {},
+    "lemma52-check": {},
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEEDED_CONFIGS))
+def test_negative_seed_is_config_invalid(tmp_path, command):
+    config = SEEDED_CONFIGS[command]
+    with pytest.raises(ConfigInvalid) as info:
+        run(command, dict(config, seed=-1))
+    assert info.value.path == "seed"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg), "--seed", "-1"]) == 2
+
+
+def test_tower_check_at_d140_passes_with_vanishing_commutators():
+    report = run("tower-check", {"shapes": [[5], [28]], "mode": "relaxed"})
+    assert report.passed
+    cross = [row.measured for row in report.rows if row.name.endswith("cross_commutator")]
+    assert cross == [0.0, 0.0]
+
+
+def dense_pinched_count(shape, mult, k: int) -> int:
+    """Support sizes read off the dense diagonal units."""
+    units = canonical_units(shape, UnitalEmbedding(shape, mult, k))
+    projections = np.stack(
+        [units.unit(s, i, i) for s, size in enumerate(shape, start=1) for i in range(1, size + 1)]
+    )
+    assert not np.any(projections * ~np.eye(k, dtype=bool))  # coordinate-aligned
+    n = np.count_nonzero(np.einsum("nii->ni", projections).real > 0.5, axis=1)
+    return int(np.sum(n + n * (n - 1)))
+
+
+def test_pinched_basis_count_matches_dense_supports():
+    cases = 0
+    for k in range(1, 9):
+        for shape in cli._sorted_shapes_upto(k):
+            for mult in cli._positive_tuples(len(shape), k, shape):
+                assert cli._pinched_basis_count(shape, mult, k) == dense_pinched_count(shape, mult, k)
+                cases += 1
+    assert cases == 474  # the cases row of counting-check at max_dim 8
+
+
 def test_stabilize_sweep_fails_on_nan_defects(monkeypatch):
     monkeypatch.setattr(cli, "unit_defects", lambda system: UnitDefects(0.0, float("nan"), 0.0))
     report = run("stabilize-sweep", {"shape": [2], "deltas": [1e-6], "seeds": 2})

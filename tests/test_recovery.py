@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from towergen.closure import distance_to_span, subalgebra_closure
-from towergen.errors import LadderBreakdown, NoSpectralGap
+from towergen.errors import LadderBreakdown, NoSpectralGap, NonFiniteValue
 from towergen.linalg import identity, op_norm
 from towergen.recovery import (
     RecoveredLevel,
@@ -52,6 +52,11 @@ def test_extract_no_gap():
     with pytest.raises(NoSpectralGap):
         # eigenvalue -1 wrecks convergence even though it is far from 1
         extract_leading_projection(np.diag([1.0, -1.0]).astype(complex), 1.0)
+
+
+def test_extract_non_finite_input_fails_closed():
+    with pytest.raises(NonFiniteValue):
+        extract_leading_projection(np.diag([1.0, np.nan, 0.2]).astype(complex), 1.0)
 
 
 def test_ladder_t0_exact(t0_plan):

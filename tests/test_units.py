@@ -207,10 +207,3 @@ def test_unit_defects_max_propagates_nan(position):
     values[position] = float("nan")
     assert np.isnan(UnitDefects(*values).max())
     assert UnitDefects(1e-3, 2e-3, 0.0).max() == 2e-3
-
-
-def test_unit_system_serialization():
-    system = canonical_units([2])
-    payload = system.to_json()
-    assert len(payload) == 4
-    assert payload[0]["s"] == 1 and payload[0]["matrix"]["dim"] == 2
