@@ -1,21 +1,20 @@
 """Dense complex matrix kernel.
 
 Everything in the package works on square ``numpy`` arrays of complex128.
-This module holds the norm, spectral, polar, tensor and direct-sum
-primitives, batched over stacks of matrices where callers need many norms,
-plus the JSON wire format for matrices.
+This module holds the norm, spectral and polar primitives, batched over
+stacks of matrices where callers need many norms, plus the JSON wire
+format for matrices.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    DimensionOverflow,
     EigenvalueNearThreshold,
     NonConvergence,
     NonFiniteValue,
@@ -229,31 +228,6 @@ def polar_partial_isometry(a: np.ndarray, cutoff: float) -> np.ndarray:
     if not np.any(keep):
         return np.zeros_like(a)
     return u[:, keep] @ vh[keep, :]
-
-
-def kron(a: np.ndarray, b: np.ndarray, dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
-    a = as_operator(a)
-    b = as_operator(b)
-    out_dim = a.shape[0] * b.shape[0]
-    if out_dim > dim_cap:
-        raise DimensionOverflow(f"kron output dimension {out_dim} exceeds cap {dim_cap}")
-    return np.kron(a, b)
-
-
-def direct_sum(blocks: Iterable[np.ndarray], dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
-    mats = [as_operator(b) for b in blocks]
-    if not mats:
-        raise DimensionMismatch("direct_sum needs at least one block")
-    total = sum(m.shape[0] for m in mats)
-    if total > dim_cap:
-        raise DimensionOverflow(f"direct sum dimension {total} exceeds cap {dim_cap}")
-    out = np.zeros((total, total), dtype=np.complex128)
-    pos = 0
-    for m in mats:
-        d = m.shape[0]
-        out[pos : pos + d, pos : pos + d] = m
-        pos += d
-    return out
 
 
 def matrix_to_json(a: np.ndarray) -> dict:

@@ -4,6 +4,8 @@ Recovery walks the construction backwards: repeated squaring of the scaled
 generator pins down the leading corner projection of each block, ladder
 products against the tridiagonal generator rebuild the block's units, and
 the lower-level units decompress the result back to the ambient algebra.
+Levels beyond the first run inside the corner the lower levels cut out,
+on a and b compressed to an orthonormal basis of its range.
 The witnesses are reassembled from the recovered coupling elements.
 """
 
@@ -30,6 +32,9 @@ from .units import MatrixUnitSystem, Shape
 CLUSTER_HALFWIDTH = 1e-3
 COMPLEMENT_BOUND = 0.75
 MAX_SQUARINGS = 64
+
+# Bytes of the per-chain product formed at once by ``_decompress``.
+_SLAB_BYTES = 1 << 22
 
 
 @dataclass
@@ -66,6 +71,8 @@ def extract_leading_projection(
         trace = RecoveryTrace()
     m = hermitian_part(scale * a)
     eigs = _lapack(np.linalg.eigvalsh, m, f"{label}: eigensolve")
+    if not eigs.size:
+        raise NoSpectralGap(f"{label}: empty matrix, no eigenvalue cluster at 1")
     near_one = np.abs(eigs - 1.0) <= CLUSTER_HALFWIDTH
     if not np.any(near_one):
         raise NoSpectralGap(f"{label}: no eigenvalue cluster at 1 (top {eigs[-1]:.6f})")
@@ -164,6 +171,22 @@ def _corner_prefix(levels: Sequence[RecoveredLevel], dim: int) -> np.ndarray:
     return out
 
 
+def _corner_basis(prefix: np.ndarray, label: str) -> np.ndarray:
+    """Orthonormal columns spanning the range of the corner prefix (d x r).
+
+    The prefix is a product of recovered corner projections, so its
+    spectrum must sit within CLUSTER_HALFWIDTH of 0 or 1; anything else
+    means a lower level was recovered wrong, and raises NoSpectralGap.
+    """
+    eigs, vecs = _lapack(np.linalg.eigh, hermitian_part(prefix), f"{label}: corner basis")
+    stray = np.minimum(np.abs(eigs), np.abs(eigs - 1.0)) > CLUSTER_HALFWIDTH
+    if np.any(stray):
+        raise NoSpectralGap(
+            f"{label}: corner prefix eigenvalue {eigs[stray][0]:.6f} is neither 0 nor 1"
+        )
+    return vecs[:, eigs > 0.5]
+
+
 def recover_next_level(
     ctx: RecoveryContext,
     recovered: Sequence[RecoveredLevel],
@@ -172,9 +195,13 @@ def recover_next_level(
 ) -> RecoveredLevel:
     """Recover level n = len(recovered)+1 by compressing through the corners.
 
-    Extraction scales come from the stored coefficient ladder; recovered
-    block systems get stabilized before decompression so later levels do
-    not inherit drift.
+    Level n >= 2 lives in the range of the lower levels' corner prefix, of
+    rank r = d / (k_1 ... k_{n-1}) for single-block levels: extraction,
+    ladder and stabilizer run on a and b compressed to an orthonormal basis
+    V of that range, and the stabilized r x r units are decompressed to
+    the ambient algebra once.  Extraction scales come from the stored
+    coefficient ladder; recovered block systems get stabilized before
+    decompression so later levels do not inherit drift.
     """
     n = len(recovered) + 1
     if n > len(ctx.shapes):
@@ -192,36 +219,37 @@ def recover_next_level(
     eye = identity(dim)
     prefix = _corner_prefix(recovered, dim)
     a_eff = hermitian_part(prefix @ a @ prefix)
-    b_eff = hermitian_part(prefix @ b @ prefix)
+    if n == 1:
+        a_in, b_in = a_eff, hermitian_part(prefix @ b @ prefix)
+    else:
+        basis = _corner_basis(prefix, f"level {n}")
+        a_in = hermitian_part(basis.conj().T @ a @ basis)
+        b_in = hermitian_part(basis.conj().T @ b @ basis)
 
     corners: List[np.ndarray] = []
-    stripped = a_eff
+    stripped = a_in
     for s in range(1, len(shape) + 1):
         scale = 1.0 / diag_coefficient(ctx.shapes, n, s)
         e11, trace = extract_leading_projection(
             stripped, scale, trace, label=f"extract_l{n}_b{s}"
         )
         corners.append(e11)
-        comp = eye - e11
+        comp = identity(len(e11)) - e11
         stripped = hermitian_part(comp @ stripped @ comp)
 
-    candidate, trace = ladder_units(corners, b_eff, shape, n, unital=(n == 1), trace=trace)
+    candidate, trace = ladder_units(corners, b_in, shape, n, unital=(n == 1), trace=trace)
     stabilized, moved, _ = stabilize_units(candidate, ctx.stabilize_params)
     trace.add(f"stabilize_l{n}", 1, moved)
 
     if n == 1:
         ambient_units = stabilized
     else:
-        lower_shapes = ctx.shapes[: n - 1]
-        chains = _decompression_chains(recovered, lower_shapes)
-        units: Dict[Tuple[int, int, int], np.ndarray] = {}
-        for key in stabilized.keys():
-            q = stabilized.units[key]
-            total = np.zeros_like(q)
-            for chain in chains:
-                total += chain @ q @ chain.conj().T
-            units[key] = total
-        ambient_units = MatrixUnitSystem(shape=shape, ambient_dim=dim, units=units, unital=True)
+        keys = stabilized.keys()
+        chains = _decompression_chains(basis, recovered, ctx.shapes[: n - 1])
+        lifted = _decompress(np.stack([stabilized.units[key] for key in keys]), chains)
+        ambient_units = MatrixUnitSystem(
+            shape=shape, ambient_dim=dim, units=dict(zip(keys, lifted)), unital=True
+        )
 
     corner = ambient_units.corner_row_projection([k for k in shape])
     inner = (eye - corner) @ a_eff @ (eye - corner)
@@ -233,11 +261,11 @@ def recover_next_level(
 
 
 def _decompression_chains(
-    recovered: Sequence[RecoveredLevel], lower_shapes: Sequence[Shape]
+    basis: np.ndarray, recovered: Sequence[RecoveredLevel], lower_shapes: Sequence[Shape]
 ) -> List[np.ndarray]:
-    """Products of recovered column isometries over all lower-level choices."""
-    dim = recovered[0].units.ambient_dim
-    chains = [identity(dim)]
+    """The d x r maps W_c = lift_{n-1} ... lift_1 V over all lower-level
+    choices of recovered column isometries, started from the corner basis V."""
+    chains = [basis]
     for lv, shape in zip(recovered, lower_shapes):
         grown = []
         for s, k_s in enumerate(shape, start=1):
@@ -246,6 +274,26 @@ def _decompression_chains(
                 grown.extend(lift @ c for c in chains)
         chains = grown
     return chains
+
+
+def _decompress(q: np.ndarray, chains: Sequence[np.ndarray]) -> np.ndarray:
+    """sum_c W_c q W_c^H for each matrix q of an (n, r, r) stack, as (n, d, d).
+
+    Works a bounded slab of the stack at a time, so the result is the only
+    full-size array.
+    """
+    dim = chains[0].shape[0]
+    out = np.empty((len(q), dim, dim), dtype=np.complex128)
+    step = max(1, _SLAB_BYTES // (16 * dim * dim))
+    for top in range(0, len(q), step):
+        slab = out[top : top + step]
+        for c, w in enumerate(chains):
+            part = (w @ q[top : top + step]) @ w.conj().T
+            if c:
+                slab += part
+            else:
+                slab[...] = part
+    return out
 
 
 def reconstruct_witness(

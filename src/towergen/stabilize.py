@@ -9,7 +9,7 @@ checkable gap condition and fails loudly when the input is too corrupted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,6 +44,13 @@ def _is_projection(q: np.ndarray) -> bool:
         op_norm(q - q.conj().T) <= _EXACT_TOL
         and op_norm(q @ q - q) <= _EXACT_TOL
     )
+
+
+def _row_maxima(rows: Sequence[Tuple[np.ndarray, ...]]) -> np.ndarray:
+    """Largest operator norm within each row of equal-length matrix tuples, from one
+    ``op_norms`` call; each norm has the bits ``op_norm`` gives it."""
+    norms = op_norms(np.stack([m for row in rows for m in row]))
+    return norms.reshape(len(rows), -1).max(axis=1)
 
 
 def stabilize_units(
@@ -118,23 +125,31 @@ def stabilize_units(
     for s, k in enumerate(shape, start=1):
         q11 = diag[(s, 1)]
         isometries[(s, 1)] = q11
-        for i in range(2, k + 1):
-            qii = diag[(s, i)]
-            raw = candidate.unit(s, i, 1)
-            keeps = (
-                op_norm(raw.conj().T @ raw - q11) <= _EXACT_TOL
-                and op_norm(raw @ raw.conj().T - qii) <= _EXACT_TOL
-                and op_norm(qii @ raw @ q11 - raw) <= _EXACT_TOL
+        rows = range(2, k + 1)
+        if not rows:
+            continue
+        raws = {i: candidate.unit(s, i, 1) for i in rows}
+        # a row keeps its input when all three of its residuals vanish
+        keeps = _row_maxima([
+            (raw.conj().T @ raw - q11, raw @ raw.conj().T - diag[(s, i)],
+             diag[(s, i)] @ raw @ q11 - raw)
+            for i, raw in raws.items()
+        ]) <= _EXACT_TOL
+        for i, kept in zip(rows, keeps):
+            isometries[(s, i)] = raws[i] if kept else polar_partial_isometry(
+                diag[(s, i)] @ raws[i] @ q11, params.isometry_cutoff
             )
-            if keeps:
-                v = raw
-            else:
-                v = polar_partial_isometry(qii @ raw @ q11, params.isometry_cutoff)
-                if op_norm(v.conj().T @ v - q11) > 1e-12 or op_norm(v @ v.conj().T - qii) > 1e-12:
-                    raise StabilizationFailed(
-                        f"block {s} row {i}: corner compression lost rank at the cutoff"
-                    )
-            isometries[(s, i)] = v
+        polished = {i: isometries[(s, i)] for i, kept in zip(rows, keeps) if not kept}
+        if polished:
+            lost = _row_maxima([
+                (v.conj().T @ v - q11, v @ v.conj().T - diag[(s, i)])
+                for i, v in polished.items()
+            ]) > 1e-12
+            if np.any(lost):
+                raise StabilizationFailed(
+                    f"block {s} row {list(polished)[int(np.argmax(lost))]}: "
+                    "corner compression lost rank at the cutoff"
+                )
 
     units: Dict[Tuple[int, int, int], np.ndarray] = {}
     for s, k in enumerate(shape, start=1):

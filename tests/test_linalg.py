@@ -4,16 +4,13 @@ import pytest
 import towergen.linalg as linalg
 from towergen.errors import (
     DimensionMismatch,
-    DimensionOverflow,
     EigenvalueNearThreshold,
     NonConvergence,
     NonFiniteValue,
 )
 from towergen.linalg import (
     as_operator,
-    direct_sum,
     identity,
-    kron,
     matrix_from_json,
     max_distance,
     matrix_to_json,
@@ -214,46 +211,6 @@ def test_polar_partial_isometry_invariants():
         if np.min(np.linalg.svd(big, compute_uv=False)) > 0.5:
             vb = polar_partial_isometry(big, 0.5)
             assert op_norm(vb.conj().T @ vb - identity(4)) <= 1e-12
-
-
-def test_kron_examples():
-    assert np.allclose(kron(identity(2), identity(3)), identity(6))
-    assert np.allclose(kron(np.diag([1.0, 2.0]), identity(2)), np.diag([1.0, 1.0, 2.0, 2.0]))
-
-
-def test_kron_norm_multiplicative():
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        a, b = random_complex(rng, 2), random_complex(rng, 2)
-        assert abs(op_norm(kron(a, b)) - op_norm(a) * op_norm(b)) <= 1e-10
-
-
-def test_kron_distributes_over_product():
-    rng = np.random.default_rng(13)
-    for d in (2, 3):
-        a, b, c, e = (random_complex(rng, d) for _ in range(4))
-        lhs = kron(a, b) @ kron(c, e)
-        rhs = kron(a @ c, b @ e)
-        assert op_norm(lhs - rhs) <= 1e-12
-
-
-def test_kron_overflow():
-    with pytest.raises(DimensionOverflow):
-        kron(identity(70), identity(70), dim_cap=4096)
-
-
-def test_direct_sum_examples():
-    assert np.allclose(direct_sum([identity(2), identity(3)]), identity(5))
-    d = direct_sum([np.diag([1.0]), np.diag([-2.0])])
-    assert np.allclose(d, np.diag([1.0, -2.0]))
-    assert op_norm(d) == pytest.approx(2.0)
-
-
-def test_direct_sum_norm_is_max():
-    rng = np.random.default_rng(17)
-    for _ in range(5):
-        blocks = [random_complex(rng, d) for d in (2, 3, 4)]
-        assert abs(op_norm(direct_sum(blocks)) - max(op_norm(b) for b in blocks)) <= 1e-12
 
 
 def test_cstar_identity_and_submultiplicativity():

@@ -1,13 +1,20 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import towergen.recovery as recovery
+from towergen.cli import resolve_tower_spec
 from towergen.closure import distance_to_span, subalgebra_closure
 from towergen.errors import LadderBreakdown, NoSpectralGap, NonFiniteValue
-from towergen.linalg import identity, op_norm
+from towergen.linalg import hermitian_part, identity, max_distance, op_norm
 from towergen.recovery import (
     RecoveredLevel,
     RecoveryContext,
     RecoveryTrace,
+    _corner_basis,
     extract_leading_projection,
     ladder_units,
     recover_all,
@@ -15,8 +22,9 @@ from towergen.recovery import (
     reconstruct_witness,
     round_trip,
 )
+from towergen.stabilize import stabilize_units
 from towergen.tower import TowerSpec, build_tower
-from towergen.twogen import build_plan
+from towergen.twogen import build_ab, build_plan, corner_projection, diag_coefficient
 from towergen.units import MatrixUnitSystem, canonical_units
 
 
@@ -207,3 +215,150 @@ def test_recover_all_statuses(t1_plan):
     assert [lv.status for lv in result.levels] == ["recovered", "recovered"]
     payload = result.trace_json()
     assert payload[0]["steps"][0]["name"].startswith("extract")
+
+
+def test_extract_empty_matrix_has_no_gap():
+    with pytest.raises(NoSpectralGap, match="empty"):
+        extract_leading_projection(np.zeros((0, 0), dtype=complex), 2.0)
+
+
+def test_corner_basis_spans_a_projection_and_rejects_the_rest():
+    prefix = np.diag([1.0, 0.0, 1.0, 1.0 - 1e-4]).astype(complex)
+    basis = _corner_basis(prefix, "level 2")
+    assert basis.shape == (4, 3)
+    assert op_norm(basis.conj().T @ basis - identity(3)) <= 1e-14
+    assert op_norm(basis @ basis.conj().T - prefix) <= 1e-3
+    assert _corner_basis(np.zeros((4, 4), dtype=complex), "level 2").shape == (4, 0)
+    with pytest.raises(NoSpectralGap, match="neither 0 nor 1"):
+        _corner_basis(np.diag([1.0, 0.5, 0.0]).astype(complex), "level 2")
+
+
+def test_recover_next_level_rejects_a_corner_that_is_no_projection(t1_plan):
+    model = t1_plan.model
+    ctx = RecoveryContext(shapes=model.spec.block_shapes, ambient_dim=model.ambient_dim)
+    level1 = recover_next_level(ctx, [], t1_plan.gen_a, t1_plan.gen_b)
+    level1.corner = 0.5 * level1.corner
+    with pytest.raises(NoSpectralGap, match="level 2: corner prefix eigenvalue 0.5"):
+        recover_next_level(ctx, [level1], t1_plan.gen_a, t1_plan.gen_b)
+
+
+def ambient_recover_next_level(ctx, recovered, a, b):
+    """Level n recovered at ambient dimension: every extraction, rung,
+    stabilizer step and decompression product on d x d matrices.  The
+    reference the corner-compressed ``recover_next_level`` must match."""
+    n = len(recovered) + 1
+    shape = ctx.shapes[n - 1]
+    dim = ctx.ambient_dim
+    eye = identity(dim)
+    prefix = eye
+    for lv in recovered:
+        prefix = prefix @ lv.corner
+    a_eff = hermitian_part(prefix @ a @ prefix)
+    b_eff = hermitian_part(prefix @ b @ prefix)
+    trace = RecoveryTrace()
+    corners = []
+    stripped = a_eff
+    for s in range(1, len(shape) + 1):
+        scale = 1.0 / diag_coefficient(ctx.shapes, n, s)
+        e11, trace = extract_leading_projection(stripped, scale, trace, label=f"extract_l{n}_b{s}")
+        corners.append(e11)
+        comp = eye - e11
+        stripped = hermitian_part(comp @ stripped @ comp)
+    candidate, trace = ladder_units(corners, b_eff, shape, n, unital=(n == 1), trace=trace)
+    stabilized, moved, _ = stabilize_units(candidate, ctx.stabilize_params)
+    trace.add(f"stabilize_l{n}", 1, moved)
+    if n == 1:
+        ambient_units = stabilized
+    else:
+        chains = [eye]
+        for lv, lower in zip(recovered, ctx.shapes[: n - 1]):
+            chains = [
+                lv.units.unit(s, i, k_s) @ c
+                for s, k_s in enumerate(lower, start=1)
+                for i in range(1, k_s + 1)
+                for c in chains
+            ]
+        units = {}
+        for key in stabilized.keys():
+            q = stabilized.units[key]
+            units[key] = sum(chain @ q @ chain.conj().T for chain in chains)
+        ambient_units = MatrixUnitSystem(shape=shape, ambient_dim=dim, units=units, unital=True)
+    corner = ambient_units.corner_row_projection(list(shape))
+    inner = (eye - corner) @ a_eff @ (eye - corner)
+    diag_sum = np.zeros_like(inner)
+    for s in range(1, len(shape) + 1):
+        diag_sum += diag_coefficient(ctx.shapes, n, s) * (prefix @ ambient_units.unit(s, 1, 1))
+    coupling = hermitian_part(inner - diag_sum)
+    return RecoveredLevel(level=n, units=ambient_units, corner=corner, coupling=coupling, trace=trace)
+
+
+def assert_same_recovery(result, oracle):
+    assert len(result.levels) == len(oracle.levels)
+    for lv, ref in zip(result.levels, oracle.levels):
+        assert [(e.name, e.iterations) for e in lv.trace.steps] == [
+            (e.name, e.iterations) for e in ref.trace.steps
+        ]
+        keys = ref.units.keys()
+        assert lv.units.keys() == keys
+        assert max_distance([lv.units.units[k] for k in keys], [ref.units.units[k] for k in keys]) <= 1e-12
+        assert op_norm(lv.coupling - ref.coupling) <= 1e-12
+
+
+def ambient_oracle():
+    return mock.patch.object(recovery, "recover_next_level", ambient_recover_next_level)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"preset": "T1b"}, {"preset": "T1"}, {"preset": "T1", "recipe": "uhf"},
+     {"preset": "T1", "mode": "relaxed", "generators": 2}],
+    ids=["T1b", "T1", "T1-uhf", "T1-relaxed-g2"],
+)
+def test_corner_recovery_matches_ambient_oracle(config):
+    plan = build_plan(build_tower(resolve_tower_spec(config)))
+    with ambient_oracle():
+        oracle, reference = round_trip(plan)
+    result, report = round_trip(plan)
+    assert_same_recovery(result, oracle)
+    assert report.passed() == reference.passed()
+
+
+@st.composite
+def relaxed_towers(draw):
+    """2-3 relaxed levels of 1-2 blocks of size 2-4, ambient dimension at most 64.
+
+    A block of size 1 would put a level's first-column projection on its
+    own corner, which the next level's terms share."""
+    shapes, dim = [], 1
+    for _ in range(draw(st.integers(min_value=2, max_value=3))):
+        budget = 64 // dim
+        if budget < 2:
+            break
+        blocks = draw(st.lists(st.integers(2, min(4, budget)), min_size=1, max_size=2))
+        while sum(blocks) > budget:
+            blocks.pop()
+        shapes.append(tuple(blocks))
+        dim *= sum(blocks)
+    return TowerSpec(
+        block_shapes=tuple(shapes), mode="relaxed",
+        generator_seed=draw(st.integers(min_value=0, max_value=2**32 - 1)),
+        generator_recipe=draw(st.sampled_from(["leading-factor", "uhf"])),
+    )
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(spec=relaxed_towers())
+def test_corner_recovery_matches_ambient_oracle_on_random_towers(spec):
+    """(a, b) of the construction with zero coupling elements: towers this small
+    cannot carry the row-encoded couplings, but extraction, ladders, stabilizer
+    and the chained decompression see the same corner structure."""
+    model = build_tower(spec)
+    dim = model.ambient_dim
+    zero = np.zeros((dim, dim), dtype=np.complex128)
+    plan = build_ab(
+        model, [(None, corner_projection(model, n), zero, 1.0, None) for n in range(1, model.depth + 1)]
+    )
+    ctx = RecoveryContext(shapes=spec.block_shapes, ambient_dim=dim)
+    with ambient_oracle():
+        oracle = recover_all(ctx, plan.gen_a, plan.gen_b)
+    assert_same_recovery(recover_all(ctx, plan.gen_a, plan.gen_b), oracle)

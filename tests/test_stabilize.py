@@ -47,6 +47,16 @@ def test_half_identity_diagonal_fails():
         stabilize_units(candidate)
 
 
+def test_lost_rank_names_the_first_failing_row():
+    units = canonical_units([12])  # 144 units: the admissibility gate does not score them
+    bad = dict(units.units)
+    for i in (7, 5):
+        bad[(1, i, 1)] = np.zeros((12, 12), dtype=complex)
+    candidate = MatrixUnitSystem(shape=(12,), ambient_dim=12, units=bad, unital=True)
+    with pytest.raises(StabilizationFailed, match="block 1 row 5: corner compression lost rank"):
+        stabilize_units(candidate)
+
+
 def test_admissibility_gate():
     units = canonical_units([2])
     bad = {key: 5.0 * mat + 0.3 * identity(2) for key, mat in units.units.items()}
