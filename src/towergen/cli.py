@@ -79,7 +79,11 @@ SCHEMAS: Dict[str, dict] = {
         "properties": {
             "k": {"type": "integer", "minimum": 1},
             "omega": {"type": "number", "exclusiveMinimum": 0},
-            "omegas": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}},
+            "omegas": {
+                "type": "array",
+                "minItems": 1,
+                "items": {"type": "number", "exclusiveMinimum": 0},
+            },
             "samples": {"type": "integer", "minimum": 1},
             "seed": {"type": "integer", "minimum": 0},
         },
@@ -102,9 +106,14 @@ SCHEMAS: Dict[str, dict] = {
         "properties": {
             "shapes": {
                 "type": "array",
+                "minItems": 1,
                 "items": {"type": "array", "items": {"type": "integer", "minimum": 1}},
             },
-            "block_sizes": {"type": "array", "items": {"type": "integer", "minimum": 2}},
+            "block_sizes": {
+                "type": "array",
+                "minItems": 1,
+                "items": {"type": "integer", "minimum": 2},
+            },
             "runs": {"type": "integer", "minimum": 1},
             "coeff_dim": {"type": "integer", "minimum": 1},
             "seed": {"type": "integer", "minimum": 0},
@@ -181,10 +190,8 @@ def run_tower_check(config: dict) -> RunReport:
     model = build_tower(spec)
     cond = check_conditions(model)
     for row in cond.rows:
-        report.add(f"level{row.level}.unitality", row.unitality_defect, 1e-12,
-                   row.unitality_defect <= 1e-12)
-        report.add(f"level{row.level}.cross_commutator", row.max_cross_commutator, 1e-12,
-                   row.max_cross_commutator <= 1e-12)
+        report.check(f"level{row.level}.unitality", row.unitality_defect, 1e-12)
+        report.check(f"level{row.level}.cross_commutator", row.max_cross_commutator, 1e-12)
         report.add(f"level{row.level}.subrank_growth", row.subrank, row.required_subrank,
                    row.growth_ok)
         for dist in row.distances:
@@ -204,10 +211,10 @@ def run_gen_verify(config: dict) -> RunReport:
     facts = verify_facts(build_plan(model))
     for lv in facts.levels:
         for row in lv.rows():
-            report.add(row.name, row.measured, row.threshold, row.passed)
+            report.check(row.name, row.measured, row.threshold)
         report.add(f"level{lv.level}.coupling_scale", lv.coupling_scale, None, True)
     for row in facts.rows:
-        report.add(row.name, row.measured, row.threshold, row.passed)
+        report.check(row.name, row.measured, row.threshold)
     return report.close()
 
 
@@ -218,18 +225,18 @@ def run_recover(config: dict) -> RunReport:
     plan = build_plan(model)
     result, trip = round_trip(plan)
     for idx, res in enumerate(trip.unit_residuals, start=1):
-        report.add(f"level{idx}.unit_residual", res, 1e-6, res <= 1e-6)
+        report.check(f"level{idx}.unit_residual", res, 1e-6)
     for idx, res in enumerate(trip.coupling_residuals, start=1):
-        report.add(f"level{idx}.coupling_residual", res, 1e-6, res <= 1e-6)
+        report.check(f"level{idx}.coupling_residual", res, 1e-6)
     for idx, res in enumerate(trip.witness_residuals, start=1):
-        report.add(f"witness{idx}.residual", res, 1e-8, res <= 1e-8)
-    report.add("max_squarings", trip.max_squarings, 64, trip.max_squarings <= 64)
+        report.check(f"witness{idx}.residual", res, 1e-8)
+    report.check("max_squarings", trip.max_squarings, 64)
     worst_extract = 0.0
     for lv in result.levels:
         for step in lv.trace.steps:
             if step.name.startswith("extract"):
                 worst_extract = max(worst_extract, step.residual)
-    report.add("extraction_residual", worst_extract, 1e-8, worst_extract <= 1e-8)
+    report.check("extraction_residual", worst_extract, 1e-8)
     report.extra["trace"] = result.trace_json()
 
     if config.get("closure", False):
@@ -244,7 +251,7 @@ def run_recover(config: dict) -> RunReport:
         bound = plan.tail_bound + 1e-6
         for j, x in enumerate(model.generators, start=1):
             _, upper = distance_to_span(x, pair_basis)
-            report.add(f"closure.distance_g{j}", upper, bound, upper <= bound)
+            report.check(f"closure.distance_g{j}", upper, bound)
     return report.close()
 
 
@@ -264,7 +271,7 @@ def run_stabilize_sweep(config: dict) -> RunReport:
         np.array_equal(exact_out.units[key], units.units[key]) for key in units.keys()
     )
     report.add("fixed_point_bitstable", bool(bitstable), True, bitstable)
-    report.add("fixed_point_distance", exact_dist, 1e-12, exact_dist <= 1e-12)
+    report.check("fixed_point_distance", exact_dist, 1e-12)
 
     sweep_rows: List[dict] = []
     medians = []
@@ -291,7 +298,7 @@ def run_stabilize_sweep(config: dict) -> RunReport:
             )
         med = statistics.median(dists)
         medians.append(med)
-        report.add(f"delta{delta:g}.defects_out", worst_out, 1e-12, worst_out <= 1e-12)
+        report.check(f"delta{delta:g}.defects_out", worst_out, 1e-12)
         report.add(f"delta{delta:g}.median_distance", med, None, True)
     monotone = all(medians[i] <= medians[i + 1] + 1e-15 for i in range(len(medians) - 1))
     report.add("median_distance_monotone", monotone, True, monotone)
@@ -321,10 +328,8 @@ def run_cover_estimate(config: dict) -> RunReport:
             f"omega{radius:g}.upper_consistent",
             bounds.certified_lower, bounds.paper_upper, not bounds.upper_violated,
         )
-        report.add(
-            f"omega{radius:g}.cover_estimate_sane",
-            est.greedy_cover_count, bounds.paper_upper,
-            est.greedy_cover_count <= bounds.paper_upper,
+        report.check(
+            f"omega{radius:g}.cover_estimate_sane", est.greedy_cover_count, bounds.paper_upper
         )
         if k == 1:
             oracle = greedy_packing(grid, sep)
@@ -404,10 +409,10 @@ def run_counting_check(config: dict) -> RunReport:
                 if not check.bound_holds:
                     cap_violations += 1
     report.add("cases", cases, None, True)
-    report.add("compression_dim_mismatches", dim_mismatches, 0, dim_mismatches == 0)
-    report.add("compression_cap_violations", cap_violations, 0, cap_violations == 0)
-    report.add("multiplicity_mismatches", mult_mismatches, 0, mult_mismatches == 0)
-    report.add("cardinality_cap_violations", card_violations, 0, card_violations == 0)
+    report.check("compression_dim_mismatches", dim_mismatches, 0)
+    report.check("compression_cap_violations", cap_violations, 0)
+    report.check("multiplicity_mismatches", mult_mismatches, 0)
+    report.check("cardinality_cap_violations", card_violations, 0)
 
     shape = tuple(config.get("pinching_shape", [2, 3]))
     mult = tuple(config.get("pinching_multiplicities", [1] * len(shape)))
@@ -440,7 +445,7 @@ def run_counting_check(config: dict) -> RunReport:
             defect = pinching_defect([sample], units)[0]
             worst = max(worst, defect)
         cap = 2 * omega + 1e-10
-        report.add(f"pinching_defect_omega{omega:g}", worst, cap, worst <= cap)
+        report.check(f"pinching_defect_omega{omega:g}", worst, cap)
         # reference value only: compressed-ball cover cap (12R/omega)^(n k^2 / N)
         reference = (12.0 * radius_max / omega) ** (k * k / subrank(shape))
         report.add(f"compressed_cover_reference_omega{omega:g}", reference, None, True)
@@ -475,8 +480,8 @@ def run_lemma52_check(config: dict) -> RunReport:
     worst_gap = max(r["gap"] for r in rows)
     worst_cross = max(r["cross_gap"] for r in rows)
     report.add("runs", len(rows), None, True)
-    report.add("max_gap", worst_gap, 1e-10, worst_gap <= 1e-10)
-    report.add("max_cross_gap", worst_cross, 1e-10, worst_cross <= 1e-10)
+    report.check("max_gap", worst_gap, 1e-10)
+    report.check("max_cross_gap", worst_cross, 1e-10)
     report.extra["rows"] = rows
     return report.close()
 

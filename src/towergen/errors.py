@@ -17,10 +17,6 @@ class EigenvalueNearThreshold(TowergenError):
     pass
 
 
-class IndexOutOfRange(TowergenError):
-    pass
-
-
 class StrictModeViolation(TowergenError):
     pass
 

@@ -43,10 +43,6 @@ def as_operator(entries) -> np.ndarray:
     return np.ascontiguousarray(a)
 
 
-def adjoint(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
-
-
 def hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2
 
@@ -228,22 +224,3 @@ def polar_partial_isometry(a: np.ndarray, cutoff: float) -> np.ndarray:
     if not np.any(keep):
         return np.zeros_like(a)
     return u[:, keep] @ vh[keep, :]
-
-
-def matrix_to_json(a: np.ndarray) -> dict:
-    """Wire format: {dim, entries: row-major list of [re, im] pairs}."""
-    a = as_operator(a)
-    flat = a.reshape(-1)
-    return {
-        "dim": int(a.shape[0]),
-        "entries": [[float(z.real), float(z.imag)] for z in flat],
-    }
-
-
-def matrix_from_json(obj: dict) -> np.ndarray:
-    dim = int(obj["dim"])
-    entries = obj["entries"]
-    if len(entries) != dim * dim:
-        raise DimensionMismatch(f"expected {dim * dim} entries, got {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries], dtype=np.complex128)
-    return flat.reshape(dim, dim)

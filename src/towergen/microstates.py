@@ -1,5 +1,5 @@
-"""Finite-size matrix machinery: polynomial norms, Haar sampling,
-packing and covering estimates, and block-compression counting.
+"""Finite-size matrix machinery: Haar sampling, packing and covering
+estimates, block-compression counting and pinching defects.
 
 Covering numbers of continuous sets cannot be computed by sampling, so the
 report vocabulary is rigid: packings certify lower bounds (at half the
@@ -10,106 +10,16 @@ for the cloud only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import e, pi
 from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange
-from .linalg import hermitian_part, identity, op_norm, op_norms, tuple_norm
-from .units import MatrixUnitSystem, UnitalEmbedding, normalize_shape, rank, subrank
+from .errors import DimensionMismatch
+from .linalg import op_norm, op_norms
+from .units import MatrixUnitSystem, UnitalEmbedding, normalize_shape, subrank
 
 Point = Union[np.ndarray, Sequence[np.ndarray]]
-
-
-@dataclass(frozen=True)
-class NcPolynomial:
-    """Noncommutative polynomial with exact rational complex coefficients.
-
-    Terms are (re: Fraction, im: Fraction, word) with 1-based indeterminate
-    indices; the empty word is the unit term.
-    """
-
-    terms: Tuple[Tuple[Fraction, Fraction, Tuple[int, ...]], ...]
-
-    @staticmethod
-    def from_pairs(pairs) -> "NcPolynomial":
-        terms = []
-        for coeff, word in pairs:
-            if isinstance(coeff, tuple):
-                re, im = coeff
-            else:
-                re, im = Fraction(coeff).limit_denominator(10**12), Fraction(0)
-            terms.append((Fraction(re), Fraction(im), tuple(int(w) for w in word)))
-        return NcPolynomial(terms=tuple(terms))
-
-    def to_json(self) -> list:
-        return [
-            {
-                "coeff": [t[0].numerator, t[0].denominator, t[1].numerator, t[1].denominator],
-                "word": list(t[2]),
-            }
-            for t in self.terms
-        ]
-
-    @staticmethod
-    def from_json(obj) -> "NcPolynomial":
-        terms = []
-        for item in obj:
-            n_re, d_re, n_im, d_im = item["coeff"]
-            terms.append(
-                (Fraction(n_re, d_re), Fraction(n_im, d_im), tuple(int(w) for w in item["word"]))
-            )
-        return NcPolynomial(terms=tuple(terms))
-
-
-def eval_poly(p: NcPolynomial, elems: Sequence[np.ndarray]) -> np.ndarray:
-    """Coefficient-weighted sum of word products; empty word gives the identity."""
-    mats = list(elems)
-    if not mats:
-        raise DimensionMismatch("need at least one tuple element")
-    dim = mats[0].shape[0]
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for re, im, word in p.terms:
-        coeff = complex(float(re), float(im))
-        acc = identity(dim)
-        for idx in word:
-            if not (1 <= idx <= len(mats)):
-                raise IndexOutOfRange(f"indeterminate {idx} beyond tuple length {len(mats)}")
-            acc = acc @ mats[idx - 1]
-        out += coeff * acc
-    return out
-
-
-@dataclass
-class MicrostateSpec:
-    num_indeterminates: int
-    matrix_size: int
-    epsilon: float
-    polynomials: List[NcPolynomial]
-    target_norms: List[float]
-
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise DimensionMismatch("epsilon must be positive")
-        if len(self.polynomials) != len(self.target_norms):
-            raise DimensionMismatch("one target norm per polynomial")
-
-
-def gamma_member(elems: Sequence[np.ndarray], spec: MicrostateSpec) -> Tuple[bool, List[float]]:
-    """Check the per-polynomial norm gaps against the tolerance."""
-    mats = list(elems)
-    if len(mats) != spec.num_indeterminates:
-        raise DimensionMismatch("tuple length does not match the spec")
-    for m in mats:
-        if m.shape[0] != spec.matrix_size:
-            raise DimensionMismatch("matrix size does not match the spec")
-    gaps = [
-        abs(op_norm(eval_poly(p, mats)) - t)
-        for p, t in zip(spec.polynomials, spec.target_norms)
-    ]
-    return all(g < spec.epsilon for g in gaps), gaps
 
 
 def haar_unitaries(k: int, seeds: Sequence[int]) -> np.ndarray:
@@ -130,34 +40,15 @@ def haar_unitaries(k: int, seeds: Sequence[int]) -> np.ndarray:
     return q * (d / np.abs(d))[:, None, :]
 
 
-def haar_unitary(k: int, seed: int) -> np.ndarray:
-    """One Haar-distributed unitary: ``haar_unitaries`` for one seed."""
-    return haar_unitaries(k, [seed])[0]
-
-
 def spawned_seeds(seed: int, count: int) -> List[int]:
     """``count`` independent integer seeds spawned from one root seed."""
     return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(count)]
-
-
-def orbit_cloud(a: np.ndarray, count: int, seed: int) -> List[np.ndarray]:
-    """Unitary conjugates W*AW for independent Haar samples."""
-    if count < 1:
-        raise DimensionMismatch("need at least one sample")
-    return [w.conj().T @ a @ w for w in haar_unitaries(a.shape[0], spawned_seeds(seed, count))]
 
 
 def _as_tuple(point: Point) -> List[np.ndarray]:
     if isinstance(point, np.ndarray):
         return [point]
     return list(point)
-
-
-def point_distance(x: Point, y: Point) -> float:
-    xs, ys = _as_tuple(x), _as_tuple(y)
-    if len(xs) != len(ys):
-        raise DimensionMismatch("tuple lengths differ")
-    return tuple_norm([a - b for a, b in zip(xs, ys)])
 
 
 @dataclass
@@ -299,14 +190,6 @@ class CompressionCheck:
     subrank_at_least: bool
     bound_holds: bool
 
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "cap_value": self.cap_value,
-            "subrank_at_least": self.subrank_at_least,
-            "bound_holds": self.bound_holds,
-        }
-
 
 def compression_dimension(
     shape: Sequence[int], embedding: UnitalEmbedding, big_n: int
@@ -358,20 +241,6 @@ def enumerate_multiplicities(k: int, shape: Sequence[int]) -> Tuple[List[Tuple[i
         "cap_respected": len(found) <= cap + 1e-9,
     }
     return found, report
-
-
-def build_test_element(shape: Sequence[int], units: MatrixUnitSystem) -> np.ndarray:
-    """Staircase element with eigenvalues 1..rank along the diagonal units."""
-    shape = normalize_shape(shape)
-    if units.shape != shape:
-        raise DimensionMismatch("unit system does not match shape")
-    out = np.zeros((units.ambient_dim, units.ambient_dim), dtype=np.complex128)
-    offset = 0
-    for s, k_s in enumerate(shape, start=1):
-        for i in range(1, k_s + 1):
-            out += (i + offset) * units.unit(s, i, i)
-        offset += k_s
-    return hermitian_part(out)
 
 
 def pinching_defect(elems: Sequence[np.ndarray], units: MatrixUnitSystem) -> List[float]:

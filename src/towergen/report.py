@@ -63,6 +63,10 @@ class RunReport:
     def add(self, name: str, measured, threshold, passed: bool) -> None:
         self.rows.append(ReportRow(name, measured, threshold, bool(passed)))
 
+    def check(self, name: str, measured, threshold) -> None:
+        """Add a row that passes when ``measured <= threshold``; NaN fails."""
+        self.add(name, measured, threshold, measured <= threshold)
+
     def merge(self, prefix: str, other: "RunReport") -> None:
         for row in other.rows:
             self.rows.append(

@@ -26,13 +26,6 @@ class CommutingModel:
     units: MatrixUnitSystem  # block units on the second factor
     seed: int
 
-    def embed_coefficient(self, x: np.ndarray) -> np.ndarray:
-        if x.shape[0] != self.coeff_dim:
-            raise DimensionMismatch(
-                f"coefficient dimension {x.shape[0]} does not match d={self.coeff_dim}"
-            )
-        return np.kron(x, identity(self.ambient_dim // self.coeff_dim))
-
 
 def build_commuting_model(n: int, shape: Sequence[int], d: int, seed: int) -> CommutingModel:
     """Tensor model M_d (x) blocks with commutation exact by construction."""
@@ -67,16 +60,6 @@ class NormIdentityReport:
     @property
     def passed(self) -> bool:
         return self.gap <= 1e-10 and self.cross_gap <= 1e-10
-
-    def to_json(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "gap": self.gap,
-            "cross_rhs": self.cross_rhs,
-            "cross_gap": self.cross_gap,
-            "pass": self.passed,
-        }
 
 
 def check_norm_identity(model: CommutingModel, coeffs: np.ndarray) -> NormIdentityReport:
@@ -155,4 +138,6 @@ def run_identity_sweep(
                         "pass": rep.passed,
                     }
                 )
+    if not rows:
+        raise SubrankTooSmall(f"no shape has subrank >= any block size in {list(block_sizes)}")
     return rows

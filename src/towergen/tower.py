@@ -55,16 +55,6 @@ class TowerSpec:
             "recipe": self.generator_recipe,
         }
 
-    @staticmethod
-    def from_json(obj: dict) -> "TowerSpec":
-        return TowerSpec(
-            block_shapes=tuple(tuple(s) for s in obj["shapes"]),
-            num_generators=int(obj.get("generators", 1)),
-            mode=obj.get("mode", "strict"),
-            generator_seed=int(obj.get("seed", 7)),
-            generator_recipe=obj.get("recipe", "leading-factor"),
-        )
-
 
 def index_set_cardinality(shapes: Sequence[Shape], level: int) -> int:
     """Number of cross-level index atoms available below ``level``."""

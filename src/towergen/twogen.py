@@ -16,14 +16,14 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DegenerateWitness, DimensionMismatch, InsufficientSubrank
-from .linalg import hermitian_part, matrix_to_json, op_norm
+from .linalg import hermitian_part, op_norm
 from .tower import (
     CommutantWitness,
     TowerModel,
     index_set_cardinality,
     witnesses_at_level,
 )
-from .units import rank, subrank
+from .units import subrank
 
 
 @dataclass(frozen=True)
@@ -54,13 +54,6 @@ class RowAssignment:
         if not (0 <= atom_index < self.cardinality):
             raise DimensionMismatch(f"atom index {atom_index} out of range")
         return (j - 1) * self.cardinality + 2 + atom_index
-
-    def row_range(self, j: int) -> Tuple[int, int]:
-        return (j - 1) * self.cardinality + 2, j * self.cardinality + 1
-
-    def max_row_used(self) -> int:
-        # +1 because z_n also touches row f+1
-        return self.active_generators * self.cardinality + 2
 
 
 def corner_projection(model: TowerModel, level: int) -> np.ndarray:
@@ -217,24 +210,6 @@ class GeneratorPlan:
         for lv in self.levels[:level]:
             out = out @ lv.corner
         return out
-
-    def to_json(self) -> dict:
-        return {
-            "levels": [
-                {
-                    "n": lv.level,
-                    "p": matrix_to_json(lv.corner),
-                    "z": matrix_to_json(lv.coupling),
-                    "c": lv.coupling_scale,
-                    "a_n": matrix_to_json(lv.diag_term),
-                    "b_n": matrix_to_json(lv.ladder_term),
-                }
-                for lv in self.levels
-            ],
-            "a": matrix_to_json(self.gen_a),
-            "b": matrix_to_json(self.gen_b),
-            "tail_bound": self.tail_bound,
-        }
 
 
 def diag_coefficient(shapes: Sequence, level: int, s: int) -> float:

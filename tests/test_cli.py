@@ -143,6 +143,33 @@ def test_negative_seed_is_config_invalid(tmp_path, command):
     assert main([command, "--config", str(cfg), "--seed", "-1"]) == 2
 
 
+@pytest.mark.parametrize(
+    "command,config,path",
+    [
+        ("lemma52-check", {"shapes": []}, "shapes"),
+        ("lemma52-check", {"block_sizes": []}, "block_sizes"),
+        ("cover-estimate", {"omegas": []}, "omegas"),
+    ],
+)
+def test_empty_sweep_list_is_config_invalid(tmp_path, command, config, path):
+    with pytest.raises(ConfigInvalid) as info:
+        run(command, config)
+    assert info.value.path == path
+    cfg = tmp_path / "empty.json"
+    cfg.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg)]) == 2
+
+
+def test_lemma52_without_enough_subrank_is_a_failed_report(tmp_path):
+    config = {"shapes": [[2]], "block_sizes": [3]}
+    report = run("lemma52-check", config)
+    assert not report.passed
+    assert report.error.startswith("SubrankTooSmall")
+    cfg = tmp_path / "small.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["lemma52-check", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 1
+
+
 def test_tower_check_at_d140_passes_with_vanishing_commutators():
     report = run("tower-check", {"shapes": [[5], [28]], "mode": "relaxed"})
     assert report.passed
@@ -258,3 +285,13 @@ def test_summary_lines_format():
     lines = report.summary_lines()
     assert lines[0].startswith("PASS")
     assert lines[-1].endswith("(demo)")
+
+
+def test_check_passes_at_or_below_threshold_only():
+    report = RunReport("demo", {})
+    report.check("below", 0.5, 1.0)
+    report.check("equal", 0, 0)
+    report.check("above", 1.5, 1.0)
+    report.check("nan", float("nan"), 1.0)
+    assert [r.passed for r in report.rows] == [True, True, False, False]
+    assert (report.rows[0].measured, report.rows[0].threshold) == (0.5, 1.0)

@@ -11,9 +11,7 @@ from towergen.errors import (
 from towergen.linalg import (
     as_operator,
     identity,
-    matrix_from_json,
     max_distance,
-    matrix_to_json,
     op_norm,
     op_norms,
     polar_partial_isometry,
@@ -236,13 +234,3 @@ def test_require_hermitian():
 def test_as_operator_rejects_non_square():
     with pytest.raises(DimensionMismatch):
         as_operator(np.zeros((2, 3)))
-
-
-def test_matrix_json_round_trip():
-    rng = np.random.default_rng(29)
-    a = random_complex(rng, 3)
-    obj = matrix_to_json(a)
-    assert obj["dim"] == 3
-    assert len(obj["entries"]) == 9
-    back = matrix_from_json(obj)
-    assert np.array_equal(back, a)

@@ -1,107 +1,23 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
-from towergen.errors import DimensionMismatch, IndexOutOfRange
-from towergen.linalg import identity, op_norm
+from towergen.errors import DimensionMismatch
+from towergen.linalg import identity, op_norm, tuple_norm
 from towergen.microstates import (
     CoveringEstimate,
-    MicrostateSpec,
-    NcPolynomial,
-    build_test_element,
     check_unitary_bounds,
     compression_dimension,
     enumerate_multiplicities,
-    eval_poly,
-    gamma_member,
     greedy_cover,
     greedy_packing,
     haar_unitaries,
-    haar_unitary,
-    orbit_cloud,
     pinching_defect,
-    point_distance,
 )
 from towergen.units import UnitalEmbedding, canonical_units
 
 
-def x1() -> NcPolynomial:
-    return NcPolynomial.from_pairs([(1, (1,))])
-
-
-def test_eval_poly_single_letter():
-    a = np.diag([1.0, 2.0]).astype(complex)
-    assert np.allclose(eval_poly(x1(), [a]), a)
-
-
-def test_eval_poly_unit_term():
-    p = NcPolynomial.from_pairs([(1, ())])
-    assert np.allclose(eval_poly(p, [np.zeros((3, 3))]), identity(3))
-
-
-def test_eval_poly_commutator():
-    p = NcPolynomial.from_pairs([(1, (1, 2)), (-1, (2, 1))])
-    a = np.diag([1.0, 2.0]).astype(complex)
-    b = np.diag([3.0, -1.0]).astype(complex)
-    assert op_norm(eval_poly(p, [a, b])) <= 1e-14
-
-
-def test_eval_poly_index_error():
-    with pytest.raises(IndexOutOfRange):
-        eval_poly(NcPolynomial.from_pairs([(1, (2,))]), [identity(2)])
-
-
-def test_poly_json_round_trip():
-    p = NcPolynomial(terms=((Fraction(1, 3), Fraction(-2, 7), (1, 1, 2)),))
-    assert NcPolynomial.from_json(p.to_json()) == p
-
-
-def test_gamma_self_witness():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    a = (a + a.conj().T) / 2
-    polys = [x1(), NcPolynomial.from_pairs([(1, (1, 1))])]
-    targets = [op_norm(eval_poly(p, [a])) for p in polys]
-    spec = MicrostateSpec(1, 3, 1e-8, polys, targets)
-    member, gaps = gamma_member([a], spec)
-    assert member and max(gaps) <= 1e-12
-
-
-def test_gamma_gap_failure():
-    eps = 0.1
-    a = 2 * eps * identity(2)
-    spec = MicrostateSpec(1, 2, eps, [x1()], [0.0])
-    member, gaps = gamma_member([a], spec)
-    assert not member
-    assert gaps[0] == pytest.approx(2 * eps)
-
-
-def test_gamma_monotone_in_epsilon():
-    a = np.diag([0.3, -0.2]).astype(complex)
-    spec_small = MicrostateSpec(1, 2, 0.05, [x1()], [0.32])
-    spec_large = MicrostateSpec(1, 2, 0.5, [x1()], [0.32])
-    member_small, _ = gamma_member([a], spec_small)
-    member_large, _ = gamma_member([a], spec_large)
-    assert member_small  # gap 0.02 < 0.05
-    assert member_large
-
-
-def test_gamma_t1_amplified_embedding(t1_model):
-    x = t1_model.generators[0]
-    polys = [x1(), NcPolynomial.from_pairs([(1, (1, 1)), (Fraction(1, 2), ())])]
-    targets = [op_norm(eval_poly(p, [x])) for p in polys]
-    w = haar_unitary(126, seed=33)
-    lifted = w.conj().T @ np.kron(x, identity(2)) @ w
-    gaps = [abs(op_norm(eval_poly(p, [lifted])) - t) for p, t in zip(polys, targets)]
-    eps = 2 * max(max(gaps), 1e-14)
-    spec = MicrostateSpec(1, 126, eps, polys, targets)
-    member, _ = gamma_member([lifted], spec)
-    assert member
-
-
 def test_haar_scalar_case():
-    u = haar_unitary(1, seed=4)
+    u = haar_unitaries(1, [4])[0]
     assert abs(abs(u[0, 0]) - 1.0) <= 1e-12
 
 
@@ -119,41 +35,18 @@ def test_haar_stack_equals_per_sample_draws(k):
     assert stack.shape == (300, k, k)
     for w, seed in zip(stack, seeds):
         assert np.array_equal(w, one_sample(seed))
-        assert np.array_equal(w, haar_unitary(k, seed))
+        assert np.array_equal(w, haar_unitaries(k, [seed])[0])
 
 
 def test_haar_unitarity():
     for seed in range(20):
-        u = haar_unitary(8, seed=seed)
+        u = haar_unitaries(8, [seed])[0]
         assert op_norm(u.conj().T @ u - identity(8)) <= 1e-12
 
 
 def test_haar_trace_moment():
-    vals = [abs(np.trace(haar_unitary(4, seed=s))) ** 2 for s in range(2000)]
+    vals = [abs(np.trace(haar_unitaries(4, [s])[0])) ** 2 for s in range(2000)]
     assert np.mean(vals) == pytest.approx(1.0, abs=0.1)
-
-
-def test_orbit_cloud_central():
-    cloud = orbit_cloud(identity(3), count=5, seed=1)
-    for w in cloud:
-        assert op_norm(w - identity(3)) <= 1e-12
-
-
-def test_orbit_cloud_projections():
-    a = np.diag([1.0, 0.0]).astype(complex)
-    cloud = orbit_cloud(a, count=100, seed=2)
-    for m in cloud:
-        eigs = np.sort(np.linalg.eigvalsh(m))
-        assert np.allclose(eigs, [0.0, 1.0], atol=1e-10)
-
-
-def test_orbit_cloud_spectrum_preserved():
-    rng = np.random.default_rng(3)
-    h = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    h = (h + h.conj().T) / 2
-    ref = np.sort(np.linalg.eigvalsh(h))
-    for m in orbit_cloud(h, count=20, seed=5):
-        assert np.max(np.abs(np.sort(np.linalg.eigvalsh(m)) - ref)) <= 1e-10
 
 
 def test_packing_identical_points():
@@ -171,7 +64,7 @@ def test_packing_boundary_rule():
 def test_packing_unitary_invariance():
     rng = np.random.default_rng(7)
     cloud = [np.diag([1.0, t]).astype(complex) for t in rng.uniform(-1, 1, 40)]
-    u = haar_unitary(2, seed=9)
+    u = haar_unitaries(2, [9])[0]
     rotated = [u.conj().T @ m @ u for m in cloud]
     assert greedy_packing(cloud, 0.3).packing_count == greedy_packing(rotated, 0.3).packing_count
 
@@ -184,10 +77,16 @@ def test_cover_trivial_cases():
     assert greedy_cover(circle, 2.1) == 1
 
 
+def tuple_distance(x, y):
+    """max_t ||x_t - y_t|| over two tuples; a bare matrix is a 1-tuple."""
+    xs, ys = ([p] if isinstance(p, np.ndarray) else list(p) for p in (x, y))
+    return tuple_norm([a - b for a, b in zip(xs, ys)])
+
+
 def naive_packing(cloud, omega):
     kept = []
     for p in cloud:
-        if all(point_distance(p, q) >= omega for q in kept):
+        if all(tuple_distance(p, q) >= omega for q in kept):
             kept.append(p)
     return len(kept)
 
@@ -200,14 +99,14 @@ def naive_cover(cloud, omega):
             continue
         balls += 1
         for j in range(i, len(cloud)):
-            if not covered[j] and point_distance(p, cloud[j]) < omega:
+            if not covered[j] and tuple_distance(p, cloud[j]) < omega:
                 covered[j] = True
     return balls
 
 
 def _tuple_cloud():
     """Pairs of 2 x 2 unitaries, with repeated points and pairs at equal distance."""
-    cloud = [(haar_unitary(2, seed=s), haar_unitary(2, seed=s + 500)) for s in range(120)]
+    cloud = [(haar_unitaries(2, [s])[0], haar_unitaries(2, [s + 500])[0]) for s in range(120)]
     cloud += cloud[:5] + [(cloud[7][0], -cloud[7][1])]
     return cloud
 
@@ -225,7 +124,7 @@ _CIRCLE = [np.array([[np.exp(2j * np.pi * t / 360)]]) for t in range(360)]
 )
 def test_packing_and_cover_match_naive_scans(cloud, omegas, ties):
     # distances that occur in the cloud exercise the closed/open boundary rule
-    omegas = omegas + [point_distance(cloud[0], cloud[k]) for k in ties]
+    omegas = omegas + [tuple_distance(cloud[0], cloud[k]) for k in ties]
     for omega in omegas:
         est = greedy_packing(cloud, omega)
         assert est.packing_count == est.implied_cover_lower == naive_packing(cloud, omega)
@@ -257,7 +156,7 @@ def test_unitary_bounds_k1():
 
 
 def test_unitary_bounds_k2_trivial():
-    cloud = [haar_unitary(2, seed=s) for s in range(50)]
+    cloud = [haar_unitaries(2, [s])[0] for s in range(50)]
     est = greedy_packing(cloud, 2.0)
     rep = check_unitary_bounds(2, 1.0, est)
     assert rep.paper_lower == 1.0
@@ -345,24 +244,6 @@ def test_enumerate_multiplicities_matches_product_scan():
     ]
     assert sorted(mults) == sorted(brute)
     assert rep["cap_respected"]
-
-
-def test_build_test_element():
-    units = canonical_units([3])
-    z = build_test_element((3,), units)
-    assert np.allclose(z, np.diag([1.0, 2.0, 3.0]))
-    units = canonical_units([2, 2])
-    z = build_test_element((2, 2), units)
-    assert sorted(np.linalg.eigvalsh(z).round(10)) == [1.0, 2.0, 3.0, 4.0]
-
-
-def test_test_element_multiplicities():
-    shape = (2,)
-    emb = UnitalEmbedding(shape, (3,), 6)
-    units = canonical_units(shape, emb)
-    z = build_test_element(shape, units)
-    eigs = np.linalg.eigvalsh(z).round(10)
-    assert list(eigs).count(1.0) == 3 and list(eigs).count(2.0) == 3
 
 
 def test_pinching_defect_bound():

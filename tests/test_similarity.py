@@ -26,7 +26,8 @@ def test_subrank_gate():
 def test_commutation_exact():
     model = build_commuting_model(2, [2, 3], 2, seed=0)
     rng = np.random.default_rng(1)
-    x = model.embed_coefficient(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    x = np.kron(x, identity(model.ambient_dim // model.coeff_dim))
     for _, unit in model.units.iter_units():
         assert op_norm(x @ unit - unit @ x) <= 1e-13
 

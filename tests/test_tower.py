@@ -172,9 +172,3 @@ def test_spec_validation():
         TowerSpec(block_shapes=((3,),), num_generators=0)
     with pytest.raises(DimensionMismatch):
         TowerSpec(block_shapes=((3,),), num_generators=1, mode="loose")
-
-
-def test_spec_json_round_trip():
-    spec = TowerSpec(block_shapes=((3,), (21,)), num_generators=2, mode="relaxed",
-                     generator_seed=3, generator_recipe="uhf")
-    assert TowerSpec.from_json(spec.to_json()) == spec
