@@ -31,7 +31,7 @@ from .microstates import (
     spawned_seeds,
 )
 from .presets import list_presets, preset_spec
-from .recovery import round_trip
+from .recovery import MAX_SQUARINGS, UNIT_TOL, WITNESS_TOL, round_trip
 from .report import RunReport
 from .similarity import run_identity_sweep
 from .stabilize import StabilizeParams, perturb_units, stabilize_units
@@ -95,7 +95,11 @@ SCHEMAS: Dict[str, dict] = {
             "max_dim": {"type": "integer", "minimum": 1},
             "pinching_shape": {"type": "array", "items": {"type": "integer", "minimum": 1}},
             "pinching_multiplicities": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-            "omegas": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}},
+            "omegas": {
+                "type": "array",
+                "minItems": 1,
+                "items": {"type": "number", "exclusiveMinimum": 0},
+            },
             "seeds": {"type": "integer", "minimum": 1},
             "seed": {"type": "integer", "minimum": 0},
         },
@@ -225,12 +229,12 @@ def run_recover(config: dict) -> RunReport:
     plan = build_plan(model)
     result, trip = round_trip(plan)
     for idx, res in enumerate(trip.unit_residuals, start=1):
-        report.check(f"level{idx}.unit_residual", res, 1e-6)
+        report.check(f"level{idx}.unit_residual", res, UNIT_TOL)
     for idx, res in enumerate(trip.coupling_residuals, start=1):
-        report.check(f"level{idx}.coupling_residual", res, 1e-6)
+        report.check(f"level{idx}.coupling_residual", res, UNIT_TOL)
     for idx, res in enumerate(trip.witness_residuals, start=1):
-        report.check(f"witness{idx}.residual", res, 1e-8)
-    report.check("max_squarings", trip.max_squarings, 64)
+        report.check(f"witness{idx}.residual", res, WITNESS_TOL)
+    report.check("max_squarings", trip.max_squarings, MAX_SQUARINGS)
     worst_extract = 0.0
     for lv in result.levels:
         for step in lv.trace.steps:

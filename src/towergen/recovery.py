@@ -3,10 +3,13 @@
 Recovery walks the construction backwards: repeated squaring of the scaled
 generator pins down the leading corner projection of each block, ladder
 products against the tridiagonal generator rebuild the block's units, and
-the lower-level units decompress the result back to the ambient algebra.
-Levels beyond the first run inside the corner the lower levels cut out,
-on a and b compressed to an orthonormal basis of its range.
-The witnesses are reassembled from the recovered coupling elements.
+the stabilizer makes them exact.  Each level runs inside the corner the
+lower levels cut out, on a and b compressed to an orthonormal basis of its
+range (the whole space at level 1).  A recovered level is stored as column
+factors, e_ij = F_i F_j^*: F_i = e_i1 B, with B an orthonormal basis of the
+stabilized e_11's range, lifted to the ambient space through the lower
+levels' column isometries.  The witnesses are reassembled from the
+recovered coupling elements.
 """
 
 from __future__ import annotations
@@ -17,24 +20,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import LadderBreakdown, NoSpectralGap, NonConvergence
-from .linalg import (
-    _lapack,
-    hermitian_part,
-    identity,
-    max_distance,
-    op_norm,
-    polar_partial_isometry,
-)
+from .linalg import _lapack, hermitian_part, identity, op_norm, polar_partial_isometry
 from .stabilize import StabilizeParams, stabilize_units
 from .twogen import GeneratorPlan, RowAssignment, diag_coefficient, index_atoms
-from .units import MatrixUnitSystem, Shape
+from .units import MatrixUnitSystem, Shape, factored_distance
 
 CLUSTER_HALFWIDTH = 1e-3
 COMPLEMENT_BOUND = 0.75
 MAX_SQUARINGS = 64
-
-# Bytes of the per-chain product formed at once by ``_decompress``.
-_SLAB_BYTES = 1 << 22
+UNIT_TOL = 1e-6  # round-trip unit and coupling residuals
+WITNESS_TOL = 1e-8  # round-trip witness residuals
 
 
 @dataclass
@@ -157,7 +152,7 @@ class RecoveryContext:
 @dataclass
 class RecoveredLevel:
     level: int
-    units: MatrixUnitSystem  # ambient (decompressed) units
+    units: MatrixUnitSystem  # ambient column factors; dense units only on demand
     corner: np.ndarray
     coupling: np.ndarray
     trace: RecoveryTrace
@@ -171,20 +166,32 @@ def _corner_prefix(levels: Sequence[RecoveredLevel], dim: int) -> np.ndarray:
     return out
 
 
-def _corner_basis(prefix: np.ndarray, label: str) -> np.ndarray:
-    """Orthonormal columns spanning the range of the corner prefix (d x r).
+def _corner_basis(projection: np.ndarray, label: str) -> np.ndarray:
+    """Orthonormal columns spanning the range of a computed projection (d x r).
 
-    The prefix is a product of recovered corner projections, so its
-    spectrum must sit within CLUSTER_HALFWIDTH of 0 or 1; anything else
-    means a lower level was recovered wrong, and raises NoSpectralGap.
+    Recovery asks this of the corner prefix, a product of recovered corner
+    projections, and of each stabilized e_11.  Their spectrum must sit
+    within CLUSTER_HALFWIDTH of 0 or 1; anything else means something was
+    recovered wrong, and raises NoSpectralGap.
     """
-    eigs, vecs = _lapack(np.linalg.eigh, hermitian_part(prefix), f"{label}: corner basis")
+    eigs, vecs = _lapack(np.linalg.eigh, hermitian_part(projection), f"{label} basis")
     stray = np.minimum(np.abs(eigs), np.abs(eigs - 1.0)) > CLUSTER_HALFWIDTH
     if np.any(stray):
-        raise NoSpectralGap(
-            f"{label}: corner prefix eigenvalue {eigs[stray][0]:.6f} is neither 0 nor 1"
-        )
+        raise NoSpectralGap(f"{label} eigenvalue {eigs[stray][0]:.6f} is neither 0 nor 1")
     return vecs[:, eigs > 0.5]
+
+
+def column_factors(system: MatrixUnitSystem, label: str) -> List[np.ndarray]:
+    """One (k_s, d, m_s) array of F_i = e_i1 B per block of a stabilized system.
+
+    B is an orthonormal basis of e_11's range (``_corner_basis``), so
+    F_i F_j^* = e_i1 e_11 e_1j = e_ij for exact units.
+    """
+    factors = []
+    for s, k in enumerate(system.shape, start=1):
+        basis = _corner_basis(system.unit(s, 1, 1), f"{label} block {s}: e_11")
+        factors.append(np.stack([system.unit(s, i, 1) @ basis for i in range(1, k + 1)]))
+    return factors
 
 
 def recover_next_level(
@@ -193,38 +200,37 @@ def recover_next_level(
     a: np.ndarray,
     b: np.ndarray,
 ) -> RecoveredLevel:
-    """Recover level n = len(recovered)+1 by compressing through the corners.
+    """Recover level n = len(recovered)+1 inside the lower levels' corner.
 
-    Level n >= 2 lives in the range of the lower levels' corner prefix, of
-    rank r = d / (k_1 ... k_{n-1}) for single-block levels: extraction,
-    ladder and stabilizer run on a and b compressed to an orthonormal basis
-    V of that range, and the stabilized r x r units are decompressed to
-    the ambient algebra once.  Extraction scales come from the stored
-    coefficient ladder; recovered block systems get stabilized before
-    decompression so later levels do not inherit drift.
+    Level n lives in the range of the lower levels' corner prefix, of rank
+    r = d / (k_1 ... k_{n-1}) for single-block levels: extraction, ladder
+    and stabilizer run on a and b compressed to an orthonormal basis V of
+    that range (the identity at level 1).  The stabilized units are stored
+    as column factors lifted to the ambient space through the decompression
+    chains, so the level's dense units are not formed.  Extraction scales
+    come from the stored coefficient ladder; recovered block systems get
+    stabilized before they are factored so later levels do not inherit
+    drift.
     """
     n = len(recovered) + 1
+    dim = ctx.ambient_dim
+    eye = identity(dim)
     if n > len(ctx.shapes):
         return RecoveredLevel(
             level=n,
-            units=MatrixUnitSystem((1,), ctx.ambient_dim, {(1, 1, 1): identity(ctx.ambient_dim)}),
-            corner=identity(ctx.ambient_dim),
-            coupling=np.zeros((ctx.ambient_dim, ctx.ambient_dim), dtype=np.complex128),
+            units=MatrixUnitSystem((1,), dim, factors=[eye[None]]),
+            corner=eye,
+            coupling=np.zeros((dim, dim), dtype=np.complex128),
             trace=RecoveryTrace(),
             status="not-applicable",
         )
     trace = RecoveryTrace()
     shape = ctx.shapes[n - 1]
-    dim = ctx.ambient_dim
-    eye = identity(dim)
     prefix = _corner_prefix(recovered, dim)
     a_eff = hermitian_part(prefix @ a @ prefix)
-    if n == 1:
-        a_in, b_in = a_eff, hermitian_part(prefix @ b @ prefix)
-    else:
-        basis = _corner_basis(prefix, f"level {n}")
-        a_in = hermitian_part(basis.conj().T @ a @ basis)
-        b_in = hermitian_part(basis.conj().T @ b @ basis)
+    basis = _corner_basis(prefix, f"level {n}: corner prefix") if recovered else eye
+    a_in = hermitian_part(basis.conj().T @ a @ basis)
+    b_in = hermitian_part(basis.conj().T @ b @ basis)
 
     corners: List[np.ndarray] = []
     stripped = a_in
@@ -241,59 +247,36 @@ def recover_next_level(
     stabilized, moved, _ = stabilize_units(candidate, ctx.stabilize_params)
     trace.add(f"stabilize_l{n}", 1, moved)
 
-    if n == 1:
-        ambient_units = stabilized
-    else:
-        keys = stabilized.keys()
-        chains = _decompression_chains(basis, recovered, ctx.shapes[: n - 1])
-        lifted = _decompress(np.stack([stabilized.units[key] for key in keys]), chains)
-        ambient_units = MatrixUnitSystem(
-            shape=shape, ambient_dim=dim, units=dict(zip(keys, lifted)), unital=True
-        )
+    chains = _decompression_chains(basis, recovered)
+    factors = [
+        np.concatenate([w @ f for w in chains], axis=2)
+        for f in column_factors(stabilized, f"level {n}")
+    ]
+    units = MatrixUnitSystem(shape=shape, ambient_dim=dim, unital=True, factors=factors)
 
-    corner = ambient_units.corner_row_projection([k for k in shape])
+    corner = units.corner_row_projection([k for k in shape])
     inner = (eye - corner) @ a_eff @ (eye - corner)
     diag_sum = np.zeros_like(inner)
     for s in range(1, len(shape) + 1):
-        diag_sum += diag_coefficient(ctx.shapes, n, s) * (prefix @ ambient_units.unit(s, 1, 1))
+        diag_sum += diag_coefficient(ctx.shapes, n, s) * (prefix @ units.unit(s, 1, 1))
     coupling = hermitian_part(inner - diag_sum)
-    return RecoveredLevel(level=n, units=ambient_units, corner=corner, coupling=coupling, trace=trace)
+    return RecoveredLevel(level=n, units=units, corner=corner, coupling=coupling, trace=trace)
 
 
 def _decompression_chains(
-    basis: np.ndarray, recovered: Sequence[RecoveredLevel], lower_shapes: Sequence[Shape]
+    basis: np.ndarray, recovered: Sequence[RecoveredLevel]
 ) -> List[np.ndarray]:
     """The d x r maps W_c = lift_{n-1} ... lift_1 V over all lower-level
-    choices of recovered column isometries, started from the corner basis V."""
+    choices of recovered column isometries e_{i,k_s} = F_i F_{k_s}^*, started
+    from the corner basis V; e_ij of level n is then sum_c W_c q_ij W_c^*."""
     chains = [basis]
-    for lv, shape in zip(recovered, lower_shapes):
+    for lv in recovered:
         grown = []
-        for s, k_s in enumerate(shape, start=1):
-            for i in range(1, k_s + 1):
-                lift = lv.units.unit(s, i, k_s)
-                grown.extend(lift @ c for c in chains)
+        for f in lv.units.factors:
+            for i in range(len(f)):
+                grown.extend(f[i] @ (f[-1].conj().T @ c) for c in chains)
         chains = grown
     return chains
-
-
-def _decompress(q: np.ndarray, chains: Sequence[np.ndarray]) -> np.ndarray:
-    """sum_c W_c q W_c^H for each matrix q of an (n, r, r) stack, as (n, d, d).
-
-    Works a bounded slab of the stack at a time, so the result is the only
-    full-size array.
-    """
-    dim = chains[0].shape[0]
-    out = np.empty((len(q), dim, dim), dtype=np.complex128)
-    step = max(1, _SLAB_BYTES // (16 * dim * dim))
-    for top in range(0, len(q), step):
-        slab = out[top : top + step]
-        for c, w in enumerate(chains):
-            part = (w @ q[top : top + step]) @ w.conj().T
-            if c:
-                slab += part
-            else:
-                slab[...] = part
-    return out
 
 
 def reconstruct_witness(
@@ -365,11 +348,11 @@ class RoundTripReport:
     witness_residuals: List[float]
     max_squarings: int
 
-    def passed(self, unit_tol=1e-6, witness_tol=1e-8) -> bool:
+    def passed(self) -> bool:
         return (
-            max(self.unit_residuals) <= unit_tol
-            and max(self.coupling_residuals) <= unit_tol
-            and max(self.witness_residuals) <= witness_tol
+            max(self.unit_residuals) <= UNIT_TOL
+            and max(self.coupling_residuals) <= UNIT_TOL
+            and max(self.witness_residuals) <= WITNESS_TOL
             and self.max_squarings <= MAX_SQUARINGS
         )
 
@@ -396,11 +379,7 @@ def round_trip(plan: GeneratorPlan, params: StabilizeParams = StabilizeParams())
     witness_residuals = []
     max_squarings = 0
     for lv, stored in zip(result.levels, plan.levels):
-        block = model.blocks[lv.level - 1]
-        keys = block.keys()
-        unit_residuals.append(
-            max_distance([lv.units.units[key] for key in keys], [block.units[key] for key in keys])
-        )
+        unit_residuals.append(factored_distance(lv.units, model.blocks[lv.level - 1]))
         coupling_residuals.append(float(op_norm(lv.coupling - stored.coupling)))
         units_chain = [r.units for r in result.levels[: lv.level]]
         for j in range(1, len(stored.witness.approximants) + 1):

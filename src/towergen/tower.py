@@ -163,7 +163,7 @@ def _max_cross_commutator(left: MatrixUnitSystem, right: MatrixUnitSystem) -> fl
         return 0.0
     lkeys, rkeys = left.keys(), right.keys()
     return _screened_max_commutator(
-        [left.units[lkeys[n]] for n in li], [right.units[rkeys[n]] for n in ri]
+        [left.unit(*lkeys[n]) for n in li], [right.unit(*rkeys[n]) for n in ri]
     )
 
 

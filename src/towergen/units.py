@@ -2,8 +2,10 @@
 
 A shape [k_1, ..., k_r] describes a multi-block algebra whose block s is a
 full k_s x k_s matrix algebra.  A matrix-unit system realizes the blocks as
-ambient matrices e_ij^(s), indexed 1-based by (s, i, j): an exact system as
-row tables of 0/1 partial isometries, an approximate one as dense matrices.
+ambient matrices e_ij^(s), indexed 1-based by (s, i, j), in one of three
+storage forms: row tables of 0/1 partial isometries (exact systems), column
+factors e_ij = F_i F_j^* (recovered levels) or dense matrices (anything
+else, such as perturbed or stabilized systems).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import as_operator, identity, op_norm, op_norms, screened_max_norm
+from .linalg import _lapack, as_operator, identity, op_norm, op_norms, screened_max_norm
 
 Shape = Tuple[int, ...]
 
@@ -68,12 +70,19 @@ class UnitalEmbedding:
 class MatrixUnitSystem:
     """Family of ambient matrices e_ij^(s); may be exact or approximate.
 
-    An exact system is stored as one row table per block: an int array R_s
-    of shape (k_s, c_s) whose entries are distinct ambient coordinates, with
-    e_ij^(s) = sum_t |R_s[i, t]><R_s[j, t]|, a 0/1 partial isometry of rank
-    c_s.  Its dense ``units`` are a read-only view built from the tables on
-    first access and then kept.  Recovered, perturbed and stabilized
-    systems are dense: they are given ``units`` and have ``rows`` None.
+    A system is given exactly one storage form:
+
+    - ``rows``: an exact system, one row table per block, an int array R_s
+      of shape (k_s, c_s) whose entries are distinct ambient coordinates,
+      with e_ij^(s) = sum_t |R_s[i, t]><R_s[j, t]|, a 0/1 partial isometry
+      of rank c_s;
+    - ``factors``: one complex (k_s, d, m_s) array F per block, with
+      e_ij^(s) = F[i-1] F[j-1]^*, as recovery stores a level;
+    - ``units``: a dict of dense d x d matrices keyed (s, i, j).
+
+    For the first two, the dense ``units`` are a read-only view built on
+    first access and then kept; ``unit(s, i, j)`` forms that one unit
+    without building it, and reads the view once it exists.
 
     ``unital`` records whether the diagonal units are meant to sum to the
     ambient identity (partial systems produced mid-recovery are not).
@@ -86,13 +95,19 @@ class MatrixUnitSystem:
         units: Optional[Dict[Tuple[int, int, int], np.ndarray]] = None,
         unital: bool = True,
         rows: Optional[Sequence[np.ndarray]] = None,
+        factors: Optional[Sequence[np.ndarray]] = None,
     ):
         self.shape = normalize_shape(shape)
         self.ambient_dim = int(ambient_dim)
         self.unital = unital
-        if (units is None) == (rows is None):
-            raise DimensionMismatch("a unit system takes either dense units or row tables")
+        if sum(form is not None for form in (units, rows, factors)) != 1:
+            raise DimensionMismatch(
+                "a unit system takes exactly one of dense units, row tables or column factors"
+            )
         self.rows = None if rows is None else _checked_rows(self.shape, self.ambient_dim, rows)
+        self.factors = (
+            None if factors is None else _checked_factors(self.shape, self.ambient_dim, factors)
+        )
         self._units = None
         if units is not None:
             for key, mat in units.items():
@@ -107,29 +122,40 @@ class MatrixUnitSystem:
     @property
     def units(self) -> Dict[Tuple[int, int, int], np.ndarray]:
         if self._units is None:
-            self._units = _dense_view(self.rows, self.ambient_dim)
+            if self.rows is not None:
+                self._units = _dense_view(self.rows, self.ambient_dim)
+            else:
+                self._units = _factor_view(self.factors)
         return self._units
 
     def unit(self, s: int, i: int, j: int) -> np.ndarray:
-        return self.units[(s, i, j)]
+        if self._units is not None:
+            return self._units[(s, i, j)]
+        if not (1 <= s <= len(self.shape) and 1 <= min(i, j) <= max(i, j) <= self.shape[s - 1]):
+            raise KeyError((s, i, j))
+        if self.rows is not None:
+            table = self.rows[s - 1]
+            out = np.zeros((self.ambient_dim, self.ambient_dim), dtype=np.complex128)
+            out[table[i - 1], table[j - 1]] = 1.0
+            out.flags.writeable = False
+            return out
+        return _factor_product(self.factors[s - 1], i - 1, j - 1)
 
     def keys(self):
-        if self.rows is not None:
-            return [(s, i, j) for s, k in enumerate(self.shape, start=1)
-                    for i in range(1, k + 1) for j in range(1, k + 1)]
-        return sorted(self.units.keys())
+        if self.rows is None and self.factors is None:
+            return sorted(self._units.keys())
+        return [(s, i, j) for s, k in enumerate(self.shape, start=1)
+                for i in range(1, k + 1) for j in range(1, k + 1)]
 
     def iter_units(self) -> Iterator[Tuple[Tuple[int, int, int], np.ndarray]]:
         for key in self.keys():
-            yield key, self.units[key]
+            yield key, self.unit(*key)
 
     def diagonal_sum(self) -> np.ndarray:
         out = np.zeros((self.ambient_dim, self.ambient_dim), dtype=np.complex128)
-        for s, k in enumerate(self.shape, start=1):
-            for i in range(1, k + 1):
-                unit = self.units.get((s, i, i))
-                if unit is not None:
-                    out = out + unit
+        for s, i, j in self.keys():
+            if i == j:
+                out = out + self.unit(s, i, i)
         return out
 
     def unitality_defect(self) -> float:
@@ -164,7 +190,7 @@ class MatrixUnitSystem:
     def corner_row_projection(self, rows_by_block: Sequence[int]) -> np.ndarray:
         out = np.zeros((self.ambient_dim, self.ambient_dim), dtype=np.complex128)
         for s, row in enumerate(rows_by_block, start=1):
-            out += self.units[(s, row, row)]
+            out += self.unit(s, row, row)
         return out
 
 
@@ -178,6 +204,36 @@ def _checked_rows(shape: Shape, dim: int, rows: Sequence[np.ndarray]) -> Tuple[n
     if flat.min() < 0 or flat.max() >= dim or np.bincount(flat).max() > 1:
         raise DimensionMismatch(f"row tables must hold distinct coordinates below {dim}")
     return tables
+
+
+def _checked_factors(
+    shape: Shape, dim: int, factors: Sequence[np.ndarray]
+) -> Tuple[np.ndarray, ...]:
+    arrays = tuple(np.asarray(f, dtype=np.complex128) for f in factors)
+    if len(arrays) != len(shape) or any(
+        f.ndim != 3 or f.shape[:2] != (k, dim) for f, k in zip(arrays, shape)
+    ):
+        raise DimensionMismatch(
+            f"need one (k_s, {dim}, m_s) factor array per block of shape {shape}"
+        )
+    return arrays
+
+
+def _factor_product(block: np.ndarray, i: int, j: int) -> np.ndarray:
+    """F_i F_j^* of one block's (k, d, m) factor array, 0-based."""
+    return block[i] @ block[j].conj().T
+
+
+def _factor_view(factors: Sequence[np.ndarray]) -> Dict[Tuple[int, int, int], np.ndarray]:
+    """Read-only dense units of a factored system, each with the bits ``unit`` gives it."""
+    units: Dict[Tuple[int, int, int], np.ndarray] = {}
+    for s, f in enumerate(factors, start=1):
+        for i in range(len(f)):
+            for j in range(len(f)):
+                unit = _factor_product(f, i, j)
+                unit.flags.writeable = False
+                units[(s, i + 1, j + 1)] = unit
+    return units
 
 
 def _dense_view(rows: Sequence[np.ndarray], dim: int) -> Dict[Tuple[int, int, int], np.ndarray]:
@@ -289,3 +345,33 @@ def unit_defects(system: MatrixUnitSystem) -> UnitDefects:
 
     mult = screened_max_norm(n, n, d, residuals)
     return UnitDefects(adjoint=float(adj), unitality=float(unitality), multiplication=float(mult))
+
+
+def factored_distance(approx: MatrixUnitSystem, exact: MatrixUnitSystem) -> float:
+    """Exact maximum over the units of ||e_ij - E_ij|| for a factored system
+    against an exact one of the same shape.
+
+    E_ij = P_i P_j^*, with P_i the indicator columns of row i of the table.
+    With [F_i, P_i] = Q_i R_i (reduced QR) and D = diag(I, -I),
+    F_i F_j^* - P_i P_j^* = Q_i R_i D R_j^* Q_j^*, and Q_i, Q_j have
+    orthonormal columns, so the norm is ||R_i D R_j^*||: per block one
+    batched QR and one ``op_norms`` over k^2 matrices of size at most
+    m + c, with no d x d difference formed.
+    """
+    if (
+        approx.factors is None or exact.rows is None or approx.shape != exact.shape
+        or approx.ambient_dim != exact.ambient_dim
+    ):
+        raise DimensionMismatch("factored_distance compares a factored system to an exact one")
+    worst = 0.0
+    for f, table in zip(approx.factors, exact.rows):
+        k, dim, m = f.shape
+        c = table.shape[1]
+        pairs = np.zeros((k, dim, m + c), dtype=np.complex128)
+        pairs[:, :, :m] = f
+        pairs[np.arange(k)[:, None], table, m + np.arange(c)] = 1.0
+        r = _lapack(lambda x: np.linalg.qr(x, mode="r"), pairs, "factored distance QR")
+        signed = r * np.concatenate([np.ones(m), -np.ones(c)])
+        grid = signed[:, None] @ r.conj().transpose(0, 2, 1)[None, :]
+        worst = max(worst, float(op_norms(grid.reshape(k * k, *grid.shape[2:])).max()))
+    return worst

@@ -149,6 +149,7 @@ def test_negative_seed_is_config_invalid(tmp_path, command):
         ("lemma52-check", {"shapes": []}, "shapes"),
         ("lemma52-check", {"block_sizes": []}, "block_sizes"),
         ("cover-estimate", {"omegas": []}, "omegas"),
+        ("counting-check", {"max_dim": 2, "omegas": []}, "omegas"),
     ],
 )
 def test_empty_sweep_list_is_config_invalid(tmp_path, command, config, path):

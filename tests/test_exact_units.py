@@ -24,7 +24,13 @@ from towergen.tower import (
     build_tower,
     commutant_projection,
 )
-from towergen.units import MatrixUnitSystem, UnitalEmbedding, amplify, canonical_units
+from towergen.units import (
+    MatrixUnitSystem,
+    UnitalEmbedding,
+    amplify,
+    canonical_units,
+    factored_distance,
+)
 
 PRESETS = [
     {"preset": "T0"}, {"preset": "T1b"}, {"preset": "T1"},
@@ -151,11 +157,39 @@ def test_amplify_matches_kron():
 
 
 def test_dense_view_is_built_once_and_read_only():
-    system = canonical_units([3])
-    first = system.unit(1, 1, 2)
-    assert system.unit(1, 1, 2) is first
-    with pytest.raises(ValueError):
-        first[0, 0] = 2.0
+    system = canonical_units([2, 3], UnitalEmbedding((2, 3), (2, 1), 7))
+    single = {key: system.unit(*key) for key in system.keys()}
+    assert system._units is None  # unit() reads the tables, not a dense view
+    view = system.units
+    assert system.units is view
+    for key, mat in single.items():
+        assert same_bits(mat, view[key])
+        assert system.unit(*key) is view[key]
+        with pytest.raises(ValueError):
+            view[key][0, 0] = 2.0
+    with pytest.raises(KeyError):
+        canonical_units([3]).unit(1, 0, 1)
+
+
+def test_factored_system_view_and_distance():
+    exact = canonical_units([2, 3], UnitalEmbedding((2, 3), (2, 1), 7))
+    eye = np.eye(7, dtype=np.complex128)
+    # the indicator columns of each table row factor the exact system itself
+    factored = MatrixUnitSystem(
+        exact.shape, 7, factors=[np.stack([eye[:, row] for row in table]) for table in exact.rows]
+    )
+    assert factored_distance(factored, exact) == 0.0
+    single = {key: factored.unit(*key) for key in factored.keys()}
+    assert factored._units is None
+    for key, mat in single.items():
+        assert same_bits(mat, factored.units[key])
+        assert same_bits(mat, exact.unit(*key))
+    with pytest.raises(DimensionMismatch):
+        factored_distance(exact, exact)
+    with pytest.raises(DimensionMismatch):
+        MatrixUnitSystem((2,), 3, factors=[np.zeros((2, 4, 1))])
+    with pytest.raises(DimensionMismatch):
+        MatrixUnitSystem((2,), 3, factors=[np.zeros((2, 3, 1))], rows=[np.array([[0], [1]])])
 
 
 def test_exact_system_unitality_and_column_maps():

@@ -15,6 +15,7 @@ from towergen.recovery import (
     RecoveryContext,
     RecoveryTrace,
     _corner_basis,
+    column_factors,
     extract_leading_projection,
     ladder_units,
     recover_all,
@@ -244,8 +245,9 @@ def test_recover_next_level_rejects_a_corner_that_is_no_projection(t1_plan):
 
 def ambient_recover_next_level(ctx, recovered, a, b):
     """Level n recovered at ambient dimension: every extraction, rung,
-    stabilizer step and decompression product on d x d matrices.  The
-    reference the corner-compressed ``recover_next_level`` must match."""
+    stabilizer step and decompression product on d x d matrices, the dense
+    result factored as ``recover_next_level`` stores a level.  The reference
+    the corner-compressed, factor-lifted ``recover_next_level`` must match."""
     n = len(recovered) + 1
     shape = ctx.shapes[n - 1]
     dim = ctx.ambient_dim
@@ -267,22 +269,22 @@ def ambient_recover_next_level(ctx, recovered, a, b):
     candidate, trace = ladder_units(corners, b_eff, shape, n, unital=(n == 1), trace=trace)
     stabilized, moved, _ = stabilize_units(candidate, ctx.stabilize_params)
     trace.add(f"stabilize_l{n}", 1, moved)
-    if n == 1:
-        ambient_units = stabilized
-    else:
-        chains = [eye]
-        for lv, lower in zip(recovered, ctx.shapes[: n - 1]):
-            chains = [
-                lv.units.unit(s, i, k_s) @ c
-                for s, k_s in enumerate(lower, start=1)
-                for i in range(1, k_s + 1)
-                for c in chains
-            ]
-        units = {}
-        for key in stabilized.keys():
-            q = stabilized.units[key]
-            units[key] = sum(chain @ q @ chain.conj().T for chain in chains)
-        ambient_units = MatrixUnitSystem(shape=shape, ambient_dim=dim, units=units, unital=True)
+    chains = [eye]
+    for lv, lower in zip(recovered, ctx.shapes[: n - 1]):
+        chains = [
+            lv.units.unit(s, i, k_s) @ c
+            for s, k_s in enumerate(lower, start=1)
+            for i in range(1, k_s + 1)
+            for c in chains
+        ]
+    units = {}
+    for key in stabilized.keys():
+        q = stabilized.units[key]
+        units[key] = sum(chain @ q @ chain.conj().T for chain in chains)
+    dense = MatrixUnitSystem(shape=shape, ambient_dim=dim, units=units, unital=True)
+    ambient_units = MatrixUnitSystem(
+        shape=shape, ambient_dim=dim, unital=True, factors=column_factors(dense, f"level {n}")
+    )
     corner = ambient_units.corner_row_projection(list(shape))
     inner = (eye - corner) @ a_eff @ (eye - corner)
     diag_sum = np.zeros_like(inner)
