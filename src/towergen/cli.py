@@ -31,10 +31,10 @@ from .microstates import (
     spawned_seeds,
 )
 from .presets import list_presets, preset_spec
-from .recovery import MAX_SQUARINGS, UNIT_TOL, WITNESS_TOL, round_trip
+from .recovery import round_trip
 from .report import RunReport
-from .similarity import run_identity_sweep
-from .stabilize import StabilizeParams, perturb_units, stabilize_units
+from .similarity import run_identity_sweep, sweep_rows
+from .stabilize import perturb_units, stabilize_units
 from .tower import TowerSpec, build_tower, check_conditions
 from .twogen import build_plan, verify_facts
 from .units import UnitalEmbedding, canonical_units, subrank, unit_defects
@@ -193,16 +193,7 @@ def run_tower_check(config: dict) -> RunReport:
     spec = resolve_tower_spec(config)
     model = build_tower(spec)
     cond = check_conditions(model)
-    for row in cond.rows:
-        report.check(f"level{row.level}.unitality", row.unitality_defect, 1e-12)
-        report.check(f"level{row.level}.cross_commutator", row.max_cross_commutator, 1e-12)
-        report.add(f"level{row.level}.subrank_growth", row.subrank, row.required_subrank,
-                   row.growth_ok)
-        for dist in row.distances:
-            report.add(
-                f"level{row.level}.distance_g{dist['generator']}",
-                dist["distance"], dist["bound"], dist["ok"],
-            )
+    report.rows += cond.rows
     report.extra["interleaving"] = cond.interleaving_note
     report.extra["truncation_tail_bound"] = 2.0 ** (-model.depth)
     return report.close()
@@ -212,13 +203,7 @@ def run_gen_verify(config: dict) -> RunReport:
     report = RunReport("gen-verify", config)
     spec = resolve_tower_spec(config)
     model = build_tower(spec)
-    facts = verify_facts(build_plan(model))
-    for lv in facts.levels:
-        for row in lv.rows():
-            report.check(row.name, row.measured, row.threshold)
-        report.add(f"level{lv.level}.coupling_scale", lv.coupling_scale, None, True)
-    for row in facts.rows:
-        report.check(row.name, row.measured, row.threshold)
+    report.rows += verify_facts(build_plan(model)).rows
     return report.close()
 
 
@@ -228,19 +213,7 @@ def run_recover(config: dict) -> RunReport:
     model = build_tower(spec)
     plan = build_plan(model)
     result, trip = round_trip(plan)
-    for idx, res in enumerate(trip.unit_residuals, start=1):
-        report.check(f"level{idx}.unit_residual", res, UNIT_TOL)
-    for idx, res in enumerate(trip.coupling_residuals, start=1):
-        report.check(f"level{idx}.coupling_residual", res, UNIT_TOL)
-    for idx, res in enumerate(trip.witness_residuals, start=1):
-        report.check(f"witness{idx}.residual", res, WITNESS_TOL)
-    report.check("max_squarings", trip.max_squarings, MAX_SQUARINGS)
-    worst_extract = 0.0
-    for lv in result.levels:
-        for step in lv.trace.steps:
-            if step.name.startswith("extract"):
-                worst_extract = max(worst_extract, step.residual)
-    report.check("extraction_residual", worst_extract, 1e-8)
+    report.rows += trip.rows
     report.extra["trace"] = result.trace_json()
 
     if config.get("closure", False):
@@ -268,9 +241,8 @@ def run_stabilize_sweep(config: dict) -> RunReport:
     base_seed = config.get("seed", 2024)
     target = sum(c * k for c, k in zip(mult, shape))
     units = canonical_units(shape, UnitalEmbedding(shape, mult, target))
-    params = StabilizeParams()
 
-    exact_out, exact_dist, _ = stabilize_units(units, params)
+    exact_out, exact_dist, _ = stabilize_units(units)
     bitstable = all(
         np.array_equal(exact_out.units[key], units.units[key]) for key in units.keys()
     )
@@ -285,7 +257,7 @@ def run_stabilize_sweep(config: dict) -> RunReport:
         for s in range(per_delta):
             seed = base_seed + 1000 * s + int(1e9 * delta) % 997
             noisy = perturb_units(units, delta, seed)
-            fixed, dist, defects_in = stabilize_units(noisy, params)
+            fixed, dist, defects_in = stabilize_units(noisy)
             if defects_in is None:  # the admissibility gate scores only small systems
                 defects_in = unit_defects(noisy)
             defects_out = unit_defects(fixed)
@@ -323,25 +295,9 @@ def run_cover_estimate(config: dict) -> RunReport:
         sep = 2.0 * radius
         est = greedy_packing(cloud, sep)
         bounds = check_unitary_bounds(k, radius, est)
-        report.add(
-            f"omega{radius:g}.haar_certified_lower",
-            bounds.certified_lower, bounds.paper_lower,
-            bounds.certified_lower >= bounds.paper_lower,
-        )
-        report.add(
-            f"omega{radius:g}.upper_consistent",
-            bounds.certified_lower, bounds.paper_upper, not bounds.upper_violated,
-        )
-        report.check(
-            f"omega{radius:g}.cover_estimate_sane", est.greedy_cover_count, bounds.paper_upper
-        )
+        report.rows += bounds.rows
         if k == 1:
-            oracle = greedy_packing(grid, sep)
-            report.add(
-                f"omega{radius:g}.circle_oracle_lower",
-                oracle.packing_count, bounds.paper_lower,
-                oracle.packing_count >= bounds.paper_lower,
-            )
+            report.rows.append(bounds.oracle_row(greedy_packing(grid, sep)))
         report.extra[f"estimate_omega{radius:g}"] = est.to_json()
         report.extra[f"bounds_omega{radius:g}"] = bounds.to_json()
         profile = float(
@@ -480,13 +436,9 @@ def run_lemma52_check(config: dict) -> RunReport:
     runs = config.get("runs", 100)
     coeff_dim = config.get("coeff_dim", 2)
     seed = config.get("seed", 808)
-    rows = run_identity_sweep(shapes, block_sizes, runs, coeff_dim, seed)
-    worst_gap = max(r["gap"] for r in rows)
-    worst_cross = max(r["cross_gap"] for r in rows)
-    report.add("runs", len(rows), None, True)
-    report.check("max_gap", worst_gap, 1e-10)
-    report.check("max_cross_gap", worst_cross, 1e-10)
-    report.extra["rows"] = rows
+    sweep = run_identity_sweep(shapes, block_sizes, runs, coeff_dim, seed)
+    report.rows += sweep_rows(sweep)
+    report.extra["rows"] = sweep
     return report.close()
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .linalg import op_norm, op_norms
+from .report import ReportRow
 from .units import MatrixUnitSystem, UnitalEmbedding, normalize_shape, subrank
 
 Point = Union[np.ndarray, Sequence[np.ndarray]]
@@ -144,6 +145,13 @@ class UnitaryBoundReport:
     paper_upper: float
     upper_violated: bool
     lower_status: str
+    rows: List[ReportRow]  # cover-estimate rows at this radius; not part of to_json()
+
+    def oracle_row(self, oracle: CoveringEstimate) -> ReportRow:
+        """The lower-bound row for a reference packing (the circle grid at k = 1)."""
+        return _lower_row(
+            f"omega{self.radius:g}.circle_oracle_lower", oracle.packing_count, self.paper_lower
+        )
 
     def to_json(self) -> dict:
         return {
@@ -163,7 +171,9 @@ def check_unitary_bounds(k: int, radius: float, estimate: CoveringEstimate) -> U
     The estimate's packing at separation 2*radius certifies a covering
     lower bound at ``radius``.  Sampling can contradict the upper bound
     (that would mean a bug) but can only be consistent or inconclusive
-    about the lower one.
+    about the lower one.  The report's rows are cover-estimate's rows at
+    this radius: the certified count against the lower and the upper
+    bound, and the greedy cover count against the upper bound.
     """
     if abs(estimate.omega - 2 * radius) > 1e-12:
         raise DimensionMismatch(
@@ -172,15 +182,25 @@ def check_unitary_bounds(k: int, radius: float, estimate: CoveringEstimate) -> U
     lower_ref = (1.0 / radius) ** (k * k)
     upper_ref = (9.0 * pi * e / radius) ** (k * k)
     certified = estimate.implied_cover_lower
+    tag = f"omega{radius:g}"
+    lower = _lower_row(f"{tag}.haar_certified_lower", certified, lower_ref)
+    upper = ReportRow.check(f"{tag}.upper_consistent", certified, upper_ref)
+    sane = ReportRow.check(f"{tag}.cover_estimate_sane", estimate.greedy_cover_count, upper_ref)
     return UnitaryBoundReport(
         k=k,
         radius=radius,
         certified_lower=certified,
         paper_lower=lower_ref,
         paper_upper=upper_ref,
-        upper_violated=certified > upper_ref,
-        lower_status="consistent" if certified >= lower_ref else "inconclusive",
+        upper_violated=not upper.passed,
+        lower_status="consistent" if lower.passed else "inconclusive",
+        rows=[lower, upper, sane],
     )
+
+
+def _lower_row(name: str, count: int, lower: float) -> ReportRow:
+    """Passes when a certified count reaches the paper's lower bound."""
+    return ReportRow(name, count, lower, count >= lower)
 
 
 @dataclass

@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import LadderBreakdown, NoSpectralGap, NonConvergence
 from .linalg import _lapack, hermitian_part, identity, op_norm, polar_partial_isometry
-from .stabilize import StabilizeParams, stabilize_units
+from .report import ReportRow
+from .stabilize import stabilize_units
 from .twogen import GeneratorPlan, RowAssignment, diag_coefficient, index_atoms
 from .units import MatrixUnitSystem, Shape, factored_distance
 
@@ -30,6 +31,7 @@ COMPLEMENT_BOUND = 0.75
 MAX_SQUARINGS = 64
 UNIT_TOL = 1e-6  # round-trip unit and coupling residuals
 WITNESS_TOL = 1e-8  # round-trip witness residuals
+EXTRACT_TOL = 1e-8  # worst final squaring step of an extraction
 
 
 @dataclass
@@ -54,16 +56,15 @@ class RecoveryTrace:
 
 
 def extract_leading_projection(
-    a: np.ndarray, scale: float, trace: Optional[RecoveryTrace] = None, label: str = "extract"
-) -> Tuple[np.ndarray, RecoveryTrace]:
+    a: np.ndarray, scale: float, trace: RecoveryTrace, label: str = "extract"
+) -> np.ndarray:
     """Limit of (scale*a)^(2^t): the spectral projection of the top cluster.
 
     Requires the scaled matrix to have eigenvalues within 1e-3 of 1 and all
     remaining spectrum inside [-0.75, 0.75]; repeated squaring then
-    converges geometrically.
+    converges geometrically.  Appends the squaring count and the last
+    step's size to ``trace``.
     """
-    if trace is None:
-        trace = RecoveryTrace()
     m = hermitian_part(scale * a)
     eigs = _lapack(np.linalg.eigvalsh, m, f"{label}: eigensolve")
     if not eigs.size:
@@ -89,7 +90,7 @@ def extract_leading_projection(
                     f"{label}: squaring settled on a non-projection (idem {idem:.2e})"
                 )
             trace.add(label, t, diff)
-            return hermitian_part(x), trace
+            return hermitian_part(x)
     raise NonConvergence(f"{label}: no convergence after {MAX_SQUARINGS} squarings")
 
 
@@ -99,16 +100,15 @@ def ladder_units(
     shape: Shape,
     level: int,
     unital: bool,
-    trace: Optional[RecoveryTrace] = None,
-) -> Tuple[MatrixUnitSystem, RecoveryTrace]:
+    trace: RecoveryTrace,
+) -> MatrixUnitSystem:
     """Rebuild a level's units from its first-column projections and b.
 
     Each rung i -> i+1 comes from compressing b between the diagonal units
     recovered so far, rescaled by 2^(2*level); polar polishing keeps the
-    chain isometric.  Raises LadderBreakdown when a rung vanishes.
+    chain isometric, and ``trace`` gets each rung's polishing residual.
+    Raises LadderBreakdown when a rung vanishes.
     """
-    if trace is None:
-        trace = RecoveryTrace()
     if len(corner_projections) != len(shape):
         raise LadderBreakdown("need one starting projection per block")
     dim = b_effective.shape[0]
@@ -136,17 +136,7 @@ def ladder_units(
         for i in range(1, k_s + 1):
             for j in range(1, k_s + 1):
                 units[(s, i, j)] = row_chain[i - 1].conj().T @ row_chain[j - 1]
-    system = MatrixUnitSystem(shape=shape, ambient_dim=dim, units=units, unital=unital)
-    return system, trace
-
-
-@dataclass
-class RecoveryContext:
-    """Shape data and tolerances recovery is allowed to know."""
-
-    shapes: Tuple[Shape, ...]
-    ambient_dim: int
-    stabilize_params: StabilizeParams = StabilizeParams()
+    return MatrixUnitSystem(shape=shape, ambient_dim=dim, units=units, unital=unital)
 
 
 @dataclass
@@ -156,7 +146,6 @@ class RecoveredLevel:
     corner: np.ndarray
     coupling: np.ndarray
     trace: RecoveryTrace
-    status: str = "recovered"
 
 
 def _corner_prefix(levels: Sequence[RecoveredLevel], dim: int) -> np.ndarray:
@@ -195,13 +184,14 @@ def column_factors(system: MatrixUnitSystem, label: str) -> List[np.ndarray]:
 
 
 def recover_next_level(
-    ctx: RecoveryContext,
+    shapes: Sequence[Shape],
     recovered: Sequence[RecoveredLevel],
     a: np.ndarray,
     b: np.ndarray,
 ) -> RecoveredLevel:
     """Recover level n = len(recovered)+1 inside the lower levels' corner.
 
+    Besides a and b, recovery knows only the tower's block ``shapes``.
     Level n lives in the range of the lower levels' corner prefix, of rank
     r = d / (k_1 ... k_{n-1}) for single-block levels: extraction, ladder
     and stabilizer run on a and b compressed to an orthonormal basis V of
@@ -213,19 +203,10 @@ def recover_next_level(
     drift.
     """
     n = len(recovered) + 1
-    dim = ctx.ambient_dim
+    dim = a.shape[0]
     eye = identity(dim)
-    if n > len(ctx.shapes):
-        return RecoveredLevel(
-            level=n,
-            units=MatrixUnitSystem((1,), dim, factors=[eye[None]]),
-            corner=eye,
-            coupling=np.zeros((dim, dim), dtype=np.complex128),
-            trace=RecoveryTrace(),
-            status="not-applicable",
-        )
     trace = RecoveryTrace()
-    shape = ctx.shapes[n - 1]
+    shape = shapes[n - 1]
     prefix = _corner_prefix(recovered, dim)
     a_eff = hermitian_part(prefix @ a @ prefix)
     basis = _corner_basis(prefix, f"level {n}: corner prefix") if recovered else eye
@@ -235,16 +216,14 @@ def recover_next_level(
     corners: List[np.ndarray] = []
     stripped = a_in
     for s in range(1, len(shape) + 1):
-        scale = 1.0 / diag_coefficient(ctx.shapes, n, s)
-        e11, trace = extract_leading_projection(
-            stripped, scale, trace, label=f"extract_l{n}_b{s}"
-        )
+        scale = 1.0 / diag_coefficient(shapes, n, s)
+        e11 = extract_leading_projection(stripped, scale, trace, label=f"extract_l{n}_b{s}")
         corners.append(e11)
         comp = identity(len(e11)) - e11
         stripped = hermitian_part(comp @ stripped @ comp)
 
-    candidate, trace = ladder_units(corners, b_in, shape, n, unital=(n == 1), trace=trace)
-    stabilized, moved, _ = stabilize_units(candidate, ctx.stabilize_params)
+    candidate = ladder_units(corners, b_in, shape, n, unital=(n == 1), trace=trace)
+    stabilized, moved, _ = stabilize_units(candidate)
     trace.add(f"stabilize_l{n}", 1, moved)
 
     chains = _decompression_chains(basis, recovered)
@@ -258,7 +237,7 @@ def recover_next_level(
     inner = (eye - corner) @ a_eff @ (eye - corner)
     diag_sum = np.zeros_like(inner)
     for s in range(1, len(shape) + 1):
-        diag_sum += diag_coefficient(ctx.shapes, n, s) * (prefix @ units.unit(s, 1, 1))
+        diag_sum += diag_coefficient(shapes, n, s) * (prefix @ units.unit(s, 1, 1))
     coupling = hermitian_part(inner - diag_sum)
     return RecoveredLevel(level=n, units=units, corner=corner, coupling=coupling, trace=trace)
 
@@ -329,15 +308,15 @@ class RecoveryResult:
 
     def trace_json(self) -> list:
         return [
-            {"level": lv.level, "status": lv.status, "steps": lv.trace.to_json()}
+            {"level": lv.level, "status": "recovered", "steps": lv.trace.to_json()}
             for lv in self.levels
         ]
 
 
-def recover_all(ctx: RecoveryContext, a: np.ndarray, b: np.ndarray) -> RecoveryResult:
+def recover_all(shapes: Sequence[Shape], a: np.ndarray, b: np.ndarray) -> RecoveryResult:
     levels: List[RecoveredLevel] = []
-    for _ in range(len(ctx.shapes)):
-        levels.append(recover_next_level(ctx, levels, a, b))
+    for _ in range(len(shapes)):
+        levels.append(recover_next_level(shapes, levels, a, b))
     return RecoveryResult(levels=levels)
 
 
@@ -347,14 +326,28 @@ class RoundTripReport:
     coupling_residuals: List[float]
     witness_residuals: List[float]
     max_squarings: int
+    extraction_residual: float  # worst final squaring step over all extractions
+
+    @property
+    def rows(self) -> List[ReportRow]:
+        """The recover rows, derived from the fields on every access."""
+        series = [
+            ("level{}.unit_residual", self.unit_residuals, UNIT_TOL),
+            ("level{}.coupling_residual", self.coupling_residuals, UNIT_TOL),
+            ("witness{}.residual", self.witness_residuals, WITNESS_TOL),
+        ]
+        rows = [
+            ReportRow.check(name.format(i), r, tol)
+            for name, values, tol in series
+            for i, r in enumerate(values, start=1)
+        ]
+        return rows + [
+            ReportRow.check("max_squarings", self.max_squarings, MAX_SQUARINGS),
+            ReportRow.check("extraction_residual", self.extraction_residual, EXTRACT_TOL),
+        ]
 
     def passed(self) -> bool:
-        return (
-            max(self.unit_residuals) <= UNIT_TOL
-            and max(self.coupling_residuals) <= UNIT_TOL
-            and max(self.witness_residuals) <= WITNESS_TOL
-            and self.max_squarings <= MAX_SQUARINGS
-        )
+        return all(row.passed for row in self.rows)
 
     def to_json(self) -> dict:
         return {
@@ -362,22 +355,19 @@ class RoundTripReport:
             "coupling_residuals": self.coupling_residuals,
             "witness_residuals": self.witness_residuals,
             "max_squarings": self.max_squarings,
+            "extraction_residual": self.extraction_residual,
         }
 
 
-def round_trip(plan: GeneratorPlan, params: StabilizeParams = StabilizeParams()) -> Tuple[
-    RecoveryResult, RoundTripReport
-]:
+def round_trip(plan: GeneratorPlan) -> Tuple[RecoveryResult, RoundTripReport]:
     """Recover everything from the plan's (a, b) and compare to stored data."""
     model = plan.model
-    ctx = RecoveryContext(
-        shapes=model.spec.block_shapes, ambient_dim=model.ambient_dim, stabilize_params=params
-    )
-    result = recover_all(ctx, plan.gen_a, plan.gen_b)
+    result = recover_all(model.spec.block_shapes, plan.gen_a, plan.gen_b)
     unit_residuals = []
     coupling_residuals = []
     witness_residuals = []
     max_squarings = 0
+    worst_extract = 0.0
     for lv, stored in zip(result.levels, plan.levels):
         unit_residuals.append(factored_distance(lv.units, model.blocks[lv.level - 1]))
         coupling_residuals.append(float(op_norm(lv.coupling - stored.coupling)))
@@ -392,10 +382,12 @@ def round_trip(plan: GeneratorPlan, params: StabilizeParams = StabilizeParams())
         for step in lv.trace.steps:
             if step.name.startswith("extract"):
                 max_squarings = max(max_squarings, step.iterations)
+                worst_extract = max(worst_extract, step.residual)
     report = RoundTripReport(
         unit_residuals=unit_residuals,
         coupling_residuals=coupling_residuals,
         witness_residuals=witness_residuals,
         max_squarings=max_squarings,
+        extraction_residual=worst_extract,
     )
     return result, report

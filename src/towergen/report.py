@@ -49,6 +49,11 @@ class ReportRow:
             "pass": bool(self.passed),
         }
 
+    @classmethod
+    def check(cls, name: str, measured, threshold) -> "ReportRow":
+        """A row that passes when ``measured <= threshold``; NaN fails."""
+        return cls(name, measured, threshold, bool(measured <= threshold))
+
 
 @dataclass
 class RunReport:
@@ -65,7 +70,7 @@ class RunReport:
 
     def check(self, name: str, measured, threshold) -> None:
         """Add a row that passes when ``measured <= threshold``; NaN fails."""
-        self.add(name, measured, threshold, measured <= threshold)
+        self.rows.append(ReportRow.check(name, measured, threshold))
 
     def merge(self, prefix: str, other: "RunReport") -> None:
         for row in other.rows:

@@ -15,7 +15,10 @@ import numpy as np
 
 from .errors import DimensionMismatch, SubrankTooSmall
 from .linalg import identity, op_norm
+from .report import ReportRow
 from .units import MatrixUnitSystem, amplify, canonical_units, normalize_shape, subrank
+
+GAP_TOL = 1e-10  # both sides of the identity, and the cross-check, agree to rounding
 
 
 @dataclass
@@ -59,7 +62,7 @@ class NormIdentityReport:
 
     @property
     def passed(self) -> bool:
-        return self.gap <= 1e-10 and self.cross_gap <= 1e-10
+        return self.gap <= GAP_TOL and self.cross_gap <= GAP_TOL
 
 
 def check_norm_identity(model: CommutingModel, coeffs: np.ndarray) -> NormIdentityReport:
@@ -141,3 +144,12 @@ def run_identity_sweep(
     if not rows:
         raise SubrankTooSmall(f"no shape has subrank >= any block size in {list(block_sizes)}")
     return rows
+
+
+def sweep_rows(runs: Sequence[dict]) -> List[ReportRow]:
+    """A sweep's run count and its worst gaps, each checked against GAP_TOL."""
+    return [
+        ReportRow("runs", len(runs), None, True),
+        ReportRow.check("max_gap", max(r["gap"] for r in runs), GAP_TOL),
+        ReportRow.check("max_cross_gap", max(r["cross_gap"] for r in runs), GAP_TOL),
+    ]

@@ -8,7 +8,6 @@ checkable gap condition and fails loudly when the input is too corrupted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -26,17 +25,8 @@ from .linalg import (
 from .units import MatrixUnitSystem, UnitDefects, unit_defects
 
 _EXACT_TOL = 1e-14  # inputs already satisfying a step's contract are kept bitwise
-
-
-@dataclass(frozen=True)
-class StabilizeParams:
-    projection_threshold: float = 0.5
-    isometry_cutoff: float = 0.5
-    max_distance_report: bool = True
-
-    def __post_init__(self):
-        if not (0 < self.projection_threshold < 1 and 0 < self.isometry_cutoff < 1):
-            raise StabilizationFailed("thresholds must lie in (0, 1)")
+PROJECTION_THRESHOLD = 0.5  # eigenvalue cut that turns a diagonal candidate into a projection
+ISOMETRY_CUTOFF = 0.5  # singular-value cut of the polar partial isometries
 
 
 def _is_projection(q: np.ndarray) -> bool:
@@ -53,9 +43,9 @@ def _row_maxima(rows: Sequence[Tuple[np.ndarray, ...]]) -> np.ndarray:
     return norms.reshape(len(rows), -1).max(axis=1)
 
 
-def stabilize_units(
-    candidate: MatrixUnitSystem, params: StabilizeParams = StabilizeParams()
-) -> Tuple[MatrixUnitSystem, float, Optional[UnitDefects]]:
+def stabilize_units(candidate: MatrixUnitSystem) -> Tuple[
+    MatrixUnitSystem, float, Optional[UnitDefects]
+]:
     """Exact matrix units near an approximate system, plus the max distance
     and the candidate's defects.
 
@@ -102,11 +92,9 @@ def stabilize_units(
                 q = raw
             else:
                 h = hermitian_part(raw)
-                q = spectral_projection(h, params.projection_threshold)
+                q = spectral_projection(h, PROJECTION_THRESHOLD)
                 comp = identity(dim) - prev
-                q = spectral_projection(
-                    hermitian_part(comp @ q @ comp), params.projection_threshold
-                )
+                q = spectral_projection(hermitian_part(comp @ q @ comp), PROJECTION_THRESHOLD)
             diag[(s, i)] = q
             prev = prev + q
     except EigenvalueNearThreshold as exc:
@@ -137,7 +125,7 @@ def stabilize_units(
         ]) <= _EXACT_TOL
         for i, kept in zip(rows, keeps):
             isometries[(s, i)] = raws[i] if kept else polar_partial_isometry(
-                diag[(s, i)] @ raws[i] @ q11, params.isometry_cutoff
+                diag[(s, i)] @ raws[i] @ q11, ISOMETRY_CUTOFF
             )
         polished = {i: isometries[(s, i)] for i, kept in zip(rows, keeps) if not kept}
         if polished:
@@ -164,9 +152,7 @@ def stabilize_units(
                 else:
                     e = isometries[(s, i)] @ isometries[(s, j)].conj().T
                 units[(s, i, j)] = e
-    distance = 0.0
-    if params.max_distance_report:
-        distance = max_distance([candidate.units[key] for key in units], list(units.values()))
+    distance = max_distance([candidate.units[key] for key in units], list(units.values()))
     out = MatrixUnitSystem(
         shape=shape, ambient_dim=dim, units=units, unital=candidate.unital
     )

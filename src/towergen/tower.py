@@ -17,9 +17,11 @@ import numpy as np
 
 from .errors import DimensionMismatch, DimensionOverflow, StrictModeViolation
 from .linalg import DEFAULT_DIM_CAP, hermitian_part, identity, op_norm, screened_max_norm
+from .report import ReportRow
 from .units import MatrixUnitSystem, Shape, amplify, canonical_units, normalize_shape, rank, subrank
 
 DISTANCE_MARGIN = 0.75  # fraction of the 2^-m budget the recipes actually spend
+ROUNDING_TOL = 1e-12  # identities that hold exactly in exact arithmetic
 
 
 @dataclass(frozen=True)
@@ -316,47 +318,29 @@ def witnesses_at_level(model: TowerModel, level: int) -> CommutantWitness:
 
 
 @dataclass
-class LevelConditionRow:
-    level: int
-    unitality_defect: float
-    max_cross_commutator: float
-    subrank: int
-    required_subrank: int
-    growth_ok: bool
-    distances: List[dict]
-
-    def to_json(self) -> dict:
-        return {
-            "level": self.level,
-            "unitality_defect": self.unitality_defect,
-            "max_cross_commutator": self.max_cross_commutator,
-            "subrank": self.subrank,
-            "required_subrank": self.required_subrank,
-            "growth_ok": self.growth_ok,
-            "distances": self.distances,
-        }
-
-
-@dataclass
 class ConditionReport:
-    rows: List[LevelConditionRow]
+    rows: List[ReportRow]
     interleaving_note: str
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return all(r.passed for r in self.rows)
 
     def to_json(self) -> dict:
         return {
-            "levels": [r.to_json() for r in self.rows],
+            "rows": [r.to_json() for r in self.rows],
             "interleaving": self.interleaving_note,
             "pass": self.passed,
         }
 
 
 def check_conditions(model: TowerModel) -> ConditionReport:
-    """Measure unitality, cross-level commutation, growth bounds and distances."""
+    """Rows per level: unitality and cross-level commutation up to ROUNDING_TOL,
+    subrank at least the growth bound, and each generator's distance to the
+    level's commutant below 2^-level."""
     spec = model.spec
     shapes = spec.block_shapes
     rows = []
-    ok = True
     for level in range(1, model.depth + 1):
         blk = model.blocks[level - 1]
         unitality = blk.unitality_defect()
@@ -367,32 +351,15 @@ def check_conditions(model: TowerModel) -> ConditionReport:
             need = required_subrank_strict(shapes, level)
         else:
             need = required_subrank_relaxed(shapes, level, spec.num_generators)
-        growth_ok = subrank(shapes[level - 1]) >= need
-        witness = witnesses_at_level(model, level)
-        bound = 2.0 ** (-level)
-        distances = [
-            {
-                "generator": j + 1,
-                "distance": witness.distances[j],
-                "bound": bound,
-                "ok": witness.distances[j] < bound,
-            }
-            for j in range(len(witness.distances))
+        have = subrank(shapes[level - 1])
+        rows += [
+            ReportRow.check(f"level{level}.unitality", float(unitality), ROUNDING_TOL),
+            ReportRow.check(f"level{level}.cross_commutator", float(cross), ROUNDING_TOL),
+            ReportRow(f"level{level}.subrank_growth", have, need, have >= need),
         ]
-        row = LevelConditionRow(
-            level=level,
-            unitality_defect=float(unitality),
-            max_cross_commutator=float(cross),
-            subrank=subrank(shapes[level - 1]),
-            required_subrank=need,
-            growth_ok=growth_ok,
-            distances=distances,
-        )
-        rows.append(row)
-        ok = ok and growth_ok and unitality <= 1e-12 and cross <= 1e-12
-        ok = ok and all(dd["ok"] for dd in distances)
-    return ConditionReport(
-        rows=rows,
-        interleaving_note="interleaving indices satisfied by tensor construction",
-        passed=ok,
-    )
+        bound = 2.0 ** (-level)
+        rows += [
+            ReportRow(f"level{level}.distance_g{j}", dist, bound, dist < bound)
+            for j, dist in enumerate(witnesses_at_level(model, level).distances, start=1)
+        ]
+    return ConditionReport(rows, "interleaving indices satisfied by tensor construction")

@@ -17,7 +17,9 @@ import numpy as np
 
 from .errors import DegenerateWitness, DimensionMismatch, InsufficientSubrank
 from .linalg import hermitian_part, op_norm
+from .report import ReportRow
 from .tower import (
+    ROUNDING_TOL,
     CommutantWitness,
     TowerModel,
     index_set_cardinality,
@@ -25,6 +27,7 @@ from .tower import (
 )
 from .units import subrank
 
+NORM_TOL = 1e-10  # gap between a measured norm and its closed form
 
 @dataclass(frozen=True)
 class IndexAtom:
@@ -274,25 +277,6 @@ def build_plan(model: TowerModel) -> GeneratorPlan:
     return build_ab(model, level_data)
 
 
-@dataclass
-class FactRow:
-    name: str
-    measured: float
-    threshold: float
-
-    @property
-    def passed(self) -> bool:
-        return self.measured <= self.threshold
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "measured": self.measured,
-            "threshold": self.threshold,
-            "pass": self.passed,
-        }
-
-
 @dataclass(frozen=True)
 class LevelNorms:
     """Level n's summand norms and the closed forms the construction fixes for
@@ -316,29 +300,26 @@ class LevelNorms:
     def diag_gap(self) -> float:
         return abs(self.diag_norm - self.diag_target)
 
-    def rows(self) -> List[FactRow]:
+    def rows(self) -> List[ReportRow]:
         n = self.level
         return [
-            FactRow(f"level{n}.coupling_norm_gap", self.coupling_gap, 1e-10),
-            FactRow(f"level{n}.diag_norm_gap", self.diag_gap, 1e-10),
-            FactRow(f"level{n}.ladder_norm", self.ladder_norm, self.ladder_cap + 1e-12),
+            ReportRow.check(f"level{n}.coupling_norm_gap", self.coupling_gap, NORM_TOL),
+            ReportRow.check(f"level{n}.diag_norm_gap", self.diag_gap, NORM_TOL),
+            ReportRow.check(
+                f"level{n}.ladder_norm", self.ladder_norm, self.ladder_cap + ROUNDING_TOL
+            ),
+            ReportRow(f"level{n}.coupling_scale", self.coupling_scale, None, True),
         ]
 
 
 @dataclass
 class FactReport:
-    rows: List[FactRow]
+    rows: List[ReportRow]  # each level's rows, then the construction-wide facts
     levels: List[LevelNorms]  # per level; not part of to_json()
 
     @property
     def passed(self) -> bool:
         return all(r.passed for r in self.rows)
-
-    def row(self, name: str) -> FactRow:
-        for r in self.rows:
-            if r.name == name:
-                return r
-        raise KeyError(name)
 
     def to_json(self) -> dict:
         return {"rows": [r.to_json() for r in self.rows], "pass": self.passed}
@@ -406,17 +387,17 @@ def verify_facts(plan: GeneratorPlan) -> FactReport:
         op_norm(plan.gen_a - plan.gen_a.conj().T), op_norm(plan.gen_b - plan.gen_b.conj().T)
     )
 
-    rows = [
-        FactRow("corner_annihilates_coupling", float(f1), 1e-12),
-        FactRow("coupling_kills_first_columns", float(f2), 1e-12),
-        FactRow("couplings_mutually_orthogonal", float(f3), 1e-12),
-        FactRow("diag_terms_mutually_orthogonal", float(eq9), 1e-12),
-        FactRow("diag_term_norm_gap", float(eq10), 1e-10),
-        FactRow("ladder_norm_excess", float(eq11), 1e-12),
-        FactRow("coupling_norm_gap", float(z_norm_gap), 1e-10),
-        FactRow("corner_kills_first_column", float(corner_first_col), 1e-12),
-        FactRow("coupling_compression_identity", float(comp_identity), 1e-12),
-        FactRow("leading_complement_margin", float(leading_margin), 0.5 + 1e-10),
-        FactRow("totals_hermitian_defect", float(herm), 1e-12),
+    rows = [row for x in norms for row in x.rows()] + [
+        ReportRow.check("corner_annihilates_coupling", float(f1), ROUNDING_TOL),
+        ReportRow.check("coupling_kills_first_columns", float(f2), ROUNDING_TOL),
+        ReportRow.check("couplings_mutually_orthogonal", float(f3), ROUNDING_TOL),
+        ReportRow.check("diag_terms_mutually_orthogonal", float(eq9), ROUNDING_TOL),
+        ReportRow.check("diag_term_norm_gap", float(eq10), NORM_TOL),
+        ReportRow.check("ladder_norm_excess", float(eq11), ROUNDING_TOL),
+        ReportRow.check("coupling_norm_gap", float(z_norm_gap), NORM_TOL),
+        ReportRow.check("corner_kills_first_column", float(corner_first_col), ROUNDING_TOL),
+        ReportRow.check("coupling_compression_identity", float(comp_identity), ROUNDING_TOL),
+        ReportRow.check("leading_complement_margin", float(leading_margin), 0.5 + NORM_TOL),
+        ReportRow.check("totals_hermitian_defect", float(herm), ROUNDING_TOL),
     ]
     return FactReport(rows=rows, levels=norms)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +10,13 @@ import pytest
 
 import towergen
 import towergen.cli as cli
-from towergen.cli import main, run, validate_config
+from towergen.cli import main, resolve_tower_spec, run, validate_config
 from towergen.errors import ConfigInvalid
+from towergen.recovery import round_trip
+from towergen.similarity import run_identity_sweep, sweep_rows
 from towergen.stabilize import perturb_units
+from towergen.tower import build_tower, check_conditions
+from towergen.twogen import build_plan, verify_facts
 from towergen.units import UnitDefects, UnitalEmbedding, canonical_units, unit_defects
 from towergen.presets import list_presets, preset_spec
 from towergen.report import RunReport
@@ -296,3 +301,51 @@ def test_check_passes_at_or_below_threshold_only():
     report.check("nan", float("nan"), 1.0)
     assert [r.passed for r in report.rows] == [True, True, False, False]
     assert (report.rows[0].measured, report.rows[0].threshold) == (0.5, 1.0)
+
+
+LIBRARY_TOWERS = {
+    "T0": {"preset": "T0"},
+    "T1b": {"preset": "T1b"},
+    "T1": {"preset": "T1"},
+    "T1-uhf": {"preset": "T1", "recipe": "uhf"},
+    "T1-relaxed-g2": {"preset": "T1", "mode": "relaxed", "generators": 2},
+}
+
+
+def library_check(command: str, config: dict):
+    """Rows and verdict of the library check behind a tower command."""
+    model = build_tower(resolve_tower_spec(config))
+    if command == "tower-check":
+        conditions = check_conditions(model)
+        return conditions.rows, conditions.passed
+    if command == "gen-verify":
+        facts = verify_facts(build_plan(model))
+        return facts.rows, facts.passed
+    _, trip = round_trip(build_plan(model))
+    return trip.rows, trip.passed()
+
+
+def row_tuples(rows) -> list:
+    return [(r.name, r.measured, r.threshold, r.passed) for r in rows]
+
+
+@pytest.mark.parametrize("config", LIBRARY_TOWERS.values(), ids=list(LIBRARY_TOWERS))
+@pytest.mark.parametrize("command", ["tower-check", "gen-verify", "recover"])
+def test_cli_rows_are_the_library_rows(command, config):
+    report = run(command, dict(config))
+    rows, passed = library_check(command, config)
+    assert rows and row_tuples(report.rows) == row_tuples(rows)
+    assert report.passed == passed
+
+
+def test_lemma52_rows_are_the_library_rows():
+    report = run("lemma52-check", {})
+    rows = sweep_rows(run_identity_sweep([(2,), (3,), (2, 3)], [2, 3], 100, 2, 808))
+    assert row_tuples(report.rows) == row_tuples(rows)
+    assert report.passed == all(row.passed for row in rows)
+
+
+def test_round_trip_verdict_reads_the_extraction_residual(t0_plan):
+    _, trip = round_trip(t0_plan)
+    assert trip.passed()
+    assert not replace(trip, extraction_residual=1e-7).passed()

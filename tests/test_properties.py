@@ -48,8 +48,8 @@ def checked_round_trip(spec: TowerSpec):
     plan = build_plan(build_tower(spec))
     stabilized = []
 
-    def recording(candidate, params):
-        out = stabilize_units(candidate, params)
+    def recording(candidate):
+        out = stabilize_units(candidate)
         stabilized.append((candidate, *out))
         return out
 

@@ -12,7 +12,6 @@ from towergen.errors import LadderBreakdown, NoSpectralGap, NonFiniteValue
 from towergen.linalg import hermitian_part, identity, max_distance, op_norm
 from towergen.recovery import (
     RecoveredLevel,
-    RecoveryContext,
     RecoveryTrace,
     _corner_basis,
     column_factors,
@@ -31,14 +30,15 @@ from towergen.units import MatrixUnitSystem, canonical_units
 
 def test_extract_diagonal_model():
     a = np.diag([0.5, 0.25]).astype(complex)
-    e, trace = extract_leading_projection(a, 2.0)
+    trace = RecoveryTrace()
+    e = extract_leading_projection(a, 2.0, trace)
     assert np.allclose(e, np.diag([1.0, 0.0]), atol=1e-9)
     assert trace.steps[-1].iterations <= 40
 
 
 def test_extract_t1_leading_unit(t1_plan):
     model = t1_plan.model
-    e, _ = extract_leading_projection(t1_plan.gen_a, 2.0)
+    e = extract_leading_projection(t1_plan.gen_a, 2.0, RecoveryTrace())
     assert op_norm(e - model.blocks[0].unit(1, 1, 1)) <= 1e-8
     # spectral projections of a commute with a
     assert op_norm(e @ t1_plan.gen_a - t1_plan.gen_a @ e) <= 1e-9
@@ -48,69 +48,65 @@ def test_extract_second_block_scale_four():
     spec = TowerSpec(block_shapes=((3, 4),), num_generators=1, mode="strict", generator_seed=2)
     model = build_tower(spec)
     plan = build_plan(model)
-    e1, _ = extract_leading_projection(plan.gen_a, 2.0)
+    e1 = extract_leading_projection(plan.gen_a, 2.0, RecoveryTrace())
     assert op_norm(e1 - model.blocks[0].unit(1, 1, 1)) <= 1e-8
     comp = identity(model.ambient_dim) - e1
-    e2, _ = extract_leading_projection(comp @ plan.gen_a @ comp, 4.0)
+    e2 = extract_leading_projection(comp @ plan.gen_a @ comp, 4.0, RecoveryTrace())
     assert op_norm(e2 - model.blocks[0].unit(2, 1, 1)) <= 1e-8
 
 
 def test_extract_no_gap():
     with pytest.raises(NoSpectralGap):
-        extract_leading_projection(np.diag([0.6, 0.5]).astype(complex), 1.0)
+        extract_leading_projection(np.diag([0.6, 0.5]).astype(complex), 1.0, RecoveryTrace())
     with pytest.raises(NoSpectralGap):
         # eigenvalue -1 wrecks convergence even though it is far from 1
-        extract_leading_projection(np.diag([1.0, -1.0]).astype(complex), 1.0)
+        extract_leading_projection(np.diag([1.0, -1.0]).astype(complex), 1.0, RecoveryTrace())
 
 
 def test_extract_non_finite_input_fails_closed():
     with pytest.raises(NonFiniteValue):
-        extract_leading_projection(np.diag([1.0, np.nan, 0.2]).astype(complex), 1.0)
+        extract_leading_projection(
+            np.diag([1.0, np.nan, 0.2]).astype(complex), 1.0, RecoveryTrace()
+        )
 
 
 def test_ladder_t0_exact(t0_plan):
     model = t0_plan.model
-    e11, _ = extract_leading_projection(t0_plan.gen_a, 2.0)
-    system, _ = ladder_units([e11], t0_plan.gen_b, (3,), 1, unital=True)
+    trace = RecoveryTrace()
+    e11 = extract_leading_projection(t0_plan.gen_a, 2.0, trace)
+    system = ladder_units([e11], t0_plan.gen_b, (3,), 1, unital=True, trace=trace)
+    assert [step.name for step in trace.steps] == ["extract", "ladder_l1_b1_r1", "ladder_l1_b1_r2"]
     for key, mat in model.blocks[0].iter_units():
         assert op_norm(system.units[key] - mat) <= 1e-10
 
 
 def test_ladder_t1_level1(t1_plan):
     model = t1_plan.model
-    e11, _ = extract_leading_projection(t1_plan.gen_a, 2.0)
-    system, _ = ladder_units([e11], t1_plan.gen_b, (3,), 1, unital=True)
+    trace = RecoveryTrace()
+    e11 = extract_leading_projection(t1_plan.gen_a, 2.0, trace)
+    system = ladder_units([e11], t1_plan.gen_b, (3,), 1, unital=True, trace=trace)
     for key, mat in model.blocks[0].iter_units():
         assert op_norm(system.units[key] - mat) <= 1e-6
 
 
 def test_ladder_zero_b(t0_plan):
-    e11, _ = extract_leading_projection(t0_plan.gen_a, 2.0)
+    trace = RecoveryTrace()
+    e11 = extract_leading_projection(t0_plan.gen_a, 2.0, trace)
     with pytest.raises(LadderBreakdown):
-        ladder_units([e11], np.zeros((3, 3), dtype=complex), (3,), 1, unital=True)
+        ladder_units([e11], np.zeros((3, 3), dtype=complex), (3,), 1, unital=True, trace=trace)
 
 
 def test_recover_next_level_t1(t1_plan):
     model = t1_plan.model
-    ctx = RecoveryContext(shapes=model.spec.block_shapes, ambient_dim=model.ambient_dim)
-    level1 = recover_next_level(ctx, [], t1_plan.gen_a, t1_plan.gen_b)
-    assert level1.status == "recovered"
-    level2 = recover_next_level(ctx, [level1], t1_plan.gen_a, t1_plan.gen_b)
+    shapes = model.spec.block_shapes
+    level1 = recover_next_level(shapes, [], t1_plan.gen_a, t1_plan.gen_b)
+    level2 = recover_next_level(shapes, [level1], t1_plan.gen_a, t1_plan.gen_b)
     stored = model.blocks[1].unit(1, 1, 1)
     assert op_norm(level2.units.unit(1, 1, 1) - stored) <= 1e-6
 
 
-def test_recover_depth_exhausted(t0_plan):
-    model = t0_plan.model
-    ctx = RecoveryContext(shapes=model.spec.block_shapes, ambient_dim=model.ambient_dim)
-    level1 = recover_next_level(ctx, [], t0_plan.gen_a, t0_plan.gen_b)
-    beyond = recover_next_level(ctx, [level1], t0_plan.gen_a, t0_plan.gen_b)
-    assert beyond.status == "not-applicable"
-
-
 def test_recover_corrupted_level1(t1_plan):
     model = t1_plan.model
-    ctx = RecoveryContext(shapes=model.spec.block_shapes, ambient_dim=model.ambient_dim)
     dim = model.ambient_dim
     zeroed = RecoveredLevel(
         level=1,
@@ -123,7 +119,7 @@ def test_recover_corrupted_level1(t1_plan):
         trace=RecoveryTrace(),
     )
     with pytest.raises(NoSpectralGap):
-        recover_next_level(ctx, [zeroed], t1_plan.gen_a, t1_plan.gen_b)
+        recover_next_level(model.spec.block_shapes, [zeroed], t1_plan.gen_a, t1_plan.gen_b)
 
 
 def test_round_trip_t0(t0_plan):
@@ -210,17 +206,15 @@ def test_closure_mutual_containment_t0(t0_plan):
 
 
 def test_recover_all_statuses(t1_plan):
-    model = t1_plan.model
-    ctx = RecoveryContext(shapes=model.spec.block_shapes, ambient_dim=model.ambient_dim)
-    result = recover_all(ctx, t1_plan.gen_a, t1_plan.gen_b)
-    assert [lv.status for lv in result.levels] == ["recovered", "recovered"]
+    result = recover_all(t1_plan.model.spec.block_shapes, t1_plan.gen_a, t1_plan.gen_b)
     payload = result.trace_json()
+    assert [(lv["level"], lv["status"]) for lv in payload] == [(1, "recovered"), (2, "recovered")]
     assert payload[0]["steps"][0]["name"].startswith("extract")
 
 
 def test_extract_empty_matrix_has_no_gap():
     with pytest.raises(NoSpectralGap, match="empty"):
-        extract_leading_projection(np.zeros((0, 0), dtype=complex), 2.0)
+        extract_leading_projection(np.zeros((0, 0), dtype=complex), 2.0, RecoveryTrace())
 
 
 def test_corner_basis_spans_a_projection_and_rejects_the_rest():
@@ -235,22 +229,21 @@ def test_corner_basis_spans_a_projection_and_rejects_the_rest():
 
 
 def test_recover_next_level_rejects_a_corner_that_is_no_projection(t1_plan):
-    model = t1_plan.model
-    ctx = RecoveryContext(shapes=model.spec.block_shapes, ambient_dim=model.ambient_dim)
-    level1 = recover_next_level(ctx, [], t1_plan.gen_a, t1_plan.gen_b)
+    shapes = t1_plan.model.spec.block_shapes
+    level1 = recover_next_level(shapes, [], t1_plan.gen_a, t1_plan.gen_b)
     level1.corner = 0.5 * level1.corner
     with pytest.raises(NoSpectralGap, match="level 2: corner prefix eigenvalue 0.5"):
-        recover_next_level(ctx, [level1], t1_plan.gen_a, t1_plan.gen_b)
+        recover_next_level(shapes, [level1], t1_plan.gen_a, t1_plan.gen_b)
 
 
-def ambient_recover_next_level(ctx, recovered, a, b):
+def ambient_recover_next_level(shapes, recovered, a, b):
     """Level n recovered at ambient dimension: every extraction, rung,
     stabilizer step and decompression product on d x d matrices, the dense
     result factored as ``recover_next_level`` stores a level.  The reference
     the corner-compressed, factor-lifted ``recover_next_level`` must match."""
     n = len(recovered) + 1
-    shape = ctx.shapes[n - 1]
-    dim = ctx.ambient_dim
+    shape = shapes[n - 1]
+    dim = a.shape[0]
     eye = identity(dim)
     prefix = eye
     for lv in recovered:
@@ -261,16 +254,16 @@ def ambient_recover_next_level(ctx, recovered, a, b):
     corners = []
     stripped = a_eff
     for s in range(1, len(shape) + 1):
-        scale = 1.0 / diag_coefficient(ctx.shapes, n, s)
-        e11, trace = extract_leading_projection(stripped, scale, trace, label=f"extract_l{n}_b{s}")
+        scale = 1.0 / diag_coefficient(shapes, n, s)
+        e11 = extract_leading_projection(stripped, scale, trace, label=f"extract_l{n}_b{s}")
         corners.append(e11)
         comp = eye - e11
         stripped = hermitian_part(comp @ stripped @ comp)
-    candidate, trace = ladder_units(corners, b_eff, shape, n, unital=(n == 1), trace=trace)
-    stabilized, moved, _ = stabilize_units(candidate, ctx.stabilize_params)
+    candidate = ladder_units(corners, b_eff, shape, n, unital=(n == 1), trace=trace)
+    stabilized, moved, _ = stabilize_units(candidate)
     trace.add(f"stabilize_l{n}", 1, moved)
     chains = [eye]
-    for lv, lower in zip(recovered, ctx.shapes[: n - 1]):
+    for lv, lower in zip(recovered, shapes[: n - 1]):
         chains = [
             lv.units.unit(s, i, k_s) @ c
             for s, k_s in enumerate(lower, start=1)
@@ -289,7 +282,7 @@ def ambient_recover_next_level(ctx, recovered, a, b):
     inner = (eye - corner) @ a_eff @ (eye - corner)
     diag_sum = np.zeros_like(inner)
     for s in range(1, len(shape) + 1):
-        diag_sum += diag_coefficient(ctx.shapes, n, s) * (prefix @ ambient_units.unit(s, 1, 1))
+        diag_sum += diag_coefficient(shapes, n, s) * (prefix @ ambient_units.unit(s, 1, 1))
     coupling = hermitian_part(inner - diag_sum)
     return RecoveredLevel(level=n, units=ambient_units, corner=corner, coupling=coupling, trace=trace)
 
@@ -360,7 +353,6 @@ def test_corner_recovery_matches_ambient_oracle_on_random_towers(spec):
     plan = build_ab(
         model, [(None, corner_projection(model, n), zero, 1.0, None) for n in range(1, model.depth + 1)]
     )
-    ctx = RecoveryContext(shapes=spec.block_shapes, ambient_dim=dim)
     with ambient_oracle():
-        oracle = recover_all(ctx, plan.gen_a, plan.gen_b)
-    assert_same_recovery(recover_all(ctx, plan.gen_a, plan.gen_b), oracle)
+        oracle = recover_all(spec.block_shapes, plan.gen_a, plan.gen_b)
+    assert_same_recovery(recover_all(spec.block_shapes, plan.gen_a, plan.gen_b), oracle)

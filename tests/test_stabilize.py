@@ -5,7 +5,7 @@ import pytest
 
 from towergen.errors import StabilizationFailed
 from towergen.linalg import identity, op_norm
-from towergen.stabilize import StabilizeParams, perturb_units, stabilize_units
+from towergen.stabilize import perturb_units, stabilize_units
 from towergen.units import MatrixUnitSystem, UnitalEmbedding, canonical_units, unit_defects
 
 
@@ -114,8 +114,3 @@ def test_non_unital_candidate_stays_non_unital():
     fixed, _, _ = stabilize_units(candidate)
     assert not fixed.unital
     assert op_norm(fixed.diagonal_sum() - compress) <= 1e-12
-
-
-def test_params_validation():
-    with pytest.raises(StabilizationFailed):
-        StabilizeParams(projection_threshold=0.0)

@@ -48,10 +48,11 @@ def test_relaxed_tower_36(t1_model):
     model = build_tower(spec)
     assert model.ambient_dim == 36
     report = check_conditions(model)
-    for row in report.rows:
-        assert row.unitality_defect <= 1e-12
-        assert row.max_cross_commutator <= 1e-12
-        assert row.growth_ok  # 1 * 9 + 3 = 12 fits the relaxed bound
+    assert report.passed
+    rows = {row.name: row for row in report.rows}
+    assert (rows["level2.subrank_growth"].measured, rows["level2.subrank_growth"].threshold) == (
+        12, 12,  # 1 * 9 + 3 = 12 fits the relaxed bound
+    )
     assert required_subrank_relaxed(spec.block_shapes, 2, 1) == 12
 
 
@@ -66,12 +67,15 @@ def test_dimension_cap():
 def test_conditions_t1(t1_model):
     report = check_conditions(t1_model)
     assert report.passed
-    for row in report.rows:
-        assert row.unitality_defect <= 1e-12
-        assert row.max_cross_commutator <= 1e-12
-        for dist in row.distances:
-            assert dist["ok"]
-    assert report.rows[0].distances[0]["bound"] == 0.5
+    assert [row.name for row in report.rows] == [
+        f"level{n}.{check}"
+        for n in (1, 2)
+        for check in ("unitality", "cross_commutator", "subrank_growth", "distance_g1")
+    ]
+    rows = {row.name: row for row in report.rows}
+    assert rows["level1.unitality"].threshold == rows["level2.cross_commutator"].threshold == 1e-12
+    assert rows["level1.distance_g1"].threshold == 0.5
+    assert rows["level2.distance_g1"].threshold == 0.25
 
 
 def test_generator_equal_to_unit_reports_distance(t1_model):
@@ -156,13 +160,10 @@ def test_uhf_recipe_margins():
     model = build_tower(spec)
     assert model.ambient_dim == 8
     report = check_conditions(model)
-    for row in report.rows:
-        assert row.unitality_defect <= 1e-12
-        assert row.max_cross_commutator <= 1e-12
-        for dist in row.distances:
-            assert dist["ok"]
-    # growth fails beyond level 1: 2x2 blocks leave no coupling rows
-    assert not report.rows[1].growth_ok
+    # only growth fails: 2x2 blocks leave no coupling rows (subrank 2 < 3)
+    failed = [row.name for row in report.rows if not row.passed]
+    assert failed == [f"level{n}.subrank_growth" for n in (1, 2, 3)]
+    assert not report.passed
 
 
 def test_spec_validation():

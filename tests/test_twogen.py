@@ -136,9 +136,10 @@ def test_tail_bounds(t1_plan):
 def test_verify_facts_t1(t1_plan):
     report = verify_facts(t1_plan)
     assert report.passed
-    assert report.row("corner_annihilates_coupling").measured <= 1e-12
-    assert report.row("diag_term_norm_gap").measured <= 1e-10
-    assert report.row("leading_complement_margin").measured <= 0.5 + 1e-10
+    rows = {row.name: row for row in report.rows}
+    assert rows["corner_annihilates_coupling"].measured <= 1e-12
+    assert rows["diag_term_norm_gap"].measured <= 1e-10
+    assert rows["leading_complement_margin"].measured <= 0.5 + 1e-10
 
 
 def test_verify_facts_level_norms_t1(t1_plan):
@@ -150,7 +151,9 @@ def test_verify_facts_level_norms_t1(t1_plan):
         assert lv.coupling_scale == plan_level.coupling_scale
         assert all(row.passed for row in lv.rows())
     worst = max(lv.coupling_gap for lv in report.levels)
-    assert report.row("coupling_norm_gap").measured == worst
+    rows = {row.name: row for row in report.rows}
+    assert rows["coupling_norm_gap"].measured == worst
+    assert report.rows[:8] == [*report.levels[0].rows(), *report.levels[1].rows()]
 
 
 def test_verify_facts_detects_corrupted_coupling(t1_plan):
@@ -164,7 +167,8 @@ def test_verify_facts_detects_corrupted_coupling(t1_plan):
     broken.levels[1].coupling = 0.125 * bad
     report = verify_facts(broken)
     assert not report.passed
-    assert report.row("corner_annihilates_coupling").measured > 0.01
+    rows = {row.name: row for row in report.rows}
+    assert rows["corner_annihilates_coupling"].measured > 0.01
 
 
 def test_witness_distances_within_margin(t1_plan):
