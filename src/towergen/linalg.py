@@ -192,22 +192,20 @@ def tuple_norm(elems: Sequence[np.ndarray]) -> float:
     return max(op_norm(m) for m in mats)
 
 
-def spectral_projection(h: np.ndarray, threshold: float) -> np.ndarray:
-    """Orthogonal projection onto the eigenspaces of ``h`` above ``threshold``.
+def spectral_basis(h: np.ndarray, threshold: float) -> np.ndarray:
+    """Orthonormal columns spanning the eigenspaces of ``h`` above ``threshold``.
 
     Requires a spectral gap: no eigenvalue may sit within 1e-8 of the
-    threshold, otherwise the projection is numerically ill-defined and
+    threshold, otherwise the eigenspace is numerically ill-defined and
     EigenvalueNearThreshold is raised.
     """
     h = require_hermitian(h, tol=1e-10)
-    w, v = _lapack(np.linalg.eigh, hermitian_part(h), "spectral projection")
+    w, v = _lapack(np.linalg.eigh, hermitian_part(h), "spectral basis")
     if np.min(np.abs(w - threshold)) < 1e-8:
         raise EigenvalueNearThreshold(
             f"eigenvalue within 1e-8 of threshold {threshold}: spectrum {np.round(w, 12)}"
         )
-    cols = v[:, w > threshold]
-    p = cols @ cols.conj().T
-    return hermitian_part(p)
+    return v[:, w > threshold]
 
 
 def polar_partial_isometry(a: np.ndarray, cutoff: float) -> np.ndarray:

@@ -27,6 +27,14 @@ _CATALOG = {
         "note": "relaxed: the strict level-2 bound 2*9+3 = 21 exceeds the block size; "
                 "one encoded generator needs only 12 rows",
     },
+    "T2": {
+        "spec": TowerSpec(block_shapes=((7,), (52,)), num_generators=1, mode="relaxed",
+                          generator_seed=7, generator_recipe="leading-factor"),
+        "claims": "depth-2 tower at d = 364, at the single-generator row-capacity bound "
+                  "1*49+3 = 52",
+        "note": "relaxed: the strict level-2 bound 2*49+3 = 101 exceeds the block size; "
+                "one encoded generator needs only 52 rows",
+    },
     "U2": {
         "spec": TowerSpec(block_shapes=((2,), (2,), (2,)), num_generators=1, mode="relaxed",
                           generator_seed=5, generator_recipe="uhf"),

@@ -5,17 +5,19 @@ generator pins down the leading corner projection of each block, ladder
 products against the tridiagonal generator rebuild the block's units, and
 the stabilizer makes them exact.  Each level runs inside the corner the
 lower levels cut out, on a and b compressed to an orthonormal basis of its
-range (the whole space at level 1).  A recovered level is stored as column
-factors, e_ij = F_i F_j^*: F_i = e_i1 B, with B an orthonormal basis of the
-stabilized e_11's range, lifted to the ambient space through the lower
-levels' column isometries.  The witnesses are reassembled from the
-recovered coupling elements.
+range (the whole space at level 1).  A level is column factors,
+e_ij = F_i F_j^*, from the ladder on: F_i = R_i^* B for the ladder's row
+chain R_i and B an orthonormal basis of the extracted e_11's range, made
+exact by the stabilizer and lifted to the ambient space through the lower
+levels' column isometries.  Corners, couplings and the witnesses, which
+are reassembled from the recovered coupling elements, are read from the
+factors; no dense level unit is formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from .linalg import _lapack, hermitian_part, identity, op_norm, polar_partial_is
 from .report import ReportRow
 from .stabilize import stabilize_units
 from .twogen import GeneratorPlan, RowAssignment, diag_coefficient, index_atoms
-from .units import MatrixUnitSystem, Shape, factored_distance
+from .units import MatrixUnitSystem, Shape, factored_distance, stacked_factors
 
 CLUSTER_HALFWIDTH = 1e-3
 COMPLEMENT_BOUND = 0.75
@@ -107,21 +109,24 @@ def ladder_units(
     Each rung i -> i+1 comes from compressing b between the diagonal units
     recovered so far, rescaled by 2^(2*level); polar polishing keeps the
     chain isometric, and ``trace`` gets each rung's polishing residual.
-    Raises LadderBreakdown when a rung vanishes.
+    The units e_ij = R_i^* R_j of the row chain R_1 = e_11,
+    R_{i+1} = R_i v_i are returned as column factors F_i = R_i^* B, with B
+    an orthonormal basis of e_11's range (``_corner_basis``), built as
+    F_{i+1} = v_i^* F_i.  Raises LadderBreakdown when a rung vanishes.
     """
     if len(corner_projections) != len(shape):
         raise LadderBreakdown("need one starting projection per block")
     dim = b_effective.shape[0]
     eye = identity(dim)
     rescale = 4.0**level
-    units: Dict[Tuple[int, int, int], np.ndarray] = {}
+    factors = []
     for s, k_s in enumerate(shape, start=1):
         e11 = corner_projections[s - 1]
-        row_chain = [e11]
-        diag = [e11]
+        chain = [e11 @ _corner_basis(e11, f"level {level} block {s}: e_11")]
+        diag = e11
         covered = e11.copy()
         for i in range(1, k_s):
-            cand = rescale * (diag[-1] @ b_effective @ (eye - covered))
+            cand = rescale * (diag @ b_effective @ (eye - covered))
             strength = op_norm(cand)
             if strength < 1e-8:
                 raise LadderBreakdown(
@@ -129,14 +134,11 @@ def ladder_units(
                 )
             v = polar_partial_isometry(cand, 0.5)
             trace.add(f"ladder_l{level}_b{s}_r{i}", 1, float(op_norm(cand - v)))
-            nxt = v.conj().T @ v
-            row_chain.append(row_chain[-1] @ v)
-            diag.append(nxt)
-            covered = covered + nxt
-        for i in range(1, k_s + 1):
-            for j in range(1, k_s + 1):
-                units[(s, i, j)] = row_chain[i - 1].conj().T @ row_chain[j - 1]
-    return MatrixUnitSystem(shape=shape, ambient_dim=dim, units=units, unital=unital)
+            chain.append(v.conj().T @ chain[-1])
+            diag = v.conj().T @ v
+            covered = covered + diag
+        factors.append(np.stack(chain))
+    return MatrixUnitSystem(shape=shape, ambient_dim=dim, unital=unital, factors=factors)
 
 
 @dataclass
@@ -159,7 +161,7 @@ def _corner_basis(projection: np.ndarray, label: str) -> np.ndarray:
     """Orthonormal columns spanning the range of a computed projection (d x r).
 
     Recovery asks this of the corner prefix, a product of recovered corner
-    projections, and of each stabilized e_11.  Their spectrum must sit
+    projections, and of each extracted e_11.  Their spectrum must sit
     within CLUSTER_HALFWIDTH of 0 or 1; anything else means something was
     recovered wrong, and raises NoSpectralGap.
     """
@@ -168,19 +170,6 @@ def _corner_basis(projection: np.ndarray, label: str) -> np.ndarray:
     if np.any(stray):
         raise NoSpectralGap(f"{label} eigenvalue {eigs[stray][0]:.6f} is neither 0 nor 1")
     return vecs[:, eigs > 0.5]
-
-
-def column_factors(system: MatrixUnitSystem, label: str) -> List[np.ndarray]:
-    """One (k_s, d, m_s) array of F_i = e_i1 B per block of a stabilized system.
-
-    B is an orthonormal basis of e_11's range (``_corner_basis``), so
-    F_i F_j^* = e_i1 e_11 e_1j = e_ij for exact units.
-    """
-    factors = []
-    for s, k in enumerate(system.shape, start=1):
-        basis = _corner_basis(system.unit(s, 1, 1), f"{label} block {s}: e_11")
-        factors.append(np.stack([system.unit(s, i, 1) @ basis for i in range(1, k + 1)]))
-    return factors
 
 
 def recover_next_level(
@@ -195,12 +184,12 @@ def recover_next_level(
     Level n lives in the range of the lower levels' corner prefix, of rank
     r = d / (k_1 ... k_{n-1}) for single-block levels: extraction, ladder
     and stabilizer run on a and b compressed to an orthonormal basis V of
-    that range (the identity at level 1).  The stabilized units are stored
-    as column factors lifted to the ambient space through the decompression
-    chains, so the level's dense units are not formed.  Extraction scales
-    come from the stored coefficient ladder; recovered block systems get
-    stabilized before they are factored so later levels do not inherit
-    drift.
+    that range (the identity at level 1).  The stabilized column factors
+    are lifted to the ambient space through the decompression chains, and
+    the corner and coupling are products of those factors, so the level's
+    dense units are not formed.  Extraction scales come from the stored
+    coefficient ladder; recovered block systems get stabilized before they
+    are lifted so later levels do not inherit drift.
     """
     n = len(recovered) + 1
     dim = a.shape[0]
@@ -223,21 +212,19 @@ def recover_next_level(
         stripped = hermitian_part(comp @ stripped @ comp)
 
     candidate = ladder_units(corners, b_in, shape, n, unital=(n == 1), trace=trace)
-    stabilized, moved, _ = stabilize_units(candidate)
+    stabilized, moved = stabilize_units(candidate)
     trace.add(f"stabilize_l{n}", 1, moved)
 
     chains = _decompression_chains(basis, recovered)
-    factors = [
-        np.concatenate([w @ f for w in chains], axis=2)
-        for f in column_factors(stabilized, f"level {n}")
-    ]
+    factors = [np.concatenate([w @ f for w in chains], axis=2) for f in stabilized.factors]
     units = MatrixUnitSystem(shape=shape, ambient_dim=dim, unital=True, factors=factors)
 
-    corner = units.corner_row_projection([k for k in shape])
+    last = np.concatenate([f[-1] for f in factors], axis=1)
+    corner = last @ last.conj().T  # sum_s e_kk of each block's last row
     inner = (eye - corner) @ a_eff @ (eye - corner)
     diag_sum = np.zeros_like(inner)
-    for s in range(1, len(shape) + 1):
-        diag_sum += diag_coefficient(shapes, n, s) * (prefix @ units.unit(s, 1, 1))
+    for s, f in enumerate(factors, start=1):
+        diag_sum += diag_coefficient(shapes, n, s) * ((prefix @ f[0]) @ f[0].conj().T)
     coupling = hermitian_part(inner - diag_sum)
     return RecoveredLevel(level=n, units=units, corner=corner, coupling=coupling, trace=trace)
 
@@ -267,39 +254,54 @@ def reconstruct_witness(
 ) -> np.ndarray:
     """Reassemble a commutant witness from a coupling element.
 
-    Level 1 unwraps the row-2 placement directly; deeper levels invert the
-    row encoding per index atom and then resum over the atom set.
+    Every term is a product of column factors (``column_factors``, so
+    exact and recovered levels alike).  Level 1 unwraps the row-2
+    placement, sum_i F_i (F_2^* core F_2) F_i^*.  Deeper levels invert the
+    row encoding per index atom, sum_i F_i (F_row^* core F_{row+1}) F_i^*,
+    and lift it through each lower level's e_{i,k_s} . e_{k_t,j} as
+    F_i (F_k^* . F_k) F_j^*, so every inner product is m x m; the lifted
+    terms are summed as blocks of one matrix M in the columns of the
+    outermost level, and X M X^* (X the side-by-side factors) is the only
+    d x d product.
     """
     level = len(units_by_level)
-    top = units_by_level[-1]
+    factors = [u.column_factors() for u in units_by_level]
+    top = factors[-1]
     core = coupling / coupling_scale
     if level == 1:
-        out = np.zeros_like(coupling)
-        for s, k_s in enumerate(top.shape, start=1):
-            for i in range(1, k_s + 1):
-                out += top.unit(s, i, 2) @ core @ top.unit(s, 2, i)
+        out = sum(
+            stacked_factors([f @ (f[1].conj().T @ core @ f[1])]) @ stacked_factors([f]).conj().T
+            for f in top
+        )
         return hermitian_part(out)
     if assignment is None:
         raise LadderBreakdown("row assignment required beyond level 1")
     shapes = [u.shape for u in units_by_level]
-    atoms = index_atoms(shapes, level)
-    j = generator_index
-    out = np.zeros_like(coupling)
-    for idx, atom in enumerate(atoms):
-        row = assignment.row(j, idx)
-        alpha_y = np.zeros_like(coupling)
-        for s, k_s in enumerate(top.shape, start=1):
-            for i in range(1, k_s + 1):
-                alpha_y += top.unit(s, i, row) @ core @ top.unit(s, row + 1, i)
-        lifted = alpha_y
-        for ell in range(1, level):
-            i, s, jj, t = atom.level_entry(ell)
-            blk = units_by_level[ell - 1]
-            k_s = blk.shape[s - 1]
-            k_t = blk.shape[t - 1]
-            lifted = blk.unit(s, i, k_s) @ lifted @ blk.unit(t, k_t, jj)
-        out += lifted
-    return hermitian_part(out)
+    outer = factors[-2]
+    offsets = np.cumsum([0] + [f.shape[0] * f.shape[2] for f in outer])
+    acc = np.zeros((offsets[-1], offsets[-1]), dtype=np.complex128)
+    # cross[s][b] = F^(1)_{s,k_s}^* F^(b)_i of every top row i, (k_b, m_1, m_b)
+    cross = [[f[-1].conj().T @ g for g in top] for f in factors[0]]
+    for idx, atom in enumerate(index_atoms(shapes, level)):
+        row = assignment.row(generator_index, idx)
+        i, s, j, t = atom.level_entry(1)
+        inner = sum(
+            ((left @ (g[row - 1].conj().T @ core @ g[row])) @ right.conj().transpose(0, 2, 1))
+            .sum(axis=0)
+            for left, right, g in zip(cross[s - 1], cross[t - 1], top)
+        )
+        for ell in range(2, level):
+            below, (i0, s0, j0, t0) = factors[ell - 2], (i, s, j, t)
+            i, s, j, t = atom.level_entry(ell)
+            here = factors[ell - 1]
+            inner = (here[s - 1][-1].conj().T @ below[s0 - 1][i0 - 1]) @ inner @ (
+                below[t0 - 1][j0 - 1].conj().T @ here[t - 1][-1]
+            )
+        m_s, m_t = outer[s - 1].shape[2], outer[t - 1].shape[2]
+        r0, c0 = offsets[s - 1] + (i - 1) * m_s, offsets[t - 1] + (j - 1) * m_t
+        acc[r0 : r0 + m_s, c0 : c0 + m_t] += inner
+    x = stacked_factors(outer)
+    return hermitian_part(x @ acc @ x.conj().T)
 
 
 @dataclass

@@ -1,162 +1,120 @@
 """Turn approximate matrix-unit systems into exact ones nearby.
 
-The pipeline is spectral: diagonal candidates become spectral projections,
-get orthogonalized sequentially, and the off-diagonal units are rebuilt
-from polar partial isometries of corner compressions.  Every step has a
-checkable gap condition and fails loudly when the input is too corrupted.
+An exact system is the same thing as column factors F_i, one d x m block per
+unit row, whose side-by-side stack [F_1, ..., F_k] (over every block) has
+orthonormal columns: then e_ij = F_i F_j^* satisfies every unit relation.
+The stabilizer takes B, an orthonormal basis of the range of the spectral
+projection of herm(e_11) above 1/2 for each block, forms G_i = e_i1 B,
+checks that the stacked G is near an isometry, and returns its polar factor,
+the nearest isometry in every unitarily invariant norm, as the exact
+system's factors.  Every step has a checkable condition and fails loudly
+when the input is too corrupted.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .errors import EigenvalueNearThreshold, StabilizationFailed
-from .linalg import (
-    hermitian_part,
-    identity,
-    max_distance,
-    op_norm,
-    op_norms,
-    polar_partial_isometry,
-    spectral_projection,
-)
-from .units import MatrixUnitSystem, UnitDefects, unit_defects
+from .linalg import _lapack, hermitian_part, max_distance, op_norms, spectral_basis
+from .units import MatrixUnitSystem, factored_distance, stacked_factors
 
-_EXACT_TOL = 1e-14  # inputs already satisfying a step's contract are kept bitwise
-PROJECTION_THRESHOLD = 0.5  # eigenvalue cut that turns a diagonal candidate into a projection
-ISOMETRY_CUTOFF = 0.5  # singular-value cut of the polar partial isometries
+PROJECTION_THRESHOLD = 0.5  # eigenvalue cut that turns e_11 into a projection
+ISOMETRY_CUTOFF = 0.5  # a row whose G_i has a singular value at or below it lost rank
+ADMISSIBILITY = 0.1  # largest Gram defect ||G^* G - I|| the polar step accepts
 
 
-def _is_projection(q: np.ndarray) -> bool:
-    return (
-        op_norm(q - q.conj().T) <= _EXACT_TOL
-        and op_norm(q @ q - q) <= _EXACT_TOL
+def _first_column(candidate: MatrixUnitSystem) -> List[np.ndarray]:
+    """G_i = e_i1 B per block, one (k_s, d, m_s) array each.
+
+    For a factored or exact input e_i1 B = F_i F_1^* B, and the eigenvectors
+    of F_1^* F_1 = W diag(w) W^* give B = F_1 W_+ w_+^(-1/2) for the
+    eigenvalues w_+ above the threshold, so G_i = F_i W_+ w_+^(1/2): only
+    m x m work.  A dense input takes B from one eigensolve of herm(e_11).
+    """
+    dense = candidate.factors is None and candidate.rows is None
+    factors = None if dense else candidate.column_factors()
+    stack = []
+    for s, k in enumerate(candidate.shape, start=1):
+        if dense:
+            basis = spectral_basis(
+                hermitian_part(candidate.unit(s, 1, 1)), PROJECTION_THRESHOLD
+            )
+            g = np.stack([candidate.unit(s, i, 1) @ basis for i in range(1, k + 1)])
+        else:
+            f = factors[s - 1]
+            w, v = _lapack(np.linalg.eigh, f[0].conj().T @ f[0], "stabilizer e_11 eigensolve")
+            if np.any(np.abs(w - PROJECTION_THRESHOLD) < 1e-8):
+                raise EigenvalueNearThreshold(
+                    f"e_11 eigenvalue within 1e-8 of threshold {PROJECTION_THRESHOLD}"
+                )
+            keep = w > PROJECTION_THRESHOLD
+            g = f @ (v[:, keep] * np.sqrt(w[keep]))
+        if not g.shape[2]:
+            raise StabilizationFailed(f"block {s}: e_11 has no eigenvalue above the threshold")
+        stack.append(g)
+    return stack
+
+
+def _reject(stack: List[np.ndarray], defect: float):
+    """Name the first row that lost rank, else report the Gram defect."""
+    for s, g in enumerate(stack, start=1):
+        low = _lapack(np.linalg.eigvalsh, g.conj().transpose(0, 2, 1) @ g, "row Gram")[:, 0]
+        lost = low <= ISOMETRY_CUTOFF**2
+        if np.any(lost):
+            raise StabilizationFailed(
+                f"block {s} row {int(np.argmax(lost)) + 1}: "
+                "corner compression lost rank at the cutoff"
+            )
+    raise StabilizationFailed(
+        f"Gram defect {defect:.3e} of the first-column factors exceeds {ADMISSIBILITY}"
     )
 
 
-def _row_maxima(rows: Sequence[Tuple[np.ndarray, ...]]) -> np.ndarray:
-    """Largest operator norm within each row of equal-length matrix tuples, from one
-    ``op_norms`` call; each norm has the bits ``op_norm`` gives it."""
-    norms = op_norms(np.stack([m for row in rows for m in row]))
-    return norms.reshape(len(rows), -1).max(axis=1)
+def stabilize_units(candidate: MatrixUnitSystem) -> Tuple[MatrixUnitSystem, float]:
+    """Exact matrix units near an approximate system, as column factors, plus
+    the exact maximum over the units of the distance moved.
 
-
-def stabilize_units(candidate: MatrixUnitSystem) -> Tuple[
-    MatrixUnitSystem, float, Optional[UnitDefects]
-]:
-    """Exact matrix units near an approximate system, plus the max distance
-    and the candidate's defects.
-
-    The defects are those the admissibility gate measured; they are None
-    for systems of more than 128 units, which the gate does not score.
-    Steps that an input unit already satisfies to rounding precision keep
-    the input matrix unchanged, making exact systems bit-stable fixed
-    points.  Raises StabilizationFailed when a spectral gap or isometry
-    rank condition fails, i.e. the input is beyond repair.
+    An input no farther than rounding (8 d eps) from its stabilized system
+    is returned unchanged with distance 0.0, so exact systems are bit-stable
+    fixed points; the distance covers every unit, so a dense input with one
+    unit off is never kept.  Raises StabilizationFailed when
+    the spectral gap at e_11 or the Gram gate fails, i.e. the input is
+    beyond repair, and when a unital input's diagonal ranks do not sum to d.
     """
     dim = candidate.ambient_dim
-    shape = candidate.shape
-    n_units = len(candidate.units)
-    defects = None
-    if n_units <= 128:
-        defects = unit_defects(candidate)
-        scored = max(
-            defects.adjoint,
-            defects.multiplication,
-            defects.unitality if candidate.unital else 0.0,
-        )
-        if scored > 0.1:
-            raise StabilizationFailed(
-                f"candidate defects {defects.to_json()} exceed coarse admissibility 0.1"
-            )
-    else:
-        # quadratic defect scan is skipped for large systems; the per-step
-        # gap checks below still reject anything unusable.  On T1's level-2
-        # system (441 units at d = 63: 194k products, ~4e11 flops) one
-        # unit_defects call took 17 s exact and 121 s at delta 1e-6, where
-        # the Frobenius screen passes many pairs (one BLAS thread)
-        for s, k in enumerate(shape, start=1):
-            h = hermitian_part(candidate.unit(s, 1, 1))
-            if op_norm(h @ h - h) > 0.1:
-                raise StabilizationFailed("diagonal candidate too far from a projection")
-
-    diag_keys = [(s, i) for s, k in enumerate(shape, start=1) for i in range(1, k + 1)]
-    prev = np.zeros((dim, dim), dtype=np.complex128)
-    diag: Dict[Tuple[int, int], np.ndarray] = {}
+    tol = 8 * dim * np.finfo(float).eps
     try:
-        for s, i in diag_keys:
-            raw = candidate.unit(s, i, i)
-            if _is_projection(raw) and op_norm(prev @ raw) <= _EXACT_TOL:
-                q = raw
-            else:
-                h = hermitian_part(raw)
-                q = spectral_projection(h, PROJECTION_THRESHOLD)
-                comp = identity(dim) - prev
-                q = spectral_projection(hermitian_part(comp @ q @ comp), PROJECTION_THRESHOLD)
-            diag[(s, i)] = q
-            prev = prev + q
+        stack = _first_column(candidate)
     except EigenvalueNearThreshold as exc:
-        raise StabilizationFailed(f"spectral gap lost while orthogonalizing: {exc}") from exc
-
-    if candidate.unital:
-        deficiency = identity(dim) - prev
-        if np.max(np.abs(deficiency)) > 0.0:
-            s_last, i_last = diag_keys[-1]
-            q_last = diag[(s_last, i_last)] + deficiency
-            if op_norm(q_last @ q_last - q_last) > 1e-12:
-                raise StabilizationFailed("unit deficiency cannot be absorbed as a projection")
-            diag[(s_last, i_last)] = hermitian_part(q_last)
-
-    isometries: Dict[Tuple[int, int], np.ndarray] = {}
-    for s, k in enumerate(shape, start=1):
-        q11 = diag[(s, 1)]
-        isometries[(s, 1)] = q11
-        rows = range(2, k + 1)
-        if not rows:
-            continue
-        raws = {i: candidate.unit(s, i, 1) for i in rows}
-        # a row keeps its input when all three of its residuals vanish
-        keeps = _row_maxima([
-            (raw.conj().T @ raw - q11, raw @ raw.conj().T - diag[(s, i)],
-             diag[(s, i)] @ raw @ q11 - raw)
-            for i, raw in raws.items()
-        ]) <= _EXACT_TOL
-        for i, kept in zip(rows, keeps):
-            isometries[(s, i)] = raws[i] if kept else polar_partial_isometry(
-                diag[(s, i)] @ raws[i] @ q11, ISOMETRY_CUTOFF
-            )
-        polished = {i: isometries[(s, i)] for i, kept in zip(rows, keeps) if not kept}
-        if polished:
-            lost = _row_maxima([
-                (v.conj().T @ v - q11, v @ v.conj().T - diag[(s, i)])
-                for i, v in polished.items()
-            ]) > 1e-12
-            if np.any(lost):
-                raise StabilizationFailed(
-                    f"block {s} row {list(polished)[int(np.argmax(lost))]}: "
-                    "corner compression lost rank at the cutoff"
-                )
-
-    units: Dict[Tuple[int, int, int], np.ndarray] = {}
-    for s, k in enumerate(shape, start=1):
-        for i in range(1, k + 1):
-            for j in range(1, k + 1):
-                if i == j:
-                    e = diag[(s, i)]
-                elif j == 1:
-                    e = isometries[(s, i)]
-                elif i == 1:
-                    e = isometries[(s, j)].conj().T
-                else:
-                    e = isometries[(s, i)] @ isometries[(s, j)].conj().T
-                units[(s, i, j)] = e
-    distance = max_distance([candidate.units[key] for key in units], list(units.values()))
-    out = MatrixUnitSystem(
-        shape=shape, ambient_dim=dim, units=units, unital=candidate.unital
-    )
-    return out, distance, defects
+        raise StabilizationFailed(f"spectral gap lost at e_11: {exc}") from exc
+    cols = stacked_factors(stack)
+    if candidate.unital and cols.shape[1] != dim:
+        raise StabilizationFailed(
+            f"diagonal ranks sum to {cols.shape[1]}, not the ambient dimension {dim}"
+        )
+    w, v = _lapack(np.linalg.eigh, cols.conj().T @ cols, "stabilizer Gram eigensolve")
+    defect = float(np.max(np.abs(w - 1.0)))
+    if defect > ADMISSIBILITY:
+        _reject(stack, defect)
+    polar = cols @ ((v / np.sqrt(w)) @ v.conj().T)
+    factors, start = [], 0
+    for g in stack:
+        k, _, m = g.shape
+        block = polar[:, start : start + k * m].reshape(dim, k, m)
+        factors.append(np.ascontiguousarray(block.transpose(1, 0, 2)))
+        start += k * m
+    out = MatrixUnitSystem(candidate.shape, dim, unital=candidate.unital, factors=factors)
+    if candidate.factors is None and candidate.rows is None:
+        keys = candidate.keys()
+        dist = max_distance([candidate.units[k] for k in keys], [out.units[k] for k in keys])
+    else:
+        dist = factored_distance(out, candidate)
+    if dist <= tol:
+        return candidate, 0.0
+    return out, dist
 
 
 def perturb_units(units: MatrixUnitSystem, delta: float, seed: int) -> MatrixUnitSystem:

@@ -187,11 +187,24 @@ class MatrixUnitSystem:
             maps.append(block.reshape(k * k, -1))
         return np.concatenate(maps)
 
-    def corner_row_projection(self, rows_by_block: Sequence[int]) -> np.ndarray:
-        out = np.zeros((self.ambient_dim, self.ambient_dim), dtype=np.complex128)
-        for s, row in enumerate(rows_by_block, start=1):
-            out += self.unit(s, row, row)
-        return out
+    def column_factors(self) -> Tuple[np.ndarray, ...]:
+        """One (k_s, d, m_s) array F per block with e_ij = F[i-1] F[j-1]^*.
+
+        A factored system returns its factors; an exact one the indicator
+        columns of its table rows, so F_i^* F_j is exactly 0 or I.  Dense
+        systems have no stored factors and raise DimensionMismatch.
+        """
+        if self.factors is not None:
+            return self.factors
+        if self.rows is None:
+            raise DimensionMismatch("a dense unit system has no column factors")
+        out = []
+        for table in self.rows:
+            k, c = table.shape
+            block = np.zeros((k, self.ambient_dim, c), dtype=np.complex128)
+            block[np.arange(k)[:, None], table, np.arange(c)] = 1.0
+            out.append(block)
+        return tuple(out)
 
 
 def _checked_rows(shape: Shape, dim: int, rows: Sequence[np.ndarray]) -> Tuple[np.ndarray, ...]:
@@ -217,6 +230,11 @@ def _checked_factors(
             f"need one (k_s, {dim}, m_s) factor array per block of shape {shape}"
         )
     return arrays
+
+
+def stacked_factors(factors: Sequence[np.ndarray]) -> np.ndarray:
+    """The d x N matrix [F_1, ..., F_k] of (k, d, m) factor arrays, block by block."""
+    return np.concatenate([f.transpose(1, 0, 2).reshape(f.shape[1], -1) for f in factors], axis=1)
 
 
 def _factor_product(block: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -347,31 +365,28 @@ def unit_defects(system: MatrixUnitSystem) -> UnitDefects:
     return UnitDefects(adjoint=float(adj), unitality=float(unitality), multiplication=float(mult))
 
 
-def factored_distance(approx: MatrixUnitSystem, exact: MatrixUnitSystem) -> float:
+def factored_distance(approx: MatrixUnitSystem, other: MatrixUnitSystem) -> float:
     """Exact maximum over the units of ||e_ij - E_ij|| for a factored system
-    against an exact one of the same shape.
+    against a factored or exact one of the same shape.
 
-    E_ij = P_i P_j^*, with P_i the indicator columns of row i of the table.
-    With [F_i, P_i] = Q_i R_i (reduced QR) and D = diag(I, -I),
+    E_ij = P_i P_j^*, with P_i the other system's column factors (the
+    indicator columns of table row i for an exact one).  With
+    [F_i, P_i] = Q_i R_i (reduced QR) and D = diag(I, -I),
     F_i F_j^* - P_i P_j^* = Q_i R_i D R_j^* Q_j^*, and Q_i, Q_j have
     orthonormal columns, so the norm is ||R_i D R_j^*||: per block one
     batched QR and one ``op_norms`` over k^2 matrices of size at most
     m + c, with no d x d difference formed.
     """
-    if (
-        approx.factors is None or exact.rows is None or approx.shape != exact.shape
-        or approx.ambient_dim != exact.ambient_dim
-    ):
-        raise DimensionMismatch("factored_distance compares a factored system to an exact one")
+    if approx.factors is None or (approx.shape, approx.ambient_dim) != (other.shape, other.ambient_dim):
+        raise DimensionMismatch("factored_distance compares a factored system to one like it")
     worst = 0.0
-    for f, table in zip(approx.factors, exact.rows):
-        k, dim, m = f.shape
-        c = table.shape[1]
-        pairs = np.zeros((k, dim, m + c), dtype=np.complex128)
-        pairs[:, :, :m] = f
-        pairs[np.arange(k)[:, None], table, m + np.arange(c)] = 1.0
-        r = _lapack(lambda x: np.linalg.qr(x, mode="r"), pairs, "factored distance QR")
-        signed = r * np.concatenate([np.ones(m), -np.ones(c)])
+    for f, p in zip(approx.factors, other.column_factors()):
+        m = f.shape[2]
+        r = _lapack(
+            lambda x: np.linalg.qr(x, mode="r"), np.concatenate([f, p], axis=2),
+            "factored distance QR",
+        )
+        signed = r * np.concatenate([np.ones(m), -np.ones(p.shape[2])])
         grid = signed[:, None] @ r.conj().transpose(0, 2, 1)[None, :]
-        worst = max(worst, float(op_norms(grid.reshape(k * k, *grid.shape[2:])).max()))
+        worst = max(worst, float(op_norms(grid.reshape(-1, *grid.shape[2:])).max()))
     return worst

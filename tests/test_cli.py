@@ -38,7 +38,7 @@ def test_unknown_field_rejected():
 
 def test_preset_catalog():
     catalog = list_presets()
-    assert set(catalog) == {"T0", "T1", "T1b", "U2"}
+    assert set(catalog) == {"T0", "T1", "T1b", "T2", "U2"}
     assert "21" in catalog["T1"]["claims"]
     assert catalog["U2"]["note"] is not None and "relaxed" in catalog["U2"]["note"]
     assert catalog["T1b"]["note"] is not None
@@ -223,11 +223,46 @@ def test_stabilize_sweep_defects_in_match_an_independent_scoring():
         assert row["defects_in"] == unit_defects(noisy).to_json()
 
 
+def test_stabilize_sweep_judges_monotonicity_in_delta_order(tmp_path):
+    config = {"shape": [5, 5], "deltas": [1e-3, 1e-6], "seeds": 2}
+    report = run("stabilize-sweep", config)
+    medians = {r.name: r.measured for r in report.rows if r.name.endswith("median_distance")}
+    assert medians["delta1e-06.median_distance"] < medians["delta0.001.median_distance"]
+    assert next(r for r in report.rows if r.name == "median_distance_monotone").passed
+    assert report.passed
+    cfg = tmp_path / "descending.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["stabilize-sweep", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 0
+
+
+def test_stabilize_sweep_rejects_repeated_deltas(tmp_path):
+    config = {"shape": [2], "deltas": [1e-4, 1e-6, 1e-4]}
+    with pytest.raises(ConfigInvalid) as info:
+        run("stabilize-sweep", config)
+    assert info.value.path == "deltas"
+    cfg = tmp_path / "repeated.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["stabilize-sweep", "--config", str(cfg)]) == 2
+
+
+def test_stabilize_sweep_over_the_dense_cap_fails_before_allocating(tmp_path, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the sweep built a unit system")
+
+    monkeypatch.setattr(cli, "canonical_units", unreachable)
+    report = run("stabilize-sweep", {"shape": [200]})  # 200^2 units of 200 x 200: 23.8 GiB
+    assert report.error.startswith("DimensionOverflow")
+    assert not report.passed
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps({"shape": [200]}))
+    assert main(["stabilize-sweep", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 1
+
+
 def test_lapack_failure_is_a_structured_report(monkeypatch):
     def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "svd", fail)  # the stabilizer's polar decompositions
+    monkeypatch.setattr(np.linalg, "eigh", fail)  # the stabilizer's eigensolves
     report = run("stabilize-sweep", {"shape": [2], "deltas": [1e-6], "seeds": 1})
     assert report.error.startswith("NonConvergence")
     assert not report.passed

@@ -17,7 +17,7 @@ from towergen.linalg import (
     polar_partial_isometry,
     require_hermitian,
     screened_max_norm,
-    spectral_projection,
+    spectral_basis,
     tuple_norm,
 )
 
@@ -70,7 +70,7 @@ def test_op_norm_non_finite_fails_closed(entries):
 def test_eigh_and_svd_kernels_fail_closed_on_non_finite_input(bad):
     entries = np.diag([bad, 1.0, 1.0])
     with pytest.raises(NonFiniteValue):  # NaN passes the Hermitian and gap checks
-        spectral_projection(entries, 0.5)
+        spectral_basis(entries, 0.5)
     with pytest.raises(NonFiniteValue):  # LAPACK's SVD may not return on an infinity
         polar_partial_isometry(entries, 0.5)
 
@@ -82,7 +82,7 @@ def test_lapack_failure_on_finite_input_is_non_convergence(monkeypatch):
     for name in ("eigh", "eigvalsh", "svd"):
         monkeypatch.setattr(np.linalg, name, fail)
     with pytest.raises(NonConvergence):
-        spectral_projection(np.diag([1.0, 0.0]), 0.5)
+        spectral_basis(np.diag([1.0, 0.0]), 0.5)
     with pytest.raises(NonConvergence):
         polar_partial_isometry(identity(2), 0.5)
     with pytest.raises(NonConvergence):
@@ -164,16 +164,23 @@ def test_tuple_norm_rejects_mixed_dims():
         tuple_norm([])
 
 
+def spectral_projection(h, threshold):
+    """B B^* for the orthonormal eigenbasis B above the threshold."""
+    b = spectral_basis(h, threshold)
+    return b @ b.conj().T
+
+
 def test_spectral_projection_diagonal():
     p = spectral_projection(np.diag([1.0, 0.0]), 0.5)
     assert np.allclose(p, np.diag([1.0, 0.0]), atol=1e-14)
     p = spectral_projection(np.diag([0.9, 0.1, 0.95]), 0.5)
     assert np.allclose(p, np.diag([1.0, 0.0, 1.0]), atol=1e-14)
+    assert spectral_basis(np.diag([0.9, 0.1, 0.95]), 0.5).shape == (3, 2)
 
 
 def test_spectral_projection_gap_violation():
     with pytest.raises(EigenvalueNearThreshold):
-        spectral_projection(np.diag([0.5 + 1e-9, 0.1]), 0.5)
+        spectral_basis(np.diag([0.5 + 1e-9, 0.1]), 0.5)
 
 
 def test_spectral_projection_is_projection():

@@ -1,10 +1,11 @@
 """Round-trip residuals and stabilizer distances on presets and on random small towers.
 
-The stabilizer distance is a screened maximum (``linalg.max_distance``) and
-must equal the per-unit operator-norm loop bit for bit.  The round-trip
-unit residual is computed from small QR factors (``units.factored_distance``)
-through an exact identity, so it agrees with the per-unit loop on the
-factored system's dense view to rounding, not bit for bit.
+The stabilizer distance of a dense input is a screened maximum
+(``linalg.max_distance``) and must equal the per-unit operator-norm loop bit
+for bit.  The distance of a factored input, which is what recovery passes,
+and the round-trip unit residual are computed from small QR factors
+(``units.factored_distance``) through an exact identity, so they agree with
+the per-unit loop on the dense views to rounding (8 d eps), not bit for bit.
 """
 
 from dataclasses import replace
@@ -28,7 +29,6 @@ from towergen.units import (
     UnitalEmbedding,
     canonical_units,
     factored_distance,
-    unit_defects,
 )
 
 EPS = np.finfo(float).eps
@@ -56,8 +56,8 @@ def checked_round_trip(spec: TowerSpec):
     with mock.patch.object(recovery, "stabilize_units", recording):
         result, report = round_trip(plan)
     assert len(stabilized) == len(result.levels)
-    for (candidate, out, dist, _), lv in zip(stabilized, result.levels):
-        assert dist == per_unit_distance(candidate, out)
+    for (candidate, out, dist), lv in zip(stabilized, result.levels):
+        assert abs(dist - per_unit_distance(candidate, out)) <= 8 * candidate.ambient_dim * EPS
         assert lv.trace.steps[-1].residual == dist  # the stabilize_l{n} step
     tol = 8 * plan.model.ambient_dim * EPS
     for lv, res in zip(result.levels, report.unit_residuals):
@@ -72,15 +72,8 @@ def test_stabilize_distance_equals_per_unit_loop(mult, delta):
     units = canonical_units(shape, UnitalEmbedding(shape, mult, sum(c * k for c, k in zip(mult, shape))))
     for seed in range(3):
         noisy = perturb_units(units, delta, seed)
-        fixed, dist, defects = stabilize_units(noisy)
+        fixed, dist = stabilize_units(noisy)
         assert dist == per_unit_distance(noisy, fixed)
-        assert defects == unit_defects(noisy)
-
-
-def test_stabilize_skips_scoring_large_systems():
-    _, dist, defects = stabilize_units(canonical_units([12]))  # 144 units
-    assert dist == 0.0
-    assert defects is None
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,6 @@ from towergen.recovery import (
     RecoveredLevel,
     RecoveryTrace,
     _corner_basis,
-    column_factors,
     extract_leading_projection,
     ladder_units,
     recover_all,
@@ -22,9 +21,17 @@ from towergen.recovery import (
     reconstruct_witness,
     round_trip,
 )
+from towergen.presets import preset_spec
 from towergen.stabilize import stabilize_units
 from towergen.tower import TowerSpec, build_tower
-from towergen.twogen import build_ab, build_plan, corner_projection, diag_coefficient
+from towergen.twogen import (
+    RowAssignment,
+    build_ab,
+    build_plan,
+    corner_projection,
+    diag_coefficient,
+    index_atoms,
+)
 from towergen.units import MatrixUnitSystem, canonical_units
 
 
@@ -129,6 +136,13 @@ def test_round_trip_t0(t0_plan):
     assert max(report.witness_residuals) <= 1e-8
 
 
+def test_round_trip_t2():
+    """The d = 364 preset: 52 level-2 units, recovered without dense level units."""
+    _, report = round_trip(build_plan(build_tower(preset_spec("T2"))))
+    assert report.passed()
+    assert len(report.unit_residuals) == 2 and len(report.witness_residuals) == 2
+
+
 def test_reconstruct_witness_level1(t0_plan):
     lv = t0_plan.levels[0]
     rebuilt = reconstruct_witness(
@@ -159,6 +173,52 @@ def test_reconstruct_witness_zero_coupling(t1_plan):
         1,
     )
     assert op_norm(rebuilt) == 0.0
+
+
+def dense_witness(coupling, coupling_scale, units_by_level, assignment, j):
+    """``reconstruct_witness`` from dense unit reads: every term
+    e_{i,row} core e_{row+1,i} (rows 2, 2 at level 1), lifted per index atom
+    through each lower level as e_{i,k_s} . e_{k_t,j}."""
+    top = units_by_level[-1]
+    core = coupling / coupling_scale
+    level = len(units_by_level)
+
+    def term(row):
+        return sum(
+            top.unit(s, i, row) @ core @ top.unit(s, row + (level > 1), i)
+            for s, k_s in enumerate(top.shape, start=1)
+            for i in range(1, k_s + 1)
+        )
+
+    if level == 1:
+        return hermitian_part(term(2))
+    out = np.zeros_like(coupling)
+    for idx, atom in enumerate(index_atoms([u.shape for u in units_by_level], level)):
+        lifted = term(assignment.row(j, idx))
+        for ell, blk in enumerate(units_by_level[:-1], start=1):
+            i, s, jj, t = atom.level_entry(ell)
+            lifted = blk.unit(s, i, blk.shape[s - 1]) @ lifted @ blk.unit(t, blk.shape[t - 1], jj)
+        out += lifted
+    return hermitian_part(out)
+
+
+@pytest.mark.parametrize("shapes", [((2, 3),), ((2,), (6, 7)), ((2,), (2,), (18,))])
+def test_factored_witness_matches_dense_unit_products(shapes):
+    """Exact levels and a top level in rotated factors, with a random coupling."""
+    model = build_tower(TowerSpec(block_shapes=shapes, mode="relaxed", generator_seed=3))
+    dim = model.ambient_dim
+    rng = np.random.default_rng(1)
+    coupling = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    coupling = coupling + coupling.conj().T
+    level = len(shapes)
+    assignment = RowAssignment(level, len(index_atoms(shapes, level)), 1) if level > 1 else None
+    top = model.blocks[-1].column_factors()
+    q, _ = np.linalg.qr(rng.standard_normal((top[0].shape[2],) * 2) + 0j)
+    rotated = MatrixUnitSystem(model.blocks[-1].shape, dim, factors=[f @ q for f in top])
+    for blocks in (list(model.blocks), [*model.blocks[:-1], rotated]):
+        rebuilt = reconstruct_witness(coupling, 2.0, blocks, assignment, 1)
+        reference = dense_witness(coupling, 2.0, blocks, assignment, 1)
+        assert op_norm(rebuilt - reference) <= 1e-13 * op_norm(reference)
 
 
 def test_closure_identity_only():
@@ -237,10 +297,11 @@ def test_recover_next_level_rejects_a_corner_that_is_no_projection(t1_plan):
 
 
 def ambient_recover_next_level(shapes, recovered, a, b):
-    """Level n recovered at ambient dimension: every extraction, rung,
-    stabilizer step and decompression product on d x d matrices, the dense
-    result factored as ``recover_next_level`` stores a level.  The reference
-    the corner-compressed, factor-lifted ``recover_next_level`` must match."""
+    """Level n recovered at ambient dimension: every extraction, rung and
+    stabilizer step on d x d matrices, the factors lifted through the lower
+    levels' dense units e_{i,k_s} and the corner and coupling read from
+    dense units.  The reference the corner-compressed, factor-lifted
+    ``recover_next_level`` must match."""
     n = len(recovered) + 1
     shape = shapes[n - 1]
     dim = a.shape[0]
@@ -260,7 +321,7 @@ def ambient_recover_next_level(shapes, recovered, a, b):
         comp = eye - e11
         stripped = hermitian_part(comp @ stripped @ comp)
     candidate = ladder_units(corners, b_eff, shape, n, unital=(n == 1), trace=trace)
-    stabilized, moved, _ = stabilize_units(candidate)
+    stabilized, moved = stabilize_units(candidate)
     trace.add(f"stabilize_l{n}", 1, moved)
     chains = [eye]
     for lv, lower in zip(recovered, shapes[: n - 1]):
@@ -270,15 +331,9 @@ def ambient_recover_next_level(shapes, recovered, a, b):
             for i in range(1, k_s + 1)
             for c in chains
         ]
-    units = {}
-    for key in stabilized.keys():
-        q = stabilized.units[key]
-        units[key] = sum(chain @ q @ chain.conj().T for chain in chains)
-    dense = MatrixUnitSystem(shape=shape, ambient_dim=dim, units=units, unital=True)
-    ambient_units = MatrixUnitSystem(
-        shape=shape, ambient_dim=dim, unital=True, factors=column_factors(dense, f"level {n}")
-    )
-    corner = ambient_units.corner_row_projection(list(shape))
+    factors = [np.concatenate([c @ f for c in chains], axis=2) for f in stabilized.factors]
+    ambient_units = MatrixUnitSystem(shape=shape, ambient_dim=dim, unital=True, factors=factors)
+    corner = sum(ambient_units.unit(s, k_s, k_s) for s, k_s in enumerate(shape, start=1))
     inner = (eye - corner) @ a_eff @ (eye - corner)
     diag_sum = np.zeros_like(inner)
     for s in range(1, len(shape) + 1):

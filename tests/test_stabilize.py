@@ -2,16 +2,18 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from towergen.errors import StabilizationFailed
-from towergen.linalg import identity, op_norm
+from towergen.linalg import identity, op_norm, op_norms
 from towergen.stabilize import perturb_units, stabilize_units
 from towergen.units import MatrixUnitSystem, UnitalEmbedding, canonical_units, unit_defects
 
 
 def test_exact_units_fixed_point_bitwise():
     units = canonical_units([3])
-    out, dist, _ = stabilize_units(units)
+    out, dist = stabilize_units(units)
     assert dist == 0.0
     for key in units.keys():
         assert np.array_equal(out.units[key], units.units[key])
@@ -20,8 +22,8 @@ def test_exact_units_fixed_point_bitwise():
 def test_idempotence_bitwise_after_repair():
     units = canonical_units([3, 2])
     noisy = perturb_units(units, 1e-3, seed=7)
-    once, _, _ = stabilize_units(noisy)
-    twice, dist, _ = stabilize_units(once)
+    once, _ = stabilize_units(noisy)
+    twice, dist = stabilize_units(once)
     assert dist == 0.0
     for key in units.keys():
         assert np.array_equal(twice.units[key], once.units[key])
@@ -32,7 +34,7 @@ def test_m5_m5_perturbation_sweep():
     units = canonical_units(shape, UnitalEmbedding(shape, (1, 1), 10))
     for seed in range(20):
         noisy = perturb_units(units, 1e-3, seed=seed)
-        fixed, dist, _ = stabilize_units(noisy)
+        fixed, dist = stabilize_units(noisy)
         defects = unit_defects(fixed)
         assert defects.max() <= 1e-12
         assert dist <= 1e-2
@@ -48,7 +50,7 @@ def test_half_identity_diagonal_fails():
 
 
 def test_lost_rank_names_the_first_failing_row():
-    units = canonical_units([12])  # 144 units: the admissibility gate does not score them
+    units = canonical_units([12])
     bad = dict(units.units)
     for i in (7, 5):
         bad[(1, i, 1)] = np.zeros((12, 12), dtype=complex)
@@ -83,7 +85,7 @@ def test_perturb_defect_scaling():
 def test_perturb_then_stabilize_round_trip():
     units = canonical_units([3])
     noisy = perturb_units(units, 1e-3, seed=5)
-    fixed, dist, _ = stabilize_units(noisy)
+    fixed, dist = stabilize_units(noisy)
     for key in units.keys():
         assert op_norm(fixed.units[key] - units.units[key]) <= 1e-2
     assert dist <= 1e-2
@@ -97,7 +99,7 @@ def test_median_distance_monotone_in_delta():
         dists = []
         for seed in range(20):
             noisy = perturb_units(units, delta, seed=seed)
-            _, dist, _ = stabilize_units(noisy)
+            _, dist = stabilize_units(noisy)
             dists.append(dist)
         medians.append(statistics.median(dists))
     assert all(medians[i] <= medians[i + 1] for i in range(len(medians) - 1))
@@ -111,6 +113,53 @@ def test_non_unital_candidate_stays_non_unital():
         if i <= 2 and j <= 2:
             partial_units[(s, i, j)] = compress @ mat @ compress
     candidate = MatrixUnitSystem(shape=(2,), ambient_dim=3, units=partial_units, unital=False)
-    fixed, _, _ = stabilize_units(candidate)
+    fixed, _ = stabilize_units(candidate)
     assert not fixed.unital
     assert op_norm(fixed.diagonal_sum() - compress) <= 1e-12
+
+
+def test_dense_input_with_one_unit_off_the_first_column_is_repaired():
+    units = canonical_units([3])
+    off = {key: mat.copy() for key, mat in units.units.items()}
+    off[(1, 2, 3)][0, 0] += 1e-9
+    candidate = MatrixUnitSystem(shape=(3,), ambient_dim=3, units=off, unital=True)
+    fixed, dist = stabilize_units(candidate)
+    assert fixed is not candidate
+    assert dist == op_norm(off[(1, 2, 3)] - fixed.units[(1, 2, 3)]) > 0.0
+    for key in units.keys():
+        assert op_norm(fixed.units[key] - units.units[key]) <= 1e-14
+
+
+def perturbed_factors(exact, delta, seed):
+    """The exact system's indicator columns, each F_i moved by delta in operator norm."""
+    rng = np.random.default_rng(seed)
+    factors = []
+    for f in exact.column_factors():
+        noise = rng.standard_normal(f.shape) + 1j * rng.standard_normal(f.shape)
+        factors.append(f + delta * noise / op_norms(noise)[:, None, None])
+    return MatrixUnitSystem(exact.shape, exact.ambient_dim, factors=factors)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    blocks=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3)), min_size=1, max_size=3),
+    log_delta=st.floats(min_value=-6.0, max_value=-2.0),
+    factored=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_stabilizer_is_exact_idempotent_and_measures_its_move(blocks, log_delta, factored, seed):
+    shape = tuple(k for k, _ in blocks)
+    mult = tuple(c for _, c in blocks)
+    dim = sum(k * c for k, c in blocks)
+    exact = canonical_units(shape, UnitalEmbedding(shape, mult, dim))
+    make = perturbed_factors if factored else perturb_units
+    noisy = make(exact, 10.0**log_delta, seed)
+    once, dist = stabilize_units(noisy)
+    assert unit_defects(once).max() <= 1e-12
+    twice, again = stabilize_units(once)
+    assert twice is once and again == 0.0
+    loop = max(op_norm(noisy.units[key] - once.units[key]) for key in exact.keys())
+    if factored:
+        assert abs(dist - loop) <= 8 * dim * np.finfo(float).eps
+    else:
+        assert dist == loop
