@@ -1,7 +1,7 @@
 """Dense complex matrix kernel.
 
 Everything in the package works on square ``numpy`` arrays of complex128.
-This module holds the norm, spectral and polar primitives, batched over
+This module holds the norm and spectral primitives, batched over
 stacks of matrices where callers need many norms, plus the JSON wire
 format for matrices.
 """
@@ -101,8 +101,8 @@ def _lapack(routine: Callable, a: np.ndarray, what: str):
 
     Non-finite input raises NonFiniteValue before LAPACK sees it: LAPACK
     may reject it, return NaN beside finite values that pass a threshold
-    test, or not return at all (an SVD with an infinite entry).  A
-    LinAlgError on finite input raises NonConvergence.
+    test, or not return at all.  A LinAlgError on finite input raises
+    NonConvergence.
     """
     if not np.isfinite(a).all():
         raise NonFiniteValue(f"{what}: input has non-finite entries")
@@ -206,19 +206,3 @@ def spectral_basis(h: np.ndarray, threshold: float) -> np.ndarray:
             f"eigenvalue within 1e-8 of threshold {threshold}: spectrum {np.round(w, 12)}"
         )
     return v[:, w > threshold]
-
-
-def polar_partial_isometry(a: np.ndarray, cutoff: float) -> np.ndarray:
-    """Partial isometry U·1[S>cutoff]·V* from the SVD A = U S V*.
-
-    Singular directions at or below the cutoff are dropped; an input with
-    no singular value above the cutoff maps to the zero matrix.
-    """
-    if cutoff <= 0:
-        raise ValueError("cutoff must be positive")
-    a = as_operator(a)
-    u, s, vh = _lapack(np.linalg.svd, a, "polar decomposition")
-    keep = s > cutoff
-    if not np.any(keep):
-        return np.zeros_like(a)
-    return u[:, keep] @ vh[keep, :]

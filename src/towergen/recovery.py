@@ -1,17 +1,19 @@
 """Re-derive tower data from the two generators alone.
 
-Recovery walks the construction backwards: repeated squaring of the scaled
-generator pins down the leading corner projection of each block, ladder
-products against the tridiagonal generator rebuild the block's units, and
-the stabilizer makes them exact.  Each level runs inside the corner the
-lower levels cut out, on a and b compressed to an orthonormal basis of its
-range (the whole space at level 1).  A level is column factors,
-e_ij = F_i F_j^*, from the ladder on: F_i = R_i^* B for the ladder's row
-chain R_i and B an orthonormal basis of the extracted e_11's range, made
-exact by the stabilizer and lifted to the ambient space through the lower
-levels' column isometries.  Corners, couplings and the witnesses, which
-are reassembled from the recovered coupling elements, are read from the
-factors; no dense level unit is formed.
+Recovery walks the construction backwards: one eigensolve of the generator
+a gives each block's leading corner as the eigenvectors whose eigenvalue,
+scaled by the block's coefficient, sits near 1 (the spectral projection
+the paper reaches by repeated squaring), ladder rungs against the
+tridiagonal generator b rebuild the block's units, and the stabilizer
+makes them exact.  Each level runs inside the corner the lower levels cut
+out, on a and b compressed to an orthonormal basis of its range (the whole
+space at level 1).  A level is column factors, e_ij = F_i F_j^*, from the
+start: F_1 is the corner basis B and each rung's F_{i+1} is the polar part
+of a thin m x d compression of b, made exact by the stabilizer and lifted
+to the ambient space through the lower levels' column isometries.
+Corners, couplings and the witnesses, which are reassembled from the
+recovered coupling elements, are read from the factors; no dense level
+unit is formed.
 """
 
 from __future__ import annotations
@@ -21,19 +23,17 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import LadderBreakdown, NoSpectralGap, NonConvergence
-from .linalg import _lapack, hermitian_part, identity, op_norm, polar_partial_isometry
+from .errors import LadderBreakdown, NoSpectralGap
+from .linalg import _lapack, hermitian_part, identity, op_norm
 from .report import ReportRow
 from .stabilize import stabilize_units
 from .twogen import GeneratorPlan, RowAssignment, diag_coefficient, index_atoms
 from .units import MatrixUnitSystem, Shape, factored_distance, stacked_factors
 
-CLUSTER_HALFWIDTH = 1e-3
-COMPLEMENT_BOUND = 0.75
-MAX_SQUARINGS = 64
+CLUSTER_HALFWIDTH = 1e-3  # largest offset |lambda / c_s - 1| of an extracted eigenvalue
+COMPLEMENT_BOUND = 0.75  # largest |lambda / c_s| of an eigenvalue left behind
 UNIT_TOL = 1e-6  # round-trip unit and coupling residuals
 WITNESS_TOL = 1e-8  # round-trip witness residuals
-EXTRACT_TOL = 1e-8  # worst final squaring step of an extraction
 
 
 @dataclass
@@ -57,87 +57,88 @@ class RecoveryTrace:
         return [s.to_json() for s in self.steps]
 
 
-def extract_leading_projection(
-    a: np.ndarray, scale: float, trace: RecoveryTrace, label: str = "extract"
-) -> np.ndarray:
-    """Limit of (scale*a)^(2^t): the spectral projection of the top cluster.
+def extract_corner_bases(
+    a: np.ndarray, coefficients: Sequence[float], level: int, trace: RecoveryTrace
+) -> List[np.ndarray]:
+    """Orthonormal bases B_s of each block's first-column corner, from one eigensolve.
 
-    Requires the scaled matrix to have eigenvalues within 1e-3 of 1 and all
-    remaining spectrum inside [-0.75, 0.75]; repeated squaring then
-    converges geometrically.  Appends the squaring count and the last
-    step's size to ``trace``.
+    Block s takes the eigenvectors of herm(a) whose scaled eigenvalue
+    lambda / c_s (c_s = ``coefficients[s-1]``) lies within CLUSTER_HALFWIDTH
+    of 1, among those no block before s took; every other untaken scaled
+    eigenvalue must stay inside [-COMPLEMENT_BOUND, COMPLEMENT_BOUND].  For
+    exact input B_s B_s^* is the limit of repeated squaring of a / c_s
+    after blocks 1..s-1 are stripped, computed without the squarings.
+    ``trace`` gets each block's worst cluster offset |lambda / c_s - 1|
+    (``extract_l{level}_b{s}``) and complement radius
+    (``complement_l{level}_b{s}``).  Raises NoSpectralGap on an empty
+    matrix, a missing cluster or a complement too close to 1.
     """
-    m = hermitian_part(scale * a)
-    eigs = _lapack(np.linalg.eigvalsh, m, f"{label}: eigensolve")
-    if not eigs.size:
-        raise NoSpectralGap(f"{label}: empty matrix, no eigenvalue cluster at 1")
-    near_one = np.abs(eigs - 1.0) <= CLUSTER_HALFWIDTH
-    if not np.any(near_one):
-        raise NoSpectralGap(f"{label}: no eigenvalue cluster at 1 (top {eigs[-1]:.6f})")
-    rest = eigs[~near_one]
-    if rest.size and np.max(np.abs(rest)) > COMPLEMENT_BOUND:
-        raise NoSpectralGap(
-            f"{label}: complement spectrum reaches {np.max(np.abs(rest)):.6f} > {COMPLEMENT_BOUND}"
-        )
-    x = m
-    for t in range(1, MAX_SQUARINGS + 1):
-        nxt = x @ x
-        diff = op_norm(nxt - x)
-        x = nxt
-        if diff <= 1e-10:
-            idem = op_norm(x @ x - x)
-            herm = op_norm(x - x.conj().T)
-            if idem > 1e-9 or herm > 1e-9:
-                raise NonConvergence(
-                    f"{label}: squaring settled on a non-projection (idem {idem:.2e})"
-                )
-            trace.add(label, t, diff)
-            return hermitian_part(x)
-    raise NonConvergence(f"{label}: no convergence after {MAX_SQUARINGS} squarings")
+    if not a.size:
+        raise NoSpectralGap(f"extract_l{level}: empty matrix, no eigenvalue cluster at 1")
+    eigs, vecs = _lapack(np.linalg.eigh, hermitian_part(a), f"extract_l{level}: eigensolve")
+    untaken = np.ones(eigs.shape, dtype=bool)
+    bases = []
+    for s, c in enumerate(coefficients, start=1):
+        label = f"l{level}_b{s}"
+        scaled = eigs / c
+        cluster = untaken & (np.abs(scaled - 1.0) <= CLUSTER_HALFWIDTH)
+        if not np.any(cluster):
+            top = np.max(scaled[untaken]) if np.any(untaken) else 0.0
+            raise NoSpectralGap(f"extract_{label}: no eigenvalue cluster at 1 (top {top:.6f})")
+        untaken &= ~cluster
+        radius = float(np.max(np.abs(scaled[untaken]), initial=0.0))
+        if radius > COMPLEMENT_BOUND:
+            raise NoSpectralGap(
+                f"extract_{label}: complement spectrum reaches {radius:.6f} > {COMPLEMENT_BOUND}"
+            )
+        trace.add(f"extract_{label}", 1, float(np.max(np.abs(scaled[cluster] - 1.0))))
+        trace.add(f"complement_{label}", 1, radius)
+        bases.append(vecs[:, cluster])
+    return bases
 
 
 def ladder_units(
-    corner_projections: Sequence[np.ndarray],
+    bases: Sequence[np.ndarray],
     b_effective: np.ndarray,
     shape: Shape,
     level: int,
     unital: bool,
     trace: RecoveryTrace,
 ) -> MatrixUnitSystem:
-    """Rebuild a level's units from its first-column projections and b.
+    """Rebuild a level's units as column factors from its corner bases and b.
 
-    Each rung i -> i+1 comes from compressing b between the diagonal units
-    recovered so far, rescaled by 2^(2*level); polar polishing keeps the
-    chain isometric, and ``trace`` gets each rung's polishing residual.
-    The units e_ij = R_i^* R_j of the row chain R_1 = e_11,
-    R_{i+1} = R_i v_i are returned as column factors F_i = R_i^* B, with B
-    an orthonormal basis of e_11's range (``_corner_basis``), built as
-    F_{i+1} = v_i^* F_i.  Raises LadderBreakdown when a rung vanishes.
+    Block s starts at F_1 = B_s.  Rung i -> i+1 compresses b, rescaled by
+    4^level, from the range of F_i to the complement of the block's factors
+    so far, C = [F_1 ... F_i]: the thin m x d matrix
+    X = 4^level F_i^* b (I - C C^*).  Its polar part with cutoff 1/2, from
+    one m x m eigensolve of X X^*, gives F_{i+1} = X^* U_+ s_+^(-1) U_+^*
+    for the singular values s_+ above the cutoff; in exact arithmetic that
+    is v^* F_i for v the polar part of the dense rung F_i F_i^* b (I - C C^*).
+    ``trace`` gets each rung's residual, the worst |s - 1| over the kept
+    singular values and the largest dropped one.  Raises LadderBreakdown
+    when a rung's norm ||X|| falls below 1e-8.
     """
-    if len(corner_projections) != len(shape):
-        raise LadderBreakdown("need one starting projection per block")
-    dim = b_effective.shape[0]
-    eye = identity(dim)
+    if len(bases) != len(shape):
+        raise LadderBreakdown("need one corner basis per block")
     rescale = 4.0**level
     factors = []
-    for s, k_s in enumerate(shape, start=1):
-        e11 = corner_projections[s - 1]
-        chain = [e11 @ _corner_basis(e11, f"level {level} block {s}: e_11")]
-        diag = e11
-        covered = e11.copy()
+    for s, (basis, k_s) in enumerate(zip(bases, shape), start=1):
+        chain = [basis]
         for i in range(1, k_s):
-            cand = rescale * (diag @ b_effective @ (eye - covered))
-            strength = op_norm(cand)
-            if strength < 1e-8:
-                raise LadderBreakdown(
-                    f"level {level} block {s}: rung {i}->{i + 1} has norm {strength:.2e}"
-                )
-            v = polar_partial_isometry(cand, 0.5)
-            trace.add(f"ladder_l{level}_b{s}_r{i}", 1, float(op_norm(cand - v)))
-            chain.append(v.conj().T @ chain[-1])
-            diag = v.conj().T @ v
-            covered = covered + diag
+            label = f"level {level} block {s}: rung {i}->{i + 1}"
+            covered = np.concatenate(chain, axis=1)
+            x = rescale * (chain[-1].conj().T @ b_effective)
+            x = x - (x @ covered) @ covered.conj().T
+            w, u = _lapack(np.linalg.eigh, x @ x.conj().T, f"{label} eigensolve")
+            sv = np.sqrt(np.maximum(w, 0.0))
+            if sv[-1] < 1e-8:
+                raise LadderBreakdown(f"{label} has norm {sv[-1]:.2e}")
+            keep = sv > 0.5
+            misfit = np.concatenate([np.abs(sv[keep] - 1.0), sv[~keep]])
+            trace.add(f"ladder_l{level}_b{s}_r{i}", 1, float(np.max(misfit)))
+            chain.append(x.conj().T @ ((u[:, keep] / sv[keep]) @ u[:, keep].conj().T))
         factors.append(np.stack(chain))
+    dim = b_effective.shape[0]
     return MatrixUnitSystem(shape=shape, ambient_dim=dim, unital=unital, factors=factors)
 
 
@@ -161,9 +162,9 @@ def _corner_basis(projection: np.ndarray, label: str) -> np.ndarray:
     """Orthonormal columns spanning the range of a computed projection (d x r).
 
     Recovery asks this of the corner prefix, a product of recovered corner
-    projections, and of each extracted e_11.  Their spectrum must sit
-    within CLUSTER_HALFWIDTH of 0 or 1; anything else means something was
-    recovered wrong, and raises NoSpectralGap.
+    projections.  Its spectrum must sit within CLUSTER_HALFWIDTH of 0 or 1;
+    anything else means something was recovered wrong, and raises
+    NoSpectralGap.
     """
     eigs, vecs = _lapack(np.linalg.eigh, hermitian_part(projection), f"{label} basis")
     stray = np.minimum(np.abs(eigs), np.abs(eigs - 1.0)) > CLUSTER_HALFWIDTH
@@ -184,12 +185,13 @@ def recover_next_level(
     Level n lives in the range of the lower levels' corner prefix, of rank
     r = d / (k_1 ... k_{n-1}) for single-block levels: extraction, ladder
     and stabilizer run on a and b compressed to an orthonormal basis V of
-    that range (the identity at level 1).  The stabilized column factors
-    are lifted to the ambient space through the decompression chains, and
-    the corner and coupling are products of those factors, so the level's
-    dense units are not formed.  Extraction scales come from the stored
-    coefficient ladder; recovered block systems get stabilized before they
-    are lifted so later levels do not inherit drift.
+    that range (the identity at level 1).  One eigensolve of V^* a V gives
+    every block's corner basis, scaled by the stored coefficient ladder.
+    The stabilized column factors are lifted to the ambient space through
+    the decompression chains, and the corner and coupling are products of
+    those factors, so the level's dense units are not formed; recovered
+    block systems get stabilized before they are lifted so later levels do
+    not inherit drift.
     """
     n = len(recovered) + 1
     dim = a.shape[0]
@@ -202,16 +204,9 @@ def recover_next_level(
     a_in = hermitian_part(basis.conj().T @ a @ basis)
     b_in = hermitian_part(basis.conj().T @ b @ basis)
 
-    corners: List[np.ndarray] = []
-    stripped = a_in
-    for s in range(1, len(shape) + 1):
-        scale = 1.0 / diag_coefficient(shapes, n, s)
-        e11 = extract_leading_projection(stripped, scale, trace, label=f"extract_l{n}_b{s}")
-        corners.append(e11)
-        comp = identity(len(e11)) - e11
-        stripped = hermitian_part(comp @ stripped @ comp)
-
-    candidate = ladder_units(corners, b_in, shape, n, unital=(n == 1), trace=trace)
+    coefficients = [diag_coefficient(shapes, n, s) for s in range(1, len(shape) + 1)]
+    bases = extract_corner_bases(a_in, coefficients, n, trace)
+    candidate = ladder_units(bases, b_in, shape, n, unital=(n == 1), trace=trace)
     stabilized, moved = stabilize_units(candidate)
     trace.add(f"stabilize_l{n}", 1, moved)
 
@@ -327,8 +322,8 @@ class RoundTripReport:
     unit_residuals: List[float]
     coupling_residuals: List[float]
     witness_residuals: List[float]
-    max_squarings: int
-    extraction_residual: float  # worst final squaring step over all extractions
+    cluster_offset: float  # worst |lambda / c_s - 1| of an extracted cluster
+    complement_radius: float  # worst |lambda / c_s| left outside the clusters
 
     @property
     def rows(self) -> List[ReportRow]:
@@ -344,8 +339,10 @@ class RoundTripReport:
             for i, r in enumerate(values, start=1)
         ]
         return rows + [
-            ReportRow.check("max_squarings", self.max_squarings, MAX_SQUARINGS),
-            ReportRow.check("extraction_residual", self.extraction_residual, EXTRACT_TOL),
+            ReportRow.check("extraction.cluster_offset", self.cluster_offset, CLUSTER_HALFWIDTH),
+            ReportRow.check(
+                "extraction.complement_radius", self.complement_radius, COMPLEMENT_BOUND
+            ),
         ]
 
     def passed(self) -> bool:
@@ -356,8 +353,8 @@ class RoundTripReport:
             "unit_residuals": self.unit_residuals,
             "coupling_residuals": self.coupling_residuals,
             "witness_residuals": self.witness_residuals,
-            "max_squarings": self.max_squarings,
-            "extraction_residual": self.extraction_residual,
+            "cluster_offset": self.cluster_offset,
+            "complement_radius": self.complement_radius,
         }
 
 
@@ -368,8 +365,7 @@ def round_trip(plan: GeneratorPlan) -> Tuple[RecoveryResult, RoundTripReport]:
     unit_residuals = []
     coupling_residuals = []
     witness_residuals = []
-    max_squarings = 0
-    worst_extract = 0.0
+    margins = {"extract": 0.0, "complement": 0.0}
     for lv, stored in zip(result.levels, plan.levels):
         unit_residuals.append(factored_distance(lv.units, model.blocks[lv.level - 1]))
         coupling_residuals.append(float(op_norm(lv.coupling - stored.coupling)))
@@ -382,14 +378,14 @@ def round_trip(plan: GeneratorPlan) -> Tuple[RecoveryResult, RoundTripReport]:
                 float(op_norm(rebuilt - stored.witness.approximants[j - 1]))
             )
         for step in lv.trace.steps:
-            if step.name.startswith("extract"):
-                max_squarings = max(max_squarings, step.iterations)
-                worst_extract = max(worst_extract, step.residual)
+            kind = step.name.split("_", 1)[0]
+            if kind in margins:
+                margins[kind] = max(margins[kind], step.residual)
     report = RoundTripReport(
         unit_residuals=unit_residuals,
         coupling_residuals=coupling_residuals,
         witness_residuals=witness_residuals,
-        max_squarings=max_squarings,
-        extraction_residual=worst_extract,
+        cluster_offset=margins["extract"],
+        complement_radius=margins["complement"],
     )
     return result, report

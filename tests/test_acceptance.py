@@ -70,9 +70,11 @@ def test_criterion_2_recovery_round_trip(battery):
         caps[f"recovery_t1.level{n}.unit_residual"] = 1e-6
         caps[f"recovery_t1.level{n}.coupling_residual"] = 1e-6
         caps[f"recovery_t1.witness{n}.residual"] = 1e-8
-    caps.update({"recovery_t0.max_squarings": 64, "recovery_t1.max_squarings": 64})
-    squarings = [rows[f"{p}.max_squarings"].measured for p in ("recovery_t0", "recovery_t1")]
-    _report("2 recovery round trip (T0, T1)", rows, _within(rows, caps), f"squarings={squarings}")
+    for prefix in ("recovery_t0", "recovery_t1"):
+        caps[f"{prefix}.extraction.cluster_offset"] = 1e-3
+        caps[f"{prefix}.extraction.complement_radius"] = 0.75
+    detail = " ".join(f"{n}={r.measured:.2e}" for n, r in rows.items() if ".extraction." in n)
+    _report("2 recovery round trip (T0, T1)", rows, _within(rows, caps), detail)
 
 
 def test_criterion_3_generation_distance(battery):

@@ -12,7 +12,7 @@ import towergen
 import towergen.cli as cli
 from towergen.cli import main, resolve_tower_spec, run, validate_config
 from towergen.errors import ConfigInvalid
-from towergen.recovery import round_trip
+from towergen.recovery import CLUSTER_HALFWIDTH, COMPLEMENT_BOUND, round_trip
 from towergen.similarity import run_identity_sweep, sweep_rows
 from towergen.stabilize import perturb_units
 from towergen.tower import build_tower, check_conditions
@@ -380,7 +380,12 @@ def test_lemma52_rows_are_the_library_rows():
     assert report.passed == all(row.passed for row in rows)
 
 
-def test_round_trip_verdict_reads_the_extraction_residual(t0_plan):
+def test_round_trip_verdict_reads_the_extraction_margins(t0_plan):
     _, trip = round_trip(t0_plan)
     assert trip.passed()
-    assert not replace(trip, extraction_residual=1e-7).passed()
+    rows = {row.name: row for row in trip.rows}
+    assert rows["extraction.cluster_offset"].threshold == CLUSTER_HALFWIDTH
+    assert rows["extraction.complement_radius"].threshold == COMPLEMENT_BOUND
+    assert not replace(trip, cluster_offset=2 * CLUSTER_HALFWIDTH).passed()
+    assert not replace(trip, complement_radius=0.8).passed()
+    assert not replace(trip, cluster_offset=float("nan")).passed()

@@ -14,12 +14,12 @@ from towergen.linalg import (
     max_distance,
     op_norm,
     op_norms,
-    polar_partial_isometry,
     require_hermitian,
     screened_max_norm,
     spectral_basis,
     tuple_norm,
 )
+from towergen.recovery import RecoveryTrace, ladder_units
 
 
 def random_complex(rng, d):
@@ -66,25 +66,32 @@ def test_op_norm_non_finite_fails_closed(entries):
         op_norms(stack)
 
 
+def _ladder(b):
+    """One rung of ``recovery.ladder_units`` on a 2 x 2 b: the polar part of
+    X = 4 F_1^* b (I - F_1 F_1^*) from the singular values of X."""
+    basis = np.array([[1.0], [0.0]], dtype=complex)
+    return ladder_units([basis], b, (2,), 1, unital=True, trace=RecoveryTrace())
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_eigh_and_svd_kernels_fail_closed_on_non_finite_input(bad):
     entries = np.diag([bad, 1.0, 1.0])
     with pytest.raises(NonFiniteValue):  # NaN passes the Hermitian and gap checks
         spectral_basis(entries, 0.5)
-    with pytest.raises(NonFiniteValue):  # LAPACK's SVD may not return on an infinity
-        polar_partial_isometry(entries, 0.5)
+    with pytest.raises(NonFiniteValue):  # the ladder's singular values of X
+        _ladder(np.array([[1.0, bad], [bad, 0.0]], dtype=complex))
 
 
 def test_lapack_failure_on_finite_input_is_non_convergence(monkeypatch):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("did not converge")
 
-    for name in ("eigh", "eigvalsh", "svd"):
+    for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, fail)
     with pytest.raises(NonConvergence):
         spectral_basis(np.diag([1.0, 0.0]), 0.5)
     with pytest.raises(NonConvergence):
-        polar_partial_isometry(identity(2), 0.5)
+        _ladder(np.array([[0.0, 0.25], [0.25, 0.0]], dtype=complex))
     with pytest.raises(NonConvergence):
         op_norm(identity(2))
 
@@ -193,29 +200,6 @@ def test_spectral_projection_is_projection():
             continue
         assert op_norm(p @ p - p) <= 1e-12
         assert op_norm(p - p.conj().T) <= 1e-12
-
-
-def test_polar_partial_isometry_examples():
-    v = polar_partial_isometry(np.array([[0.0, 2.0], [0.0, 0.0]]), 0.5)
-    assert np.allclose(v, [[0.0, 1.0], [0.0, 0.0]], atol=1e-14)
-    u = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    assert np.allclose(polar_partial_isometry(u, 0.5), u, atol=1e-14)
-    z = polar_partial_isometry(np.zeros((3, 3)), 0.5)
-    assert np.allclose(z, np.zeros((3, 3)))
-
-
-def test_polar_partial_isometry_invariants():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        a = random_complex(rng, 4)
-        v = polar_partial_isometry(a, 0.5)
-        assert op_norm(v @ v.conj().T @ v - v) <= 1e-12
-        # discarded singular directions are below the cutoff
-        assert op_norm(a - v @ v.conj().T @ a) <= 0.5 + 1e-12
-        big = a + 3 * identity(4)  # all singular values above the cutoff now?
-        if np.min(np.linalg.svd(big, compute_uv=False)) > 0.5:
-            vb = polar_partial_isometry(big, 0.5)
-            assert op_norm(vb.conj().T @ vb - identity(4)) <= 1e-12
 
 
 def test_cstar_identity_and_submultiplicativity():

@@ -14,7 +14,7 @@ from towergen.recovery import (
     RecoveredLevel,
     RecoveryTrace,
     _corner_basis,
-    extract_leading_projection,
+    extract_corner_bases,
     ladder_units,
     recover_all,
     recover_next_level,
@@ -38,14 +38,28 @@ from towergen.units import MatrixUnitSystem, canonical_units
 def test_extract_diagonal_model():
     a = np.diag([0.5, 0.25]).astype(complex)
     trace = RecoveryTrace()
-    e = extract_leading_projection(a, 2.0, trace)
-    assert np.allclose(e, np.diag([1.0, 0.0]), atol=1e-9)
-    assert trace.steps[-1].iterations <= 40
+    (basis,) = extract_corner_bases(a, [0.5], 1, trace)
+    assert np.allclose(basis @ basis.conj().T, np.diag([1.0, 0.0]), atol=1e-15)
+    assert [(e.name, e.residual) for e in trace.steps] == [
+        ("extract_l1_b1", 0.0), ("complement_l1_b1", 0.5)
+    ]
+
+
+@pytest.mark.parametrize("top", [1.0 - 1e-6, 1.0 + 1e-6])
+def test_extract_cluster_off_one_spans_e1(top):
+    """Repeated squaring decays a cluster at 1 - 1e-6 to zero and overflows one
+    at 1 + 1e-6; both sit well inside CLUSTER_HALFWIDTH."""
+    trace = RecoveryTrace()
+    (basis,) = extract_corner_bases(np.diag([top, 0.5, 0.1]).astype(complex), [1.0], 1, trace)
+    assert basis.shape == (3, 1)
+    assert op_norm(basis @ basis.conj().T - np.diag([1.0, 0.0, 0.0])) <= 1e-15
+    assert trace.steps[0].residual == pytest.approx(1e-6, rel=1e-9)
 
 
 def test_extract_t1_leading_unit(t1_plan):
     model = t1_plan.model
-    e = extract_leading_projection(t1_plan.gen_a, 2.0, RecoveryTrace())
+    (basis,) = extract_corner_bases(t1_plan.gen_a, [0.5], 1, RecoveryTrace())
+    e = basis @ basis.conj().T
     assert op_norm(e - model.blocks[0].unit(1, 1, 1)) <= 1e-8
     # spectral projections of a commute with a
     assert op_norm(e @ t1_plan.gen_a - t1_plan.gen_a @ e) <= 1e-9
@@ -55,34 +69,35 @@ def test_extract_second_block_scale_four():
     spec = TowerSpec(block_shapes=((3, 4),), num_generators=1, mode="strict", generator_seed=2)
     model = build_tower(spec)
     plan = build_plan(model)
-    e1 = extract_leading_projection(plan.gen_a, 2.0, RecoveryTrace())
-    assert op_norm(e1 - model.blocks[0].unit(1, 1, 1)) <= 1e-8
-    comp = identity(model.ambient_dim) - e1
-    e2 = extract_leading_projection(comp @ plan.gen_a @ comp, 4.0, RecoveryTrace())
-    assert op_norm(e2 - model.blocks[0].unit(2, 1, 1)) <= 1e-8
+    bases = extract_corner_bases(plan.gen_a, [0.5, 0.25], 1, RecoveryTrace())
+    for s, basis in enumerate(bases, start=1):
+        assert op_norm(basis @ basis.conj().T - model.blocks[0].unit(s, 1, 1)) <= 1e-8
 
 
 def test_extract_no_gap():
-    with pytest.raises(NoSpectralGap):
-        extract_leading_projection(np.diag([0.6, 0.5]).astype(complex), 1.0, RecoveryTrace())
-    with pytest.raises(NoSpectralGap):
-        # eigenvalue -1 wrecks convergence even though it is far from 1
-        extract_leading_projection(np.diag([1.0, -1.0]).astype(complex), 1.0, RecoveryTrace())
+    with pytest.raises(NoSpectralGap, match="no eigenvalue cluster"):
+        extract_corner_bases(np.diag([0.6, 0.5]).astype(complex), [1.0], 1, RecoveryTrace())
+    for rest in (-1.0, 0.8):  # far from 1, but too close for the complement bound
+        with pytest.raises(NoSpectralGap, match="complement spectrum"):
+            extract_corner_bases(np.diag([1.0, rest]).astype(complex), [1.0], 1, RecoveryTrace())
+    with pytest.raises(NoSpectralGap, match="extract_l1_b2: no eigenvalue cluster"):
+        # block 2 may not reuse the eigenvalue block 1 took
+        extract_corner_bases(np.diag([1.0, 0.25]).astype(complex), [1.0, 1.0], 1, RecoveryTrace())
 
 
 def test_extract_non_finite_input_fails_closed():
     with pytest.raises(NonFiniteValue):
-        extract_leading_projection(
-            np.diag([1.0, np.nan, 0.2]).astype(complex), 1.0, RecoveryTrace()
-        )
+        extract_corner_bases(np.diag([1.0, np.nan, 0.2]).astype(complex), [1.0], 1, RecoveryTrace())
 
 
 def test_ladder_t0_exact(t0_plan):
     model = t0_plan.model
     trace = RecoveryTrace()
-    e11 = extract_leading_projection(t0_plan.gen_a, 2.0, trace)
-    system = ladder_units([e11], t0_plan.gen_b, (3,), 1, unital=True, trace=trace)
-    assert [step.name for step in trace.steps] == ["extract", "ladder_l1_b1_r1", "ladder_l1_b1_r2"]
+    bases = extract_corner_bases(t0_plan.gen_a, [0.5], 1, trace)
+    system = ladder_units(bases, t0_plan.gen_b, (3,), 1, unital=True, trace=trace)
+    assert [step.name for step in trace.steps] == [
+        "extract_l1_b1", "complement_l1_b1", "ladder_l1_b1_r1", "ladder_l1_b1_r2"
+    ]
     for key, mat in model.blocks[0].iter_units():
         assert op_norm(system.units[key] - mat) <= 1e-10
 
@@ -90,17 +105,31 @@ def test_ladder_t0_exact(t0_plan):
 def test_ladder_t1_level1(t1_plan):
     model = t1_plan.model
     trace = RecoveryTrace()
-    e11 = extract_leading_projection(t1_plan.gen_a, 2.0, trace)
-    system = ladder_units([e11], t1_plan.gen_b, (3,), 1, unital=True, trace=trace)
+    bases = extract_corner_bases(t1_plan.gen_a, [0.5], 1, trace)
+    system = ladder_units(bases, t1_plan.gen_b, (3,), 1, unital=True, trace=trace)
     for key, mat in model.blocks[0].iter_units():
         assert op_norm(system.units[key] - mat) <= 1e-6
 
 
 def test_ladder_zero_b(t0_plan):
-    trace = RecoveryTrace()
-    e11 = extract_leading_projection(t0_plan.gen_a, 2.0, trace)
+    bases = extract_corner_bases(t0_plan.gen_a, [0.5], 1, RecoveryTrace())
     with pytest.raises(LadderBreakdown):
-        ladder_units([e11], np.zeros((3, 3), dtype=complex), (3,), 1, unital=True, trace=trace)
+        ladder_units(bases, np.zeros((3, 3), dtype=complex), (3,), 1, True, RecoveryTrace())
+
+
+def test_ladder_rung_drops_singular_values_at_the_cutoff():
+    """X = 4 F_1^* b (I - F_1 F_1^*) with singular values 1 and 0.3: F_2 keeps
+    the direction above the cutoff 1/2, and the rung's residual is the
+    largest dropped singular value."""
+    basis = identity(4)[:, :2]
+    b = np.zeros((4, 4), dtype=complex)
+    b[:2, 2:] = np.diag([1.0, 0.3]) / 4
+    b = b + b.conj().T
+    trace = RecoveryTrace()
+    system = ladder_units([basis], b, (2,), 1, unital=False, trace=trace)
+    f2 = system.factors[0][1]
+    assert op_norm(f2 - identity(4)[:, [2, 3]] @ np.diag([1.0, 0.0])) <= 1e-15
+    assert trace.steps[-1].residual == pytest.approx(0.3, abs=1e-15)
 
 
 def test_recover_next_level_t1(t1_plan):
@@ -274,7 +303,7 @@ def test_recover_all_statuses(t1_plan):
 
 def test_extract_empty_matrix_has_no_gap():
     with pytest.raises(NoSpectralGap, match="empty"):
-        extract_leading_projection(np.zeros((0, 0), dtype=complex), 2.0, RecoveryTrace())
+        extract_corner_bases(np.zeros((0, 0), dtype=complex), [0.5], 1, RecoveryTrace())
 
 
 def test_corner_basis_spans_a_projection_and_rejects_the_rest():
@@ -296,12 +325,50 @@ def test_recover_next_level_rejects_a_corner_that_is_no_projection(t1_plan):
         recover_next_level(shapes, [level1], t1_plan.gen_a, t1_plan.gen_b)
 
 
+def squaring_projection(a, scale):
+    """The paper's extraction, for exact input: the limit of (scale a)^(2^t) by
+    repeated squaring, the spectral projection of the eigenvalue-1 cluster
+    when the rest of the spectrum lies inside (-1, 1).  A cluster off 1 by
+    more than rounding decays or overflows (see
+    ``test_extract_cluster_off_one_spans_e1``)."""
+    x = hermitian_part(scale * a)
+    for _ in range(64):
+        nxt = x @ x
+        if op_norm(nxt - x) <= 1e-10:
+            return hermitian_part(nxt)
+        x = nxt
+    raise AssertionError("repeated squaring did not converge")
+
+
+def dense_ladder(corners, b, shape, level, unital, trace):
+    """The paper's ladder on d x d matrices: rung i -> i+1 is the polar part v
+    (an SVD with cutoff 1/2) of 4^level e_ii b (I - covered), and
+    F_{i+1} = v^* F_i from F_1 an orthonormal basis of e_11's range."""
+    eye = identity(len(b))
+    factors = []
+    for s, (e11, k_s) in enumerate(zip(corners, shape), start=1):
+        chain = [e11 @ _corner_basis(e11, f"level {level} block {s}: e_11")]
+        diag, covered = e11, e11.copy()
+        for i in range(1, k_s):
+            cand = 4.0**level * (diag @ b @ (eye - covered))
+            u, sv, vh = np.linalg.svd(cand)
+            v = u[:, sv > 0.5] @ vh[sv > 0.5]
+            trace.add(f"ladder_l{level}_b{s}_r{i}", 1, op_norm(cand - v))
+            chain.append(v.conj().T @ chain[-1])
+            diag = v.conj().T @ v
+            covered = covered + diag
+        factors.append(np.stack(chain))
+    return MatrixUnitSystem(shape=shape, ambient_dim=len(b), unital=unital, factors=factors)
+
+
 def ambient_recover_next_level(shapes, recovered, a, b):
-    """Level n recovered at ambient dimension: every extraction, rung and
-    stabilizer step on d x d matrices, the factors lifted through the lower
-    levels' dense units e_{i,k_s} and the corner and coupling read from
-    dense units.  The reference the corner-compressed, factor-lifted
-    ``recover_next_level`` must match."""
+    """Level n recovered at ambient dimension by the paper's recipe: repeated
+    squaring extracts each e_11 from a with the earlier blocks stripped,
+    dense polar rungs build the ladder, the stabilizer runs on d x d
+    matrices, the factors are lifted through the lower levels' dense units
+    e_{i,k_s} and the corner and coupling are read from dense units.  The
+    reference the corner-compressed, factor-lifted ``recover_next_level``
+    must match on exact input."""
     n = len(recovered) + 1
     shape = shapes[n - 1]
     dim = a.shape[0]
@@ -315,12 +382,14 @@ def ambient_recover_next_level(shapes, recovered, a, b):
     corners = []
     stripped = a_eff
     for s in range(1, len(shape) + 1):
-        scale = 1.0 / diag_coefficient(shapes, n, s)
-        e11 = extract_leading_projection(stripped, scale, trace, label=f"extract_l{n}_b{s}")
+        e11 = squaring_projection(stripped, 1.0 / diag_coefficient(shapes, n, s))
+        # step names only: ``assert_same_recovery`` does not compare the margins
+        trace.add(f"extract_l{n}_b{s}", 1, 0.0)
+        trace.add(f"complement_l{n}_b{s}", 1, 0.0)
         corners.append(e11)
         comp = eye - e11
         stripped = hermitian_part(comp @ stripped @ comp)
-    candidate = ladder_units(corners, b_eff, shape, n, unital=(n == 1), trace=trace)
+    candidate = dense_ladder(corners, b_eff, shape, n, n == 1, trace)
     stabilized, moved = stabilize_units(candidate)
     trace.add(f"stabilize_l{n}", 1, moved)
     chains = [eye]
@@ -345,9 +414,7 @@ def ambient_recover_next_level(shapes, recovered, a, b):
 def assert_same_recovery(result, oracle):
     assert len(result.levels) == len(oracle.levels)
     for lv, ref in zip(result.levels, oracle.levels):
-        assert [(e.name, e.iterations) for e in lv.trace.steps] == [
-            (e.name, e.iterations) for e in ref.trace.steps
-        ]
+        assert [e.name for e in lv.trace.steps] == [e.name for e in ref.trace.steps]
         keys = ref.units.keys()
         assert lv.units.keys() == keys
         assert max_distance([lv.units.units[k] for k in keys], [ref.units.units[k] for k in keys]) <= 1e-12
