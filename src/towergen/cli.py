@@ -256,7 +256,7 @@ def run_stabilize_sweep(config: dict) -> RunReport:
 
     exact_out, exact_dist = stabilize_units(units)
     bitstable = all(
-        np.array_equal(exact_out.units[key], units.units[key]) for key in units.keys()
+        np.array_equal(exact_out.unit(*key), units.unit(*key)) for key in units.keys()
     )
     report.add("fixed_point_bitstable", bool(bitstable), True, bitstable)
     report.check("fixed_point_distance", exact_dist, 1e-12)

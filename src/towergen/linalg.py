@@ -2,8 +2,8 @@
 
 Everything in the package works on square ``numpy`` arrays of complex128.
 This module holds the norm and spectral primitives, batched over
-stacks of matrices where callers need many norms, plus the JSON wire
-format for matrices.
+stacks of matrices where callers need many norms, and ``_lapack``, the
+wrapper that makes a LAPACK call fail closed on non-finite input.
 """
 
 from __future__ import annotations
@@ -48,8 +48,14 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 
 
 def require_hermitian(a, tol: float = _HERMITIAN_TOL) -> np.ndarray:
-    """Validate Hermitianity entrywise at construction time."""
+    """Validate Hermitianity entrywise at construction time.
+
+    Non-finite entries raise NonFiniteValue: a NaN defect never exceeds
+    ``tol``, so the entrywise test alone would pass them.
+    """
     a = as_operator(a)
+    if not np.isfinite(a).all():
+        raise NonFiniteValue("matrix has non-finite entries; Hermitianity is undefined")
     defect = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
     if defect > tol:
         raise DimensionMismatch(f"matrix is not Hermitian: entrywise defect {defect:.3e} > {tol:.1e}")

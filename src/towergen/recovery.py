@@ -5,15 +5,17 @@ a gives each block's leading corner as the eigenvectors whose eigenvalue,
 scaled by the block's coefficient, sits near 1 (the spectral projection
 the paper reaches by repeated squaring), ladder rungs against the
 tridiagonal generator b rebuild the block's units, and the stabilizer
-makes them exact.  Each level runs inside the corner the lower levels cut
-out, on a and b compressed to an orthonormal basis of its range (the whole
-space at level 1).  A level is column factors, e_ij = F_i F_j^*, from the
-start: F_1 is the corner basis B and each rung's F_{i+1} is the polar part
-of a thin m x d compression of b, made exact by the stabilizer and lifted
-to the ambient space through the lower levels' column isometries.
-Corners, couplings and the witnesses, which are reassembled from the
-recovered coupling elements, are read from the factors; no dense level
-unit is formed.
+makes them exact.  Each level runs inside the corner p_1 ... p_{n-1} the
+lower levels cut out, on a and b compressed to V_n, an orthonormal basis of
+its range (the identity at level 1).  A level is column factors,
+e_ij = F_i F_j^*, from the start: F_1 is the corner basis B and each rung's
+F_{i+1} is the polar part of a thin m x d compression of b, made exact by
+the stabilizer and lifted to the ambient space through the lower levels'
+column isometries.  The next level's basis is V_{n+1} = V_n L_n, L_n the
+level's stabilized last-row factors side by side, and the coupling is
+assembled in V_n coordinates and lifted once.  The witnesses, which are
+reassembled from the recovered coupling elements, are read from the
+factors; no dense level unit or ambient corner projection is formed.
 """
 
 from __future__ import annotations
@@ -145,32 +147,10 @@ def ladder_units(
 @dataclass
 class RecoveredLevel:
     level: int
-    units: MatrixUnitSystem  # ambient column factors; dense units only on demand
-    corner: np.ndarray
+    units: MatrixUnitSystem  # ambient column factors
+    corner_basis: np.ndarray  # d x r, orthonormal columns spanning p_1 ... p_level
     coupling: np.ndarray
     trace: RecoveryTrace
-
-
-def _corner_prefix(levels: Sequence[RecoveredLevel], dim: int) -> np.ndarray:
-    out = identity(dim)
-    for lv in levels:
-        out = out @ lv.corner
-    return out
-
-
-def _corner_basis(projection: np.ndarray, label: str) -> np.ndarray:
-    """Orthonormal columns spanning the range of a computed projection (d x r).
-
-    Recovery asks this of the corner prefix, a product of recovered corner
-    projections.  Its spectrum must sit within CLUSTER_HALFWIDTH of 0 or 1;
-    anything else means something was recovered wrong, and raises
-    NoSpectralGap.
-    """
-    eigs, vecs = _lapack(np.linalg.eigh, hermitian_part(projection), f"{label} basis")
-    stray = np.minimum(np.abs(eigs), np.abs(eigs - 1.0)) > CLUSTER_HALFWIDTH
-    if np.any(stray):
-        raise NoSpectralGap(f"{label} eigenvalue {eigs[stray][0]:.6f} is neither 0 nor 1")
-    return vecs[:, eigs > 0.5]
 
 
 def recover_next_level(
@@ -182,25 +162,24 @@ def recover_next_level(
     """Recover level n = len(recovered)+1 inside the lower levels' corner.
 
     Besides a and b, recovery knows only the tower's block ``shapes``.
-    Level n lives in the range of the lower levels' corner prefix, of rank
-    r = d / (k_1 ... k_{n-1}) for single-block levels: extraction, ladder
-    and stabilizer run on a and b compressed to an orthonormal basis V of
-    that range (the identity at level 1).  One eigensolve of V^* a V gives
-    every block's corner basis, scaled by the stored coefficient ladder.
-    The stabilized column factors are lifted to the ambient space through
-    the decompression chains, and the corner and coupling are products of
-    those factors, so the level's dense units are not formed; recovered
-    block systems get stabilized before they are lifted so later levels do
-    not inherit drift.
+    Level n lives in the range of the corner p_1 ... p_{n-1} the lower
+    levels cut out, of rank r = d / (k_1 ... k_{n-1}) for single-block
+    levels: extraction, ladder and stabilizer run on a and b compressed to
+    V, the orthonormal basis of that range level n-1 carries (the identity
+    at level 1).  One eigensolve of V^* a V gives every block's corner
+    basis, scaled by the stored coefficient ladder.  With L the stabilized
+    last-row factors side by side and F_1 each block's first-row factor,
+    all in V coordinates, level n's corner basis is V L and its coupling is
+    V herm((I - L L^*) V^* a V (I - L L^*) - sum_s c_s F_1 F_1^*) V^*.  The
+    stabilized factors are lifted to the ambient space through the
+    decompression chains, so the level's dense units are not formed;
+    recovered block systems get stabilized before they are lifted so later
+    levels do not inherit drift.
     """
     n = len(recovered) + 1
-    dim = a.shape[0]
-    eye = identity(dim)
     trace = RecoveryTrace()
     shape = shapes[n - 1]
-    prefix = _corner_prefix(recovered, dim)
-    a_eff = hermitian_part(prefix @ a @ prefix)
-    basis = _corner_basis(prefix, f"level {n}: corner prefix") if recovered else eye
+    basis = recovered[-1].corner_basis if recovered else identity(a.shape[0])
     a_in = hermitian_part(basis.conj().T @ a @ basis)
     b_in = hermitian_part(basis.conj().T @ b @ basis)
 
@@ -212,16 +191,17 @@ def recover_next_level(
 
     chains = _decompression_chains(basis, recovered)
     factors = [np.concatenate([w @ f for w in chains], axis=2) for f in stabilized.factors]
-    units = MatrixUnitSystem(shape=shape, ambient_dim=dim, unital=True, factors=factors)
+    units = MatrixUnitSystem(shape=shape, ambient_dim=a.shape[0], unital=True, factors=factors)
 
-    last = np.concatenate([f[-1] for f in factors], axis=1)
-    corner = last @ last.conj().T  # sum_s e_kk of each block's last row
-    inner = (eye - corner) @ a_eff @ (eye - corner)
-    diag_sum = np.zeros_like(inner)
-    for s, f in enumerate(factors, start=1):
-        diag_sum += diag_coefficient(shapes, n, s) * ((prefix @ f[0]) @ f[0].conj().T)
-    coupling = hermitian_part(inner - diag_sum)
-    return RecoveredLevel(level=n, units=units, corner=corner, coupling=coupling, trace=trace)
+    last = np.concatenate([f[-1] for f in stabilized.factors], axis=1)
+    comp = identity(len(a_in)) - last @ last.conj().T
+    diag_sum = np.zeros_like(a_in)
+    for c, f in zip(coefficients, stabilized.factors):
+        diag_sum += c * (f[0] @ f[0].conj().T)
+    coupling = basis @ hermitian_part(comp @ a_in @ comp - diag_sum) @ basis.conj().T
+    return RecoveredLevel(
+        level=n, units=units, corner_basis=basis @ last, coupling=coupling, trace=trace
+    )
 
 
 def _decompression_chains(

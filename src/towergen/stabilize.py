@@ -34,7 +34,7 @@ def _first_column(candidate: MatrixUnitSystem) -> List[np.ndarray]:
     eigenvalues w_+ above the threshold, so G_i = F_i W_+ w_+^(1/2): only
     m x m work.  A dense input takes B from one eigensolve of herm(e_11).
     """
-    dense = candidate.factors is None and candidate.rows is None
+    dense = candidate.units is not None
     factors = None if dense else candidate.column_factors()
     stack = []
     for s, k in enumerate(candidate.shape, start=1):
@@ -107,9 +107,9 @@ def stabilize_units(candidate: MatrixUnitSystem) -> Tuple[MatrixUnitSystem, floa
         factors.append(np.ascontiguousarray(block.transpose(1, 0, 2)))
         start += k * m
     out = MatrixUnitSystem(candidate.shape, dim, unital=candidate.unital, factors=factors)
-    if candidate.factors is None and candidate.rows is None:
+    if candidate.units is not None:
         keys = candidate.keys()
-        dist = max_distance([candidate.units[k] for k in keys], [out.units[k] for k in keys])
+        dist = max_distance([candidate.unit(*k) for k in keys], [out.unit(*k) for k in keys])
     else:
         dist = factored_distance(out, candidate)
     if dist <= tol:
@@ -133,9 +133,7 @@ def perturb_units(units: MatrixUnitSystem, delta: float, seed: int) -> MatrixUni
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         noise.append(hermitian_part(g) if i == j else g)
     scales = np.maximum(op_norms(np.stack(noise)), 1e-300)
-    out: Dict[Tuple[int, int, int], np.ndarray] = {
-        key: units.units[key] + delta * (g / c) for key, g, c in zip(keys, noise, scales)
-    }
+    out = {key: units.unit(*key) + delta * (g / c) for key, g, c in zip(keys, noise, scales)}
     return MatrixUnitSystem(
         shape=units.shape, ambient_dim=dim, units=out, unital=units.unital
     )

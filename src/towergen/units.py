@@ -4,8 +4,9 @@ A shape [k_1, ..., k_r] describes a multi-block algebra whose block s is a
 full k_s x k_s matrix algebra.  A matrix-unit system realizes the blocks as
 ambient matrices e_ij^(s), indexed 1-based by (s, i, j), in one of three
 storage forms: row tables of 0/1 partial isometries (exact systems), column
-factors e_ij = F_i F_j^* (recovered levels) or dense matrices (anything
-else, such as perturbed or stabilized systems).
+factors e_ij = F_i F_j^* (recovered and stabilized systems) or dense
+matrices (anything else, such as perturbed systems).  ``unit(s, i, j)``
+reads one unit from any of them; no form keeps a dense copy of another.
 """
 
 from __future__ import annotations
@@ -80,9 +81,9 @@ class MatrixUnitSystem:
       e_ij^(s) = F[i-1] F[j-1]^*, as recovery stores a level;
     - ``units``: a dict of dense d x d matrices keyed (s, i, j).
 
-    For the first two, the dense ``units`` are a read-only view built on
-    first access and then kept; ``unit(s, i, j)`` forms that one unit
-    without building it, and reads the view once it exists.
+    ``unit(s, i, j)`` is the one reader of every form: it forms that one
+    unit from a table or from factors.  ``units`` is None unless the
+    system is dense.
 
     ``unital`` records whether the diagonal units are meant to sum to the
     ambient identity (partial systems produced mid-recovery are not).
@@ -108,7 +109,7 @@ class MatrixUnitSystem:
         self.factors = (
             None if factors is None else _checked_factors(self.shape, self.ambient_dim, factors)
         )
-        self._units = None
+        self.units = units
         if units is not None:
             for key, mat in units.items():
                 m = as_operator(mat)
@@ -117,20 +118,10 @@ class MatrixUnitSystem:
                         f"unit {key} has dimension {m.shape[0]}, ambient is {self.ambient_dim}"
                     )
                 units[key] = m
-            self._units = units
-
-    @property
-    def units(self) -> Dict[Tuple[int, int, int], np.ndarray]:
-        if self._units is None:
-            if self.rows is not None:
-                self._units = _dense_view(self.rows, self.ambient_dim)
-            else:
-                self._units = _factor_view(self.factors)
-        return self._units
 
     def unit(self, s: int, i: int, j: int) -> np.ndarray:
-        if self._units is not None:
-            return self._units[(s, i, j)]
+        if self.units is not None:
+            return self.units[(s, i, j)]
         if not (1 <= s <= len(self.shape) and 1 <= min(i, j) <= max(i, j) <= self.shape[s - 1]):
             raise KeyError((s, i, j))
         if self.rows is not None:
@@ -139,11 +130,12 @@ class MatrixUnitSystem:
             out[table[i - 1], table[j - 1]] = 1.0
             out.flags.writeable = False
             return out
-        return _factor_product(self.factors[s - 1], i - 1, j - 1)
+        f = self.factors[s - 1]
+        return f[i - 1] @ f[j - 1].conj().T
 
     def keys(self):
-        if self.rows is None and self.factors is None:
-            return sorted(self._units.keys())
+        if self.units is not None:
+            return sorted(self.units.keys())
         return [(s, i, j) for s, k in enumerate(self.shape, start=1)
                 for i in range(1, k + 1) for j in range(1, k + 1)]
 
@@ -237,37 +229,6 @@ def stacked_factors(factors: Sequence[np.ndarray]) -> np.ndarray:
     return np.concatenate([f.transpose(1, 0, 2).reshape(f.shape[1], -1) for f in factors], axis=1)
 
 
-def _factor_product(block: np.ndarray, i: int, j: int) -> np.ndarray:
-    """F_i F_j^* of one block's (k, d, m) factor array, 0-based."""
-    return block[i] @ block[j].conj().T
-
-
-def _factor_view(factors: Sequence[np.ndarray]) -> Dict[Tuple[int, int, int], np.ndarray]:
-    """Read-only dense units of a factored system, each with the bits ``unit`` gives it."""
-    units: Dict[Tuple[int, int, int], np.ndarray] = {}
-    for s, f in enumerate(factors, start=1):
-        for i in range(len(f)):
-            for j in range(len(f)):
-                unit = _factor_product(f, i, j)
-                unit.flags.writeable = False
-                units[(s, i + 1, j + 1)] = unit
-    return units
-
-
-def _dense_view(rows: Sequence[np.ndarray], dim: int) -> Dict[Tuple[int, int, int], np.ndarray]:
-    """Dense units of an exact system, one read-only (k, k, dim, dim) array per block."""
-    units: Dict[Tuple[int, int, int], np.ndarray] = {}
-    for s, table in enumerate(rows, start=1):
-        k = table.shape[0]
-        # block[i, j] = e_ij: ones at (table[i, t], table[j, t])
-        block = np.zeros((k, k, dim, dim), dtype=np.complex128)
-        idx = np.arange(k)
-        block[idx[:, None, None], idx[None, :, None], table[:, None, :], table[None, :, :]] = 1.0
-        block.flags.writeable = False
-        units.update(((s, i + 1, j + 1), block[i, j]) for i in range(k) for j in range(k))
-    return units
-
-
 def canonical_units(shape: Sequence[int], embedding: UnitalEmbedding | None = None) -> MatrixUnitSystem:
     """Exact unital system for a shape under a multiplicity embedding.
 
@@ -336,10 +297,10 @@ def unit_defects(system: MatrixUnitSystem) -> UnitDefects:
     """
     keys = system.keys()
     index = {key: n for n, key in enumerate(keys)}
-    mats = np.stack([system.units[k] for k in keys])
+    mats = np.stack([system.unit(*k) for k in keys])
     n, d, _ = mats.shape
 
-    partners = np.stack([system.units[(s, j, i)] for s, i, j in keys])
+    partners = mats[[index[(s, j, i)] for s, i, j in keys]]
     adj = op_norms(mats.conj().transpose(0, 2, 1) - partners).max()
 
     unitality = system.unitality_defect()

@@ -98,7 +98,7 @@ def test_presets_match_dense_oracles(config):
     model = build_tower(resolve_tower_spec(config))
     check_tower(model, seed=len(model.generators) + model.ambient_dim)
     for block, reference in zip(model.blocks, kron_blocks(model)):
-        assert list(block.units) == list(reference)
+        assert block.keys() == list(reference)
         for key, mat in reference.items():
             assert same_bits(block.unit(*key), mat)
 
@@ -156,17 +156,12 @@ def test_amplify_matches_kron():
         assert same_bits(big.unit(*key), expected)
 
 
-def test_dense_view_is_built_once_and_read_only():
+def test_exact_units_are_read_only_and_keys_are_checked():
     system = canonical_units([2, 3], UnitalEmbedding((2, 3), (2, 1), 7))
-    single = {key: system.unit(*key) for key in system.keys()}
-    assert system._units is None  # unit() reads the tables, not a dense view
-    view = system.units
-    assert system.units is view
-    for key, mat in single.items():
-        assert same_bits(mat, view[key])
-        assert system.unit(*key) is view[key]
+    assert system.units is None  # unit() reads the tables; no dense copy is kept
+    for key in system.keys():
         with pytest.raises(ValueError):
-            view[key][0, 0] = 2.0
+            system.unit(*key)[0, 0] = 2.0
     with pytest.raises(KeyError):
         canonical_units([3]).unit(1, 0, 1)
 
@@ -179,11 +174,9 @@ def test_factored_system_view_and_distance():
         exact.shape, 7, factors=[np.stack([eye[:, row] for row in table]) for table in exact.rows]
     )
     assert factored_distance(factored, exact) == 0.0
-    single = {key: factored.unit(*key) for key in factored.keys()}
-    assert factored._units is None
-    for key, mat in single.items():
-        assert same_bits(mat, factored.units[key])
-        assert same_bits(mat, exact.unit(*key))
+    assert factored.units is None
+    for key in factored.keys():
+        assert same_bits(factored.unit(*key), exact.unit(*key))
     with pytest.raises(DimensionMismatch):
         factored_distance(exact, exact)
     with pytest.raises(DimensionMismatch):

@@ -58,6 +58,7 @@ def test_op_norms_match_singular_values():
     "entries",
     [[[np.nan, 0.0], [0.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]], [[np.nan]], [[complex(0, np.inf)]]],
 )
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf in A*A
 def test_op_norm_non_finite_fails_closed(entries):
     with pytest.raises(NonFiniteValue):
         op_norm(np.array(entries))
@@ -74,9 +75,10 @@ def _ladder(b):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf in X
 def test_eigh_and_svd_kernels_fail_closed_on_non_finite_input(bad):
     entries = np.diag([bad, 1.0, 1.0])
-    with pytest.raises(NonFiniteValue):  # NaN passes the Hermitian and gap checks
+    with pytest.raises(NonFiniteValue):  # the Hermitian check, before the gap test
         spectral_basis(entries, 0.5)
     with pytest.raises(NonFiniteValue):  # the ladder's singular values of X
         _ladder(np.array([[1.0, bad], [bad, 0.0]], dtype=complex))
@@ -220,6 +222,17 @@ def test_require_hermitian():
     require_hermitian(np.diag([1.0, 2.0]))
     with pytest.raises(DimensionMismatch):
         require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+@pytest.mark.parametrize("position", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+def test_require_hermitian_rejects_non_finite_entries(bad, position):
+    """A NaN defect never exceeds the tolerance, so only a finiteness check catches it."""
+    entries = np.eye(2, dtype=complex)
+    entries[position] = bad
+    entries[position[::-1]] = np.conj(bad)
+    with pytest.raises(NonFiniteValue):
+        require_hermitian(entries)
 
 
 def test_as_operator_rejects_non_square():

@@ -7,7 +7,7 @@ The stabilizer distance of a dense input is a screened maximum
 for bit.  The distance of a factored input, which is what recovery passes,
 and the round-trip unit residual are computed from small QR factors
 (``units.factored_distance``) through an exact identity, so they agree with
-the per-unit loop on the dense views to rounding (8 d eps), not bit for bit.
+the per-unit loop on dense unit reads to rounding (8 d eps), not bit for bit.
 """
 
 from dataclasses import replace
@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import towergen.recovery as recovery
-import towergen.units as units_module
 from towergen.cli import resolve_tower_spec
 from towergen.errors import TowergenError
 from towergen.linalg import hermitian_part, op_norm
@@ -41,7 +40,7 @@ def per_unit_distance(xs, ys) -> float:
     """max over the units of ||xs[key] - ys[key]||, one ``op_norm`` per unit."""
     worst = 0.0
     for key, mat in ys.iter_units():
-        worst = max(worst, op_norm(xs.units[key] - mat))
+        worst = max(worst, op_norm(xs.unit(*key) - mat))
     return worst
 
 
@@ -104,19 +103,22 @@ def test_planted_factor_defect_is_scored(t1_plan, delta):
     assert scored.passed() == (delta < recovery.UNIT_TOL)
 
 
-def test_t1_round_trip_builds_no_dense_view():
-    """The whole pipeline reads single units, never a system's dense view."""
+def test_t1_round_trip_reads_no_factored_unit():
+    """Recovery reads its levels as column factors, never one dense unit at a time."""
     model = build_tower(resolve_tower_spec({"preset": "T1"}))
-    no_view = mock.Mock(side_effect=AssertionError("dense view built"))
-    with mock.patch.object(units_module, "_dense_view", no_view), \
-            mock.patch.object(units_module, "_factor_view", no_view):
+    read = MatrixUnitSystem.unit
+
+    def guarded(system, s, i, j):
+        assert system.factors is None, f"unit {(s, i, j)} formed from column factors"
+        return read(system, s, i, j)
+
+    with mock.patch.object(MatrixUnitSystem, "unit", guarded):
         assert check_conditions(model).passed
         plan = build_plan(model)
         assert verify_facts(plan).passed
         result, report = round_trip(plan)
     assert report.passed()
-    assert all(block._units is None for block in model.blocks)
-    assert all(lv.units._units is None for lv in result.levels)
+    assert all(lv.units.factors is not None for lv in result.levels)
 
 
 RECIPES = st.sampled_from(["leading-factor", "uhf"])

@@ -13,7 +13,6 @@ from towergen.linalg import hermitian_part, identity, max_distance, op_norm
 from towergen.recovery import (
     RecoveredLevel,
     RecoveryTrace,
-    _corner_basis,
     extract_corner_bases,
     ladder_units,
     recover_all,
@@ -99,7 +98,7 @@ def test_ladder_t0_exact(t0_plan):
         "extract_l1_b1", "complement_l1_b1", "ladder_l1_b1_r1", "ladder_l1_b1_r2"
     ]
     for key, mat in model.blocks[0].iter_units():
-        assert op_norm(system.units[key] - mat) <= 1e-10
+        assert op_norm(system.unit(*key) - mat) <= 1e-10
 
 
 def test_ladder_t1_level1(t1_plan):
@@ -108,7 +107,7 @@ def test_ladder_t1_level1(t1_plan):
     bases = extract_corner_bases(t1_plan.gen_a, [0.5], 1, trace)
     system = ladder_units(bases, t1_plan.gen_b, (3,), 1, unital=True, trace=trace)
     for key, mat in model.blocks[0].iter_units():
-        assert op_norm(system.units[key] - mat) <= 1e-6
+        assert op_norm(system.unit(*key) - mat) <= 1e-6
 
 
 def test_ladder_zero_b(t0_plan):
@@ -142,6 +141,7 @@ def test_recover_next_level_t1(t1_plan):
 
 
 def test_recover_corrupted_level1(t1_plan):
+    """A level 1 that cuts out no corner leaves level 2 an empty matrix to extract from."""
     model = t1_plan.model
     dim = model.ambient_dim
     zeroed = RecoveredLevel(
@@ -150,11 +150,11 @@ def test_recover_corrupted_level1(t1_plan):
             (3,), dim, {k: np.zeros((dim, dim), complex) for k, _ in model.blocks[0].iter_units()},
             unital=False,
         ),
-        corner=np.zeros((dim, dim), dtype=complex),
+        corner_basis=np.zeros((dim, 0), dtype=complex),
         coupling=np.zeros((dim, dim), dtype=complex),
         trace=RecoveryTrace(),
     )
-    with pytest.raises(NoSpectralGap):
+    with pytest.raises(NoSpectralGap, match="extract_l2: empty matrix"):
         recover_next_level(model.spec.block_shapes, [zeroed], t1_plan.gen_a, t1_plan.gen_b)
 
 
@@ -306,25 +306,6 @@ def test_extract_empty_matrix_has_no_gap():
         extract_corner_bases(np.zeros((0, 0), dtype=complex), [0.5], 1, RecoveryTrace())
 
 
-def test_corner_basis_spans_a_projection_and_rejects_the_rest():
-    prefix = np.diag([1.0, 0.0, 1.0, 1.0 - 1e-4]).astype(complex)
-    basis = _corner_basis(prefix, "level 2")
-    assert basis.shape == (4, 3)
-    assert op_norm(basis.conj().T @ basis - identity(3)) <= 1e-14
-    assert op_norm(basis @ basis.conj().T - prefix) <= 1e-3
-    assert _corner_basis(np.zeros((4, 4), dtype=complex), "level 2").shape == (4, 0)
-    with pytest.raises(NoSpectralGap, match="neither 0 nor 1"):
-        _corner_basis(np.diag([1.0, 0.5, 0.0]).astype(complex), "level 2")
-
-
-def test_recover_next_level_rejects_a_corner_that_is_no_projection(t1_plan):
-    shapes = t1_plan.model.spec.block_shapes
-    level1 = recover_next_level(shapes, [], t1_plan.gen_a, t1_plan.gen_b)
-    level1.corner = 0.5 * level1.corner
-    with pytest.raises(NoSpectralGap, match="level 2: corner prefix eigenvalue 0.5"):
-        recover_next_level(shapes, [level1], t1_plan.gen_a, t1_plan.gen_b)
-
-
 def squaring_projection(a, scale):
     """The paper's extraction, for exact input: the limit of (scale a)^(2^t) by
     repeated squaring, the spectral projection of the eigenvalue-1 cluster
@@ -340,6 +321,23 @@ def squaring_projection(a, scale):
     raise AssertionError("repeated squaring did not converge")
 
 
+def prefix_basis(projection, label):
+    """Orthonormal columns spanning the range of a computed projection, from one
+    eigensolve; its spectrum must sit within CLUSTER_HALFWIDTH of 0 or 1."""
+    eigs, vecs = np.linalg.eigh(hermitian_part(projection))
+    stray = np.minimum(np.abs(eigs), np.abs(eigs - 1.0)) > recovery.CLUSTER_HALFWIDTH
+    assert not np.any(stray), f"{label} eigenvalue {eigs[stray][0]:.6f} is neither 0 nor 1"
+    return vecs[:, eigs > 0.5]
+
+
+def corner_prefix(levels, dim):
+    """p_1 ... p_n, each level's corner sum_s e_{k_s k_s} read through dense ``unit`` calls."""
+    out = identity(dim)
+    for lv in levels:
+        out = out @ sum(lv.units.unit(s, k, k) for s, k in enumerate(lv.units.shape, start=1))
+    return out
+
+
 def dense_ladder(corners, b, shape, level, unital, trace):
     """The paper's ladder on d x d matrices: rung i -> i+1 is the polar part v
     (an SVD with cutoff 1/2) of 4^level e_ii b (I - covered), and
@@ -347,7 +345,7 @@ def dense_ladder(corners, b, shape, level, unital, trace):
     eye = identity(len(b))
     factors = []
     for s, (e11, k_s) in enumerate(zip(corners, shape), start=1):
-        chain = [e11 @ _corner_basis(e11, f"level {level} block {s}: e_11")]
+        chain = [e11 @ prefix_basis(e11, f"level {level} block {s}: e_11")]
         diag, covered = e11, e11.copy()
         for i in range(1, k_s):
             cand = 4.0**level * (diag @ b @ (eye - covered))
@@ -366,16 +364,15 @@ def ambient_recover_next_level(shapes, recovered, a, b):
     squaring extracts each e_11 from a with the earlier blocks stripped,
     dense polar rungs build the ladder, the stabilizer runs on d x d
     matrices, the factors are lifted through the lower levels' dense units
-    e_{i,k_s} and the corner and coupling are read from dense units.  The
+    e_{i,k_s}, the corner and coupling are read from dense units and the
+    corner basis comes from an eigensolve of the corner prefix.  The
     reference the corner-compressed, factor-lifted ``recover_next_level``
     must match on exact input."""
     n = len(recovered) + 1
     shape = shapes[n - 1]
     dim = a.shape[0]
     eye = identity(dim)
-    prefix = eye
-    for lv in recovered:
-        prefix = prefix @ lv.corner
+    prefix = corner_prefix(recovered, dim)
     a_eff = hermitian_part(prefix @ a @ prefix)
     b_eff = hermitian_part(prefix @ b @ prefix)
     trace = RecoveryTrace()
@@ -408,7 +405,10 @@ def ambient_recover_next_level(shapes, recovered, a, b):
     for s in range(1, len(shape) + 1):
         diag_sum += diag_coefficient(shapes, n, s) * (prefix @ ambient_units.unit(s, 1, 1))
     coupling = hermitian_part(inner - diag_sum)
-    return RecoveredLevel(level=n, units=ambient_units, corner=corner, coupling=coupling, trace=trace)
+    basis = prefix_basis(prefix @ corner, f"level {n}: corner prefix")
+    return RecoveredLevel(
+        level=n, units=ambient_units, corner_basis=basis, coupling=coupling, trace=trace
+    )
 
 
 def assert_same_recovery(result, oracle):
@@ -417,8 +417,11 @@ def assert_same_recovery(result, oracle):
         assert [e.name for e in lv.trace.steps] == [e.name for e in ref.trace.steps]
         keys = ref.units.keys()
         assert lv.units.keys() == keys
-        assert max_distance([lv.units.units[k] for k in keys], [ref.units.units[k] for k in keys]) <= 1e-12
+        mine, theirs = [lv.units.unit(*k) for k in keys], [ref.units.unit(*k) for k in keys]
+        assert max_distance(mine, theirs) <= 1e-12
         assert op_norm(lv.coupling - ref.coupling) <= 1e-12
+        v, w = lv.corner_basis, ref.corner_basis
+        assert op_norm(v @ v.conj().T - w @ w.conj().T) <= 1e-12
 
 
 def ambient_oracle():
@@ -438,6 +441,37 @@ def test_corner_recovery_matches_ambient_oracle(config):
     result, report = round_trip(plan)
     assert_same_recovery(result, oracle)
     assert report.passed() == reference.passed()
+
+
+def zero_coupling_plan(spec):
+    """(a, b) of the construction on the spec's tower with every coupling element zero."""
+    model = build_tower(spec)
+    zero = np.zeros((model.ambient_dim,) * 2, dtype=np.complex128)
+    return build_ab(
+        model, [(None, corner_projection(model, n), zero, 1.0, None) for n in range(1, model.depth + 1)]
+    )
+
+
+@pytest.mark.parametrize(
+    "plan_of",
+    [
+        lambda: build_plan(build_tower(preset_spec("T1b"))),
+        lambda: build_plan(build_tower(resolve_tower_spec(
+            {"preset": "T1", "mode": "relaxed", "generators": 2}
+        ))),
+        lambda: zero_coupling_plan(TowerSpec(block_shapes=((2,), (3,), (2, 2)), mode="relaxed")),
+    ],
+    ids=["T1b", "T1-relaxed-g2", "relaxed-2-3-22"],
+)
+def test_corner_basis_spans_the_product_of_recovered_corners(plan_of):
+    """V_{n+1} = V_n L_n has orthonormal columns and spans p_1 ... p_n."""
+    plan = plan_of()
+    result = recover_all(plan.model.spec.block_shapes, plan.gen_a, plan.gen_b)
+    assert len(result.levels) == plan.model.depth
+    for n, lv in enumerate(result.levels, start=1):
+        v = lv.corner_basis
+        assert op_norm(v.conj().T @ v - identity(v.shape[1])) <= 1e-12
+        assert op_norm(v @ v.conj().T - corner_prefix(result.levels[:n], len(v))) <= 1e-12
 
 
 @st.composite
@@ -469,12 +503,7 @@ def test_corner_recovery_matches_ambient_oracle_on_random_towers(spec):
     """(a, b) of the construction with zero coupling elements: towers this small
     cannot carry the row-encoded couplings, but extraction, ladders, stabilizer
     and the chained decompression see the same corner structure."""
-    model = build_tower(spec)
-    dim = model.ambient_dim
-    zero = np.zeros((dim, dim), dtype=np.complex128)
-    plan = build_ab(
-        model, [(None, corner_projection(model, n), zero, 1.0, None) for n in range(1, model.depth + 1)]
-    )
+    plan = zero_coupling_plan(spec)
     with ambient_oracle():
         oracle = recover_all(spec.block_shapes, plan.gen_a, plan.gen_b)
     assert_same_recovery(recover_all(spec.block_shapes, plan.gen_a, plan.gen_b), oracle)

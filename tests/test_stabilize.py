@@ -10,13 +10,15 @@ from towergen.linalg import identity, op_norm, op_norms
 from towergen.stabilize import perturb_units, stabilize_units
 from towergen.units import MatrixUnitSystem, UnitalEmbedding, canonical_units, unit_defects
 
+from conftest import dense_units
+
 
 def test_exact_units_fixed_point_bitwise():
     units = canonical_units([3])
     out, dist = stabilize_units(units)
     assert dist == 0.0
     for key in units.keys():
-        assert np.array_equal(out.units[key], units.units[key])
+        assert np.array_equal(out.unit(*key), units.unit(*key))
 
 
 def test_idempotence_bitwise_after_repair():
@@ -26,7 +28,7 @@ def test_idempotence_bitwise_after_repair():
     twice, dist = stabilize_units(once)
     assert dist == 0.0
     for key in units.keys():
-        assert np.array_equal(twice.units[key], once.units[key])
+        assert np.array_equal(twice.unit(*key), once.unit(*key))
 
 
 def test_m5_m5_perturbation_sweep():
@@ -42,7 +44,7 @@ def test_m5_m5_perturbation_sweep():
 
 def test_half_identity_diagonal_fails():
     units = canonical_units([2])
-    bad = dict(units.units)
+    bad = dense_units(units)
     bad[(1, 1, 1)] = 0.5 * identity(2)
     candidate = MatrixUnitSystem(shape=(2,), ambient_dim=2, units=bad, unital=True)
     with pytest.raises(StabilizationFailed):
@@ -51,7 +53,7 @@ def test_half_identity_diagonal_fails():
 
 def test_lost_rank_names_the_first_failing_row():
     units = canonical_units([12])
-    bad = dict(units.units)
+    bad = dense_units(units)
     for i in (7, 5):
         bad[(1, i, 1)] = np.zeros((12, 12), dtype=complex)
     candidate = MatrixUnitSystem(shape=(12,), ambient_dim=12, units=bad, unital=True)
@@ -61,7 +63,7 @@ def test_lost_rank_names_the_first_failing_row():
 
 def test_admissibility_gate():
     units = canonical_units([2])
-    bad = {key: 5.0 * mat + 0.3 * identity(2) for key, mat in units.units.items()}
+    bad = {key: 5.0 * mat + 0.3 * identity(2) for key, mat in units.iter_units()}
     candidate = MatrixUnitSystem(shape=(2,), ambient_dim=2, units=bad, unital=True)
     with pytest.raises(StabilizationFailed):
         stabilize_units(candidate)
@@ -71,7 +73,7 @@ def test_perturb_zero_is_identity_map():
     units = canonical_units([3])
     same = perturb_units(units, 0.0, seed=3)
     for key in units.keys():
-        assert np.array_equal(same.units[key], units.units[key])
+        assert np.array_equal(same.unit(*key), units.unit(*key))
 
 
 def test_perturb_defect_scaling():
@@ -87,7 +89,7 @@ def test_perturb_then_stabilize_round_trip():
     noisy = perturb_units(units, 1e-3, seed=5)
     fixed, dist = stabilize_units(noisy)
     for key in units.keys():
-        assert op_norm(fixed.units[key] - units.units[key]) <= 1e-2
+        assert op_norm(fixed.unit(*key) - units.unit(*key)) <= 1e-2
     assert dist <= 1e-2
 
 
@@ -120,14 +122,14 @@ def test_non_unital_candidate_stays_non_unital():
 
 def test_dense_input_with_one_unit_off_the_first_column_is_repaired():
     units = canonical_units([3])
-    off = {key: mat.copy() for key, mat in units.units.items()}
+    off = {key: mat.copy() for key, mat in units.iter_units()}
     off[(1, 2, 3)][0, 0] += 1e-9
     candidate = MatrixUnitSystem(shape=(3,), ambient_dim=3, units=off, unital=True)
     fixed, dist = stabilize_units(candidate)
     assert fixed is not candidate
-    assert dist == op_norm(off[(1, 2, 3)] - fixed.units[(1, 2, 3)]) > 0.0
+    assert dist == op_norm(off[(1, 2, 3)] - fixed.unit(1, 2, 3)) > 0.0
     for key in units.keys():
-        assert op_norm(fixed.units[key] - units.units[key]) <= 1e-14
+        assert op_norm(fixed.unit(*key) - units.unit(*key)) <= 1e-14
 
 
 def perturbed_factors(exact, delta, seed):
@@ -158,7 +160,7 @@ def test_stabilizer_is_exact_idempotent_and_measures_its_move(blocks, log_delta,
     assert unit_defects(once).max() <= 1e-12
     twice, again = stabilize_units(once)
     assert twice is once and again == 0.0
-    loop = max(op_norm(noisy.units[key] - once.units[key]) for key in exact.keys())
+    loop = max(op_norm(noisy.unit(*key) - once.unit(*key)) for key in exact.keys())
     if factored:
         assert abs(dist - loop) <= 8 * dim * np.finfo(float).eps
     else:
