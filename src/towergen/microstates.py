@@ -15,7 +15,7 @@ from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, DimensionOverflow
 from .linalg import op_norm, op_norms
 from .report import ReportRow
 from .units import MatrixUnitSystem, UnitalEmbedding, normalize_shape, subrank
@@ -179,8 +179,8 @@ def check_unitary_bounds(k: int, radius: float, estimate: CoveringEstimate) -> U
         raise DimensionMismatch(
             f"estimate separation {estimate.omega} does not certify radius {radius}"
         )
-    lower_ref = (1.0 / radius) ** (k * k)
-    upper_ref = (9.0 * pi * e / radius) ** (k * k)
+    lower_ref = bound_power(1.0 / radius, k * k, f"lower bound (1/{radius:g})^(k^2)")
+    upper_ref = bound_power(9.0 * pi * e / radius, k * k, f"upper bound (9 pi e/{radius:g})^(k^2)")
     certified = estimate.implied_cover_lower
     tag = f"omega{radius:g}"
     lower = _lower_row(f"{tag}.haar_certified_lower", certified, lower_ref)
@@ -196,6 +196,14 @@ def check_unitary_bounds(k: int, radius: float, estimate: CoveringEstimate) -> U
         lower_status="consistent" if lower.passed else "inconclusive",
         rows=[lower, upper, sane],
     )
+
+
+def bound_power(base: float, exponent: float, name: str) -> float:
+    """base ** exponent, or DimensionOverflow naming a bound past the largest double."""
+    try:
+        return base**exponent
+    except OverflowError:
+        raise DimensionOverflow(f"{name} = {base:g}^{exponent:g} overflows") from None
 
 
 def _lower_row(name: str, count: int, lower: float) -> ReportRow:
@@ -267,13 +275,16 @@ def pinching_defect(elems: Sequence[np.ndarray], units: MatrixUnitSystem) -> Lis
     """Per-element distance to its own diagonal-block pinching.
 
     For a tuple within omega of block-diagonal form the defect is at most
-    2*omega: the pinching is a contraction and fixes the block part.
+    2*omega: the pinching is a contraction and fixes the block part.  x
+    minus its pinching is x with the square of every table row zeroed.
     """
-    diags = [units.unit(s, i, i) for s, k in enumerate(units.shape, start=1) for i in range(1, k + 1)]
+    if units.rows is None:
+        raise DimensionMismatch("pinching_defect needs an exact unit system")
+    squares = [np.ix_(row, row) for table in units.rows for row in table]
     out = []
     for x in elems:
-        pinched = np.zeros_like(x)
-        for p in diags:
-            pinched += p @ x @ p
-        out.append(float(op_norm(x - pinched)))
+        off = np.array(x, dtype=np.complex128)
+        for square in squares:
+            off[square] = 0.0
+        out.append(float(op_norm(off)))
     return out

@@ -104,7 +104,6 @@ def ladder_units(
     b_effective: np.ndarray,
     shape: Shape,
     level: int,
-    unital: bool,
     trace: RecoveryTrace,
 ) -> MatrixUnitSystem:
     """Rebuild a level's units as column factors from its corner bases and b.
@@ -141,7 +140,7 @@ def ladder_units(
             chain.append(x.conj().T @ ((u[:, keep] / sv[keep]) @ u[:, keep].conj().T))
         factors.append(np.stack(chain))
     dim = b_effective.shape[0]
-    return MatrixUnitSystem(shape=shape, ambient_dim=dim, unital=unital, factors=factors)
+    return MatrixUnitSystem(shape=shape, ambient_dim=dim, factors=factors)
 
 
 @dataclass
@@ -185,13 +184,13 @@ def recover_next_level(
 
     coefficients = [diag_coefficient(shapes, n, s) for s in range(1, len(shape) + 1)]
     bases = extract_corner_bases(a_in, coefficients, n, trace)
-    candidate = ladder_units(bases, b_in, shape, n, unital=(n == 1), trace=trace)
+    candidate = ladder_units(bases, b_in, shape, n, trace=trace)
     stabilized, moved = stabilize_units(candidate)
     trace.add(f"stabilize_l{n}", 1, moved)
 
     chains = _decompression_chains(basis, recovered)
     factors = [np.concatenate([w @ f for w in chains], axis=2) for f in stabilized.factors]
-    units = MatrixUnitSystem(shape=shape, ambient_dim=a.shape[0], unital=True, factors=factors)
+    units = MatrixUnitSystem(shape=shape, ambient_dim=a.shape[0], factors=factors)
 
     last = np.concatenate([f[-1] for f in stabilized.factors], axis=1)
     comp = identity(len(a_in)) - last @ last.conj().T

@@ -70,24 +70,23 @@ def check_norm_identity(model: CommutingModel, coeffs: np.ndarray) -> NormIdenti
 
     lhs lives in the ambient algebra; rhs is the n*d block matrix norm; the
     cross-check takes the max over blocks of the centrally compressed block
-    matrices, which the block structure forces to agree with rhs.
+    matrices, which the block structure forces to agree with rhs.  With
+    R_s a row table, kron(a_ij, I) e_ij^(s) is its columns R_s[i] at R_s[j].
     """
     n, d = model.block_size, model.coeff_dim
     if coeffs.shape != (n, n, d, d):
         raise DimensionMismatch(f"expected coefficient array of shape {(n, n, d, d)}")
+    if model.units.rows is None:
+        raise DimensionMismatch("check_norm_identity needs an exact unit system")
     big = model.units.ambient_dim // d
     lhs_mat = np.zeros((model.ambient_dim, model.ambient_dim), dtype=np.complex128)
-    for s in range(1, len(model.units.shape) + 1):
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                amb = np.kron(coeffs[i - 1, j - 1], identity(big))
-                lhs_mat += amb @ model.units.unit(s, i, j)
+    for table in model.units.rows:
+        for i in range(n):
+            for j in range(n):
+                lhs_mat[:, table[j]] += np.kron(coeffs[i, j], identity(big))[:, table[i]]
     lhs = op_norm(lhs_mat)
 
-    block = np.zeros((n * d, n * d), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            block[i * d : (i + 1) * d, j * d : (j + 1) * d] = coeffs[i, j]
+    block = coeffs.transpose(0, 2, 1, 3).reshape(n * d, n * d)  # [a_ij] as one matrix
     rhs = op_norm(block)
 
     cross = 0.0
@@ -96,15 +95,8 @@ def check_norm_identity(model: CommutingModel, coeffs: np.ndarray) -> NormIdenti
         central = np.zeros((big, big), dtype=np.complex128)
         central[offset : offset + k_s, offset : offset + k_s] = np.eye(k_s)
         offset += k_s
-        comp = np.zeros((n * model.ambient_dim, n * model.ambient_dim), dtype=np.complex128)
-        for i in range(n):
-            for j in range(n):
-                entry = np.kron(coeffs[i, j], central)
-                comp[
-                    i * model.ambient_dim : (i + 1) * model.ambient_dim,
-                    j * model.ambient_dim : (j + 1) * model.ambient_dim,
-                ] = entry
-        cross = max(cross, op_norm(comp))
+        # [kron(a_ij, central)], each entry in an ambient_dim block
+        cross = max(cross, op_norm(np.kron(block, central)))
 
     return NormIdentityReport(
         lhs=float(lhs),

@@ -82,7 +82,7 @@ def stabilize_units(candidate: MatrixUnitSystem) -> Tuple[MatrixUnitSystem, floa
     fixed points; the distance covers every unit, so a dense input with one
     unit off is never kept.  Raises StabilizationFailed when
     the spectral gap at e_11 or the Gram gate fails, i.e. the input is
-    beyond repair, and when a unital input's diagonal ranks do not sum to d.
+    beyond repair, and when the input's diagonal ranks do not sum to d.
     """
     dim = candidate.ambient_dim
     tol = 8 * dim * np.finfo(float).eps
@@ -91,7 +91,7 @@ def stabilize_units(candidate: MatrixUnitSystem) -> Tuple[MatrixUnitSystem, floa
     except EigenvalueNearThreshold as exc:
         raise StabilizationFailed(f"spectral gap lost at e_11: {exc}") from exc
     cols = stacked_factors(stack)
-    if candidate.unital and cols.shape[1] != dim:
+    if cols.shape[1] != dim:
         raise StabilizationFailed(
             f"diagonal ranks sum to {cols.shape[1]}, not the ambient dimension {dim}"
         )
@@ -106,7 +106,7 @@ def stabilize_units(candidate: MatrixUnitSystem) -> Tuple[MatrixUnitSystem, floa
         block = polar[:, start : start + k * m].reshape(dim, k, m)
         factors.append(np.ascontiguousarray(block.transpose(1, 0, 2)))
         start += k * m
-    out = MatrixUnitSystem(candidate.shape, dim, unital=candidate.unital, factors=factors)
+    out = MatrixUnitSystem(candidate.shape, dim, factors=factors)
     if candidate.units is not None:
         keys = candidate.keys()
         dist = max_distance([candidate.unit(*k) for k in keys], [out.unit(*k) for k in keys])
@@ -134,6 +134,4 @@ def perturb_units(units: MatrixUnitSystem, delta: float, seed: int) -> MatrixUni
         noise.append(hermitian_part(g) if i == j else g)
     scales = np.maximum(op_norms(np.stack(noise)), 1e-300)
     out = {key: units.unit(*key) + delta * (g / c) for key, g, c in zip(keys, noise, scales)}
-    return MatrixUnitSystem(
-        shape=units.shape, ambient_dim=dim, units=out, unital=units.unital
-    )
+    return MatrixUnitSystem(shape=units.shape, ambient_dim=dim, units=out)

@@ -66,16 +66,11 @@ def index_set_cardinality(shapes: Sequence[Shape], level: int) -> int:
     return card
 
 
-def required_subrank_strict(shapes: Sequence[Shape], level: int) -> int:
+def required_subrank(shapes: Sequence[Shape], level: int, active: int) -> int:
+    """Smallest block size at ``level`` carrying ``active`` generators' coupling rows:
+    ``level`` of them in strict mode, min(level, generators) in relaxed mode."""
     if level == 1:
         return 3
-    return level * index_set_cardinality(shapes, level) + 3
-
-
-def required_subrank_relaxed(shapes: Sequence[Shape], level: int, num_generators: int) -> int:
-    if level == 1:
-        return 3
-    active = min(level, num_generators)
     return active * index_set_cardinality(shapes, level) + 3
 
 
@@ -85,7 +80,6 @@ class TowerModel:
     ambient_dim: int
     blocks: List[MatrixUnitSystem]
     generators: List[np.ndarray]
-    identity: np.ndarray
     factor_dims: Tuple[int, ...]
 
     @property
@@ -273,7 +267,7 @@ def build_tower(spec: TowerSpec, dim_cap: int = DEFAULT_DIM_CAP) -> TowerModel:
             )
     if spec.mode == "strict":
         for level, shape in enumerate(shapes, start=1):
-            need = required_subrank_strict(shapes, level)
+            need = required_subrank(shapes, level, level)
             if subrank(shape) < need:
                 raise StrictModeViolation(
                     f"level {level} subrank {subrank(shape)} below strict bound {need}"
@@ -291,7 +285,6 @@ def build_tower(spec: TowerSpec, dim_cap: int = DEFAULT_DIM_CAP) -> TowerModel:
         ambient_dim=ambient,
         blocks=blocks,
         generators=gens,
-        identity=identity(ambient),
         factor_dims=factor_dims,
     )
 
@@ -347,10 +340,8 @@ def check_conditions(model: TowerModel) -> ConditionReport:
         cross = 0.0
         for other in model.blocks[level:]:
             cross = max(cross, _max_cross_commutator(blk, other))
-        if spec.mode == "strict":
-            need = required_subrank_strict(shapes, level)
-        else:
-            need = required_subrank_relaxed(shapes, level, spec.num_generators)
+        active = level if spec.mode == "strict" else min(level, spec.num_generators)
+        need = required_subrank(shapes, level, active)
         have = subrank(shapes[level - 1])
         rows += [
             ReportRow.check(f"level{level}.unitality", float(unitality), ROUNDING_TOL),

@@ -5,6 +5,11 @@ element z_n that encodes the level's commutant witnesses into designated
 rows of block n, and the summands a_n (weighted first-column projections
 plus z_n) and b_n (scaled tridiagonal ladder).  The totals a = sum a_n and
 b = sum b_n generate everything the tower knows about.
+
+Every unit is an exact 0/1 partial permutation held as a row table, so no
+unit is formed here: a unit chain is a gather through composed column maps,
+a unit times a matrix moves rows, and p_n, p_1 ... p_{n-1} and e_11 are
+coordinate masks; each result has the values the dense products give.
 """
 
 from __future__ import annotations
@@ -23,9 +28,10 @@ from .tower import (
     CommutantWitness,
     TowerModel,
     index_set_cardinality,
+    required_subrank,
     witnesses_at_level,
 )
-from .units import subrank
+from .units import MatrixUnitSystem, subrank
 
 NORM_TOL = 1e-10  # gap between a measured norm and its closed form
 
@@ -59,13 +65,21 @@ class RowAssignment:
         return (j - 1) * self.cardinality + 2 + atom_index
 
 
-def corner_projection(model: TowerModel, level: int) -> np.ndarray:
-    """Projection onto the last diagonal unit of every block at this level."""
-    block = model.blocks[level - 1]
-    out = np.zeros((model.ambient_dim, model.ambient_dim), dtype=np.complex128)
-    for s, k in enumerate(block.shape, start=1):
-        out += block.unit(s, k, k)
-    return out
+def coordinate_mask(dim: int, rows: Sequence[np.ndarray]) -> np.ndarray:
+    """The 0/1 diagonal projection onto the coordinates in ``rows``, as a mask."""
+    mask = np.zeros(dim, dtype=bool)
+    mask[np.concatenate(rows)] = True
+    return mask
+
+
+def corner_mask(block: MatrixUnitSystem) -> np.ndarray:
+    """The corner p_n, the sum of every block's last diagonal unit, as a mask."""
+    return coordinate_mask(block.ambient_dim, [table[-1] for table in block.rows])
+
+
+def restricted(x: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """P x Q for P, Q the projections of two masks: x off them set to zero."""
+    return np.where(rows[:, None] & cols[None, :], x, 0.0)
 
 
 def index_atoms(shapes: Sequence, level: int) -> List[IndexAtom]:
@@ -99,7 +113,7 @@ def enumerate_indices(model: TowerModel, level: int) -> Tuple[List[IndexAtom], R
     shapes = model.spec.block_shapes
     active = min(level, len(model.generators))
     card = index_set_cardinality(shapes, level)
-    need = active * card + 3
+    need = required_subrank(shapes, level, active)
     if subrank(shapes[level - 1]) < need:
         raise InsufficientSubrank(
             f"level {level} subrank {subrank(shapes[level - 1])} < required {need}"
@@ -114,19 +128,25 @@ def conjugated_element(
 ) -> np.ndarray:
     """Sandwich y between descending and ascending unit chains below ``level``.
 
-    Applies e_{k_s,i} ... y ... e_{j,k_t} level by level; cross-level units
-    commute, so nesting inner levels first reproduces the chain products.
+    L y R, L and R the products of the e_{k_s,i} and the e_{j,k_t} over the
+    lower levels (which commute), is y[rows[r], cols[c]] at (r, c) for rows
+    the column map of L^* and cols that of R: one gather from y padded with
+    the zero row and column a map's -1 reads.
     """
     if y.shape[0] != model.ambient_dim:
         raise DimensionMismatch("witness dimension does not match ambient")
-    out = y
+    if level < 2:
+        raise DimensionMismatch("conjugated elements exist only for levels >= 2")
+    rows = cols = None
     for ell in range(1, level):
         i, s, j, t = atom.level_entry(ell)
         block = model.blocks[ell - 1]
-        k_s = block.shape[s - 1]
-        k_t = block.shape[t - 1]
-        out = block.unit(s, k_s, i) @ out @ block.unit(t, j, k_t)
-    return out
+        left = block.column_map(s, i, block.shape[s - 1])
+        right = block.column_map(t, j, block.shape[t - 1])
+        rows = left if rows is None else rows[left]
+        cols = right if cols is None else cols[right]
+    padded = np.pad(y, ((0, 1), (0, 1)))
+    return padded[rows[:-1, None], cols[None, :-1]]
 
 
 def build_z(
@@ -145,14 +165,15 @@ def build_z(
     target = 2.0 ** (-(sum(ranks[:level]) + 1))
     block = model.blocks[level - 1]
     if level == 1:
-        if subrank(shapes[0]) < 3:
+        need = required_subrank(shapes, 1, 1)
+        if subrank(shapes[0]) < need:
             raise InsufficientSubrank(
-                f"coupling needs subrank >= 3 at level 1, got {subrank(shapes[0])}"
+                f"coupling needs subrank >= {need} at level 1, got {subrank(shapes[0])}"
             )
         y = witness.approximants[0]
+        second = np.concatenate([table[1] for table in block.rows])
         w = np.zeros_like(y)
-        for s in range(1, len(shapes[0]) + 1):
-            w += block.unit(s, 2, 2) @ y
+        w[second] = y[second]
         norm_w = op_norm(w)
         if norm_w < 1e-10:
             raise DegenerateWitness(
@@ -168,8 +189,9 @@ def build_z(
         for idx, atom in enumerate(atoms):
             conj = conjugated_element(model, atom, y, level)
             row = assignment.row(j, idx)
-            for s in range(1, len(shapes[level - 1]) + 1):
-                term = block.unit(s, row, row + 1) @ conj
+            for table in block.rows:
+                term = np.zeros_like(total)
+                term[table[row - 1]] = conj[table[row]]
                 total += term + term.conj().T
     norm_total = op_norm(total)
     if norm_total < 1e-10:
@@ -183,7 +205,6 @@ def build_z(
 @dataclass
 class PlanLevel:
     level: int
-    corner: np.ndarray
     witness: CommutantWitness
     coupling: np.ndarray
     coupling_scale: float
@@ -207,13 +228,6 @@ class GeneratorPlan:
     def tail_bound(self) -> float:
         return 2.0 ** (-self.depth)
 
-    def corner_prefix(self, level: int) -> np.ndarray:
-        """Product p_1 ... p_level (identity for level 0)."""
-        out = self.model.identity.copy()
-        for lv in self.levels[:level]:
-            out = out @ lv.corner
-        return out
-
 
 def diag_coefficient(shapes: Sequence, level: int, s: int) -> float:
     """Weight 2^-(r_1+...+r_{level-1})-s of the block-s first-column projection."""
@@ -224,32 +238,30 @@ def diag_coefficient(shapes: Sequence, level: int, s: int) -> float:
 def build_ab(model: TowerModel, level_data: List[Tuple]) -> GeneratorPlan:
     """Assemble a_n, b_n per level and the totals a, b.
 
-    ``level_data`` carries (witness, corner, coupling, scale, assignment)
-    tuples for levels 1..L in order.
+    ``level_data`` carries (witness, coupling, scale, assignment) tuples
+    for levels 1..L in order.
     """
     shapes = model.spec.block_shapes
     dim = model.ambient_dim
     plan_levels: List[PlanLevel] = []
-    prefix = np.eye(dim, dtype=np.complex128)
+    prefix = np.ones(dim, dtype=bool)
     gen_a = np.zeros((dim, dim), dtype=np.complex128)
     gen_b = np.zeros((dim, dim), dtype=np.complex128)
-    for n, (witness, corner, coupling, scale, assignment) in enumerate(level_data, start=1):
+    for n, (witness, coupling, scale, assignment) in enumerate(level_data, start=1):
         block = model.blocks[n - 1]
-        diag = np.zeros((dim, dim), dtype=np.complex128)
-        for s in range(1, len(shapes[n - 1]) + 1):
-            diag += diag_coefficient(shapes, n, s) * block.unit(s, 1, 1)
-        a_n = prefix @ diag + coupling
+        a_n = coupling.copy()
         ladder = np.zeros((dim, dim), dtype=np.complex128)
-        for s, k_s in enumerate(shapes[n - 1], start=1):
-            for i in range(1, k_s):
-                ladder += block.unit(s, i, i + 1) + block.unit(s, i + 1, i)
-        b_n = 2.0 ** (-2 * n) * (prefix @ ladder)
+        for s, table in enumerate(block.rows, start=1):
+            first = table[0][prefix[table[0]]]
+            a_n[first, first] += diag_coefficient(shapes, n, s)
+            ladder[table[:-1], table[1:]] = 1.0
+            ladder[table[1:], table[:-1]] = 1.0
+        ladder[~prefix] = 0.0
         a_n = hermitian_part(a_n)
-        b_n = hermitian_part(b_n)
+        b_n = hermitian_part(2.0 ** (-2 * n) * ladder)
         plan_levels.append(
             PlanLevel(
                 level=n,
-                corner=corner,
                 witness=witness,
                 coupling=coupling,
                 coupling_scale=scale,
@@ -260,7 +272,7 @@ def build_ab(model: TowerModel, level_data: List[Tuple]) -> GeneratorPlan:
         )
         gen_a += a_n
         gen_b += b_n
-        prefix = prefix @ corner
+        prefix &= corner_mask(block)
     return GeneratorPlan(
         model=model, levels=plan_levels, gen_a=hermitian_part(gen_a), gen_b=hermitian_part(gen_b)
     )
@@ -271,9 +283,8 @@ def build_plan(model: TowerModel) -> GeneratorPlan:
     level_data = []
     for n in range(1, model.depth + 1):
         witness = witnesses_at_level(model, n)
-        corner = corner_projection(model, n)
         coupling, scale, assignment = build_z(model, witness, n)
-        level_data.append((witness, corner, coupling, scale, assignment))
+        level_data.append((witness, coupling, scale, assignment))
     return build_ab(model, level_data)
 
 
@@ -330,33 +341,32 @@ def verify_facts(plan: GeneratorPlan) -> FactReport:
 
     The diagonal-weight norm identity is checked against the closed form
     2^-(r_1+...+r_{n-1}+1): the level-n summand is dominated by its block-1
-    first-column term, whose weight the construction fixes exactly.
+    first-column term, whose weight the construction fixes exactly.  The
+    0/1 diagonal p_n e_11 has norm 1.0 if its masks meet, else 0.0.
     """
     model = plan.model
+    dim = model.ambient_dim
     shapes = model.spec.block_shapes
     levels = plan.levels
-    eye = model.identity
+    full = np.ones(dim, dtype=bool)
+    prefix = full.copy()
 
-    f1 = 0.0
-    f2 = 0.0
-    corner_first_col = 0.0
-    comp_identity = 0.0
+    f1 = f2 = corner_first_col = comp_identity = 0.0
     for lv in levels:
-        z, p = lv.coupling, lv.corner
-        f1 = max(f1, op_norm(p @ z), op_norm(z @ p))
-        for m in range(1, lv.level + 1):
-            blk = model.blocks[m - 1]
-            for s in range(1, len(shapes[m - 1]) + 1):
-                e11 = blk.unit(s, 1, 1)
-                f2 = max(f2, op_norm(z @ e11), op_norm(e11 @ z))
-        blk = model.blocks[lv.level - 1]
-        for s, k_s in enumerate(shapes[lv.level - 1], start=1):
-            corner_first_col = max(corner_first_col, op_norm(p @ blk.unit(s, 1, 1)))
-        sandwich = (eye - p) @ plan.corner_prefix(lv.level - 1)
-        comp_identity = max(comp_identity, op_norm(sandwich @ z @ sandwich.conj().T - z))
+        z, block = lv.coupling, model.blocks[lv.level - 1]
+        p = corner_mask(block)
+        f1 = max(f1, op_norm(restricted(z, p, full)), op_norm(restricted(z, full, p)))
+        for blk in model.blocks[: lv.level]:
+            for table in blk.rows:
+                e11 = coordinate_mask(dim, [table[0]])
+                f2 = max(f2, op_norm(restricted(z, full, e11)), op_norm(restricted(z, e11, full)))
+        firsts = coordinate_mask(dim, [table[0] for table in block.rows])
+        corner_first_col = max(corner_first_col, float(np.any(p & firsts)))
+        sandwich = prefix & ~p
+        comp_identity = max(comp_identity, op_norm(restricted(z, sandwich, sandwich) - z))
+        prefix &= p
 
-    f3 = 0.0
-    eq9 = 0.0
+    f3 = eq9 = 0.0
     for la, lb in itertools.combinations(levels, 2):
         f3 = max(f3, op_norm(la.coupling @ lb.coupling), op_norm(lb.coupling @ la.coupling))
         eq9 = max(eq9, op_norm(la.diag_term @ lb.diag_term), op_norm(lb.diag_term @ la.diag_term))
@@ -379,9 +389,8 @@ def verify_facts(plan: GeneratorPlan) -> FactReport:
     eq11 = max([0.0] + [x.ladder_norm - x.ladder_cap for x in norms])
     z_norm_gap = max([0.0] + [x.coupling_gap for x in norms])
 
-    e11_first = model.blocks[0].unit(1, 1, 1)
-    rest = (eye - e11_first) @ (2.0 * plan.gen_a) @ (eye - e11_first)
-    leading_margin = op_norm(rest)
+    rest = ~coordinate_mask(dim, [model.blocks[0].rows[0][0]])
+    leading_margin = op_norm(restricted(2.0 * plan.gen_a, rest, rest))
 
     herm = max(
         op_norm(plan.gen_a - plan.gen_a.conj().T), op_norm(plan.gen_b - plan.gen_b.conj().T)

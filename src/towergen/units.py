@@ -84,9 +84,6 @@ class MatrixUnitSystem:
     ``unit(s, i, j)`` is the one reader of every form: it forms that one
     unit from a table or from factors.  ``units`` is None unless the
     system is dense.
-
-    ``unital`` records whether the diagonal units are meant to sum to the
-    ambient identity (partial systems produced mid-recovery are not).
     """
 
     def __init__(
@@ -94,13 +91,11 @@ class MatrixUnitSystem:
         shape: Sequence[int],
         ambient_dim: int,
         units: Optional[Dict[Tuple[int, int, int], np.ndarray]] = None,
-        unital: bool = True,
         rows: Optional[Sequence[np.ndarray]] = None,
         factors: Optional[Sequence[np.ndarray]] = None,
     ):
         self.shape = normalize_shape(shape)
         self.ambient_dim = int(ambient_dim)
-        self.unital = unital
         if sum(form is not None for form in (units, rows, factors)) != 1:
             raise DimensionMismatch(
                 "a unit system takes exactly one of dense units, row tables or column factors"
@@ -162,14 +157,22 @@ class MatrixUnitSystem:
         covered = sum(table.size for table in self.rows)
         return 0.0 if covered == self.ambient_dim else 1.0
 
-    def column_maps(self) -> np.ndarray:
-        """Each unit of an exact system as a map of column coordinates.
+    def column_map(self, s: int, i: int, j: int) -> np.ndarray:
+        """Unit e_ij^(s) of an exact system as a map of column coordinates.
 
-        Row n, for the n-th key, has length ambient_dim + 1: entry c is the
-        row of the unit's 1 in column c, or -1 where the column is zero.
-        The last entry is always -1, so composing maps by indexing,
-        ``u[v]``, gives the map of the product u v.
+        Entry c of the ambient_dim + 1 entries is the row of the unit's 1 in
+        column c, or -1 where the column is zero; the last entry is -1, so
+        ``u[v]`` is the map of the product u v.
         """
+        if self.rows is None:
+            raise DimensionMismatch("only an exact unit system has column maps")
+        table = self.rows[s - 1]
+        out = np.full(self.ambient_dim + 1, -1, dtype=np.intp)
+        out[table[j - 1]] = table[i - 1]
+        return out
+
+    def column_maps(self) -> np.ndarray:
+        """``column_map`` of every unit in ``keys()`` order, one scatter per block."""
         maps = []
         for table in self.rows:
             k = table.shape[0]
@@ -246,7 +249,7 @@ def canonical_units(shape: Sequence[int], embedding: UnitalEmbedding | None = No
         # E_ij (x) I_c on the window: row t of unit i is window coordinate i * c + t
         rows.append(offset + np.arange(k * c).reshape(k, c))
         offset += k * c
-    return MatrixUnitSystem(shape, embedding.target_dim, unital=True, rows=rows)
+    return MatrixUnitSystem(shape, embedding.target_dim, rows=rows)
 
 
 def amplify(system: MatrixUnitSystem, before: int, after: int) -> MatrixUnitSystem:
@@ -258,7 +261,7 @@ def amplify(system: MatrixUnitSystem, before: int, after: int) -> MatrixUnitSyst
         ((b * dim + table[:, None, :, None]) * after + a).reshape(table.shape[0], -1)
         for table in system.rows
     ]
-    return MatrixUnitSystem(system.shape, before * dim * after, unital=system.unital, rows=rows)
+    return MatrixUnitSystem(system.shape, before * dim * after, rows=rows)
 
 
 @dataclass

@@ -1,13 +1,45 @@
+import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from towergen.presets import preset_spec
-from towergen.tower import build_tower
+from towergen.tower import TowerSpec, build_tower
 from towergen.twogen import build_plan
 
 
 def dense_units(system):
     """A fresh dict of every unit of a system, each read through ``unit``."""
     return {key: system.unit(*key) for key in system.keys()}
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(
+        a.view(np.uint64), b.view(np.uint64)
+    )
+
+
+@st.composite
+def relaxed_towers(draw):
+    """2-3 relaxed levels of 1-2 blocks of size 2-4, ambient dimension at most 64.
+
+    A block of size 1 would put a level's first-column projection on its
+    own corner, which the next level's terms share."""
+    shapes, dim = [], 1
+    for _ in range(draw(st.integers(min_value=2, max_value=3))):
+        budget = 64 // dim
+        if budget < 2:
+            break
+        blocks = draw(st.lists(st.integers(2, min(4, budget)), min_size=1, max_size=2))
+        while sum(blocks) > budget:
+            blocks.pop()
+        shapes.append(tuple(blocks))
+        dim *= sum(blocks)
+    return TowerSpec(
+        block_shapes=tuple(shapes), mode="relaxed",
+        generator_seed=draw(st.integers(min_value=0, max_value=2**32 - 1)),
+        generator_recipe=draw(st.sampled_from(["leading-factor", "uhf"])),
+    )
 
 
 @pytest.fixture(scope="session")

@@ -67,6 +67,29 @@ def test_error_path_structured_report():
     assert report.error is not None and "InsufficientSubrank" in report.error
 
 
+@pytest.mark.parametrize(
+    "command, config, bound",
+    [
+        ("cover-estimate", {"k": 20, "omegas": [0.5], "samples": 3}, "upper bound"),
+        (
+            "counting-check",
+            {"max_dim": 2, "pinching_shape": [2, 2], "pinching_multiplicities": [5, 5],
+             "omegas": [0.001], "seeds": 1},
+            "compressed cover reference",
+        ),
+    ],
+    ids=["cover-estimate", "counting-check"],
+)
+def test_bound_overflow_is_a_structured_report(tmp_path, command, config, bound):
+    """A paper bound past the largest double fails closed and names the bound."""
+    report = run(command, dict(config))
+    assert report.error.startswith("DimensionOverflow") and bound in report.error
+    assert [(row.name, row.passed) for row in report.rows] == [("error", False)]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "report.json")]) == 1
+
+
 def test_report_determinism_small():
     r1 = run("gen-verify", {"preset": "T0"})
     r2 = run("gen-verify", {"preset": "T0"})

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from towergen.cli import resolve_tower_spec
 from towergen.errors import DimensionMismatch
-from towergen.linalg import op_norm
+from towergen.linalg import identity, op_norm
 from towergen.tower import (
     TowerSpec,
     _embed_factor,
@@ -32,18 +32,13 @@ from towergen.units import (
     factored_distance,
 )
 
+from conftest import same_bits
+
 PRESETS = [
     {"preset": "T0"}, {"preset": "T1b"}, {"preset": "T1"},
     {"preset": "T1", "recipe": "uhf"}, {"preset": "U2"},
 ]
 PRESET_IDS = ["T0", "T1b", "T1", "T1-uhf", "U2"]
-
-
-def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(
-        a.view(np.uint64), b.view(np.uint64)
-    )
 
 
 def dense_projection(x: np.ndarray, block: MatrixUnitSystem) -> np.ndarray:
@@ -72,7 +67,8 @@ def check_tower(model, seed: int):
     rng = np.random.default_rng(seed)
     xs = operands(model, rng)
     for pos, block in enumerate(model.blocks):
-        assert block.unitality_defect() == op_norm(block.diagonal_sum() - model.identity) == 0.0
+        eye = identity(model.ambient_dim)
+        assert block.unitality_defect() == op_norm(block.diagonal_sum() - eye) == 0.0
         for x in xs:
             assert same_bits(commutant_projection(x, block), dense_projection(x, block))
         for other in model.blocks[pos + 1:]:
@@ -136,7 +132,7 @@ def test_random_towers_match_dense_oracles(spec):
 def test_cross_commutator_of_one_factor_is_measured():
     """Two exact systems on the same factor do not commute; only clashing pairs are formed."""
     left = canonical_units([2], UnitalEmbedding((2,), (2,), 4))  # rows [[0, 1], [2, 3]]
-    right = MatrixUnitSystem((2, 1), 4, unital=False, rows=[np.array([[0], [1]]), np.array([[3]])])
+    right = MatrixUnitSystem((2, 1), 4, rows=[np.array([[0], [1]]), np.array([[3]])])
     dense = _screened_max_commutator(
         [m for _, m in left.iter_units()], [m for _, m in right.iter_units()]
     )
@@ -186,11 +182,22 @@ def test_factored_system_view_and_distance():
 
 
 def test_exact_system_unitality_and_column_maps():
-    partial = MatrixUnitSystem((2,), 3, unital=False, rows=[np.array([[2], [0]])])
+    partial = MatrixUnitSystem((2,), 3, rows=[np.array([[2], [0]])])
     assert partial.unitality_defect() == 1.0
     assert canonical_units([2, 3]).unitality_defect() == 0.0
     maps = partial.column_maps()
     assert maps.tolist() == [[-1, -1, 2, -1], [2, -1, -1, -1], [-1, -1, 0, -1], [0, -1, -1, -1]]
+    assert maps.tolist() == [partial.column_map(*key).tolist() for key in partial.keys()]
+
+
+def test_column_map_reads_one_unit():
+    """Column c of e_ij is the basis vector at map[c], or zero where map[c] is -1."""
+    system = amplify(canonical_units([2, 3]), 2, 3)
+    padded = np.vstack([identity(system.ambient_dim), np.zeros((1, system.ambient_dim))])
+    for key in system.keys():
+        assert same_bits(padded[system.column_map(*key)[:-1]].T, system.unit(*key))
+    with pytest.raises(DimensionMismatch):
+        MatrixUnitSystem((1,), 2, {(1, 1, 1): np.eye(2)}).column_map(1, 1, 1)
 
 
 @pytest.mark.parametrize(

@@ -71,7 +71,7 @@ def _ladder(b):
     """One rung of ``recovery.ladder_units`` on a 2 x 2 b: the polar part of
     X = 4 F_1^* b (I - F_1 F_1^*) from the singular values of X."""
     basis = np.array([[1.0], [0.0]], dtype=complex)
-    return ladder_units([basis], b, (2,), 1, unital=True, trace=RecoveryTrace())
+    return ladder_units([basis], b, (2,), 1, trace=RecoveryTrace())
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

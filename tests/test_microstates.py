@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from towergen.errors import DimensionMismatch
+from towergen.errors import DimensionMismatch, DimensionOverflow
 from towergen.linalg import identity, op_norm, tuple_norm
 from towergen.microstates import (
     CoveringEstimate,
@@ -13,7 +13,9 @@ from towergen.microstates import (
     haar_unitaries,
     pinching_defect,
 )
-from towergen.units import UnitalEmbedding, canonical_units
+from towergen.units import MatrixUnitSystem, UnitalEmbedding, canonical_units
+
+from conftest import dense_units
 
 
 def test_haar_scalar_case():
@@ -261,3 +263,29 @@ def test_pinching_defect_bound():
             noise = omega * noise / op_norm(noise)
             defect = pinching_defect([blockdiag + noise], units)[0]
             assert defect <= 2 * omega + 1e-10
+
+
+@pytest.mark.parametrize("shape, mult", [((2, 3), (1, 1)), ((2, 3, 2), (2, 1, 3))])
+def test_pinching_defect_equals_dense_pinching(shape, mult):
+    """||x - sum_p p x p|| over the dense diagonal units, bit for bit."""
+    k = sum(c * s for c, s in zip(mult, shape))
+    units = canonical_units(shape, UnitalEmbedding(shape, mult, k))
+    diags = [units.unit(s, i, i) for s, size in enumerate(shape, 1) for i in range(1, size + 1)]
+    rng = np.random.default_rng(4)
+    elems = [rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)) for _ in range(5)]
+    dense = [op_norm(x - sum(p @ x @ p for p in diags)) for x in elems]
+    assert pinching_defect(elems, units) == dense
+
+
+def test_pinching_defect_needs_an_exact_system():
+    dense = MatrixUnitSystem((2,), 2, dense_units(canonical_units([2])))
+    with pytest.raises(DimensionMismatch):
+        pinching_defect([identity(2)], dense)
+
+
+def test_unitary_bound_overflow_is_named():
+    """(9 pi e / 0.5)^400 exceeds the largest double."""
+    est = CoveringEstimate(omega=1.0, sample_count=1, packing_count=1,
+                           implied_cover_lower=1, greedy_cover_count=1)
+    with pytest.raises(DimensionOverflow, match="upper bound"):
+        check_unitary_bounds(20, 0.5, est)

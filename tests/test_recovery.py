@@ -3,7 +3,6 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import towergen.recovery as recovery
 from towergen.cli import resolve_tower_spec
@@ -27,11 +26,12 @@ from towergen.twogen import (
     RowAssignment,
     build_ab,
     build_plan,
-    corner_projection,
     diag_coefficient,
     index_atoms,
 )
 from towergen.units import MatrixUnitSystem, canonical_units
+
+from conftest import relaxed_towers
 
 
 def test_extract_diagonal_model():
@@ -93,7 +93,7 @@ def test_ladder_t0_exact(t0_plan):
     model = t0_plan.model
     trace = RecoveryTrace()
     bases = extract_corner_bases(t0_plan.gen_a, [0.5], 1, trace)
-    system = ladder_units(bases, t0_plan.gen_b, (3,), 1, unital=True, trace=trace)
+    system = ladder_units(bases, t0_plan.gen_b, (3,), 1, trace=trace)
     assert [step.name for step in trace.steps] == [
         "extract_l1_b1", "complement_l1_b1", "ladder_l1_b1_r1", "ladder_l1_b1_r2"
     ]
@@ -105,7 +105,7 @@ def test_ladder_t1_level1(t1_plan):
     model = t1_plan.model
     trace = RecoveryTrace()
     bases = extract_corner_bases(t1_plan.gen_a, [0.5], 1, trace)
-    system = ladder_units(bases, t1_plan.gen_b, (3,), 1, unital=True, trace=trace)
+    system = ladder_units(bases, t1_plan.gen_b, (3,), 1, trace=trace)
     for key, mat in model.blocks[0].iter_units():
         assert op_norm(system.unit(*key) - mat) <= 1e-6
 
@@ -113,7 +113,7 @@ def test_ladder_t1_level1(t1_plan):
 def test_ladder_zero_b(t0_plan):
     bases = extract_corner_bases(t0_plan.gen_a, [0.5], 1, RecoveryTrace())
     with pytest.raises(LadderBreakdown):
-        ladder_units(bases, np.zeros((3, 3), dtype=complex), (3,), 1, True, RecoveryTrace())
+        ladder_units(bases, np.zeros((3, 3), dtype=complex), (3,), 1, RecoveryTrace())
 
 
 def test_ladder_rung_drops_singular_values_at_the_cutoff():
@@ -125,7 +125,7 @@ def test_ladder_rung_drops_singular_values_at_the_cutoff():
     b[:2, 2:] = np.diag([1.0, 0.3]) / 4
     b = b + b.conj().T
     trace = RecoveryTrace()
-    system = ladder_units([basis], b, (2,), 1, unital=False, trace=trace)
+    system = ladder_units([basis], b, (2,), 1, trace=trace)
     f2 = system.factors[0][1]
     assert op_norm(f2 - identity(4)[:, [2, 3]] @ np.diag([1.0, 0.0])) <= 1e-15
     assert trace.steps[-1].residual == pytest.approx(0.3, abs=1e-15)
@@ -147,8 +147,7 @@ def test_recover_corrupted_level1(t1_plan):
     zeroed = RecoveredLevel(
         level=1,
         units=MatrixUnitSystem(
-            (3,), dim, {k: np.zeros((dim, dim), complex) for k, _ in model.blocks[0].iter_units()},
-            unital=False,
+            (3,), dim, {k: np.zeros((dim, dim), complex) for k, _ in model.blocks[0].iter_units()}
         ),
         corner_basis=np.zeros((dim, 0), dtype=complex),
         coupling=np.zeros((dim, dim), dtype=complex),
@@ -283,7 +282,7 @@ def test_closure_mutual_containment_t0(t0_plan):
     model = t0_plan.model
     pair = subalgebra_closure([t0_plan.gen_a, t0_plan.gen_b])
     oracle_gens = [m for _, m in model.blocks[0].iter_units()]
-    oracle_gens += [t0_plan.levels[0].coupling, model.identity]
+    oracle_gens += [t0_plan.levels[0].coupling, identity(model.ambient_dim)]
     oracle = subalgebra_closure(oracle_gens)
     assert pair.size == oracle.size == 9
     for m in oracle.matrices():
@@ -338,7 +337,7 @@ def corner_prefix(levels, dim):
     return out
 
 
-def dense_ladder(corners, b, shape, level, unital, trace):
+def dense_ladder(corners, b, shape, level, trace):
     """The paper's ladder on d x d matrices: rung i -> i+1 is the polar part v
     (an SVD with cutoff 1/2) of 4^level e_ii b (I - covered), and
     F_{i+1} = v^* F_i from F_1 an orthonormal basis of e_11's range."""
@@ -356,14 +355,15 @@ def dense_ladder(corners, b, shape, level, unital, trace):
             diag = v.conj().T @ v
             covered = covered + diag
         factors.append(np.stack(chain))
-    return MatrixUnitSystem(shape=shape, ambient_dim=len(b), unital=unital, factors=factors)
+    return MatrixUnitSystem(shape=shape, ambient_dim=len(b), factors=factors)
 
 
 def ambient_recover_next_level(shapes, recovered, a, b):
     """Level n recovered at ambient dimension by the paper's recipe: repeated
     squaring extracts each e_11 from a with the earlier blocks stripped,
-    dense polar rungs build the ladder, the stabilizer runs on d x d
-    matrices, the factors are lifted through the lower levels' dense units
+    dense polar rungs build the ladder, the stabilizer runs on the ladder's
+    factors compressed to the range of the corner prefix (where they are
+    unital, as the stabilizer requires), the factors are lifted through the lower levels' dense units
     e_{i,k_s}, the corner and coupling are read from dense units and the
     corner basis comes from an eigensolve of the corner prefix.  The
     reference the corner-compressed, factor-lifted ``recover_next_level``
@@ -386,8 +386,12 @@ def ambient_recover_next_level(shapes, recovered, a, b):
         corners.append(e11)
         comp = eye - e11
         stripped = hermitian_part(comp @ stripped @ comp)
-    candidate = dense_ladder(corners, b_eff, shape, n, n == 1, trace)
-    stabilized, moved = stabilize_units(candidate)
+    candidate = dense_ladder(corners, b_eff, shape, n, trace)
+    inside = prefix_basis(prefix, f"level {n}: corner prefix")
+    compressed = [inside.conj().T @ f for f in candidate.factors]
+    stabilized, moved = stabilize_units(
+        MatrixUnitSystem(shape=shape, ambient_dim=inside.shape[1], factors=compressed)
+    )
     trace.add(f"stabilize_l{n}", 1, moved)
     chains = [eye]
     for lv, lower in zip(recovered, shapes[: n - 1]):
@@ -397,8 +401,10 @@ def ambient_recover_next_level(shapes, recovered, a, b):
             for i in range(1, k_s + 1)
             for c in chains
         ]
-    factors = [np.concatenate([c @ f for c in chains], axis=2) for f in stabilized.factors]
-    ambient_units = MatrixUnitSystem(shape=shape, ambient_dim=dim, unital=True, factors=factors)
+    factors = [
+        np.concatenate([c @ inside @ f for c in chains], axis=2) for f in stabilized.factors
+    ]
+    ambient_units = MatrixUnitSystem(shape=shape, ambient_dim=dim, factors=factors)
     corner = sum(ambient_units.unit(s, k_s, k_s) for s, k_s in enumerate(shape, start=1))
     inner = (eye - corner) @ a_eff @ (eye - corner)
     diag_sum = np.zeros_like(inner)
@@ -447,9 +453,7 @@ def zero_coupling_plan(spec):
     """(a, b) of the construction on the spec's tower with every coupling element zero."""
     model = build_tower(spec)
     zero = np.zeros((model.ambient_dim,) * 2, dtype=np.complex128)
-    return build_ab(
-        model, [(None, corner_projection(model, n), zero, 1.0, None) for n in range(1, model.depth + 1)]
-    )
+    return build_ab(model, [(None, zero, 1.0, None) for _ in range(model.depth)])
 
 
 @pytest.mark.parametrize(
@@ -472,29 +476,6 @@ def test_corner_basis_spans_the_product_of_recovered_corners(plan_of):
         v = lv.corner_basis
         assert op_norm(v.conj().T @ v - identity(v.shape[1])) <= 1e-12
         assert op_norm(v @ v.conj().T - corner_prefix(result.levels[:n], len(v))) <= 1e-12
-
-
-@st.composite
-def relaxed_towers(draw):
-    """2-3 relaxed levels of 1-2 blocks of size 2-4, ambient dimension at most 64.
-
-    A block of size 1 would put a level's first-column projection on its
-    own corner, which the next level's terms share."""
-    shapes, dim = [], 1
-    for _ in range(draw(st.integers(min_value=2, max_value=3))):
-        budget = 64 // dim
-        if budget < 2:
-            break
-        blocks = draw(st.lists(st.integers(2, min(4, budget)), min_size=1, max_size=2))
-        while sum(blocks) > budget:
-            blocks.pop()
-        shapes.append(tuple(blocks))
-        dim *= sum(blocks)
-    return TowerSpec(
-        block_shapes=tuple(shapes), mode="relaxed",
-        generator_seed=draw(st.integers(min_value=0, max_value=2**32 - 1)),
-        generator_recipe=draw(st.sampled_from(["leading-factor", "uhf"])),
-    )
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

@@ -3,7 +3,11 @@ import pytest
 
 from towergen.errors import DimensionMismatch, SubrankTooSmall
 from towergen.linalg import identity, op_norm
+from towergen.units import MatrixUnitSystem
+
+from conftest import dense_units
 from towergen.similarity import (
+    CommutingModel,
     build_commuting_model,
     check_norm_identity,
     random_coefficients,
@@ -85,3 +89,25 @@ def test_sweep_row_format():
     # n = 3 is skipped for shapes with subrank 2
     assert not any(r["n"] == 3 for r in rows)
     assert all(r["pass"] for r in rows)
+
+
+@pytest.mark.parametrize("n, shape, d", [(2, [2, 3], 2), (3, [3, 4], 3), (2, [2, 2, 5], 1)])
+def test_lhs_equals_the_dense_unit_sum(n, shape, d):
+    """lhs is ||sum_s,i,j kron(a_ij, I) e_ij^(s)|| over the dense units, bit for bit."""
+    model = build_commuting_model(n, shape, d, seed=0)
+    coeffs = random_coefficients(model, 31)
+    big = model.ambient_dim // d
+    dense = np.zeros((model.ambient_dim,) * 2, dtype=np.complex128)
+    for s in range(1, len(shape) + 1):
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                dense += np.kron(coeffs[i - 1, j - 1], identity(big)) @ model.units.unit(s, i, j)
+    assert check_norm_identity(model, coeffs).lhs == op_norm(dense)
+
+
+def test_norm_identity_needs_an_exact_system():
+    exact = build_commuting_model(2, [2], 2, seed=0)
+    units = MatrixUnitSystem(exact.units.shape, exact.ambient_dim, dense_units(exact.units))
+    model = CommutingModel(exact.ambient_dim, exact.coeff_dim, exact.block_size, units, seed=0)
+    with pytest.raises(DimensionMismatch):
+        check_norm_identity(model, random_coefficients(model, 1))

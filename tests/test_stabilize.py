@@ -46,7 +46,7 @@ def test_half_identity_diagonal_fails():
     units = canonical_units([2])
     bad = dense_units(units)
     bad[(1, 1, 1)] = 0.5 * identity(2)
-    candidate = MatrixUnitSystem(shape=(2,), ambient_dim=2, units=bad, unital=True)
+    candidate = MatrixUnitSystem(shape=(2,), ambient_dim=2, units=bad)
     with pytest.raises(StabilizationFailed):
         stabilize_units(candidate)
 
@@ -56,7 +56,7 @@ def test_lost_rank_names_the_first_failing_row():
     bad = dense_units(units)
     for i in (7, 5):
         bad[(1, i, 1)] = np.zeros((12, 12), dtype=complex)
-    candidate = MatrixUnitSystem(shape=(12,), ambient_dim=12, units=bad, unital=True)
+    candidate = MatrixUnitSystem(shape=(12,), ambient_dim=12, units=bad)
     with pytest.raises(StabilizationFailed, match="block 1 row 5: corner compression lost rank"):
         stabilize_units(candidate)
 
@@ -64,7 +64,7 @@ def test_lost_rank_names_the_first_failing_row():
 def test_admissibility_gate():
     units = canonical_units([2])
     bad = {key: 5.0 * mat + 0.3 * identity(2) for key, mat in units.iter_units()}
-    candidate = MatrixUnitSystem(shape=(2,), ambient_dim=2, units=bad, unital=True)
+    candidate = MatrixUnitSystem(shape=(2,), ambient_dim=2, units=bad)
     with pytest.raises(StabilizationFailed):
         stabilize_units(candidate)
 
@@ -107,24 +107,24 @@ def test_median_distance_monotone_in_delta():
     assert all(medians[i] <= medians[i + 1] for i in range(len(medians) - 1))
 
 
-def test_non_unital_candidate_stays_non_unital():
+def test_non_unital_candidate_fails_closed():
+    """The diagonal units of an M_2 inside M_3 sum to a rank-2 projection, not I."""
     units = canonical_units([3])
     compress = units.unit(1, 1, 1) + units.unit(1, 2, 2)
     partial_units = {}
     for (s, i, j), mat in units.iter_units():
         if i <= 2 and j <= 2:
             partial_units[(s, i, j)] = compress @ mat @ compress
-    candidate = MatrixUnitSystem(shape=(2,), ambient_dim=3, units=partial_units, unital=False)
-    fixed, _ = stabilize_units(candidate)
-    assert not fixed.unital
-    assert op_norm(fixed.diagonal_sum() - compress) <= 1e-12
+    candidate = MatrixUnitSystem(shape=(2,), ambient_dim=3, units=partial_units)
+    with pytest.raises(StabilizationFailed, match="diagonal ranks sum to 2, not the ambient"):
+        stabilize_units(candidate)
 
 
 def test_dense_input_with_one_unit_off_the_first_column_is_repaired():
     units = canonical_units([3])
     off = {key: mat.copy() for key, mat in units.iter_units()}
     off[(1, 2, 3)][0, 0] += 1e-9
-    candidate = MatrixUnitSystem(shape=(3,), ambient_dim=3, units=off, unital=True)
+    candidate = MatrixUnitSystem(shape=(3,), ambient_dim=3, units=off)
     fixed, dist = stabilize_units(candidate)
     assert fixed is not candidate
     assert dist == op_norm(off[(1, 2, 3)] - fixed.unit(1, 2, 3)) > 0.0

@@ -11,8 +11,7 @@ from towergen.tower import (
     check_conditions,
     commutant_projection,
     index_set_cardinality,
-    required_subrank_relaxed,
-    required_subrank_strict,
+    required_subrank,
     witnesses_at_level,
 )
 from towergen.units import canonical_units, rank
@@ -27,8 +26,8 @@ def test_build_t1_shape(t1_model):
 
 def test_strict_bound_instantiation():
     shapes = ((3,), (21,))
-    assert required_subrank_strict(shapes, 1) == 3
-    assert required_subrank_strict(shapes, 2) == 2 * 9 + 3
+    assert required_subrank(shapes, 1, 1) == 3
+    assert required_subrank(shapes, 2, 2) == 2 * 9 + 3
     assert index_set_cardinality(shapes, 2) == 9
 
 
@@ -53,7 +52,7 @@ def test_relaxed_tower_36(t1_model):
     assert (rows["level2.subrank_growth"].measured, rows["level2.subrank_growth"].threshold) == (
         12, 12,  # 1 * 9 + 3 = 12 fits the relaxed bound
     )
-    assert required_subrank_relaxed(spec.block_shapes, 2, 1) == 12
+    assert required_subrank(spec.block_shapes, 2, 1) == 12
 
 
 def test_dimension_cap():
@@ -151,7 +150,7 @@ def test_strict_predicate_matches_brute_force():
                     expected = 3 if level == 1 else level * int(
                         np.prod([rank(s) ** 2 for s in shapes[: level - 1]])
                     ) + 3
-                    assert required_subrank_strict(shapes, level) == expected
+                    assert required_subrank(shapes, level, level) == expected
 
 
 def test_uhf_recipe_margins():

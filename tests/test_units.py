@@ -164,7 +164,6 @@ def test_unit_defects_non_unital():
             (1, 1, 2): system.unit(1, 1, 2),
             (1, 2, 1): system.unit(1, 2, 1),
         },
-        unital=False,
     )
     defects = unit_defects(partial)
     assert defects.unitality == pytest.approx(1.0, abs=1e-14)
@@ -176,7 +175,7 @@ def _partial_three_block():
     keep = [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2), (1, 2, 3), (1, 3, 2)]
     keep += [key for key in full.keys() if key[0] == 2]
     units = {key: full.unit(*key) for key in keep}
-    return MatrixUnitSystem(shape=(3, 2), ambient_dim=5, units=units, unital=False)
+    return MatrixUnitSystem(shape=(3, 2), ambient_dim=5, units=units)
 
 
 @pytest.mark.parametrize(
