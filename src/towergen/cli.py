@@ -19,7 +19,7 @@ import numpy as np
 from jsonschema import Draft202012Validator
 
 from .closure import distance_to_span, subalgebra_closure
-from .errors import ConfigInvalid, DimensionOverflow, TowergenError
+from .errors import ConfigInvalid, DimensionMismatch, DimensionOverflow, TowergenError
 from .linalg import DEFAULT_DIM_CAP, hermitian_part, identity, op_norm
 from .microstates import (
     bound_power,
@@ -38,7 +38,7 @@ from .similarity import run_identity_sweep, sweep_rows
 from .stabilize import perturb_units, stabilize_units
 from .tower import TowerSpec, build_tower, check_conditions
 from .twogen import build_plan, verify_facts
-from .units import UnitalEmbedding, canonical_units, subrank, unit_defects
+from .units import UnitalEmbedding, canonical_rows, canonical_units, subrank, unit_defects
 
 # One schema serves every tower-style command; a config names a preset or shapes.
 TOWER_SCHEMA = {
@@ -137,9 +137,19 @@ SCHEMAS: Dict[str, dict] = {
 # Older subcommand names; each runs, and reports exactly as, its canonical command.
 ALIASES = {"tower-build": "tower-check", "gen-construct": "gen-verify"}
 
+DEFAULT_PINCHING_SHAPE = [2, 3]  # counting-check's pinching sample
+
+# Per command: a shape field, its default, and the field giving one multiplicity
+# per block of that shape.  stabilize-sweep requires its shape.
+MULTIPLICITY_FIELDS = {
+    "stabilize-sweep": ("shape", None, "multiplicities"),
+    "counting-check": ("pinching_shape", DEFAULT_PINCHING_SHAPE, "pinching_multiplicities"),
+}
+
 
 def validate_config(command: str, config: dict) -> None:
-    schema = SCHEMAS[ALIASES.get(command, command)]
+    command = ALIASES.get(command, command)
+    schema = SCHEMAS[command]
     validator = Draft202012Validator(schema)
     errors = sorted(validator.iter_errors(config), key=lambda e: list(e.absolute_path))
     if errors:
@@ -152,6 +162,15 @@ def validate_config(command: str, config: dict) -> None:
         raise ConfigInvalid(f"config field {path}: not a finite number", path=path)
     if schema is TOWER_SCHEMA and "preset" not in config and "shapes" not in config:
         raise ConfigInvalid("config needs either 'preset' or 'shapes'", path="shapes")
+    if command in MULTIPLICITY_FIELDS:
+        shape_field, default, mult_field = MULTIPLICITY_FIELDS[command]
+        blocks, mult = len(config.get(shape_field, default)), config.get(mult_field)
+        if mult is not None and len(mult) != blocks:
+            raise ConfigInvalid(
+                f"config field {mult_field}: {len(mult)} multiplicities for the "
+                f"{blocks} blocks of {shape_field}",
+                path=mult_field,
+            )
 
 
 def _non_finite_path(value, path=()):
@@ -332,8 +351,10 @@ def _pinched_basis_count(shape, mult, k: int) -> int:
     unit's row of the row table; counting the survivors enumerates a basis
     of the compressed Hermitian space.
     """
-    units = canonical_units(shape, UnitalEmbedding(shape, mult, k))
-    n = np.array([row.size for table in units.rows for row in table])  # support sizes
+    rows = canonical_rows(shape, mult)
+    if sum(table.size for table in rows) != k:
+        raise DimensionMismatch(f"multiplicities {mult} of shape {shape} do not fill dimension {k}")
+    n = np.array([row.size for table in rows for row in table])  # support sizes
     # diagonal elements E_ii, plus a symmetric and an antisymmetric pair per i < j
     return int(np.sum(n + n * (n - 1)))
 
@@ -386,7 +407,7 @@ def run_counting_check(config: dict) -> RunReport:
     report.check("multiplicity_mismatches", mult_mismatches, 0)
     report.check("cardinality_cap_violations", card_violations, 0)
 
-    shape = tuple(config.get("pinching_shape", [2, 3]))
+    shape = tuple(config.get("pinching_shape", DEFAULT_PINCHING_SHAPE))
     mult = tuple(config.get("pinching_multiplicities", [1] * len(shape)))
     omegas = config.get("omegas", [0.1, 0.01])
     per_omega = config.get("seeds", 20)

@@ -44,7 +44,8 @@ def as_operator(entries) -> np.ndarray:
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    return (a + a.conj().T) / 2
+    """(a + a^*) / 2 of a matrix, or of each matrix of a stack."""
+    return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
 def require_hermitian(a, tol: float = _HERMITIAN_TOL) -> np.ndarray:
@@ -70,7 +71,10 @@ def op_norms(stack: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix of an (n, p, q) stack.
 
     One Hermitian eigensolve of A*A per matrix; a 1 x 1 matrix gives its
-    modulus.  Each result is bit-identical to ``op_norm`` of that matrix.
+    modulus.  An empty stack, or one whose entries are all exactly zero
+    (signed zeros included), gives +0.0 for every matrix without any
+    eigensolve, the value the eigensolve gives it.  Each result is
+    bit-identical to ``op_norm`` of that matrix.
     Deterministic; for Hermitian input this equals the spectral radius.
     Raises NonFiniteValue on non-finite entries, also when A*A overflows.
     """
@@ -85,7 +89,9 @@ def op_norm(a: np.ndarray) -> float:
 def _op_norms(stack: np.ndarray) -> np.ndarray:
     """The kernel of ``op_norms`` and ``op_norm``; both call it directly so that
     each stays a leaf whose time a profile attributes to it alone."""
-    if stack.size == 0:
+    # an empty or exactly zero stack, as the construction's identities mostly
+    # measure; NaN and inf are nonzero here, so they still reach the checks below
+    if not stack.any():
         return np.zeros(stack.shape[0])
     if stack.shape[1:] == (1, 1):
         # libm's hypot, which np.abs of a complex array does not always match

@@ -128,10 +128,11 @@ def perturb_units(units: MatrixUnitSystem, delta: float, seed: int) -> MatrixUni
     rng = np.random.default_rng(seed)
     dim = units.ambient_dim
     keys = units.keys()
-    noise = []
-    for (s, i, j) in keys:
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        noise.append(hermitian_part(g) if i == j else g)
-    scales = np.maximum(op_norms(np.stack(noise)), 1e-300)
+    # one draw reads the stream as a draw per unit would: real, then imaginary, key by key
+    raw = rng.standard_normal((len(keys), 2, dim, dim))
+    noise = raw[:, 0] + 1j * raw[:, 1]
+    diagonal = np.array([i == j for _, i, j in keys])
+    noise[diagonal] = hermitian_part(noise[diagonal])
+    scales = np.maximum(op_norms(noise), 1e-300)
     out = {key: units.unit(*key) + delta * (g / c) for key, g, c in zip(keys, noise, scales)}
     return MatrixUnitSystem(shape=units.shape, ambient_dim=dim, units=out)

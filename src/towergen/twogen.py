@@ -124,14 +124,15 @@ def enumerate_indices(model: TowerModel, level: int) -> Tuple[List[IndexAtom], R
 
 
 def conjugated_element(
-    model: TowerModel, atom: IndexAtom, y: np.ndarray, level: int
+    model: TowerModel, atom: IndexAtom, y: np.ndarray, level: int, out_rows: np.ndarray
 ) -> np.ndarray:
-    """Sandwich y between descending and ascending unit chains below ``level``.
+    """Rows ``out_rows`` of y sandwiched between descending and ascending unit
+    chains below ``level``.
 
     L y R, L and R the products of the e_{k_s,i} and the e_{j,k_t} over the
     lower levels (which commute), is y[rows[r], cols[c]] at (r, c) for rows
-    the column map of L^* and cols that of R: one gather from y padded with
-    the zero row and column a map's -1 reads.
+    the column map of L^* and cols that of R: one gather of the requested
+    rows, whose entries a map's -1 marks are then set to zero.
     """
     if y.shape[0] != model.ambient_dim:
         raise DimensionMismatch("witness dimension does not match ambient")
@@ -145,8 +146,11 @@ def conjugated_element(
         right = block.column_map(t, j, block.shape[t - 1])
         rows = left if rows is None else rows[left]
         cols = right if cols is None else cols[right]
-    padded = np.pad(y, ((0, 1), (0, 1)))
-    return padded[rows[:-1, None], cols[None, :-1]]
+    rows, cols = rows[out_rows], cols[:-1]
+    out = y[rows[:, None], cols[None, :]]
+    out[rows < 0] = 0.0
+    out[:, cols < 0] = 0.0
+    return out
 
 
 def build_z(
@@ -187,11 +191,14 @@ def build_z(
     for j in range(1, assignment.active_generators + 1):
         y = witness.approximants[j - 1]
         for idx, atom in enumerate(atoms):
-            conj = conjugated_element(model, atom, y, level)
             row = assignment.row(j, idx)
-            for table in block.rows:
+            # only unit row row + 1 of each block is read: e_{row,row+1} conj
+            read = [table[row] for table in block.rows]
+            conj = conjugated_element(model, atom, y, level, np.concatenate(read))
+            parts = np.split(conj, np.cumsum([len(r) for r in read[:-1]]))
+            for table, part in zip(block.rows, parts):
                 term = np.zeros_like(total)
-                term[table[row - 1]] = conj[table[row]]
+                term[table[row - 1]] = part
                 total += term + term.conj().T
     norm_total = op_norm(total)
     if norm_total < 1e-10:

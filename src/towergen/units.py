@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -244,12 +244,22 @@ def canonical_units(shape: Sequence[int], embedding: UnitalEmbedding | None = No
         embedding = UnitalEmbedding.minimal(shape)
     if embedding.shape != shape:
         raise DimensionMismatch(f"embedding shape {embedding.shape} does not match {shape}")
+    return MatrixUnitSystem(
+        shape, embedding.target_dim, rows=canonical_rows(shape, embedding.multiplicities)
+    )
+
+
+def canonical_rows(shape: Sequence[int], multiplicities: Sequence[int]) -> List[np.ndarray]:
+    """The row tables of ``canonical_units``, one (k_s, c_s) array per block.
+
+    Block s fills the next c_s * k_s coordinates; E_ij (x) I_c on that
+    window puts row t of unit i at window coordinate i * c + t.
+    """
     rows, offset = [], 0
-    for k, c in zip(shape, embedding.multiplicities):
-        # E_ij (x) I_c on the window: row t of unit i is window coordinate i * c + t
+    for k, c in zip(shape, multiplicities):
         rows.append(offset + np.arange(k * c).reshape(k, c))
         offset += k * c
-    return MatrixUnitSystem(shape, embedding.target_dim, rows=rows)
+    return rows
 
 
 def amplify(system: MatrixUnitSystem, before: int, after: int) -> MatrixUnitSystem:

@@ -189,6 +189,32 @@ def test_empty_sweep_list_is_config_invalid(tmp_path, command, config, path):
     assert main([command, "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize(
+    "command,config,path",
+    [
+        ("stabilize-sweep", {"shape": [2, 3], "multiplicities": [1]}, "multiplicities"),
+        (
+            "counting-check",
+            {"max_dim": 2, "pinching_shape": [2, 3, 2], "pinching_multiplicities": [1, 1]},
+            "pinching_multiplicities",
+        ),
+        # against the default pinching shape [2, 3]
+        (
+            "counting-check",
+            {"max_dim": 2, "pinching_multiplicities": [1, 1, 1]},
+            "pinching_multiplicities",
+        ),
+    ],
+)
+def test_mismatched_multiplicities_are_config_invalid(tmp_path, command, config, path):
+    with pytest.raises(ConfigInvalid) as info:
+        run(command, config)
+    assert info.value.path == path
+    cfg = tmp_path / "mismatch.json"
+    cfg.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg)]) == 2
+
+
 def test_lemma52_without_enough_subrank_is_a_failed_report(tmp_path):
     config = {"shapes": [[2]], "block_sizes": [3]}
     report = run("lemma52-check", config)

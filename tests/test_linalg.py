@@ -67,6 +67,40 @@ def test_op_norm_non_finite_fails_closed(entries):
         op_norms(stack)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_zero_stack_needs_no_eigensolve(monkeypatch, sign):
+    def fail(*args, **kwargs):
+        raise AssertionError("an exactly zero stack reached the eigensolver")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    zeros = np.full((3, 4, 4), complex(sign * 0.0, sign * 0.0))
+    norms = op_norms(zeros)
+    assert list(norms) == [0.0, 0.0, 0.0] and not np.signbit(norms).any()
+    assert not np.signbit(op_norm(zeros[0]))
+    assert not np.signbit(op_norms(np.full((2, 3, 5), sign * 0.0))).any()
+
+
+def test_stack_with_zero_members_matches_per_matrix_norms():
+    rng = np.random.default_rng(12)
+    stack = rng.standard_normal((5, 6, 6)) + 1j * rng.standard_normal((5, 6, 6))
+    stack[[1, 3]] = 0.0
+    stack[4] = -0.0
+    norms = op_norms(stack)
+    assert [op_norm(m) for m in stack] == list(norms)
+    assert list(norms[[1, 3, 4]]) == [0.0, 0.0, 0.0] and not np.signbit(norms).any()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan), complex(0, np.inf)])
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf in A*A
+def test_non_finite_entry_of_a_zero_stack_fails_closed(bad):
+    stack = np.zeros((3, 4, 4), dtype=complex)
+    stack[2, 1, 3] = bad
+    with pytest.raises(NonFiniteValue):
+        op_norms(stack)
+    with pytest.raises(NonFiniteValue):
+        op_norm(stack[2])
+
+
 def _ladder(b):
     """One rung of ``recovery.ladder_units`` on a 2 x 2 b: the polar part of
     X = 4 F_1^* b (I - F_1 F_1^*) from the singular values of X."""

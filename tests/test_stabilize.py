@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from towergen.errors import StabilizationFailed
-from towergen.linalg import identity, op_norm, op_norms
+from towergen.linalg import hermitian_part, identity, op_norm, op_norms
 from towergen.stabilize import perturb_units, stabilize_units
 from towergen.units import MatrixUnitSystem, UnitalEmbedding, canonical_units, unit_defects
 
-from conftest import dense_units
+from conftest import dense_units, same_bits
 
 
 def test_exact_units_fixed_point_bitwise():
@@ -29,6 +29,31 @@ def test_idempotence_bitwise_after_repair():
     assert dist == 0.0
     for key in units.keys():
         assert np.array_equal(twice.unit(*key), once.unit(*key))
+
+
+def per_unit_perturbation(units, delta, seed):
+    """Two draws and one Hermitian part per unit, in key order."""
+    rng = np.random.default_rng(seed)
+    dim = units.ambient_dim
+    noise = []
+    for (s, i, j) in units.keys():
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        noise.append(hermitian_part(g) if i == j else g)
+    scales = np.maximum(op_norms(np.stack(noise)), 1e-300)
+    return [units.unit(*key) + delta * (g / c) for key, g, c in zip(units.keys(), noise, scales)]
+
+
+@pytest.mark.parametrize(
+    "shape,mult,seed", [((3,), (1,), 0), ((2, 3), (2, 1), 5), ((1, 4, 2), (3, 1, 2), 11)]
+)
+def test_perturbation_matches_a_draw_per_unit(shape, mult, seed):
+    dim = sum(c * k for c, k in zip(mult, shape))
+    units = canonical_units(shape, UnitalEmbedding(shape, mult, dim))
+    noisy = perturb_units(units, 1e-3, seed)
+    expected = per_unit_perturbation(units, 1e-3, seed)
+    assert all(
+        same_bits(noisy.unit(*key), e) for key, e in zip(units.keys(), expected, strict=True)
+    )
 
 
 def test_m5_m5_perturbation_sweep():

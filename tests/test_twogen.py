@@ -183,10 +183,12 @@ def test_assembly_matches_dense_oracle_on_random_towers(spec, seed):
     couplings = [random_hermitian(rng, dim) for _ in range(model.depth)]
     assert_plan_matches_dense_oracle(build_ab(model, [(None, z, 1.0, None) for z in couplings]))
     y = random_hermitian(rng, dim)
+    everything, some = np.arange(dim), rng.permutation(dim)[: dim // 2]
     for level in range(2, model.depth + 1):
         for atom in index_atoms(spec.block_shapes, level):
-            out = conjugated_element(model, atom, y, level)
-            assert np.array_equal(out, dense_conjugated_element(model, atom, y, level))
+            dense = dense_conjugated_element(model, atom, y, level)
+            assert np.array_equal(conjugated_element(model, atom, y, level, everything), dense)
+            assert np.array_equal(conjugated_element(model, atom, y, level, some), dense[some])
 
 
 def test_size_one_block_puts_its_corner_on_its_first_column():
@@ -239,14 +241,15 @@ def test_enumerate_indices_capacity():
 
 def test_conjugated_element_unit_algebra(t1_model):
     atom = IndexAtom(entries=((1, 1, 1, 1),))
-    out = conjugated_element(t1_model, atom, identity(t1_model.ambient_dim), 2)
+    dim = t1_model.ambient_dim
+    out = conjugated_element(t1_model, atom, identity(dim), 2, np.arange(dim))
     expected = t1_model.blocks[0].unit(1, 3, 3)
     assert op_norm(out - expected) <= 1e-14
 
 
 def test_conjugated_element_needs_a_lower_level(t1_model):
     with pytest.raises(DimensionMismatch):
-        conjugated_element(t1_model, IndexAtom(entries=()), identity(63), 1)
+        conjugated_element(t1_model, IndexAtom(entries=()), identity(63), 1, np.arange(63))
 
 
 def test_conjugated_element_contraction(t1_model):
@@ -255,7 +258,7 @@ def test_conjugated_element_contraction(t1_model):
     y_small = rng.standard_normal((21, 21)) + 1j * rng.standard_normal((21, 21))
     y = np.kron(identity(3), (y_small + y_small.conj().T) / 2)
     for atom in atoms:
-        out = conjugated_element(t1_model, atom, y, 2)
+        out = conjugated_element(t1_model, atom, y, 2, np.arange(63))
         assert op_norm(out) <= op_norm(y) + 1e-12
 
 
@@ -265,8 +268,8 @@ def test_conjugated_element_adjoint_reflection(t1_model):
     y = np.kron(identity(3), (y_small + y_small.conj().T) / 2)
     atom = IndexAtom(entries=((2, 1, 3, 1),))
     reflected = IndexAtom(entries=((3, 1, 2, 1),))
-    lhs = conjugated_element(t1_model, atom, y, 2).conj().T
-    rhs = conjugated_element(t1_model, reflected, y, 2)
+    lhs = conjugated_element(t1_model, atom, y, 2, np.arange(63)).conj().T
+    rhs = conjugated_element(t1_model, reflected, y, 2, np.arange(63))
     assert op_norm(lhs - rhs) <= 1e-12
 
 
