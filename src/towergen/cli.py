@@ -99,7 +99,11 @@ SCHEMAS: Dict[str, dict] = {
         "type": "object",
         "properties": {
             "max_dim": {"type": "integer", "minimum": 1},
-            "pinching_shape": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+            "pinching_shape": {
+                "type": "array",
+                "minItems": 1,
+                "items": {"type": "integer", "minimum": 1},
+            },
             "pinching_multiplicities": {"type": "array", "items": {"type": "integer", "minimum": 1}},
             "omegas": {
                 "type": "array",
@@ -117,7 +121,7 @@ SCHEMAS: Dict[str, dict] = {
             "shapes": {
                 "type": "array",
                 "minItems": 1,
-                "items": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+                "items": {"type": "array", "minItems": 1, "items": {"type": "integer", "minimum": 1}},
             },
             "block_sizes": {
                 "type": "array",
@@ -321,7 +325,9 @@ def run_cover_estimate(config: dict) -> RunReport:
     seed = config.get("seed", 404)
     cloud = haar_unitaries(k, spawned_seeds(seed, samples))
     if k == 1:
-        grid = [np.array([[np.exp(2j * np.pi * t / samples)]]) for t in range(samples)]
+        # the angle is divided as a real, as Python's complex 2j*pi*t / samples
+        # divides it; numpy's complex division multiplies by 1/samples instead
+        grid = np.exp(1j * (2 * np.pi * np.arange(samples) / samples))[:, None, None]
     for radius in radii:
         sep = 2.0 * radius
         est = greedy_packing(cloud, sep)

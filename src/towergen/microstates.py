@@ -81,13 +81,12 @@ def greedy_packing(cloud: Sequence[Point], omega: float) -> CoveringEstimate:
     cover holds it: the kept points are that cover's centers, so one scan
     gives both counts.
     """
-    points = list(cloud)
-    if not points:
+    if not len(cloud):
         raise DimensionMismatch("cloud must be nonempty")
-    count = greedy_cover(points, omega)
+    count = greedy_cover(cloud, omega)
     return CoveringEstimate(
         omega=float(omega),
-        sample_count=len(points),
+        sample_count=len(cloud),
         packing_count=count,
         implied_cover_lower=count,
         greedy_cover_count=count,
@@ -102,10 +101,9 @@ def greedy_cover(cloud: Sequence[Point], omega: float) -> int:
     """
     if omega <= 0:
         raise DimensionMismatch("omega must be positive")
-    points = list(cloud)
-    if not points:
+    if not len(cloud):
         return 0
-    stack = _stack_cloud(points)
+    stack = _stack_cloud(cloud)
     num, width = stack.shape[:2]
     uncovered = np.ones(num, dtype=bool)
     balls = 0
@@ -120,8 +118,14 @@ def greedy_cover(cloud: Sequence[Point], omega: float) -> int:
     return balls
 
 
-def _stack_cloud(points: List[Point]) -> np.ndarray:
-    """A nonempty cloud as one (points, tuple length, p, q) array."""
+def _stack_cloud(points: Sequence[Point]) -> np.ndarray:
+    """A nonempty cloud as one (points, tuple length, p, q) array.
+
+    An (n, p, q) array of single matrices, as ``haar_unitaries`` returns,
+    is taken as it is; a list of matrices or of tuples is copied in.
+    """
+    if isinstance(points, np.ndarray) and points.ndim == 3:
+        return np.asarray(points, dtype=np.complex128)[:, None]
     first = _as_tuple(points[0])
     shape = np.shape(first[0])
     stack = np.empty((len(points), len(first)) + shape, dtype=np.complex128)

@@ -18,7 +18,15 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import _lapack, as_operator, identity, op_norm, op_norms, screened_max_norm
+from .linalg import (
+    _WORKSPACE_BYTES,
+    _lapack,
+    as_operator,
+    identity,
+    op_norm,
+    op_norms,
+    screened_max_norm,
+)
 
 Shape = Tuple[int, ...]
 
@@ -146,16 +154,26 @@ class MatrixUnitSystem:
         return out
 
     def unitality_defect(self) -> float:
-        """||sum of the diagonal units - I||; an exact system's is read off its tables.
+        """||sum of the diagonal units - I||; exact and factored systems form no unit.
 
         The diagonal units of an exact system sum to the 0/1 diagonal that
         marks the coordinates its tables cover, so the defect is 0.0 when
         they cover every coordinate and 1.0 otherwise, as ``op_norm`` gives.
+        A factored system's diagonal units sum to Y Y^*, Y the stacked
+        factors (d x N), whose eigenvalues are those of Y^* Y and, when
+        N < d, zeros: the defect is max |eig - 1| from the smaller Gram,
+        at least 1.0 when N < d.
         """
-        if self.rows is None:
+        if self.rows is not None:
+            covered = sum(table.size for table in self.rows)
+            return 0.0 if covered == self.ambient_dim else 1.0
+        if self.factors is None:
             return op_norm(self.diagonal_sum() - identity(self.ambient_dim))
-        covered = sum(table.size for table in self.rows)
-        return 0.0 if covered == self.ambient_dim else 1.0
+        y = stacked_factors(self.factors)
+        gram = y.conj().T @ y if y.shape[1] <= y.shape[0] else y @ y.conj().T
+        w = _lapack(np.linalg.eigvalsh, gram, "unitality Gram eigensolve")
+        defect = float(np.max(np.abs(w - 1.0), initial=0.0))
+        return max(defect, 1.0) if y.shape[1] < self.ambient_dim else defect
 
     def column_map(self, s: int, i: int, j: int) -> np.ndarray:
         """Unit e_ij^(s) of an exact system as a map of column coordinates.
@@ -303,11 +321,19 @@ def unit_defects(system: MatrixUnitSystem) -> UnitDefects:
 
     Multiplication covers both the in-block product rule and the vanishing
     of cross-block (or mismatched-index) products: a matched in-block pair
-    e_ij e_jl should give e_il, every other pair zero.  Matched pairs whose
+    e_ij e_jl should give e_il, every other pair zero.  Every maximum is
+    exact.
+
+    An exact or factored system is scored from its column factors, with no
+    d x d unit formed (``_factored_defects``): its adjoint defect is 0.0 by
+    definition, and the other two agree with the dense scoring of its units
+    to rounding.  A dense system takes the screened path: its maximum over
+    all pairs comes from ``screened_max_norm``, and matched pairs whose
     composite is absent from a partial system cannot be scored and are
-    skipped (scored as zero).  The maximum over all pairs is exact
-    (``screened_max_norm``).
+    skipped (scored as zero).
     """
+    if system.units is None:
+        return _factored_defects(system)
     keys = system.keys()
     index = {key: n for n, key in enumerate(keys)}
     mats = np.stack([system.unit(*k) for k in keys])
@@ -337,6 +363,42 @@ def unit_defects(system: MatrixUnitSystem) -> UnitDefects:
 
     mult = screened_max_norm(n, n, d, residuals)
     return UnitDefects(adjoint=float(adj), unitality=float(unitality), multiplication=float(mult))
+
+
+def _factored_defects(system: MatrixUnitSystem) -> UnitDefects:
+    """``unit_defects`` of an exact or factored system, from m x m factor algebra.
+
+    e_ji is defined as (F_i F_j^*)^* = F_j F_i^*, so the adjoint defect is
+    exactly 0.0.  With Y = [F_1, ..., F_N] the stacked factors over every
+    block, D = Y^* Y - I and F_i = Q_i R_i (reduced QR), the residual of
+    the pair (e_ij^(s), e_kl^(t)) is F_i^s D_jk F_l^t* = Q_i R_i D_jk R_l^* Q_l^*,
+    with D_jk the (j, k) block of D between blocks s and t: the product
+    rule's e_il when s = t and j = k, zero for every other pair.  The Q
+    have orthonormal columns, so its norm is ||R_i D_jk R_l^*||.  Each
+    block pair (s, t) is one batched ``op_norms`` over its k_s^2 k_t^2
+    residuals, split over i when they would exceed the workspace, so the
+    maximum is exact.  An exact system's D is exactly zero.
+    """
+    unitality = system.unitality_defect()
+    factors = system.column_factors()
+    y = stacked_factors(factors)
+    defect = y.conj().T @ y - np.eye(y.shape[1])
+    rs = [_lapack(lambda x: np.linalg.qr(x, mode="r"), f, "unit defects QR") for f in factors]
+    starts = np.cumsum([0] + [f.shape[0] * f.shape[2] for f in factors])
+    worst = 0.0
+    for r_s, a in zip(rs, starts):
+        k_s, _, m_s = r_s.shape
+        for r_t, b in zip(rs, starts):
+            k_t, _, m_t = r_t.shape
+            # d_jk[j, k] = D_jk, the m_s x m_t block between unit rows j and k
+            d_jk = defect[a : a + k_s * m_s, b : b + k_t * m_t].reshape(k_s, m_s, k_t, m_t)
+            d_jk = d_jk.transpose(0, 2, 1, 3)
+            right = r_t.conj().transpose(0, 2, 1)[None, None, None]
+            step = max(1, _WORKSPACE_BYTES // (16 * k_s * k_t * k_t * r_s.shape[1] * r_t.shape[1]))
+            for top in range(0, k_s, step):  # res[i, j, k, l] = R_i D_jk R_l^*
+                res = r_s[top : top + step, None, None, None] @ d_jk[None, :, :, None] @ right
+                worst = max(worst, float(op_norms(res.reshape(-1, *res.shape[-2:])).max()))
+    return UnitDefects(adjoint=0.0, unitality=unitality, multiplication=worst)
 
 
 def factored_distance(approx: MatrixUnitSystem, other: MatrixUnitSystem) -> float:

@@ -5,11 +5,17 @@ from hypothesis import strategies as st
 from towergen.presets import preset_spec
 from towergen.tower import TowerSpec, build_tower
 from towergen.twogen import build_plan
+from towergen.units import MatrixUnitSystem
 
 
 def dense_units(system):
     """A fresh dict of every unit of a system, each read through ``unit``."""
     return {key: system.unit(*key) for key in system.keys()}
+
+
+def densified(system):
+    """The same units as a dense system, which ``unit_defects`` scores by the screened path."""
+    return MatrixUnitSystem(system.shape, system.ambient_dim, units=dense_units(system))
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:

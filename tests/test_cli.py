@@ -14,12 +14,14 @@ from towergen.cli import main, resolve_tower_spec, run, validate_config
 from towergen.errors import ConfigInvalid
 from towergen.recovery import CLUSTER_HALFWIDTH, COMPLEMENT_BOUND, round_trip
 from towergen.similarity import run_identity_sweep, sweep_rows
-from towergen.stabilize import perturb_units
+from towergen.stabilize import perturb_units, stabilize_units
 from towergen.tower import build_tower, check_conditions
 from towergen.twogen import build_plan, verify_facts
 from towergen.units import UnitDefects, UnitalEmbedding, canonical_units, unit_defects
 from towergen.presets import list_presets, preset_spec
 from towergen.report import RunReport
+
+from conftest import densified
 
 
 def test_malformed_config_names_field():
@@ -178,6 +180,9 @@ def test_negative_seed_is_config_invalid(tmp_path, command):
         ("lemma52-check", {"block_sizes": []}, "block_sizes"),
         ("cover-estimate", {"omegas": []}, "omegas"),
         ("counting-check", {"max_dim": 2, "omegas": []}, "omegas"),
+        ("counting-check", {"max_dim": 2, "pinching_shape": []}, "pinching_shape"),
+        ("lemma52-check", {"shapes": [[]], "runs": 1}, "shapes.0"),
+        ("lemma52-check", {"shapes": [[2], []], "runs": 1}, "shapes.1"),
     ],
 )
 def test_empty_sweep_list_is_config_invalid(tmp_path, command, config, path):
@@ -270,6 +275,23 @@ def test_stabilize_sweep_defects_in_match_an_independent_scoring():
     for row in rows:
         noisy = perturb_units(units, row["delta"], row["seed"])
         assert row["defects_in"] == unit_defects(noisy).to_json()
+
+
+def test_stabilize_sweep_defects_out_match_a_dense_scoring():
+    """defects_out comes from the stabilized system's factors; the dense
+    screened scoring of the same units agrees within 8 d eps."""
+    config = {"shape": [2, 3], "multiplicities": [2, 1], "deltas": [1e-4, 1e-3], "seeds": 3}
+    report = run("stabilize-sweep", config)
+    units = canonical_units((2, 3), UnitalEmbedding((2, 3), (2, 1), 7))
+    bound = 8 * units.ambient_dim * np.finfo(float).eps
+    rows = report.extra["sweep"]
+    assert len(rows) == 6
+    for row in rows:
+        fixed, _ = stabilize_units(perturb_units(units, row["delta"], row["seed"]))
+        want = unit_defects(densified(fixed)).to_json()
+        assert row["defects_out"]["adjoint"] == 0.0
+        for name, value in want.items():
+            assert abs(row["defects_out"][name] - value) <= bound * max(1.0, value), name
 
 
 def test_stabilize_sweep_judges_monotonicity_in_delta_order(tmp_path):

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import towergen.units as units_module
 from towergen.errors import DimensionMismatch, NonFiniteValue
 from towergen.linalg import identity, op_norm
-from towergen.stabilize import perturb_units
+from towergen.microstates import haar_unitaries
+from towergen.stabilize import perturb_units, stabilize_units
 from towergen.units import (
     MatrixUnitSystem,
     UnitalEmbedding,
@@ -14,7 +18,7 @@ from towergen.units import (
     unit_defects,
 )
 
-from conftest import dense_units
+from conftest import dense_units, densified
 
 
 def test_rank_examples():
@@ -208,3 +212,78 @@ def test_unit_defects_max_propagates_nan(position):
     values[position] = float("nan")
     assert np.isnan(UnitDefects(*values).max())
     assert UnitDefects(1e-3, 2e-3, 0.0).max() == 2e-3
+
+
+def padded(system: MatrixUnitSystem, extra: int) -> MatrixUnitSystem:
+    """The factored system inside extra more ambient coordinates, which no factor covers."""
+    factors = [np.pad(f, ((0, 0), (0, extra), (0, 0))) for f in system.column_factors()]
+    return MatrixUnitSystem(system.shape, system.ambient_dim + extra, factors=factors)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    blocks=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3)), min_size=1, max_size=3),
+    extra=st.integers(0, 2),
+    kind=st.sampled_from(["stabilized", "noisy", "rotated"]),
+    log_delta=st.floats(min_value=-6.0, max_value=-2.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_factored_defects_match_the_dense_scoring(blocks, extra, kind, log_delta, seed):
+    """Factors of three kinds, with N = d or, inside extra uncovered
+    coordinates, N < d: near-isometric (stabilizer outputs), far from
+    isometric (indicator columns plus unit-variance complex Gaussian noise),
+    and exact blocks that overlap (the last block's indicator columns turned
+    by a Haar unitary, so only cross-block products and unitality fail)."""
+    shape = tuple(k for k, _ in blocks)
+    mult = tuple(c for _, c in blocks)
+    dim = sum(k * c for k, c in blocks)
+    exact = canonical_units(shape, UnitalEmbedding(shape, mult, dim))
+    factors = list(exact.column_factors())
+    if kind == "stabilized":
+        factors = stabilize_units(perturb_units(exact, 10.0**log_delta, seed))[0].factors
+    elif kind == "noisy":
+        rng = np.random.default_rng(seed)
+        factors = [
+            f + rng.standard_normal(f.shape) + 1j * rng.standard_normal(f.shape) for f in factors
+        ]
+    else:
+        factors[-1] = haar_unitaries(dim, [seed])[0] @ factors[-1]
+    system = padded(MatrixUnitSystem(shape, dim, factors=factors), extra)
+    got, want = unit_defects(system), unit_defects(densified(system))
+    assert got.adjoint == 0.0
+    bound = 8 * system.ambient_dim * np.finfo(float).eps
+    for name in ("adjoint", "unitality", "multiplication"):
+        value = getattr(want, name)
+        assert abs(getattr(got, name) - value) <= bound * max(1.0, value), name
+    if extra:
+        assert got.unitality >= 1.0
+
+
+@pytest.mark.parametrize("stabilized", [False, True])
+def test_factor_scoring_forms_no_dense_unit(monkeypatch, stabilized):
+    exact = canonical_units((2, 3), UnitalEmbedding((2, 3), (2, 1), 7))
+    system = stabilize_units(perturb_units(exact, 1e-3, 5))[0] if stabilized else exact
+
+    def refuse(*args):
+        raise AssertionError("a d x d unit was formed")
+
+    monkeypatch.setattr(MatrixUnitSystem, "unit", refuse)
+    defects = unit_defects(system)
+    if not stabilized:
+        assert defects == UnitDefects(0.0, 0.0, 0.0)
+    assert defects.max() <= 1e-12
+
+
+def test_factor_scoring_of_a_non_finite_factor_fails_closed():
+    factors = [f.copy() for f in canonical_units((2, 2)).column_factors()]
+    factors[1][0, 1, 0] = np.nan
+    with pytest.raises(NonFiniteValue):
+        unit_defects(MatrixUnitSystem((2, 2), 4, factors=factors))
+
+
+def test_factor_scoring_split_over_rows_gives_the_same_defects(monkeypatch):
+    exact = canonical_units((3, 2), UnitalEmbedding((3, 2), (2, 3), 12))
+    system, _ = stabilize_units(perturb_units(exact, 1e-3, 9))
+    whole = unit_defects(system)
+    monkeypatch.setattr(units_module, "_WORKSPACE_BYTES", 1)  # one unit row i per op_norms call
+    assert unit_defects(system) == whole
