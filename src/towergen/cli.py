@@ -247,9 +247,8 @@ def run_recover(config: dict) -> RunReport:
 
     if config.get("closure", False):
         pair_basis = subalgebra_closure([plan.gen_a, plan.gen_b])
-        oracle_gens = [m for blk in model.blocks for _, m in blk.iter_units()]
-        oracle_gens += [lv.coupling for lv in plan.levels] + [identity(model.ambient_dim)]
-        oracle_basis = subalgebra_closure(oracle_gens)
+        oracle_gens = [lv.coupling for lv in plan.levels] + [identity(model.ambient_dim)]
+        oracle_basis = subalgebra_closure(oracle_gens, systems=model.blocks)
         report.add(
             "closure.dimension_match",
             pair_basis.size, oracle_basis.size, pair_basis.size == oracle_basis.size,

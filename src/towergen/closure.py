@@ -15,11 +15,26 @@ element (Murota, Kanno, Kojima & Kojima, JJIAM 27, 2010):
 - a component of n clusters of size m is a block I_m (x) M_n, and the
   algebra's dimension is the sum of the n^2.
 
+Exact unit systems are generators read by row table; no d x d unit is
+formed.  A block with table R of shape (k, c) has units
+e_ij = sum_t |R[i, t]><R[j, t]| of Frobenius norm sqrt(c).  Their part of
+the random mixtures is one scatter of the k^2 coefficients / sqrt(c) onto
+the positions (R[i, t], R[j, t]), distinct within a block, and their
+entries in h's eigenbasis are V[R_i]^* V[R_j] / sqrt(c), V[R_i] the c rows
+of the eigenvector matrix on row i of R, at most ``_CHUNK`` d x d products
+at a time, as for dense generators.  The units' coefficients are drawn
+first, system by system in ``keys()`` order, so the certificate is that of
+the dense units listed before the dense generators, up to rounding.
+
 Tolerances.  ``eigh`` is backward stable, so an eigenvector whose eigenvalue
 lies a gap g from the rest of the spectrum is off by an angle of about
 eps*||h||/g, and an entry that is zero between two clusters is computed at
 about eps*||h||/g.  Clusters split only at relative gaps above GAP_TOL, so
 such entries stay near eps/GAP_TOL ~ 2e-10, some 45 times under EDGE_TOL.
+This error lies in the eigenvectors, so it is the same for both kinds of
+generator; the product itself adds rounding of about d*eps for a dense
+generator and sqrt(c)*eps for a unit read by table (c terms, over
+sqrt(c)), far below it.
 Eigenvalues closer than GAP_TOL * ||h|| are not resolved.  The certificate
 records its margins: the smallest relative gap between clusters, the weakest
 edge that keeps a component connected, and the strongest edge it cut.
@@ -38,6 +53,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NoSpectralGap
 from .linalg import _lapack, as_operator, op_norm
+from .units import MatrixUnitSystem
 
 GAP_TOL = 1e-6
 EDGE_TOL = 1e-8
@@ -133,18 +149,66 @@ def _components(w: np.ndarray) -> Tuple[np.ndarray, float]:
     return labels, weakest
 
 
-def subalgebra_closure(generators: Sequence[np.ndarray]) -> StructureCertificate:
-    """Certified block structure of the unital *-algebra the generators generate."""
+def _unit_tables(systems: Sequence[MatrixUnitSystem], d: int) -> List[np.ndarray]:
+    """Row tables of the exact systems' blocks, in ``keys()`` order."""
+    tables = []
+    for system in systems:
+        if system.rows is None:
+            raise DimensionMismatch("closure reads only exact unit systems by row table")
+        if system.ambient_dim != d:
+            raise DimensionMismatch(
+                f"unit system has dimension {system.ambient_dim}, generators have {d}"
+            )
+        tables += system.rows
+    return tables
+
+
+def _block_entries(v: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Entrywise maximum of |v^* e_ij v| / sqrt(c) over the units of one block.
+
+    With V[R_i] the c rows of v on the table's row i, v^* e_ij v is
+    V[R_i]^* V[R_j], and sqrt(c) is the unit's Frobenius norm.  At most
+    ``_CHUNK`` of these d x d products exist at once.
+    """
+    k, c = table.shape
+    rows = v[table]  # (k, c, d)
+    adj = rows.conj().transpose(0, 2, 1)
+    i, j = np.divmod(np.arange(k * k), k)
+    out = np.zeros(v.shape)
+    for lo in range(0, k * k, _CHUNK):
+        pick = slice(lo, lo + _CHUNK)
+        out = np.maximum(out, np.abs(adj[i[pick]] @ rows[j[pick]]).max(axis=0))
+    return out / np.sqrt(c)
+
+
+def subalgebra_closure(
+    generators: Sequence[np.ndarray], systems: Sequence[MatrixUnitSystem] = ()
+) -> StructureCertificate:
+    """Certified block structure of the unital *-algebra the generators generate.
+
+    ``systems`` adds every unit of each exact unit system, read from its
+    row tables, before the dense generators (see the module docstring).
+    """
     gens = [as_operator(g) for g in generators]
-    if not gens:
+    if not gens and not systems:
         raise DimensionMismatch("need at least one generator")
-    d = gens[0].shape[0]
+    d = gens[0].shape[0] if gens else systems[0].ambient_dim
     if any(g.shape[0] != d for g in gens):
         raise DimensionMismatch("generators must share their dimension")
+    tables = _unit_tables(systems, d)
 
     rng = np.random.default_rng(_SEED)
-    coeffs = rng.standard_normal((2, len(gens))) + 1j * rng.standard_normal((2, len(gens)))
-    z = sum(np.tensordot(coeffs[:, lo : lo + _CHUNK], s, axes=1) for lo, s in _unit_chunks(gens))
+    n = sum(t.shape[0] ** 2 for t in tables) + len(gens)
+    coeffs = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    z = np.zeros((2, d, d), dtype=np.complex128)
+    at = 0
+    for table in tables:
+        k, c = table.shape
+        block = coeffs[:, at : at + k * k].reshape(2, k, k, 1) / np.sqrt(c)
+        z[:, table[:, None, :], table[None, :, :]] += block
+        at += k * k
+    for lo, s in _unit_chunks(gens):
+        z += np.tensordot(coeffs[:, at + lo : at + lo + _CHUNK], s, axes=1)
     x, y = z + z.conj().transpose(0, 2, 1)
     xy = x @ y
     h = x + (xy + xy.conj().T) / 2 + 1j * (xy - xy.conj().T) / 2
@@ -155,6 +219,8 @@ def subalgebra_closure(generators: Sequence[np.ndarray]) -> StructureCertificate
     sizes = np.diff(np.append(starts, d))
 
     entry = np.zeros((d, d))
+    for table in tables:
+        entry = np.maximum(entry, _block_entries(v, table))
     for _, s in _unit_chunks(gens):
         entry = np.maximum(entry, np.abs(v.conj().T @ s @ v).max(axis=0))
     w = np.maximum.reduceat(np.maximum.reduceat(entry, starts, axis=0), starts, axis=1)

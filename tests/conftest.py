@@ -48,6 +48,25 @@ def relaxed_towers(draw):
     )
 
 
+@st.composite
+def small_towers(draw):
+    """1-3 levels of 1-3 blocks of size 1-5, ambient dimension at most 64."""
+    shapes, dim = [], 1
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        budget = 64 // dim
+        blocks = draw(st.lists(st.integers(1, min(5, budget)), min_size=1, max_size=3))
+        while sum(blocks) > budget:
+            blocks.pop()
+        shapes.append(tuple(blocks))
+        dim *= sum(blocks)
+    return TowerSpec(
+        block_shapes=tuple(shapes), mode="relaxed",
+        num_generators=draw(st.integers(min_value=1, max_value=2)),
+        generator_seed=draw(st.integers(min_value=0, max_value=2**32 - 1)),
+        generator_recipe=draw(st.sampled_from(["leading-factor", "uhf"])),
+    )
+
+
 @pytest.fixture(scope="session")
 def t0_model():
     return build_tower(preset_spec("T0"))

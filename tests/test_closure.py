@@ -2,11 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from towergen import closure
+from towergen.cli import resolve_tower_spec, run
 from towergen.closure import EDGE_TOL, distance_to_span, subalgebra_closure
-from towergen.errors import NonConvergence, NonFiniteValue, NoSpectralGap
-from towergen.linalg import op_norm
+from towergen.errors import DimensionMismatch, NonConvergence, NonFiniteValue, NoSpectralGap
+from towergen.linalg import identity, op_norm
+from towergen.tower import build_tower
+from towergen.twogen import build_plan
+from towergen.units import MatrixUnitSystem, UnitalEmbedding, canonical_units
+
+from conftest import densified, small_towers
 
 # Blocks (m, n) of a sum of I_m (x) M_n, d <= 8; identity-only comes first.
 STRUCTURES = [
@@ -92,3 +99,104 @@ def test_closure_eigensolve_fails_closed(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(NonConvergence):
         subalgebra_closure([np.eye(3)])
+
+
+def dense_oracle(model, extra):
+    """The units as a dense generator list, before the other generators."""
+    units = [m for blk in model.blocks for _, m in blk.iter_units()]
+    return subalgebra_closure(units + extra)
+
+
+def assert_same_certificate(cert, reference):
+    """Same blocks and labels, and margins within 1e-10 relative.
+
+    A cut edge is an entry that is zero in exact arithmetic, computed at
+    about eps / min_gap (closure's error analysis), so the margins are also
+    allowed that absolute difference."""
+    assert cert.dim == reference.dim
+    assert cert.size == reference.size
+    assert cert.blocks == reference.blocks
+    assert np.array_equal(cert.labels, reference.labels)
+    for name in ("min_gap", "weakest_edge", "strongest_cut"):
+        got, want = getattr(cert, name), getattr(reference, name)
+        noise = np.finfo(float).eps / reference.min_gap
+        assert got == pytest.approx(want, rel=1e-10, abs=noise), name
+
+
+ORACLE_TOWERS = [
+    {"preset": "T0"}, {"preset": "T1b"}, {"preset": "T1"}, {"preset": "T1", "recipe": "uhf"},
+    {"shapes": [[4], [19]], "mode": "relaxed"},
+]
+
+
+@pytest.mark.parametrize("config", ORACLE_TOWERS, ids=["T0", "T1b", "T1", "T1-uhf", "4-19"])
+def test_units_by_table_match_the_dense_unit_list(config):
+    """The oracle side of ``recover``: units, couplings and I."""
+    model = build_tower(resolve_tower_spec(config))
+    extra = [lv.coupling for lv in build_plan(model).levels] + [identity(model.ambient_dim)]
+    cert = subalgebra_closure(extra, systems=model.blocks)
+    assert_same_certificate(cert, dense_oracle(model, extra))
+    assert cert.size == model.ambient_dim**2
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(spec=small_towers())
+def test_units_by_table_match_the_dense_unit_list_on_random_towers(spec):
+    """With and without the tower's generators: the units alone generate a
+    proper subalgebra, with repeated clusters and cut edges to agree on."""
+    model = build_tower(spec)
+    eye = identity(model.ambient_dim)
+    for extra in ([*model.generators, eye], [eye]):
+        try:
+            reference = dense_oracle(model, extra)
+        except NoSpectralGap:
+            with pytest.raises(NoSpectralGap):
+                subalgebra_closure(extra, systems=model.blocks)
+            continue
+        assert_same_certificate(subalgebra_closure(extra, systems=model.blocks), reference)
+
+
+def test_block_entries_are_the_dense_maximum():
+    """81 units of rank 2 span two chunks; each unit at unit Frobenius norm."""
+    units = canonical_units([9], UnitalEmbedding((9,), (2,), 18))
+    q, _ = np.linalg.qr(_gaussian(np.random.default_rng(3), 18))
+    mags = [abs(q.conj().T @ m @ q) / np.linalg.norm(m) for _, m in units.iter_units()]
+    dense = np.max(mags, axis=0)
+    assert len(units.keys()) > closure._CHUNK
+    assert np.allclose(closure._block_entries(q, units.rows[0]), dense, rtol=0, atol=1e-14)
+
+
+def test_systems_alone_are_generators():
+    units = canonical_units([2, 1])
+    cert = subalgebra_closure([], systems=[units])
+    assert_same_certificate(cert, subalgebra_closure([m for _, m in units.iter_units()]))
+    assert cert.blocks == [(1, 2), (1, 1)]
+
+
+@pytest.mark.parametrize("config", [{"preset": "T1"}, {"shapes": [[20]]}], ids=["T1", "d20"])
+def test_recover_with_closure_forms_no_exact_unit(monkeypatch, config):
+    dense_unit = MatrixUnitSystem.unit
+
+    def unit(self, s, i, j):
+        if self.rows is not None:
+            raise AssertionError(f"exact unit {(s, i, j)} formed densely")
+        return dense_unit(self, s, i, j)
+
+    monkeypatch.setattr(MatrixUnitSystem, "unit", unit)
+    report = run("recover", dict(config, closure=True))
+    assert report.passed
+    assert any(row.name == "closure.dimension_match" for row in report.rows)
+
+
+def test_bad_systems_fail_closed():
+    units = canonical_units([2])
+    factored = MatrixUnitSystem((2,), 2, factors=[np.eye(2, dtype=complex).reshape(2, 2, 1)])
+    for system in (densified(units), factored):
+        with pytest.raises(DimensionMismatch, match="exact"):
+            subalgebra_closure([np.eye(2)], systems=[system])
+    with pytest.raises(DimensionMismatch, match="dimension"):
+        subalgebra_closure([np.eye(3)], systems=[units])
+    with pytest.raises(DimensionMismatch, match="at least one"):
+        subalgebra_closure([], systems=[])
+    with pytest.raises(NonFiniteValue):
+        subalgebra_closure([np.diag([np.nan, 1.0])], systems=[units])

@@ -11,13 +11,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from towergen.cli import resolve_tower_spec
 from towergen.errors import DimensionMismatch
 from towergen.linalg import identity, op_norm
 from towergen.tower import (
-    TowerSpec,
     _embed_factor,
     _max_cross_commutator,
     _screened_max_commutator,
@@ -32,7 +30,7 @@ from towergen.units import (
     factored_distance,
 )
 
-from conftest import same_bits
+from conftest import same_bits, small_towers
 
 PRESETS = [
     {"preset": "T0"}, {"preset": "T1b"}, {"preset": "T1"},
@@ -97,25 +95,6 @@ def test_presets_match_dense_oracles(config):
         assert block.keys() == list(reference)
         for key, mat in reference.items():
             assert same_bits(block.unit(*key), mat)
-
-
-@st.composite
-def small_towers(draw):
-    """1-3 levels of 1-3 blocks of size 1-5, ambient dimension at most 64."""
-    shapes, dim = [], 1
-    for _ in range(draw(st.integers(min_value=1, max_value=3))):
-        budget = 64 // dim
-        blocks = draw(st.lists(st.integers(1, min(5, budget)), min_size=1, max_size=3))
-        while sum(blocks) > budget:
-            blocks.pop()
-        shapes.append(tuple(blocks))
-        dim *= sum(blocks)
-    return TowerSpec(
-        block_shapes=tuple(shapes), mode="relaxed",
-        num_generators=draw(st.integers(min_value=1, max_value=2)),
-        generator_seed=draw(st.integers(min_value=0, max_value=2**32 - 1)),
-        generator_recipe=draw(st.sampled_from(["leading-factor", "uhf"])),
-    )
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
