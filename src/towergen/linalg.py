@@ -24,11 +24,26 @@ DEFAULT_DIM_CAP = 4096
 
 _HERMITIAN_TOL = 1e-12
 
-# Relative rounding margin of the Frobenius screen in ``screened_max_norm``.
-# Both norms of one computed d x d matrix carry relative rounding errors of
-# order d^2 * eps, under 4e-9 up to DEFAULT_DIM_CAP, so a candidate whose
-# Frobenius norm times (1 + SCREEN_MARGIN) is at most the running maximum
-# cannot exceed it: ||X|| <= ||X||_F.
+# Relative rounding margin of both screens in ``screened_max_norm``.
+# Frobenius screen: both norms of one computed d x d matrix carry relative
+# rounding errors of order d^2 * eps, under 4e-9 up to DEFAULT_DIM_CAP, so a
+# candidate whose Frobenius norm times (1 + SCREEN_MARGIN) is at most the
+# running maximum cannot exceed it: ||X|| <= ||X||_F.
+# Gram-power screen: t = f * ||(Y^*Y)^2||_F^(1/4) with Y = X / f and f the
+# Frobenius norm, an upper bound since ||X||^4 = lambda_max(X^*X)^2 <=
+# ||(X^*X)^2||_F.  t is homogeneous in f, so f's own rounding cancels and
+# only that of Y's entries (eps each) remains.  With u = eps / 2 the unit
+# roundoff and ||Y||_F = 1, the computed G = Y^*Y is off by at most about
+# d u ||Y||_F^2 in Frobenius norm and ||G||_F >= ||Y||_F^2 / sqrt(d), a
+# relative error of d^1.5 u; squaring adds d^1.5 u of its own and carries
+# G's error at most 2 sqrt(d) times over, since ||G^2||_F >= ||G||_F^2 /
+# sqrt(d).  That is about 3 d^2 u in ||G^2||_F, 5.5e-9 at DEFAULT_DIM_CAP,
+# which the 1/4 power cuts to 1.4e-9; with the operator norm's own 4e-9 the
+# total, about 5.4e-9, stays under SCREEN_MARGIN (unrooted it would be
+# 9.5e-9).  Entries of Y are at most 1 and ||G^2||_F >= d^-1.5, so neither
+# stage under- or overflows at any scale the Frobenius norm accepts;
+# without the division by f, (X^*X)^2 loses its bits to underflow for
+# entries below about 1e-77 and overflows above about 1e77.
 SCREEN_MARGIN = 1e-8
 
 # Bytes of one candidate stack formed by ``screened_max_norm``.
@@ -139,11 +154,20 @@ def screened_max_norm(
     ``residual(li, ri)`` takes broadcastable index arrays and returns the
     dim x dim residuals of those pairs, stacked in their broadcast shape;
     it must give each pair the same bits whatever else it is asked for,
-    as batched matrix products do.  The Frobenius norms of all pairs are
-    taken a bounded block at a time; pairs are then measured in decreasing
-    Frobenius order until the next one, raised by SCREEN_MARGIN, is at most
-    the running maximum.  Since ||X|| <= ||X||_F no unmeasured pair can
-    exceed it, and an exactly vanishing grid needs no measurement.
+    as batched matrix products do.  Two screens, each raised by
+    SCREEN_MARGIN, bound every pair's norm from above:
+
+    - the Frobenius norms f of all pairs, taken a bounded block at a time;
+      the pair of largest f is measured alone first, and only pairs whose
+      f still exceeds its norm go on (||X|| <= ||X||_F);
+    - for those, t = f * ||(Y^*Y)^2||_F^(1/4) with Y = X / f, the fourth
+      root of the Frobenius norm of (X^*X)^2 computed at unit scale
+      (||X||^4 <= ||(X^*X)^2||_F).
+
+    Pairs are then measured in decreasing t order until the next t is at
+    most the running maximum, so no unmeasured pair can exceed it, and
+    each measured pair gets the bits ``op_norm`` gives it.  An exactly
+    vanishing grid needs no measurement.
     """
     per_block = max(1, _WORKSPACE_BYTES // max(1, 16 * dim * dim))
     width = max(1, min(cols, per_block))
@@ -157,16 +181,28 @@ def screened_max_norm(
     fro = fro.ravel()
     if not np.isfinite(fro).all():
         raise NonFiniteValue("Frobenius norm is NaN or infinite")
-    order = np.argsort(-fro, kind="stable")
-    bound = fro[order] * (1.0 + SCREEN_MARGIN)
-    best, start, step = 0.0, 0, 1  # the largest alone first: its norm prunes the rest
-    while start < len(order):
-        idx = order[start : start + step][bound[start : start + step] > best]
-        if not len(idx):
+    if not fro.size or fro.max() == 0.0:
+        return 0.0
+    first = int(np.argmax(fro))  # the largest alone first: its norm prunes the rest
+    best = float(op_norms(residual(np.array([first // cols]), np.array([first % cols]))).max())
+    idx = np.flatnonzero(fro * (1.0 + SCREEN_MARGIN) > best)
+    idx = idx[idx != first]
+    step = max(1, per_block // 4)  # a stage holds about four stacks at once
+    power = np.empty(len(idx))
+    for start in range(0, len(idx), step):
+        part = idx[start : start + step]
+        y = residual(part // cols, part % cols) / fro[part, None, None]
+        gram = y.conj().transpose(0, 2, 1) @ y
+        power[start : start + step] = fro[part] * np.sqrt(np.sqrt(_frobenius_norms(gram @ gram)))
+    order = np.argsort(-power, kind="stable")
+    idx, bound = idx[order], power[order] * (1.0 + SCREEN_MARGIN)
+    start, size = 0, 1  # the largest t alone first, as for f
+    while start < len(idx):
+        part = idx[start : start + size][bound[start : start + size] > best]
+        if not len(part):
             break
-        best = max(best, float(op_norms(residual(idx // cols, idx % cols)).max()))
-        start += step
-        step = max(1, per_block // 4)  # a measurement holds about four stacks at once
+        best = max(best, float(op_norms(residual(part // cols, part % cols)).max()))
+        start, size = start + size, step
     return best
 
 

@@ -128,9 +128,11 @@ def commutant_projection(x: np.ndarray, block: MatrixUnitSystem) -> np.ndarray:
 def _screened_max_commutator(left: List[np.ndarray], right: List[np.ndarray]) -> float:
     """Max operator norm of [u, v] over the two unit families.
 
-    Exact: every commutator's Frobenius norm screens the operator-norm
-    measurements (``screened_max_norm``), so on commuting families, whose
-    commutators vanish exactly, no operator norm is evaluated.
+    Exact: ``screened_max_norm`` bounds every commutator by its Frobenius
+    norm and then, for those the bound keeps, by the fourth root of
+    ||(C^*C)^2||_F, and measures operator norms only while a bound exceeds
+    the running maximum.  On commuting families, whose commutators vanish
+    exactly, no operator norm is evaluated.
     """
     if not left or not right:
         return 0.0

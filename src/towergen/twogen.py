@@ -187,7 +187,14 @@ def build_z(
         return hermitian_part(scale * w), float(scale), None
 
     atoms, assignment = enumerate_indices(model, level)
-    total = np.zeros((model.ambient_dim, model.ambient_dim), dtype=np.complex128)
+    # The coupling sums term + term^* over generators, atoms and blocks, each
+    # term one conjugated element in c rows.  The rows of different terms are
+    # disjoint (injective row maps, disjoint block tables), so each entry of
+    # the sum gets one value from its row's term and one from its column's,
+    # the rest +-0.0.  Added to +0.0 in any order these give the bits of
+    # (rows + rows^*) + 0.0, signed zeros included, with ``rows`` every term
+    # placed in one matrix: no d x d term is formed per atom.
+    rows = np.zeros((model.ambient_dim, model.ambient_dim), dtype=np.complex128)
     for j in range(1, assignment.active_generators + 1):
         y = witness.approximants[j - 1]
         for idx, atom in enumerate(atoms):
@@ -197,9 +204,8 @@ def build_z(
             conj = conjugated_element(model, atom, y, level, np.concatenate(read))
             parts = np.split(conj, np.cumsum([len(r) for r in read[:-1]]))
             for table, part in zip(block.rows, parts):
-                term = np.zeros_like(total)
-                term[table[row - 1]] = part
-                total += term + term.conj().T
+                rows[table[row - 1]] += part
+    total = rows + rows.conj().T + 0.0
     norm_total = op_norm(total)
     if norm_total < 1e-10:
         raise DegenerateWitness(

@@ -23,6 +23,7 @@ from .linalg import (
     _lapack,
     as_operator,
     identity,
+    max_distance,
     op_norm,
     op_norms,
     screened_max_norm,
@@ -327,10 +328,12 @@ def unit_defects(system: MatrixUnitSystem) -> UnitDefects:
     An exact or factored system is scored from its column factors, with no
     d x d unit formed (``_factored_defects``): its adjoint defect is 0.0 by
     definition, and the other two agree with the dense scoring of its units
-    to rounding.  A dense system takes the screened path: its maximum over
-    all pairs comes from ``screened_max_norm``, and matched pairs whose
-    composite is absent from a partial system cannot be scored and are
-    skipped (scored as zero).
+    to rounding.  A dense system takes the screened path: its adjoint defect
+    is ``max_distance`` of the units' adjoints to their partners, its
+    multiplication defect the maximum over all pairs from
+    ``screened_max_norm``, whose Frobenius and Gram-power screens leave few
+    residuals to eigensolve.  Matched pairs whose composite is absent from
+    a partial system cannot be scored and are skipped (scored as zero).
     """
     if system.units is None:
         return _factored_defects(system)
@@ -340,7 +343,7 @@ def unit_defects(system: MatrixUnitSystem) -> UnitDefects:
     n, d, _ = mats.shape
 
     partners = mats[[index[(s, j, i)] for s, i, j in keys]]
-    adj = op_norms(mats.conj().transpose(0, 2, 1) - partners).max()
+    adj = max_distance(mats.conj().transpose(0, 2, 1), partners)
 
     unitality = system.unitality_defect()
 

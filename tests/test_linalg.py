@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import towergen.linalg as linalg
+import towergen.units as units_module
 from towergen.errors import (
     DimensionMismatch,
     EigenvalueNearThreshold,
@@ -20,6 +23,8 @@ from towergen.linalg import (
     tuple_norm,
 )
 from towergen.recovery import RecoveryTrace, ladder_units
+from towergen.stabilize import perturb_units
+from towergen.units import UnitalEmbedding, canonical_units, unit_defects
 
 
 def random_complex(rng, d):
@@ -178,6 +183,17 @@ def test_screened_max_norm_non_finite_fails_closed():
 
     with pytest.raises(NonFiniteValue):
         screened_max_norm(4, 2, 2, residual)
+    # one non-finite entry among finite candidates, at the scales both screens face
+    rng = np.random.default_rng(3)
+    for scale in (1e-90, 1.0, 1e100):
+        grid = scale * (rng.standard_normal((12, 3, 3)) + 1j * rng.standard_normal((12, 3, 3)))
+        for bad in (np.nan, np.inf):
+            broken = grid.copy()
+            broken[7, 1, 2] = bad
+            with pytest.raises(NonFiniteValue):
+                screened_max_norm(3, 4, 3, lambda li, ri: broken[li * 4 + ri])
+            with pytest.raises(NonFiniteValue):
+                max_distance(list(broken), list(grid))
 
 
 @pytest.mark.parametrize("dim", [1, 4])
@@ -191,6 +207,75 @@ def test_max_distance_matches_per_pair_loop(dim):
     assert max_distance([], []) == 0.0
     with pytest.raises(DimensionMismatch):
         max_distance(xs, ys[:-1])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    rows=st.integers(1, 5),
+    cols=st.integers(1, 40),
+    dim=st.integers(1, 6),
+    rank_one=st.booleans(),
+    scale=st.sampled_from([1e-150, 1e-90, 1.0, 1e100]),
+    zero_share=st.sampled_from([0.0, 0.3, 1.0]),
+    ties=st.integers(0, 3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_screened_maxima_equal_the_exhaustive_maxima(
+    rows, cols, dim, rank_one, scale, zero_share, ties, seed
+):
+    """Both screens against op_norm of every pair, bit for bit.  At 1e-90 the
+    fourth power of an unnormalized residual underflows and at 1e100 it
+    overflows, so the Gram-power screen must work at unit scale."""
+    rng = np.random.default_rng(seed)
+    n = rows * cols
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    grid = gaussian(n, dim, 1) * gaussian(n, 1, dim) if rank_one else gaussian(n, dim, dim)
+    grid *= scale * rng.uniform(0.5, 1.0, size=n)[:, None, None]
+    grid[rng.uniform(size=n) < zero_share] = 0.0
+    top = int(np.argmax([op_norm(x) for x in grid]))
+    grid[rng.integers(0, n, size=ties)] = grid[top]  # exact ties at the maximum
+    brute = max(op_norm(x) for x in grid)
+
+    def residual(li, ri):
+        return grid[li * cols + ri]
+
+    assert screened_max_norm(rows, cols, dim, residual) == brute
+    ys = scale * gaussian(n, dim, dim)
+    xs = ys + grid
+    assert max_distance(list(xs), list(ys)) == max(op_norm(x - y) for x, y in zip(xs, ys))
+
+
+def test_gram_power_screen_leaves_few_products_to_measure(monkeypatch):
+    """The default stabilize-sweep's 60 noisy [5, 5] systems: about 250 of
+    each system's 2500 product residuals pass the Frobenius screen, and the
+    Gram-power screen leaves at most 10 of them for an eigensolve."""
+    counted, measured = [False], []
+    kernel, screen = linalg._op_norms, units_module.screened_max_norm
+
+    def count(stack):
+        if counted[0]:
+            measured[-1] += len(stack)
+        return kernel(stack)
+
+    def multiplication_screen(*args):
+        counted[0] = True
+        measured.append(0)
+        try:
+            return screen(*args)
+        finally:
+            counted[0] = False
+
+    monkeypatch.setattr(linalg, "_op_norms", count)
+    monkeypatch.setattr(units_module, "screened_max_norm", multiplication_screen)
+    exact = canonical_units((5, 5), UnitalEmbedding((5, 5), (1, 1), 10))
+    for delta in (1e-6, 1e-4, 1e-3):
+        for s in range(20):
+            unit_defects(perturb_units(exact, delta, 2024 + 1000 * s + int(1e9 * delta) % 997))
+    assert len(measured) == 60
+    assert 1 <= min(measured) and max(measured) <= 10
 
 
 def test_tuple_norm_examples():
