@@ -29,7 +29,6 @@ from .microstates import (
     greedy_packing,
     haar_unitaries,
     pinching_defect,
-    spawned_seeds,
 )
 from .presets import list_presets, preset_spec
 from .recovery import round_trip
@@ -322,7 +321,9 @@ def run_cover_estimate(config: dict) -> RunReport:
     radii = config.get("omegas", [config.get("omega", 0.5)])
     samples = config.get("samples", 10000)
     seed = config.get("seed", 404)
-    cloud = haar_unitaries(k, spawned_seeds(seed, samples))
+    if samples * k * k > DEFAULT_DIM_CAP**2:
+        raise DimensionOverflow(f"cloud entries {samples} * {k}^2 exceed {DEFAULT_DIM_CAP}^2")
+    cloud = haar_unitaries(k, seed, samples)
     if k == 1:
         # the angle is divided as a real, as Python's complex 2j*pi*t / samples
         # divides it; numpy's complex division multiplies by 1/samples instead

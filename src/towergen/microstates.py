@@ -16,34 +16,26 @@ from typing import List, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import DimensionMismatch, DimensionOverflow
-from .linalg import op_norm, op_norms
+from .linalg import _WORKSPACE_BYTES, op_norm, op_norms
 from .report import ReportRow
 from .units import MatrixUnitSystem, UnitalEmbedding, normalize_shape, subrank
 
 Point = Union[np.ndarray, Sequence[np.ndarray]]
 
 
-def haar_unitaries(k: int, seeds: Sequence[int]) -> np.ndarray:
-    """(n, k, k) stack of Haar-distributed unitaries, one per seed.
+def haar_unitaries(k: int, seed: int, count: int) -> np.ndarray:
+    """(count, k, k) stack of Haar unitaries drawn from one ``default_rng(seed)``.
 
-    Sample t is the QR of a complex Gaussian drawn from
-    ``default_rng(seeds[t])``, with the phase fix; one stacked
-    factorization serves all samples.
+    z is a (count, 2, k, k) standard normal draw and sample t the QR, with
+    the phase fix (Mezzadri 2007), of (z[t, 0] + 1j z[t, 1]) / sqrt(2); the
+    draw fills sample by sample, so the cloud is prefix-stable.
     """
     if k < 1:
         raise DimensionMismatch("dimension must be positive")
-    z = np.empty((len(seeds), k, k), dtype=np.complex128)
-    for t, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        z[t] = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-    q, r = np.linalg.qr(z / np.sqrt(2))
+    z = np.random.default_rng(seed).standard_normal((count, 2, k, k))
+    q, r = np.linalg.qr((z[:, 0] + 1j * z[:, 1]) / np.sqrt(2))
     d = np.diagonal(r, axis1=1, axis2=2)
     return q * (d / np.abs(d))[:, None, :]
-
-
-def spawned_seeds(seed: int, count: int) -> List[int]:
-    """``count`` independent integer seeds spawned from one root seed."""
-    return [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(count)]
 
 
 def _as_tuple(point: Point) -> List[np.ndarray]:
@@ -97,7 +89,8 @@ def greedy_cover(cloud: Sequence[Point], omega: float) -> int:
     """Greedy open-ball cover count: an upper estimate for the cloud itself.
 
     In scan order every point outside the earlier balls becomes a center;
-    each new ball is measured against all points still uncovered at once.
+    each new ball is measured against the points still uncovered, their
+    differences formed a ``_WORKSPACE_BYTES`` block at a time.
     """
     if omega <= 0:
         raise DimensionMismatch("omega must be positive")
@@ -105,6 +98,7 @@ def greedy_cover(cloud: Sequence[Point], omega: float) -> int:
         return 0
     stack = _stack_cloud(cloud)
     num, width = stack.shape[:2]
+    step = max(1, _WORKSPACE_BYTES // stack[0].nbytes)
     uncovered = np.ones(num, dtype=bool)
     balls = 0
     for i in range(num):
@@ -112,9 +106,10 @@ def greedy_cover(cloud: Sequence[Point], omega: float) -> int:
             continue
         balls += 1
         rest = i + np.flatnonzero(uncovered[i:])
-        diffs = stack[i] - stack[rest]
-        dist = op_norms(diffs.reshape(-1, *diffs.shape[2:])).reshape(-1, width).max(axis=1)
-        uncovered[rest[dist < omega]] = False
+        for part in np.split(rest, np.arange(step, len(rest), step)):
+            diffs = stack[i] - stack[part]
+            dist = op_norms(diffs.reshape(-1, *diffs.shape[2:])).reshape(-1, width).max(axis=1)
+            uncovered[part[dist < omega]] = False
     return balls
 
 

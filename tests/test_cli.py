@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -73,6 +74,8 @@ def test_error_path_structured_report():
     "command, config, bound",
     [
         ("cover-estimate", {"k": 20, "omegas": [0.5], "samples": 3}, "upper bound"),
+        ("cover-estimate", {"k": 4097}, "cloud entries"),
+        ("cover-estimate", {"samples": 10**12}, "cloud entries"),
         (
             "counting-check",
             {"max_dim": 2, "pinching_shape": [2, 2], "pinching_multiplicities": [5, 5],
@@ -80,11 +83,18 @@ def test_error_path_structured_report():
             "compressed cover reference",
         ),
     ],
-    ids=["cover-estimate", "counting-check"],
+    ids=["cover-estimate", "cover-estimate-k", "cover-estimate-samples", "counting-check"],
 )
 def test_bound_overflow_is_a_structured_report(tmp_path, command, config, bound):
-    """A paper bound past the largest double fails closed and names the bound."""
-    report = run(command, dict(config))
+    """A paper bound past the largest double, or a cloud past the dimension cap,
+    fails closed, names the bound and allocates no matrices on the way."""
+    tracemalloc.start()
+    try:
+        report = run(command, dict(config))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
     assert report.error.startswith("DimensionOverflow") and bound in report.error
     assert [(row.name, row.passed) for row in report.rows] == [("error", False)]
     cfg = tmp_path / "cfg.json"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from towergen import microstates
 from towergen.errors import DimensionMismatch, DimensionOverflow
 from towergen.linalg import identity, op_norm, tuple_norm
 from towergen.microstates import (
@@ -19,36 +20,41 @@ from conftest import dense_units
 
 
 def test_haar_scalar_case():
-    u = haar_unitaries(1, [4])[0]
+    u = haar_unitaries(1, 4, 1)[0]
     assert abs(abs(u[0, 0]) - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_haar_stack_equals_per_sample_draws(k):
-    def one_sample(seed):  # a per-sample draw and 2-D QR with the phase fix
-        rng = np.random.default_rng(seed)
-        z = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) / np.sqrt(2)
-        q, r = np.linalg.qr(z)
-        d = np.diag(r)
-        return q * (d / np.abs(d))
-
-    seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(404).spawn(300)]
-    stack = haar_unitaries(k, seeds)
+    """Each sample is the 2-D QR, with the phase fix, of its own Gaussian block."""
+    z = np.random.default_rng(404).standard_normal((300, 2, k, k))
+    stack = haar_unitaries(k, 404, 300)
     assert stack.shape == (300, k, k)
-    for w, seed in zip(stack, seeds):
-        assert np.array_equal(w, one_sample(seed))
-        assert np.array_equal(w, haar_unitaries(k, [seed])[0])
+    for w, block in zip(stack, z):
+        q, r = np.linalg.qr((block[0] + 1j * block[1]) / np.sqrt(2))
+        d = np.diag(r)
+        assert np.array_equal(w, q * (d / np.abs(d)))
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_haar_cloud_is_prefix_stable(k):
+    full = haar_unitaries(k, 17, 250)
+    for m in (1, 2, 99, 250):
+        assert np.array_equal(haar_unitaries(k, 17, m), full[:m])
 
 
 def test_haar_unitarity():
     for seed in range(20):
-        u = haar_unitaries(8, [seed])[0]
+        u = haar_unitaries(8, seed, 1)[0]
         assert op_norm(u.conj().T @ u - identity(8)) <= 1e-12
 
 
 def test_haar_trace_moment():
-    vals = [abs(np.trace(haar_unitaries(4, [s])[0])) ** 2 for s in range(2000)]
-    assert np.mean(vals) == pytest.approx(1.0, abs=0.1)
+    """E |tr U|^2 = 1 and E tr U = 0 on U(k); 4000 samples put both within 0.1."""
+    for k in (1, 2, 3, 4):
+        traces = np.trace(haar_unitaries(k, 2000 + k, 4000), axis1=1, axis2=2)
+        assert np.mean(np.abs(traces) ** 2) == pytest.approx(1.0, abs=0.1), k
+        assert abs(np.mean(traces)) <= 0.1, k
 
 
 def test_packing_identical_points():
@@ -66,7 +72,7 @@ def test_packing_boundary_rule():
 def test_packing_unitary_invariance():
     rng = np.random.default_rng(7)
     cloud = [np.diag([1.0, t]).astype(complex) for t in rng.uniform(-1, 1, 40)]
-    u = haar_unitaries(2, [9])[0]
+    u = haar_unitaries(2, 9, 1)[0]
     rotated = [u.conj().T @ m @ u for m in cloud]
     assert greedy_packing(cloud, 0.3).packing_count == greedy_packing(rotated, 0.3).packing_count
 
@@ -108,7 +114,7 @@ def naive_cover(cloud, omega):
 
 def _tuple_cloud():
     """Pairs of 2 x 2 unitaries, with repeated points and pairs at equal distance."""
-    cloud = [(haar_unitaries(2, [s])[0], haar_unitaries(2, [s + 500])[0]) for s in range(120)]
+    cloud = [(haar_unitaries(2, s, 1)[0], haar_unitaries(2, s + 500, 1)[0]) for s in range(120)]
     cloud += cloud[:5] + [(cloud[7][0], -cloud[7][1])]
     return cloud
 
@@ -132,6 +138,17 @@ def test_packing_and_cover_match_naive_scans(cloud, omegas, ties):
         assert est.packing_count == est.implied_cover_lower == naive_packing(cloud, omega)
         assert est.greedy_cover_count == greedy_cover(cloud, omega) == naive_cover(cloud, omega)
         assert est.sample_count == len(cloud)
+
+
+def test_cover_in_workspace_blocks_matches_naive_scans():
+    """A ball's differences span several workspace blocks; the counts do not change."""
+    cloud = haar_unitaries(16, 5, 200)
+    assert cloud.nbytes > 3 * microstates._WORKSPACE_BYTES
+    points = list(cloud)
+    for omega in (1.99, 1.997, tuple_distance(points[0], points[3])):
+        est = greedy_packing(cloud, omega)
+        assert est.packing_count == naive_packing(points, omega)
+        assert est.greedy_cover_count == greedy_cover(cloud, omega) == naive_cover(points, omega)
 
 
 def test_packing_rejects_mixed_clouds():
@@ -158,7 +175,7 @@ def test_unitary_bounds_k1():
 
 
 def test_unitary_bounds_k2_trivial():
-    cloud = [haar_unitaries(2, [s])[0] for s in range(50)]
+    cloud = [haar_unitaries(2, s, 1)[0] for s in range(50)]
     est = greedy_packing(cloud, 2.0)
     rep = check_unitary_bounds(2, 1.0, est)
     assert rep.paper_lower == 1.0

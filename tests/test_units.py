@@ -247,7 +247,7 @@ def test_factored_defects_match_the_dense_scoring(blocks, extra, kind, log_delta
             f + rng.standard_normal(f.shape) + 1j * rng.standard_normal(f.shape) for f in factors
         ]
     else:
-        factors[-1] = haar_unitaries(dim, [seed])[0] @ factors[-1]
+        factors[-1] = haar_unitaries(dim, seed, 1)[0] @ factors[-1]
     system = padded(MatrixUnitSystem(shape, dim, factors=factors), extra)
     got, want = unit_defects(system), unit_defects(densified(system))
     assert got.adjoint == 0.0
