@@ -419,6 +419,8 @@ def run_counting_check(config: dict) -> RunReport:
     per_omega = config.get("seeds", 20)
     base_seed = config.get("seed", 515)
     k = sum(c * s for c, s in zip(mult, shape))
+    if k > DEFAULT_DIM_CAP:
+        raise DimensionOverflow(f"pinching dimension {k} exceeds {DEFAULT_DIM_CAP}")
     units = canonical_units(shape, UnitalEmbedding(shape, mult, k))
     # the square of each diagonal unit's table row, in unit order
     squares = [np.ix_(row, row) for table in units.rows for row in table]
@@ -470,6 +472,13 @@ def run_lemma52_check(config: dict) -> RunReport:
     runs = config.get("runs", 100)
     coeff_dim = config.get("coeff_dim", 2)
     seed = config.get("seed", 808)
+    # the cross-check forms one (n coeff_dim sum(shape))^2 matrix per swept pair
+    cross = max(
+        (n * coeff_dim * sum(s) for s in shapes for n in block_sizes if subrank(s) >= n),
+        default=0,
+    )
+    if cross > DEFAULT_DIM_CAP:
+        raise DimensionOverflow(f"cross-check dimension {cross} exceeds {DEFAULT_DIM_CAP}")
     sweep = run_identity_sweep(shapes, block_sizes, runs, coeff_dim, seed)
     report.rows += sweep_rows(sweep)
     report.extra["rows"] = sweep
@@ -532,6 +541,15 @@ def run(command: str, config: dict) -> RunReport:
         return report.close()
 
 
+def _read_config(path: str):
+    """The JSON value in a config file; an unreadable or malformed file is ConfigInvalid."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigInvalid(f"config file is unreadable or not JSON: {exc}", path=path) from None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="towergen",
@@ -545,14 +563,12 @@ def main(argv=None) -> int:
     parser.add_argument("--summary", action="store_true", help="print flat text rows")
     args = parser.parse_args(argv)
 
-    config: dict = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
-    if args.seed is not None:
-        config["seed"] = args.seed
-
     try:
+        config = _read_config(args.config) if args.config else {}
+        if args.seed is not None:
+            if not isinstance(config, dict):
+                raise ConfigInvalid("--seed needs a JSON object config", path=args.config)
+            config["seed"] = args.seed
         report = run(args.command, config)
     except ConfigInvalid as exc:
         sys.stderr.write(f"ConfigInvalid: {exc} (path: {exc.path})\n")

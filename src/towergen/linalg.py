@@ -206,27 +206,24 @@ def screened_max_norm(
     return best
 
 
-def max_distance(xs: Sequence[np.ndarray], ys: Sequence[np.ndarray]) -> float:
-    """Exact maximum over k of ||xs[k] - ys[k]|| for two same-length families.
+def max_distance(xs: np.ndarray, ys: np.ndarray) -> float:
+    """Exact maximum over k of ||xs[k] - ys[k]|| for two (n, d, d) stacks.
 
     ``screened_max_norm`` over a 1 x n grid: a difference is formed only for
     the indices the screen asks for, a bounded block at a time, and each
-    measured one gets the bits ``op_norm`` gives it.  Empty families give 0.0.
+    measured one gets the bits ``op_norm`` gives it.  Empty stacks give 0.0.
     """
-    if len(xs) != len(ys):
-        raise DimensionMismatch(f"families differ in length: {len(xs)} vs {len(ys)}")
+    xs, ys = np.asarray(xs, dtype=np.complex128), np.asarray(ys, dtype=np.complex128)
+    if xs.ndim != 3 or xs.shape != ys.shape:
+        raise DimensionMismatch(f"need two (n, d, d) stacks alike, got {xs.shape} and {ys.shape}")
     if not len(xs):
         return 0.0
-    dim = xs[0].shape[0]
 
     def residual(li: np.ndarray, ri: np.ndarray) -> np.ndarray:
         ks = np.broadcast_to(ri, np.broadcast_shapes(li.shape, ri.shape))
-        out = np.empty(ks.shape + (dim, dim), dtype=np.complex128)
-        for pos, k in np.ndenumerate(ks):
-            np.subtract(xs[k], ys[k], out=out[pos])
-        return out
+        return xs[ks] - ys[ks]
 
-    return screened_max_norm(1, len(xs), dim, residual)
+    return screened_max_norm(1, len(xs), xs.shape[1], residual)
 
 
 def tuple_norm(elems: Sequence[np.ndarray]) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import e, pi
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -19,9 +19,6 @@ from .errors import DimensionMismatch, DimensionOverflow
 from .linalg import _WORKSPACE_BYTES, op_norm, op_norms
 from .report import ReportRow
 from .units import MatrixUnitSystem, UnitalEmbedding, normalize_shape, subrank
-
-Point = Union[np.ndarray, Sequence[np.ndarray]]
-
 
 def haar_unitaries(k: int, seed: int, count: int) -> np.ndarray:
     """(count, k, k) stack of Haar unitaries drawn from one ``default_rng(seed)``.
@@ -36,12 +33,6 @@ def haar_unitaries(k: int, seed: int, count: int) -> np.ndarray:
     q, r = np.linalg.qr((z[:, 0] + 1j * z[:, 1]) / np.sqrt(2))
     d = np.diagonal(r, axis1=1, axis2=2)
     return q * (d / np.abs(d))[:, None, :]
-
-
-def _as_tuple(point: Point) -> List[np.ndarray]:
-    if isinstance(point, np.ndarray):
-        return [point]
-    return list(point)
 
 
 @dataclass
@@ -62,8 +53,8 @@ class CoveringEstimate:
         }
 
 
-def greedy_packing(cloud: Sequence[Point], omega: float) -> CoveringEstimate:
-    """Scan-order maximal omega-separated subset of the cloud.
+def greedy_packing(cloud: np.ndarray, omega: float) -> CoveringEstimate:
+    """Scan-order maximal omega-separated subset of an (n, p, q) cloud.
 
     Points at distance exactly omega are kept (closed separation), which
     maximizes the certified lower bound: balls of radius omega/2 contain at
@@ -85,54 +76,33 @@ def greedy_packing(cloud: Sequence[Point], omega: float) -> CoveringEstimate:
     )
 
 
-def greedy_cover(cloud: Sequence[Point], omega: float) -> int:
+def greedy_cover(cloud: np.ndarray, omega: float) -> int:
     """Greedy open-ball cover count: an upper estimate for the cloud itself.
 
-    In scan order every point outside the earlier balls becomes a center;
-    each new ball is measured against the points still uncovered, their
-    differences formed a ``_WORKSPACE_BYTES`` block at a time.
+    The cloud is one (n, p, q) array of matrices, as ``haar_unitaries``
+    returns; anything else raises DimensionMismatch.  In scan order every
+    point outside the earlier balls becomes a center; each new ball is
+    measured against the points still uncovered, their differences formed
+    a ``_WORKSPACE_BYTES`` block at a time.
     """
     if omega <= 0:
         raise DimensionMismatch("omega must be positive")
+    if not isinstance(cloud, np.ndarray) or cloud.ndim != 3:
+        raise DimensionMismatch("a cloud is one (n, p, q) array")
     if not len(cloud):
         return 0
-    stack = _stack_cloud(cloud)
-    num, width = stack.shape[:2]
+    stack = cloud.astype(np.complex128, copy=False)
     step = max(1, _WORKSPACE_BYTES // stack[0].nbytes)
-    uncovered = np.ones(num, dtype=bool)
+    uncovered = np.ones(len(stack), dtype=bool)
     balls = 0
-    for i in range(num):
+    for i in range(len(stack)):
         if not uncovered[i]:
             continue
         balls += 1
         rest = i + np.flatnonzero(uncovered[i:])
         for part in np.split(rest, np.arange(step, len(rest), step)):
-            diffs = stack[i] - stack[part]
-            dist = op_norms(diffs.reshape(-1, *diffs.shape[2:])).reshape(-1, width).max(axis=1)
-            uncovered[part[dist < omega]] = False
+            uncovered[part[op_norms(stack[i] - stack[part]) < omega]] = False
     return balls
-
-
-def _stack_cloud(points: Sequence[Point]) -> np.ndarray:
-    """A nonempty cloud as one (points, tuple length, p, q) array.
-
-    An (n, p, q) array of single matrices, as ``haar_unitaries`` returns,
-    is taken as it is; a list of matrices or of tuples is copied in.
-    """
-    if isinstance(points, np.ndarray) and points.ndim == 3:
-        return np.asarray(points, dtype=np.complex128)[:, None]
-    first = _as_tuple(points[0])
-    shape = np.shape(first[0])
-    stack = np.empty((len(points), len(first)) + shape, dtype=np.complex128)
-    for n, point in enumerate(points):
-        mats = _as_tuple(point)
-        if len(mats) != len(first):
-            raise DimensionMismatch("tuple lengths differ")
-        for t, m in enumerate(mats):
-            if np.shape(m) != shape:
-                raise DimensionMismatch("cloud matrices have mixed shapes")
-            stack[n, t] = m
-    return stack
 
 
 @dataclass

@@ -108,8 +108,7 @@ def stabilize_units(candidate: MatrixUnitSystem) -> Tuple[MatrixUnitSystem, floa
         start += k * m
     out = MatrixUnitSystem(candidate.shape, dim, factors=factors)
     if candidate.units is not None:
-        keys = candidate.keys()
-        dist = max_distance([candidate.unit(*k) for k in keys], [out.unit(*k) for k in keys])
+        dist = max_distance(candidate.units, np.stack([out.unit(*k) for k in candidate.keys()]))
     else:
         dist = factored_distance(out, candidate)
     if dist <= tol:
@@ -128,11 +127,11 @@ def perturb_units(units: MatrixUnitSystem, delta: float, seed: int) -> MatrixUni
     rng = np.random.default_rng(seed)
     dim = units.ambient_dim
     keys = units.keys()
+    exact = np.stack([units.unit(*key) for key in keys])
     # one draw reads the stream as a draw per unit would: real, then imaginary, key by key
     raw = rng.standard_normal((len(keys), 2, dim, dim))
     noise = raw[:, 0] + 1j * raw[:, 1]
     diagonal = np.array([i == j for _, i, j in keys])
     noise[diagonal] = hermitian_part(noise[diagonal])
-    scales = np.maximum(op_norms(noise), 1e-300)
-    out = {key: units.unit(*key) + delta * (g / c) for key, g, c in zip(keys, noise, scales)}
-    return MatrixUnitSystem(shape=units.shape, ambient_dim=dim, units=out)
+    scales = np.maximum(op_norms(noise), 1e-300)[:, None, None]
+    return MatrixUnitSystem(units.shape, dim, units=exact + delta * (noise / scales))

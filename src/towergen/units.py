@@ -11,9 +11,8 @@ reads one unit from any of them; no form keeps a dense copy of another.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .errors import DimensionMismatch
 from .linalg import (
     _WORKSPACE_BYTES,
     _lapack,
-    as_operator,
     identity,
     max_distance,
     op_norm,
@@ -88,18 +86,19 @@ class MatrixUnitSystem:
       of rank c_s;
     - ``factors``: one complex (k_s, d, m_s) array F per block, with
       e_ij^(s) = F[i-1] F[j-1]^*, as recovery stores a level;
-    - ``units``: a dict of dense d x d matrices keyed (s, i, j).
+    - ``units``: one (sum k_s^2, d, d) stack holding every unit in
+      ``keys()`` order, kept as a read-only complex128 copy.
 
     ``unit(s, i, j)`` is the one reader of every form: it forms that one
-    unit from a table or from factors.  ``units`` is None unless the
-    system is dense.
+    unit from a table or from factors, and reads a stack row by index.
+    ``units`` is None unless the system is dense.
     """
 
     def __init__(
         self,
         shape: Sequence[int],
         ambient_dim: int,
-        units: Optional[Dict[Tuple[int, int, int], np.ndarray]] = None,
+        units: Optional[np.ndarray] = None,
         rows: Optional[Sequence[np.ndarray]] = None,
         factors: Optional[Sequence[np.ndarray]] = None,
     ):
@@ -113,21 +112,21 @@ class MatrixUnitSystem:
         self.factors = (
             None if factors is None else _checked_factors(self.shape, self.ambient_dim, factors)
         )
-        self.units = units
+        self.units = None
         if units is not None:
-            for key, mat in units.items():
-                m = as_operator(mat)
-                if m.shape[0] != self.ambient_dim:
-                    raise DimensionMismatch(
-                        f"unit {key} has dimension {m.shape[0]}, ambient is {self.ambient_dim}"
-                    )
-                units[key] = m
+            stack = np.array(units, dtype=np.complex128)
+            want = (sum(k * k for k in self.shape), self.ambient_dim, self.ambient_dim)
+            if stack.shape != want:
+                raise DimensionMismatch(f"need a {want} unit stack, got shape {stack.shape}")
+            stack.flags.writeable = False
+            self.units = stack
 
     def unit(self, s: int, i: int, j: int) -> np.ndarray:
-        if self.units is not None:
-            return self.units[(s, i, j)]
         if not (1 <= s <= len(self.shape) and 1 <= min(i, j) <= max(i, j) <= self.shape[s - 1]):
             raise KeyError((s, i, j))
+        if self.units is not None:
+            k = self.shape[s - 1]
+            return self.units[sum(t * t for t in self.shape[: s - 1]) + (i - 1) * k + j - 1]
         if self.rows is not None:
             table = self.rows[s - 1]
             out = np.zeros((self.ambient_dim, self.ambient_dim), dtype=np.complex128)
@@ -138,8 +137,6 @@ class MatrixUnitSystem:
         return f[i - 1] @ f[j - 1].conj().T
 
     def keys(self):
-        if self.units is not None:
-            return sorted(self.units.keys())
         return [(s, i, j) for s, k in enumerate(self.shape, start=1)
                 for i in range(1, k + 1) for j in range(1, k + 1)]
 
@@ -147,16 +144,10 @@ class MatrixUnitSystem:
         for key in self.keys():
             yield key, self.unit(*key)
 
-    def diagonal_sum(self) -> np.ndarray:
-        out = np.zeros((self.ambient_dim, self.ambient_dim), dtype=np.complex128)
-        for s, i, j in self.keys():
-            if i == j:
-                out = out + self.unit(s, i, i)
-        return out
-
     def unitality_defect(self) -> float:
         """||sum of the diagonal units - I||; exact and factored systems form no unit.
 
+        A dense system adds its diagonal units to a zero matrix in key order.
         The diagonal units of an exact system sum to the 0/1 diagonal that
         marks the coordinates its tables cover, so the defect is 0.0 when
         they cover every coordinate and 1.0 otherwise, as ``op_norm`` gives.
@@ -169,7 +160,9 @@ class MatrixUnitSystem:
             covered = sum(table.size for table in self.rows)
             return 0.0 if covered == self.ambient_dim else 1.0
         if self.factors is None:
-            return op_norm(self.diagonal_sum() - identity(self.ambient_dim))
+            diagonal = self.units[[i == j for _, i, j in self.keys()]]
+            total = sum(diagonal, np.zeros((self.ambient_dim, self.ambient_dim), np.complex128))
+            return op_norm(total - identity(self.ambient_dim))
         y = stacked_factors(self.factors)
         gram = y.conj().T @ y if y.shape[1] <= y.shape[0] else y @ y.conj().T
         w = _lapack(np.linalg.eigvalsh, gram, "unitality Gram eigensolve")
@@ -313,10 +306,6 @@ class UnitDefects:
         }
 
 
-_SKIP = -2  # matched pair whose composite unit a partial system lacks
-_ZERO = -1  # pair whose product should vanish
-
-
 def unit_defects(system: MatrixUnitSystem) -> UnitDefects:
     """Measure adjoint, unitality and multiplication defects.
 
@@ -328,40 +317,37 @@ def unit_defects(system: MatrixUnitSystem) -> UnitDefects:
     An exact or factored system is scored from its column factors, with no
     d x d unit formed (``_factored_defects``): its adjoint defect is 0.0 by
     definition, and the other two agree with the dense scoring of its units
-    to rounding.  A dense system takes the screened path: its adjoint defect
-    is ``max_distance`` of the units' adjoints to their partners, its
-    multiplication defect the maximum over all pairs from
+    to rounding.  A dense system is scored on its unit stack: its adjoint
+    defect is ``max_distance`` of the units' adjoints to their partners,
+    its multiplication defect the maximum over all pairs from
     ``screened_max_norm``, whose Frobenius and Gram-power screens leave few
-    residuals to eigensolve.  Matched pairs whose composite is absent from
-    a partial system cannot be scored and are skipped (scored as zero).
+    residuals to eigensolve.  Both tables below come from index arithmetic
+    on block s's rows, which start at the offset o_s = sum_{t<s} k_t^2.
     """
     if system.units is None:
         return _factored_defects(system)
-    keys = system.keys()
-    index = {key: n for n, key in enumerate(keys)}
-    mats = np.stack([system.unit(*k) for k in keys])
+    mats = system.units
     n, d, _ = mats.shape
+    # partner[l]: the row of e_ji for l the row of e_ij; expected[l, r]: the row of e_il
+    # for l, r the rows of e_ij, e_jl in one block, -1 where the product should vanish
+    partner = np.empty(n, dtype=np.intp)
+    expected = np.full((n, n), -1, dtype=np.intp)
+    offset = 0
+    for k in system.shape:
+        i, j = np.divmod(np.arange(k * k), k)  # row offset + i k + j holds e_(i+1)(j+1)
+        block = slice(offset, offset + k * k)
+        partner[block] = offset + j * k + i
+        expected[block, block] = np.where(j[:, None] == i, offset + i[:, None] * k + j, -1)
+        offset += k * k
 
-    partners = mats[[index[(s, j, i)] for s, i, j in keys]]
-    adj = max_distance(mats.conj().transpose(0, 2, 1), partners)
-
+    adj = max_distance(mats.conj().transpose(0, 2, 1), mats[partner])
     unitality = system.unitality_defect()
-
-    # expected[l, r]: index of the unit e_l e_r should equal, _ZERO or _SKIP
-    by_row = defaultdict(list)
-    for r, (s, i, j) in enumerate(keys):
-        by_row[(s, i)].append((r, j))
-    expected = np.full((n, n), _ZERO)
-    for l, (s, i, j) in enumerate(keys):
-        for r, j1 in by_row[(s, j)]:
-            expected[l, r] = index.get((s, i, j1), _SKIP)
 
     def residuals(li: np.ndarray, ri: np.ndarray) -> np.ndarray:
         out = mats[li] @ mats[ri]
         exp = expected[li, ri]
         hit = exp >= 0
         out[hit] -= mats[exp[hit]]
-        out[exp == _SKIP] = 0.0
         return out
 
     mult = screened_max_norm(n, n, d, residuals)

@@ -9,13 +9,23 @@ from towergen.units import MatrixUnitSystem
 
 
 def dense_units(system):
-    """A fresh dict of every unit of a system, each read through ``unit``."""
-    return {key: system.unit(*key) for key in system.keys()}
+    """A fresh writable (n, d, d) stack of every unit of a system in ``keys()`` order,
+    each read through ``unit``."""
+    return np.stack([system.unit(*key) for key in system.keys()])
 
 
 def densified(system):
-    """The same units as a dense system, which ``unit_defects`` scores by the screened path."""
+    """The same units as a dense system, which ``unit_defects`` scores on its stack."""
     return MatrixUnitSystem(system.shape, system.ambient_dim, units=dense_units(system))
+
+
+def diagonal_sum(system):
+    """The diagonal units added to a zero matrix one at a time, in key order."""
+    out = np.zeros((system.ambient_dim, system.ambient_dim), dtype=np.complex128)
+    for s, i, j in system.keys():
+        if i == j:
+            out = out + system.unit(s, i, i)
+    return out
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:

@@ -82,12 +82,26 @@ def test_error_path_structured_report():
              "omegas": [0.001], "seeds": 1},
             "compressed cover reference",
         ),
+        (
+            "counting-check",
+            {"max_dim": 2, "pinching_shape": [2, 2], "pinching_multiplicities": [1025, 1024]},
+            "pinching dimension 4098",
+        ),
+        (
+            "lemma52-check",
+            {"shapes": [[2], [1, 1]], "block_sizes": [2], "runs": 1, "coeff_dim": 1025},
+            "cross-check dimension 4100",
+        ),
     ],
-    ids=["cover-estimate", "cover-estimate-k", "cover-estimate-samples", "counting-check"],
+    ids=[
+        "cover-estimate", "cover-estimate-k", "cover-estimate-samples", "counting-check",
+        "counting-check-pinching", "lemma52-check",
+    ],
 )
 def test_bound_overflow_is_a_structured_report(tmp_path, command, config, bound):
-    """A paper bound past the largest double, or a cloud past the dimension cap,
-    fails closed, names the bound and allocates no matrices on the way."""
+    """A paper bound past the largest double, or a cloud or matrix past the
+    dimension cap, fails closed, names the bound and allocates no matrices on
+    the way."""
     tracemalloc.start()
     try:
         report = run(command, dict(config))
@@ -134,6 +148,26 @@ def test_cli_main_config_invalid(tmp_path):
     cfg.write_text(json.dumps({"shapes": [[0]]}))
     code = main(["tower-build", "--config", str(cfg)])
     assert code == 2
+
+
+def test_malformed_json_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text('{"preset": "T0",')
+    assert main(["tower-check", "--config", str(cfg)]) == 2
+    assert str(cfg) in capsys.readouterr().err
+
+
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "missing.json"
+    assert main(["tower-check", "--config", str(cfg)]) == 2
+    assert str(cfg) in capsys.readouterr().err
+
+
+def test_seed_over_a_non_object_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[1, 2]")
+    assert main(["tower-check", "--config", str(cfg), "--seed", "3"]) == 2
+    assert str(cfg) in capsys.readouterr().err
 
 
 def test_unknown_preset_is_config_invalid(tmp_path):

@@ -193,20 +193,21 @@ def test_screened_max_norm_non_finite_fails_closed():
             with pytest.raises(NonFiniteValue):
                 screened_max_norm(3, 4, 3, lambda li, ri: broken[li * 4 + ri])
             with pytest.raises(NonFiniteValue):
-                max_distance(list(broken), list(grid))
+                max_distance(broken, grid)
 
 
 @pytest.mark.parametrize("dim", [1, 4])
 def test_max_distance_matches_per_pair_loop(dim):
     rng = np.random.default_rng(dim)
-    xs = list(rng.standard_normal((40, dim, dim)) + 1j * rng.standard_normal((40, dim, dim)))
-    ys = [x + 1e-3 * rng.uniform() * rng.standard_normal((dim, dim)) for x in xs]
-    ys[7] = xs[7].copy()  # one exactly vanishing difference
+    xs = rng.standard_normal((40, dim, dim)) + 1j * rng.standard_normal((40, dim, dim))
+    ys = np.stack([x + 1e-3 * rng.uniform() * rng.standard_normal((dim, dim)) for x in xs])
+    ys[7] = xs[7]  # one exactly vanishing difference
     assert max_distance(xs, ys) == max(op_norm(x - y) for x, y in zip(xs, ys))
     assert max_distance(xs, xs) == 0.0
-    assert max_distance([], []) == 0.0
-    with pytest.raises(DimensionMismatch):
-        max_distance(xs, ys[:-1])
+    assert max_distance(np.empty((0, dim, dim)), np.empty((0, dim, dim))) == 0.0
+    for bad in (ys[:-1], ys[0], ys[:, None], list(ys[1:])):
+        with pytest.raises(DimensionMismatch):
+            max_distance(xs, bad)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -245,7 +246,7 @@ def test_screened_maxima_equal_the_exhaustive_maxima(
     assert screened_max_norm(rows, cols, dim, residual) == brute
     ys = scale * gaussian(n, dim, dim)
     xs = ys + grid
-    assert max_distance(list(xs), list(ys)) == max(op_norm(x - y) for x, y in zip(xs, ys))
+    assert max_distance(xs, ys) == max(op_norm(x - y) for x, y in zip(xs, ys))
 
 
 def test_gram_power_screen_leaves_few_products_to_measure(monkeypatch):

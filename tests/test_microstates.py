@@ -3,7 +3,7 @@ import pytest
 
 from towergen import microstates
 from towergen.errors import DimensionMismatch, DimensionOverflow
-from towergen.linalg import identity, op_norm, tuple_norm
+from towergen.linalg import identity, op_norm
 from towergen.microstates import (
     CoveringEstimate,
     check_unitary_bounds,
@@ -58,43 +58,41 @@ def test_haar_trace_moment():
 
 
 def test_packing_identical_points():
-    cloud = [identity(2)] * 12
+    cloud = np.stack([identity(2)] * 12)
     est = greedy_packing(cloud, 0.5)
     assert est.packing_count == 1
 
 
 def test_packing_boundary_rule():
-    cloud = [np.zeros((1, 1)), np.array([[0.5]])]
+    cloud = np.array([[[0.0]], [[0.5]]])
     est = greedy_packing(cloud, 0.5)
     assert est.packing_count == 2
 
 
 def test_packing_unitary_invariance():
     rng = np.random.default_rng(7)
-    cloud = [np.diag([1.0, t]).astype(complex) for t in rng.uniform(-1, 1, 40)]
+    cloud = np.stack([np.diag([1.0, t]).astype(complex) for t in rng.uniform(-1, 1, 40)])
     u = haar_unitaries(2, 9, 1)[0]
-    rotated = [u.conj().T @ m @ u for m in cloud]
+    rotated = u.conj().T @ cloud @ u
     assert greedy_packing(cloud, 0.3).packing_count == greedy_packing(rotated, 0.3).packing_count
 
 
 def test_cover_trivial_cases():
-    assert greedy_cover([identity(2)], 0.1) == 1
-    cloud = [np.array([[0.0]]), np.array([[0.01]]), np.array([[0.02]])]
+    assert greedy_cover(identity(2)[None], 0.1) == 1
+    cloud = np.array([[[0.0]], [[0.01]], [[0.02]]])
     assert greedy_cover(cloud, 0.5) == 1
-    circle = [np.array([[np.exp(2j * np.pi * t / 64)]]) for t in range(64)]
+    circle = np.exp(2j * np.pi * np.arange(64) / 64)[:, None, None]
     assert greedy_cover(circle, 2.1) == 1
 
 
-def tuple_distance(x, y):
-    """max_t ||x_t - y_t|| over two tuples; a bare matrix is a 1-tuple."""
-    xs, ys = ([p] if isinstance(p, np.ndarray) else list(p) for p in (x, y))
-    return tuple_norm([a - b for a, b in zip(xs, ys)])
+def distance(x, y):
+    return op_norm(x - y)
 
 
 def naive_packing(cloud, omega):
     kept = []
     for p in cloud:
-        if all(tuple_distance(p, q) >= omega for q in kept):
+        if all(distance(p, q) >= omega for q in kept):
             kept.append(p)
     return len(kept)
 
@@ -107,32 +105,31 @@ def naive_cover(cloud, omega):
             continue
         balls += 1
         for j in range(i, len(cloud)):
-            if not covered[j] and tuple_distance(p, cloud[j]) < omega:
+            if not covered[j] and distance(p, cloud[j]) < omega:
                 covered[j] = True
     return balls
 
 
-def _tuple_cloud():
-    """Pairs of 2 x 2 unitaries, with repeated points and pairs at equal distance."""
-    cloud = [(haar_unitaries(2, s, 1)[0], haar_unitaries(2, s + 500, 1)[0]) for s in range(120)]
-    cloud += cloud[:5] + [(cloud[7][0], -cloud[7][1])]
-    return cloud
+def _unitary_cloud():
+    """2 x 2 unitaries, with repeated points and a pair at distance exactly 2."""
+    cloud = haar_unitaries(2, 11, 120)
+    return np.concatenate([cloud, cloud[:5], -cloud[7:8]])
 
 
-_CIRCLE = [np.array([[np.exp(2j * np.pi * t / 360)]]) for t in range(360)]
+_CIRCLE = np.exp(2j * np.pi * np.arange(360) / 360)[:, None, None]
 
 
 @pytest.mark.parametrize(
     "cloud,omegas,ties",
     [
-        (_tuple_cloud(), [0.3, 1.0, 1.6, 2.5], [1, 3, 5]),
+        (_unitary_cloud(), [0.3, 1.0, 1.6, 2.5], [1, 3, 5]),
         (_CIRCLE, [0.1, 0.5, 1.0, 2.0], [9, 40, 120]),
-        ([np.array([[x]]) for x in (0.0, 0.5, 1.0, 0.25, 1.5, 0.75)], [0.25, 0.5], [1, 3]),
+        (np.array([0.0, 0.5, 1.0, 0.25, 1.5, 0.75])[:, None, None], [0.25, 0.5], [1, 3]),
     ],
 )
 def test_packing_and_cover_match_naive_scans(cloud, omegas, ties):
     # distances that occur in the cloud exercise the closed/open boundary rule
-    omegas = omegas + [tuple_distance(cloud[0], cloud[k]) for k in ties]
+    omegas = omegas + [distance(cloud[0], cloud[k]) for k in ties]
     for omega in omegas:
         est = greedy_packing(cloud, omega)
         assert est.packing_count == est.implied_cover_lower == naive_packing(cloud, omega)
@@ -144,25 +141,25 @@ def test_cover_in_workspace_blocks_matches_naive_scans():
     """A ball's differences span several workspace blocks; the counts do not change."""
     cloud = haar_unitaries(16, 5, 200)
     assert cloud.nbytes > 3 * microstates._WORKSPACE_BYTES
-    points = list(cloud)
-    for omega in (1.99, 1.997, tuple_distance(points[0], points[3])):
+    for omega in (1.99, 1.997, distance(cloud[0], cloud[3])):
         est = greedy_packing(cloud, omega)
-        assert est.packing_count == naive_packing(points, omega)
-        assert est.greedy_cover_count == greedy_cover(cloud, omega) == naive_cover(points, omega)
+        assert est.packing_count == naive_packing(cloud, omega)
+        assert est.greedy_cover_count == greedy_cover(cloud, omega) == naive_cover(cloud, omega)
 
 
 def test_packing_rejects_mixed_clouds():
+    """A cloud is one (n, p, q) array: lists, single matrices and stacks of tuples are not."""
+    pairs = np.stack([identity(2)] * 6).reshape(3, 2, 2, 2)
+    for bad in ([identity(2), identity(3)], [identity(2)], identity(2), pairs):
+        with pytest.raises(DimensionMismatch):
+            greedy_cover(bad, 0.5)
     with pytest.raises(DimensionMismatch):
-        greedy_packing([identity(2), identity(3)], 0.5)
-    with pytest.raises(DimensionMismatch):
-        greedy_cover([(identity(2), identity(2)), (identity(2),)], 0.5)
-    with pytest.raises(DimensionMismatch):
-        greedy_packing([], 0.5)
-    assert greedy_cover([], 0.5) == 0
+        greedy_packing(np.empty((0, 2, 2)), 0.5)
+    assert greedy_cover(np.empty((0, 2, 2)), 0.5) == 0
 
 
 def test_unitary_bounds_k1():
-    circle = [np.array([[np.exp(2j * np.pi * t / 4096)]]) for t in range(4096)]
+    circle = np.exp(2j * np.pi * np.arange(4096) / 4096)[:, None, None]
     est_05 = greedy_packing(circle, 1.0)
     rep = check_unitary_bounds(1, 0.5, est_05)
     assert rep.paper_upper == pytest.approx((9 * np.pi * np.e / 0.5), rel=1e-12)
@@ -175,7 +172,7 @@ def test_unitary_bounds_k1():
 
 
 def test_unitary_bounds_k2_trivial():
-    cloud = [haar_unitaries(2, s, 1)[0] for s in range(50)]
+    cloud = haar_unitaries(2, 3, 50)
     est = greedy_packing(cloud, 2.0)
     rep = check_unitary_bounds(2, 1.0, est)
     assert rep.paper_lower == 1.0

@@ -146,9 +146,7 @@ def test_recover_corrupted_level1(t1_plan):
     dim = model.ambient_dim
     zeroed = RecoveredLevel(
         level=1,
-        units=MatrixUnitSystem(
-            (3,), dim, {k: np.zeros((dim, dim), complex) for k, _ in model.blocks[0].iter_units()}
-        ),
+        units=MatrixUnitSystem((3,), dim, np.zeros((9, dim, dim), complex)),
         corner_basis=np.zeros((dim, 0), dtype=complex),
         coupling=np.zeros((dim, dim), dtype=complex),
         trace=RecoveryTrace(),
@@ -423,7 +421,7 @@ def assert_same_recovery(result, oracle):
         assert [e.name for e in lv.trace.steps] == [e.name for e in ref.trace.steps]
         keys = ref.units.keys()
         assert lv.units.keys() == keys
-        mine, theirs = [lv.units.unit(*k) for k in keys], [ref.units.unit(*k) for k in keys]
+        mine, theirs = (np.stack([u.unit(*k) for k in keys]) for u in (lv.units, ref.units))
         assert max_distance(mine, theirs) <= 1e-12
         assert op_norm(lv.coupling - ref.coupling) <= 1e-12
         v, w = lv.corner_basis, ref.corner_basis

@@ -70,7 +70,7 @@ def test_m5_m5_perturbation_sweep():
 def test_half_identity_diagonal_fails():
     units = canonical_units([2])
     bad = dense_units(units)
-    bad[(1, 1, 1)] = 0.5 * identity(2)
+    bad[0] = 0.5 * identity(2)  # e_11
     candidate = MatrixUnitSystem(shape=(2,), ambient_dim=2, units=bad)
     with pytest.raises(StabilizationFailed):
         stabilize_units(candidate)
@@ -80,7 +80,7 @@ def test_lost_rank_names_the_first_failing_row():
     units = canonical_units([12])
     bad = dense_units(units)
     for i in (7, 5):
-        bad[(1, i, 1)] = np.zeros((12, 12), dtype=complex)
+        bad[(i - 1) * 12] = 0.0  # e_i1
     candidate = MatrixUnitSystem(shape=(12,), ambient_dim=12, units=bad)
     with pytest.raises(StabilizationFailed, match="block 1 row 5: corner compression lost rank"):
         stabilize_units(candidate)
@@ -88,7 +88,7 @@ def test_lost_rank_names_the_first_failing_row():
 
 def test_admissibility_gate():
     units = canonical_units([2])
-    bad = {key: 5.0 * mat + 0.3 * identity(2) for key, mat in units.iter_units()}
+    bad = 5.0 * dense_units(units) + 0.3 * identity(2)
     candidate = MatrixUnitSystem(shape=(2,), ambient_dim=2, units=bad)
     with pytest.raises(StabilizationFailed):
         stabilize_units(candidate)
@@ -136,23 +136,20 @@ def test_non_unital_candidate_fails_closed():
     """The diagonal units of an M_2 inside M_3 sum to a rank-2 projection, not I."""
     units = canonical_units([3])
     compress = units.unit(1, 1, 1) + units.unit(1, 2, 2)
-    partial_units = {}
-    for (s, i, j), mat in units.iter_units():
-        if i <= 2 and j <= 2:
-            partial_units[(s, i, j)] = compress @ mat @ compress
-    candidate = MatrixUnitSystem(shape=(2,), ambient_dim=3, units=partial_units)
+    corner = [compress @ units.unit(1, i, j) @ compress for i in (1, 2) for j in (1, 2)]
+    candidate = MatrixUnitSystem(shape=(2,), ambient_dim=3, units=np.stack(corner))
     with pytest.raises(StabilizationFailed, match="diagonal ranks sum to 2, not the ambient"):
         stabilize_units(candidate)
 
 
 def test_dense_input_with_one_unit_off_the_first_column_is_repaired():
     units = canonical_units([3])
-    off = {key: mat.copy() for key, mat in units.iter_units()}
-    off[(1, 2, 3)][0, 0] += 1e-9
+    off = dense_units(units)
+    off[5, 0, 0] += 1e-9  # e_23
     candidate = MatrixUnitSystem(shape=(3,), ambient_dim=3, units=off)
     fixed, dist = stabilize_units(candidate)
     assert fixed is not candidate
-    assert dist == op_norm(off[(1, 2, 3)] - fixed.unit(1, 2, 3)) > 0.0
+    assert dist == op_norm(off[5] - fixed.unit(1, 2, 3)) > 0.0
     for key in units.keys():
         assert op_norm(fixed.unit(*key) - units.unit(*key)) <= 1e-14
 

@@ -18,7 +18,7 @@ from towergen.units import (
     unit_defects,
 )
 
-from conftest import dense_units, densified
+from conftest import dense_units, densified, diagonal_sum
 
 
 def test_rank_examples():
@@ -57,11 +57,9 @@ def reference_defects(system: MatrixUnitSystem) -> UnitDefects:
         for s1, i1, j1 in keys:
             prod = a @ system.unit(s1, i1, j1)
             if s == s1 and j == i1:
-                if (s, i, j1) not in keys:
-                    continue
                 prod = prod - system.unit(s, i, j1)
             multiplication = max(multiplication, op_norm(prod))
-    unitality = op_norm(system.diagonal_sum() - identity(system.ambient_dim))
+    unitality = op_norm(diagonal_sum(system) - identity(system.ambient_dim))
     return UnitDefects(adjoint, unitality, multiplication)
 
 
@@ -98,7 +96,7 @@ def test_canonical_units_amplified():
     for i in range(1, 3):
         for j in range(1, 3):
             assert np.linalg.matrix_rank(sys4.unit(1, i, j)) == 2
-    assert np.allclose(sys4.diagonal_sum(), identity(4))
+    assert np.array_equal(diagonal_sum(sys4), identity(4))
     assert brute_force_product_table(sys4) <= 1e-15
 
 
@@ -159,27 +157,37 @@ def test_unit_defects_perturbed_scaling():
 
 
 def test_unit_defects_non_unital():
-    system = canonical_units([2])
-    partial = MatrixUnitSystem(
-        shape=(2,),
-        ambient_dim=2,
-        units={
-            (1, 1, 1): system.unit(1, 1, 1),
-            (1, 1, 2): system.unit(1, 1, 2),
-            (1, 2, 1): system.unit(1, 2, 1),
-        },
-    )
-    defects = unit_defects(partial)
-    assert defects.unitality == pytest.approx(1.0, abs=1e-14)
+    """Every unit of M_2 placed in the corner of M_3: all relations hold but unitality."""
+    corner = np.pad(dense_units(canonical_units([2])), ((0, 0), (0, 1), (0, 1)))
+    defects = unit_defects(MatrixUnitSystem(shape=(2,), ambient_dim=3, units=corner))
+    assert defects == UnitDefects(adjoint=0.0, unitality=1.0, multiplication=0.0)
 
 
-def _partial_three_block():
-    """Block 1 of M_3 without e_13, e_31, e_33: e_12 e_23 and others go unscored."""
-    full = canonical_units([3, 2])
-    keep = [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2), (1, 2, 3), (1, 3, 2)]
-    keep += [key for key in full.keys() if key[0] == 2]
-    units = {key: full.unit(*key) for key in keep}
-    return MatrixUnitSystem(shape=(3, 2), ambient_dim=5, units=units)
+_MIXED = [
+    canonical_units((1, 3, 2), UnitalEmbedding((1, 3, 2), (3, 1, 2), 10)),
+    canonical_units((2, 2, 2), UnitalEmbedding((2, 2, 2), (2, 1, 3), 12)),
+    canonical_units((4,), UnitalEmbedding((4,), (2,), 8)),
+]
+
+
+@pytest.mark.parametrize("exact", _MIXED)
+def test_densified_units_are_the_exact_units(exact):
+    dense = densified(exact)
+    assert dense.keys() == exact.keys()
+    assert dense.units.shape == (len(exact.keys()), exact.ambient_dim, exact.ambient_dim)
+    for key in exact.keys():
+        assert np.array_equal(dense.unit(*key), exact.unit(*key))
+    assert not dense.units.flags.writeable
+    assert unit_defects(dense) == UnitDefects(0.0, 0.0, 0.0)
+
+
+def test_dense_stack_of_the_wrong_shape_is_rejected():
+    stack = dense_units(canonical_units((2, 3)))  # 13 units of 5 x 5
+    for bad in (stack[:-1], stack[:, :4, :4], stack[0], stack[None]):
+        with pytest.raises(DimensionMismatch):
+            MatrixUnitSystem((2, 3), 5, units=bad)
+    with pytest.raises(KeyError):
+        MatrixUnitSystem((2, 3), 5, units=stack).unit(1, 3, 1)
 
 
 @pytest.mark.parametrize(
@@ -188,7 +196,7 @@ def _partial_three_block():
         canonical_units((4, 4, 2), UnitalEmbedding((4, 4, 2), (1, 2, 1), 14)),  # 36 units
         canonical_units((2, 3), UnitalEmbedding((2, 3), (3, 2), 12)),
         canonical_units((5, 5)),
-        _partial_three_block(),
+        _MIXED[0],  # a 1 x 1 block among mixed multiplicities
     ],
 )
 @pytest.mark.parametrize("delta", [0.0, 1e-9, 1e-3, 0.2])
@@ -200,8 +208,7 @@ def test_unit_defects_match_all_pairs(system, delta):
 def test_unit_defects_non_finite_fails_closed():
     system = canonical_units([2, 2])
     poisoned = dense_units(system)
-    poisoned[(2, 1, 2)] = poisoned[(2, 1, 2)].copy()
-    poisoned[(2, 1, 2)][0, 0] = np.nan
+    poisoned[5, 0, 0] = np.nan  # e_12 of block 2, after block 1's four units
     with pytest.raises(NonFiniteValue):
         unit_defects(MatrixUnitSystem(shape=(2, 2), ambient_dim=4, units=poisoned))
 
