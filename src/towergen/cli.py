@@ -23,11 +23,13 @@ from .errors import ConfigInvalid, DimensionMismatch, DimensionOverflow, Towerge
 from .linalg import DEFAULT_DIM_CAP, hermitian_part, identity, op_norm
 from .microstates import (
     bound_power,
+    cardinality_report,
     check_unitary_bounds,
     compression_dimension,
-    enumerate_multiplicities,
     greedy_packing,
     haar_unitaries,
+    multiplicity_counts,
+    multiplicity_table,
     pinching_defect,
 )
 from .presets import list_presets, preset_spec
@@ -97,7 +99,7 @@ SCHEMAS: Dict[str, dict] = {
     "counting-check": {
         "type": "object",
         "properties": {
-            "max_dim": {"type": "integer", "minimum": 1},
+            "max_dim": {"type": "integer", "minimum": 1, "maximum": 16},
             "pinching_shape": {
                 "type": "array",
                 "minItems": 1,
@@ -366,6 +368,7 @@ def _pinched_basis_count(shape, mult, k: int) -> int:
 
 
 def _sorted_shapes_upto(total: int) -> List[tuple]:
+    """Every nondecreasing tuple of positive block sizes summing to at most ``total``."""
     out = []
 
     def walk(remaining: int, minimum: int, partial: tuple):
@@ -378,35 +381,66 @@ def _sorted_shapes_upto(total: int) -> List[tuple]:
     return out
 
 
+TABLE_ORACLE_DIM = 8  # the row-table oracle checks every case with k up to here
+
+
+def _scan_shape(shape: tuple, max_dim: int) -> List[int]:
+    """[cases, compression_dim_mismatches, compression_cap_violations,
+    multiplicity_mismatches, cardinality_cap_violations] of one shape over
+    every k <= max_dim.
+
+    The rows the multiplicity table lists at k must be positive, distinct
+    and solve c . shape = k, and there must be ``multiplicity_counts`` of
+    them: together that is the set of all solutions, so a k that fails any
+    of these is one multiplicity mismatch.  Compression dimensions come
+    from one product for the whole table; ``compression_dimension`` and the
+    row-table oracle check them on every case with k <= TABLE_ORACLE_DIM and
+    on the largest-dimension case of each larger k.
+    """
+    vec, n = np.array(shape), subrank(shape)
+    table, offsets = multiplicity_table(shape, max_dim)
+    sizes = np.diff(offsets)
+    k_of = np.repeat(np.arange(max_dim + 1), sizes)  # the k each row is listed at
+    dims = table**2 @ vec
+    bad = (table < 1).any(axis=1) | (table @ vec != k_of)
+    order = np.lexsort((*table.T[::-1], k_of))  # by k, then by row
+    repeat = (np.diff(table[order], axis=0) == 0).all(axis=1) & (np.diff(k_of[order]) == 0)
+    bad[order[1:][repeat]] = True
+    faulty = np.bincount(k_of[bad], minlength=max_dim + 1) > 0
+    faulty |= sizes != multiplicity_counts(shape, max_dim)
+    card_violations = sum(
+        not cardinality_report(k, shape, int(sizes[k]))["cap_respected"]
+        for k in range(sum(shape), max_dim + 1)
+    )
+    cap_violations = np.count_nonzero(dims > k_of * k_of / n + 1e-12)
+    sample = list(range(offsets[min(TABLE_ORACLE_DIM, max_dim) + 1]))
+    sample += [
+        offsets[k] + int(np.argmax(dims[offsets[k] : offsets[k + 1]]))
+        for k in range(TABLE_ORACLE_DIM + 1, max_dim + 1)
+        if sizes[k]
+    ]
+    dim_mismatches = 0
+    for i in sample:
+        if bad[i]:
+            continue  # already a multiplicity mismatch, and no embedding
+        k, mult = int(k_of[i]), tuple(table[i].tolist())
+        check = compression_dimension(shape, UnitalEmbedding(shape, mult, k), n)
+        dim_mismatches += not dims[i] == check.dim == _pinched_basis_count(shape, mult, k)
+    cases = int(offsets[-1] - offsets[1])
+    return [cases, dim_mismatches, cap_violations, int(np.count_nonzero(faulty)), card_violations]
+
+
 def run_counting_check(config: dict) -> RunReport:
+    """Counting's combinatorial facts on every sorted shape and multiplicity
+    tuple with k = c . shape <= max_dim (see ``_scan_shape``), then the
+    pinching-defect sample on one shape.
+    """
     report = RunReport("counting-check", config)
     max_dim = config.get("max_dim", 12)
-    cases = 0
-    dim_mismatches = 0
-    cap_violations = 0
-    mult_mismatches = 0
-    card_violations = 0
-    for k in range(1, max_dim + 1):
-        for shape in _sorted_shapes_upto(k):
-            if sum(shape) > k:
-                continue
-            mults, mrep = enumerate_multiplicities(k, shape)
-            brute = [
-                combo
-                for combo in _positive_tuples(len(shape), k, shape)
-            ]
-            if sorted(mults) != sorted(brute):
-                mult_mismatches += 1
-            if not mrep["cap_respected"]:
-                card_violations += 1
-            for mult in mults:
-                cases += 1
-                emb = UnitalEmbedding(shape, mult, k)
-                check = compression_dimension(shape, emb, big_n=subrank(shape))
-                if check.dim != _pinched_basis_count(shape, mult, k):
-                    dim_mismatches += 1
-                if not check.bound_holds:
-                    cap_violations += 1
+    totals = np.zeros(5, dtype=np.int64)
+    for shape in _sorted_shapes_upto(max_dim):
+        totals += _scan_shape(shape, max_dim)
+    cases, dim_mismatches, cap_violations, mult_mismatches, card_violations = totals.tolist()
     report.add("cases", cases, None, True)
     report.check("compression_dim_mismatches", dim_mismatches, 0)
     report.check("compression_cap_violations", cap_violations, 0)
@@ -446,23 +480,6 @@ def run_counting_check(config: dict) -> RunReport:
         )
         report.add(f"compressed_cover_reference_omega{omega:g}", reference, None, True)
     return report.close()
-
-
-def _positive_tuples(r: int, total: int, shape) -> List[tuple]:
-    out = []
-
-    def walk(idx: int, remaining: int, partial: tuple):
-        if idx == r:
-            if remaining == 0:
-                out.append(partial)
-            return
-        c = 1
-        while c * shape[idx] <= remaining:
-            walk(idx + 1, remaining - c * shape[idx], partial + (c,))
-            c += 1
-
-    walk(0, total, ())
-    return out
 
 
 def run_lemma52_check(config: dict) -> RunReport:

@@ -211,33 +211,66 @@ def compression_dimension(
     )
 
 
+def multiplicity_table(shape: Sequence[int], max_dim: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Every positive multiplicity tuple c with c . shape <= max_dim, grouped by k.
+
+    Returns an (m, r) int64 table and a (max_dim + 2,) offset array: the
+    tuples embedding the shape unitally in M_k are the rows
+    ``table[offsets[k]:offsets[k + 1]]``, in lexicographic order.  The table
+    grows one block at a time; block s takes every c_s that leaves room for
+    one copy of each later block.
+    """
+    shape = normalize_shape(shape)
+    later = np.cumsum((0,) + shape[:0:-1])[::-1]  # sum of the blocks after s
+    table = np.zeros((1, 0), dtype=np.int64)
+    used = np.zeros(1, dtype=np.int64)  # c . shape of each partial row
+    for k_s, rest in zip(shape, later):
+        counts = np.maximum((max_dim - rest - used) // k_s, 0)
+        parent = np.repeat(np.arange(len(used)), counts)
+        c = np.arange(1, len(parent) + 1) - np.repeat(np.cumsum(counts) - counts, counts)
+        table = np.column_stack([table[parent], c])
+        used = used[parent] + c * k_s
+    order = np.argsort(used, kind="stable")
+    return table[order], np.searchsorted(used[order], np.arange(max_dim + 2))
+
+
+def multiplicity_counts(shape: Sequence[int], max_dim: int) -> np.ndarray:
+    """Number of positive tuples c with c . shape = k, for k = 0..max_dim.
+
+    The coefficient of x^k in prod_s x^{k_s} / (1 - x^{k_s}) (Stanley,
+    EC I, ch. 1): start from x^{sum k_s} and divide by each 1 - x^{k_s} with
+    the integer recurrence a[k] += a[k - k_s].  It walks no tuples, so it
+    checks ``multiplicity_table`` independently.
+    """
+    shape = normalize_shape(shape)
+    counts = [0] * (max_dim + 1)
+    if sum(shape) <= max_dim:
+        counts[sum(shape)] = 1
+    for k_s in shape:
+        for k in range(k_s, max_dim + 1):
+            counts[k] += counts[k - k_s]
+    return np.array(counts, dtype=np.int64)
+
+
+def cardinality_report(k: int, shape: Sequence[int], count: int) -> dict:
+    """``count`` tuples for M_k against the paper's cap (k / N)^r, N the subrank."""
+    cap = (k / subrank(shape)) ** len(shape)
+    return {"count": count, "cardinality_cap": float(cap), "cap_respected": count <= cap + 1e-9}
+
+
 def enumerate_multiplicities(k: int, shape: Sequence[int]) -> Tuple[List[Tuple[int, ...]], dict]:
-    """All positive multiplicity tuples embedding the shape unitally in M_k."""
+    """All positive multiplicity tuples embedding the shape unitally in M_k.
+
+    The tuples are ``multiplicity_table(shape, k)``'s rows at k, in
+    lexicographic order; the report compares their count with the
+    cardinality cap.
+    """
     shape = normalize_shape(shape)
     if k < sum(shape):
         raise DimensionMismatch(f"target {k} below the minimal embedding {sum(shape)}")
-    found: List[Tuple[int, ...]] = []
-
-    def walk(idx: int, remaining: int, partial: Tuple[int, ...]):
-        if idx == len(shape):
-            if remaining == 0:
-                found.append(partial)
-            return
-        k_s = shape[idx]
-        tail_min = sum(shape[idx + 1 :])
-        c = 1
-        while c * k_s + tail_min <= remaining:
-            walk(idx + 1, remaining - c * k_s, partial + (c,))
-            c += 1
-
-    walk(0, k, ())
-    cap = (k / subrank(shape)) ** len(shape)
-    report = {
-        "count": len(found),
-        "cardinality_cap": float(cap),
-        "cap_respected": len(found) <= cap + 1e-9,
-    }
-    return found, report
+    table, offsets = multiplicity_table(shape, k)
+    found = [tuple(row) for row in table[offsets[k] : offsets[k + 1]].tolist()]
+    return found, cardinality_report(k, shape, len(found))
 
 
 def pinching_defect(elems: Sequence[np.ndarray], units: MatrixUnitSystem) -> List[float]:

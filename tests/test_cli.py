@@ -13,6 +13,7 @@ import towergen
 import towergen.cli as cli
 from towergen.cli import main, resolve_tower_spec, run, validate_config
 from towergen.errors import ConfigInvalid
+from towergen.microstates import multiplicity_table
 from towergen.recovery import CLUSTER_HALFWIDTH, COMPLEMENT_BOUND, round_trip
 from towergen.similarity import run_identity_sweep, sweep_rows
 from towergen.stabilize import perturb_units, stabilize_units
@@ -264,6 +265,17 @@ def test_mismatched_multiplicities_are_config_invalid(tmp_path, command, config,
     assert main([command, "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("max_dim", [0, 17, 40])
+def test_counting_check_max_dim_out_of_range_is_config_invalid(tmp_path, max_dim):
+    config = {"max_dim": max_dim}
+    with pytest.raises(ConfigInvalid) as info:
+        run("counting-check", config)
+    assert info.value.path == "max_dim"
+    cfg = tmp_path / "max_dim.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["counting-check", "--config", str(cfg)]) == 2
+
+
 def test_lemma52_without_enough_subrank_is_a_failed_report(tmp_path):
     config = {"shapes": [[2]], "block_sizes": [3]}
     report = run("lemma52-check", config)
@@ -294,12 +306,82 @@ def dense_pinched_count(shape, mult, k: int) -> int:
 
 def test_pinched_basis_count_matches_dense_supports():
     cases = 0
-    for k in range(1, 9):
-        for shape in cli._sorted_shapes_upto(k):
-            for mult in cli._positive_tuples(len(shape), k, shape):
-                assert cli._pinched_basis_count(shape, mult, k) == dense_pinched_count(shape, mult, k)
-                cases += 1
+    for shape in cli._sorted_shapes_upto(8):
+        table, _ = multiplicity_table(shape, 8)
+        for mult in table.tolist():
+            k = int(np.dot(mult, shape))
+            assert cli._pinched_basis_count(shape, mult, k) == dense_pinched_count(shape, mult, k)
+            cases += 1
     assert cases == 474  # the cases row of counting-check at max_dim 8
+
+
+def edited_table(monkeypatch, edit):
+    """Make counting-check's multiplicity table of shape (1, 2) go through
+    ``edit(table, i)``, i the first of its rows (1, 2), (3, 1) at k = 5;
+    ``edit`` returns the new table and the shift of every offset past i."""
+    real = cli.multiplicity_table
+
+    def patched(shape, max_dim):
+        table, offsets = real(shape, max_dim)
+        if tuple(shape) != (1, 2):
+            return table, offsets
+        i = int(offsets[5])
+        table, shift = edit(table.copy(), i)
+        return table, offsets + shift * (offsets > i)
+
+    monkeypatch.setattr(cli, "multiplicity_table", patched)
+
+
+def swap_row(offset, row):
+    """An edit writing ``row`` (None: a copy of row i) over row i + offset."""
+
+    def edit(table, i):
+        table[i + offset] = table[i] if row is None else row
+        return table, 0
+
+    return edit
+
+
+def counting_row(tmp_path, name):
+    """Exit status and the named row of counting-check at max_dim 6."""
+    cfg, out = tmp_path / "count.json", tmp_path / "report.json"
+    cfg.write_text(json.dumps({"max_dim": 6, "seeds": 1}))
+    status = main(["counting-check", "--config", str(cfg), "--out", str(out)])
+    rows = {row["name"]: row for row in json.loads(out.read_text())["rows"]}
+    return status, rows[name]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda table, i: (np.delete(table, i, axis=0), -1),
+        lambda table, i: (np.insert(table, i, table[i], axis=0), 1),
+        swap_row(1, None),  # the count holds; a row repeats
+        swap_row(0, (2, 1)),  # the count holds; 2 + 2 != 5
+        swap_row(0, (5, 0)),  # the count holds; a zero multiplicity
+    ],
+    ids=["dropped-row", "added-repeat", "swapped-for-repeat", "non-solution", "non-positive"],
+)
+def test_counting_check_catches_a_faulty_multiplicity_table(tmp_path, monkeypatch, edit):
+    edited_table(monkeypatch, edit)
+    status, row = counting_row(tmp_path, "multiplicity_mismatches")
+    assert status == 1
+    assert row["measured"] >= 1 and not row["pass"]
+
+
+def test_counting_check_catches_a_wrong_compression_dimension(tmp_path, monkeypatch):
+    real = cli.compression_dimension
+
+    def off_by_one(shape, embedding, big_n):
+        check = real(shape, embedding, big_n)
+        if embedding.multiplicities == (1, 1) and tuple(shape) == (2, 3):
+            return replace(check, dim=check.dim + 1)
+        return check
+
+    monkeypatch.setattr(cli, "compression_dimension", off_by_one)
+    status, row = counting_row(tmp_path, "compression_dim_mismatches")
+    assert status == 1
+    assert row["measured"] == 1 and not row["pass"]
 
 
 def test_stabilize_sweep_fails_on_nan_defects(monkeypatch):

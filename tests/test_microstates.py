@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from towergen import microstates
 from towergen.errors import DimensionMismatch, DimensionOverflow
@@ -12,6 +16,8 @@ from towergen.microstates import (
     greedy_cover,
     greedy_packing,
     haar_unitaries,
+    multiplicity_counts,
+    multiplicity_table,
     pinching_defect,
 )
 from towergen.units import MatrixUnitSystem, UnitalEmbedding, canonical_units
@@ -260,6 +266,31 @@ def test_enumerate_multiplicities_matches_product_scan():
     ]
     assert sorted(mults) == sorted(brute)
     assert rep["cap_respected"]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    shape=st.lists(st.integers(1, 6), min_size=1, max_size=4).map(lambda s: tuple(sorted(s))),
+    k=st.integers(1, 20),
+)
+def test_multiplicity_table_is_every_positive_solution(shape, k):
+    """At k, the table's rows, enumerate_multiplicities and a product scan
+    list the same tuples, and the generating-function count is their number."""
+    brute = {
+        c
+        for c in itertools.product(*(range(1, k // k_s + 1) for k_s in shape))
+        if np.dot(c, shape) == k
+    }
+    table, offsets = multiplicity_table(shape, 20)
+    rows = [tuple(row) for row in table[offsets[k] : offsets[k + 1]].tolist()]
+    assert len(rows) == len(brute) and set(rows) == brute
+    assert multiplicity_counts(shape, 20)[k] == len(brute)
+    if k < sum(shape):
+        assert not brute
+        with pytest.raises(DimensionMismatch):
+            enumerate_multiplicities(k, shape)
+    else:
+        assert enumerate_multiplicities(k, shape)[0] == rows
 
 
 def test_pinching_defect_bound():
