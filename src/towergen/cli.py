@@ -23,9 +23,7 @@ from .errors import ConfigInvalid, DimensionMismatch, DimensionOverflow, Towerge
 from .linalg import DEFAULT_DIM_CAP, hermitian_part, identity, op_norm
 from .microstates import (
     bound_power,
-    cardinality_report,
     check_unitary_bounds,
-    compression_dimension,
     greedy_packing,
     haar_unitaries,
     multiplicity_counts,
@@ -39,7 +37,7 @@ from .similarity import run_identity_sweep, sweep_rows
 from .stabilize import perturb_units, stabilize_units
 from .tower import TowerSpec, build_tower, check_conditions
 from .twogen import build_plan, verify_facts
-from .units import UnitalEmbedding, canonical_rows, canonical_units, subrank, unit_defects
+from .units import canonical_rows, canonical_units, subrank, unit_defects
 
 # One schema serves every tower-style command; a config names a preset or shapes.
 TOWER_SCHEMA = {
@@ -73,7 +71,7 @@ SCHEMAS: Dict[str, dict] = {
                 "type": "array",
                 "minItems": 1,
                 "uniqueItems": True,
-                "items": {"type": "number", "minimum": 0},
+                "items": {"type": "number", "minimum": 0, "maximum": 1},
             },
             "seeds": {"type": "integer", "minimum": 1},
             "seed": {"type": "integer", "minimum": 0},
@@ -276,7 +274,7 @@ def run_stabilize_sweep(config: dict) -> RunReport:
             f"shape {list(shape)} at dimension {target} needs {entries} dense unit entries, "
             f"above {DEFAULT_DIM_CAP}^2"
         )
-    units = canonical_units(shape, UnitalEmbedding(shape, mult, target))
+    units = canonical_units(shape, mult)
 
     exact_out, exact_dist = stabilize_units(units)
     bitstable = all(
@@ -392,10 +390,13 @@ def _scan_shape(shape: tuple, max_dim: int) -> List[int]:
     The rows the multiplicity table lists at k must be positive, distinct
     and solve c . shape = k, and there must be ``multiplicity_counts`` of
     them: together that is the set of all solutions, so a k that fails any
-    of these is one multiplicity mismatch.  Compression dimensions come
-    from one product for the whole table; ``compression_dimension`` and the
-    row-table oracle check them on every case with k <= TABLE_ORACLE_DIM and
-    on the largest-dimension case of each larger k.
+    of these is one multiplicity mismatch.  Compression dimensions
+    sum c_s^2 k_s come from one product for the whole table; the row-table
+    oracle ``_pinched_basis_count`` checks them on every case with
+    k <= TABLE_ORACLE_DIM and on the largest-dimension case of each larger
+    k.  Both caps are one comparison each: every row's dimension against
+    k^2/N, and the row count at each k against (k/N)^r, N the subrank and
+    r the number of blocks.
     """
     vec, n = np.array(shape), subrank(shape)
     table, offsets = multiplicity_table(shape, max_dim)
@@ -408,10 +409,8 @@ def _scan_shape(shape: tuple, max_dim: int) -> List[int]:
     bad[order[1:][repeat]] = True
     faulty = np.bincount(k_of[bad], minlength=max_dim + 1) > 0
     faulty |= sizes != multiplicity_counts(shape, max_dim)
-    card_violations = sum(
-        not cardinality_report(k, shape, int(sizes[k]))["cap_respected"]
-        for k in range(sum(shape), max_dim + 1)
-    )
+    ks = np.arange(sum(shape), max_dim + 1)
+    card_violations = np.count_nonzero(sizes[ks] > (ks / n) ** len(shape) + 1e-9)
     cap_violations = np.count_nonzero(dims > k_of * k_of / n + 1e-12)
     sample = list(range(offsets[min(TABLE_ORACLE_DIM, max_dim) + 1]))
     sample += [
@@ -423,9 +422,7 @@ def _scan_shape(shape: tuple, max_dim: int) -> List[int]:
     for i in sample:
         if bad[i]:
             continue  # already a multiplicity mismatch, and no embedding
-        k, mult = int(k_of[i]), tuple(table[i].tolist())
-        check = compression_dimension(shape, UnitalEmbedding(shape, mult, k), n)
-        dim_mismatches += not dims[i] == check.dim == _pinched_basis_count(shape, mult, k)
+        dim_mismatches += dims[i] != _pinched_basis_count(shape, table[i].tolist(), int(k_of[i]))
     cases = int(offsets[-1] - offsets[1])
     return [cases, dim_mismatches, cap_violations, int(np.count_nonzero(faulty)), card_violations]
 
@@ -455,7 +452,7 @@ def run_counting_check(config: dict) -> RunReport:
     k = sum(c * s for c, s in zip(mult, shape))
     if k > DEFAULT_DIM_CAP:
         raise DimensionOverflow(f"pinching dimension {k} exceeds {DEFAULT_DIM_CAP}")
-    units = canonical_units(shape, UnitalEmbedding(shape, mult, k))
+    units = canonical_units(shape, mult)
     # the square of each diagonal unit's table row, in unit order
     squares = [np.ix_(row, row) for table in units.rows for row in table]
     rng_root = np.random.SeedSequence(base_seed)

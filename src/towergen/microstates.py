@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DimensionMismatch, DimensionOverflow
 from .linalg import _WORKSPACE_BYTES, op_norm, op_norms
 from .report import ReportRow
-from .units import MatrixUnitSystem, UnitalEmbedding, normalize_shape, subrank
+from .units import MatrixUnitSystem, normalize_shape
 
 def haar_unitaries(k: int, seed: int, count: int) -> np.ndarray:
     """(count, k, k) stack of Haar unitaries drawn from one ``default_rng(seed)``.
@@ -180,37 +180,6 @@ def _lower_row(name: str, count: int, lower: float) -> ReportRow:
     return ReportRow(name, count, lower, count >= lower)
 
 
-@dataclass
-class CompressionCheck:
-    dim: int
-    cap_value: float
-    subrank_at_least: bool
-    bound_holds: bool
-
-
-def compression_dimension(
-    shape: Sequence[int], embedding: UnitalEmbedding, big_n: int
-) -> CompressionCheck:
-    """Real dimension sum c_s^2 k_s of the pinched Hermitian space.
-
-    When every block size is at least N the dimension is capped by k^2/N;
-    both sides are evaluated and reported.
-    """
-    shape = normalize_shape(shape)
-    if embedding.shape != shape:
-        raise DimensionMismatch("embedding does not match shape")
-    if big_n < 1:
-        raise DimensionMismatch("N must be positive")
-    dim = sum(c * c * k for c, k in zip(embedding.multiplicities, shape))
-    k_total = embedding.target_dim
-    cap = k_total * k_total / big_n
-    applies = subrank(shape) >= big_n
-    holds = (not applies) or dim <= cap + 1e-12
-    return CompressionCheck(
-        dim=int(dim), cap_value=float(cap), subrank_at_least=applies, bound_holds=holds
-    )
-
-
 def multiplicity_table(shape: Sequence[int], max_dim: int) -> Tuple[np.ndarray, np.ndarray]:
     """Every positive multiplicity tuple c with c . shape <= max_dim, grouped by k.
 
@@ -250,27 +219,6 @@ def multiplicity_counts(shape: Sequence[int], max_dim: int) -> np.ndarray:
         for k in range(k_s, max_dim + 1):
             counts[k] += counts[k - k_s]
     return np.array(counts, dtype=np.int64)
-
-
-def cardinality_report(k: int, shape: Sequence[int], count: int) -> dict:
-    """``count`` tuples for M_k against the paper's cap (k / N)^r, N the subrank."""
-    cap = (k / subrank(shape)) ** len(shape)
-    return {"count": count, "cardinality_cap": float(cap), "cap_respected": count <= cap + 1e-9}
-
-
-def enumerate_multiplicities(k: int, shape: Sequence[int]) -> Tuple[List[Tuple[int, ...]], dict]:
-    """All positive multiplicity tuples embedding the shape unitally in M_k.
-
-    The tuples are ``multiplicity_table(shape, k)``'s rows at k, in
-    lexicographic order; the report compares their count with the
-    cardinality cap.
-    """
-    shape = normalize_shape(shape)
-    if k < sum(shape):
-        raise DimensionMismatch(f"target {k} below the minimal embedding {sum(shape)}")
-    table, offsets = multiplicity_table(shape, k)
-    found = [tuple(row) for row in table[offsets[k] : offsets[k + 1]].tolist()]
-    return found, cardinality_report(k, shape, len(found))
 
 
 def pinching_defect(elems: Sequence[np.ndarray], units: MatrixUnitSystem) -> List[float]:

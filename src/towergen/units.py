@@ -12,7 +12,7 @@ reads one unit from any of them; no form keeps a dense copy of another.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,34 +45,6 @@ def rank(blocks: Sequence[int]) -> int:
 def subrank(blocks: Sequence[int]) -> int:
     """Smallest block size."""
     return min(normalize_shape(blocks))
-
-
-@dataclass(frozen=True)
-class UnitalEmbedding:
-    """Multiplicity data c_s for a unital copy of a shape inside M_target."""
-
-    shape: Shape
-    multiplicities: Tuple[int, ...]
-    target_dim: int
-
-    def __post_init__(self):
-        shape = normalize_shape(self.shape)
-        mult = tuple(int(c) for c in self.multiplicities)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "multiplicities", mult)
-        if len(mult) != len(shape) or any(c < 1 for c in mult):
-            raise DimensionMismatch(f"need one positive multiplicity per block, got {mult}")
-        total = sum(c * k for c, k in zip(mult, shape))
-        if total != self.target_dim:
-            raise DimensionMismatch(
-                f"multiplicities {mult} embed shape {shape} into dimension {total}, "
-                f"not {self.target_dim}"
-            )
-
-    @staticmethod
-    def minimal(shape: Sequence[int]) -> "UnitalEmbedding":
-        s = normalize_shape(shape)
-        return UnitalEmbedding(s, tuple(1 for _ in s), sum(s))
 
 
 class MatrixUnitSystem:
@@ -139,10 +111,6 @@ class MatrixUnitSystem:
     def keys(self):
         return [(s, i, j) for s, k in enumerate(self.shape, start=1)
                 for i in range(1, k + 1) for j in range(1, k + 1)]
-
-    def iter_units(self) -> Iterator[Tuple[Tuple[int, int, int], np.ndarray]]:
-        for key in self.keys():
-            yield key, self.unit(*key)
 
     def unitality_defect(self) -> float:
         """||sum of the diagonal units - I||; exact and factored systems form no unit.
@@ -244,31 +212,33 @@ def stacked_factors(factors: Sequence[np.ndarray]) -> np.ndarray:
     return np.concatenate([f.transpose(1, 0, 2).reshape(f.shape[1], -1) for f in factors], axis=1)
 
 
-def canonical_units(shape: Sequence[int], embedding: UnitalEmbedding | None = None) -> MatrixUnitSystem:
-    """Exact unital system for a shape under a multiplicity embedding.
+def canonical_units(
+    shape: Sequence[int], multiplicities: Optional[Sequence[int]] = None
+) -> MatrixUnitSystem:
+    """Exact unital system for a shape with multiplicities c_s, all ones by default.
 
     Block s occupies a contiguous diagonal window of size c_s * k_s; its
     unit e_ij is the elementary matrix E_ij amplified c_s-fold, so every
-    unit has rank c_s and the diagonal units sum to the identity.
+    unit has rank c_s and the diagonal units sum to the identity of
+    dimension sum c_s k_s.
     """
     shape = normalize_shape(shape)
-    if embedding is None:
-        embedding = UnitalEmbedding.minimal(shape)
-    if embedding.shape != shape:
-        raise DimensionMismatch(f"embedding shape {embedding.shape} does not match {shape}")
-    return MatrixUnitSystem(
-        shape, embedding.target_dim, rows=canonical_rows(shape, embedding.multiplicities)
-    )
+    rows = canonical_rows(shape, (1,) * len(shape) if multiplicities is None else multiplicities)
+    return MatrixUnitSystem(shape, sum(table.size for table in rows), rows=rows)
 
 
 def canonical_rows(shape: Sequence[int], multiplicities: Sequence[int]) -> List[np.ndarray]:
     """The row tables of ``canonical_units``, one (k_s, c_s) array per block.
 
     Block s fills the next c_s * k_s coordinates; E_ij (x) I_c on that
-    window puts row t of unit i at window coordinate i * c + t.
+    window puts row t of unit i at window coordinate i * c + t.  Anything
+    but one positive multiplicity per block raises DimensionMismatch.
     """
+    shape, mult = normalize_shape(shape), tuple(int(c) for c in multiplicities)
+    if len(mult) != len(shape) or any(c < 1 for c in mult):
+        raise DimensionMismatch(f"need one positive multiplicity per block of {shape}, got {mult}")
     rows, offset = [], 0
-    for k, c in zip(shape, multiplicities):
+    for k, c in zip(shape, mult):
         rows.append(offset + np.arange(k * c).reshape(k, c))
         offset += k * c
     return rows

@@ -19,7 +19,7 @@ from towergen.similarity import run_identity_sweep, sweep_rows
 from towergen.stabilize import perturb_units, stabilize_units
 from towergen.tower import build_tower, check_conditions
 from towergen.twogen import build_plan, verify_facts
-from towergen.units import UnitDefects, UnitalEmbedding, canonical_units, unit_defects
+from towergen.units import UnitDefects, canonical_units, unit_defects
 from towergen.presets import list_presets, preset_spec
 from towergen.report import RunReport
 
@@ -265,6 +265,19 @@ def test_mismatched_multiplicities_are_config_invalid(tmp_path, command, config,
     assert main([command, "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("delta", [1.5, 1e300])
+def test_stabilize_sweep_delta_above_one_is_config_invalid(tmp_path, delta):
+    """Noise as large as a unit is far past the Gram gate; a delta of 1e300
+    would also overflow the seed arithmetic."""
+    config = {"shape": [2], "deltas": [delta]}
+    with pytest.raises(ConfigInvalid) as info:
+        run("stabilize-sweep", config)
+    assert info.value.path == "deltas.0"
+    cfg = tmp_path / "delta.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["stabilize-sweep", "--config", str(cfg)]) == 2
+
+
 @pytest.mark.parametrize("max_dim", [0, 17, 40])
 def test_counting_check_max_dim_out_of_range_is_config_invalid(tmp_path, max_dim):
     config = {"max_dim": max_dim}
@@ -295,7 +308,7 @@ def test_tower_check_at_d140_passes_with_vanishing_commutators():
 
 def dense_pinched_count(shape, mult, k: int) -> int:
     """Support sizes read off the dense diagonal units."""
-    units = canonical_units(shape, UnitalEmbedding(shape, mult, k))
+    units = canonical_units(shape, mult)
     projections = np.stack(
         [units.unit(s, i, i) for s, size in enumerate(shape, start=1) for i in range(1, size + 1)]
     )
@@ -370,18 +383,39 @@ def test_counting_check_catches_a_faulty_multiplicity_table(tmp_path, monkeypatc
 
 
 def test_counting_check_catches_a_wrong_compression_dimension(tmp_path, monkeypatch):
-    real = cli.compression_dimension
+    real = cli._pinched_basis_count
 
-    def off_by_one(shape, embedding, big_n):
-        check = real(shape, embedding, big_n)
-        if embedding.multiplicities == (1, 1) and tuple(shape) == (2, 3):
-            return replace(check, dim=check.dim + 1)
-        return check
+    def off_by_one(shape, mult, k):
+        count = real(shape, mult, k)
+        return count + 1 if tuple(mult) == (1, 1) and tuple(shape) == (2, 3) else count
 
-    monkeypatch.setattr(cli, "compression_dimension", off_by_one)
+    monkeypatch.setattr(cli, "_pinched_basis_count", off_by_one)
     status, row = counting_row(tmp_path, "compression_dim_mismatches")
     assert status == 1
     assert row["measured"] == 1 and not row["pass"]
+
+
+def test_counting_check_catches_a_row_above_the_compression_cap(tmp_path, monkeypatch):
+    """Row (9, 9) at k = 5 has dimension 81 + 2 * 81, above 5^2/1."""
+    edited_table(monkeypatch, swap_row(0, (9, 9)))
+    status, row = counting_row(tmp_path, "compression_cap_violations")
+    assert status == 1
+    assert row["measured"] >= 1 and not row["pass"]
+
+
+@pytest.mark.parametrize("copies, violations", [(23, 0), (24, 1)])
+def test_counting_check_catches_a_count_above_the_cardinality_cap(
+    tmp_path, monkeypatch, copies, violations
+):
+    """Shape (1, 2) has 2 rows at k = 5 and the cap (5/1)^2 = 25: 25 rows
+    sit on the cap, 26 exceed it."""
+    edited_table(
+        monkeypatch,
+        lambda table, i: (np.insert(table, i, np.repeat(table[i : i + 1], copies, 0), 0), copies),
+    )
+    status, row = counting_row(tmp_path, "cardinality_cap_violations")
+    assert status == 1  # every copy is also a multiplicity mismatch
+    assert row["measured"] == violations and row["pass"] == (violations == 0)
 
 
 def test_stabilize_sweep_fails_on_nan_defects(monkeypatch):
@@ -395,7 +429,7 @@ def test_stabilize_sweep_fails_on_nan_defects(monkeypatch):
 def test_stabilize_sweep_defects_in_match_an_independent_scoring():
     config = {"shape": [2, 3], "multiplicities": [2, 1], "deltas": [1e-4, 1e-3], "seeds": 3}
     report = run("stabilize-sweep", config)
-    units = canonical_units((2, 3), UnitalEmbedding((2, 3), (2, 1), 7))
+    units = canonical_units((2, 3), (2, 1))
     rows = report.extra["sweep"]
     assert len(rows) == 6
     for row in rows:
@@ -408,7 +442,7 @@ def test_stabilize_sweep_defects_out_match_a_dense_scoring():
     screened scoring of the same units agrees within 8 d eps."""
     config = {"shape": [2, 3], "multiplicities": [2, 1], "deltas": [1e-4, 1e-3], "seeds": 3}
     report = run("stabilize-sweep", config)
-    units = canonical_units((2, 3), UnitalEmbedding((2, 3), (2, 1), 7))
+    units = canonical_units((2, 3), (2, 1))
     bound = 8 * units.ambient_dim * np.finfo(float).eps
     rows = report.extra["sweep"]
     assert len(rows) == 6

@@ -11,9 +11,9 @@ from towergen.errors import DimensionMismatch, NonConvergence, NonFiniteValue, N
 from towergen.linalg import identity, op_norm
 from towergen.tower import build_tower
 from towergen.twogen import build_plan
-from towergen.units import MatrixUnitSystem, UnitalEmbedding, canonical_units
+from towergen.units import MatrixUnitSystem, canonical_units
 
-from conftest import densified, small_towers
+from conftest import dense_units, densified, small_towers
 
 # Blocks (m, n) of a sum of I_m (x) M_n, d <= 8; identity-only comes first.
 STRUCTURES = [
@@ -103,7 +103,7 @@ def test_closure_eigensolve_fails_closed(monkeypatch):
 
 def dense_oracle(model, extra):
     """The units as a dense generator list, before the other generators."""
-    units = [m for blk in model.blocks for _, m in blk.iter_units()]
+    units = [m for blk in model.blocks for m in dense_units(blk)]
     return subalgebra_closure(units + extra)
 
 
@@ -158,9 +158,9 @@ def test_units_by_table_match_the_dense_unit_list_on_random_towers(spec):
 
 def test_block_entries_are_the_dense_maximum():
     """81 units of rank 2 span two chunks; each unit at unit Frobenius norm."""
-    units = canonical_units([9], UnitalEmbedding((9,), (2,), 18))
+    units = canonical_units([9], (2,))
     q, _ = np.linalg.qr(_gaussian(np.random.default_rng(3), 18))
-    mags = [abs(q.conj().T @ m @ q) / np.linalg.norm(m) for _, m in units.iter_units()]
+    mags = [abs(q.conj().T @ m @ q) / np.linalg.norm(m) for m in dense_units(units)]
     dense = np.max(mags, axis=0)
     assert len(units.keys()) > closure._CHUNK
     assert np.allclose(closure._block_entries(q, units.rows[0]), dense, rtol=0, atol=1e-14)
@@ -169,7 +169,7 @@ def test_block_entries_are_the_dense_maximum():
 def test_systems_alone_are_generators():
     units = canonical_units([2, 1])
     cert = subalgebra_closure([], systems=[units])
-    assert_same_certificate(cert, subalgebra_closure([m for _, m in units.iter_units()]))
+    assert_same_certificate(cert, subalgebra_closure(list(dense_units(units))))
     assert cert.blocks == [(1, 2), (1, 1)]
 
 

@@ -24,13 +24,12 @@ from towergen.tower import (
 )
 from towergen.units import (
     MatrixUnitSystem,
-    UnitalEmbedding,
     amplify,
     canonical_units,
     factored_distance,
 )
 
-from conftest import diagonal_sum, same_bits, small_towers
+from conftest import dense_units, diagonal_sum, same_bits, small_towers
 
 PRESETS = [
     {"preset": "T0"}, {"preset": "T1b"}, {"preset": "T1"},
@@ -71,19 +70,17 @@ def check_tower(model, seed: int):
             assert same_bits(commutant_projection(x, block), dense_projection(x, block))
         for other in model.blocks[pos + 1:]:
             dense = _screened_max_commutator(
-                [m for _, m in block.iter_units()], [m for _, m in other.iter_units()]
+                list(dense_units(block)), list(dense_units(other))
             )
             assert _max_cross_commutator(block, other) == dense == 0.0
 
 
 def kron_blocks(model):
     """Today's per-unit embedding: np.kron of each canonical unit with identities."""
+    systems = [canonical_units(shape) for shape in model.spec.block_shapes]
     return [
-        {
-            key: _embed_factor(mat, model.factor_dims, pos)
-            for key, mat in canonical_units(shape).iter_units()
-        }
-        for pos, shape in enumerate(model.spec.block_shapes)
+        {key: _embed_factor(units.unit(*key), model.factor_dims, pos) for key in units.keys()}
+        for pos, units in enumerate(systems)
     ]
 
 
@@ -110,29 +107,29 @@ def test_random_towers_match_dense_oracles(spec):
 
 def test_cross_commutator_of_one_factor_is_measured():
     """Two exact systems on the same factor do not commute; only clashing pairs are formed."""
-    left = canonical_units([2], UnitalEmbedding((2,), (2,), 4))  # rows [[0, 1], [2, 3]]
+    left = canonical_units([2], (2,))  # rows [[0, 1], [2, 3]]
     right = MatrixUnitSystem((2, 1), 4, rows=[np.array([[0], [1]]), np.array([[3]])])
     dense = _screened_max_commutator(
-        [m for _, m in left.iter_units()], [m for _, m in right.iter_units()]
+        list(dense_units(left)), list(dense_units(right))
     )
     assert dense > 0.0
     assert _max_cross_commutator(left, right) == dense
     assert _max_cross_commutator(right, left) == _screened_max_commutator(
-        [m for _, m in right.iter_units()], [m for _, m in left.iter_units()]
+        list(dense_units(right)), list(dense_units(left))
     )
 
 
 def test_amplify_matches_kron():
-    small = canonical_units((2, 1), UnitalEmbedding((2, 1), (1, 2), 4))
+    small = canonical_units((2, 1), (1, 2))
     big = amplify(small, 3, 2)
     assert big.ambient_dim == 24
-    for key, mat in small.iter_units():
-        expected = np.kron(np.kron(np.eye(3), mat), np.eye(2)).astype(np.complex128)
+    for key in small.keys():
+        expected = np.kron(np.kron(np.eye(3), small.unit(*key)), np.eye(2)).astype(np.complex128)
         assert same_bits(big.unit(*key), expected)
 
 
 def test_exact_units_are_read_only_and_keys_are_checked():
-    system = canonical_units([2, 3], UnitalEmbedding((2, 3), (2, 1), 7))
+    system = canonical_units([2, 3], (2, 1))
     assert system.units is None  # unit() reads the tables; no dense copy is kept
     for key in system.keys():
         with pytest.raises(ValueError):
@@ -142,7 +139,7 @@ def test_exact_units_are_read_only_and_keys_are_checked():
 
 
 def test_factored_system_view_and_distance():
-    exact = canonical_units([2, 3], UnitalEmbedding((2, 3), (2, 1), 7))
+    exact = canonical_units([2, 3], (2, 1))
     eye = np.eye(7, dtype=np.complex128)
     # the indicator columns of each table row factor the exact system itself
     factored = MatrixUnitSystem(

@@ -24,7 +24,7 @@ from towergen.linalg import (
 )
 from towergen.recovery import RecoveryTrace, ladder_units
 from towergen.stabilize import perturb_units
-from towergen.units import UnitalEmbedding, canonical_units, unit_defects
+from towergen.units import canonical_units, unit_defects
 
 
 def random_complex(rng, d):
@@ -271,7 +271,7 @@ def test_gram_power_screen_leaves_few_products_to_measure(monkeypatch):
 
     monkeypatch.setattr(linalg, "_op_norms", count)
     monkeypatch.setattr(units_module, "screened_max_norm", multiplication_screen)
-    exact = canonical_units((5, 5), UnitalEmbedding((5, 5), (1, 1), 10))
+    exact = canonical_units((5, 5), (1, 1))
     for delta in (1e-6, 1e-4, 1e-3):
         for s in range(20):
             unit_defects(perturb_units(exact, delta, 2024 + 1000 * s + int(1e9 * delta) % 997))

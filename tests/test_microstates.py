@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from towergen import microstates
+from towergen import cli, microstates
 from towergen.errors import DimensionMismatch, DimensionOverflow
 from towergen.linalg import identity, op_norm
 from towergen.microstates import (
     CoveringEstimate,
     check_unitary_bounds,
-    compression_dimension,
-    enumerate_multiplicities,
     greedy_cover,
     greedy_packing,
     haar_unitaries,
@@ -20,7 +18,7 @@ from towergen.microstates import (
     multiplicity_table,
     pinching_defect,
 )
-from towergen.units import MatrixUnitSystem, UnitalEmbedding, canonical_units
+from towergen.units import MatrixUnitSystem, canonical_units
 
 from conftest import dense_units
 
@@ -193,7 +191,7 @@ def test_unitary_bounds_radius_mismatch():
 
 def numeric_pinched_dimension(shape, mult, k):
     """Independent oracle: real rank of the pinching map on a Hermitian basis."""
-    units = canonical_units(shape, UnitalEmbedding(shape, mult, k))
+    units = canonical_units(shape, mult)
     diags = [
         units.unit(s, i, i)
         for s, size in enumerate(shape, start=1)
@@ -219,53 +217,66 @@ def numeric_pinched_dimension(shape, mult, k):
     return int(np.linalg.matrix_rank(np.array(cols).T, tol=1e-9))
 
 
+def rows_at(shape, k):
+    """The multiplicity table's rows at k, as tuples in table order."""
+    table, offsets = multiplicity_table(shape, k)
+    return [tuple(row) for row in table[offsets[k] : offsets[k + 1]].tolist()]
+
+
+def table_dimension(shape, mult):
+    """counting-check's compression dimension of one tuple: its row of
+    ``table**2 @ shape`` in the multiplicity table."""
+    k = int(np.dot(mult, shape))
+    table, offsets = multiplicity_table(shape, k)
+    i = offsets[k] + rows_at(shape, k).index(tuple(mult))
+    return int((table**2 @ np.array(shape))[i])
+
+
 def test_compression_dimension_examples():
-    emb = UnitalEmbedding((2, 3), (1, 1), 5)
-    check = compression_dimension((2, 3), emb, 2)
-    assert check.dim == 5
-    assert check.bound_holds
-    assert check.dim == numeric_pinched_dimension((2, 3), (1, 1), 5)
+    """The table formula, the row-table count and the numeric rank agree."""
+    assert table_dimension((2, 3), (1, 1)) == 5
+    assert cli._pinched_basis_count((2, 3), (1, 1), 5) == 5
+    assert numeric_pinched_dimension((2, 3), (1, 1), 5) == 5
+    assert cli._scan_shape((2, 3), 5)[1:3] == [0, 0]  # no dimension mismatch, 5 <= 25/2
 
 
 def test_compression_dimension_tight_case():
+    """For a single block of size N at k = N the dimension N meets the cap k^2/N."""
     n = 4
-    emb = UnitalEmbedding((n,), (1,), n)
-    check = compression_dimension((n,), emb, n)
-    assert check.dim == n
-    assert check.cap_value == pytest.approx(n)
-    assert check.bound_holds
+    assert table_dimension((n,), (1,)) == n == n * n / n
+    assert cli._pinched_basis_count((n,), (1,), n) == n
+    assert cli._scan_shape((n,), n) == [1, 0, 0, 0, 0]
 
 
 def test_compression_dimension_numeric_oracle_sweep():
     cases = [((2,), (2,), 4), ((3,), (1,), 3), ((2, 2), (1, 2), 6), ((2, 3), (2, 1), 7)]
     for shape, mult, k in cases:
-        emb = UnitalEmbedding(shape, mult, k)
-        check = compression_dimension(shape, emb, 2)
-        assert check.dim == numeric_pinched_dimension(shape, mult, k)
+        want = numeric_pinched_dimension(shape, mult, k)
+        assert cli._pinched_basis_count(shape, mult, k) == want
+        assert table_dimension(shape, mult) == want
 
 
 def test_enumerate_multiplicities_examples():
-    mults, rep = enumerate_multiplicities(5, (2, 3))
-    assert mults == [(1, 1)]
-    assert rep["count"] == 1 and rep["cardinality_cap"] == pytest.approx(6.25)
-    mults, _ = enumerate_multiplicities(12, (2, 3))
-    assert mults == [(3, 2)]
-    mults, _ = enumerate_multiplicities(6, (1, 2, 3))
-    assert (1, 1, 1) in mults and all(sum(c * k for c, k in zip(m, (1, 2, 3))) == 6 for m in mults)
+    """The multiplicity table enumerates the tuples at each k."""
+    assert rows_at((2, 3), 5) == [(1, 1)]
+    assert rows_at((2, 3), 12) == [(3, 2)]
+    assert (1, 1, 1) in rows_at((1, 2, 3), 6)
+    assert all(np.dot(m, (1, 2, 3)) == 6 for m in rows_at((1, 2, 3), 6))
+    # one tuple at k = 5 against the cardinality cap (5/2)^2 = 6.25
+    assert cli._scan_shape((2, 3), 5)[3:] == [0, 0]
 
 
 def test_enumerate_multiplicities_matches_product_scan():
     shape = (2, 3)
     k = 11
-    mults, rep = enumerate_multiplicities(k, shape)
     brute = [
         (c1, c2)
         for c1 in range(1, k + 1)
         for c2 in range(1, k + 1)
         if 2 * c1 + 3 * c2 == k
     ]
-    assert sorted(mults) == sorted(brute)
-    assert rep["cap_respected"]
+    assert sorted(rows_at(shape, k)) == sorted(brute)
+    assert cli._scan_shape(shape, k)[4] == 0  # every count within its cardinality cap
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -274,8 +285,8 @@ def test_enumerate_multiplicities_matches_product_scan():
     k=st.integers(1, 20),
 )
 def test_multiplicity_table_is_every_positive_solution(shape, k):
-    """At k, the table's rows, enumerate_multiplicities and a product scan
-    list the same tuples, and the generating-function count is their number."""
+    """At k, the table's rows and a product scan list the same tuples, and
+    the generating-function count is their number."""
     brute = {
         c
         for c in itertools.product(*(range(1, k // k_s + 1) for k_s in shape))
@@ -286,11 +297,7 @@ def test_multiplicity_table_is_every_positive_solution(shape, k):
     assert len(rows) == len(brute) and set(rows) == brute
     assert multiplicity_counts(shape, 20)[k] == len(brute)
     if k < sum(shape):
-        assert not brute
-        with pytest.raises(DimensionMismatch):
-            enumerate_multiplicities(k, shape)
-    else:
-        assert enumerate_multiplicities(k, shape)[0] == rows
+        assert not rows
 
 
 def test_pinching_defect_bound():
@@ -314,7 +321,7 @@ def test_pinching_defect_bound():
 def test_pinching_defect_equals_dense_pinching(shape, mult):
     """||x - sum_p p x p|| over the dense diagonal units, bit for bit."""
     k = sum(c * s for c, s in zip(mult, shape))
-    units = canonical_units(shape, UnitalEmbedding(shape, mult, k))
+    units = canonical_units(shape, mult)
     diags = [units.unit(s, i, i) for s, size in enumerate(shape, 1) for i in range(1, size + 1)]
     rng = np.random.default_rng(4)
     elems = [rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)) for _ in range(5)]

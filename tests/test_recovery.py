@@ -31,7 +31,7 @@ from towergen.twogen import (
 )
 from towergen.units import MatrixUnitSystem, canonical_units
 
-from conftest import relaxed_towers
+from conftest import dense_units, relaxed_towers
 
 
 def test_extract_diagonal_model():
@@ -97,8 +97,8 @@ def test_ladder_t0_exact(t0_plan):
     assert [step.name for step in trace.steps] == [
         "extract_l1_b1", "complement_l1_b1", "ladder_l1_b1_r1", "ladder_l1_b1_r2"
     ]
-    for key, mat in model.blocks[0].iter_units():
-        assert op_norm(system.unit(*key) - mat) <= 1e-10
+    for key in model.blocks[0].keys():
+        assert op_norm(system.unit(*key) - model.blocks[0].unit(*key)) <= 1e-10
 
 
 def test_ladder_t1_level1(t1_plan):
@@ -106,8 +106,8 @@ def test_ladder_t1_level1(t1_plan):
     trace = RecoveryTrace()
     bases = extract_corner_bases(t1_plan.gen_a, [0.5], 1, trace)
     system = ladder_units(bases, t1_plan.gen_b, (3,), 1, trace=trace)
-    for key, mat in model.blocks[0].iter_units():
-        assert op_norm(system.unit(*key) - mat) <= 1e-6
+    for key in model.blocks[0].keys():
+        assert op_norm(system.unit(*key) - model.blocks[0].unit(*key)) <= 1e-6
 
 
 def test_ladder_zero_b(t0_plan):
@@ -254,7 +254,7 @@ def test_closure_identity_only():
 
 
 def test_closure_full_m2():
-    gens = [mat for _, mat in canonical_units([2]).iter_units()]
+    gens = list(dense_units(canonical_units([2])))
     basis = subalgebra_closure(gens)
     assert basis.size == 4
     assert basis.blocks == [(1, 2)]
@@ -279,7 +279,7 @@ def test_distance_to_span_examples():
 def test_closure_mutual_containment_t0(t0_plan):
     model = t0_plan.model
     pair = subalgebra_closure([t0_plan.gen_a, t0_plan.gen_b])
-    oracle_gens = [m for _, m in model.blocks[0].iter_units()]
+    oracle_gens = list(dense_units(model.blocks[0]))
     oracle_gens += [t0_plan.levels[0].coupling, identity(model.ambient_dim)]
     oracle = subalgebra_closure(oracle_gens)
     assert pair.size == oracle.size == 9

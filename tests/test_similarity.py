@@ -32,7 +32,7 @@ def test_commutation_exact():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     x = np.kron(x, identity(model.ambient_dim // model.coeff_dim))
-    for _, unit in model.units.iter_units():
+    for unit in dense_units(model.units):
         assert op_norm(x @ unit - unit @ x) <= 1e-13
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from towergen.errors import StabilizationFailed
 from towergen.linalg import hermitian_part, identity, op_norm, op_norms
 from towergen.stabilize import perturb_units, stabilize_units
-from towergen.units import MatrixUnitSystem, UnitalEmbedding, canonical_units, unit_defects
+from towergen.units import MatrixUnitSystem, canonical_units, unit_defects
 
 from conftest import dense_units, same_bits
 
@@ -47,8 +47,7 @@ def per_unit_perturbation(units, delta, seed):
     "shape,mult,seed", [((3,), (1,), 0), ((2, 3), (2, 1), 5), ((1, 4, 2), (3, 1, 2), 11)]
 )
 def test_perturbation_matches_a_draw_per_unit(shape, mult, seed):
-    dim = sum(c * k for c, k in zip(mult, shape))
-    units = canonical_units(shape, UnitalEmbedding(shape, mult, dim))
+    units = canonical_units(shape, mult)
     noisy = perturb_units(units, 1e-3, seed)
     expected = per_unit_perturbation(units, 1e-3, seed)
     assert all(
@@ -58,7 +57,7 @@ def test_perturbation_matches_a_draw_per_unit(shape, mult, seed):
 
 def test_m5_m5_perturbation_sweep():
     shape = (5, 5)
-    units = canonical_units(shape, UnitalEmbedding(shape, (1, 1), 10))
+    units = canonical_units(shape, (1, 1))
     for seed in range(20):
         noisy = perturb_units(units, 1e-3, seed=seed)
         fixed, dist = stabilize_units(noisy)
@@ -175,7 +174,7 @@ def test_stabilizer_is_exact_idempotent_and_measures_its_move(blocks, log_delta,
     shape = tuple(k for k, _ in blocks)
     mult = tuple(c for _, c in blocks)
     dim = sum(k * c for k, c in blocks)
-    exact = canonical_units(shape, UnitalEmbedding(shape, mult, dim))
+    exact = canonical_units(shape, mult)
     make = perturbed_factors if factored else perturb_units
     noisy = make(exact, 10.0**log_delta, seed)
     once, dist = stabilize_units(noisy)

@@ -16,6 +16,8 @@ from towergen.tower import (
 )
 from towergen.units import canonical_units, rank
 
+from conftest import dense_units
+
 
 def test_build_t1_shape(t1_model):
     assert t1_model.ambient_dim == 63
@@ -105,8 +107,8 @@ def test_cross_commutator_matches_all_pairs():
 def test_cross_commutator_of_commuting_levels_needs_no_norm(t1_model, monkeypatch):
     calls = []
     monkeypatch.setattr(linalg, "op_norms", lambda stack: calls.append(len(stack)))
-    left = [mat for _, mat in t1_model.blocks[0].iter_units()]
-    right = [mat for _, mat in t1_model.blocks[1].iter_units()]
+    left = list(dense_units(t1_model.blocks[0]))
+    right = list(dense_units(t1_model.blocks[1]))
     assert _screened_max_commutator(left, right[::8]) == 0.0
     assert calls == []
 
@@ -134,7 +136,7 @@ def test_commutant_projection_properties(t1_model):
         x = rng.standard_normal((63, 63)) + 1j * rng.standard_normal((63, 63))
         x = (x + x.conj().T) / 2
         out = commutant_projection(x, block)
-        for _, unit in block.iter_units():
+        for unit in dense_units(block):
             assert op_norm(out @ unit - unit @ out) <= 1e-12
         assert op_norm(commutant_projection(out, block) - out) <= 1e-12
         assert op_norm(out) <= op_norm(x) + 1e-12

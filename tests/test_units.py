@@ -10,8 +10,8 @@ from towergen.microstates import haar_unitaries
 from towergen.stabilize import perturb_units, stabilize_units
 from towergen.units import (
     MatrixUnitSystem,
-    UnitalEmbedding,
     UnitDefects,
+    canonical_rows,
     canonical_units,
     rank,
     subrank,
@@ -91,8 +91,7 @@ def test_canonical_units_m2_elementary():
 
 
 def test_canonical_units_amplified():
-    emb = UnitalEmbedding((2,), (2,), 4)
-    sys4 = canonical_units([2], emb)
+    sys4 = canonical_units([2], (2,))
     for i in range(1, 3):
         for j in range(1, 3):
             assert np.linalg.matrix_rank(sys4.unit(1, i, j)) == 2
@@ -113,7 +112,7 @@ def test_canonical_units_amplified():
 def test_canonical_units_product_table(shape, mult):
     target = sum(c * k for c, k in zip(mult, shape))
     assert target <= 32
-    system = canonical_units(shape, UnitalEmbedding(shape, mult, target))
+    system = canonical_units(shape, mult)
     assert brute_force_product_table(system) <= 1e-15
 
 
@@ -122,8 +121,7 @@ def test_canonical_units_product_table(shape, mult):
     [((1,), (1,)), ((2,), (3,)), ((2, 3), (1, 1)), ((2, 2, 2), (2, 1, 3)), ((3, 1, 4), (1, 5, 2))],
 )
 def test_canonical_units_match_kron_construction(shape, mult):
-    target = sum(c * k for c, k in zip(mult, shape))
-    system = canonical_units(shape, UnitalEmbedding(shape, mult, target))
+    system = canonical_units(shape, mult)
     reference = kron_units(shape, mult)
     assert system.keys() == list(reference)
     for key, mat in reference.items():
@@ -132,10 +130,13 @@ def test_canonical_units_match_kron_construction(shape, mult):
 
 
 def test_embedding_validation():
-    with pytest.raises(DimensionMismatch):
-        UnitalEmbedding((2, 3), (1, 1), 6)
-    with pytest.raises(DimensionMismatch):
-        canonical_units([2, 3], UnitalEmbedding((2, 2), (1, 1), 4))
+    """One positive multiplicity per block, or DimensionMismatch: a tuple
+    too short, too long, or with a zero or negative entry."""
+    for mult in [(1,), (1, 1, 1), (1, 0), (-1, 2)]:
+        with pytest.raises(DimensionMismatch):
+            canonical_units([2, 3], mult)
+        with pytest.raises(DimensionMismatch):
+            canonical_rows([2, 3], mult)
 
 
 def test_unit_defects_exact():
@@ -164,9 +165,9 @@ def test_unit_defects_non_unital():
 
 
 _MIXED = [
-    canonical_units((1, 3, 2), UnitalEmbedding((1, 3, 2), (3, 1, 2), 10)),
-    canonical_units((2, 2, 2), UnitalEmbedding((2, 2, 2), (2, 1, 3), 12)),
-    canonical_units((4,), UnitalEmbedding((4,), (2,), 8)),
+    canonical_units((1, 3, 2), (3, 1, 2)),
+    canonical_units((2, 2, 2), (2, 1, 3)),
+    canonical_units((4,), (2,)),
 ]
 
 
@@ -193,8 +194,8 @@ def test_dense_stack_of_the_wrong_shape_is_rejected():
 @pytest.mark.parametrize(
     "system",
     [
-        canonical_units((4, 4, 2), UnitalEmbedding((4, 4, 2), (1, 2, 1), 14)),  # 36 units
-        canonical_units((2, 3), UnitalEmbedding((2, 3), (3, 2), 12)),
+        canonical_units((4, 4, 2), (1, 2, 1)),  # 36 units
+        canonical_units((2, 3), (3, 2)),
         canonical_units((5, 5)),
         _MIXED[0],  # a 1 x 1 block among mixed multiplicities
     ],
@@ -244,7 +245,7 @@ def test_factored_defects_match_the_dense_scoring(blocks, extra, kind, log_delta
     shape = tuple(k for k, _ in blocks)
     mult = tuple(c for _, c in blocks)
     dim = sum(k * c for k, c in blocks)
-    exact = canonical_units(shape, UnitalEmbedding(shape, mult, dim))
+    exact = canonical_units(shape, mult)
     factors = list(exact.column_factors())
     if kind == "stabilized":
         factors = stabilize_units(perturb_units(exact, 10.0**log_delta, seed))[0].factors
@@ -268,7 +269,7 @@ def test_factored_defects_match_the_dense_scoring(blocks, extra, kind, log_delta
 
 @pytest.mark.parametrize("stabilized", [False, True])
 def test_factor_scoring_forms_no_dense_unit(monkeypatch, stabilized):
-    exact = canonical_units((2, 3), UnitalEmbedding((2, 3), (2, 1), 7))
+    exact = canonical_units((2, 3), (2, 1))
     system = stabilize_units(perturb_units(exact, 1e-3, 5))[0] if stabilized else exact
 
     def refuse(*args):
@@ -289,7 +290,7 @@ def test_factor_scoring_of_a_non_finite_factor_fails_closed():
 
 
 def test_factor_scoring_split_over_rows_gives_the_same_defects(monkeypatch):
-    exact = canonical_units((3, 2), UnitalEmbedding((3, 2), (2, 3), 12))
+    exact = canonical_units((3, 2), (2, 3))
     system, _ = stabilize_units(perturb_units(exact, 1e-3, 9))
     whole = unit_defects(system)
     monkeypatch.setattr(units_module, "_WORKSPACE_BYTES", 1)  # one unit row i per op_norms call
