@@ -590,8 +590,12 @@ def main(argv=None) -> int:
 
     payload = json.dumps(report.to_json(), sort_keys=True, indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload + "\n")
+        except OSError as exc:
+            sys.stderr.write(f"cannot write --out: {exc}\n")
+            return 2
     if args.summary:
         print("\n".join(report.summary_lines()))
     elif not args.out:

@@ -21,15 +21,16 @@ factors; no dense level unit or ambient corner projection is formed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import LadderBreakdown, NoSpectralGap
+from .errors import DimensionMismatch, LadderBreakdown, NoSpectralGap
 from .linalg import _lapack, hermitian_part, identity, op_norm
 from .report import ReportRow
 from .stabilize import stabilize_units
-from .twogen import GeneratorPlan, RowAssignment, diag_coefficient, index_atoms
+from .tower import index_set_cardinality
+from .twogen import GeneratorPlan, coupling_row, diag_coefficient, index_atoms
 from .units import MatrixUnitSystem, Shape, factored_distance, stacked_factors
 
 CLUSTER_HALFWIDTH = 1e-3  # largest offset |lambda / c_s - 1| of an extracted eigenvalue
@@ -223,51 +224,54 @@ def reconstruct_witness(
     coupling: np.ndarray,
     coupling_scale: float,
     units_by_level: Sequence[MatrixUnitSystem],
-    assignment: Optional[RowAssignment],
     generator_index: int,
 ) -> np.ndarray:
-    """Reassemble a commutant witness from a coupling element.
+    """Reassemble generator ``generator_index``'s witness from a coupling element.
 
-    Every term is a product of column factors (``column_factors``, so
-    exact and recovered levels alike).  Level 1 unwraps the row-2
-    placement, sum_i F_i (F_2^* core F_2) F_i^*.  Deeper levels invert the
-    row encoding per index atom, sum_i F_i (F_row^* core F_{row+1}) F_i^*,
-    and lift it through each lower level's e_{i,k_s} . e_{k_t,j} as
-    F_i (F_k^* . F_k) F_j^*, so every inner product is m x m; the lifted
-    terms are summed as blocks of one matrix M in the columns of the
-    outermost level, and X M X^* (X the side-by-side factors) is the only
-    d x d product.
+    The rows come from the levels' shapes through ``coupling_row``.  Every
+    term is a product of column factors (``column_factors``, so exact and
+    recovered levels alike).  Level 1 unwraps the row-2 placement,
+    sum_i F_i (F_2^* core F_2) F_i^*.  Deeper levels invert the row encoding
+    per index atom, sum_i F_i (F_row^* core F_{row+1}) F_i^*, and lift it
+    through each lower level's e_{i,k_s} . e_{k_t,j} as F_i (F_k^* . F_k) F_j^*,
+    so every inner product is m x m; the lifted terms are summed as blocks of
+    one matrix M in the columns of the outermost level, and X M X^* (X the
+    side-by-side factors) is the only d x d product.  An index below 1, or
+    one whose rows run past the top level's smallest block, raises
+    DimensionMismatch; one whose rows fit but hold no witness may read zero.
     """
     level = len(units_by_level)
+    shapes = [u.shape for u in units_by_level]
+    card = index_set_cardinality(shapes, level)
+    # the last row read: row and row + 1 per atom, only row 2 at level 1
+    last = coupling_row(card, generator_index, card - 1) + (level > 1)
+    if generator_index < 1 or last > min(shapes[-1]):
+        raise DimensionMismatch(f"generator index {generator_index} out of range")
     factors = [u.column_factors() for u in units_by_level]
     top = factors[-1]
     core = coupling / coupling_scale
     if level == 1:
+        r = coupling_row(card, generator_index, 0) - 1
         out = sum(
-            stacked_factors([f @ (f[1].conj().T @ core @ f[1])]) @ stacked_factors([f]).conj().T
+            stacked_factors([f @ (f[r].conj().T @ core @ f[r])]) @ stacked_factors([f]).conj().T
             for f in top
         )
         return hermitian_part(out)
-    if assignment is None:
-        raise LadderBreakdown("row assignment required beyond level 1")
-    shapes = [u.shape for u in units_by_level]
     outer = factors[-2]
     offsets = np.cumsum([0] + [f.shape[0] * f.shape[2] for f in outer])
     acc = np.zeros((offsets[-1], offsets[-1]), dtype=np.complex128)
     # cross[s][b] = F^(1)_{s,k_s}^* F^(b)_i of every top row i, (k_b, m_1, m_b)
     cross = [[f[-1].conj().T @ g for g in top] for f in factors[0]]
-    for idx, atom in enumerate(index_atoms(shapes, level)):
-        row = assignment.row(generator_index, idx)
-        i, s, j, t = atom.level_entry(1)
+    for a, atom in enumerate(index_atoms(shapes, level).tolist()):
+        row = coupling_row(card, generator_index, a)
+        i, s, j, t = atom[0]
         inner = sum(
             ((left @ (g[row - 1].conj().T @ core @ g[row])) @ right.conj().transpose(0, 2, 1))
             .sum(axis=0)
             for left, right, g in zip(cross[s - 1], cross[t - 1], top)
         )
-        for ell in range(2, level):
-            below, (i0, s0, j0, t0) = factors[ell - 2], (i, s, j, t)
-            i, s, j, t = atom.level_entry(ell)
-            here = factors[ell - 1]
+        for below, here, entry in zip(factors, factors[1:], atom[1:]):
+            (i0, s0, j0, t0), (i, s, j, t) = (i, s, j, t), entry
             inner = (here[s - 1][-1].conj().T @ below[s0 - 1][i0 - 1]) @ inner @ (
                 below[t0 - 1][j0 - 1].conj().T @ here[t - 1][-1]
             )
@@ -350,9 +354,7 @@ def round_trip(plan: GeneratorPlan) -> Tuple[RecoveryResult, RoundTripReport]:
         coupling_residuals.append(float(op_norm(lv.coupling - stored.coupling)))
         units_chain = [r.units for r in result.levels[: lv.level]]
         for j in range(1, len(stored.witness.approximants) + 1):
-            rebuilt = reconstruct_witness(
-                lv.coupling, stored.coupling_scale, units_chain, stored.assignment, j
-            )
+            rebuilt = reconstruct_witness(lv.coupling, stored.coupling_scale, units_chain, j)
             witness_residuals.append(
                 float(op_norm(rebuilt - stored.witness.approximants[j - 1]))
             )

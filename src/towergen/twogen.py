@@ -6,6 +6,10 @@ rows of block n, and the summands a_n (weighted first-column projections
 plus z_n) and b_n (scaled tridiagonal ladder).  The totals a = sum a_n and
 b = sum b_n generate everything the tower knows about.
 
+z_n's rows hold one term per index atom, an (i, s, j, t) choice at each
+lower level; ``index_atoms`` is all of them as one int table, and
+``coupling_row`` the row of each generator's term, which recovery reads back.
+
 Every unit is an exact 0/1 partial permutation held as a row table, so no
 unit is formed here: a unit chain is a gather through composed column maps,
 a unit times a matrix moves rows, and p_n, p_1 ... p_{n-1} and e_11 are
@@ -16,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -27,43 +31,12 @@ from .tower import (
     ROUNDING_TOL,
     CommutantWitness,
     TowerModel,
-    index_set_cardinality,
     required_subrank,
     witnesses_at_level,
 )
 from .units import MatrixUnitSystem, subrank
 
 NORM_TOL = 1e-10  # gap between a measured norm and its closed form
-
-@dataclass(frozen=True)
-class IndexAtom:
-    """One cross-level index choice: per level below n, (i, s) and (j, t)."""
-
-    entries: Tuple[Tuple[int, int, int, int], ...]  # (i, s, j, t) per level
-
-    def level_entry(self, level: int) -> Tuple[int, int, int, int]:
-        return self.entries[level - 1]
-
-
-@dataclass
-class RowAssignment:
-    """Injective row maps f_j sending atoms into disjoint row ranges of block n.
-
-    Generator j's atoms occupy rows (j-1)*card + 2 .. j*card + 1, leaving
-    row 1 for the a_n diagonal terms and the last rows for the corner.
-    """
-
-    level: int
-    cardinality: int
-    active_generators: int
-
-    def row(self, j: int, atom_index: int) -> int:
-        if not (1 <= j <= self.active_generators):
-            raise DimensionMismatch(f"generator index {j} out of range")
-        if not (0 <= atom_index < self.cardinality):
-            raise DimensionMismatch(f"atom index {atom_index} out of range")
-        return (j - 1) * self.cardinality + 2 + atom_index
-
 
 def coordinate_mask(dim: int, rows: Sequence[np.ndarray]) -> np.ndarray:
     """The 0/1 diagonal projection onto the coordinates in ``rows``, as a mask."""
@@ -82,52 +55,40 @@ def restricted(x: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.where(rows[:, None] & cols[None, :], x, 0.0)
 
 
-def index_atoms(shapes: Sequence, level: int) -> List[IndexAtom]:
-    """All index atoms below ``level``, ordered by (s, i, t, j) per level
-    with level 1 most significant."""
+def index_atoms(shapes: Sequence, level: int) -> np.ndarray:
+    """All index atoms below ``level`` as one (card, level - 1, 4) int table.
+
+    Row a, level ell holds (i, s, j, t): the choice of e_{k_s,i} on the left
+    and e_{j,k_t} on the right at level ell.  Rows run by (s, i, t, j) per
+    level, level 1 most significant.
+    """
     if level < 2:
         raise DimensionMismatch("index atoms exist only for levels >= 2")
-    per_level_choices = []
-    for shape in shapes[: level - 1]:
-        choices = []
-        for s, k_s in enumerate(shape, start=1):
-            for i in range(1, k_s + 1):
-                for t, k_t in enumerate(shape, start=1):
-                    for j in range(1, k_t + 1):
-                        choices.append((i, s, j, t))
-        choices.sort(key=lambda e: (e[1], e[0], e[3], e[2]))
-        per_level_choices.append(choices)
-    atoms = [IndexAtom(entries=combo) for combo in itertools.product(*per_level_choices)]
-    card = index_set_cardinality(shapes, level)
-    if len(atoms) != card:
-        raise DimensionMismatch(f"enumerated {len(atoms)} atoms, expected {card}")
-    return atoms
+    # each level's choice array: the (i, s) of every row of its blocks, in (s, i) order
+    pairs = [
+        np.array([(i, s) for s, k in enumerate(shape, start=1) for i in range(1, k + 1)])
+        for shape in shapes[: level - 1]
+    ]
+    # a left and a right choice per level, level 1 most significant
+    grid = np.indices([len(p) for p in pairs for _ in range(2)]).reshape(len(pairs), 2, -1)
+    return np.stack([np.hstack(p[g]) for p, g in zip(pairs, grid)], axis=1)
 
 
-def enumerate_indices(model: TowerModel, level: int) -> Tuple[List[IndexAtom], RowAssignment]:
-    """Index atoms below ``level`` in lexicographic order, plus row maps.
+def coupling_row(card: int, generator: int, atom: int) -> int:
+    """Row of block n that holds generator ``generator``'s term for atom ``atom``.
 
-    f_j assigns the lexicographic position of an atom, offset into
-    generator j's row range.
+    The row maps are injective into disjoint ranges: generator j's atoms
+    occupy rows (j-1)*card + 2 .. j*card + 1, leaving row 1 for the a_n
+    diagonal terms and the last rows for the corner.
     """
-    shapes = model.spec.block_shapes
-    active = min(level, len(model.generators))
-    card = index_set_cardinality(shapes, level)
-    need = required_subrank(shapes, level, active)
-    if subrank(shapes[level - 1]) < need:
-        raise InsufficientSubrank(
-            f"level {level} subrank {subrank(shapes[level - 1])} < required {need}"
-        )
-    atoms = index_atoms(shapes, level)
-    assignment = RowAssignment(level=level, cardinality=card, active_generators=active)
-    return atoms, assignment
+    return (generator - 1) * card + 2 + atom
 
 
 def conjugated_element(
-    model: TowerModel, atom: IndexAtom, y: np.ndarray, level: int, out_rows: np.ndarray
+    model: TowerModel, atom: Sequence[Sequence[int]], y: np.ndarray, out_rows: np.ndarray
 ) -> np.ndarray:
     """Rows ``out_rows`` of y sandwiched between descending and ascending unit
-    chains below ``level``.
+    chains below level len(atom) + 1, for ``atom`` one row of ``index_atoms``.
 
     L y R, L and R the products of the e_{k_s,i} and the e_{j,k_t} over the
     lower levels (which commute), is y[rows[r], cols[c]] at (r, c) for rows
@@ -136,12 +97,10 @@ def conjugated_element(
     """
     if y.shape[0] != model.ambient_dim:
         raise DimensionMismatch("witness dimension does not match ambient")
-    if level < 2:
+    if len(atom) == 0:
         raise DimensionMismatch("conjugated elements exist only for levels >= 2")
     rows = cols = None
-    for ell in range(1, level):
-        i, s, j, t = atom.level_entry(ell)
-        block = model.blocks[ell - 1]
+    for block, (i, s, j, t) in zip(model.blocks, atom):
         left = block.column_map(s, i, block.shape[s - 1])
         right = block.column_map(t, j, block.shape[t - 1])
         rows = left if rows is None else rows[left]
@@ -155,64 +114,54 @@ def conjugated_element(
 
 def build_z(
     model: TowerModel, witness: CommutantWitness, level: int
-) -> Tuple[np.ndarray, float, Optional[RowAssignment]]:
+) -> Tuple[np.ndarray, float]:
     """Level coupling element and its normalization constant.
 
-    Level 1 places the first witness into row 2 of every block and scales
-    the result to norm 2^-(1+r_1).  Deeper levels sum the row-encoded
-    conjugated witnesses and normalize the total to 2^-(r_1+...+r_n+1).
+    Level 1 places the first witness into row 2 of every block.  Deeper
+    levels sum the conjugated witnesses, each in its ``coupling_row``.  The
+    result is scaled to norm ``coupling_target(shapes, level)``.
     """
     shapes = model.spec.block_shapes
     if witness.level != level or not witness.approximants:
         raise DimensionMismatch("witness data does not match the requested level")
-    ranks = [len(s) for s in shapes]
-    target = 2.0 ** (-(sum(ranks[:level]) + 1))
+    active = min(level, len(model.generators))
+    need, have = required_subrank(shapes, level, active), subrank(shapes[level - 1])
+    if have < need:
+        raise InsufficientSubrank(f"coupling needs subrank >= {need} at level {level}, got {have}")
     block = model.blocks[level - 1]
     if level == 1:
-        need = required_subrank(shapes, 1, 1)
-        if subrank(shapes[0]) < need:
-            raise InsufficientSubrank(
-                f"coupling needs subrank >= {need} at level 1, got {subrank(shapes[0])}"
-            )
         y = witness.approximants[0]
         second = np.concatenate([table[1] for table in block.rows])
-        w = np.zeros_like(y)
-        w[second] = y[second]
-        norm_w = op_norm(w)
-        if norm_w < 1e-10:
-            raise DegenerateWitness(
-                "level-1 witness vanishes against row 2; re-seed the generator recipe"
-            )
-        scale = target / norm_w
-        return hermitian_part(scale * w), float(scale), None
-
-    atoms, assignment = enumerate_indices(model, level)
-    # The coupling sums term + term^* over generators, atoms and blocks, each
-    # term one conjugated element in c rows.  The rows of different terms are
-    # disjoint (injective row maps, disjoint block tables), so each entry of
-    # the sum gets one value from its row's term and one from its column's,
-    # the rest +-0.0.  Added to +0.0 in any order these give the bits of
-    # (rows + rows^*) + 0.0, signed zeros included, with ``rows`` every term
-    # placed in one matrix: no d x d term is formed per atom.
-    rows = np.zeros((model.ambient_dim, model.ambient_dim), dtype=np.complex128)
-    for j in range(1, assignment.active_generators + 1):
-        y = witness.approximants[j - 1]
-        for idx, atom in enumerate(atoms):
-            row = assignment.row(j, idx)
-            # only unit row row + 1 of each block is read: e_{row,row+1} conj
-            read = [table[row] for table in block.rows]
-            conj = conjugated_element(model, atom, y, level, np.concatenate(read))
-            parts = np.split(conj, np.cumsum([len(r) for r in read[:-1]]))
-            for table, part in zip(block.rows, parts):
-                rows[table[row - 1]] += part
-    total = rows + rows.conj().T + 0.0
+        total = np.zeros_like(y)
+        total[second] = y[second]
+        vanishing = "witness vanishes against row 2"
+    else:
+        atoms = index_atoms(shapes, level)
+        # The coupling sums term + term^* over generators, atoms and blocks,
+        # each term one conjugated element in c rows.  The rows of different
+        # terms are disjoint (injective row maps, disjoint block tables), so
+        # each entry of the sum gets one value from its row's term and one from
+        # its column's, the rest +-0.0.  Added to +0.0 in any order these give
+        # the bits of (rows + rows^*) + 0.0, signed zeros included, with
+        # ``rows`` every term placed in one matrix: no d x d term per atom.
+        rows = np.zeros((model.ambient_dim, model.ambient_dim), dtype=np.complex128)
+        for g in range(1, active + 1):
+            y = witness.approximants[g - 1]
+            for a, atom in enumerate(atoms.tolist()):
+                row = coupling_row(len(atoms), g, a)
+                # only unit row row + 1 of each block is read: e_{row,row+1} conj
+                read = [table[row] for table in block.rows]
+                conj = conjugated_element(model, atom, y, np.concatenate(read))
+                parts = np.split(conj, np.cumsum([len(r) for r in read[:-1]]))
+                for table, part in zip(block.rows, parts):
+                    rows[table[row - 1]] += part
+        total = rows + rows.conj().T + 0.0
+        vanishing = "coupling sum vanishes"
     norm_total = op_norm(total)
     if norm_total < 1e-10:
-        raise DegenerateWitness(
-            f"level-{level} coupling sum vanishes; re-seed the generator recipe"
-        )
-    scale = target / norm_total
-    return hermitian_part(scale * total), float(scale), assignment
+        raise DegenerateWitness(f"level-{level} {vanishing}; re-seed the generator recipe")
+    scale = coupling_target(shapes, level) / norm_total
+    return hermitian_part(scale * total), float(scale)
 
 
 @dataclass
@@ -221,7 +170,6 @@ class PlanLevel:
     witness: CommutantWitness
     coupling: np.ndarray
     coupling_scale: float
-    assignment: Optional[RowAssignment]
     diag_term: np.ndarray
     ladder_term: np.ndarray
 
@@ -248,11 +196,16 @@ def diag_coefficient(shapes: Sequence, level: int, s: int) -> float:
     return 2.0 ** (-(prefix + s))
 
 
+def coupling_target(shapes: Sequence, level: int) -> float:
+    """Norm 2^-(r_1+...+r_level+1) the construction gives the level's coupling z_n."""
+    return 2.0 ** (-(sum(len(shape) for shape in shapes[:level]) + 1))
+
+
 def build_ab(model: TowerModel, level_data: List[Tuple]) -> GeneratorPlan:
     """Assemble a_n, b_n per level and the totals a, b.
 
-    ``level_data`` carries (witness, coupling, scale, assignment) tuples
-    for levels 1..L in order.
+    ``level_data`` carries (witness, coupling, scale) triples for levels
+    1..L in order.
     """
     shapes = model.spec.block_shapes
     dim = model.ambient_dim
@@ -260,7 +213,7 @@ def build_ab(model: TowerModel, level_data: List[Tuple]) -> GeneratorPlan:
     prefix = np.ones(dim, dtype=bool)
     gen_a = np.zeros((dim, dim), dtype=np.complex128)
     gen_b = np.zeros((dim, dim), dtype=np.complex128)
-    for n, (witness, coupling, scale, assignment) in enumerate(level_data, start=1):
+    for n, (witness, coupling, scale) in enumerate(level_data, start=1):
         block = model.blocks[n - 1]
         a_n = coupling.copy()
         ladder = np.zeros((dim, dim), dtype=np.complex128)
@@ -278,7 +231,6 @@ def build_ab(model: TowerModel, level_data: List[Tuple]) -> GeneratorPlan:
                 witness=witness,
                 coupling=coupling,
                 coupling_scale=scale,
-                assignment=assignment,
                 diag_term=a_n,
                 ladder_term=b_n,
             )
@@ -296,15 +248,14 @@ def build_plan(model: TowerModel) -> GeneratorPlan:
     level_data = []
     for n in range(1, model.depth + 1):
         witness = witnesses_at_level(model, n)
-        coupling, scale, assignment = build_z(model, witness, n)
-        level_data.append((witness, coupling, scale, assignment))
+        level_data.append((witness, *build_z(model, witness, n)))
     return build_ab(model, level_data)
 
 
 @dataclass(frozen=True)
 class LevelNorms:
     """Level n's summand norms and the closed forms the construction fixes for
-    them: ||z_n|| = 2^-(r_1+...+r_n+1), ||a_n|| = diag_coefficient(shapes, n, 1),
+    them: ||z_n|| = coupling_target(shapes, n), ||a_n|| = diag_coefficient(shapes, n, 1),
     ||b_n|| <= 2^(-2n+1)."""
 
     level: int
@@ -384,13 +335,12 @@ def verify_facts(plan: GeneratorPlan) -> FactReport:
         f3 = max(f3, op_norm(la.coupling @ lb.coupling), op_norm(lb.coupling @ la.coupling))
         eq9 = max(eq9, op_norm(la.diag_term @ lb.diag_term), op_norm(lb.diag_term @ la.diag_term))
 
-    ranks = [len(s) for s in shapes]
     norms = [
         LevelNorms(
             level=lv.level,
             coupling_scale=lv.coupling_scale,
             coupling_norm=op_norm(lv.coupling),
-            coupling_target=2.0 ** (-(sum(ranks[: lv.level]) + 1)),
+            coupling_target=coupling_target(shapes, lv.level),
             diag_norm=op_norm(lv.diag_term),
             diag_target=diag_coefficient(shapes, lv.level, 1),
             ladder_norm=op_norm(lv.ladder_term),

@@ -164,6 +164,15 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert str(cfg) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+def test_unwritable_out_path_exits_2(tmp_path, capsys, where):
+    out = tmp_path / "nowhere" / "r.json" if where == "missing-dir" else tmp_path
+    assert main(["list-presets", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert str(out) in captured.err
+
+
 def test_seed_over_a_non_object_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "list.json"
     cfg.write_text("[1, 2]")

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 import towergen.recovery as recovery
 from towergen.cli import resolve_tower_spec
 from towergen.closure import distance_to_span, subalgebra_closure
-from towergen.errors import LadderBreakdown, NoSpectralGap, NonFiniteValue
+from towergen.errors import DimensionMismatch, LadderBreakdown, NoSpectralGap, NonFiniteValue
 from towergen.linalg import hermitian_part, identity, max_distance, op_norm
 from towergen.recovery import (
     RecoveredLevel,
@@ -23,9 +23,9 @@ from towergen.presets import preset_spec
 from towergen.stabilize import stabilize_units
 from towergen.tower import TowerSpec, build_tower
 from towergen.twogen import (
-    RowAssignment,
     build_ab,
     build_plan,
+    coupling_row,
     diag_coefficient,
     index_atoms,
 )
@@ -171,9 +171,7 @@ def test_round_trip_t2():
 
 def test_reconstruct_witness_level1(t0_plan):
     lv = t0_plan.levels[0]
-    rebuilt = reconstruct_witness(
-        lv.coupling, lv.coupling_scale, [t0_plan.model.blocks[0]], None, 1
-    )
+    rebuilt = reconstruct_witness(lv.coupling, lv.coupling_scale, [t0_plan.model.blocks[0]], 1)
     assert op_norm(rebuilt - lv.witness.approximants[0]) <= 1e-8
 
 
@@ -183,7 +181,6 @@ def test_reconstruct_witness_level2(t1_plan):
         lv.coupling,
         lv.coupling_scale,
         [t1_plan.model.blocks[0], t1_plan.model.blocks[1]],
-        lv.assignment,
         1,
     )
     assert op_norm(rebuilt - lv.witness.approximants[0]) <= 1e-8
@@ -195,13 +192,23 @@ def test_reconstruct_witness_zero_coupling(t1_plan):
         np.zeros_like(lv.coupling),
         lv.coupling_scale,
         [t1_plan.model.blocks[0], t1_plan.model.blocks[1]],
-        lv.assignment,
         1,
     )
     assert op_norm(rebuilt) == 0.0
 
 
-def dense_witness(coupling, coupling_scale, units_by_level, assignment, j):
+def test_reconstruct_witness_generator_index_range(t1_plan):
+    """T1's level 2 (21 rows, 9 atoms) has room for generator 2's rows, which
+    hold no witness, but not for generator 3's."""
+    lv = t1_plan.levels[1]
+    blocks = t1_plan.model.blocks
+    assert op_norm(reconstruct_witness(lv.coupling, lv.coupling_scale, blocks, 2)) == 0.0
+    for index in (0, 3):
+        with pytest.raises(DimensionMismatch, match=f"generator index {index} out of range"):
+            reconstruct_witness(lv.coupling, lv.coupling_scale, blocks, index)
+
+
+def dense_witness(coupling, coupling_scale, units_by_level, j):
     """``reconstruct_witness`` from dense unit reads: every term
     e_{i,row} core e_{row+1,i} (rows 2, 2 at level 1), lifted per index atom
     through each lower level as e_{i,k_s} . e_{k_t,j}."""
@@ -219,10 +226,10 @@ def dense_witness(coupling, coupling_scale, units_by_level, assignment, j):
     if level == 1:
         return hermitian_part(term(2))
     out = np.zeros_like(coupling)
-    for idx, atom in enumerate(index_atoms([u.shape for u in units_by_level], level)):
-        lifted = term(assignment.row(j, idx))
-        for ell, blk in enumerate(units_by_level[:-1], start=1):
-            i, s, jj, t = atom.level_entry(ell)
+    atoms = index_atoms([u.shape for u in units_by_level], level)
+    for idx, atom in enumerate(atoms):
+        lifted = term(coupling_row(len(atoms), j, idx))
+        for blk, (i, s, jj, t) in zip(units_by_level[:-1], atom):
             lifted = blk.unit(s, i, blk.shape[s - 1]) @ lifted @ blk.unit(t, blk.shape[t - 1], jj)
         out += lifted
     return hermitian_part(out)
@@ -236,14 +243,12 @@ def test_factored_witness_matches_dense_unit_products(shapes):
     rng = np.random.default_rng(1)
     coupling = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     coupling = coupling + coupling.conj().T
-    level = len(shapes)
-    assignment = RowAssignment(level, len(index_atoms(shapes, level)), 1) if level > 1 else None
     top = model.blocks[-1].column_factors()
     q, _ = np.linalg.qr(rng.standard_normal((top[0].shape[2],) * 2) + 0j)
     rotated = MatrixUnitSystem(model.blocks[-1].shape, dim, factors=[f @ q for f in top])
     for blocks in (list(model.blocks), [*model.blocks[:-1], rotated]):
-        rebuilt = reconstruct_witness(coupling, 2.0, blocks, assignment, 1)
-        reference = dense_witness(coupling, 2.0, blocks, assignment, 1)
+        rebuilt = reconstruct_witness(coupling, 2.0, blocks, 1)
+        reference = dense_witness(coupling, 2.0, blocks, 1)
         assert op_norm(rebuilt - reference) <= 1e-13 * op_norm(reference)
 
 
@@ -451,7 +456,7 @@ def zero_coupling_plan(spec):
     """(a, b) of the construction on the spec's tower with every coupling element zero."""
     model = build_tower(spec)
     zero = np.zeros((model.ambient_dim,) * 2, dtype=np.complex128)
-    return build_ab(model, [(None, zero, 1.0, None) for _ in range(model.depth)])
+    return build_ab(model, [(None, zero, 1.0) for _ in range(model.depth)])
 
 
 @pytest.mark.parametrize(

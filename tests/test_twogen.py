@@ -7,29 +7,37 @@ construction, which gathers, scatters and masks instead, must give the
 same bits.
 """
 
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from towergen.errors import DegenerateWitness, DimensionMismatch, InsufficientSubrank
 from towergen.linalg import hermitian_part, identity, op_norm
-from towergen.tower import CommutantWitness, TowerSpec, build_tower, witnesses_at_level
+from towergen.recovery import round_trip
+from towergen.tower import (
+    CommutantWitness,
+    TowerSpec,
+    build_tower,
+    index_set_cardinality,
+    witnesses_at_level,
+)
 from towergen.twogen import (
-    IndexAtom,
     build_ab,
     build_plan,
     build_z,
     conjugated_element,
     coordinate_mask,
     corner_mask,
+    coupling_row,
     diag_coefficient,
-    enumerate_indices,
     index_atoms,
     verify_facts,
 )
 
-from conftest import relaxed_towers, same_bits
+from conftest import relaxed_towers, same_bits, small_towers
 
 
 def dense_corner(model, level):
@@ -38,14 +46,23 @@ def dense_corner(model, level):
     return sum(block.unit(s, k, k) for s, k in enumerate(block.shape, start=1))
 
 
-def dense_conjugated_element(model, atom, y, level):
-    """e_{k_s,i} ... y ... e_{j,k_t}, one dense product per level below ``level``."""
+def dense_conjugated_element(model, atom, y):
+    """e_{k_s,i} ... y ... e_{j,k_t}, one dense product per level the atom spans."""
     out = y
-    for ell in range(1, level):
-        i, s, j, t = atom.level_entry(ell)
-        block = model.blocks[ell - 1]
+    for block, (i, s, j, t) in zip(model.blocks, atom):
         out = block.unit(s, block.shape[s - 1], i) @ out @ block.unit(t, j, block.shape[t - 1])
     return out
+
+
+def product_atoms(shapes, level):
+    """Index atoms below ``level`` as itertools.product enumerates them: each
+    level's (i, s, j, t) choices sorted by (s, i, t, j), level 1 most significant."""
+    per_level = []
+    for shape in shapes[: level - 1]:
+        pairs = [(i, s) for s, k in enumerate(shape, start=1) for i in range(1, k + 1)]
+        choices = [[i, s, j, t] for i, s in pairs for j, t in pairs]
+        per_level.append(sorted(choices, key=lambda e: (e[1], e[0], e[3], e[2])))
+    return [list(combo) for combo in itertools.product(*per_level)]
 
 
 def dense_build_z(model, witness, level):
@@ -60,11 +77,11 @@ def dense_build_z(model, witness, level):
         for s in blocks:
             total += block.unit(s, 2, 2) @ witness.approximants[0]
     else:
-        atoms, assignment = enumerate_indices(model, level)
-        for j in range(1, assignment.active_generators + 1):
+        atoms = index_atoms(shapes, level)
+        for j in range(1, min(level, len(model.generators)) + 1):
             for idx, atom in enumerate(atoms):
-                conj = dense_conjugated_element(model, atom, witness.approximants[j - 1], level)
-                row = assignment.row(j, idx)
+                conj = dense_conjugated_element(model, atom, witness.approximants[j - 1])
+                row = coupling_row(len(atoms), j, idx)
                 for s in blocks:
                     term = block.unit(s, row, row + 1) @ conj
                     total += term + term.conj().T
@@ -159,8 +176,13 @@ def coupled_towers(draw):
     )
 
 
+# A (3, 3) level under the coupled one: atoms that pair two different lower blocks.
+TWO_BLOCK_LOWER = TowerSpec(block_shapes=((3, 3), (39,)), mode="relaxed")
+
+
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(spec=coupled_towers())
+@example(spec=TWO_BLOCK_LOWER)
 def test_construction_matches_dense_oracle(spec):
     model = build_tower(spec)
     plan = build_plan(model)
@@ -181,21 +203,37 @@ def test_assembly_matches_dense_oracle_on_random_towers(spec, seed):
     rng = np.random.default_rng(seed)
     dim = model.ambient_dim
     couplings = [random_hermitian(rng, dim) for _ in range(model.depth)]
-    assert_plan_matches_dense_oracle(build_ab(model, [(None, z, 1.0, None) for z in couplings]))
+    assert_plan_matches_dense_oracle(build_ab(model, [(None, z, 1.0) for z in couplings]))
     y = random_hermitian(rng, dim)
     everything, some = np.arange(dim), rng.permutation(dim)[: dim // 2]
     for level in range(2, model.depth + 1):
         for atom in index_atoms(spec.block_shapes, level):
-            dense = dense_conjugated_element(model, atom, y, level)
-            assert np.array_equal(conjugated_element(model, atom, y, level, everything), dense)
-            assert np.array_equal(conjugated_element(model, atom, y, level, some), dense[some])
+            dense = dense_conjugated_element(model, atom, y)
+            assert np.array_equal(conjugated_element(model, atom, y, everything), dense)
+            assert np.array_equal(conjugated_element(model, atom, y, some), dense[some])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(spec=small_towers())
+def test_index_atoms_match_product_enumeration(spec):
+    shapes = spec.block_shapes
+    for level in range(2, len(shapes) + 1):
+        atoms = index_atoms(shapes, level)
+        assert atoms.shape == (index_set_cardinality(shapes, level), level - 1, 4)
+        assert atoms.tolist() == product_atoms(shapes, level)
+
+
+def test_two_block_lower_level_round_trips():
+    """Couplings built from atoms with s != t come back through recovery."""
+    _, report = round_trip(build_plan(build_tower(TWO_BLOCK_LOWER)))
+    assert report.passed() and len(report.witness_residuals) == 2
 
 
 def test_size_one_block_puts_its_corner_on_its_first_column():
     """A 1 x 1 block's corner is its e_11, so p_1 e_11 has norm 1 and the row fails."""
     model = build_tower(TowerSpec(block_shapes=((1, 3),), mode="relaxed"))
     zero = np.zeros((model.ambient_dim,) * 2, dtype=np.complex128)
-    plan = build_ab(model, [(None, zero, 1.0, None)])
+    plan = build_ab(model, [(None, zero, 1.0)])
     assert_plan_matches_dense_oracle(plan)
     row = {row.name: row for row in verify_facts(plan).rows}["corner_kills_first_column"]
     assert (row.measured, row.passed) == (1.0, False)
@@ -222,43 +260,42 @@ def test_corner_kills_first_columns(t1_model):
         assert not np.any(corner_mask(block) & firsts)
 
 
-def test_enumerate_indices_t1(t1_model):
-    atoms, assignment = enumerate_indices(t1_model, 2)
-    assert len(atoms) == 9
-    rows = sorted(assignment.row(1, idx) for idx in range(9))
-    assert rows == list(range(2, 11))
+def test_index_atoms_t1(t1_model):
+    atoms = index_atoms(t1_model.spec.block_shapes, 2)
+    assert atoms.shape == (9, 1, 4)
+    assert [coupling_row(len(atoms), 1, idx) for idx in range(9)] == list(range(2, 11))
     # z_n also touches the row after the last atom row; the corner is row 21
-    assert assignment.row(1, 8) + 1 <= 21 - 2
+    assert coupling_row(len(atoms), 1, 8) + 1 <= 21 - 2
 
 
-def test_enumerate_indices_capacity():
+def test_build_z_needs_subrank_at_level_two():
     spec = TowerSpec(block_shapes=((3,), (11,)), num_generators=1, mode="relaxed",
                      generator_seed=2)
     model = build_tower(spec)
-    with pytest.raises(InsufficientSubrank):
-        enumerate_indices(model, 2)
+    with pytest.raises(InsufficientSubrank, match="needs subrank >= 12 at level 2, got 11"):
+        build_z(model, witnesses_at_level(model, 2), 2)
 
 
 def test_conjugated_element_unit_algebra(t1_model):
-    atom = IndexAtom(entries=((1, 1, 1, 1),))
     dim = t1_model.ambient_dim
-    out = conjugated_element(t1_model, atom, identity(dim), 2, np.arange(dim))
+    out = conjugated_element(t1_model, [(1, 1, 1, 1)], identity(dim), np.arange(dim))
     expected = t1_model.blocks[0].unit(1, 3, 3)
     assert op_norm(out - expected) <= 1e-14
 
 
 def test_conjugated_element_needs_a_lower_level(t1_model):
+    empty = np.zeros((0, 4), dtype=np.intp)
     with pytest.raises(DimensionMismatch):
-        conjugated_element(t1_model, IndexAtom(entries=()), identity(63), 1, np.arange(63))
+        conjugated_element(t1_model, empty, identity(63), np.arange(63))
 
 
 def test_conjugated_element_contraction(t1_model):
     rng = np.random.default_rng(8)
-    atoms, _ = enumerate_indices(t1_model, 2)
+    atoms = index_atoms(t1_model.spec.block_shapes, 2)
     y_small = rng.standard_normal((21, 21)) + 1j * rng.standard_normal((21, 21))
     y = np.kron(identity(3), (y_small + y_small.conj().T) / 2)
     for atom in atoms:
-        out = conjugated_element(t1_model, atom, y, 2, np.arange(63))
+        out = conjugated_element(t1_model, atom, y, np.arange(63))
         assert op_norm(out) <= op_norm(y) + 1e-12
 
 
@@ -266,10 +303,8 @@ def test_conjugated_element_adjoint_reflection(t1_model):
     rng = np.random.default_rng(9)
     y_small = rng.standard_normal((21, 21)) + 1j * rng.standard_normal((21, 21))
     y = np.kron(identity(3), (y_small + y_small.conj().T) / 2)
-    atom = IndexAtom(entries=((2, 1, 3, 1),))
-    reflected = IndexAtom(entries=((3, 1, 2, 1),))
-    lhs = conjugated_element(t1_model, atom, y, 2, np.arange(63)).conj().T
-    rhs = conjugated_element(t1_model, reflected, y, 2, np.arange(63))
+    lhs = conjugated_element(t1_model, [(2, 1, 3, 1)], y, np.arange(63)).conj().T
+    rhs = conjugated_element(t1_model, [(3, 1, 2, 1)], y, np.arange(63))
     assert op_norm(lhs - rhs) <= 1e-12
 
 
@@ -292,7 +327,7 @@ def test_build_z_needs_subrank_three():
     spec = TowerSpec(block_shapes=((2,),), num_generators=1, mode="relaxed", generator_seed=3)
     model = build_tower(spec)
     witness = witnesses_at_level(model, 1)
-    with pytest.raises(InsufficientSubrank):
+    with pytest.raises(InsufficientSubrank, match="needs subrank >= 3 at level 1, got 2"):
         build_z(model, witness, 1)
 
 
@@ -375,11 +410,11 @@ def test_two_generator_strict_tower_at_capacity():
     model = build_tower(spec)
     assert model.ambient_dim == 63
     plan = build_plan(model)
-    atoms, assignment = enumerate_indices(model, 2)
-    assert assignment.active_generators == 2
-    assert [assignment.row(1, idx) for idx in range(9)] == list(range(2, 11))
-    assert [assignment.row(2, idx) for idx in range(9)] == list(range(11, 20))
-    assert assignment.row(2, 8) + 1 == 20  # z_n's last row, one below the corner
+    card = len(index_atoms(model.spec.block_shapes, 2))
+    assert len(plan.levels[1].witness.approximants) == 2
+    assert [coupling_row(card, 1, idx) for idx in range(9)] == list(range(2, 11))
+    assert [coupling_row(card, 2, idx) for idx in range(9)] == list(range(11, 20))
+    assert coupling_row(card, 2, 8) + 1 == 20  # z_n's last row, one below the corner
     report = verify_facts(plan)
     assert report.passed
     assert op_norm(plan.levels[1].coupling) == pytest.approx(0.125, abs=1e-10)
