@@ -17,7 +17,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .errors import EigenvalueNearThreshold, StabilizationFailed
+from .errors import DimensionMismatch, EigenvalueNearThreshold, StabilizationFailed
 from .linalg import _lapack, hermitian_part, max_distance, op_norms, spectral_basis
 from .units import MatrixUnitSystem, factored_distance, stacked_factors
 
@@ -108,7 +108,10 @@ def stabilize_units(candidate: MatrixUnitSystem) -> Tuple[MatrixUnitSystem, floa
         start += k * m
     out = MatrixUnitSystem(candidate.shape, dim, factors=factors)
     if candidate.units is not None:
-        dist = max_distance(candidate.units, np.stack([out.unit(*k) for k in candidate.keys()]))
+        # e_ij = F_i F_j^* for every (i, j) of a block at once, in keys() order
+        fixed = [(f[:, None] @ f.conj().transpose(0, 2, 1)[None]).reshape(-1, dim, dim)
+                 for f in factors]
+        dist = max_distance(candidate.units, np.concatenate(fixed))
     else:
         dist = factored_distance(out, candidate)
     if dist <= tol:
@@ -117,17 +120,27 @@ def stabilize_units(candidate: MatrixUnitSystem) -> Tuple[MatrixUnitSystem, floa
 
 
 def perturb_units(units: MatrixUnitSystem, delta: float, seed: int) -> MatrixUnitSystem:
-    """Seeded perturbation of operator norm <= delta on every unit.
+    """Seeded perturbation of operator norm <= delta on every unit of an exact system.
 
     Diagonal units get Hermitian noise; off-diagonal partners are perturbed
-    independently, so the adjoint-pairing defect stays within 2*delta.
+    independently, so the adjoint-pairing defect stays within 2*delta.  The
+    exact units are one scatter per block of their row tables; a dense or
+    factored system raises DimensionMismatch.
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
+    if units.rows is None:
+        raise DimensionMismatch("perturb_units takes an exact unit system")
     rng = np.random.default_rng(seed)
     dim = units.ambient_dim
     keys = units.keys()
-    exact = np.stack([units.unit(*key) for key in keys])
+    exact = np.zeros((len(keys), dim, dim), dtype=np.complex128)
+    offset = 0
+    for table in units.rows:  # unit (i, j) of the block is 1 at (table[i, t], table[j, t])
+        k = table.shape[0]
+        at = offset + np.arange(k * k).reshape(k, k, 1)
+        exact[at, table[:, None, :], table[None, :, :]] = 1.0
+        offset += k * k
     # one draw reads the stream as a draw per unit would: real, then imaginary, key by key
     raw = rng.standard_normal((len(keys), 2, dim, dim))
     noise = raw[:, 0] + 1j * raw[:, 1]

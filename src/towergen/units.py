@@ -19,6 +19,7 @@ import numpy as np
 from .errors import DimensionMismatch
 from .linalg import (
     _WORKSPACE_BYTES,
+    SCREEN_MARGIN,
     _lapack,
     identity,
     max_distance,
@@ -288,40 +289,95 @@ def unit_defects(system: MatrixUnitSystem) -> UnitDefects:
     d x d unit formed (``_factored_defects``): its adjoint defect is 0.0 by
     definition, and the other two agree with the dense scoring of its units
     to rounding.  A dense system is scored on its unit stack: its adjoint
-    defect is ``max_distance`` of the units' adjoints to their partners,
-    its multiplication defect the maximum over all pairs from
+    defect is ``max_distance`` of the units' adjoints to their partners.
+    Its multiplication defect splits the pairs in two.  The sum k_s^3 pairs
+    whose product should be a unit get their maximum from
     ``screened_max_norm``, whose Frobenius and Gram-power screens leave few
-    residuals to eigensolve.  Both tables below come from index arithmetic
-    on block s's rows, which start at the offset o_s = sum_{t<s} k_t^2.
+    residuals to eigensolve.  The pairs whose product should vanish are
+    bounded all at once, with no product formed (``_product_bounds``); only
+    those whose bound still exceeds that maximum go through a second
+    ``screened_max_norm``, so every measured pair gets the bits ``op_norm``
+    gives it.  Both tables below come from index arithmetic on block s's
+    rows, which start at the offset o_s = sum_{t<s} k_t^2.
     """
     if system.units is None:
         return _factored_defects(system)
     mats = system.units
     n, d, _ = mats.shape
-    # partner[l]: the row of e_ji for l the row of e_ij; expected[l, r]: the row of e_il
-    # for l, r the rows of e_ij, e_jl in one block, -1 where the product should vanish
+    # partner[l]: the row of e_ji for l the row of e_ij; (hl, hr, he): the rows of
+    # e_ab, e_bc and e_ac for every in-block (a, b, c), the pairs that give a unit
     partner = np.empty(n, dtype=np.intp)
-    expected = np.full((n, n), -1, dtype=np.intp)
-    offset = 0
+    hits, offset = [], 0
     for k in system.shape:
         i, j = np.divmod(np.arange(k * k), k)  # row offset + i k + j holds e_(i+1)(j+1)
-        block = slice(offset, offset + k * k)
-        partner[block] = offset + j * k + i
-        expected[block, block] = np.where(j[:, None] == i, offset + i[:, None] * k + j, -1)
+        partner[offset : offset + k * k] = offset + j * k + i
+        a, b, c = np.indices((k, k, k)).reshape(3, -1)
+        hits.append(offset + np.stack([a * k + b, b * k + c, a * k + c]))
         offset += k * k
+    hl, hr, he = np.concatenate(hits, axis=1)
 
     adj = max_distance(mats.conj().transpose(0, 2, 1), mats[partner])
     unitality = system.unitality_defect()
 
-    def residuals(li: np.ndarray, ri: np.ndarray) -> np.ndarray:
-        out = mats[li] @ mats[ri]
-        exp = expected[li, ri]
-        hit = exp >= 0
-        out[hit] -= mats[exp[hit]]
-        return out
+    def hit_residuals(li: np.ndarray, ri: np.ndarray) -> np.ndarray:
+        h = np.broadcast_to(ri, np.broadcast_shapes(li.shape, ri.shape))
+        return mats[hl[h]] @ mats[hr[h]] - mats[he[h]]
 
-    mult = screened_max_norm(n, n, d, residuals)
+    mult = screened_max_norm(1, len(hl), d, hit_residuals)
+    bound = _product_bounds(mats)
+    bound[hl, hr] = 0.0
+    rest = np.flatnonzero(bound * (1.0 + SCREEN_MARGIN) > mult)
+    if len(rest):
+
+        def products(li: np.ndarray, ri: np.ndarray) -> np.ndarray:
+            p = rest[np.broadcast_to(ri, np.broadcast_shapes(li.shape, ri.shape))]
+            return mats[p // n] @ mats[p % n]
+
+        mult = max(mult, screened_max_norm(1, len(rest), d, products))
     return UnitDefects(adjoint=float(adj), unitality=float(unitality), multiplication=float(mult))
+
+
+# Slack of ``_product_bounds``.  For units E_l, E_r let X = E_l / 2^p and
+# Y = E_r / 2^q be their copies scaled by the exponents of their largest real or
+# imaginary part (exact), F = ||X||_F ||Y||_F, u = eps / 2 the unit roundoff and
+# gamma_m = m u / (1 - m u).  ||XY||_F^2 = <X^*X, YY^*>_F, a real inner product of
+# the float64 views.  The computed Grams fl(X^*X) and fl(YY^*) are complex inner
+# products of length d, each off by at most gamma_(d+2) times the square of its
+# unit's Frobenius norm, and their real inner product of 2 d^2 terms adds at most
+# gamma_(2d^2) times the product of their Frobenius norms (Higham, Accuracy and
+# Stability of Numerical Algorithms, ch. 3): the computed s is within about
+# (2 d^2 + 2 d + 4) u F^2 of ||XY||_F^2.  The product the residual forms,
+# fl(E_l E_r), is within gamma_(d+2) 2^(p+q) F of E_l E_r in Frobenius norm, and
+# ||XY||_F <= F, so squaring adds about 2 (d + 2) u F^2 more.  Hence
+# ||fl(E_l E_r)||_F^2 <= 4^(p+q) (s + S F^2) with S = 2 (d + 2)^2 eps, at least
+# twice the first-order (2 d^2 + 4 d + 8) u; the factor 2 covers the second-order
+# terms and the rounding of F and s up to DEFAULT_DIM_CAP, and SCREEN_MARGIN then
+# covers ``op_norm``'s own rounding, as in ``screened_max_norm``.  The slack
+# floors the bound at sqrt(S) F: S is 6.4e-14 at d = 10, a floor of 2.5e-7 F, and
+# 7.5e-9 at DEFAULT_DIM_CAP, a floor of 8.6e-5 F.  A weaker bound only sends more
+# pairs to be measured: it costs speed, never exactness.  Scaled entries are at
+# most 1 in modulus, so the Grams and s cannot overflow, and what underflow loses
+# is far below the slack of a unit of normal scale.  Like the Frobenius screen,
+# the bound covers ``op_norm``'s result wherever the products' A*A stays in the
+# normal range.
+def _product_bounds(mats: np.ndarray) -> np.ndarray:
+    """(n, n) upper bounds on ||fl(E_l E_r)||_F of an (n, d, d) stack, no product formed.
+
+    One Gram per unit on each side, then one real (n, 2 d^2) @ (2 d^2, n) GEMM;
+    see the slack's derivation above.
+    """
+    n, d, _ = mats.shape
+    flat = mats.view(np.float64).reshape(n, -1)
+    _, p = np.frexp(np.abs(flat).max(axis=1))
+    p = np.maximum(p, -1021)  # keeps 2^-p finite for units of subnormal entries only
+    scaled = flat * np.ldexp(1.0, -p)[:, None]
+    x = scaled.view(np.complex128).reshape(n, d, d)
+    xh = x.conj().transpose(0, 2, 1)
+    s = (xh @ x).reshape(n, -1).view(np.float64) @ (x @ xh).reshape(n, -1).view(np.float64).T
+    f2 = np.einsum("lk,lk->l", scaled, scaled)
+    s = np.maximum(s, 0.0, out=s)  # in place: n x n arrays dominate the memory at large n
+    s += 2 * (d + 2) ** 2 * np.finfo(float).eps * f2[:, None] * f2[None, :]
+    return np.ldexp(np.sqrt(s, out=s), p[:, None] + p[None, :], out=s)
 
 
 def _factored_defects(system: MatrixUnitSystem) -> UnitDefects:

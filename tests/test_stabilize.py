@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from towergen.errors import StabilizationFailed
+import towergen.stabilize as stabilize_module
+from towergen.errors import DimensionMismatch, StabilizationFailed
 from towergen.linalg import hermitian_part, identity, op_norm, op_norms
 from towergen.stabilize import perturb_units, stabilize_units
 from towergen.units import MatrixUnitSystem, canonical_units, unit_defects
@@ -98,6 +99,35 @@ def test_perturb_zero_is_identity_map():
     same = perturb_units(units, 0.0, seed=3)
     for key in units.keys():
         assert np.array_equal(same.unit(*key), units.unit(*key))
+
+
+@pytest.mark.parametrize(
+    "shape,mult", [((1,), (1,)), ((2, 3), (2, 1)), ((1, 4, 2), (3, 1, 2)), ((3, 1), (1, 4))]
+)
+def test_perturbation_of_zero_is_the_exact_stack(shape, mult):
+    exact = canonical_units(shape, mult)
+    assert same_bits(perturb_units(exact, 0.0, 3).units, dense_units(exact))
+
+
+def test_perturbing_a_non_exact_system_is_rejected():
+    noisy = perturb_units(canonical_units((2,)), 1e-3, 1)
+    with pytest.raises(DimensionMismatch):
+        perturb_units(noisy, 1e-3, 2)
+
+
+@pytest.mark.parametrize("shape,mult", [((2, 3), (2, 1)), ((1, 4, 2), (3, 1, 2)), ((5, 5), (1, 1))])
+def test_dense_distance_is_taken_to_every_unit_as_read(monkeypatch, shape, mult):
+    """The stack a dense input is compared with holds the output's units as ``unit`` reads them."""
+    seen, measure = [], stabilize_module.max_distance
+
+    def record(xs, ys):
+        seen.append(ys)
+        return measure(xs, ys)
+
+    monkeypatch.setattr(stabilize_module, "max_distance", record)
+    out, dist = stabilize_units(perturb_units(canonical_units(shape, mult), 1e-3, 11))
+    assert dist > 0.0 and len(seen) == 1
+    assert same_bits(seen[0], dense_units(out))
 
 
 def test_perturb_defect_scaling():

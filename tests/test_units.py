@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import towergen.units as units_module
 from towergen.errors import DimensionMismatch, NonFiniteValue
-from towergen.linalg import identity, op_norm
+from towergen.linalg import _frobenius_norms, identity, op_norm
 from towergen.microstates import haar_unitaries
 from towergen.stabilize import perturb_units, stabilize_units
 from towergen.units import (
@@ -204,6 +204,62 @@ def test_dense_stack_of_the_wrong_shape_is_rejected():
 def test_unit_defects_match_all_pairs(system, delta):
     noisy = perturb_units(system, delta, seed=len(system.keys()))
     assert unit_defects(noisy) == reference_defects(noisy)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    blocks=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 2)), min_size=1, max_size=3),
+    delta=st.sampled_from([0.0, 1e-12, 1e-6, 1e-3, 0.2]),
+    scale=st.sampled_from([1e-60, 1.0, 1e60]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_dense_unit_defects_match_all_pairs_at_any_scale(blocks, delta, scale, seed):
+    """Bit for bit against the all-pairs loop.  At delta 0 and 1e-12 the
+    Gram-identity bound cannot rule the vanishing products out, so the second
+    screen measures them; at every scale the bound covers the Frobenius norm
+    of every computed product."""
+    shape = tuple(k for k, _ in blocks)
+    mult = tuple(c for _, c in blocks)
+    noisy = perturb_units(canonical_units(shape, mult), delta, seed)
+    system = MatrixUnitSystem(shape, noisy.ambient_dim, units=scale * noisy.units)
+    assert unit_defects(system) == reference_defects(system)
+    mats = system.units
+    products = _frobenius_norms(mats[:, None] @ mats[None])
+    assert np.all(units_module._product_bounds(mats) >= products)
+
+
+def test_noisy_default_sweep_forms_no_vanishing_product(monkeypatch):
+    """On the default stabilize-sweep's 60 noisy [5, 5] systems the bound rules
+    out all 2250 pairs whose product should vanish: the one screen per system
+    sees only the 250 pairs e_ab e_bc, the only products formed.  On exact and
+    near-rounding input a second screen takes all 2250."""
+    grids = []
+    screen = units_module.screened_max_norm
+
+    def record(rows, cols, dim, residual):
+        grids[-1].append(rows * cols)
+        return screen(rows, cols, dim, residual)
+
+    monkeypatch.setattr(units_module, "screened_max_norm", record)
+    exact = canonical_units((5, 5))
+    for delta in (1e-6, 1e-4, 1e-3):
+        for s in range(20):
+            grids.append([])
+            unit_defects(perturb_units(exact, delta, 2024 + 1000 * s + int(1e9 * delta) % 997))
+    assert grids == [[250]] * 60
+    for delta in (0.0, 1e-12):
+        grids.append([])
+        unit_defects(perturb_units(exact, delta, 7))
+        assert grids[-1] == [250, 2250]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("scale", [1.0, 1e60])
+def test_dense_unit_defects_of_a_poisoned_unit_fail_closed(bad, scale):
+    poisoned = scale * perturb_units(canonical_units((2, 3)), 1e-3, 4).units
+    poisoned[6, 1, 2] = bad  # e_12 of block 2
+    with pytest.raises(NonFiniteValue):
+        unit_defects(MatrixUnitSystem((2, 3), 5, units=poisoned))
 
 
 def test_unit_defects_non_finite_fails_closed():
