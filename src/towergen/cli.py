@@ -20,7 +20,7 @@ from jsonschema import Draft202012Validator
 
 from .closure import distance_to_span, subalgebra_closure
 from .errors import ConfigInvalid, DimensionMismatch, DimensionOverflow, TowergenError
-from .linalg import DEFAULT_DIM_CAP, hermitian_part, identity, op_norm
+from .linalg import _WORKSPACE_BYTES, DEFAULT_DIM_CAP, hermitian_part, identity, op_norm
 from .microstates import (
     bound_power,
     check_unitary_bounds,
@@ -285,25 +285,33 @@ def run_stabilize_sweep(config: dict) -> RunReport:
 
     sweep_rows: List[dict] = []
     medians = {}
+    # a delta's seeds are scored a chunk at a time, as one dense stack of at most
+    # four workspace blocks (1 MiB) whatever the number of seeds; a chunk's
+    # scoring holds about three such stacks at its peak
+    chunk = max(1, 4 * _WORKSPACE_BYTES // (16 * entries))
     for delta in deltas:
+        seeds = [base_seed + 1000 * s + int(1e9 * delta) % 997 for s in range(per_delta)]
         dists = []
         worst_out = 0.0
-        for s in range(per_delta):
-            seed = base_seed + 1000 * s + int(1e9 * delta) % 997
-            noisy = perturb_units(units, delta, seed)
-            fixed, dist = stabilize_units(noisy)
-            defects_out = unit_defects(fixed)
-            worst_out = float(np.maximum(worst_out, defects_out.max()))  # NaN propagates
-            dists.append(dist)
-            sweep_rows.append(
-                {
-                    "delta": delta,
-                    "seed": seed,
-                    "max_distance": dist,
-                    "defects_in": unit_defects(noisy).to_json(),
-                    "defects_out": defects_out.to_json(),
-                }
-            )
+        for top in range(0, per_delta, chunk):
+            part = seeds[top : top + chunk]
+            noisy = perturb_units(units, delta, part)
+            stabilized = stabilize_units(noisy)
+            defects_out = unit_defects([fixed for fixed, _ in stabilized])
+            defects_in = unit_defects(noisy)
+            for seed, (_, dist), d_in, d_out in zip(part, stabilized, defects_in, defects_out):
+                worst_out = float(np.maximum(worst_out, d_out.max()))  # NaN propagates
+                dists.append(dist)
+                sweep_rows.append(
+                    {
+                        "delta": delta,
+                        "seed": seed,
+                        "max_distance": dist,
+                        "defects_in": d_in.to_json(),
+                        "defects_out": d_out.to_json(),
+                    }
+                )
+            del noisy, stabilized  # before the next chunk is drawn
         medians[delta] = statistics.median(dists)
         report.check(f"delta{delta:g}.defects_out", worst_out, 1e-12)
         report.add(f"delta{delta:g}.median_distance", medians[delta], None, True)

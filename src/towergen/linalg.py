@@ -24,26 +24,22 @@ DEFAULT_DIM_CAP = 4096
 
 _HERMITIAN_TOL = 1e-12
 
-# Relative rounding margin of both screens in ``screened_max_norm``.
-# Frobenius screen: both norms of one computed d x d matrix carry relative
-# rounding errors of order d^2 * eps, under 4e-9 up to DEFAULT_DIM_CAP, so a
-# candidate whose Frobenius norm times (1 + SCREEN_MARGIN) is at most the
-# running maximum cannot exceed it: ||X|| <= ||X||_F.
-# Gram-power screen: t = f * ||(Y^*Y)^2||_F^(1/4) with Y = X / f and f the
-# Frobenius norm, an upper bound since ||X||^4 = lambda_max(X^*X)^2 <=
-# ||(X^*X)^2||_F.  t is homogeneous in f, so f's own rounding cancels and
-# only that of Y's entries (eps each) remains.  With u = eps / 2 the unit
-# roundoff and ||Y||_F = 1, the computed G = Y^*Y is off by at most about
-# d u ||Y||_F^2 in Frobenius norm and ||G||_F >= ||Y||_F^2 / sqrt(d), a
-# relative error of d^1.5 u; squaring adds d^1.5 u of its own and carries
-# G's error at most 2 sqrt(d) times over, since ||G^2||_F >= ||G||_F^2 /
-# sqrt(d).  That is about 3 d^2 u in ||G^2||_F, 5.5e-9 at DEFAULT_DIM_CAP,
-# which the 1/4 power cuts to 1.4e-9; with the operator norm's own 4e-9 the
-# total, about 5.4e-9, stays under SCREEN_MARGIN (unrooted it would be
-# 9.5e-9).  Entries of Y are at most 1 and ||G^2||_F >= d^-1.5, so neither
-# stage under- or overflows at any scale the Frobenius norm accepts;
-# without the division by f, (X^*X)^2 loses its bits to underflow for
-# entries below about 1e-77 and overflows above about 1e77.
+# Relative rounding margin of the Gram-power bound in ``screened_max_norm``:
+# t = f * ||(Y^*Y)^2||_F^(1/4) with Y = X / f and f the Frobenius norm, an upper
+# bound since ||X||^4 = lambda_max(X^*X)^2 <= ||(X^*X)^2||_F.  t is homogeneous
+# in f, so f's own rounding cancels and only that of Y's entries (eps each)
+# remains.  With u = eps / 2 the unit roundoff and ||Y||_F = 1, the computed
+# G = Y^*Y is off by at most about d u ||Y||_F^2 in Frobenius norm and ||G||_F >=
+# ||Y||_F^2 / sqrt(d), a relative error of d^1.5 u; squaring adds d^1.5 u of its
+# own and carries G's error at most 2 sqrt(d) times over, since ||G^2||_F >=
+# ||G||_F^2 / sqrt(d).  That is about 3 d^2 u in ||G^2||_F, 5.5e-9 at
+# DEFAULT_DIM_CAP, which the 1/4 power cuts to 1.4e-9; with the operator norm's
+# own relative rounding of order d^2 * eps, under 4e-9 up to DEFAULT_DIM_CAP, the
+# total, about 5.4e-9, stays under SCREEN_MARGIN (unrooted it would be 9.5e-9).
+# Entries of Y are at most 1 and ||G^2||_F >= d^-1.5, so neither stage under- or
+# overflows at any scale the Frobenius norm accepts; without the division by f,
+# (X^*X)^2 loses its bits to underflow for entries below about 1e-77 and
+# overflows above about 1e77.
 SCREEN_MARGIN = 1e-8
 
 # Bytes of one candidate stack formed by ``screened_max_norm``.
@@ -148,82 +144,81 @@ def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
 
 def screened_max_norm(
     rows: int, cols: int, dim: int, residual: Callable[[np.ndarray, np.ndarray], np.ndarray]
-) -> float:
-    """Exact maximum operator norm of ``residual(l, r)`` over a rows x cols grid.
+) -> np.ndarray:
+    """Exact maximum operator norm of ``residual(l, r)`` over each row of a rows x cols grid.
 
-    ``residual(li, ri)`` takes broadcastable index arrays and returns the
-    dim x dim residuals of those pairs, stacked in their broadcast shape;
-    it must give each pair the same bits whatever else it is asked for,
-    as batched matrix products do.  Two screens, each raised by
-    SCREEN_MARGIN, bound every pair's norm from above:
+    ``residual(li, ri)`` takes two index arrays of one shape and returns the
+    dim x dim residuals of those pairs, stacked in that shape; it must give
+    each pair the same bits whatever else it is asked for, as batched
+    matrix products do.  Rows are independent: each gets the exact maximum
+    of its own pairs, and one row's maximum never rules out another row's
+    pair.  Each pair is formed once for its bound, a bounded block at a
+    time, and that block's Frobenius norms f give the Gram-power bound
+    t = f * ||(Y^*Y)^2||_F^(1/4) with Y = X / f, the fourth root of the
+    Frobenius norm of (X^*X)^2 computed at unit scale (||X||^4 <=
+    ||(X^*X)^2||_F <= ||X||_F^4).  Raised by SCREEN_MARGIN, t bounds the
+    norm from above.
 
-    - the Frobenius norms f of all pairs, taken a bounded block at a time;
-      the pair of largest f is measured alone first, and only pairs whose
-      f still exceeds its norm go on (||X|| <= ||X||_F);
-    - for those, t = f * ||(Y^*Y)^2||_F^(1/4) with Y = X / f, the fourth
-      root of the Frobenius norm of (X^*X)^2 computed at unit scale
-      (||X||^4 <= ||(X^*X)^2||_F).
-
-    Pairs are then measured in decreasing t order until the next t is at
-    most the running maximum, so no unmeasured pair can exceed it, and
-    each measured pair gets the bits ``op_norm`` gives it.  An exactly
-    vanishing grid needs no measurement.
+    Each row's pairs are then measured in decreasing t order, the largest
+    alone first, until the next t is at most the row's running maximum, so
+    no unmeasured pair can exceed it: only the pairs measured are formed a
+    second time, and each gets the bits ``op_norm`` gives it.  A row that
+    vanishes exactly needs no measurement and gives 0.0.
     """
     per_block = max(1, _WORKSPACE_BYTES // max(1, 16 * dim * dim))
-    width = max(1, min(cols, per_block))
-    height = max(1, per_block // width)
-    fro = np.zeros((rows, cols))
-    for top in range(0, rows, height):
-        li = np.arange(top, min(top + height, rows))[:, None]
-        for left in range(0, cols, width):
-            ri = np.arange(left, min(left + width, cols))[None, :]
-            fro[li, ri] = _frobenius_norms(residual(li, ri))
-    fro = fro.ravel()
-    if not np.isfinite(fro).all():
-        raise NonFiniteValue("Frobenius norm is NaN or infinite")
-    if not fro.size or fro.max() == 0.0:
-        return 0.0
-    first = int(np.argmax(fro))  # the largest alone first: its norm prunes the rest
-    best = float(op_norms(residual(np.array([first // cols]), np.array([first % cols]))).max())
-    idx = np.flatnonzero(fro * (1.0 + SCREEN_MARGIN) > best)
-    idx = idx[idx != first]
     step = max(1, per_block // 4)  # a stage holds about four stacks at once
-    power = np.empty(len(idx))
-    for start in range(0, len(idx), step):
-        part = idx[start : start + step]
-        y = residual(part // cols, part % cols) / fro[part, None, None]
-        gram = y.conj().transpose(0, 2, 1) @ y
-        power[start : start + step] = fro[part] * np.sqrt(np.sqrt(_frobenius_norms(gram @ gram)))
-    order = np.argsort(-power, kind="stable")
-    idx, bound = idx[order], power[order] * (1.0 + SCREEN_MARGIN)
-    start, size = 0, 1  # the largest t alone first, as for f
-    while start < len(idx):
-        part = idx[start : start + size][bound[start : start + size] > best]
-        if not len(part):
+    power = np.empty(rows * cols)
+    for start in range(0, rows * cols, per_block):
+        idx = np.arange(start, min(start + per_block, rows * cols))
+        x = residual(idx // cols, idx % cols)
+        fro = _frobenius_norms(x)
+        if not np.isfinite(fro).all():
+            raise NonFiniteValue("Frobenius norm is NaN or infinite")
+        # Y = X / f on the real and imaginary parts, the bits of a complex
+        # division up to the sign of a zero; a zero X gives t = 0
+        flat = np.ascontiguousarray(x).view(np.float64)
+        unit = np.where(fro > 0.0, fro, 1.0)[:, None, None]
+        for part in range(0, len(idx), step):
+            y = (flat[part : part + step] / unit[part : part + step]).view(np.complex128)
+            gram = y.conj().transpose(0, 2, 1) @ y
+            power[start + part : start + part + len(y)] = _frobenius_norms(gram @ gram)
+        power[start : start + len(idx)] = fro * np.sqrt(np.sqrt(power[start : start + len(idx)]))
+    bound = power.reshape(rows, cols) * (1.0 + SCREEN_MARGIN)
+    order = np.argsort(-bound, axis=1, kind="stable")
+    bound = np.take_along_axis(bound, order, axis=1)
+    best = np.zeros(rows)
+    start, size = 0, 1  # each row's largest t alone first: its norm prunes the rest
+    while start < cols:
+        li, lj = np.nonzero(bound[:, start : start + size] > best[:, None])
+        if not len(li):
             break
-        best = max(best, float(op_norms(residual(part // cols, part % cols)).max()))
+        ri = order[li, start + lj]
+        for part in range(0, len(li), step):
+            norms = op_norms(residual(li[part : part + step], ri[part : part + step]))
+            np.maximum.at(best, li[part : part + step], norms)
         start, size = start + size, step
     return best
 
 
-def max_distance(xs: np.ndarray, ys: np.ndarray) -> float:
-    """Exact maximum over k of ||xs[k] - ys[k]|| for two (n, d, d) stacks.
+def max_distance(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Exact maximum over k of ||xs[r, k] - ys[r, k]|| for each row r of two
+    (rows, n, d, d) stacks, one maximum per row.
 
-    ``screened_max_norm`` over a 1 x n grid: a difference is formed only for
-    the indices the screen asks for, a bounded block at a time, and each
-    measured one gets the bits ``op_norm`` gives it.  Empty stacks give 0.0.
+    ``screened_max_norm`` over a rows x n grid: a difference is formed only
+    for the bounds and for the pairs the screen measures, a bounded block at
+    a time, and each measured one gets the bits ``op_norm`` gives it.  A row
+    of empty stacks gives 0.0.
     """
     xs, ys = np.asarray(xs, dtype=np.complex128), np.asarray(ys, dtype=np.complex128)
-    if xs.ndim != 3 or xs.shape != ys.shape:
-        raise DimensionMismatch(f"need two (n, d, d) stacks alike, got {xs.shape} and {ys.shape}")
-    if not len(xs):
-        return 0.0
+    if xs.ndim != 4 or xs.shape != ys.shape:
+        raise DimensionMismatch(
+            f"need two (rows, n, d, d) stacks alike, got {xs.shape} and {ys.shape}"
+        )
 
     def residual(li: np.ndarray, ri: np.ndarray) -> np.ndarray:
-        ks = np.broadcast_to(ri, np.broadcast_shapes(li.shape, ri.shape))
-        return xs[ks] - ys[ks]
+        return xs[li, ri] - ys[li, ri]
 
-    return screened_max_norm(1, len(xs), xs.shape[1], residual)
+    return screened_max_norm(xs.shape[0], xs.shape[1], xs.shape[2], residual)
 
 
 def tuple_norm(elems: Sequence[np.ndarray]) -> float:

@@ -13,7 +13,7 @@ when the input is too corrupted.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -73,7 +73,9 @@ def _reject(stack: List[np.ndarray], defect: float):
     )
 
 
-def stabilize_units(candidate: MatrixUnitSystem) -> Tuple[MatrixUnitSystem, float]:
+def stabilize_units(
+    candidate: MatrixUnitSystem | Sequence[MatrixUnitSystem],
+) -> Tuple[MatrixUnitSystem, float] | List[Tuple[MatrixUnitSystem, float]]:
     """Exact matrix units near an approximate system, as column factors, plus
     the exact maximum over the units of the distance moved.
 
@@ -83,9 +85,43 @@ def stabilize_units(candidate: MatrixUnitSystem) -> Tuple[MatrixUnitSystem, floa
     unit off is never kept.  Raises StabilizationFailed when
     the spectral gap at e_11 or the Gram gate fails, i.e. the input is
     beyond repair, and when the input's diagonal ranks do not sum to d.
+
+    ``candidate`` may also be a sequence of systems of one shape and
+    dimension, which gives the list of their (system, distance) pairs in
+    order and raises the error of the first system that fails.  The
+    distances of its dense systems are one per-row ``max_distance`` call,
+    a system of its own a stack of one.
     """
+    if isinstance(candidate, MatrixUnitSystem):
+        return stabilize_units([candidate])[0]
+    candidates = list(candidate)
+    if len({(c.shape, c.ambient_dim) for c in candidates}) > 1:
+        raise DimensionMismatch("stabilize_units takes a sequence of systems of one shape")
+    outs = [_polar_system(c) for c in candidates]
+    dists = [None if c.units is not None else factored_distance(out, c)
+             for c, out in zip(candidates, outs)]
+    dense = [i for i, c in enumerate(candidates) if c.units is not None]
+    if dense:
+        units = np.stack([candidates[i].units for i in dense])
+        fixed = np.empty_like(units)
+        for row, i in zip(fixed, dense):
+            # e_ij = F_i F_j^* for every (i, j) of a block at once, in keys() order
+            row[...] = np.concatenate([(f[:, None] @ f.conj().transpose(0, 2, 1)[None])
+                                       .reshape(-1, *row.shape[1:]) for f in outs[i].factors])
+        moved = max_distance(units, fixed)
+        for i, dist in zip(dense, moved):
+            dists[i] = float(dist)
+    return [
+        (c, 0.0) if dist <= 8 * c.ambient_dim * np.finfo(float).eps else (out, dist)
+        for c, out, dist in zip(candidates, outs, dists)
+    ]
+
+
+def _polar_system(candidate: MatrixUnitSystem) -> MatrixUnitSystem:
+    """The stabilized system of one candidate, as column factors: the polar
+    factor of its stacked first-column factors, after the checks that can
+    reject the candidate."""
     dim = candidate.ambient_dim
-    tol = 8 * dim * np.finfo(float).eps
     try:
         stack = _first_column(candidate)
     except EigenvalueNearThreshold as exc:
@@ -106,32 +142,28 @@ def stabilize_units(candidate: MatrixUnitSystem) -> Tuple[MatrixUnitSystem, floa
         block = polar[:, start : start + k * m].reshape(dim, k, m)
         factors.append(np.ascontiguousarray(block.transpose(1, 0, 2)))
         start += k * m
-    out = MatrixUnitSystem(candidate.shape, dim, factors=factors)
-    if candidate.units is not None:
-        # e_ij = F_i F_j^* for every (i, j) of a block at once, in keys() order
-        fixed = [(f[:, None] @ f.conj().transpose(0, 2, 1)[None]).reshape(-1, dim, dim)
-                 for f in factors]
-        dist = max_distance(candidate.units, np.concatenate(fixed))
-    else:
-        dist = factored_distance(out, candidate)
-    if dist <= tol:
-        return candidate, 0.0
-    return out, dist
+    return MatrixUnitSystem(candidate.shape, dim, factors=factors)
 
 
-def perturb_units(units: MatrixUnitSystem, delta: float, seed: int) -> MatrixUnitSystem:
+def perturb_units(
+    units: MatrixUnitSystem, delta: float, seed: int | Sequence[int]
+) -> MatrixUnitSystem | List[MatrixUnitSystem]:
     """Seeded perturbation of operator norm <= delta on every unit of an exact system.
 
     Diagonal units get Hermitian noise; off-diagonal partners are perturbed
     independently, so the adjoint-pairing defect stays within 2*delta.  The
     exact units are one scatter per block of their row tables; a dense or
-    factored system raises DimensionMismatch.
+    factored system raises DimensionMismatch.  ``seed`` may also be a
+    sequence of seeds, which gives the list of their perturbed systems in
+    order: each seed draws from its own generator, as alone, and the noise
+    of all of them is normed with one ``op_norms`` call.
     """
+    if np.ndim(seed) == 0:
+        return perturb_units(units, delta, [seed])[0]
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     if units.rows is None:
         raise DimensionMismatch("perturb_units takes an exact unit system")
-    rng = np.random.default_rng(seed)
     dim = units.ambient_dim
     keys = units.keys()
     exact = np.zeros((len(keys), dim, dim), dtype=np.complex128)
@@ -141,10 +173,16 @@ def perturb_units(units: MatrixUnitSystem, delta: float, seed: int) -> MatrixUni
         at = offset + np.arange(k * k).reshape(k, k, 1)
         exact[at, table[:, None, :], table[None, :, :]] = 1.0
         offset += k * k
-    # one draw reads the stream as a draw per unit would: real, then imaginary, key by key
-    raw = rng.standard_normal((len(keys), 2, dim, dim))
-    noise = raw[:, 0] + 1j * raw[:, 1]
+    noise = np.empty((len(seed), len(keys), dim, dim), dtype=np.complex128)
+    for one, s in zip(noise, seed):
+        # one draw per seed reads its stream as a draw per unit would: real, then
+        # imaginary, key by key
+        raw = np.random.default_rng(s).standard_normal((len(keys), 2, dim, dim))
+        one[...] = raw[:, 0] + 1j * raw[:, 1]
     diagonal = np.array([i == j for _, i, j in keys])
-    noise[diagonal] = hermitian_part(noise[diagonal])
-    scales = np.maximum(op_norms(noise), 1e-300)[:, None, None]
-    return MatrixUnitSystem(units.shape, dim, units=exact + delta * (noise / scales))
+    noise[:, diagonal] = hermitian_part(noise[:, diagonal])
+    scales = np.maximum(op_norms(noise.reshape(-1, dim, dim)), 1e-300)
+    noise /= scales.reshape(*noise.shape[:2], 1, 1)
+    noise *= delta
+    noise += exact
+    return [MatrixUnitSystem(units.shape, dim, units=one) for one in noise]

@@ -128,9 +128,8 @@ def commutant_projection(x: np.ndarray, block: MatrixUnitSystem) -> np.ndarray:
 def _screened_max_commutator(left: List[np.ndarray], right: List[np.ndarray]) -> float:
     """Max operator norm of [u, v] over the two unit families.
 
-    Exact: ``screened_max_norm`` bounds every commutator by its Frobenius
-    norm and then, for those the bound keeps, by the fourth root of
-    ||(C^*C)^2||_F, and measures operator norms only while a bound exceeds
+    Exact: ``screened_max_norm`` bounds every commutator by the fourth root
+    of ||(C^*C)^2||_F, and measures operator norms only while a bound exceeds
     the running maximum.  On commuting families, whose commutators vanish
     exactly, no operator norm is evaluated.
     """
@@ -138,11 +137,12 @@ def _screened_max_commutator(left: List[np.ndarray], right: List[np.ndarray]) ->
         return 0.0
     lstack, rstack = np.stack(left), np.stack(right)
 
-    def commutators(li: np.ndarray, ri: np.ndarray) -> np.ndarray:
-        u, v = lstack[li], rstack[ri]
+    def commutators(_: np.ndarray, ri: np.ndarray) -> np.ndarray:
+        u, v = lstack[ri // len(right)], rstack[ri % len(right)]
         return u @ v - v @ u
 
-    return screened_max_norm(len(left), len(right), lstack.shape[1], commutators)
+    # one row, so each pair's norm may rule out every other pair
+    return float(screened_max_norm(1, len(left) * len(right), lstack.shape[1], commutators)[0])
 
 
 def _max_cross_commutator(left: MatrixUnitSystem, right: MatrixUnitSystem) -> float:

@@ -22,7 +22,6 @@ from .linalg import (
     SCREEN_MARGIN,
     _lapack,
     identity,
-    max_distance,
     op_norm,
     op_norms,
     screened_max_norm,
@@ -129,14 +128,9 @@ class MatrixUnitSystem:
             covered = sum(table.size for table in self.rows)
             return 0.0 if covered == self.ambient_dim else 1.0
         if self.factors is None:
-            diagonal = self.units[[i == j for _, i, j in self.keys()]]
-            total = sum(diagonal, np.zeros((self.ambient_dim, self.ambient_dim), np.complex128))
+            total = _diagonal_sums(self.shape, self.units[None])[0]
             return op_norm(total - identity(self.ambient_dim))
-        y = stacked_factors(self.factors)
-        gram = y.conj().T @ y if y.shape[1] <= y.shape[0] else y @ y.conj().T
-        w = _lapack(np.linalg.eigvalsh, gram, "unitality Gram eigensolve")
-        defect = float(np.max(np.abs(w - 1.0), initial=0.0))
-        return max(defect, 1.0) if y.shape[1] < self.ambient_dim else defect
+        return float(_factored_unitality(stacked_factors(self.factors)[None])[0])
 
     def column_map(self, s: int, i: int, j: int) -> np.ndarray:
         """Unit e_ij^(s) of an exact system as a map of column coordinates.
@@ -209,8 +203,11 @@ def _checked_factors(
 
 
 def stacked_factors(factors: Sequence[np.ndarray]) -> np.ndarray:
-    """The d x N matrix [F_1, ..., F_k] of (k, d, m) factor arrays, block by block."""
-    return np.concatenate([f.transpose(1, 0, 2).reshape(f.shape[1], -1) for f in factors], axis=1)
+    """The d x N matrix [F_1, ..., F_k] of (k, d, m) factor arrays, block by
+    block, or one such matrix per system of (S, k, d, m) arrays."""
+    return np.concatenate(
+        [np.moveaxis(f, -3, -2).reshape(*f.shape[:-3], f.shape[-2], -1) for f in factors], axis=-1
+    )
 
 
 def canonical_units(
@@ -277,38 +274,71 @@ class UnitDefects:
         }
 
 
-def unit_defects(system: MatrixUnitSystem) -> UnitDefects:
+def unit_defects(
+    system: MatrixUnitSystem | Sequence[MatrixUnitSystem],
+) -> UnitDefects | List[UnitDefects]:
     """Measure adjoint, unitality and multiplication defects.
 
     Multiplication covers both the in-block product rule and the vanishing
     of cross-block (or mismatched-index) products: a matched in-block pair
     e_ij e_jl should give e_il, every other pair zero.  Every maximum is
-    exact.
+    exact.  ``system`` is one system, or a sequence of systems of one shape
+    and dimension, which gives the list of their defects in order.
 
     An exact or factored system is scored from its column factors, with no
     d x d unit formed (``_factored_defects``): its adjoint defect is 0.0 by
     definition, and the other two agree with the dense scoring of its units
-    to rounding.  A dense system is scored on its unit stack: its adjoint
-    defect is ``max_distance`` of the units' adjoints to their partners.
-    Its multiplication defect splits the pairs in two.  The sum k_s^3 pairs
-    whose product should be a unit get their maximum from
-    ``screened_max_norm``, whose Frobenius and Gram-power screens leave few
-    residuals to eigensolve.  The pairs whose product should vanish are
-    bounded all at once, with no product formed (``_product_bounds``); only
-    those whose bound still exceeds that maximum go through a second
-    ``screened_max_norm``, so every measured pair gets the bits ``op_norm``
-    gives it.  Both tables below come from index arithmetic on block s's
-    rows, which start at the offset o_s = sum_{t<s} k_t^2.
+    to rounding.  The dense systems of a sequence are scored as one
+    (systems, n, d, d) stack, a system of its own as a stack of one, with one
+    per-row ``screened_max_norm`` call per kind of relation and one row per
+    system (``_dense_defects``).
     """
-    if system.units is None:
-        return _factored_defects(system)
-    mats = system.units
-    n, d, _ = mats.shape
+    if isinstance(system, MatrixUnitSystem):
+        return unit_defects([system])[0]
+    systems = list(system)
+    if len({(s.shape, s.ambient_dim) for s in systems}) > 1:
+        raise DimensionMismatch("unit_defects scores a sequence of systems of one shape")
+    # one stack per storage form and factor shape
+    groups = {}
+    for i, s in enumerate(systems):
+        form = None
+        if s.units is None:
+            form = (s.rows is None, *(f.shape for f in s.column_factors()))
+        groups.setdefault(form, []).append(i)
+    out = [None] * len(systems)
+    for members in groups.values():
+        stack = [systems[i] for i in members]
+        if stack[0].units is not None:
+            scored = _dense_defects(stack[0].shape, np.stack([s.units for s in stack]))
+        else:
+            scored = _factored_defects(stack)
+        for i, defects in zip(members, scored):
+            out[i] = defects
+    return out
+
+
+def _dense_defects(shape: Shape, mats: np.ndarray) -> List[UnitDefects]:
+    """``unit_defects`` of each system of an (S, n, d, d) stack of dense units.
+
+    The adjoint defect of a system is the maximum of ||e_ij^* - e_ji|| over
+    its units.  Its multiplication defect splits the pairs in two.  The sum
+    k_s^3 pairs whose product should be a unit get their maximum from
+    ``screened_max_norm``, whose Gram-power bounds leave few residuals to
+    eigensolve.  The pairs whose product should vanish are bounded all at
+    once, with no product formed (``_product_bounds``); only those whose
+    bound still exceeds that maximum go through a second
+    ``screened_max_norm``, so every measured pair gets the bits ``op_norm``
+    gives it.  Each screen has one row per system, so one system's maximum
+    never rules out another's pairs.  Both tables below come from index
+    arithmetic on block s's rows, which start at the offset
+    o_s = sum_{t<s} k_t^2.
+    """
+    systems, n, d, _ = mats.shape
     # partner[l]: the row of e_ji for l the row of e_ij; (hl, hr, he): the rows of
     # e_ab, e_bc and e_ac for every in-block (a, b, c), the pairs that give a unit
     partner = np.empty(n, dtype=np.intp)
     hits, offset = [], 0
-    for k in system.shape:
+    for k in shape:
         i, j = np.divmod(np.arange(k * k), k)  # row offset + i k + j holds e_(i+1)(j+1)
         partner[offset : offset + k * k] = offset + j * k + i
         a, b, c = np.indices((k, k, k)).reshape(3, -1)
@@ -316,25 +346,50 @@ def unit_defects(system: MatrixUnitSystem) -> UnitDefects:
         offset += k * k
     hl, hr, he = np.concatenate(hits, axis=1)
 
-    adj = max_distance(mats.conj().transpose(0, 2, 1), mats[partner])
-    unitality = system.unitality_defect()
+    def adjoint_residuals(li: np.ndarray, ri: np.ndarray) -> np.ndarray:
+        return mats[li, ri].conj().transpose(0, 2, 1) - mats[li, partner[ri]]
 
     def hit_residuals(li: np.ndarray, ri: np.ndarray) -> np.ndarray:
-        h = np.broadcast_to(ri, np.broadcast_shapes(li.shape, ri.shape))
-        return mats[hl[h]] @ mats[hr[h]] - mats[he[h]]
+        return mats[li, hl[ri]] @ mats[li, hr[ri]] - mats[li, he[ri]]
 
-    mult = screened_max_norm(1, len(hl), d, hit_residuals)
-    bound = _product_bounds(mats)
-    bound[hl, hr] = 0.0
-    rest = np.flatnonzero(bound * (1.0 + SCREEN_MARGIN) > mult)
-    if len(rest):
+    adj = screened_max_norm(systems, n, d, adjoint_residuals)
+    unitality = op_norms(_diagonal_sums(shape, mats) - identity(d))
+    mult = screened_max_norm(systems, len(hl), d, hit_residuals)
+    bound = np.stack([_product_bounds(one) for one in mats])
+    bound[:, hl, hr] = 0.0
+    over = bound.reshape(systems, -1) * (1.0 + SCREEN_MARGIN) > mult[:, None]
+    live = np.flatnonzero(over.any(axis=1))
+    if len(live):
+        # each live system's pairs over its maximum, first in a row of the table;
+        # a row's padding forms a zero residual, which its screen never measures
+        counts = over[live].sum(axis=1)
+        rest = np.argsort(~over[live], axis=1, kind="stable")[:, : counts.max()]
+        pad = np.arange(rest.shape[1]) >= counts[:, None]
 
         def products(li: np.ndarray, ri: np.ndarray) -> np.ndarray:
-            p = rest[np.broadcast_to(ri, np.broadcast_shapes(li.shape, ri.shape))]
-            return mats[p // n] @ mats[p % n]
+            p, m = rest[li, ri], live[li]
+            out = mats[m, p // n] @ mats[m, p % n]
+            out[pad[li, ri]] = 0.0
+            return out
 
-        mult = max(mult, screened_max_norm(1, len(rest), d, products))
-    return UnitDefects(adjoint=float(adj), unitality=float(unitality), multiplication=float(mult))
+        second = screened_max_norm(len(live), rest.shape[1], d, products)
+        mult[live] = np.maximum(mult[live], second)
+    return [
+        UnitDefects(adjoint=float(a), unitality=float(u), multiplication=float(m))
+        for a, u, m in zip(adj, unitality, mult)
+    ]
+
+
+def _diagonal_sums(shape: Shape, mats: np.ndarray) -> np.ndarray:
+    """The diagonal units of each system of an (S, n, d, d) stack, added to a
+    zero matrix one at a time in key order."""
+    total = np.zeros((mats.shape[0],) + mats.shape[2:], dtype=np.complex128)
+    offset = 0
+    for k in shape:
+        for i in range(k):
+            total = total + mats[:, offset + i * k + i]
+        offset += k * k
+    return total
 
 
 # Slack of ``_product_bounds``.  For units E_l, E_r let X = E_l / 2^p and
@@ -380,8 +435,9 @@ def _product_bounds(mats: np.ndarray) -> np.ndarray:
     return np.ldexp(np.sqrt(s, out=s), p[:, None] + p[None, :], out=s)
 
 
-def _factored_defects(system: MatrixUnitSystem) -> UnitDefects:
-    """``unit_defects`` of an exact or factored system, from m x m factor algebra.
+def _factored_defects(systems: List[MatrixUnitSystem]) -> List[UnitDefects]:
+    """``unit_defects`` of exact or factored systems whose factors have one
+    shape, from m x m factor algebra, as one stack.
 
     e_ji is defined as (F_i F_j^*)^* = F_j F_i^*, so the adjoint defect is
     exactly 0.0.  With Y = [F_1, ..., F_N] the stacked factors over every
@@ -390,30 +446,50 @@ def _factored_defects(system: MatrixUnitSystem) -> UnitDefects:
     with D_jk the (j, k) block of D between blocks s and t: the product
     rule's e_il when s = t and j = k, zero for every other pair.  The Q
     have orthonormal columns, so its norm is ||R_i D_jk R_l^*||.  Each
-    block pair (s, t) is one batched ``op_norms`` over its k_s^2 k_t^2
-    residuals, split over i when they would exceed the workspace, so the
-    maximum is exact.  An exact system's D is exactly zero.
+    block pair (s, t) is one batched ``op_norms`` over the k_s^2 k_t^2
+    residuals of every system, split over (system, i) when they would
+    exceed the workspace, so each maximum is exact.  An exact system's D is
+    exactly zero.
     """
-    unitality = system.unitality_defect()
-    factors = system.column_factors()
+    count = len(systems)
+    factors = [np.stack(block) for block in zip(*(s.column_factors() for s in systems))]
     y = stacked_factors(factors)
-    defect = y.conj().T @ y - np.eye(y.shape[1])
+    if systems[0].rows is None:
+        unitality = _factored_unitality(y)
+    else:
+        unitality = [s.unitality_defect() for s in systems]
+    defect = y.conj().transpose(0, 2, 1) @ y - np.eye(y.shape[2])
     rs = [_lapack(lambda x: np.linalg.qr(x, mode="r"), f, "unit defects QR") for f in factors]
-    starts = np.cumsum([0] + [f.shape[0] * f.shape[2] for f in factors])
-    worst = 0.0
+    starts = np.cumsum([0] + [f.shape[1] * f.shape[3] for f in factors])
+    worst = np.zeros(count)
     for r_s, a in zip(rs, starts):
-        k_s, _, m_s = r_s.shape
+        _, k_s, _, m_s = r_s.shape
         for r_t, b in zip(rs, starts):
-            k_t, _, m_t = r_t.shape
-            # d_jk[j, k] = D_jk, the m_s x m_t block between unit rows j and k
-            d_jk = defect[a : a + k_s * m_s, b : b + k_t * m_t].reshape(k_s, m_s, k_t, m_t)
-            d_jk = d_jk.transpose(0, 2, 1, 3)
-            right = r_t.conj().transpose(0, 2, 1)[None, None, None]
-            step = max(1, _WORKSPACE_BYTES // (16 * k_s * k_t * k_t * r_s.shape[1] * r_t.shape[1]))
-            for top in range(0, k_s, step):  # res[i, j, k, l] = R_i D_jk R_l^*
-                res = r_s[top : top + step, None, None, None] @ d_jk[None, :, :, None] @ right
-                worst = max(worst, float(op_norms(res.reshape(-1, *res.shape[-2:])).max()))
-    return UnitDefects(adjoint=0.0, unitality=unitality, multiplication=worst)
+            _, k_t, _, m_t = r_t.shape
+            # d_jk[., j, k] = D_jk, the m_s x m_t block between unit rows j and k
+            d_jk = defect[:, a : a + k_s * m_s, b : b + k_t * m_t]
+            d_jk = d_jk.reshape(count, k_s, m_s, k_t, m_t).transpose(0, 1, 3, 2, 4)
+            right = r_t.conj().transpose(0, 1, 3, 2)[:, None, None]
+            step = max(1, _WORKSPACE_BYTES // (16 * k_s * k_t * k_t * r_s.shape[2] * r_t.shape[2]))
+            for top in range(0, count * k_s, step):  # res[(system, i), j, k, l] = R_i D_jk R_l^*
+                which, i = np.divmod(np.arange(top, min(top + step, count * k_s)), k_s)
+                res = r_s[which, i][:, None, None, None] @ d_jk[which][:, :, :, None] @ right[which]
+                norms = op_norms(res.reshape(-1, *res.shape[-2:])).reshape(len(which), -1)
+                np.maximum.at(worst, which, norms.max(axis=1))
+    return [
+        UnitDefects(adjoint=0.0, unitality=float(u), multiplication=float(m))
+        for u, m in zip(unitality, worst)
+    ]
+
+
+def _factored_unitality(y: np.ndarray) -> np.ndarray:
+    """``unitality_defect`` of each factored system of an (S, d, N) stack of
+    stacked factors: max |eig - 1| of the smaller Gram, at least 1.0 when N < d."""
+    yh = y.conj().transpose(0, 2, 1)
+    gram = yh @ y if y.shape[2] <= y.shape[1] else y @ yh
+    w = _lapack(np.linalg.eigvalsh, gram, "unitality Gram eigensolve")
+    defect = np.max(np.abs(w - 1.0), axis=1, initial=0.0)
+    return np.maximum(defect, 1.0) if y.shape[2] < y.shape[1] else defect
 
 
 def factored_distance(approx: MatrixUnitSystem, other: MatrixUnitSystem) -> float:

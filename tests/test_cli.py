@@ -428,7 +428,10 @@ def test_counting_check_catches_a_count_above_the_cardinality_cap(
 
 
 def test_stabilize_sweep_fails_on_nan_defects(monkeypatch):
-    monkeypatch.setattr(cli, "unit_defects", lambda system: UnitDefects(0.0, float("nan"), 0.0))
+    def nan_defects(systems):
+        return [UnitDefects(0.0, float("nan"), 0.0) for _ in systems]
+
+    monkeypatch.setattr(cli, "unit_defects", nan_defects)
     report = run("stabilize-sweep", {"shape": [2], "deltas": [1e-6], "seeds": 2})
     row = next(r for r in report.rows if r.name.endswith("defects_out"))
     assert not row.passed
@@ -461,6 +464,71 @@ def test_stabilize_sweep_defects_out_match_a_dense_scoring():
         assert row["defects_out"]["adjoint"] == 0.0
         for name, value in want.items():
             assert abs(row["defects_out"][name] - value) <= bound * max(1.0, value), name
+
+
+def sweep_seed_by_seed(config):
+    """``extra["sweep"]`` of a stabilize-sweep, built seed by seed from one-system
+    ``perturb_units``, ``stabilize_units`` and ``unit_defects`` calls."""
+    shape = tuple(config["shape"])
+    units = canonical_units(shape, tuple(config.get("multiplicities", [1] * len(shape))))
+    rows = []
+    for delta in config.get("deltas", [1e-6, 1e-4, 1e-3]):
+        for s in range(config.get("seeds", 20)):
+            seed = config.get("seed", 2024) + 1000 * s + int(1e9 * delta) % 997
+            noisy = perturb_units(units, delta, seed)
+            fixed, dist = stabilize_units(noisy)
+            rows.append({
+                "delta": delta, "seed": seed, "max_distance": dist,
+                "defects_in": unit_defects(noisy).to_json(),
+                "defects_out": unit_defects(fixed).to_json(),
+            })
+    return rows
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"shape": [5, 5]},
+        {"shape": [2, 3], "multiplicities": [2, 1], "deltas": [1e-4, 1e-3], "seeds": 4},
+        # stabilize_units returns these dense candidates unchanged, so defects_out
+        # takes the dense path
+        {"shape": [2, 3], "multiplicities": [2, 1], "deltas": [0, 1e-12], "seeds": 3},
+    ],
+    ids=["default", "mixed-multiplicities", "near-rounding"],
+)
+def test_stacked_sweep_equals_the_seed_by_seed_loop(config):
+    assert run("stabilize-sweep", config).extra["sweep"] == sweep_seed_by_seed(config)
+
+
+def test_sweep_of_several_chunks_equals_the_seed_by_seed_loop(monkeypatch):
+    """A workspace of 6000 bytes makes a chunk of two 7 x 7 systems of 13 units."""
+    config = {"shape": [2, 3], "multiplicities": [2, 1], "deltas": [1e-4, 0], "seeds": 5}
+    chunks, perturb = [], cli.perturb_units
+
+    def record(units, delta, seeds):
+        chunks.append(len(seeds))
+        return perturb(units, delta, seeds)
+
+    monkeypatch.setattr(cli, "_WORKSPACE_BYTES", 6000)
+    monkeypatch.setattr(cli, "perturb_units", record)
+    rows = run("stabilize-sweep", config).extra["sweep"]
+    assert chunks == [2, 2, 1] * 2
+    assert rows == sweep_seed_by_seed(config)
+
+
+def test_stabilize_sweep_reports_the_first_failing_seed(tmp_path, capsys):
+    """All three seeds at delta 0.5 fail the Gram gate, each at its own defect;
+    the report names seed 0's in one error row, with exit status 1."""
+    config = {"shape": [5, 5], "deltas": [1e-4, 0.5], "seeds": 3}
+    message = "StabilizationFailed: Gram defect 6.119e-01 of the first-column factors exceeds 0.1"
+    report = run("stabilize-sweep", config)
+    assert report.error == message
+    assert [(r.name, r.passed) for r in report.rows] == [("error", False)]
+    cfg = tmp_path / "fails.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["stabilize-sweep", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 1
+    assert json.loads((tmp_path / "r.json").read_text())["error"] == message
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_stabilize_sweep_judges_monotonicity_in_delta_order(tmp_path):

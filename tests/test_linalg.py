@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,18 +151,24 @@ def _grid(rng, rows, cols, dim, scale):
     return residual
 
 
+def _brute_rows(rows, cols, residual):
+    """op_norms of every pair, row by row: the maximum of each row."""
+    return np.array([op_norms(residual(np.full(cols, r), np.arange(cols))).max() for r in range(rows)])
+
+
 @pytest.mark.parametrize("dim", [1, 3, 9])
 @pytest.mark.parametrize("scale", [lambda w: w, lambda w: 1.0 + 1e-12 * w, lambda w: 0 * w + 1.0])
 def test_screened_max_norm_matches_all_pairs(dim, scale):
     rng = np.random.default_rng(dim)
     rows, cols = 11, 37
     residual = _grid(rng, rows, cols, dim, scale)
-    brute = max(
+    brute = _brute_rows(rows, cols, residual)
+    assert np.array_equal(screened_max_norm(rows, cols, dim, residual), brute)
+    assert brute.max() == max(
         op_norm(residual(np.array([l]), np.array([r]))[0])
         for l in range(rows)
         for r in range(cols)
     )
-    assert screened_max_norm(rows, cols, dim, residual) == brute
 
 
 def test_screened_max_norm_vanishing_grid_measures_nothing(monkeypatch):
@@ -170,8 +178,9 @@ def test_screened_max_norm_vanishing_grid_measures_nothing(monkeypatch):
     def zeros(li, ri):
         return np.zeros(np.broadcast(li, ri).shape + (4, 4), dtype=complex)
 
-    assert screened_max_norm(5, 6, 4, zeros) == 0.0
-    assert screened_max_norm(0, 6, 4, zeros) == 0.0
+    assert np.array_equal(screened_max_norm(5, 6, 4, zeros), np.zeros(5))
+    assert screened_max_norm(0, 6, 4, zeros).shape == (0,)
+    assert np.array_equal(screened_max_norm(3, 0, 4, zeros), np.zeros(3))
     assert measured == []
 
 
@@ -183,7 +192,7 @@ def test_screened_max_norm_non_finite_fails_closed():
 
     with pytest.raises(NonFiniteValue):
         screened_max_norm(4, 2, 2, residual)
-    # one non-finite entry among finite candidates, at the scales both screens face
+    # one non-finite entry among finite candidates, at the scales the bound faces
     rng = np.random.default_rng(3)
     for scale in (1e-90, 1.0, 1e100):
         grid = scale * (rng.standard_normal((12, 3, 3)) + 1j * rng.standard_normal((12, 3, 3)))
@@ -193,7 +202,7 @@ def test_screened_max_norm_non_finite_fails_closed():
             with pytest.raises(NonFiniteValue):
                 screened_max_norm(3, 4, 3, lambda li, ri: broken[li * 4 + ri])
             with pytest.raises(NonFiniteValue):
-                max_distance(broken, grid)
+                max_distance(broken.reshape(3, 4, 3, 3), grid.reshape(3, 4, 3, 3))
 
 
 @pytest.mark.parametrize("dim", [1, 4])
@@ -202,9 +211,12 @@ def test_max_distance_matches_per_pair_loop(dim):
     xs = rng.standard_normal((40, dim, dim)) + 1j * rng.standard_normal((40, dim, dim))
     ys = np.stack([x + 1e-3 * rng.uniform() * rng.standard_normal((dim, dim)) for x in xs])
     ys[7] = xs[7]  # one exactly vanishing difference
-    assert max_distance(xs, ys) == max(op_norm(x - y) for x, y in zip(xs, ys))
-    assert max_distance(xs, xs) == 0.0
-    assert max_distance(np.empty((0, dim, dim)), np.empty((0, dim, dim))) == 0.0
+    xs, ys = xs.reshape(4, 10, dim, dim), ys.reshape(4, 10, dim, dim)
+    want = [max(op_norm(x - y) for x, y in zip(xr, yr)) for xr, yr in zip(xs, ys)]
+    assert max_distance(xs, ys).tolist() == want
+    assert max_distance(xs, xs).tolist() == [0.0] * 4
+    assert max_distance(np.empty((2, 0, dim, dim)), np.empty((2, 0, dim, dim))).tolist() == [0.0] * 2
+    assert max_distance(np.empty((0, 3, dim, dim)), np.empty((0, 3, dim, dim))).shape == (0,)
     for bad in (ys[:-1], ys[0], ys[:, None], list(ys[1:])):
         with pytest.raises(DimensionMismatch):
             max_distance(xs, bad)
@@ -224,9 +236,9 @@ def test_max_distance_matches_per_pair_loop(dim):
 def test_screened_maxima_equal_the_exhaustive_maxima(
     rows, cols, dim, rank_one, scale, zero_share, ties, seed
 ):
-    """Both screens against op_norm of every pair, bit for bit.  At 1e-90 the
+    """The bound against op_norm of every pair, bit for bit.  At 1e-90 the
     fourth power of an unnormalized residual underflows and at 1e100 it
-    overflows, so the Gram-power screen must work at unit scale."""
+    overflows, so the Gram-power bound must work at unit scale."""
     rng = np.random.default_rng(seed)
     n = rows * cols
 
@@ -238,22 +250,71 @@ def test_screened_maxima_equal_the_exhaustive_maxima(
     grid[rng.uniform(size=n) < zero_share] = 0.0
     top = int(np.argmax([op_norm(x) for x in grid]))
     grid[rng.integers(0, n, size=ties)] = grid[top]  # exact ties at the maximum
-    brute = max(op_norm(x) for x in grid)
 
     def residual(li, ri):
         return grid[li * cols + ri]
 
-    assert screened_max_norm(rows, cols, dim, residual) == brute
-    ys = scale * gaussian(n, dim, dim)
-    xs = ys + grid
-    assert max_distance(xs, ys) == max(op_norm(x - y) for x, y in zip(xs, ys))
+    brute = [max(op_norm(x) for x in row) for row in grid.reshape(rows, cols, dim, dim)]
+    assert screened_max_norm(rows, cols, dim, residual).tolist() == brute
+    ys = scale * gaussian(rows, cols, dim, dim)
+    xs = ys + grid.reshape(ys.shape)
+    want = [max(op_norm(x - y) for x, y in zip(xr, yr)) for xr, yr in zip(xs, ys)]
+    assert max_distance(xs, ys).tolist() == want
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    rows=st.integers(1, 6),
+    cols=st.integers(1, 30),
+    dim=st.sampled_from([1, 3, 12, 40]),
+    scale_exponents=st.lists(st.sampled_from([-100, -50, 0, 50, 100]), min_size=6, max_size=6),
+    zero_rows=st.lists(st.booleans(), min_size=6, max_size=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_screened_max_norm_is_exact_in_every_row(
+    rows, cols, dim, scale_exponents, zero_rows, seed
+):
+    """Each row's maximum against brute op_norms of that row, bit for bit.
+
+    Rows differ in scale by up to 1e200, so a row's maximum must never rule
+    out another row's pairs; the pairs of an all-zero row are never measured
+    and its maximum is 0.0.  A workspace block holds 113 pairs at dim 12 and
+    10 at dim 40, so those grids span several blocks, some holding pairs of
+    more than one row."""
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** np.array(scale_exponents[:rows], dtype=float)
+    scales[np.array(zero_rows[:rows])] = 0.0
+    grid = rng.standard_normal((rows, cols, dim, dim)) + 1j * rng.standard_normal(
+        (rows, cols, dim, dim)
+    )
+    grid *= scales[:, None, None, None] * rng.uniform(0.5, 1.0, size=(rows, cols, 1, 1))
+
+    def residual(li, ri):
+        return grid[li, ri]
+
+    brute = _brute_rows(rows, cols, residual)
+    measure = linalg.op_norms
+
+    def nonzero_only(stack):
+        assert stack.any(axis=(1, 2)).all(), "measured a pair of an all-zero row"
+        return measure(stack)
+
+    with mock.patch.object(linalg, "op_norms", nonzero_only):
+        got = screened_max_norm(rows, cols, dim, residual)
+    assert np.array_equal(got, brute)
+    assert np.array_equal(got == 0.0, scales == 0.0)
+    # a NaN in one row fails closed, whichever row it is in
+    broken = rng.integers(rows)
+    grid[broken, rng.integers(cols), 0, 0] = np.nan
+    with pytest.raises(NonFiniteValue):
+        screened_max_norm(rows, cols, dim, residual)
 
 
 def test_gram_power_screen_leaves_few_products_to_measure(monkeypatch):
-    """The default stabilize-sweep's 60 noisy [5, 5] systems: nearly all of
-    the 250 residuals e_ab e_bc - e_ac of each system pass the Frobenius
-    screen, and the Gram-power screen leaves at most 10 of them for an
-    eigensolve; the other 2250 pairs never reach a screen."""
+    """The default stabilize-sweep's 60 noisy [5, 5] systems: each system's
+    250 residuals e_ab e_bc - e_ac are bounded, and the Gram-power bound
+    leaves at most 10 of them for an eigensolve; the other 2250 pairs never
+    reach a screen.  The screen of the 50 adjoint residuals is not counted."""
     counted, measured = [False], []
     kernel, screen = linalg._op_norms, units_module.screened_max_norm
 
@@ -262,11 +323,13 @@ def test_gram_power_screen_leaves_few_products_to_measure(monkeypatch):
             measured[-1] += len(stack)
         return kernel(stack)
 
-    def multiplication_screen(*args):
+    def multiplication_screen(rows, cols, dim, residual):
+        if cols != 250:
+            return screen(rows, cols, dim, residual)
         counted[0] = True
         measured.append(0)
         try:
-            return screen(*args)
+            return screen(rows, cols, dim, residual)
         finally:
             counted[0] = False
 

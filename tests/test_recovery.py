@@ -426,8 +426,8 @@ def assert_same_recovery(result, oracle):
         assert [e.name for e in lv.trace.steps] == [e.name for e in ref.trace.steps]
         keys = ref.units.keys()
         assert lv.units.keys() == keys
-        mine, theirs = (np.stack([u.unit(*k) for k in keys]) for u in (lv.units, ref.units))
-        assert max_distance(mine, theirs) <= 1e-12
+        mine, theirs = (np.stack([u.unit(*k) for k in keys])[None] for u in (lv.units, ref.units))
+        assert max_distance(mine, theirs)[0] <= 1e-12
         assert op_norm(lv.coupling - ref.coupling) <= 1e-12
         v, w = lv.corner_basis, ref.corner_basis
         assert op_norm(v @ v.conj().T - w @ w.conj().T) <= 1e-12

@@ -127,7 +127,7 @@ def test_dense_distance_is_taken_to_every_unit_as_read(monkeypatch, shape, mult)
     monkeypatch.setattr(stabilize_module, "max_distance", record)
     out, dist = stabilize_units(perturb_units(canonical_units(shape, mult), 1e-3, 11))
     assert dist > 0.0 and len(seen) == 1
-    assert same_bits(seen[0], dense_units(out))
+    assert same_bits(seen[0], dense_units(out)[None])
 
 
 def test_perturb_defect_scaling():
@@ -216,3 +216,35 @@ def test_stabilizer_is_exact_idempotent_and_measures_its_move(blocks, log_delta,
         assert abs(dist - loop) <= 8 * dim * np.finfo(float).eps
     else:
         assert dist == loop
+
+
+def test_perturbing_several_seeds_draws_each_as_alone():
+    exact = canonical_units((1, 4, 2), (3, 1, 2))
+    seeds = [11, 0, 11, 7]
+    for noisy, seed in zip(perturb_units(exact, 1e-3, seeds), seeds, strict=True):
+        assert same_bits(noisy.units, perturb_units(exact, 1e-3, seed).units)
+
+
+def test_a_sequence_of_candidates_is_stabilized_as_each_alone():
+    exact = canonical_units((2, 3), (2, 1))
+    noisy = perturb_units(exact, 1e-3, [4, 5])
+    mixed = [noisy[0], exact, stabilize_units(noisy[1])[0], noisy[1]]
+    for (out, dist), candidate in zip(stabilize_units(mixed), mixed, strict=True):
+        want, want_dist = stabilize_units(candidate)
+        assert dist == want_dist and (out is candidate) == (want is candidate)
+        assert same_bits(dense_units(out), dense_units(want))
+    with pytest.raises(DimensionMismatch):
+        stabilize_units([exact, canonical_units((2, 2))])
+
+
+def test_the_first_candidate_that_fails_raises_its_own_error():
+    exact = canonical_units([2])
+    good = perturb_units(exact, 1e-3, 1)
+    inadmissible = 5.0 * dense_units(exact) + 0.3 * identity(2)
+    half = dense_units(exact)
+    half[0] = 0.5 * identity(2)  # e_11 has both eigenvalues at the threshold
+    inadmissible, half = (MatrixUnitSystem((2,), 2, units=u) for u in (inadmissible, half))
+    with pytest.raises(StabilizationFailed, match="Gram defect"):
+        stabilize_units([good, inadmissible, half])
+    with pytest.raises(StabilizationFailed, match="spectral gap lost"):
+        stabilize_units([good, half, inadmissible])

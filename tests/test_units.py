@@ -230,9 +230,10 @@ def test_dense_unit_defects_match_all_pairs_at_any_scale(blocks, delta, scale, s
 
 def test_noisy_default_sweep_forms_no_vanishing_product(monkeypatch):
     """On the default stabilize-sweep's 60 noisy [5, 5] systems the bound rules
-    out all 2250 pairs whose product should vanish: the one screen per system
-    sees only the 250 pairs e_ab e_bc, the only products formed.  On exact and
-    near-rounding input a second screen takes all 2250."""
+    out all 2250 pairs whose product should vanish: besides the screen of the
+    50 adjoint residuals, the one screen per system sees only the 250 pairs
+    e_ab e_bc, the only products formed.  On exact and near-rounding input a
+    second screen takes all 2250."""
     grids = []
     screen = units_module.screened_max_norm
 
@@ -246,11 +247,11 @@ def test_noisy_default_sweep_forms_no_vanishing_product(monkeypatch):
         for s in range(20):
             grids.append([])
             unit_defects(perturb_units(exact, delta, 2024 + 1000 * s + int(1e9 * delta) % 997))
-    assert grids == [[250]] * 60
+    assert grids == [[50, 250]] * 60
     for delta in (0.0, 1e-12):
         grids.append([])
         unit_defects(perturb_units(exact, delta, 7))
-        assert grids[-1] == [250, 2250]
+        assert grids[-1] == [50, 250, 2250]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -351,3 +352,20 @@ def test_factor_scoring_split_over_rows_gives_the_same_defects(monkeypatch):
     whole = unit_defects(system)
     monkeypatch.setattr(units_module, "_WORKSPACE_BYTES", 1)  # one unit row i per op_norms call
     assert unit_defects(system) == whole
+
+
+def test_a_sequence_of_systems_is_scored_as_each_alone(monkeypatch):
+    """Dense, factored and exact systems of one shape in one call: each stack
+    gives every member the defects it gets alone, also when a factored
+    stack's residuals are split over (system, row) pairs."""
+    exact = canonical_units((2, 3), (2, 1))
+    noisy = perturb_units(exact, 1e-3, [1, 2, 3])
+    fixed = [out for out, _ in stabilize_units(noisy)]
+    mixed = [noisy[0], fixed[0], exact, noisy[1], fixed[1], noisy[2], fixed[2]]
+    alone = [unit_defects(system) for system in mixed]
+    assert unit_defects(mixed) == alone
+    monkeypatch.setattr(units_module, "_WORKSPACE_BYTES", 1)
+    assert unit_defects(mixed) == alone
+    assert unit_defects([]) == []
+    with pytest.raises(DimensionMismatch):
+        unit_defects([exact, canonical_units((2, 2))])
