@@ -20,7 +20,7 @@ from jsonschema import Draft202012Validator
 
 from .closure import distance_to_span, subalgebra_closure
 from .errors import ConfigInvalid, DimensionMismatch, DimensionOverflow, TowergenError
-from .linalg import _WORKSPACE_BYTES, DEFAULT_DIM_CAP, hermitian_part, identity, op_norm
+from .linalg import _WORKSPACE_BYTES, DEFAULT_DIM_CAP, hermitian_part, identity, op_norms
 from .microstates import (
     bound_power,
     check_unitary_bounds,
@@ -259,6 +259,12 @@ def run_recover(config: dict) -> RunReport:
     return report.close()
 
 
+def _seed_chunk(entries: int) -> int:
+    """Seeds scored together when each seed's stack holds ``entries`` complex
+    entries: at most four workspace blocks (1 MiB), and at least one seed."""
+    return max(1, 4 * _WORKSPACE_BYTES // (16 * entries))
+
+
 def run_stabilize_sweep(config: dict) -> RunReport:
     report = RunReport("stabilize-sweep", config)
     shape = tuple(config.get("shape", [5, 5]))
@@ -286,9 +292,9 @@ def run_stabilize_sweep(config: dict) -> RunReport:
     sweep_rows: List[dict] = []
     medians = {}
     # a delta's seeds are scored a chunk at a time, as one dense stack of at most
-    # four workspace blocks (1 MiB) whatever the number of seeds; a chunk's
-    # scoring holds about three such stacks at its peak
-    chunk = max(1, 4 * _WORKSPACE_BYTES // (16 * entries))
+    # 1 MiB whatever the number of seeds; a chunk's scoring holds about three
+    # such stacks at its peak
+    chunk = _seed_chunk(entries)
     for delta in deltas:
         seeds = [base_seed + 1000 * s + int(1e9 * delta) % 997 for s in range(per_delta)]
         dists = []
@@ -390,62 +396,85 @@ def _sorted_shapes_upto(total: int) -> List[tuple]:
 TABLE_ORACLE_DIM = 8  # the row-table oracle checks every case with k up to here
 
 
-def _scan_shape(shape: tuple, max_dim: int) -> List[int]:
+def _scan_block_count(shapes: np.ndarray, max_dim: int) -> List[int]:
     """[cases, compression_dim_mismatches, compression_cap_violations,
-    multiplicity_mismatches, cardinality_cap_violations] of one shape over
-    every k <= max_dim.
+    multiplicity_mismatches, cardinality_cap_violations] of an (S, r) stack
+    of shapes with r blocks each over every k <= max_dim.
 
-    The rows the multiplicity table lists at k must be positive, distinct
-    and solve c . shape = k, and there must be ``multiplicity_counts`` of
-    them: together that is the set of all solutions, so a k that fails any
-    of these is one multiplicity mismatch.  Compression dimensions
-    sum c_s^2 k_s come from one product for the whole table; the row-table
-    oracle ``_pinched_basis_count`` checks them on every case with
-    k <= TABLE_ORACLE_DIM and on the largest-dimension case of each larger
-    k.  Both caps are one comparison each: every row's dimension against
-    k^2/N, and the row count at each k against (k/N)^r, N the subrank and
-    r the number of blocks.
+    The rows the multiplicity table lists for a (shape, k) must be
+    positive, distinct and solve c . shape = k, and there must be
+    ``multiplicity_counts`` of them: together that is the set of all
+    solutions, so a (shape, k) that fails any of these is one multiplicity
+    mismatch.  Compression dimensions sum c_s^2 k_s come from one pass over
+    the table's columns; the row-table oracle ``_pinched_basis_count``
+    checks them on every case with k <= TABLE_ORACLE_DIM and on the first
+    largest-dimension case of each (shape, k) with a larger k.  Both caps
+    are one comparison each for the whole stack: every row's dimension
+    against k^2/N, and the row count of each (shape, k) against (k/N)^r, N
+    the shape's subrank.
     """
-    vec, n = np.array(shape), subrank(shape)
-    table, offsets = multiplicity_table(shape, max_dim)
-    sizes = np.diff(offsets)
-    k_of = np.repeat(np.arange(max_dim + 1), sizes)  # the k each row is listed at
-    dims = table**2 @ vec
-    bad = (table < 1).any(axis=1) | (table @ vec != k_of)
-    order = np.lexsort((*table.T[::-1], k_of))  # by k, then by row
-    repeat = (np.diff(table[order], axis=0) == 0).all(axis=1) & (np.diff(k_of[order]) == 0)
+    table, owner, k_of = multiplicity_table(shapes, max_dim)
+    width = max_dim + 1
+    group = owner * width + k_of  # the (shape, k) each row is listed at
+    dims = np.zeros(len(table), dtype=np.int64)
+    dot = np.zeros(len(table), dtype=np.int64)  # c . shape
+    bad = np.zeros(len(table), dtype=bool)
+    for c, k_s in zip(table.T, shapes.T):
+        k_s = k_s[owner]
+        dims += c * c * k_s
+        dot += c * k_s
+        bad |= c < 1
+    bad |= dot != k_of
+    order = np.lexsort((*table.T[::-1], group))  # by (shape, k), then by row
+    repeat = np.diff(group[order]) == 0
+    for c in table.T:
+        repeat &= np.diff(c[order]) == 0
     bad[order[1:][repeat]] = True
-    faulty = np.bincount(k_of[bad], minlength=max_dim + 1) > 0
-    faulty |= sizes != multiplicity_counts(shape, max_dim)
-    ks = np.arange(sum(shape), max_dim + 1)
-    card_violations = np.count_nonzero(sizes[ks] > (ks / n) ** len(shape) + 1e-9)
-    cap_violations = np.count_nonzero(dims > k_of * k_of / n + 1e-12)
-    sample = list(range(offsets[min(TABLE_ORACLE_DIM, max_dim) + 1]))
-    sample += [
-        offsets[k] + int(np.argmax(dims[offsets[k] : offsets[k + 1]]))
-        for k in range(TABLE_ORACLE_DIM + 1, max_dim + 1)
-        if sizes[k]
-    ]
-    dim_mismatches = 0
-    for i in sample:
-        if bad[i]:
-            continue  # already a multiplicity mismatch, and no embedding
-        dim_mismatches += dims[i] != _pinched_basis_count(shape, table[i].tolist(), int(k_of[i]))
-    cases = int(offsets[-1] - offsets[1])
+    sizes = np.bincount(group, minlength=len(shapes) * width).reshape(-1, width)
+    faulty = np.bincount(group[bad], minlength=sizes.size).reshape(sizes.shape) > 0
+    faulty |= sizes != [multiplicity_counts(shape, max_dim) for shape in shapes.tolist()]
+    n, ks = shapes.min(axis=1), np.arange(width)
+    over = sizes > (ks / n[:, None]) ** shapes.shape[1] + 1e-9
+    card_violations = np.count_nonzero(over & (ks >= shapes.sum(axis=1)[:, None]))
+    cap_violations = np.count_nonzero(dims > k_of * k_of / n[owner] + 1e-12)
+    # the first largest-dimension row of each (shape, k > TABLE_ORACLE_DIM)
+    large = np.flatnonzero(k_of > TABLE_ORACLE_DIM)
+    large = large[np.lexsort((-dims[large], group[large]))]  # stable: ties in table order
+    first = np.diff(group[large], prepend=-1) != 0
+    sample = np.concatenate([np.flatnonzero(k_of <= TABLE_ORACLE_DIM), large[first]])
+    sample = sample[~bad[sample]]  # a bad row is already a mismatch, and no embedding
+    names = [tuple(shape) for shape in shapes.tolist()]
+    dim_mismatches = sum(
+        dim != _pinched_basis_count(names[i], row, k)
+        for i, row, k, dim in zip(
+            owner[sample].tolist(), table[sample].tolist(), k_of[sample].tolist(),
+            dims[sample].tolist(),
+        )
+    )
+    cases = len(table)
     return [cases, dim_mismatches, cap_violations, int(np.count_nonzero(faulty)), card_violations]
+
+
+def _scan_shapes(max_dim: int) -> List[int]:
+    """The ``_scan_block_count`` totals over every sorted shape with sum at
+    most max_dim, the shapes of each block count one stack."""
+    by_blocks: Dict[int, List[tuple]] = {}
+    for shape in _sorted_shapes_upto(max_dim):
+        by_blocks.setdefault(len(shape), []).append(shape)
+    totals = np.zeros(5, dtype=np.int64)
+    for stack in by_blocks.values():
+        totals += _scan_block_count(np.array(stack), max_dim)
+    return totals.tolist()
 
 
 def run_counting_check(config: dict) -> RunReport:
     """Counting's combinatorial facts on every sorted shape and multiplicity
-    tuple with k = c . shape <= max_dim (see ``_scan_shape``), then the
+    tuple with k = c . shape <= max_dim (see ``_scan_shapes``), then the
     pinching-defect sample on one shape.
     """
     report = RunReport("counting-check", config)
     max_dim = config.get("max_dim", 12)
-    totals = np.zeros(5, dtype=np.int64)
-    for shape in _sorted_shapes_upto(max_dim):
-        totals += _scan_shape(shape, max_dim)
-    cases, dim_mismatches, cap_violations, mult_mismatches, card_violations = totals.tolist()
+    cases, dim_mismatches, cap_violations, mult_mismatches, card_violations = _scan_shapes(max_dim)
     report.add("cases", cases, None, True)
     report.check("compression_dim_mismatches", dim_mismatches, 0)
     report.check("compression_cap_violations", cap_violations, 0)
@@ -463,20 +492,36 @@ def run_counting_check(config: dict) -> RunReport:
     units = canonical_units(shape, mult)
     # the square of each diagonal unit's table row, in unit order
     squares = [np.ix_(row, row) for table in units.rows for row in table]
+    # a chunk of seeds is drawn into one (seeds, k, k) stack of each kind and
+    # scored with one op_norms call per quantity
+    chunk = _seed_chunk(k * k)
     rng_root = np.random.SeedSequence(base_seed)
     radius_max = 1.0
     for omega in omegas:
         worst = 0.0
-        for child in rng_root.spawn(per_omega):
-            rng = np.random.default_rng(child)
-            block_diag = np.zeros((k, k), dtype=np.complex128)
-            for square in squares:
-                h = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-                block_diag[square] = hermitian_part(h)[square]
-            noise = hermitian_part(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
-            sample = block_diag + omega * noise / op_norm(noise)
-            radius_max = max(radius_max, op_norm(sample))
-            worst = max(worst, pinching_defect([sample], units)[0])
+        children = rng_root.spawn(per_omega)
+        for top in range(0, per_omega, chunk):
+            part = children[top : top + chunk]
+            block_diag = np.zeros((len(part), k, k), dtype=np.complex128)
+            noise = np.empty_like(block_diag)
+            for t, child in enumerate(part):  # each seed draws as alone, in order
+                rng = np.random.default_rng(child)
+                for square in squares:
+                    re, im = rng.standard_normal((2, k, k))
+                    block_diag[t][square] = re[square] + 1j * im[square]
+                re, im = rng.standard_normal((2, k, k))
+                noise[t] = re + 1j * im
+            # the squares are disjoint and closed under transposition, so these
+            # are the Hermitian parts of each seed's draws, entry for entry
+            block_diag, noise = hermitian_part(block_diag), hermitian_part(noise)
+            # omega * noise / ||noise|| + block_diag, in place, bit for bit
+            norms = op_norms(noise)
+            noise *= omega
+            noise /= norms[:, None, None]
+            noise += block_diag
+            del block_diag
+            radius_max = max(radius_max, float(op_norms(noise).max()))
+            worst = max(worst, float(pinching_defect(noise, units).max()))
         report.check(f"pinching_defect_omega{omega:g}", worst, 2 * omega + 1e-10)
         # reference value only: compressed-ball cover cap (12R/omega)^(n k^2 / N)
         reference = bound_power(

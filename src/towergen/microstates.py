@@ -16,7 +16,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .errors import DimensionMismatch, DimensionOverflow
-from .linalg import _WORKSPACE_BYTES, op_norm, op_norms
+from .linalg import _WORKSPACE_BYTES, op_norms
 from .report import ReportRow
 from .units import MatrixUnitSystem, normalize_shape
 
@@ -180,27 +180,43 @@ def _lower_row(name: str, count: int, lower: float) -> ReportRow:
     return ReportRow(name, count, lower, count >= lower)
 
 
-def multiplicity_table(shape: Sequence[int], max_dim: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Every positive multiplicity tuple c with c . shape <= max_dim, grouped by k.
+def multiplicity_table(
+    shapes: Sequence[int] | Sequence[Sequence[int]], max_dim: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every positive multiplicity tuple c with c . shape <= max_dim of each
+    shape of an (S, r) stack of shapes with r blocks each; a single shape is
+    the stack of one.
 
-    Returns an (m, r) int64 table and a (max_dim + 2,) offset array: the
-    tuples embedding the shape unitally in M_k are the rows
-    ``table[offsets[k]:offsets[k + 1]]``, in lexicographic order.  The table
-    grows one block at a time; block s takes every c_s that leaves room for
-    one copy of each later block.
+    Returns an (m, r) int64 table, the (m,) index into the stack of each
+    row's shape and the (m,) k = c . shape of each row.  The rows are sorted
+    by shape, then by k, and the tuples at one k, those embedding the shape
+    unitally in M_k, are in lexicographic order.  The table grows one block
+    column at a time for the whole stack; block s of a shape takes every c_s
+    that leaves room for one copy of each later block.
     """
-    shape = normalize_shape(shape)
-    later = np.cumsum((0,) + shape[:0:-1])[::-1]  # sum of the blocks after s
-    table = np.zeros((1, 0), dtype=np.int64)
-    used = np.zeros(1, dtype=np.int64)  # c . shape of each partial row
-    for k_s, rest in zip(shape, later):
-        counts = np.maximum((max_dim - rest - used) // k_s, 0)
+    shapes = np.asarray(shapes, dtype=np.int64)
+    if shapes.ndim == 1:
+        shapes = shapes[None]
+    if shapes.ndim != 2 or not shapes.shape[1] or (shapes < 1).any():
+        raise DimensionMismatch("shapes must be an (S, r) stack of positive block sizes, r >= 1")
+    later = shapes.sum(axis=1)[:, None] - np.cumsum(shapes, axis=1)  # the blocks after s
+    columns: List[np.ndarray] = []  # the partial rows, one column per block so far
+    owner = np.arange(len(shapes))  # the shape each partial row belongs to
+    used = np.zeros(len(shapes), dtype=np.int64)  # c . shape of each partial row
+    for k_s, rest in zip(shapes.T, later.T):
+        counts = np.maximum((max_dim - rest[owner] - used) // k_s[owner], 0)
         parent = np.repeat(np.arange(len(used)), counts)
         c = np.arange(1, len(parent) + 1) - np.repeat(np.cumsum(counts) - counts, counts)
-        table = np.column_stack([table[parent], c])
-        used = used[parent] + c * k_s
-    order = np.argsort(used, kind="stable")
-    return table[order], np.searchsorted(used[order], np.arange(max_dim + 2))
+        owner = owner[parent]
+        for s, column in enumerate(columns):
+            columns[s] = column[parent]
+        columns.append(c)
+        used = used[parent] + c * k_s[owner]
+    order = np.argsort(owner * (max_dim + 1) + used, kind="stable")
+    table = np.empty((len(order), shapes.shape[1]), dtype=np.int64)
+    for s in reversed(range(len(columns))):
+        table[:, s] = columns.pop()[order]  # each column freed once copied
+    return table, owner[order], used[order]
 
 
 def multiplicity_counts(shape: Sequence[int], max_dim: int) -> np.ndarray:
@@ -221,20 +237,19 @@ def multiplicity_counts(shape: Sequence[int], max_dim: int) -> np.ndarray:
     return np.array(counts, dtype=np.int64)
 
 
-def pinching_defect(elems: Sequence[np.ndarray], units: MatrixUnitSystem) -> List[float]:
-    """Per-element distance to its own diagonal-block pinching.
+def pinching_defect(elems: np.ndarray | Sequence[np.ndarray], units: MatrixUnitSystem) -> np.ndarray:
+    """Distance of each matrix of an (n, k, k) stack to its own diagonal-block
+    pinching; a sequence of matrices is stacked.
 
     For a tuple within omega of block-diagonal form the defect is at most
     2*omega: the pinching is a contraction and fixes the block part.  x
-    minus its pinching is x with the square of every table row zeroed.
+    minus its pinching is x with the square of every table row zeroed, one
+    scatter per block for the whole stack, and the defects are one
+    ``op_norms`` call, each bit-identical to ``op_norm`` of its matrix.
     """
     if units.rows is None:
         raise DimensionMismatch("pinching_defect needs an exact unit system")
-    squares = [np.ix_(row, row) for table in units.rows for row in table]
-    out = []
-    for x in elems:
-        off = np.array(x, dtype=np.complex128)
-        for square in squares:
-            off[square] = 0.0
-        out.append(float(op_norm(off)))
-    return out
+    off = np.array(elems, dtype=np.complex128)
+    for table in units.rows:  # every row's square: (row i, coordinate t, t')
+        off[:, table[:, :, None], table[:, None, :]] = 0.0
+    return op_norms(off)

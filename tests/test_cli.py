@@ -13,7 +13,7 @@ import towergen
 import towergen.cli as cli
 from towergen.cli import main, resolve_tower_spec, run, validate_config
 from towergen.errors import ConfigInvalid
-from towergen.microstates import multiplicity_table
+from towergen.microstates import multiplicity_counts, multiplicity_table
 from towergen.recovery import CLUSTER_HALFWIDTH, COMPLEMENT_BOUND, round_trip
 from towergen.similarity import run_identity_sweep, sweep_rows
 from towergen.stabilize import perturb_units, stabilize_units
@@ -329,7 +329,7 @@ def dense_pinched_count(shape, mult, k: int) -> int:
 def test_pinched_basis_count_matches_dense_supports():
     cases = 0
     for shape in cli._sorted_shapes_upto(8):
-        table, _ = multiplicity_table(shape, 8)
+        table, _, _ = multiplicity_table([shape], 8)
         for mult in table.tolist():
             k = int(np.dot(mult, shape))
             assert cli._pinched_basis_count(shape, mult, k) == dense_pinched_count(shape, mult, k)
@@ -338,18 +338,23 @@ def test_pinched_basis_count_matches_dense_supports():
 
 
 def edited_table(monkeypatch, edit):
-    """Make counting-check's multiplicity table of shape (1, 2) go through
-    ``edit(table, i)``, i the first of its rows (1, 2), (3, 1) at k = 5;
-    ``edit`` returns the new table and the shift of every offset past i."""
+    """Make counting-check's multiplicity table of the two-block shapes go
+    through ``edit(table, i)``, i the first of shape (1, 2)'s rows (1, 2),
+    (3, 1) at k = 5; ``edit`` returns the new table and the number of rows
+    it inserts at i (negative: deletes from i), each a row of (1, 2) at k = 5."""
     real = cli.multiplicity_table
 
-    def patched(shape, max_dim):
-        table, offsets = real(shape, max_dim)
-        if tuple(shape) != (1, 2):
-            return table, offsets
-        i = int(offsets[5])
+    def patched(shapes, max_dim):
+        table, owner, k = real(shapes, max_dim)
+        shapes = np.asarray(shapes).tolist()
+        if [1, 2] not in shapes:
+            return table, owner, k
+        i = int(np.flatnonzero((owner == shapes.index([1, 2])) & (k == 5))[0])
+        assert table[i].tolist() == [1, 2] and table[i + 1].tolist() == [3, 1]
         table, shift = edit(table.copy(), i)
-        return table, offsets + shift * (offsets > i)
+        rows = np.arange(len(k))  # the row of owner and k each edited row takes
+        rows = np.delete(rows, range(i, i - shift)) if shift < 0 else np.insert(rows, i, [i] * shift)
+        return table, owner[rows], k[rows]
 
     monkeypatch.setattr(cli, "multiplicity_table", patched)
 
@@ -388,7 +393,7 @@ def test_counting_check_catches_a_faulty_multiplicity_table(tmp_path, monkeypatc
     edited_table(monkeypatch, edit)
     status, row = counting_row(tmp_path, "multiplicity_mismatches")
     assert status == 1
-    assert row["measured"] >= 1 and not row["pass"]
+    assert row["measured"] == 1 and not row["pass"]  # (1, 2) at k = 5
 
 
 def test_counting_check_catches_a_wrong_compression_dimension(tmp_path, monkeypatch):
@@ -409,7 +414,7 @@ def test_counting_check_catches_a_row_above_the_compression_cap(tmp_path, monkey
     edited_table(monkeypatch, swap_row(0, (9, 9)))
     status, row = counting_row(tmp_path, "compression_cap_violations")
     assert status == 1
-    assert row["measured"] >= 1 and not row["pass"]
+    assert row["measured"] == 1 and not row["pass"]
 
 
 @pytest.mark.parametrize("copies, violations", [(23, 0), (24, 1)])
@@ -425,6 +430,98 @@ def test_counting_check_catches_a_count_above_the_cardinality_cap(
     status, row = counting_row(tmp_path, "cardinality_cap_violations")
     assert status == 1  # every copy is also a multiplicity mismatch
     assert row["measured"] == violations and row["pass"] == (violations == 0)
+
+
+def per_shape_scan(shape: tuple, max_dim: int) -> list:
+    """The counting totals of one shape, scanned alone: the reference for
+    ``cli._scan_block_count``, whose stacks must give the same totals and
+    hand the row-table oracle the same cases."""
+    vec, n = np.array(shape), min(shape)
+    table, _, k_of = multiplicity_table([shape], max_dim)
+    offsets = np.searchsorted(k_of, np.arange(max_dim + 2))
+    sizes = np.diff(offsets)
+    dims = table**2 @ vec
+    bad = (table < 1).any(axis=1) | (table @ vec != k_of)
+    order = np.lexsort((*table.T[::-1], k_of))
+    repeat = (np.diff(table[order], axis=0) == 0).all(axis=1) & (np.diff(k_of[order]) == 0)
+    bad[order[1:][repeat]] = True
+    faulty = np.bincount(k_of[bad], minlength=max_dim + 1) > 0
+    faulty |= sizes != multiplicity_counts(shape, max_dim)
+    ks = np.arange(sum(shape), max_dim + 1)
+    card_violations = np.count_nonzero(sizes[ks] > (ks / n) ** len(shape) + 1e-9)
+    cap_violations = np.count_nonzero(dims > k_of * k_of / n + 1e-12)
+    sample = list(range(offsets[min(cli.TABLE_ORACLE_DIM, max_dim) + 1]))
+    sample += [
+        offsets[k] + int(np.argmax(dims[offsets[k] : offsets[k + 1]]))
+        for k in range(cli.TABLE_ORACLE_DIM + 1, max_dim + 1)
+        if sizes[k]
+    ]
+    dim_mismatches = 0
+    for i in sample:
+        if not bad[i]:
+            dim_mismatches += dims[i] != cli._pinched_basis_count(shape, table[i].tolist(), int(k_of[i]))
+    cases = int(offsets[-1] - offsets[1])
+    return [cases, dim_mismatches, cap_violations, int(np.count_nonzero(faulty)), card_violations]
+
+
+def test_stacked_scan_equals_the_per_shape_scan(monkeypatch):
+    """Same five totals at every max_dim, and the same oracle cases: 474 at
+    max_dim 8 (every case) and 1081 at 12."""
+    calls, count = [], cli._pinched_basis_count
+
+    def record(shape, mult, k):
+        calls.append((tuple(shape), tuple(mult), k))
+        return count(shape, mult, k)
+
+    monkeypatch.setattr(cli, "_pinched_basis_count", record)
+    for max_dim in range(1, 13):
+        stacked = cli._scan_shapes(max_dim)
+        stacked_calls = sorted(calls)
+        calls.clear()
+        alone = np.sum([per_shape_scan(s, max_dim) for s in cli._sorted_shapes_upto(max_dim)], axis=0)
+        assert stacked == alone.tolist()
+        assert stacked_calls == sorted(calls) and len(set(stacked_calls)) == len(calls)
+        assert len(calls) == {8: 474, 12: 1081}.get(max_dim, len(calls))
+        calls.clear()
+    assert stacked[0] == 8017
+
+
+@pytest.mark.parametrize("workspace, chunks", [(100, [1] * 20), (300, [3] * 6 + [2]), (None, [20])])
+def test_pinching_chunks_leave_the_report_unchanged(monkeypatch, workspace, chunks):
+    """One seed, three seeds or all 20 per chunk give the same report body."""
+    config = {"max_dim": 2}
+    reference = run("counting-check", config).body_bytes()
+    seen, defect = [], cli.pinching_defect
+
+    def record(elems, units):
+        seen.append(len(elems))
+        return defect(elems, units)
+
+    if workspace is not None:
+        monkeypatch.setattr(cli, "_WORKSPACE_BYTES", workspace)  # 25 entries of 16 bytes each
+    monkeypatch.setattr(cli, "pinching_defect", record)
+    assert run("counting-check", config).body_bytes() == reference
+    assert seen == chunks * 2  # per omega
+
+
+@pytest.mark.parametrize("k", [1, 5, 64, 255, 256, 257, 1024, 4096])
+def test_pinching_chunk_stays_within_its_workspace(k):
+    """A chunk's (seeds, k, k) stack holds at most 1 MiB, or one matrix."""
+    stack = cli._seed_chunk(k * k) * 16 * k * k
+    assert stack <= max(4 * cli._WORKSPACE_BYTES, 16 * k * k)
+    assert cli._seed_chunk(k * k) == 1 or stack > 2 * cli._WORKSPACE_BYTES
+
+
+def test_counting_check_at_max_dim_16_stays_small():
+    """130278 cases in stacks of one block count stay under 8 MiB."""
+    tracemalloc.start()
+    try:
+        report = run("counting-check", {"max_dim": 16})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.rows[0].measured == 130278
+    assert peak < 8 << 20
 
 
 def test_stabilize_sweep_fails_on_nan_defects(monkeypatch):

@@ -219,17 +219,22 @@ def numeric_pinched_dimension(shape, mult, k):
 
 def rows_at(shape, k):
     """The multiplicity table's rows at k, as tuples in table order."""
-    table, offsets = multiplicity_table(shape, k)
-    return [tuple(row) for row in table[offsets[k] : offsets[k + 1]].tolist()]
+    table, _, k_of = multiplicity_table([shape], k)
+    return [tuple(row) for row in table[k_of == k].tolist()]
 
 
 def table_dimension(shape, mult):
     """counting-check's compression dimension of one tuple: its row of
     ``table**2 @ shape`` in the multiplicity table."""
     k = int(np.dot(mult, shape))
-    table, offsets = multiplicity_table(shape, k)
-    i = offsets[k] + rows_at(shape, k).index(tuple(mult))
+    table, _, k_of = multiplicity_table([shape], k)
+    i = np.flatnonzero(k_of == k)[rows_at(shape, k).index(tuple(mult))]
     return int((table**2 @ np.array(shape))[i])
+
+
+def scan(shape, max_dim):
+    """counting-check's five totals for one shape, a stack of one."""
+    return cli._scan_block_count(np.array([shape]), max_dim)
 
 
 def test_compression_dimension_examples():
@@ -237,7 +242,7 @@ def test_compression_dimension_examples():
     assert table_dimension((2, 3), (1, 1)) == 5
     assert cli._pinched_basis_count((2, 3), (1, 1), 5) == 5
     assert numeric_pinched_dimension((2, 3), (1, 1), 5) == 5
-    assert cli._scan_shape((2, 3), 5)[1:3] == [0, 0]  # no dimension mismatch, 5 <= 25/2
+    assert scan((2, 3), 5)[1:3] == [0, 0]  # no dimension mismatch, 5 <= 25/2
 
 
 def test_compression_dimension_tight_case():
@@ -245,7 +250,7 @@ def test_compression_dimension_tight_case():
     n = 4
     assert table_dimension((n,), (1,)) == n == n * n / n
     assert cli._pinched_basis_count((n,), (1,), n) == n
-    assert cli._scan_shape((n,), n) == [1, 0, 0, 0, 0]
+    assert scan((n,), n) == [1, 0, 0, 0, 0]
 
 
 def test_compression_dimension_numeric_oracle_sweep():
@@ -263,7 +268,7 @@ def test_enumerate_multiplicities_examples():
     assert (1, 1, 1) in rows_at((1, 2, 3), 6)
     assert all(np.dot(m, (1, 2, 3)) == 6 for m in rows_at((1, 2, 3), 6))
     # one tuple at k = 5 against the cardinality cap (5/2)^2 = 6.25
-    assert cli._scan_shape((2, 3), 5)[3:] == [0, 0]
+    assert scan((2, 3), 5)[3:] == [0, 0]
 
 
 def test_enumerate_multiplicities_matches_product_scan():
@@ -276,28 +281,43 @@ def test_enumerate_multiplicities_matches_product_scan():
         if 2 * c1 + 3 * c2 == k
     ]
     assert sorted(rows_at(shape, k)) == sorted(brute)
-    assert cli._scan_shape(shape, k)[4] == 0  # every count within its cardinality cap
+    assert scan(shape, k)[4] == 0  # every count within its cardinality cap
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
-    shape=st.lists(st.integers(1, 6), min_size=1, max_size=4).map(lambda s: tuple(sorted(s))),
+    shapes=st.integers(1, 4).flatmap(
+        lambda r: st.lists(
+            st.lists(st.integers(1, 6), min_size=r, max_size=r).map(sorted), min_size=1, max_size=4
+        )
+    ),
     k=st.integers(1, 20),
 )
-def test_multiplicity_table_is_every_positive_solution(shape, k):
-    """At k, the table's rows and a product scan list the same tuples, and
-    the generating-function count is their number."""
-    brute = {
-        c
-        for c in itertools.product(*(range(1, k // k_s + 1) for k_s in shape))
-        if np.dot(c, shape) == k
-    }
-    table, offsets = multiplicity_table(shape, 20)
-    rows = [tuple(row) for row in table[offsets[k] : offsets[k + 1]].tolist()]
-    assert len(rows) == len(brute) and set(rows) == brute
-    assert multiplicity_counts(shape, 20)[k] == len(brute)
-    if k < sum(shape):
-        assert not rows
+def test_multiplicity_table_is_every_positive_solution(shapes, k):
+    """At k, each shape's rows in a stack of shapes of one length and a
+    product scan list the same tuples, and the generating-function count is
+    their number; a shape's rows are those of its stack of one."""
+    table, owner, k_of = multiplicity_table(shapes, 20)
+    assert np.all(np.diff(owner * 21 + k_of) >= 0)  # by shape, then by k
+    for s, shape in enumerate(shapes):
+        brute = {
+            c
+            for c in itertools.product(*(range(1, k // k_s + 1) for k_s in shape))
+            if np.dot(c, shape) == k
+        }
+        rows = [tuple(row) for row in table[(owner == s) & (k_of == k)].tolist()]
+        assert rows == sorted(rows) and len(rows) == len(brute) and set(rows) == brute
+        assert multiplicity_counts(shape, 20)[k] == len(brute)
+        if k < sum(shape):
+            assert not rows
+        alone, _, k_alone = multiplicity_table([shape], 20)
+        assert np.array_equal(table[owner == s], alone) and np.array_equal(k_of[owner == s], k_alone)
+
+
+@pytest.mark.parametrize("shapes", [[[1, 0]], [[]], [[[2]]], [2, -1]])
+def test_multiplicity_table_rejects_a_bad_stack(shapes):
+    with pytest.raises(DimensionMismatch):
+        multiplicity_table(shapes, 5)
 
 
 def test_pinching_defect_bound():
@@ -325,8 +345,10 @@ def test_pinching_defect_equals_dense_pinching(shape, mult):
     diags = [units.unit(s, i, i) for s, size in enumerate(shape, 1) for i in range(1, size + 1)]
     rng = np.random.default_rng(4)
     elems = [rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)) for _ in range(5)]
-    dense = [op_norm(x - sum(p @ x @ p for p in diags)) for x in elems]
-    assert pinching_defect(elems, units) == dense
+    dense = np.array([op_norm(x - sum(p @ x @ p for p in diags)) for x in elems])
+    assert pinching_defect(np.stack(elems), units).tobytes() == dense.tobytes()
+    assert pinching_defect(elems, units).tobytes() == dense.tobytes()
+    assert pinching_defect(elems[2:3], units).tobytes() == dense[2:3].tobytes()
 
 
 def test_pinching_defect_needs_an_exact_system():
