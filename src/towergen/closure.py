@@ -8,7 +8,9 @@ different blocks.  ``subalgebra_closure`` reads the blocks off one seeded
 element (Murota, Kanno, Kojima & Kojima, JJIAM 27, 2010):
 
 - h = x + (xy + yx)/2 + i(xy - yx)/2, with x and y random mixtures of the
-  generators (each scaled to unit Frobenius norm) and their adjoints;
+  generators (each scaled to unit Frobenius norm, after an exact power-of-two
+  scaling that keeps the norm from underflowing or overflowing) and their
+  adjoints;
 - eigenvalues of h whose gap is at most ``GAP_TOL * ||h||`` form a cluster;
 - two clusters are joined when some scaled generator has an entry above
   ``EDGE_TOL`` between them in h's eigenbasis;
@@ -21,10 +23,13 @@ e_ij = sum_t |R[i, t]><R[j, t]| of Frobenius norm sqrt(c).  Their part of
 the random mixtures is one scatter of the k^2 coefficients / sqrt(c) onto
 the positions (R[i, t], R[j, t]), distinct within a block, and their
 entries in h's eigenbasis are V[R_i]^* V[R_j] / sqrt(c), V[R_i] the c rows
-of the eigenvector matrix on row i of R, at most ``_CHUNK`` d x d products
-at a time, as for dense generators.  The units' coefficients are drawn
-first, system by system in ``keys()`` order, so the certificate is that of
-the dense units listed before the dense generators, up to rounding.
+of the eigenvector matrix on row i of R.  For c > 1 these are formed at most
+``_CHUNK`` d x d products at a time, as for dense generators.  For c = 1 the
+moduli factor, |V[R_i, p]| |V[R_j, q]|, so the block's entrywise maximum is
+the outer product of the row maxima max_i |V[R_i, p]| and no product is
+formed.  The units' coefficients are drawn first, system by system in
+``keys()`` order, so the certificate is that of the dense units listed
+before the dense generators, up to rounding.
 
 Tolerances.  ``eigh`` is backward stable, so an eigenvector whose eigenvalue
 lies a gap g from the rest of the spectrum is off by an angle of about
@@ -34,14 +39,19 @@ such entries stay near eps/GAP_TOL ~ 2e-10, some 45 times under EDGE_TOL.
 This error lies in the eigenvectors, so it is the same for both kinds of
 generator; the product itself adds rounding of about d*eps for a dense
 generator and sqrt(c)*eps for a unit read by table (c terms, over
-sqrt(c)), far below it.
+sqrt(c)), and a rank-one block read by row maxima a few eps relative (two
+moduli and one product), all far below it.  The power-of-two scaling of a
+generator is exact for normal entries, so s/||s|| is bit for bit what it
+was without it wherever ||s|| did not underflow or overflow; subnormal
+entries are read exactly, with only the bits they kept.
 Eigenvalues closer than GAP_TOL * ||h|| are not resolved.  The certificate
 records its margins: the smallest relative gap between clusters, the weakest
 edge that keeps a component connected, and the strongest edge it cut.
 
 It fails closed with ``NoSpectralGap``: when a component's clusters differ
 in size (h was not generic at this tolerance), and when a distance is asked
-on a component with repeated clusters and more than one cluster.
+on a component with repeated clusters and more than one cluster.  A
+generator with a NaN or infinite entry raises ``NonFiniteValue``.
 """
 
 from __future__ import annotations
@@ -51,7 +61,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoSpectralGap
+from .errors import DimensionMismatch, NoSpectralGap, NonFiniteValue
 from .linalg import _lapack, as_operator, op_norm
 from .units import MatrixUnitSystem
 
@@ -119,9 +129,19 @@ def distance_to_span(x: np.ndarray, basis: StructureCertificate) -> Tuple[float,
 
 
 def _unit_chunks(gens: List[np.ndarray]):
-    """(offset, stack) per chunk of generators, each scaled to unit Frobenius norm."""
+    """(offset, stack) per chunk of generators, each scaled to unit Frobenius norm.
+
+    Each generator is first scaled by 2^-p, p the exponent of its largest
+    real or imaginary part, so its norm neither underflows nor overflows;
+    the scaling is exact for normal entries.
+    """
     for lo in range(0, len(gens), _CHUNK):
         stack = np.stack(gens[lo : lo + _CHUNK])
+        if not np.isfinite(stack).all():
+            raise NonFiniteValue("closure: a generator has non-finite entries")
+        _, p = np.frexp(np.abs(stack.view(np.float64)).max(axis=(1, 2)))
+        # -1021 keeps 2^-p finite for a generator of subnormal entries only
+        stack *= np.ldexp(1.0, -np.maximum(p, -1021))[:, None, None]
         norms = np.linalg.norm(stack, axis=(1, 2))
         yield lo, stack / np.where(norms > 0, norms, 1.0)[:, None, None]
 
@@ -167,10 +187,18 @@ def _block_entries(v: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Entrywise maximum of |v^* e_ij v| / sqrt(c) over the units of one block.
 
     With V[R_i] the c rows of v on the table's row i, v^* e_ij v is
-    V[R_i]^* V[R_j], and sqrt(c) is the unit's Frobenius norm.  At most
-    ``_CHUNK`` of these d x d products exist at once.
+    V[R_i]^* V[R_j], and sqrt(c) is the unit's Frobenius norm.  For c > 1
+    at most ``_CHUNK`` of these d x d products exist at once.
+
+    A table of one column (rank-one units) needs none of them: entry (p, q)
+    is conj(v[R_i, p]) v[R_j, q], of modulus |v[R_i, p]| |v[R_j, q]|, so
+    the maximum over (i, j) is top[p] top[q] with top[p] = max_i |v[R_i, p]|,
+    in O(k d) work and within a few eps relative of the products' moduli.
     """
     k, c = table.shape
+    if c == 1:
+        top = np.abs(v[table[:, 0]]).max(axis=0)
+        return np.outer(top, top)
     rows = v[table]  # (k, c, d)
     adj = rows.conj().transpose(0, 2, 1)
     i, j = np.divmod(np.arange(k * k), k)

@@ -125,11 +125,13 @@ def assert_same_certificate(cert, reference):
 
 ORACLE_TOWERS = [
     {"preset": "T0"}, {"preset": "T1b"}, {"preset": "T1"}, {"preset": "T1", "recipe": "uhf"},
-    {"shapes": [[4], [19]], "mode": "relaxed"},
+    {"shapes": [[4], [19]], "mode": "relaxed"}, {"shapes": [[20]]},
 ]
 
 
-@pytest.mark.parametrize("config", ORACLE_TOWERS, ids=["T0", "T1b", "T1", "T1-uhf", "4-19"])
+@pytest.mark.parametrize(
+    "config", ORACLE_TOWERS, ids=["T0", "T1b", "T1", "T1-uhf", "4-19", "20"]
+)
 def test_units_by_table_match_the_dense_unit_list(config):
     """The oracle side of ``recover``: units, couplings and I."""
     model = build_tower(resolve_tower_spec(config))
@@ -164,6 +166,63 @@ def test_block_entries_are_the_dense_maximum():
     dense = np.max(mags, axis=0)
     assert len(units.keys()) > closure._CHUNK
     assert np.allclose(closure._block_entries(q, units.rows[0]), dense, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("k", [20, 13])
+def test_rank_one_block_entries_are_the_dense_maximum(k):
+    """Units |R_i><R_j| on k shuffled coordinates of 20, read by row maxima:
+    the maximum of products of moduli, within a few ulps of the moduli of
+    the dense products."""
+    rng = np.random.default_rng(7)
+    table = rng.permutation(20)[:k, None]
+    q, _ = np.linalg.qr(_gaussian(rng, 20))
+    eye = np.eye(20)
+    dense = np.max(
+        [abs(q.conj().T @ np.outer(eye[a], eye[b]) @ q) for a in table[:, 0] for b in table[:, 0]],
+        axis=0,
+    )
+    got = closure._block_entries(q, table)
+    assert np.allclose(got, dense, rtol=8 * np.finfo(float).eps, atol=0)
+
+
+def _generic_pair():
+    """Two Hermitian 4 x 4 matrices that generate M_4."""
+    rng = np.random.default_rng(5)
+    pair = [_gaussian(rng, 4) for _ in range(2)]
+    return [g + g.conj().T for g in pair]
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1.0, 1e160, 1e300])
+def test_closure_is_independent_of_the_generators_scale(scale):
+    """Generator norms are taken at an exact power-of-two scale, so they
+    neither underflow nor overflow."""
+    pair = _generic_pair()
+    reference = subalgebra_closure(pair)
+    assert reference.blocks == [(1, 4)]
+    assert_same_certificate(subalgebra_closure([g * scale for g in pair]), reference)
+
+
+def test_closure_reads_subnormal_generators_exactly():
+    """At 1e-320 the entries keep about 11 bits, as integer multiples of
+    2^-1074.  Closure reads them exactly: the certificate is bit for bit that
+    of the same integers, which still generate M_4, with margins moved by
+    the input's rounding."""
+    small = [g * 1e-320 for g in _generic_pair()]
+    cert = subalgebra_closure(small)
+    integers = subalgebra_closure([g * 2.0**1000 * 2.0**74 for g in small])
+    assert cert.blocks == integers.blocks == [(1, 4)]
+    assert np.array_equal(cert.eigvecs, integers.eigvecs)
+    assert (cert.min_gap, cert.weakest_edge) == (integers.min_gap, integers.weakest_edge)
+    assert cert.weakest_edge != subalgebra_closure(_generic_pair()).weakest_edge
+
+
+def test_closure_handles_zero_and_rejects_non_finite_generators():
+    pair = _generic_pair()
+    assert subalgebra_closure([np.zeros((4, 4))]).blocks == [(4, 1)]
+    assert subalgebra_closure([np.zeros((4, 4)), *pair]).blocks == [(1, 4)]
+    for bad in (np.nan, np.inf, -np.inf, 1j * np.inf):
+        with pytest.raises(NonFiniteValue):
+            subalgebra_closure([pair[0], np.diag([bad, 1.0, 1.0, 1.0])])
 
 
 def test_systems_alone_are_generators():
