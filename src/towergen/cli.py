@@ -23,12 +23,13 @@ from .errors import ConfigInvalid, DimensionMismatch, DimensionOverflow, Towerge
 from .linalg import _WORKSPACE_BYTES, DEFAULT_DIM_CAP, hermitian_part, identity, op_norms
 from .microstates import (
     bound_power,
-    check_unitary_bounds,
-    greedy_packing,
+    greedy_cover,
     haar_unitaries,
     multiplicity_counts,
     multiplicity_table,
     pinching_defect,
+    unitary_bound_rows,
+    unitary_bounds,
 )
 from .presets import list_presets, preset_spec
 from .recovery import round_trip
@@ -140,6 +141,9 @@ SCHEMAS: Dict[str, dict] = {
 # Older subcommand names; each runs, and reports exactly as, its canonical command.
 ALIASES = {"tower-build": "tower-check", "gen-construct": "gen-verify"}
 
+# Field pairs a config may not both give: the runner would read one and ignore the other.
+EXCLUSIVE_FIELDS = [("preset", "shapes"), ("omega", "omegas")]
+
 DEFAULT_PINCHING_SHAPE = [2, 3]  # counting-check's pinching sample
 
 # Per command: a shape field, its default, and the field giving one multiplicity
@@ -165,6 +169,11 @@ def validate_config(command: str, config: dict) -> None:
         raise ConfigInvalid(f"config field {path}: not a finite number", path=path)
     if schema is TOWER_SCHEMA and "preset" not in config and "shapes" not in config:
         raise ConfigInvalid("config needs either 'preset' or 'shapes'", path="shapes")
+    for first, second in EXCLUSIVE_FIELDS:
+        if first in config and second in config:
+            raise ConfigInvalid(
+                f"config field {second}: give '{first}' or '{second}', not both", path=second
+            )
     if command in MULTIPLICITY_FIELDS:
         shape_field, default, mult_field = MULTIPLICITY_FIELDS[command]
         blocks, mult = len(config.get(shape_field, default)), config.get(mult_field)
@@ -337,22 +346,20 @@ def run_cover_estimate(config: dict) -> RunReport:
     seed = config.get("seed", 404)
     if samples * k * k > DEFAULT_DIM_CAP**2:
         raise DimensionOverflow(f"cloud entries {samples} * {k}^2 exceed {DEFAULT_DIM_CAP}^2")
+    bounds = [unitary_bounds(k, radius) for radius in radii]  # raises before the scan
     cloud = haar_unitaries(k, seed, samples)
     if k == 1:
         # the angle is divided as a real, as Python's complex 2j*pi*t / samples
         # divides it; numpy's complex division multiplies by 1/samples instead
         grid = np.exp(1j * (2 * np.pi * np.arange(samples) / samples))[:, None, None]
-    for radius in radii:
-        sep = 2.0 * radius
-        est = greedy_packing(cloud, sep)
-        bounds = check_unitary_bounds(k, radius, est)
-        report.rows += bounds.rows
-        if k == 1:
-            report.rows.append(bounds.oracle_row(greedy_packing(grid, sep)))
-        report.extra[f"estimate_omega{radius:g}"] = est.to_json()
-        report.extra[f"bounds_omega{radius:g}"] = bounds.to_json()
+    report.extra["k"] = k
+    report.extra["samples"] = samples
+    for radius, bound in zip(radii, bounds):
+        count = greedy_cover(cloud, 2.0 * radius)
+        oracle = greedy_cover(grid, 2.0 * radius) if k == 1 else None
+        report.rows += unitary_bound_rows(radius, bound, count, oracle)
         profile = float(
-            np.log(max(bounds.certified_lower, 1)) / (-(k * k) * np.log(radius))
+            np.log(max(count, 1)) / (-(k * k) * np.log(radius))
         ) if radius < 1 else None
         report.extra[f"covering_profile_omega{radius:g}"] = {
             "value": profile,

@@ -2,16 +2,15 @@
 estimates, block-compression counting and pinching defects.
 
 Covering numbers of continuous sets cannot be computed by sampling, so the
-report vocabulary is rigid: packings certify lower bounds (at half the
-separation radius), greedy covers of a sampled cloud are upper estimates
-for the cloud only.
+report vocabulary is rigid: a greedy cover of a sampled cloud is an upper
+estimate for the cloud only, and its centers, a packing, certify a lower
+bound at half the separation radius.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import e, pi
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,55 +34,22 @@ def haar_unitaries(k: int, seed: int, count: int) -> np.ndarray:
     return q * (d / np.abs(d))[:, None, :]
 
 
-@dataclass
-class CoveringEstimate:
-    omega: float
-    sample_count: int
-    packing_count: int
-    implied_cover_lower: int  # valid for balls of radius omega/2
-    greedy_cover_count: int
-
-    def to_json(self) -> dict:
-        return {
-            "omega": self.omega,
-            "sample_count": self.sample_count,
-            "packing_count": self.packing_count,
-            "implied_cover_lower": self.implied_cover_lower,
-            "greedy_cover_count": self.greedy_cover_count,
-        }
-
-
-def greedy_packing(cloud: np.ndarray, omega: float) -> CoveringEstimate:
-    """Scan-order maximal omega-separated subset of an (n, p, q) cloud.
-
-    Points at distance exactly omega are kept (closed separation), which
-    maximizes the certified lower bound: balls of radius omega/2 contain at
-    most one kept point, so any cover at that radius needs packing_count
-    balls.  A point is kept exactly when no earlier kept point lies within
-    omega of it, which is when no earlier ball of the greedy open-ball
-    cover holds it: the kept points are that cover's centers, so one scan
-    gives both counts.
-    """
-    if not len(cloud):
-        raise DimensionMismatch("cloud must be nonempty")
-    count = greedy_cover(cloud, omega)
-    return CoveringEstimate(
-        omega=float(omega),
-        sample_count=len(cloud),
-        packing_count=count,
-        implied_cover_lower=count,
-        greedy_cover_count=count,
-    )
-
-
 def greedy_cover(cloud: np.ndarray, omega: float) -> int:
-    """Greedy open-ball cover count: an upper estimate for the cloud itself.
+    """Greedy open-ball cover count: an upper estimate for the cloud itself,
+    and a certified cover lower bound at radius omega/2.
 
     The cloud is one (n, p, q) array of matrices, as ``haar_unitaries``
     returns; anything else raises DimensionMismatch.  In scan order every
     point outside the earlier balls becomes a center; each new ball is
     measured against the points still uncovered, their differences formed
     a ``_WORKSPACE_BYTES`` block at a time.
+
+    The centers are also the scan-order maximal closed omega-separated
+    packing of the cloud: a point becomes a center exactly when no earlier
+    center lies within omega of it, which is when the packing scan keeps
+    it, points at distance exactly omega included.  An open ball of radius
+    omega/2 holds at most one center, so any cover at that radius needs at
+    least this many balls.
     """
     if omega <= 0:
         raise DimensionMismatch("omega must be positive")
@@ -105,66 +71,40 @@ def greedy_cover(cloud: np.ndarray, omega: float) -> int:
     return balls
 
 
-@dataclass
-class UnitaryBoundReport:
-    k: int
-    radius: float
-    certified_lower: int
-    paper_lower: float
-    paper_upper: float
-    upper_violated: bool
-    lower_status: str
-    rows: List[ReportRow]  # cover-estimate rows at this radius; not part of to_json()
+def unitary_bounds(k: int, radius: float) -> Tuple[float, float]:
+    """(1/r)^(k^2) and (9 pi e / r)^(k^2), the lower and upper bounds on the
+    number of operator-norm balls of radius r that cover U(k).
 
-    def oracle_row(self, oracle: CoveringEstimate) -> ReportRow:
-        """The lower-bound row for a reference packing (the circle grid at k = 1)."""
-        return _lower_row(
-            f"omega{self.radius:g}.circle_oracle_lower", oracle.packing_count, self.paper_lower
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "radius": self.radius,
-            "certified_lower": self.certified_lower,
-            "paper_lower": self.paper_lower,
-            "paper_upper": self.paper_upper,
-            "upper_violated": self.upper_violated,
-            "lower_status": self.lower_status,
-        }
-
-
-def check_unitary_bounds(k: int, radius: float, estimate: CoveringEstimate) -> UnitaryBoundReport:
-    """Compare a packing-certified lower bound with the unitary-group bounds.
-
-    The estimate's packing at separation 2*radius certifies a covering
-    lower bound at ``radius``.  Sampling can contradict the upper bound
-    (that would mean a bug) but can only be consistent or inconclusive
-    about the lower one.  The report's rows are cover-estimate's rows at
-    this radius: the certified count against the lower and the upper
-    bound, and the greedy cover count against the upper bound.
+    They depend on (k, r) alone, so a bound past the largest double is
+    DimensionOverflow before any sampling.
     """
-    if abs(estimate.omega - 2 * radius) > 1e-12:
-        raise DimensionMismatch(
-            f"estimate separation {estimate.omega} does not certify radius {radius}"
-        )
-    lower_ref = bound_power(1.0 / radius, k * k, f"lower bound (1/{radius:g})^(k^2)")
-    upper_ref = bound_power(9.0 * pi * e / radius, k * k, f"upper bound (9 pi e/{radius:g})^(k^2)")
-    certified = estimate.implied_cover_lower
-    tag = f"omega{radius:g}"
-    lower = _lower_row(f"{tag}.haar_certified_lower", certified, lower_ref)
-    upper = ReportRow.check(f"{tag}.upper_consistent", certified, upper_ref)
-    sane = ReportRow.check(f"{tag}.cover_estimate_sane", estimate.greedy_cover_count, upper_ref)
-    return UnitaryBoundReport(
-        k=k,
-        radius=radius,
-        certified_lower=certified,
-        paper_lower=lower_ref,
-        paper_upper=upper_ref,
-        upper_violated=not upper.passed,
-        lower_status="consistent" if lower.passed else "inconclusive",
-        rows=[lower, upper, sane],
+    return (
+        bound_power(1.0 / radius, k * k, f"lower bound (1/{radius:g})^(k^2)"),
+        bound_power(9.0 * pi * e / radius, k * k, f"upper bound (9 pi e/{radius:g})^(k^2)"),
     )
+
+
+def unitary_bound_rows(
+    radius: float, bounds: Tuple[float, float], count: int, oracle: Optional[int] = None
+) -> List[ReportRow]:
+    """cover-estimate's rows at one radius.
+
+    ``count`` is the greedy cover count of the Haar cloud at 2*radius, a
+    certified cover lower bound at ``radius`` (see ``greedy_cover``).
+    Sampling can contradict the upper bound (that would mean a bug) but can
+    only be consistent or inconclusive about the lower one.  ``oracle`` is a
+    reference count at the same separation (the circle grid at k = 1),
+    checked against the lower bound alone.
+    """
+    lower, upper = bounds
+    tag = f"omega{radius:g}"
+    rows = [
+        ReportRow(f"{tag}.haar_certified_lower", count, lower, count >= lower),
+        ReportRow.check(f"{tag}.upper_consistent", count, upper),
+    ]
+    if oracle is not None:
+        rows.append(ReportRow(f"{tag}.circle_oracle_lower", oracle, lower, oracle >= lower))
+    return rows
 
 
 def bound_power(base: float, exponent: float, name: str) -> float:
@@ -173,11 +113,6 @@ def bound_power(base: float, exponent: float, name: str) -> float:
         return base**exponent
     except OverflowError:
         raise DimensionOverflow(f"{name} = {base:g}^{exponent:g} overflows") from None
-
-
-def _lower_row(name: str, count: int, lower: float) -> ReportRow:
-    """Passes when a certified count reaches the paper's lower bound."""
-    return ReportRow(name, count, lower, count >= lower)
 
 
 def multiplicity_table(

@@ -50,7 +50,6 @@ def test_criterion_1_construction_identities(battery):
         "coupling_kills_first_columns": 1e-12,
         "couplings_mutually_orthogonal": 1e-12,
         "diag_terms_mutually_orthogonal": 1e-12,
-        "diag_term_norm_gap": 1e-10,
         "coupling_compression_identity": 1e-12,
     }
     for n in (1, 2):
@@ -115,10 +114,7 @@ def test_criterion_5_covering_bounds(battery):
             (f"r={radius} haar packing >= {target}", haar and haar.threshold >= target),
             (f"r={radius} circle oracle <= 9 pi e / r", oracle and oracle.measured <= upper),
         ]
-        checks += _within(rows, {
-            f"omega{radius:g}.upper_consistent": upper,
-            f"omega{radius:g}.cover_estimate_sane": upper,
-        })
+        checks += _within(rows, {f"omega{radius:g}.upper_consistent": upper})
     detail = " ".join(
         f"{name}={row.measured}" for name, row in rows.items() if name.endswith("_lower")
     )

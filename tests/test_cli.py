@@ -77,6 +77,8 @@ def test_error_path_structured_report():
         ("cover-estimate", {"k": 20, "omegas": [0.5], "samples": 3}, "upper bound"),
         ("cover-estimate", {"k": 4097}, "cloud entries"),
         ("cover-estimate", {"samples": 10**12}, "cloud entries"),
+        # within the cloud cap, where a greedy scan would take hours
+        ("cover-estimate", {"k": 12, "omegas": [0.5], "samples": 116508}, "upper bound"),
         (
             "counting-check",
             {"max_dim": 2, "pinching_shape": [2, 2], "pinching_multiplicities": [5, 5],
@@ -95,14 +97,20 @@ def test_error_path_structured_report():
         ),
     ],
     ids=[
-        "cover-estimate", "cover-estimate-k", "cover-estimate-samples", "counting-check",
+        "cover-estimate", "cover-estimate-k", "cover-estimate-samples", "cover-estimate-scan",
+        "counting-check",
         "counting-check-pinching", "lemma52-check",
     ],
 )
-def test_bound_overflow_is_a_structured_report(tmp_path, command, config, bound):
+def test_bound_overflow_is_a_structured_report(tmp_path, monkeypatch, command, config, bound):
     """A paper bound past the largest double, or a cloud or matrix past the
     dimension cap, fails closed, names the bound and allocates no matrices on
-    the way."""
+    the way: no Haar cloud is drawn."""
+
+    def no_cloud(*args):
+        raise AssertionError("a config-only bound was checked after sampling")
+
+    monkeypatch.setattr(cli, "haar_unitaries", no_cloud)
     tracemalloc.start()
     try:
         report = run(command, dict(config))
@@ -263,6 +271,9 @@ def test_empty_sweep_list_is_config_invalid(tmp_path, command, config, path):
             {"max_dim": 2, "pinching_multiplicities": [1, 1, 1]},
             "pinching_multiplicities",
         ),
+        # two fields for one fact: the runner would read the first and ignore the second
+        ("gen-verify", {"preset": "T0", "shapes": [[5], [40]]}, "shapes"),
+        ("cover-estimate", {"omega": 0.5, "omegas": [0.25]}, "omegas"),
     ],
 )
 def test_mismatched_multiplicities_are_config_invalid(tmp_path, command, config, path):

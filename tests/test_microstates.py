@@ -9,14 +9,13 @@ from towergen import cli, microstates
 from towergen.errors import DimensionMismatch, DimensionOverflow
 from towergen.linalg import identity, op_norm
 from towergen.microstates import (
-    CoveringEstimate,
-    check_unitary_bounds,
     greedy_cover,
-    greedy_packing,
     haar_unitaries,
     multiplicity_counts,
     multiplicity_table,
     pinching_defect,
+    unitary_bound_rows,
+    unitary_bounds,
 )
 from towergen.units import MatrixUnitSystem, canonical_units
 
@@ -63,14 +62,13 @@ def test_haar_trace_moment():
 
 def test_packing_identical_points():
     cloud = np.stack([identity(2)] * 12)
-    est = greedy_packing(cloud, 0.5)
-    assert est.packing_count == 1
+    assert greedy_cover(cloud, 0.5) == 1
 
 
 def test_packing_boundary_rule():
+    """A point at distance exactly omega is outside the open ball: a new center."""
     cloud = np.array([[[0.0]], [[0.5]]])
-    est = greedy_packing(cloud, 0.5)
-    assert est.packing_count == 2
+    assert greedy_cover(cloud, 0.5) == 2
 
 
 def test_packing_unitary_invariance():
@@ -78,7 +76,7 @@ def test_packing_unitary_invariance():
     cloud = np.stack([np.diag([1.0, t]).astype(complex) for t in rng.uniform(-1, 1, 40)])
     u = haar_unitaries(2, 9, 1)[0]
     rotated = u.conj().T @ cloud @ u
-    assert greedy_packing(cloud, 0.3).packing_count == greedy_packing(rotated, 0.3).packing_count
+    assert greedy_cover(cloud, 0.3) == greedy_cover(rotated, 0.3)
 
 
 def test_cover_trivial_cases():
@@ -132,13 +130,13 @@ _CIRCLE = np.exp(2j * np.pi * np.arange(360) / 360)[:, None, None]
     ],
 )
 def test_packing_and_cover_match_naive_scans(cloud, omegas, ties):
+    """The greedy cover count is the naive cover's and the naive closed
+    packing's: the fact the certified lower-bound row rests on."""
     # distances that occur in the cloud exercise the closed/open boundary rule
     omegas = omegas + [distance(cloud[0], cloud[k]) for k in ties]
     for omega in omegas:
-        est = greedy_packing(cloud, omega)
-        assert est.packing_count == est.implied_cover_lower == naive_packing(cloud, omega)
-        assert est.greedy_cover_count == greedy_cover(cloud, omega) == naive_cover(cloud, omega)
-        assert est.sample_count == len(cloud)
+        count = greedy_cover(cloud, omega)
+        assert count == naive_packing(cloud, omega) == naive_cover(cloud, omega)
 
 
 def test_cover_in_workspace_blocks_matches_naive_scans():
@@ -146,9 +144,8 @@ def test_cover_in_workspace_blocks_matches_naive_scans():
     cloud = haar_unitaries(16, 5, 200)
     assert cloud.nbytes > 3 * microstates._WORKSPACE_BYTES
     for omega in (1.99, 1.997, distance(cloud[0], cloud[3])):
-        est = greedy_packing(cloud, omega)
-        assert est.packing_count == naive_packing(cloud, omega)
-        assert est.greedy_cover_count == greedy_cover(cloud, omega) == naive_cover(cloud, omega)
+        count = greedy_cover(cloud, omega)
+        assert count == naive_packing(cloud, omega) == naive_cover(cloud, omega)
 
 
 def test_packing_rejects_mixed_clouds():
@@ -157,36 +154,47 @@ def test_packing_rejects_mixed_clouds():
     for bad in ([identity(2), identity(3)], [identity(2)], identity(2), pairs):
         with pytest.raises(DimensionMismatch):
             greedy_cover(bad, 0.5)
-    with pytest.raises(DimensionMismatch):
-        greedy_packing(np.empty((0, 2, 2)), 0.5)
     assert greedy_cover(np.empty((0, 2, 2)), 0.5) == 0
 
 
 def test_unitary_bounds_k1():
     circle = np.exp(2j * np.pi * np.arange(4096) / 4096)[:, None, None]
-    est_05 = greedy_packing(circle, 1.0)
-    rep = check_unitary_bounds(1, 0.5, est_05)
-    assert rep.paper_upper == pytest.approx((9 * np.pi * np.e / 0.5), rel=1e-12)
-    assert not rep.upper_violated
-    assert rep.certified_lower <= rep.paper_upper
-    est_025 = greedy_packing(circle, 0.5)
-    rep = check_unitary_bounds(1, 0.25, est_025)
-    assert rep.certified_lower >= 4
-    assert rep.lower_status == "consistent"
+    lower, upper = unitary_bounds(1, 0.5)
+    assert (lower, upper) == (2.0, pytest.approx(9 * np.pi * np.e / 0.5, rel=1e-12))
+    count = greedy_cover(circle, 1.0)
+    rows = unitary_bound_rows(0.5, (lower, upper), count)
+    assert [(row.name, row.measured, row.threshold, row.passed) for row in rows] == [
+        ("omega0.5.haar_certified_lower", count, lower, True),
+        ("omega0.5.upper_consistent", count, upper, True),
+    ]
+    count = greedy_cover(circle, 0.5)
+    assert count >= 4
+    rows = unitary_bound_rows(0.25, unitary_bounds(1, 0.25), count, oracle=count)
+    assert [row.name for row in rows][-1] == "omega0.25.circle_oracle_lower"
+    assert all(row.passed for row in rows)
 
 
 def test_unitary_bounds_k2_trivial():
     cloud = haar_unitaries(2, 3, 50)
-    est = greedy_packing(cloud, 2.0)
-    rep = check_unitary_bounds(2, 1.0, est)
-    assert rep.paper_lower == 1.0
-    assert rep.certified_lower >= 1
+    lower, _ = unitary_bounds(2, 1.0)
+    assert lower == 1.0
+    assert greedy_cover(cloud, 2.0) >= 1
 
 
-def test_unitary_bounds_radius_mismatch():
-    est = CoveringEstimate(1.0, 10, 3, 3, 4)
-    with pytest.raises(DimensionMismatch):
-        check_unitary_bounds(1, 0.3, est)
+@pytest.mark.parametrize(
+    "count, failing",
+    [(10**9, "omega0.5.upper_consistent"), (15, "omega0.5.haar_certified_lower")],
+)
+def test_cover_count_outside_the_unitary_bounds_fails_its_row(monkeypatch, count, failing):
+    """At k = 2, r = 0.5 the bounds are 2^4 = 16 and (18 pi e)^4 ~ 5.6e8: a
+    stubbed cover count past either fails exactly that row."""
+    monkeypatch.setattr(cli, "greedy_cover", lambda cloud, omega: count)
+    report = cli.run("cover-estimate", {"k": 2, "omegas": [0.5], "samples": 3})
+    assert [(row.name, row.passed) for row in report.rows] == [
+        ("omega0.5.haar_certified_lower", failing != "omega0.5.haar_certified_lower"),
+        ("omega0.5.upper_consistent", failing != "omega0.5.upper_consistent"),
+    ]
+    assert not report.passed
 
 
 def numeric_pinched_dimension(shape, mult, k):
@@ -359,7 +367,5 @@ def test_pinching_defect_needs_an_exact_system():
 
 def test_unitary_bound_overflow_is_named():
     """(9 pi e / 0.5)^400 exceeds the largest double."""
-    est = CoveringEstimate(omega=1.0, sample_count=1, packing_count=1,
-                           implied_cover_lower=1, greedy_cover_count=1)
     with pytest.raises(DimensionOverflow, match="upper bound"):
-        check_unitary_bounds(20, 0.5, est)
+        unitary_bounds(20, 0.5)
