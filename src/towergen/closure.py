@@ -62,7 +62,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .errors import DimensionMismatch, NoSpectralGap, NonFiniteValue
-from .linalg import _lapack, as_operator, op_norm
+from .linalg import as_operator, eigh, op_norm
 from .units import MatrixUnitSystem
 
 GAP_TOL = 1e-6
@@ -150,22 +150,33 @@ def _components(w: np.ndarray) -> Tuple[np.ndarray, float]:
     """Components of the graph of edges above EDGE_TOL, and their weakest tree edge.
 
     Prim's maximum spanning tree per component: its weakest edge is the
-    largest threshold at which no component splits.
+    largest threshold at which no component splits.  Prim runs on a working
+    copy of the nonnegative weights with one extra row, ``reach``, each
+    tree's strongest edge to every node; labeling a node sets its column to
+    -1 in every row, ``reach`` included, so a step is one argmax, one column
+    write and one in-place maximum, and no labeled node is picked again.
     """
-    labels = np.full(w.shape[0], -1)
+    n = w.shape[0]
+    work = np.empty((n + 1, n))
+    work[:n] = w
+    reach = work[n]
+    labels = np.full(n, -1)
     weakest = np.inf
-    for start in range(w.shape[0]):
+    comp = -1
+    for start in range(n):
         if labels[start] < 0:
-            labels[start] = comp = labels.max() + 1
-            reach = w[start].copy()
+            labels[start] = comp = comp + 1
+            work[:, start] = -1.0
+            reach[:] = work[start]
             while True:
-                reach[labels >= 0] = -1.0
-                nxt = int(np.argmax(reach))
-                if reach[nxt] <= EDGE_TOL:
+                nxt = reach.argmax()
+                top = float(reach[nxt])
+                if top <= EDGE_TOL:
                     break
-                weakest = min(weakest, float(reach[nxt]))
+                weakest = min(weakest, top)
                 labels[nxt] = comp
-                reach = np.maximum(reach, w[nxt])
+                work[:, nxt] = -1.0
+                np.maximum(reach, work[nxt], out=reach)
     return labels, weakest
 
 
@@ -235,12 +246,13 @@ def subalgebra_closure(
         block = coeffs[:, at : at + k * k].reshape(2, k, k, 1) / np.sqrt(c)
         z[:, table[:, None, :], table[None, :, :]] += block
         at += k * k
-    for lo, s in _unit_chunks(gens):
+    chunks = list(_unit_chunks(gens))
+    for lo, s in chunks:
         z += np.tensordot(coeffs[:, at + lo : at + lo + _CHUNK], s, axes=1)
     x, y = z + z.conj().transpose(0, 2, 1)
     xy = x @ y
     h = x + (xy + xy.conj().T) / 2 + 1j * (xy - xy.conj().T) / 2
-    evals, v = _lapack(np.linalg.eigh, h, "generic element eigensolve")
+    evals, v = eigh(h, "generic element eigensolve")
     gaps = np.diff(evals) / max(float(np.abs(evals).max()), np.finfo(float).tiny)
     split = gaps > GAP_TOL
     starts = np.concatenate([[0], np.flatnonzero(split) + 1])
@@ -249,7 +261,7 @@ def subalgebra_closure(
     entry = np.zeros((d, d))
     for table in tables:
         entry = np.maximum(entry, _block_entries(v, table))
-    for _, s in _unit_chunks(gens):
+    for _, s in chunks:
         entry = np.maximum(entry, np.abs(v.conj().T @ s @ v).max(axis=0))
     w = np.maximum.reduceat(np.maximum.reduceat(entry, starts, axis=0), starts, axis=1)
     w = np.maximum(w, w.T)

@@ -2,14 +2,17 @@
 
 Everything in the package works on square ``numpy`` arrays of complex128.
 This module holds the norm and spectral primitives, batched over
-stacks of matrices where callers need many norms, and ``_lapack``, the
-wrapper that makes a LAPACK call fail closed on non-finite input.
+stacks of matrices where callers need many norms; ``_lapack``, the
+wrapper that makes a LAPACK call fail closed on non-finite input; and
+``eigh``, the package's one Hermitian eigensolve, which answers a 1 x 1
+input in closed form with the bits LAPACK would return.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from typing import Callable, Sequence
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -135,6 +138,22 @@ def _lapack(routine: Callable, a: np.ndarray, what: str):
         raise NonConvergence(f"{what} failed: {exc}") from exc
 
 
+def eigh(a: np.ndarray, what: str) -> Tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix,
+    failing closed as ``_lapack`` does.
+
+    A 1 x 1 matrix needs no LAPACK call: heevd returns W(1) = Re a and the
+    eigenvector [[1]] for N = 1, so the closed form gives LAPACK's bits,
+    signed zeros included, after the same finiteness check.
+    """
+    if a.shape != (1, 1):
+        return _lapack(np.linalg.eigh, a, what)
+    entry = complex(a[0, 0])
+    if not cmath.isfinite(entry):
+        raise NonFiniteValue(f"{what}: input has non-finite entries")
+    return np.array([entry.real]), np.ones((1, 1), dtype=a.dtype)
+
+
 def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix of a (..., p, q) stack."""
     flat = np.ascontiguousarray(stack, dtype=np.complex128).view(np.float64)
@@ -240,7 +259,7 @@ def spectral_basis(h: np.ndarray, threshold: float) -> np.ndarray:
     EigenvalueNearThreshold is raised.
     """
     h = require_hermitian(h, tol=1e-10)
-    w, v = _lapack(np.linalg.eigh, hermitian_part(h), "spectral basis")
+    w, v = eigh(hermitian_part(h), "spectral basis")
     if np.min(np.abs(w - threshold)) < 1e-8:
         raise EigenvalueNearThreshold(
             f"eigenvalue within 1e-8 of threshold {threshold}: spectrum {np.round(w, 12)}"

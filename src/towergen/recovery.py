@@ -26,7 +26,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .errors import DimensionMismatch, LadderBreakdown, NoSpectralGap
-from .linalg import _lapack, hermitian_part, identity, op_norm
+from .linalg import eigh, hermitian_part, identity, op_norm
 from .report import ReportRow
 from .stabilize import stabilize_units
 from .tower import index_set_cardinality
@@ -78,7 +78,7 @@ def extract_corner_bases(
     """
     if not a.size:
         raise NoSpectralGap(f"extract_l{level}: empty matrix, no eigenvalue cluster at 1")
-    eigs, vecs = _lapack(np.linalg.eigh, hermitian_part(a), f"extract_l{level}: eigensolve")
+    eigs, vecs = eigh(hermitian_part(a), f"extract_l{level}: eigensolve")
     untaken = np.ones(eigs.shape, dtype=bool)
     bases = []
     for s, c in enumerate(coefficients, start=1):
@@ -113,9 +113,10 @@ def ladder_units(
     4^level, from the range of F_i to the complement of the block's factors
     so far, C = [F_1 ... F_i]: the thin m x d matrix
     X = 4^level F_i^* b (I - C C^*).  Its polar part with cutoff 1/2, from
-    one m x m eigensolve of X X^*, gives F_{i+1} = X^* U_+ s_+^(-1) U_+^*
-    for the singular values s_+ above the cutoff; in exact arithmetic that
-    is v^* F_i for v the polar part of the dense rung F_i F_i^* b (I - C C^*).
+    one m x m eigensolve of X X^* (``eigh``: closed form at m = 1, with
+    LAPACK's bits), gives F_{i+1} = X^* U_+ s_+^(-1) U_+^* for the singular
+    values s_+ above the cutoff; in exact arithmetic that is v^* F_i for v
+    the polar part of the dense rung F_i F_i^* b (I - C C^*).
     ``trace`` gets each rung's residual, the worst |s - 1| over the kept
     singular values and the largest dropped one.  Raises LadderBreakdown
     when a rung's norm ||X|| falls below 1e-8.
@@ -123,24 +124,30 @@ def ladder_units(
     if len(bases) != len(shape):
         raise LadderBreakdown("need one corner basis per block")
     rescale = 4.0**level
+    dim = b_effective.shape[0]
     factors = []
     for s, (basis, k_s) in enumerate(zip(bases, shape), start=1):
-        chain = [basis]
+        m = basis.shape[1]
+        # C = [F_1 ... F_i], grown by one factor per rung.  C stays C-contiguous:
+        # as a strided view of a wider buffer, X C at m = i = 1 would be a strided
+        # BLAS dot, which sums in another order and changes the factors' bits
+        covered = np.ascontiguousarray(basis)
         for i in range(1, k_s):
             label = f"level {level} block {s}: rung {i}->{i + 1}"
-            covered = np.concatenate(chain, axis=1)
-            x = rescale * (chain[-1].conj().T @ b_effective)
+            x = rescale * (covered[:, -m:].conj().T @ b_effective)
             x = x - (x @ covered) @ covered.conj().T
-            w, u = _lapack(np.linalg.eigh, x @ x.conj().T, f"{label} eigensolve")
+            w, u = eigh(x @ x.conj().T, f"{label} eigensolve")
             sv = np.sqrt(np.maximum(w, 0.0))
             if sv[-1] < 1e-8:
                 raise LadderBreakdown(f"{label} has norm {sv[-1]:.2e}")
             keep = sv > 0.5
-            misfit = np.concatenate([np.abs(sv[keep] - 1.0), sv[~keep]])
-            trace.add(f"ladder_l{level}_b{s}_r{i}", 1, float(np.max(misfit)))
-            chain.append(x.conj().T @ ((u[:, keep] / sv[keep]) @ u[:, keep].conj().T))
-        factors.append(np.stack(chain))
-    dim = b_effective.shape[0]
+            # abs also maps a dropped -0.0 to +0.0, so the maximum has one bit pattern
+            misfit = np.abs(np.where(keep, sv - 1.0, sv)).max()
+            trace.add(f"ladder_l{level}_b{s}_r{i}", 1, misfit)
+            kept = u[:, keep]
+            grown = x.conj().T @ ((kept / sv[keep]) @ kept.conj().T)
+            covered = np.concatenate([covered, grown], axis=1)
+        factors.append(np.ascontiguousarray(covered.reshape(dim, k_s, m).transpose(1, 0, 2)))
     return MatrixUnitSystem(shape=shape, ambient_dim=dim, factors=factors)
 
 

@@ -17,8 +17,13 @@ import numpy as np
 from . import __version__
 
 
+_PLAIN = frozenset({float, int, str, bool, type(None)})
+
+
 def sanitize(value):
     """Convert numpy scalars and containers to plain JSON-stable values."""
+    if type(value) in _PLAIN:
+        return value
     if isinstance(value, (np.floating,)):
         return float(value)
     if isinstance(value, (np.integer,)):

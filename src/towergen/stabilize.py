@@ -18,7 +18,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .errors import DimensionMismatch, EigenvalueNearThreshold, StabilizationFailed
-from .linalg import _lapack, hermitian_part, max_distance, op_norms, spectral_basis
+from .linalg import _lapack, eigh, hermitian_part, max_distance, op_norms, spectral_basis
 from .units import MatrixUnitSystem, factored_distance, stacked_factors
 
 PROJECTION_THRESHOLD = 0.5  # eigenvalue cut that turns e_11 into a projection
@@ -45,7 +45,7 @@ def _first_column(candidate: MatrixUnitSystem) -> List[np.ndarray]:
             g = np.stack([candidate.unit(s, i, 1) @ basis for i in range(1, k + 1)])
         else:
             f = factors[s - 1]
-            w, v = _lapack(np.linalg.eigh, f[0].conj().T @ f[0], "stabilizer e_11 eigensolve")
+            w, v = eigh(f[0].conj().T @ f[0], "stabilizer e_11 eigensolve")
             if np.any(np.abs(w - PROJECTION_THRESHOLD) < 1e-8):
                 raise EigenvalueNearThreshold(
                     f"e_11 eigenvalue within 1e-8 of threshold {PROJECTION_THRESHOLD}"
@@ -131,7 +131,7 @@ def _polar_system(candidate: MatrixUnitSystem) -> MatrixUnitSystem:
         raise StabilizationFailed(
             f"diagonal ranks sum to {cols.shape[1]}, not the ambient dimension {dim}"
         )
-    w, v = _lapack(np.linalg.eigh, cols.conj().T @ cols, "stabilizer Gram eigensolve")
+    w, v = eigh(cols.conj().T @ cols, "stabilizer Gram eigensolve")
     defect = float(np.max(np.abs(w - 1.0)))
     if defect > ADMISSIBILITY:
         _reject(stack, defect)

@@ -107,7 +107,10 @@ def commutant_projection(x: np.ndarray, block: MatrixUnitSystem) -> np.ndarray:
     exact block, e_ij x e_ji is the c_s x c_s submatrix of x on the rows
     R_s[j] placed on the rows R_s[i], so one gather, one sum over j and one
     scatter per block give what the dense sum gives, bit for bit: that sum
-    also adds each such submatrix, in j order, to zeros.
+    also adds each such submatrix, in j order, to zeros.  The sum over j is
+    ``np.add.accumulate``, which adds in that order; it starts from the
+    first submatrix instead of zeros, which can differ only in an all -0.0
+    sum, and adding it onto the zeros of the output turns that into +0.0.
     """
     if x.shape[0] != block.ambient_dim:
         raise DimensionMismatch(
@@ -118,10 +121,7 @@ def commutant_projection(x: np.ndarray, block: MatrixUnitSystem) -> np.ndarray:
     out = np.zeros_like(x, dtype=np.complex128)
     for k, table in zip(block.shape, block.rows):
         square = (table[:, :, None], table[:, None, :])
-        acc = np.zeros((table.shape[1],) * 2, dtype=np.complex128)
-        for part in x[square]:
-            acc += part
-        out[square] += acc / k
+        out[square] += np.add.accumulate(x[square])[-1] / k
     return out
 
 

@@ -15,6 +15,7 @@ from towergen.cli import main, resolve_tower_spec, run, validate_config
 from towergen.errors import ConfigInvalid
 from towergen.microstates import multiplicity_counts, multiplicity_table
 from towergen.recovery import CLUSTER_HALFWIDTH, COMPLEMENT_BOUND, round_trip
+from towergen.report import sanitize
 from towergen.similarity import run_identity_sweep, sweep_rows
 from towergen.stabilize import perturb_units, stabilize_units
 from towergen.tower import build_tower, check_conditions
@@ -805,3 +806,21 @@ def test_round_trip_verdict_reads_the_extraction_margins(t0_plan):
     assert not replace(trip, cluster_offset=2 * CLUSTER_HALFWIDTH).passed()
     assert not replace(trip, complement_radius=0.8).passed()
     assert not replace(trip, cluster_offset=float("nan")).passed()
+
+
+@pytest.mark.parametrize("value", [1.5, -0.0, float("nan"), 7, 2**80, "x", True, False, None])
+def test_sanitize_returns_a_plain_value_itself(value):
+    assert sanitize(value) is value
+
+
+def test_sanitize_converts_numpy_values_and_containers():
+    cases = [
+        (np.float64(-0.0), -0.0, float), (np.float32(0.5), 0.5, float),
+        (np.int64(-3), -3, int), (np.bool_(True), True, bool),
+        ((1, np.int64(2)), [1, 2], list), (np.array([[1.0, 2.0]]), [[1.0, 2.0]], list),
+        ({1: {"a": (np.float64(1.5),)}}, {"1": {"a": [1.5]}}, dict),
+    ]
+    for value, plain, kind in cases:
+        out = sanitize(value)
+        assert type(out) is kind and json.dumps(out) == json.dumps(plain)
+    assert type(sanitize(np.array([np.int64(1)]))[0]) is int

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from towergen import closure
 from towergen.cli import resolve_tower_spec, run
@@ -259,3 +260,52 @@ def test_bad_systems_fail_closed():
         subalgebra_closure([], systems=[])
     with pytest.raises(NonFiniteValue):
         subalgebra_closure([np.diag([np.nan, 1.0])], systems=[units])
+
+
+def prim_with_per_step_masks(w):
+    """Reference for ``_components``: Prim's loop that masks every labeled
+    node in ``reach`` at each step."""
+    labels = np.full(w.shape[0], -1)
+    weakest = np.inf
+    for start in range(w.shape[0]):
+        if labels[start] < 0:
+            labels[start] = comp = labels.max() + 1
+            reach = w[start].copy()
+            while True:
+                reach[labels >= 0] = -1.0
+                nxt = int(np.argmax(reach))
+                if reach[nxt] <= EDGE_TOL:
+                    break
+                weakest = min(weakest, float(reach[nxt]))
+                labels[nxt] = comp
+                reach = np.maximum(reach, w[nxt])
+    return labels, weakest
+
+
+# ties, no edge, edges at and just around EDGE_TOL, and a few arbitrary weights
+EDGE_WEIGHTS = st.one_of(
+    st.sampled_from(
+        [0.0, 0.0, 0.0, EDGE_TOL, np.nextafter(EDGE_TOL, 0.0), np.nextafter(EDGE_TOL, 1.0),
+         2 * EDGE_TOL, 0.25, 0.5, 0.5, 1.0]
+    ),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+@st.composite
+def symmetric_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=14))
+    upper = draw(st.lists(EDGE_WEIGHTS, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    w = np.zeros((n, n))
+    w[np.triu_indices(n, 1)] = upper
+    return w + w.T
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(w=symmetric_graphs())
+def test_components_match_the_per_step_mask_loop(w):
+    labels, weakest = closure._components(w)
+    ref_labels, ref_weakest = prim_with_per_step_masks(w)
+    assert np.array_equal(labels, ref_labels)
+    assert np.float64(weakest).tobytes() == np.float64(ref_weakest).tobytes()
+    assert (w[labels[:, None] != labels[None, :]] <= EDGE_TOL).all()  # no edge between components

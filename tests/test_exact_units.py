@@ -51,13 +51,14 @@ def dense_projection(x: np.ndarray, block: MatrixUnitSystem) -> np.ndarray:
 
 
 def operands(model, rng: np.random.Generator):
-    """The generators plus a random matrix with signed zeros on a third of its entries."""
+    """The generators, a random matrix with signed zeros on a third of its
+    entries, and a matrix of -0.0 entries only, whose every sum is -0.0."""
     d = model.ambient_dim
     x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     zeros = rng.random((d, d, 2)) < 1 / 3
     signs = rng.random(zeros.sum()) < 0.5
     x.view(np.float64).reshape(d, d, 2)[zeros] = np.where(signs, 0.0, -0.0)
-    return [*model.generators, x]
+    return [*model.generators, x, np.full((d, d), complex(-0.0, -0.0))]
 
 
 def check_tower(model, seed: int):

@@ -28,6 +28,8 @@ from towergen.recovery import RecoveryTrace, ladder_units
 from towergen.stabilize import perturb_units
 from towergen.units import canonical_units, unit_defects
 
+from conftest import same_bits
+
 
 def random_complex(rng, d):
     return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -133,10 +135,38 @@ def test_lapack_failure_on_finite_input_is_non_convergence(monkeypatch):
         monkeypatch.setattr(np.linalg, name, fail)
     with pytest.raises(NonConvergence):
         spectral_basis(np.diag([1.0, 0.0]), 0.5)
-    with pytest.raises(NonConvergence):
-        _ladder(np.array([[0.0, 0.25], [0.25, 0.0]], dtype=complex))
+    with pytest.raises(NonConvergence):  # an m = 2 rung: a 2 x 2 eigensolve of X X^*
+        basis = np.eye(4, 2, dtype=complex)
+        ladder_units([basis], np.ones((4, 4), dtype=complex), (2,), 1, trace=RecoveryTrace())
     with pytest.raises(NonConvergence):
         op_norm(identity(2))
+    # an m = 1 rung's 1 x 1 eigensolve is the closed form: no LAPACK call to fail
+    _ladder(np.array([[0.0, 0.25], [0.25, 0.0]], dtype=complex))
+
+
+ONE_BY_ONE = [
+    (0.5, 0.0), (0.5, -0.0), (0.0, 0.0), (-0.0, 0.0), (-0.0, -0.0),
+    (5e-324, -0.0), (-5e-324, 0.0), (1e300, 0.0), (-1e300, -0.0), (2.0, 3.0),
+]
+
+
+@pytest.mark.parametrize("re, im", ONE_BY_ONE)
+def test_eigh_of_one_by_one_is_lapacks_answer(re, im):
+    """heevd at N = 1 returns Re a and [[1]]; the closed form gives the same bits."""
+    a = np.array([[complex(re, im)]])
+    w, v = linalg.eigh(a, "1 x 1")
+    lw, lv = np.linalg.eigh(a)
+    assert same_bits(w, lw) and same_bits(v, lv)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [complex(np.nan, 0.0), complex(np.inf, 0.0), complex(1.0, np.nan), complex(0.0, -np.inf)],
+)
+def test_eigh_of_one_by_one_rejects_non_finite_input(entry, monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigh", pytest.fail)  # rejected before any eigensolve
+    with pytest.raises(NonFiniteValue):
+        linalg.eigh(np.array([[entry]]), "1 x 1")
 
 
 def _grid(rng, rows, cols, dim, scale):

@@ -1,3 +1,4 @@
+import json
 from unittest import mock
 
 import numpy as np
@@ -31,7 +32,7 @@ from towergen.twogen import (
 )
 from towergen.units import MatrixUnitSystem, canonical_units
 
-from conftest import dense_units, relaxed_towers
+from conftest import dense_units, relaxed_towers, same_bits
 
 
 def test_extract_diagonal_model():
@@ -129,6 +130,54 @@ def test_ladder_rung_drops_singular_values_at_the_cutoff():
     f2 = system.factors[0][1]
     assert op_norm(f2 - identity(4)[:, [2, 3]] @ np.diag([1.0, 0.0])) <= 1e-15
     assert trace.steps[-1].residual == pytest.approx(0.3, abs=1e-15)
+
+
+def per_rung_ladder(bases, b_effective, shape, level, trace):
+    """Reference for ``ladder_units``: per rung, the chain concatenated anew
+    and a LAPACK ``eigh`` of X X^* at every m, 1 x 1 included."""
+    factors = []
+    for s, (basis, k_s) in enumerate(zip(bases, shape), start=1):
+        chain = [basis]
+        for i in range(1, k_s):
+            covered = np.concatenate(chain, axis=1)
+            x = 4.0**level * (chain[-1].conj().T @ b_effective)
+            x = x - (x @ covered) @ covered.conj().T
+            w, u = np.linalg.eigh(x @ x.conj().T)
+            sv = np.sqrt(np.maximum(w, 0.0))
+            keep = sv > 0.5
+            misfit = np.concatenate([np.abs(sv[keep] - 1.0), sv[~keep]])
+            trace.add(f"ladder_l{level}_b{s}_r{i}", 1, float(np.max(misfit)))
+            chain.append(x.conj().T @ ((u[:, keep] / sv[keep]) @ u[:, keep].conj().T))
+        factors.append(np.stack(chain))
+    return factors
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"preset": "T0"}, {"shapes": [[24]]}, {"shapes": [[4], [19]], "mode": "relaxed"},
+     {"shapes": [[3, 3], [39]], "mode": "relaxed"}],
+    ids=["T0", "d24", "relaxed-4-19", "relaxed-33-39"],
+)
+def test_ladder_matches_the_per_rung_oracle(config):
+    """Every ladder a round trip runs, m = 19 and two-block levels included,
+    gives the oracle's factor bytes and trace."""
+    plan = build_plan(build_tower(resolve_tower_spec(config)))
+    calls = []
+
+    def record(bases, b_effective, shape, level, trace):
+        calls.append((bases, b_effective, shape, level))
+        return ladder_units(bases, b_effective, shape, level, trace)
+
+    with mock.patch.object(recovery, "ladder_units", record):
+        recover_all(plan.model.spec.block_shapes, plan.gen_a, plan.gen_b)
+    assert len(calls) == plan.model.depth
+    for args in calls:
+        got, want = RecoveryTrace(), RecoveryTrace()
+        factors = ladder_units(*args, trace=got).factors
+        oracle = per_rung_ladder(*args, trace=want)
+        assert len(factors) == len(oracle)
+        assert all(same_bits(f, g) for f, g in zip(factors, oracle))
+        assert json.dumps(got.to_json()) == json.dumps(want.to_json())
 
 
 def test_recover_next_level_t1(t1_plan):
