@@ -38,7 +38,7 @@ from .similarity import run_identity_sweep, sweep_rows
 from .stabilize import perturb_units, stabilize_units
 from .tower import TowerSpec, build_tower, check_conditions
 from .twogen import build_plan, verify_facts
-from .units import canonical_rows, canonical_units, subrank, unit_defects
+from .units import canonical_units, subrank, unit_defects
 
 # One schema serves every tower-style command; a config names a preset or shapes.
 TOWER_SCHEMA = {
@@ -270,7 +270,9 @@ def run_recover(config: dict) -> RunReport:
 
 def _seed_chunk(entries: int) -> int:
     """Seeds scored together when each seed's stack holds ``entries`` complex
-    entries: at most four workspace blocks (1 MiB), and at least one seed."""
+    entries: at most four workspace blocks (1 MiB) in the chunk's stack, and
+    at least one seed.  A chunk's seeds share that stack, with no copy per
+    seed, so its peak is a few such stacks (see ``run_stabilize_sweep``)."""
     return max(1, 4 * _WORKSPACE_BYTES // (16 * entries))
 
 
@@ -301,8 +303,11 @@ def run_stabilize_sweep(config: dict) -> RunReport:
     sweep_rows: List[dict] = []
     medians = {}
     # a delta's seeds are scored a chunk at a time, as one dense stack of at most
-    # 1 MiB whatever the number of seeds; a chunk's scoring holds about three
-    # such stacks at its peak
+    # 1 MiB whatever the number of seeds; the noisy systems are read-only views
+    # of it, which stabilize_units and unit_defects take whole.  A chunk holds
+    # about three such stacks at its peak: the noise with A^* and A^*A of its
+    # units while perturb_units norms it, or with the stabilized units and the
+    # screen's blocks while stabilize_units measures the distances
     chunk = _seed_chunk(entries)
     for delta in deltas:
         seeds = [base_seed + 1000 * s + int(1e9 * delta) % 997 for s in range(per_delta)]
@@ -369,21 +374,40 @@ def run_cover_estimate(config: dict) -> RunReport:
     return report.close()
 
 
-def _pinched_basis_count(shape, mult, k: int) -> int:
-    """Exhaustive count of Hermitian basis elements surviving the pinching.
+def _table_rows(shapes: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """The canonical table row of every coordinate of C cases, given as
+    (C, r) shapes and (C, r) multiplicity rows: case by case, each case's
+    sum c_s k_s coordinates in order, rows numbered across all cases.
+
+    This is the layout ``canonical_rows`` documents: block s fills the
+    next c_s k_s coordinates, and row i of its table holds window
+    coordinates i c_s to i c_s + c_s - 1, so the rows, block by block,
+    each take their next c_s coordinates.
+    """
+    sizes = np.repeat(tables.ravel(), shapes.ravel())  # c_s for each of block s's k_s rows
+    return np.repeat(np.arange(len(sizes)), sizes)
+
+
+def _pinched_basis_counts(shapes: np.ndarray, tables: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Exhaustive count of Hermitian basis elements surviving the pinching,
+    for C cases given as (C, r) shapes, (C, r) multiplicity rows and their
+    C dimensions k.
 
     The canonical diagonal units are coordinate-aligned 0/1 projections, so
     a basis element E_ii (or the Hermitian pair at (i, j)) survives exactly
     when its coordinates lie inside one projection's support, which is the
-    unit's row of the row table; counting the survivors enumerates a basis
-    of the compressed Hermitian space.
+    unit's row of the row table: a row of n coordinates keeps n diagonal
+    elements and a symmetric and an antisymmetric pair per i < j, n^2 in
+    all.  Every coordinate is labeled with its row (``_table_rows``); one
+    bincount gives each row's support size and one more sums their squares
+    per case.
     """
-    rows = canonical_rows(shape, mult)
-    if sum(table.size for table in rows) != k:
-        raise DimensionMismatch(f"multiplicities {mult} of shape {shape} do not fill dimension {k}")
-    n = np.array([row.size for table in rows for row in table])  # support sizes
-    # diagonal elements E_ii, plus a symmetric and an antisymmetric pair per i < j
-    return int(np.sum(n + n * (n - 1)))
+    if np.any((tables * shapes).sum(axis=1) != ks):
+        raise DimensionMismatch("multiplicity rows do not fill their dimensions k")
+    rows = shapes.sum(axis=1)
+    support = np.bincount(_table_rows(shapes, tables), minlength=rows.sum())
+    case = np.repeat(np.arange(len(ks)), rows)  # the case of each row
+    return np.bincount(case, weights=support * support, minlength=len(ks)).astype(np.int64)
 
 
 def _sorted_shapes_upto(total: int) -> List[tuple]:
@@ -413,9 +437,10 @@ def _scan_block_count(shapes: np.ndarray, max_dim: int) -> List[int]:
     ``multiplicity_counts`` of them: together that is the set of all
     solutions, so a (shape, k) that fails any of these is one multiplicity
     mismatch.  Compression dimensions sum c_s^2 k_s come from one pass over
-    the table's columns; the row-table oracle ``_pinched_basis_count``
+    the table's columns; the row-table oracle ``_pinched_basis_counts``
     checks them on every case with k <= TABLE_ORACLE_DIM and on the first
-    largest-dimension case of each (shape, k) with a larger k.  Both caps
+    largest-dimension case of each (shape, k) with a larger k, the whole
+    sample in one call.  Both caps
     are one comparison each for the whole stack: every row's dimension
     against k^2/N, and the row count of each (shape, k) against (k/N)^r, N
     the shape's subrank.
@@ -450,14 +475,8 @@ def _scan_block_count(shapes: np.ndarray, max_dim: int) -> List[int]:
     first = np.diff(group[large], prepend=-1) != 0
     sample = np.concatenate([np.flatnonzero(k_of <= TABLE_ORACLE_DIM), large[first]])
     sample = sample[~bad[sample]]  # a bad row is already a mismatch, and no embedding
-    names = [tuple(shape) for shape in shapes.tolist()]
-    dim_mismatches = sum(
-        dim != _pinched_basis_count(names[i], row, k)
-        for i, row, k, dim in zip(
-            owner[sample].tolist(), table[sample].tolist(), k_of[sample].tolist(),
-            dims[sample].tolist(),
-        )
-    )
+    counts = _pinched_basis_counts(shapes[owner[sample]], table[sample], k_of[sample])
+    dim_mismatches = int(np.count_nonzero(counts != dims[sample]))
     cases = len(table)
     return [cases, dim_mismatches, cap_violations, int(np.count_nonzero(faulty)), card_violations]
 

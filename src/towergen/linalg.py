@@ -63,15 +63,18 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 
 
 def require_hermitian(a, tol: float = _HERMITIAN_TOL) -> np.ndarray:
-    """Validate Hermitianity entrywise at construction time.
+    """Validate Hermitianity entrywise at construction time, of a matrix or of
+    every matrix of an (S, d, d) stack.
 
     Non-finite entries raise NonFiniteValue: a NaN defect never exceeds
     ``tol``, so the entrywise test alone would pass them.
     """
-    a = as_operator(a)
+    a = as_operator(a) if np.ndim(a) != 3 else np.asarray(a, dtype=np.complex128)
+    if a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatch(f"expected a stack of square matrices, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise NonFiniteValue("matrix has non-finite entries; Hermitianity is undefined")
-    defect = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
+    defect = np.max(np.abs(a - a.conj().swapaxes(-1, -2))) if a.size else 0.0
     if defect > tol:
         raise DimensionMismatch(f"matrix is not Hermitian: entrywise defect {defect:.3e} > {tol:.1e}")
     return a
@@ -139,19 +142,19 @@ def _lapack(routine: Callable, a: np.ndarray, what: str):
 
 
 def eigh(a: np.ndarray, what: str) -> Tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix,
-    failing closed as ``_lapack`` does.
+    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix, or of
+    each matrix of a stack, failing closed as ``_lapack`` does.
 
-    A 1 x 1 matrix needs no LAPACK call: heevd returns W(1) = Re a and the
+    1 x 1 matrices need no LAPACK call: heevd returns W(1) = Re a and the
     eigenvector [[1]] for N = 1, so the closed form gives LAPACK's bits,
     signed zeros included, after the same finiteness check.
     """
-    if a.shape != (1, 1):
+    if a.shape[-2:] != (1, 1):
         return _lapack(np.linalg.eigh, a, what)
-    entry = complex(a[0, 0])
-    if not cmath.isfinite(entry):
+    finite = cmath.isfinite(complex(a.flat[0])) if a.size == 1 else np.isfinite(a).all()
+    if not finite:
         raise NonFiniteValue(f"{what}: input has non-finite entries")
-    return np.array([entry.real]), np.ones((1, 1), dtype=a.dtype)
+    return a.real[..., 0].copy(), np.ones(a.shape, dtype=a.dtype)
 
 
 def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
@@ -252,16 +255,25 @@ def tuple_norm(elems: Sequence[np.ndarray]) -> float:
 
 
 def spectral_basis(h: np.ndarray, threshold: float) -> np.ndarray:
-    """Orthonormal columns spanning the eigenspaces of ``h`` above ``threshold``.
+    """Orthonormal columns spanning the eigenspaces of ``h`` above ``threshold``,
+    of one matrix or of each matrix of an (S, d, d) stack.
 
     Requires a spectral gap: no eigenvalue may sit within 1e-8 of the
     threshold, otherwise the eigenspace is numerically ill-defined and
-    EigenvalueNearThreshold is raised.
+    EigenvalueNearThreshold is raised with the spectrum of the first matrix
+    that has none.  The eigenvalues come in ascending order, so the
+    matrices of a stack must keep equally many, else DimensionMismatch.
     """
     h = require_hermitian(h, tol=1e-10)
     w, v = eigh(hermitian_part(h), "spectral basis")
-    if np.min(np.abs(w - threshold)) < 1e-8:
+    near = np.min(np.abs(w - threshold), axis=-1) < 1e-8
+    if np.any(near):
+        spectrum = w.reshape(-1, w.shape[-1])[np.argmax(near)]
         raise EigenvalueNearThreshold(
-            f"eigenvalue within 1e-8 of threshold {threshold}: spectrum {np.round(w, 12)}"
+            f"eigenvalue within 1e-8 of threshold {threshold}: spectrum {np.round(spectrum, 12)}"
         )
-    return v[:, w > threshold]
+    keep = w > threshold
+    first = keep.reshape(-1, keep.shape[-1])[0]
+    if np.any(keep != first):
+        raise DimensionMismatch("the matrices of the stack keep different numbers of eigenvalues")
+    return v[..., first]

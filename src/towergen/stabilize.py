@@ -17,44 +17,53 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, EigenvalueNearThreshold, StabilizationFailed
+from .errors import DimensionMismatch, EigenvalueNearThreshold, StabilizationFailed, TowergenError
 from .linalg import _lapack, eigh, hermitian_part, max_distance, op_norms, spectral_basis
-from .units import MatrixUnitSystem, factored_distance, stacked_factors
+from .units import MatrixUnitSystem, dense_stack, factored_distance, stack_form, stacked_factors
 
 PROJECTION_THRESHOLD = 0.5  # eigenvalue cut that turns e_11 into a projection
 ISOMETRY_CUTOFF = 0.5  # a row whose G_i has a singular value at or below it lost rank
 ADMISSIBILITY = 0.1  # largest Gram defect ||G^* G - I|| the polar step accepts
 
 
-def _first_column(candidate: MatrixUnitSystem) -> List[np.ndarray]:
-    """G_i = e_i1 B per block, one (k_s, d, m_s) array each.
+def _first_columns(candidates: List[MatrixUnitSystem]) -> List[np.ndarray]:
+    """G_i = e_i1 B per block, one (S, k_s, d, m_s) array each, for S
+    candidates of one ``stack_form``.
 
-    For a factored or exact input e_i1 B = F_i F_1^* B, and the eigenvectors
+    For factored or exact inputs e_i1 B = F_i F_1^* B, and the eigenvectors
     of F_1^* F_1 = W diag(w) W^* give B = F_1 W_+ w_+^(-1/2) for the
     eigenvalues w_+ above the threshold, so G_i = F_i W_+ w_+^(1/2): only
-    m x m work.  A dense input takes B from one eigensolve of herm(e_11).
+    m x m work.  Dense inputs take B from one eigensolve of herm(e_11) each,
+    in one ``spectral_basis`` call.  Eigenvalues come in ascending order, so
+    the candidates must keep equally many, else DimensionMismatch.
     """
-    dense = candidate.units is not None
-    factors = None if dense else candidate.column_factors()
-    stack = []
-    for s, k in enumerate(candidate.shape, start=1):
+    first = candidates[0]
+    dense = first.units is not None
+    if dense:
+        units = dense_stack(candidates)
+    else:
+        factors = [np.array(block) for block in zip(*(c.column_factors() for c in candidates))]
+    stack, offset = [], 0
+    for s, k in enumerate(first.shape, start=1):
         if dense:
-            basis = spectral_basis(
-                hermitian_part(candidate.unit(s, 1, 1)), PROJECTION_THRESHOLD
-            )
-            g = np.stack([candidate.unit(s, i, 1) @ basis for i in range(1, k + 1)])
+            basis = spectral_basis(hermitian_part(units[:, offset]), PROJECTION_THRESHOLD)
+            g = units[:, offset : offset + k * k : k] @ basis[:, None]  # rows e_i1, i = 1..k
         else:
             f = factors[s - 1]
-            w, v = eigh(f[0].conj().T @ f[0], "stabilizer e_11 eigensolve")
-            if np.any(np.abs(w - PROJECTION_THRESHOLD) < 1e-8):
+            head = f[:, 0]
+            w, v = eigh(head.conj().transpose(0, 2, 1) @ head, "stabilizer e_11 eigensolve")
+            if (np.abs(w - PROJECTION_THRESHOLD) < 1e-8).any():
                 raise EigenvalueNearThreshold(
                     f"e_11 eigenvalue within 1e-8 of threshold {PROJECTION_THRESHOLD}"
                 )
             keep = w > PROJECTION_THRESHOLD
-            g = f @ (v[:, keep] * np.sqrt(w[keep]))
-        if not g.shape[2]:
+            if (keep != keep[0]).any():
+                raise DimensionMismatch("the candidates keep different eigenvalues of e_11")
+            g = f @ (v[:, :, keep[0]] * np.sqrt(w[:, None, keep[0]]))[:, None]
+        if not g.shape[3]:
             raise StabilizationFailed(f"block {s}: e_11 has no eigenvalue above the threshold")
         stack.append(g)
+        offset += k * k
     return stack
 
 
@@ -88,26 +97,32 @@ def stabilize_units(
 
     ``candidate`` may also be a sequence of systems of one shape and
     dimension, which gives the list of their (system, distance) pairs in
-    order and raises the error of the first system that fails.  The
-    distances of its dense systems are one per-row ``max_distance`` call,
-    a system of its own a stack of one.
+    order and raises the error of the first system that fails.  Systems
+    of one ``stack_form`` take the polar step as one stack
+    (``_polar_systems``), with the factors each would get alone.  The
+    distances of its dense systems are one per-row ``max_distance`` call
+    against their stabilized units, a system of its own a stack of one.
     """
     if isinstance(candidate, MatrixUnitSystem):
         return stabilize_units([candidate])[0]
     candidates = list(candidate)
     if len({(c.shape, c.ambient_dim) for c in candidates}) > 1:
         raise DimensionMismatch("stabilize_units takes a sequence of systems of one shape")
-    outs = [_polar_system(c) for c in candidates]
+    outs = _polar_systems(candidates)
     dists = [None if c.units is not None else factored_distance(out, c)
              for c, out in zip(candidates, outs)]
     dense = [i for i, c in enumerate(candidates) if c.units is not None]
     if dense:
-        units = np.stack([candidates[i].units for i in dense])
+        units = dense_stack([candidates[i] for i in dense])
         fixed = np.empty_like(units)
-        for row, i in zip(fixed, dense):
-            # e_ij = F_i F_j^* for every (i, j) of a block at once, in keys() order
-            row[...] = np.concatenate([(f[:, None] @ f.conj().transpose(0, 2, 1)[None])
-                                       .reshape(-1, *row.shape[1:]) for f in outs[i].factors])
+        offset = 0
+        for block in zip(*(outs[i].factors for i in dense)):
+            f = np.stack(block)
+            count, k, dim, _ = f.shape
+            # e_ij = F_i F_j^* for every (i, j) of the block at once, in keys() order
+            np.matmul(f[:, :, None], f.conj().transpose(0, 1, 3, 2)[:, None],
+                      out=fixed[:, offset : offset + k * k].reshape(count, k, k, dim, dim))
+            offset += k * k
         moved = max_distance(units, fixed)
         for i, dist in zip(dense, moved):
             dists[i] = float(dist)
@@ -117,32 +132,54 @@ def stabilize_units(
     ]
 
 
-def _polar_system(candidate: MatrixUnitSystem) -> MatrixUnitSystem:
-    """The stabilized system of one candidate, as column factors: the polar
-    factor of its stacked first-column factors, after the checks that can
-    reject the candidate."""
-    dim = candidate.ambient_dim
+def _polar_systems(candidates: List[MatrixUnitSystem]) -> List[MatrixUnitSystem]:
+    """The stabilized systems of candidates of one shape: ``_polar_stack`` of
+    all of them when they share a ``stack_form``.  When they do not, or when
+    any of them fails a check (e_11 ranks that differ across the stack
+    included), it runs one candidate at a time, so the first one to fail
+    raises its own error."""
+    if len(candidates) > 1 and len({stack_form(c) for c in candidates}) == 1:
+        try:
+            return _polar_stack(candidates)
+        except TowergenError:
+            pass
+    return [out for c in candidates for out in _polar_stack([c])]
+
+
+def _polar_stack(candidates: List[MatrixUnitSystem]) -> List[MatrixUnitSystem]:
+    """The stabilized systems of S candidates of one ``stack_form``, as column
+    factors: the polar factor of each one's stacked first-column factors,
+    every step one stacked call, after the checks that can reject a
+    candidate.  A stack of one raises its candidate's own error; a larger
+    stack may raise that of any failing candidate."""
+    first, count = candidates[0], len(candidates)
+    dim = first.ambient_dim
     try:
-        stack = _first_column(candidate)
+        stack = _first_columns(candidates)
     except EigenvalueNearThreshold as exc:
         raise StabilizationFailed(f"spectral gap lost at e_11: {exc}") from exc
     cols = stacked_factors(stack)
-    if cols.shape[1] != dim:
+    if cols.shape[2] != dim:
         raise StabilizationFailed(
-            f"diagonal ranks sum to {cols.shape[1]}, not the ambient dimension {dim}"
+            f"diagonal ranks sum to {cols.shape[2]}, not the ambient dimension {dim}"
         )
-    w, v = eigh(cols.conj().T @ cols, "stabilizer Gram eigensolve")
-    defect = float(np.max(np.abs(w - 1.0)))
-    if defect > ADMISSIBILITY:
-        _reject(stack, defect)
-    polar = cols @ ((v / np.sqrt(w)) @ v.conj().T)
-    factors, start = [], 0
+    w, v = eigh(cols.conj().transpose(0, 2, 1) @ cols, "stabilizer Gram eigensolve")
+    defect = np.abs(w - 1.0).max(axis=1)
+    inadmissible = defect > ADMISSIBILITY
+    if inadmissible.any():
+        worst = int(np.argmax(inadmissible))
+        _reject([g[worst] for g in stack], float(defect[worst]))
+    polar = cols @ ((v / np.sqrt(w)[:, None]) @ v.conj().transpose(0, 2, 1))
+    blocks, start = [], 0
     for g in stack:
-        k, _, m = g.shape
-        block = polar[:, start : start + k * m].reshape(dim, k, m)
-        factors.append(np.ascontiguousarray(block.transpose(1, 0, 2)))
+        _, k, _, m = g.shape
+        block = polar[:, :, start : start + k * m].reshape(count, dim, k, m)
+        blocks.append(np.ascontiguousarray(block.transpose(0, 2, 1, 3)))
         start += k * m
-    return MatrixUnitSystem(candidate.shape, dim, factors=factors)
+    return [
+        MatrixUnitSystem(first.shape, dim, factors=[block[i] for block in blocks])
+        for i in range(count)
+    ]
 
 
 def perturb_units(
@@ -156,7 +193,9 @@ def perturb_units(
     factored system raises DimensionMismatch.  ``seed`` may also be a
     sequence of seeds, which gives the list of their perturbed systems in
     order: each seed draws from its own generator, as alone, and the noise
-    of all of them is normed with one ``op_norms`` call.
+    of all of them is normed with one ``op_norms`` call.  The systems hold
+    read-only views of that one (seeds, n, d, d) stack, which
+    ``dense_stack`` gives back whole.
     """
     if np.ndim(seed) == 0:
         return perturb_units(units, delta, [seed])[0]
@@ -185,4 +224,5 @@ def perturb_units(
     noise /= scales.reshape(*noise.shape[:2], 1, 1)
     noise *= delta
     noise += exact
+    noise.flags.writeable = False  # the systems are its rows, not copies of them
     return [MatrixUnitSystem(units.shape, dim, units=one) for one in noise]

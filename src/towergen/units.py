@@ -59,7 +59,9 @@ class MatrixUnitSystem:
     - ``factors``: one complex (k_s, d, m_s) array F per block, with
       e_ij^(s) = F[i-1] F[j-1]^*, as recovery stores a level;
     - ``units``: one (sum k_s^2, d, d) stack holding every unit in
-      ``keys()`` order, kept as a read-only complex128 copy.
+      ``keys()`` order, kept read-only and complex128: a C-contiguous
+      complex128 stack that is already read-only is kept as given (its
+      owner must not write to it), any other is copied.
 
     ``unit(s, i, j)`` is the one reader of every form: it forms that one
     unit from a table or from factors, and reads a stack row by index.
@@ -86,11 +88,13 @@ class MatrixUnitSystem:
         )
         self.units = None
         if units is not None:
-            stack = np.array(units, dtype=np.complex128)
+            stack = np.asarray(units, dtype=np.complex128)
+            if stack.flags.writeable or not stack.flags.c_contiguous:
+                stack = np.array(stack, order="C")
+                stack.flags.writeable = False
             want = (sum(k * k for k in self.shape), self.ambient_dim, self.ambient_dim)
             if stack.shape != want:
                 raise DimensionMismatch(f"need a {want} unit stack, got shape {stack.shape}")
-            stack.flags.writeable = False
             self.units = stack
 
     def unit(self, s: int, i: int, j: int) -> np.ndarray:
@@ -175,6 +179,38 @@ class MatrixUnitSystem:
             block[np.arange(k)[:, None], table, np.arange(c)] = 1.0
             out.append(block)
         return tuple(out)
+
+
+def stack_form(system: MatrixUnitSystem) -> tuple:
+    """What systems must share to be worked on as one stack: the storage
+    form, and for exact and factored systems the shape of each block's
+    column factors."""
+    if system.units is not None:
+        return ("units",)
+    if system.rows is not None:
+        dim = system.ambient_dim
+        return ("rows", *((k, dim, t.shape[1]) for k, t in zip(system.shape, system.rows)))
+    return ("factors", *(f.shape for f in system.factors))
+
+
+def dense_stack(systems: Sequence[MatrixUnitSystem]) -> np.ndarray:
+    """The (S, n, d, d) stack of the units of S dense systems of one shape.
+
+    Systems whose stacks are, in order, the rows of one array, as
+    ``perturb_units`` hands them out, give that array itself, with no
+    copy; any others give a stacked copy.
+    """
+    one = systems[0].units
+    base = one.base
+    if base is not None and base.shape == (len(systems), *one.shape) and all(
+        s.units.base is base
+        and s.units.strides == base.strides[1:]
+        and s.units.__array_interface__["data"][0]
+        == base.__array_interface__["data"][0] + i * base.strides[0]
+        for i, s in enumerate(systems)
+    ):
+        return base
+    return np.stack([s.units for s in systems])
 
 
 def _checked_rows(shape: Shape, dim: int, rows: Sequence[np.ndarray]) -> Tuple[np.ndarray, ...]:
@@ -298,18 +334,14 @@ def unit_defects(
     systems = list(system)
     if len({(s.shape, s.ambient_dim) for s in systems}) > 1:
         raise DimensionMismatch("unit_defects scores a sequence of systems of one shape")
-    # one stack per storage form and factor shape
     groups = {}
     for i, s in enumerate(systems):
-        form = None
-        if s.units is None:
-            form = (s.rows is None, *(f.shape for f in s.column_factors()))
-        groups.setdefault(form, []).append(i)
+        groups.setdefault(stack_form(s), []).append(i)
     out = [None] * len(systems)
     for members in groups.values():
         stack = [systems[i] for i in members]
         if stack[0].units is not None:
-            scored = _dense_defects(stack[0].shape, np.stack([s.units for s in stack]))
+            scored = _dense_defects(stack[0].shape, dense_stack(stack))
         else:
             scored = _factored_defects(stack)
         for i, defects in zip(members, scored):

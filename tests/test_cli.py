@@ -20,7 +20,7 @@ from towergen.similarity import run_identity_sweep, sweep_rows
 from towergen.stabilize import perturb_units, stabilize_units
 from towergen.tower import build_tower, check_conditions
 from towergen.twogen import build_plan, verify_facts
-from towergen.units import UnitDefects, canonical_units, unit_defects
+from towergen.units import UnitDefects, canonical_rows, canonical_units, unit_defects
 from towergen.presets import list_presets, preset_spec
 from towergen.report import RunReport
 
@@ -341,10 +341,10 @@ def dense_pinched_count(shape, mult, k: int) -> int:
 def test_pinched_basis_count_matches_dense_supports():
     cases = 0
     for shape in cli._sorted_shapes_upto(8):
-        table, _, _ = multiplicity_table([shape], 8)
-        for mult in table.tolist():
-            k = int(np.dot(mult, shape))
-            assert cli._pinched_basis_count(shape, mult, k) == dense_pinched_count(shape, mult, k)
+        table, _, k_of = multiplicity_table([shape], 8)
+        counts = cli._pinched_basis_counts(np.tile(shape, (len(table), 1)), table, k_of)
+        for mult, k, count in zip(table.tolist(), k_of.tolist(), counts.tolist(), strict=True):
+            assert count == dense_pinched_count(shape, mult, k)
             cases += 1
     assert cases == 474  # the cases row of counting-check at max_dim 8
 
@@ -409,13 +409,15 @@ def test_counting_check_catches_a_faulty_multiplicity_table(tmp_path, monkeypatc
 
 
 def test_counting_check_catches_a_wrong_compression_dimension(tmp_path, monkeypatch):
-    real = cli._pinched_basis_count
+    real = cli._pinched_basis_counts
 
-    def off_by_one(shape, mult, k):
-        count = real(shape, mult, k)
-        return count + 1 if tuple(mult) == (1, 1) and tuple(shape) == (2, 3) else count
+    def off_by_one(shapes, tables, ks):
+        counts = real(shapes, tables, ks)
+        if shapes.shape[1] == 2:
+            counts[((shapes == (2, 3)) & (tables == (1, 1))).all(axis=1)] += 1
+        return counts
 
-    monkeypatch.setattr(cli, "_pinched_basis_count", off_by_one)
+    monkeypatch.setattr(cli, "_pinched_basis_counts", off_by_one)
     status, row = counting_row(tmp_path, "compression_dim_mismatches")
     assert status == 1
     assert row["measured"] == 1 and not row["pass"]
@@ -468,24 +470,30 @@ def per_shape_scan(shape: tuple, max_dim: int) -> list:
         for k in range(cli.TABLE_ORACLE_DIM + 1, max_dim + 1)
         if sizes[k]
     ]
-    dim_mismatches = 0
-    for i in sample:
-        if not bad[i]:
-            dim_mismatches += dims[i] != cli._pinched_basis_count(shape, table[i].tolist(), int(k_of[i]))
+    sample = [i for i in sample if not bad[i]]
+    counts = cli._pinched_basis_counts(np.tile(shape, (len(sample), 1)), table[sample], k_of[sample])
+    dim_mismatches = int(np.count_nonzero(dims[sample] != counts))
     cases = int(offsets[-1] - offsets[1])
     return [cases, dim_mismatches, cap_violations, int(np.count_nonzero(faulty)), card_violations]
+
+
+def recorded_oracle_cases(monkeypatch):
+    """A list that collects every (shape, mult, k) case the row-table oracle
+    is given from now on, one entry per case."""
+    calls, count = [], cli._pinched_basis_counts
+
+    def record(shapes, tables, ks):
+        calls.extend(zip(map(tuple, shapes.tolist()), map(tuple, tables.tolist()), ks.tolist()))
+        return count(shapes, tables, ks)
+
+    monkeypatch.setattr(cli, "_pinched_basis_counts", record)
+    return calls
 
 
 def test_stacked_scan_equals_the_per_shape_scan(monkeypatch):
     """Same five totals at every max_dim, and the same oracle cases: 474 at
     max_dim 8 (every case) and 1081 at 12."""
-    calls, count = [], cli._pinched_basis_count
-
-    def record(shape, mult, k):
-        calls.append((tuple(shape), tuple(mult), k))
-        return count(shape, mult, k)
-
-    monkeypatch.setattr(cli, "_pinched_basis_count", record)
+    calls = recorded_oracle_cases(monkeypatch)
     for max_dim in range(1, 13):
         stacked = cli._scan_shapes(max_dim)
         stacked_calls = sorted(calls)
@@ -496,6 +504,28 @@ def test_stacked_scan_equals_the_per_shape_scan(monkeypatch):
         assert len(calls) == {8: 474, 12: 1081}.get(max_dim, len(calls))
         calls.clear()
     assert stacked[0] == 8017
+
+
+def test_table_rows_are_the_canonical_tables(monkeypatch):
+    """The oracle's row labels are the tables ``canonical_rows`` builds, on
+    every case of the max_dim 12 sample, with every case's coordinates
+    filled and its rows numbered after the previous case's."""
+    calls = recorded_oracle_cases(monkeypatch)
+    cli._scan_shapes(12)
+    assert len(calls) == 1081
+    for blocks in {len(shape) for shape, _, _ in calls}:
+        cases = [case for case in calls if len(case[0]) == blocks]
+        shapes, tables = (np.array([case[i] for case in cases]) for i in (0, 1))
+        labels = cli._table_rows(shapes, tables)
+        start, first = 0, 0
+        for shape, mult, k in cases:
+            want = np.full(k, -1)
+            rows = [row for table in canonical_rows(shape, mult) for row in table]
+            for r, row in enumerate(rows):
+                want[row] = first + r
+            assert np.array_equal(labels[start : start + k], want)
+            start, first = start + k, first + len(rows)
+        assert start == len(labels)
 
 
 @pytest.mark.parametrize("workspace, chunks", [(100, [1] * 20), (300, [3] * 6 + [2]), (None, [20])])

@@ -169,6 +169,39 @@ def test_eigh_of_one_by_one_rejects_non_finite_input(entry, monkeypatch):
         linalg.eigh(np.array([[entry]]), "1 x 1")
 
 
+def test_eigh_of_a_stack_of_one_by_ones_is_lapacks_answer(monkeypatch):
+    a = np.array([[[complex(-0.0, 1.0)]], [[complex(5e-324, -0.0)]], [[complex(-1e300, 2.0)]]])
+    w, v = linalg.eigh(a, "1 x 1 stack")
+    lw, lv = np.linalg.eigh(a)
+    assert same_bits(w, lw) and same_bits(v, lv)
+    a[1, 0, 0] = complex(0.0, np.nan)
+    monkeypatch.setattr(np.linalg, "eigh", pytest.fail)
+    with pytest.raises(NonFiniteValue):
+        linalg.eigh(a, "1 x 1 stack")
+
+
+def test_spectral_basis_of_a_stack_is_each_matrix_alone():
+    rng = np.random.default_rng(5)
+    h = np.stack([random_complex(rng, 6) for _ in range(4)])
+    h = (h + h.conj().transpose(0, 2, 1)) / 4 + 0.5 * np.eye(6)
+    w = np.linalg.eigvalsh(h)
+    threshold = 0.5 * (w[0, 2] + w[0, 3])  # keeps the top three eigenvalues of the first
+    h[1:] += (threshold - 0.5 * (w[1:, 2] + w[1:, 3]))[:, None, None] * np.eye(6)  # and of each
+    stacked = spectral_basis(h, threshold)
+    assert stacked.shape == (4, 6, 3)
+    for one, basis in zip(h, stacked, strict=True):
+        assert same_bits(basis, spectral_basis(one, threshold))
+    h[2] += 10.0 * np.eye(6)  # every eigenvalue of the third above the threshold
+    with pytest.raises(DimensionMismatch):
+        spectral_basis(h, threshold)
+    h[1] -= (np.linalg.eigvalsh(h[1])[3] - threshold - 1e-9) * np.eye(6)
+    with pytest.raises(EigenvalueNearThreshold, match="spectrum") as info:
+        spectral_basis(h, threshold)
+    with pytest.raises(EigenvalueNearThreshold) as alone:
+        spectral_basis(h[1], threshold)
+    assert str(info.value) == str(alone.value)
+
+
 def _grid(rng, rows, cols, dim, scale):
     """Residuals r(l, r) = A_l B_r - B_r of random families, scaled per pair."""
     a = rng.standard_normal((rows, dim, dim)) + 1j * rng.standard_normal((rows, dim, dim))

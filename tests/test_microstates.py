@@ -240,6 +240,11 @@ def table_dimension(shape, mult):
     return int((table**2 @ np.array(shape))[i])
 
 
+def pinched_count(shape, mult, k):
+    """The row-table oracle's count of one case, a stack of one."""
+    return int(cli._pinched_basis_counts(np.array([shape]), np.array([mult]), np.array([k]))[0])
+
+
 def scan(shape, max_dim):
     """counting-check's five totals for one shape, a stack of one."""
     return cli._scan_block_count(np.array([shape]), max_dim)
@@ -248,7 +253,7 @@ def scan(shape, max_dim):
 def test_compression_dimension_examples():
     """The table formula, the row-table count and the numeric rank agree."""
     assert table_dimension((2, 3), (1, 1)) == 5
-    assert cli._pinched_basis_count((2, 3), (1, 1), 5) == 5
+    assert pinched_count((2, 3), (1, 1), 5) == 5
     assert numeric_pinched_dimension((2, 3), (1, 1), 5) == 5
     assert scan((2, 3), 5)[1:3] == [0, 0]  # no dimension mismatch, 5 <= 25/2
 
@@ -257,7 +262,7 @@ def test_compression_dimension_tight_case():
     """For a single block of size N at k = N the dimension N meets the cap k^2/N."""
     n = 4
     assert table_dimension((n,), (1,)) == n == n * n / n
-    assert cli._pinched_basis_count((n,), (1,), n) == n
+    assert pinched_count((n,), (1,), n) == n
     assert scan((n,), n) == [1, 0, 0, 0, 0]
 
 
@@ -265,7 +270,7 @@ def test_compression_dimension_numeric_oracle_sweep():
     cases = [((2,), (2,), 4), ((3,), (1,), 3), ((2, 2), (1, 2), 6), ((2, 3), (2, 1), 7)]
     for shape, mult, k in cases:
         want = numeric_pinched_dimension(shape, mult, k)
-        assert cli._pinched_basis_count(shape, mult, k) == want
+        assert pinched_count(shape, mult, k) == want
         assert table_dimension(shape, mult) == want
 
 

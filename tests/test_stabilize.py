@@ -9,7 +9,7 @@ import towergen.stabilize as stabilize_module
 from towergen.errors import DimensionMismatch, StabilizationFailed
 from towergen.linalg import hermitian_part, identity, op_norm, op_norms
 from towergen.stabilize import perturb_units, stabilize_units
-from towergen.units import MatrixUnitSystem, canonical_units, unit_defects
+from towergen.units import MatrixUnitSystem, canonical_units, dense_stack, unit_defects
 
 from conftest import dense_units, same_bits
 
@@ -248,3 +248,188 @@ def test_the_first_candidate_that_fails_raises_its_own_error():
         stabilize_units([good, inadmissible, half])
     with pytest.raises(StabilizationFailed, match="spectral gap lost"):
         stabilize_units([good, half, inadmissible])
+
+
+def per_candidate_stabilize(candidate):
+    """One candidate's (system, distance) pair by the per-candidate formula:
+    G_i = e_i1 B from its own eigensolve, one Gram eigensolve and polar
+    factor, and its own distance, with no stack shared with any other
+    candidate.  Raises StabilizationFailed where the stabilizer must."""
+    dim = candidate.ambient_dim
+    stack = []
+    for s, k in enumerate(candidate.shape, start=1):
+        if candidate.units is not None:
+            h = hermitian_part(candidate.unit(s, 1, 1))
+            w, v = np.linalg.eigh(hermitian_part(h))
+            if np.min(np.abs(w - 0.5)) < 1e-8:
+                raise StabilizationFailed(
+                    "spectral gap lost at e_11: eigenvalue within 1e-8 of threshold 0.5: "
+                    f"spectrum {np.round(w, 12)}"
+                )
+            basis = v[:, w > 0.5]
+            g = np.stack([candidate.unit(s, i, 1) @ basis for i in range(1, k + 1)])
+        else:
+            f = candidate.column_factors()[s - 1]
+            w, v = np.linalg.eigh(f[0].conj().T @ f[0])
+            if np.any(np.abs(w - 0.5) < 1e-8):
+                raise StabilizationFailed(
+                    "spectral gap lost at e_11: e_11 eigenvalue within 1e-8 of threshold 0.5"
+                )
+            g = f @ (v[:, w > 0.5] * np.sqrt(w[w > 0.5]))
+        if not g.shape[2]:
+            raise StabilizationFailed(f"block {s}: e_11 has no eigenvalue above the threshold")
+        stack.append(g)
+    cols = np.concatenate([g.transpose(1, 0, 2).reshape(dim, -1) for g in stack], axis=1)
+    if cols.shape[1] != dim:
+        raise StabilizationFailed(
+            f"diagonal ranks sum to {cols.shape[1]}, not the ambient dimension {dim}"
+        )
+    w, v = np.linalg.eigh(cols.conj().T @ cols)
+    defect = float(np.max(np.abs(w - 1.0)))
+    if defect > stabilize_module.ADMISSIBILITY:
+        stabilize_module._reject(stack, defect)
+    polar = cols @ ((v / np.sqrt(w)) @ v.conj().T)
+    factors, start = [], 0
+    for g in stack:
+        k, _, m = g.shape
+        block = polar[:, start : start + k * m].reshape(dim, k, m)
+        factors.append(np.ascontiguousarray(block.transpose(1, 0, 2)))
+        start += k * m
+    out = MatrixUnitSystem(candidate.shape, dim, factors=factors)
+    if candidate.units is None:
+        dist = stabilize_module.factored_distance(out, candidate)
+    else:
+        fixed = np.concatenate(
+            [(f[:, None] @ f.conj().transpose(0, 2, 1)[None]).reshape(-1, dim, dim)
+             for f in factors]
+        )
+        dist = float(stabilize_module.max_distance(dense_units(candidate)[None], fixed[None])[0])
+    return (candidate, 0.0) if dist <= 8 * dim * np.finfo(float).eps else (out, dist)
+
+
+def first_failure(candidates):
+    """The message of the first candidate the per-candidate formula rejects, and its index."""
+    for i, candidate in enumerate(candidates):
+        try:
+            per_candidate_stabilize(candidate)
+        except StabilizationFailed as exc:
+            return i, str(exc)
+    return None, None
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-12, 1e-3])
+@pytest.mark.parametrize("form", ["exact", "factored", "dense"])
+def test_stacked_stabilizer_equals_the_per_candidate_formula(monkeypatch, form, delta):
+    """Five candidates of one storage form, stabilized as one stack, give each
+    candidate's own (system, distance) pair bit for bit, as does each alone."""
+    exact = canonical_units((2, 3), (2, 1))
+    if form == "exact":
+        candidates = [exact] * 5
+    elif form == "factored":
+        candidates = [perturbed_factors(exact, delta, seed) for seed in range(5)]
+    else:
+        candidates = perturb_units(exact, delta, list(range(5)))
+    calls, polar = [], stabilize_module._polar_stack
+
+    def record(stack):
+        calls.append(len(stack))
+        return polar(stack)
+
+    monkeypatch.setattr(stabilize_module, "_polar_stack", record)
+    stacked = stabilize_units(candidates)
+    assert calls == [5]  # one stack, no redo
+    for candidate, (out, dist) in zip(candidates, stacked, strict=True):
+        want, want_dist = per_candidate_stabilize(candidate)
+        alone, alone_dist = stabilize_units(candidate)
+        assert same_bits(np.float64(dist), np.float64(want_dist)) and dist == alone_dist
+        assert (out is candidate) == (want is candidate) == (alone is candidate)
+        if out is not candidate:
+            assert all(same_bits(a, b) for a, b in zip(out.factors, want.factors, strict=True))
+            assert all(same_bits(a, b) for a, b in zip(out.factors, alone.factors, strict=True))
+    if form == "dense" and delta == 0.0:
+        assert all(out is candidate for candidate, (out, _) in zip(candidates, stacked))
+
+
+def test_a_failing_candidate_mid_chunk_raises_the_first_failure():
+    """The sweep's first 13-seed chunk of [5, 5] at delta 0.06 fails first at
+    its 7th seed: the stacked chunk raises that seed's own error."""
+    delta = 0.06
+    seeds = [2024 + 1000 * s + int(1e9 * delta) % 997 for s in range(13)]
+    noisy = perturb_units(canonical_units((5, 5)), delta, seeds)
+    index, message = first_failure(noisy)
+    assert index == 6
+    with pytest.raises(StabilizationFailed) as info:
+        stabilize_units(noisy)
+    assert str(info.value) == message
+    stabilize_units(noisy[:index])  # the seeds before it pass as one stack
+
+
+@pytest.mark.parametrize("form", ["dense", "factored"])
+def test_a_near_threshold_e11_in_a_stack_loses_the_spectral_gap(form):
+    """One candidate whose e_11 has an eigenvalue 1e-9 above 1/2, third in a
+    stack of good ones, raises the spectral-gap error it raises alone."""
+    exact = canonical_units((2,))
+    if form == "dense":
+        good = perturb_units(exact, 1e-3, [1, 2, 3])
+        units = dense_units(exact)
+        units[0] = np.diag([0.5 + 1e-9, 0.0])  # e_11
+        near = MatrixUnitSystem((2,), 2, units=units)
+    else:
+        good = [perturbed_factors(exact, 1e-3, seed) for seed in (1, 2, 3)]
+        factors = np.array(exact.column_factors()[0])
+        factors[0] *= np.sqrt(0.5 + 1e-9)  # F_1^* F_1 = 1/2 + 1e-9
+        near = MatrixUnitSystem((2,), 2, factors=[factors])
+    stack = [good[0], good[1], near, good[2]]
+    with pytest.raises(StabilizationFailed, match="spectral gap lost at e_11") as info:
+        stabilize_units(stack)
+    assert (2, str(info.value)) == first_failure(stack)
+
+
+def test_perturbed_systems_are_views_of_one_stack():
+    """``dense_stack`` gives the noise stack itself back, with no copy; systems
+    that are not its rows in order get a stacked copy."""
+    noisy = perturb_units(canonical_units((2, 3), (2, 1)), 1e-3, [3, 1, 4])
+    base = dense_stack(noisy)
+    assert base.shape == (3, *noisy[0].units.shape) and not base.flags.writeable
+    assert all(system.units.base is base for system in noisy)
+    for subset in (noisy[::-1], noisy[:2], noisy[1:], [noisy[0], noisy[0], noisy[2]]):
+        copy = dense_stack(subset)
+        assert copy is not base and not np.shares_memory(copy, base)
+        assert same_bits(copy, np.stack([system.units for system in subset]))
+
+
+def test_a_read_only_stack_is_kept_and_any_other_copied():
+    stack = dense_units(canonical_units((2,)))
+    copied = MatrixUnitSystem((2,), 2, units=stack)
+    assert not np.shares_memory(copied.units, stack) and not copied.units.flags.writeable
+    stack.flags.writeable = False
+    assert MatrixUnitSystem((2,), 2, units=stack).units is stack
+    strided = np.stack([stack, stack], axis=1)[:, 0]  # read-only only once copied
+    strided.flags.writeable = False
+    kept = MatrixUnitSystem((2,), 2, units=strided)
+    assert kept.units.flags.c_contiguous and not np.shares_memory(kept.units, strided)
+
+
+@pytest.mark.parametrize("form", ["dense", "factored"])
+def test_a_candidate_whose_e11_keeps_another_rank_raises_its_own_error(form):
+    """Second in a stack, an e_11 of rank 2 on C^2 leaves the diagonal ranks
+    summing to 4: the stack is redone one candidate at a time, not read with
+    the first's rank, under which the factored one would pass as exact."""
+    exact = canonical_units((2,))
+    if form == "dense":
+        good = perturb_units(exact, 1e-3, [1, 2])
+        units = dense_units(exact)
+        units[0] = identity(2)  # e_11
+        wide = MatrixUnitSystem((2,), 2, units=units)
+    else:
+        good = [perturbed_factors(exact, 1e-3, seed) for seed in (1, 2)]
+        # F_1^* F_1 = diag(0.6, 1): its top eigenvector alone gives G = [e_2, e_1]
+        wide = np.array([np.diag([np.sqrt(0.6), 1.0]), [[0.0, 1.0], [0.0, 0.0]]], dtype=complex)
+        wide = MatrixUnitSystem((2,), 2, factors=[wide])
+        good = [MatrixUnitSystem((2,), 2, factors=[np.pad(g.factors[0], ((0, 0), (0, 0), (0, 1)))])
+                for g in good]  # the same factor shape, a zero second column
+    stack = [good[0], wide, good[1]]
+    with pytest.raises(StabilizationFailed) as info:
+        stabilize_units(stack)
+    assert (1, str(info.value)) == first_failure(stack)
+    assert "diagonal ranks sum to 4" in str(info.value)
