@@ -16,7 +16,6 @@ import sys
 from typing import Dict, List
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from .closure import distance_to_span, subalgebra_closure
 from .errors import ConfigInvalid, DimensionMismatch, DimensionOverflow, TowergenError
@@ -157,16 +156,7 @@ MULTIPLICITY_FIELDS = {
 def validate_config(command: str, config: dict) -> None:
     command = ALIASES.get(command, command)
     schema = SCHEMAS[command]
-    validator = Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(config), key=lambda e: list(e.absolute_path))
-    if errors:
-        first = errors[0]
-        path = ".".join(str(p) for p in first.absolute_path) or "<root>"
-        raise ConfigInvalid(f"config field {path}: {first.message}", path=path)
-    bad = _non_finite_path(config)
-    if bad is not None:
-        path = ".".join(str(p) for p in bad)
-        raise ConfigInvalid(f"config field {path}: not a finite number", path=path)
+    _check_schema(schema, config, ())
     if schema is TOWER_SCHEMA and "preset" not in config and "shapes" not in config:
         raise ConfigInvalid("config needs either 'preset' or 'shapes'", path="shapes")
     for first, second in EXCLUSIVE_FIELDS:
@@ -185,24 +175,68 @@ def validate_config(command: str, config: dict) -> None:
             )
 
 
-def _non_finite_path(value, path=()):
-    """Path of the first NaN or infinite number in a config, else None.
+# The JSON types SCHEMAS name.  true and false are booleans only, and an integer
+# is an integer literal: 2.0 is a number, not an integer.
+JSON_TYPES = {
+    "object": dict, "array": list, "integer": int, "number": (int, float), "boolean": bool,
+}
 
-    JSON schema bounds such as ``minimum`` let NaN and infinities through.
+
+def _check_schema(schema: dict, value, path: tuple) -> None:
+    """Raise ConfigInvalid for the first error of ``value`` against ``schema``.
+
+    Covers the keywords SCHEMAS use, with their JSON Schema meaning.  A value's
+    own keywords are checked before its fields, in sorted order, and its items,
+    by index; so the first error found is the first in path order, and an
+    error at the root comes before any error inside it.  A number must also be
+    finite, which no bound keyword checks: NaN compares false to every bound.
     """
-    if isinstance(value, float):
-        return None if math.isfinite(value) else path
+    kind = schema.get("type")
+    is_bool = isinstance(value, bool)
+    if kind and (not isinstance(value, JSON_TYPES[kind]) or is_bool != (kind == "boolean")):
+        raise _invalid(path, f"{value!r} is not of type {kind}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise _invalid(path, f"{value!r} is not a finite number")
+    if "enum" in schema and value not in schema["enum"]:
+        raise _invalid(path, f"{value!r} is not one of {schema['enum']}")
+    if "minimum" in schema and value < schema["minimum"]:
+        raise _invalid(path, f"{value!r} is less than the minimum of {schema['minimum']}")
+    if "maximum" in schema and value > schema["maximum"]:
+        raise _invalid(path, f"{value!r} is greater than the maximum of {schema['maximum']}")
+    if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+        raise _invalid(path, f"{value!r} is not greater than {schema['exclusiveMinimum']}")
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            raise _invalid(path, f"{value!r} has fewer than {schema['minItems']} items")
+        if schema.get("uniqueItems") and len(set(map(_json_key, value))) < len(value):
+            raise _invalid(path, f"{value!r} has repeated items")
+        for index, item in enumerate(value):
+            _check_schema(schema["items"], item, path + (index,))
     if isinstance(value, dict):
-        items = value.items()
-    elif isinstance(value, list):
-        items = enumerate(value)
-    else:
-        return None
-    for key, item in items:
-        found = _non_finite_path(item, path + (key,))
-        if found is not None:
-            return found
-    return None
+        fields = schema.get("properties", {})
+        unknown = sorted(set(value) - set(fields), key=str)
+        if unknown and schema.get("additionalProperties") is False:
+            raise _invalid(path, f"unknown fields {', '.join(map(repr, unknown))}")
+        missing = [name for name in schema.get("required", ()) if name not in value]
+        if missing:
+            raise _invalid(path, f"{missing[0]!r} is required")
+        for name in sorted(set(value) & set(fields)):
+            _check_schema(fields[name], value[name], path + (name,))
+
+
+def _invalid(path: tuple, message: str) -> ConfigInvalid:
+    where = ".".join(map(str, path)) or "<root>"
+    return ConfigInvalid(f"config field {where}: {message}", path=where)
+
+
+def _json_key(value):
+    """A hashable stand-in for a JSON value under JSON equality: 1 equals 1.0,
+    true does not equal 1, and lists and objects compare by content."""
+    if isinstance(value, list):
+        return ("array", tuple(map(_json_key, value)))
+    if isinstance(value, dict):
+        return ("object", frozenset((name, _json_key(item)) for name, item in value.items()))
+    return (isinstance(value, bool), value)
 
 
 def resolve_tower_spec(config: dict) -> TowerSpec:

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import towergen
 import towergen.cli as cli
@@ -205,6 +208,9 @@ def test_unknown_preset_is_config_invalid(tmp_path):
         ("stabilize-sweep", {"shape": [2, 2], "deltas": [1e-4, float("inf")]}, "deltas.1"),
         ("cover-estimate", {"k": 1, "omega": float("nan")}, "omega"),
         ("cover-estimate", {"k": 1, "omegas": [0.5, float("inf")]}, "omegas.1"),
+        # checked in path order, in the same pass as types and bounds
+        ("stabilize-sweep", {"shape": [2, 2], "deltas": [float("nan"), 1.5]}, "deltas.0"),
+        ("cover-estimate", {"k": 0, "omegas": [float("inf")]}, "k"),
     ],
 )
 def test_non_finite_config_is_config_invalid(tmp_path, command, config, path):
@@ -308,6 +314,189 @@ def test_counting_check_max_dim_out_of_range_is_config_invalid(tmp_path, max_dim
     cfg = tmp_path / "max_dim.json"
     cfg.write_text(json.dumps(config))
     assert main(["counting-check", "--config", str(cfg)]) == 2
+
+
+def _integer_fields(schema, path=()):
+    """(path, minimum) of every integer a schema names; a list's item stands at index 0."""
+    if schema.get("type") == "integer":
+        yield path, schema["minimum"]
+    for name, field in schema.get("properties", {}).items():
+        yield from _integer_fields(field, path + (name,))
+    if "items" in schema:
+        yield from _integer_fields(schema["items"], path + (0,))
+
+
+INTEGER_FIELDS = [
+    (command, path, minimum)
+    for command, schema in sorted(cli.SCHEMAS.items())
+    for path, minimum in _integer_fields(schema)
+]
+
+
+@pytest.mark.parametrize(
+    "command,path,minimum",
+    INTEGER_FIELDS,
+    ids=[f"{command}:{'.'.join(map(str, path))}" for command, path, _ in INTEGER_FIELDS],
+)
+def test_integral_float_in_an_integer_field_is_config_invalid(tmp_path, command, path, minimum):
+    """2.0 is a JSON number, not an integer literal: it fails at its own field with
+    exit status 2, before a runner can raise on it."""
+    value = float(minimum)
+    for _ in path[1:]:
+        value = [value]
+    config = {"shape": [2]} if command == "stabilize-sweep" else {}
+    config[path[0]] = value
+    with pytest.raises(ConfigInvalid) as info:
+        run(command, config)
+    assert info.value.path == ".".join(map(str, path))
+    cfg = tmp_path / "float.json"
+    cfg.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg)]) == 2
+
+
+# Twelve deltas, bad at indices 2 and 10: the path "deltas.10" sorts before
+# "deltas.2" as a string, but index 2 comes first.
+DELTAS_BAD_AT_2_AND_10 = [0.5, 0.25, 2.0, *(k / 100 for k in range(7)), -1.0, 0.75]
+
+
+@pytest.mark.parametrize(
+    "command,config,path",
+    [
+        # type, for each JSON type the schemas name; true and false are no numbers
+        ("tower-check", [], "<root>"),
+        ("lemma52-check", {"shapes": [2]}, "shapes.0"),
+        ("cover-estimate", {"k": "1"}, "k"),
+        ("cover-estimate", {"k": True}, "k"),
+        ("cover-estimate", {"omegas": [False]}, "omegas.0"),
+        ("recover", {"preset": "T0", "closure": 1}, "closure"),
+        # additionalProperties beside a bad field: the root comes first
+        ("cover-estimate", {"k": 0, "bogus": 1}, "<root>"),
+        # required, beside a bad field
+        ("stabilize-sweep", {"deltas": [1.5]}, "<root>"),
+        # enum, minimum and exclusiveMinimum; maximum and minItems have tests above
+        ("recover", {"preset": "T0", "mode": "loose"}, "mode"),
+        ("lemma52-check", {"block_sizes": [2, 1]}, "block_sizes.1"),
+        ("cover-estimate", {"omegas": [0.5, 0]}, "omegas.1"),
+        # uniqueItems: 1 equals 1.0, but true is not 1 (and is no number)
+        ("stabilize-sweep", {"shape": [2], "deltas": [1, 1.0]}, "deltas"),
+        ("stabilize-sweep", {"shape": [2], "deltas": [True, 1]}, "deltas.0"),
+        # items, two levels down
+        ("tower-check", {"shapes": [[2], [2, 0]]}, "shapes.1.1"),
+        ("stabilize-sweep", {"shape": [2], "deltas": DELTAS_BAD_AT_2_AND_10}, "deltas.2"),
+    ],
+)
+def test_each_schema_keyword_fails_at_the_first_bad_path(command, config, path):
+    with pytest.raises(ConfigInvalid) as info:
+        validate_config(command, config)
+    assert info.value.path == path
+
+
+@pytest.mark.parametrize(
+    "command,config",
+    [
+        ("cover-estimate", {"k": 10**30, "omegas": [1e-300, 2.5]}),
+        ("stabilize-sweep", {"shape": [2], "multiplicities": [3], "deltas": [0, 1], "seeds": 1}),
+        ("recover", {"preset": "T0", "closure": False, "mode": "relaxed", "seed": 0}),
+        ("lemma52-check", {"shapes": [[2, 3]], "block_sizes": [2]}),
+    ],
+)
+def test_configs_on_the_schema_bounds_pass(command, config):
+    validate_config(command, config)
+
+
+@pytest.fixture(scope="module")
+def schema_oracle():
+    """jsonschema's Draft 2020-12 validator class, with integer meaning an integer
+    literal as in the CLI's walk: Draft 2020-12 also counts 2.0 as an integer."""
+    jsonschema = pytest.importorskip("jsonschema")
+    base = jsonschema.Draft202012Validator
+    checker = base.TYPE_CHECKER.redefine(
+        "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool)
+    )
+    return jsonschema.validators.extend(base, type_checker=checker)
+
+
+def valid_values(schema):
+    """A strategy for the finite values a sub-schema of SCHEMAS accepts."""
+    if "enum" in schema:
+        return st.sampled_from(schema["enum"])
+    kind = schema["type"]
+    if kind == "boolean":
+        return st.booleans()
+    if kind == "integer":
+        return st.integers(schema["minimum"], schema.get("maximum", schema["minimum"] + 20))
+    if kind == "number":
+        low = schema.get("minimum", schema.get("exclusiveMinimum"))
+        return st.floats(low, schema.get("maximum", 4.0), exclude_min="exclusiveMinimum" in schema)
+    if kind == "array":
+        return st.lists(
+            valid_values(schema["items"]),
+            min_size=schema.get("minItems", 0),
+            max_size=4,
+            unique_by=cli._json_key if schema.get("uniqueItems") else None,
+        )
+    required = schema.get("required", [])
+    fields = {name: valid_values(field) for name, field in schema["properties"].items()}
+    return st.fixed_dictionaries(
+        {name: fields[name] for name in required},
+        optional={name: value for name, value in fields.items() if name not in required},
+    )
+
+
+# Wrong types, true and false, integral and fractional floats, out-of-range values.
+BAD_VALUES = ["x", None, [], {}, {"a": 1}, [1.5], True, False, -1, 0, 17, 2.0, 1.5, -0.5, 1e300]
+
+
+def _paths(value, path=()):
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _paths(item, path + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    """A command and a valid config for it, after one to three mutations at drawn
+    paths: a bad value, an emptied or repeated list, an unknown or dropped field."""
+    command = draw(st.sampled_from(sorted(cli.SCHEMAS)))
+    config = draw(valid_values(cli.SCHEMAS[command]))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(config))))
+        parent, node = None, config
+        for key in path:
+            parent, node = node, node[key]
+        mutation = draw(st.sampled_from(["bad", "empty", "repeat", "unknown", "drop"]))
+        if mutation == "bad":
+            bad = copy.deepcopy(draw(st.sampled_from(BAD_VALUES)))
+            if parent is None:
+                config = bad
+            else:
+                parent[path[-1]] = bad
+        elif mutation == "empty" and isinstance(node, list):
+            node.clear()
+        elif mutation == "repeat" and isinstance(node, list) and node:
+            node.append(copy.deepcopy(draw(st.sampled_from(node))))
+        elif mutation == "unknown" and isinstance(node, dict):
+            node["bogus"] = 1
+        elif mutation == "drop" and isinstance(node, dict) and node:
+            del node[draw(st.sampled_from(sorted(node)))]
+    return command, config
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=mutated_configs())
+def test_schema_walk_agrees_with_jsonschema(schema_oracle, case):
+    """Same verdict and same first error path as jsonschema's errors sorted by path."""
+    command, config = case
+    schema = cli.SCHEMAS[command]
+    errors = sorted(schema_oracle(schema).iter_errors(config), key=lambda e: list(e.absolute_path))
+    expected = (".".join(map(str, errors[0].absolute_path)) or "<root>") if errors else None
+    try:
+        cli._check_schema(schema, config, ())
+        found = None
+    except ConfigInvalid as exc:
+        found = exc.path
+    assert found == expected
 
 
 def test_lemma52_without_enough_subrank_is_a_failed_report(tmp_path):

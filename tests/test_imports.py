@@ -1,9 +1,12 @@
 """Every name a package module imports is used in that module, and every name
 it loads is bound in it: imported, defined, assigned, an argument, an
-``except ... as`` name or a builtin."""
+``except ... as`` name or a builtin.  The CLI starts without jsonschema."""
 
 import ast
 import builtins
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -84,3 +87,21 @@ def test_guard_flags_a_name_never_bound():
         "        raise ValueError(missing) from exc\n"
     )
     assert unbound_names(source) == ["Dict (line 5)", "missing (line 9)"]
+
+
+def test_cli_starts_without_jsonschema():
+    """Configs are checked by the CLI's own schema walk: importing the CLI and
+    running a command loads neither jsonschema nor its dependencies."""
+    code = (
+        "import contextlib, io, sys\n"
+        "import towergen.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert towergen.cli.main(['list-presets']) == 0\n"
+        "roots = {'jsonschema', 'referencing', 'rpds', 'attrs'}\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] in roots))\n"
+    )
+    path = os.pathsep.join(p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
