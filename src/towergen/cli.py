@@ -13,6 +13,7 @@ import json
 import math
 import statistics
 import sys
+from dataclasses import replace
 from typing import Dict, List
 
 import numpy as np
@@ -35,113 +36,74 @@ from .recovery import round_trip
 from .report import RunReport
 from .similarity import run_identity_sweep, sweep_rows
 from .stabilize import perturb_units, stabilize_units
-from .tower import TowerSpec, build_tower, check_conditions
+from .tower import MODES, RECIPES, SPEC_KEYS, TowerSpec, build_tower, check_conditions
 from .twogen import build_plan, verify_facts
 from .units import canonical_units, subrank, unit_defects
 
+# One fragment per kind of value; every field of SCHEMAS is built from these.
+SEED = {"type": "integer", "minimum": 0}
+COUNT = {"type": "integer", "minimum": 1}
+SHAPE = {"type": "array", "minItems": 1, "items": COUNT}
+SHAPES = {"type": "array", "minItems": 1, "items": SHAPE}
+MULTIPLICITIES = {"type": "array", "items": COUNT}  # one per block: see MULTIPLICITY_FIELDS
+RADII = {"type": "array", "minItems": 1, "items": {"type": "number", "exclusiveMinimum": 0}}
+
+
+def _fields(required=(), **properties) -> dict:
+    """The schema of a JSON object with these fields and no others."""
+    schema = {"type": "object", "properties": properties, "additionalProperties": False}
+    if required:
+        schema["required"] = list(required)
+    return schema
+
+
 # One schema serves every tower-style command; a config names a preset or shapes.
-TOWER_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "preset": {"enum": sorted(list_presets())},
-        "shapes": {
-            "type": "array",
-            "minItems": 1,
-            "items": {"type": "array", "minItems": 1, "items": {"type": "integer", "minimum": 1}},
-        },
-        "generators": {"type": "integer", "minimum": 1},
-        "mode": {"enum": ["strict", "relaxed"]},
-        "seed": {"type": "integer", "minimum": 0},
-        "recipe": {"enum": ["leading-factor", "uhf"]},
-        "closure": {"type": "boolean"},
-    },
-    "additionalProperties": False,
-}
+TOWER_SCHEMA = _fields(
+    preset={"enum": sorted(list_presets())},
+    shapes=SHAPES,
+    generators=COUNT,
+    mode={"enum": MODES},
+    seed=SEED,
+    recipe={"enum": sorted(RECIPES)},
+    closure={"type": "boolean"},
+)
 
 SCHEMAS: Dict[str, dict] = {
     "tower-check": TOWER_SCHEMA,
     "gen-verify": TOWER_SCHEMA,
     "recover": TOWER_SCHEMA,
-    "stabilize-sweep": {
-        "type": "object",
-        "properties": {
-            "shape": {"type": "array", "minItems": 1, "items": {"type": "integer", "minimum": 1}},
-            "multiplicities": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-            "deltas": {
-                "type": "array",
-                "minItems": 1,
-                "uniqueItems": True,
-                "items": {"type": "number", "minimum": 0, "maximum": 1},
-            },
-            "seeds": {"type": "integer", "minimum": 1},
-            "seed": {"type": "integer", "minimum": 0},
+    "stabilize-sweep": _fields(
+        required=["shape"],
+        shape=SHAPE,
+        multiplicities=MULTIPLICITIES,
+        deltas={
+            "type": "array",
+            "minItems": 1,
+            "uniqueItems": True,
+            "items": {"type": "number", "minimum": 0, "maximum": 1},
         },
-        "required": ["shape"],
-        "additionalProperties": False,
-    },
-    "cover-estimate": {
-        "type": "object",
-        "properties": {
-            "k": {"type": "integer", "minimum": 1},
-            "omega": {"type": "number", "exclusiveMinimum": 0},
-            "omegas": {
-                "type": "array",
-                "minItems": 1,
-                "items": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "samples": {"type": "integer", "minimum": 1},
-            "seed": {"type": "integer", "minimum": 0},
-        },
-        "additionalProperties": False,
-    },
-    "counting-check": {
-        "type": "object",
-        "properties": {
-            "max_dim": {"type": "integer", "minimum": 1, "maximum": 16},
-            "pinching_shape": {
-                "type": "array",
-                "minItems": 1,
-                "items": {"type": "integer", "minimum": 1},
-            },
-            "pinching_multiplicities": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-            "omegas": {
-                "type": "array",
-                "minItems": 1,
-                "items": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "seeds": {"type": "integer", "minimum": 1},
-            "seed": {"type": "integer", "minimum": 0},
-        },
-        "additionalProperties": False,
-    },
-    "lemma52-check": {
-        "type": "object",
-        "properties": {
-            "shapes": {
-                "type": "array",
-                "minItems": 1,
-                "items": {"type": "array", "minItems": 1, "items": {"type": "integer", "minimum": 1}},
-            },
-            "block_sizes": {
-                "type": "array",
-                "minItems": 1,
-                "items": {"type": "integer", "minimum": 2},
-            },
-            "runs": {"type": "integer", "minimum": 1},
-            "coeff_dim": {"type": "integer", "minimum": 1},
-            "seed": {"type": "integer", "minimum": 0},
-        },
-        "additionalProperties": False,
-    },
-    "list-presets": {"type": "object", "properties": {}, "additionalProperties": False},
-    "all": {"type": "object", "properties": {}, "additionalProperties": False},
+        seeds=COUNT,
+        seed=SEED,
+    ),
+    "cover-estimate": _fields(k=COUNT, omegas=RADII, samples=COUNT, seed=SEED),
+    "counting-check": _fields(
+        max_dim=dict(COUNT, maximum=16),
+        pinching_shape=SHAPE,
+        pinching_multiplicities=MULTIPLICITIES,
+        omegas=RADII,
+        seeds=COUNT,
+        seed=SEED,
+    ),
+    "lemma52-check": _fields(
+        shapes=SHAPES,
+        block_sizes={"type": "array", "minItems": 1, "items": {"type": "integer", "minimum": 2}},
+        runs=COUNT,
+        coeff_dim=COUNT,
+        seed=SEED,
+    ),
+    "list-presets": _fields(),
+    "all": _fields(),
 }
-
-# Older subcommand names; each runs, and reports exactly as, its canonical command.
-ALIASES = {"tower-build": "tower-check", "gen-construct": "gen-verify"}
-
-# Field pairs a config may not both give: the runner would read one and ignore the other.
-EXCLUSIVE_FIELDS = [("preset", "shapes"), ("omega", "omegas")]
 
 DEFAULT_PINCHING_SHAPE = [2, 3]  # counting-check's pinching sample
 
@@ -154,16 +116,17 @@ MULTIPLICITY_FIELDS = {
 
 
 def validate_config(command: str, config: dict) -> None:
-    command = ALIASES.get(command, command)
+    if command not in SCHEMAS:
+        raise ConfigInvalid(f"unknown command {command!r}; commands: {', '.join(SCHEMAS)}")
     schema = SCHEMAS[command]
-    _check_schema(schema, config, ())
-    if schema is TOWER_SCHEMA and "preset" not in config and "shapes" not in config:
-        raise ConfigInvalid("config needs either 'preset' or 'shapes'", path="shapes")
-    for first, second in EXCLUSIVE_FIELDS:
-        if first in config and second in config:
-            raise ConfigInvalid(
-                f"config field {second}: give '{first}' or '{second}', not both", path=second
-            )
+    try:
+        _check_schema(schema, config, ())
+    except RecursionError:  # uniqueItems compares items of any depth
+        raise ConfigInvalid("config is nested too deeply to check", path="<root>") from None
+    if schema is TOWER_SCHEMA and ("preset" in config) == ("shapes" in config):
+        raise ConfigInvalid(
+            "config field shapes: give exactly one of 'preset' or 'shapes'", path="shapes"
+        )
     if command in MULTIPLICITY_FIELDS:
         shape_field, default, mult_field = MULTIPLICITY_FIELDS[command]
         blocks, mult = len(config.get(shape_field, default)), config.get(mult_field)
@@ -240,23 +203,12 @@ def _json_key(value):
 
 
 def resolve_tower_spec(config: dict) -> TowerSpec:
+    """The TowerSpec a tower config names: its preset's spec, or TowerSpec's
+    defaults, with the fields the config gives."""
+    given = {name: config[key] for key, name in SPEC_KEYS.items() if key in config}
     if "preset" in config:
-        base = preset_spec(config["preset"])
-        seed = config.get("seed", base.generator_seed)
-        return TowerSpec(
-            block_shapes=base.block_shapes,
-            num_generators=config.get("generators", base.num_generators),
-            mode=config.get("mode", base.mode),
-            generator_seed=seed,
-            generator_recipe=config.get("recipe", base.generator_recipe),
-        )
-    return TowerSpec(
-        block_shapes=tuple(tuple(s) for s in config["shapes"]),
-        num_generators=config.get("generators", 1),
-        mode=config.get("mode", "strict"),
-        generator_seed=config.get("seed", 7),
-        generator_recipe=config.get("recipe", "leading-factor"),
-    )
+        return replace(preset_spec(config["preset"]), **given)
+    return TowerSpec(**given)
 
 
 def run_tower_check(config: dict) -> RunReport:
@@ -380,7 +332,7 @@ def run_stabilize_sweep(config: dict) -> RunReport:
 def run_cover_estimate(config: dict) -> RunReport:
     report = RunReport("cover-estimate", config)
     k = config.get("k", 1)
-    radii = config.get("omegas", [config.get("omega", 0.5)])
+    radii = config.get("omegas", [0.5])
     samples = config.get("samples", 10000)
     seed = config.get("seed", 404)
     if samples * k * k > DEFAULT_DIM_CAP**2:
@@ -657,7 +609,6 @@ RUNNERS = {
 
 def run(command: str, config: dict) -> RunReport:
     """Validate and dispatch; errors come back as failed reports."""
-    command = ALIASES.get(command, command)
     validate_config(command, config)
     try:
         return RUNNERS[command](config)
@@ -673,7 +624,7 @@ def _read_config(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigInvalid(f"config file is unreadable or not JSON: {exc}", path=path) from None
 
 
@@ -683,7 +634,7 @@ def main(argv=None) -> int:
         description="Build commuting block towers, run the two-generator "
         "construction, and verify its identities numerically.",
     )
-    parser.add_argument("command", choices=sorted([*RUNNERS, *ALIASES]))
+    parser.add_argument("command", choices=sorted(RUNNERS))
     parser.add_argument("--config", help="JSON config path")
     parser.add_argument("--out", help="write the report JSON here")
     parser.add_argument("--seed", type=int, help="override the config seed")

@@ -62,7 +62,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .errors import DimensionMismatch, NoSpectralGap, NonFiniteValue
-from .linalg import as_operator, eigh, op_norm
+from .linalg import as_operator, eigh, op_norm, scale_exponents
 from .units import MatrixUnitSystem
 
 GAP_TOL = 1e-6
@@ -139,9 +139,7 @@ def _unit_chunks(gens: List[np.ndarray]):
         stack = np.stack(gens[lo : lo + _CHUNK])
         if not np.isfinite(stack).all():
             raise NonFiniteValue("closure: a generator has non-finite entries")
-        _, p = np.frexp(np.abs(stack.view(np.float64)).max(axis=(1, 2)))
-        # -1021 keeps 2^-p finite for a generator of subnormal entries only
-        stack *= np.ldexp(1.0, -np.maximum(p, -1021))[:, None, None]
+        stack *= np.ldexp(1.0, -scale_exponents(stack))[:, None, None]
         norms = np.linalg.norm(stack, axis=(1, 2))
         yield lo, stack / np.where(norms > 0, norms, 1.0)[:, None, None]
 

@@ -164,6 +164,15 @@ def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...k,...k->...", flat, flat))
 
 
+def scale_exponents(stack: np.ndarray) -> np.ndarray:
+    """Exponent p of each matrix of an (n, r, c) stack: 2^p exceeds its largest
+    real or imaginary part, so scaling by 2^-p, exact for normal entries, brings
+    every part to at most 1.  p is at least -1021, which keeps 2^-p finite for
+    a matrix of subnormal entries only."""
+    _, p = np.frexp(np.abs(stack.view(np.float64)).max(axis=(1, 2)))
+    return np.maximum(p, -1021)
+
+
 def screened_max_norm(
     rows: int, cols: int, dim: int, residual: Callable[[np.ndarray, np.ndarray], np.ndarray]
 ) -> np.ndarray:

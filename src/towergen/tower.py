@@ -23,6 +23,17 @@ from .units import MatrixUnitSystem, Shape, amplify, canonical_units, normalize_
 DISTANCE_MARGIN = 0.75  # fraction of the 2^-m budget the recipes actually spend
 ROUNDING_TOL = 1e-12  # identities that hold exactly in exact arithmetic
 
+MODES = ["strict", "relaxed"]
+
+# The config key of each TowerSpec field.
+SPEC_KEYS = {
+    "shapes": "block_shapes",
+    "generators": "num_generators",
+    "mode": "mode",
+    "seed": "generator_seed",
+    "recipe": "generator_recipe",
+}
+
 
 @dataclass(frozen=True)
 class TowerSpec:
@@ -39,9 +50,9 @@ class TowerSpec:
             raise DimensionMismatch("tower needs at least one level")
         if self.num_generators < 1:
             raise DimensionMismatch("tower needs at least one generator")
-        if self.mode not in ("strict", "relaxed"):
+        if self.mode not in MODES:
             raise DimensionMismatch(f"unknown mode {self.mode!r}")
-        if self.generator_recipe not in ("leading-factor", "uhf"):
+        if self.generator_recipe not in RECIPES:
             raise DimensionMismatch(f"unknown recipe {self.generator_recipe!r}")
 
     @property
@@ -49,13 +60,9 @@ class TowerSpec:
         return len(self.block_shapes)
 
     def to_json(self) -> dict:
-        return {
-            "shapes": [list(s) for s in self.block_shapes],
-            "generators": self.num_generators,
-            "mode": self.mode,
-            "seed": self.generator_seed,
-            "recipe": self.generator_recipe,
-        }
+        out = {key: getattr(self, name) for key, name in SPEC_KEYS.items()}
+        out["shapes"] = [list(s) for s in self.block_shapes]
+        return out
 
 
 def index_set_cardinality(shapes: Sequence[Shape], level: int) -> int:
@@ -256,6 +263,10 @@ def _uhf_generators(spec: TowerSpec, factor_dims, blocks) -> List[np.ndarray]:
     return gens
 
 
+# Each generator recipe by the name a spec gives it.
+RECIPES = {"leading-factor": _leading_factor_generators, "uhf": _uhf_generators}
+
+
 def build_tower(spec: TowerSpec, dim_cap: int = DEFAULT_DIM_CAP) -> TowerModel:
     """Realize a tower spec as commuting tensor-factor blocks plus generators."""
     shapes = spec.block_shapes
@@ -278,15 +289,11 @@ def build_tower(spec: TowerSpec, dim_cap: int = DEFAULT_DIM_CAP) -> TowerModel:
     for pos, shape in enumerate(shapes):
         before, after = math.prod(factor_dims[:pos]), math.prod(factor_dims[pos + 1 :])
         blocks.append(amplify(canonical_units(shape), before, after))
-    if spec.generator_recipe == "leading-factor":
-        gens = _leading_factor_generators(spec, factor_dims, blocks)
-    else:
-        gens = _uhf_generators(spec, factor_dims, blocks)
     return TowerModel(
         spec=spec,
         ambient_dim=ambient,
         blocks=blocks,
-        generators=gens,
+        generators=RECIPES[spec.generator_recipe](spec, factor_dims, blocks),
         factor_dims=factor_dims,
     )
 

@@ -24,6 +24,7 @@ from .linalg import (
     identity,
     op_norm,
     op_norms,
+    scale_exponents,
     screened_max_norm,
 )
 
@@ -454,10 +455,8 @@ def _product_bounds(mats: np.ndarray) -> np.ndarray:
     see the slack's derivation above.
     """
     n, d, _ = mats.shape
-    flat = mats.view(np.float64).reshape(n, -1)
-    _, p = np.frexp(np.abs(flat).max(axis=1))
-    p = np.maximum(p, -1021)  # keeps 2^-p finite for units of subnormal entries only
-    scaled = flat * np.ldexp(1.0, -p)[:, None]
+    p = scale_exponents(mats)
+    scaled = mats.view(np.float64).reshape(n, -1) * np.ldexp(1.0, -p)[:, None]
     x = scaled.view(np.complex128).reshape(n, d, d)
     xh = x.conj().transpose(0, 2, 1)
     s = (xh @ x).reshape(n, -1).view(np.float64) @ (x @ xh).reshape(n, -1).view(np.float64).T

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import strategies as st
 
 from towergen.presets import preset_spec
-from towergen.tower import TowerSpec, build_tower
+from towergen.tower import RECIPES, TowerSpec, build_tower
 from towergen.twogen import build_plan
 from towergen.units import MatrixUnitSystem
 
@@ -54,7 +54,7 @@ def relaxed_towers(draw):
     return TowerSpec(
         block_shapes=tuple(shapes), mode="relaxed",
         generator_seed=draw(st.integers(min_value=0, max_value=2**32 - 1)),
-        generator_recipe=draw(st.sampled_from(["leading-factor", "uhf"])),
+        generator_recipe=draw(st.sampled_from(sorted(RECIPES))),
     )
 
 
@@ -73,7 +73,7 @@ def small_towers(draw):
         block_shapes=tuple(shapes), mode="relaxed",
         num_generators=draw(st.integers(min_value=1, max_value=2)),
         generator_seed=draw(st.integers(min_value=0, max_value=2**32 - 1)),
-        generator_recipe=draw(st.sampled_from(["leading-factor", "uhf"])),
+        generator_recipe=draw(st.sampled_from(sorted(RECIPES))),
     )
 
 

@@ -32,10 +32,10 @@ from conftest import densified
 
 def test_malformed_config_names_field():
     with pytest.raises(ConfigInvalid) as info:
-        validate_config("tower-build", {"shapes": "nope"})
+        validate_config("tower-check", {"shapes": "nope"})
     assert "shapes" in str(info.value)
     with pytest.raises(ConfigInvalid) as info:
-        validate_config("tower-build", {})
+        validate_config("tower-check", {})
     assert info.value.path == "shapes"
 
 
@@ -52,7 +52,7 @@ def test_preset_catalog():
     assert catalog["T1b"]["note"] is not None
     for name in catalog:
         spec = preset_spec(name)
-        validate_config("tower-build", spec.to_json())
+        validate_config("tower-check", spec.to_json())
 
 
 def test_gen_verify_t0_report():
@@ -63,14 +63,35 @@ def test_gen_verify_t0_report():
     assert "level1.coupling_norm_gap" in names
 
 
-@pytest.mark.parametrize("alias,canonical", sorted(cli.ALIASES.items()))
-def test_alias_reports_are_canonical_reports(alias, canonical):
-    config = {"preset": "T0"}
-    assert run(alias, config).body_bytes() == run(canonical, config).body_bytes()
+@pytest.mark.parametrize("name", ["gen-construct", "tower-build"])
+def test_retired_command_name_exits_2(capsys, name):
+    """The retired names of gen-verify and tower-check are no commands: argparse
+    rejects them with its usage line, which lists the commands."""
+    with pytest.raises(ConfigInvalid):
+        run(name, {"preset": "T0"})
+    with pytest.raises(SystemExit) as info:
+        main([name])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "gen-verify" in err and "tower-check" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "config", [{"omega": 0.5}, {"omega": 0.5, "omegas": [0.25]}], ids=["alone", "with-omegas"]
+)
+def test_retired_omega_field_exits_2(tmp_path, capsys, config):
+    """cover-estimate takes its radii as omegas only; omega is an unknown field."""
+    with pytest.raises(ConfigInvalid) as info:
+        run("cover-estimate", config)
+    assert info.value.path == "<root>" and "'omega'" in str(info.value)
+    cfg = tmp_path / "omega.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["cover-estimate", "--config", str(cfg)]) == 2
+    assert "'omega'" in capsys.readouterr().err
 
 
 def test_error_path_structured_report():
-    report = run("gen-construct", {"preset": "U2"})
+    report = run("gen-verify", {"preset": "U2"})
     assert not report.passed
     assert report.error is not None and "InsufficientSubrank" in report.error
 
@@ -136,8 +157,8 @@ def test_report_determinism_small():
 
 
 def test_seed_changes_measurements():
-    r1 = run("gen-construct", {"preset": "T0"})
-    r2 = run("gen-construct", {"preset": "T0", "seed": 12345})
+    r1 = run("gen-verify", {"preset": "T0"})
+    r2 = run("gen-verify", {"preset": "T0", "seed": 12345})
     c1 = [row.measured for row in r1.rows if row.name.endswith("coupling_scale")]
     c2 = [row.measured for row in r2.rows if row.name.endswith("coupling_scale")]
     assert c1 != c2
@@ -159,7 +180,7 @@ def test_cli_main_round_trip(tmp_path):
 def test_cli_main_config_invalid(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"shapes": [[0]]}))
-    code = main(["tower-build", "--config", str(cfg)])
+    code = main(["tower-check", "--config", str(cfg)])
     assert code == 2
 
 
@@ -206,7 +227,7 @@ def test_unknown_preset_is_config_invalid(tmp_path):
     [
         ("stabilize-sweep", {"shape": [2, 2], "deltas": [float("nan")]}, "deltas.0"),
         ("stabilize-sweep", {"shape": [2, 2], "deltas": [1e-4, float("inf")]}, "deltas.1"),
-        ("cover-estimate", {"k": 1, "omega": float("nan")}, "omega"),
+        ("cover-estimate", {"k": 1, "omegas": [float("nan")]}, "omegas.0"),
         ("cover-estimate", {"k": 1, "omegas": [0.5, float("inf")]}, "omegas.1"),
         # checked in path order, in the same pass as types and bounds
         ("stabilize-sweep", {"shape": [2, 2], "deltas": [float("nan"), 1.5]}, "deltas.0"),
@@ -280,7 +301,6 @@ def test_empty_sweep_list_is_config_invalid(tmp_path, command, config, path):
         ),
         # two fields for one fact: the runner would read the first and ignore the second
         ("gen-verify", {"preset": "T0", "shapes": [[5], [40]]}, "shapes"),
-        ("cover-estimate", {"omega": 0.5, "omegas": [0.25]}, "omegas"),
     ],
 )
 def test_mismatched_multiplicities_are_config_invalid(tmp_path, command, config, path):
@@ -352,6 +372,58 @@ def test_integral_float_in_an_integer_field_is_config_invalid(tmp_path, command,
     cfg = tmp_path / "float.json"
     cfg.write_text(json.dumps(config))
     assert main([command, "--config", str(cfg)]) == 2
+
+
+def _array_fields(schema, path=()):
+    """The path of every array a schema names; a list's item stands at index 0."""
+    if schema.get("type") == "array":
+        yield path
+    for name, field in schema.get("properties", {}).items():
+        yield from _array_fields(field, path + (name,))
+    if "items" in schema:
+        yield from _array_fields(schema["items"], path + (0,))
+
+
+ARRAY_FIELDS = [
+    (command, path) for command, schema in sorted(cli.SCHEMAS.items())
+    for path in _array_fields(schema)
+]
+
+
+@pytest.mark.parametrize(
+    "command,path",
+    ARRAY_FIELDS,
+    ids=[f"{command}:{'.'.join(map(str, path))}" for command, path in ARRAY_FIELDS],
+)
+def test_empty_array_field_is_config_invalid(tmp_path, command, path):
+    """An empty list fails at its own field with exit status 2: every sweep needs
+    a point, every shape a block, and multiplicities one entry per block."""
+    value = []
+    for _ in path[1:]:
+        value = [value]
+    config = {"shape": [2]} if command == "stabilize-sweep" else {}
+    config[path[0]] = value
+    with pytest.raises(ConfigInvalid) as info:
+        run(command, config)
+    assert info.value.path == ".".join(map(str, path))
+    cfg = tmp_path / "empty.json"
+    cfg.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("depth", [5000, 100000])
+def test_deeply_nested_config_exits_2(tmp_path, capsys, depth):
+    """JSON nested past the interpreter's recursion limit is a bad config, whether
+    the parser or the schema walk meets the limit first."""
+    cfg = tmp_path / "deep.json"
+    cfg.write_text('{"shape": [2], "deltas": ' + "[" * depth + "]" * depth + "}")
+    assert main(["stabilize-sweep", "--config", str(cfg)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    deltas = []
+    for _ in range(depth):
+        deltas = [deltas]
+    with pytest.raises(ConfigInvalid):
+        run("stabilize-sweep", {"shape": [2], "deltas": deltas})
 
 
 # Twelve deltas, bad at indices 2 and 10: the path "deltas.10" sorts before
@@ -929,12 +1001,12 @@ def test_all_bodies_identical_across_blas_threads(tmp_path):
 def test_cli_exit_code_on_failure(tmp_path):
     cfg = tmp_path / "u2.json"
     cfg.write_text(json.dumps({"preset": "U2"}))
-    code = main(["gen-construct", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+    code = main(["gen-verify", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
     assert code == 1
 
 
 def test_cover_estimate_small():
-    report = run("cover-estimate", {"k": 1, "omega": 0.5, "samples": 500})
+    report = run("cover-estimate", {"k": 1, "omegas": [0.5], "samples": 500})
     assert report.passed
     assert any("circle_oracle_lower" in r.name for r in report.rows)
 

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import towergen.recovery as recovery
+import towergen.tower as tower
 from towergen.cli import resolve_tower_spec
 from towergen.errors import TowergenError
 from towergen.linalg import hermitian_part, op_norm
@@ -120,7 +121,7 @@ def test_t1_round_trip_reads_no_factored_unit():
     assert all(lv.units.factors is not None for lv in result.levels)
 
 
-RECIPES = st.sampled_from(["leading-factor", "uhf"])
+RECIPES = st.sampled_from(sorted(tower.RECIPES))
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 

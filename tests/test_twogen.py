@@ -18,6 +18,7 @@ from towergen.errors import DegenerateWitness, DimensionMismatch, InsufficientSu
 from towergen.linalg import hermitian_part, identity, op_norm
 from towergen.recovery import round_trip
 from towergen.tower import (
+    RECIPES,
     CommutantWitness,
     TowerSpec,
     build_tower,
@@ -172,7 +173,7 @@ def coupled_towers(draw):
     return TowerSpec(
         block_shapes=shapes, num_generators=generators, mode="relaxed",
         generator_seed=draw(st.integers(min_value=0, max_value=2**32 - 1)),
-        generator_recipe=draw(st.sampled_from(["leading-factor", "uhf"])),
+        generator_recipe=draw(st.sampled_from(sorted(RECIPES))),
     )
 
 
