@@ -87,13 +87,17 @@ def identity(dim: int) -> np.ndarray:
 def op_norms(stack: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix of an (n, p, q) stack.
 
-    One Hermitian eigensolve of A*A per matrix; a 1 x 1 matrix gives its
+    One Hermitian eigensolve of A*A per matrix, at unit scale: A is first
+    scaled by 2^-e, e its ``scale_exponents`` exponent, and the norm scaled
+    back by 2^e, so A*A neither under- nor overflows at any finite scale;
+    for normal entries both scalings are exact.  A 1 x 1 matrix gives its
     modulus.  An empty stack, or one whose entries are all exactly zero
     (signed zeros included), gives +0.0 for every matrix without any
     eigensolve, the value the eigensolve gives it.  Each result is
     bit-identical to ``op_norm`` of that matrix.
     Deterministic; for Hermitian input this equals the spectral radius.
-    Raises NonFiniteValue on non-finite entries, also when A*A overflows.
+    Raises NonFiniteValue on non-finite entries, and on a norm beyond the
+    largest double.
     """
     return _op_norms(np.asarray(stack, dtype=np.complex128))
 
@@ -106,23 +110,44 @@ def op_norm(a: np.ndarray) -> float:
 def _op_norms(stack: np.ndarray) -> np.ndarray:
     """The kernel of ``op_norms`` and ``op_norm``; both call it directly so that
     each stays a leaf whose time a profile attributes to it alone."""
-    # an empty or exactly zero stack, as the construction's identities mostly
-    # measure; NaN and inf are nonzero here, so they still reach the checks below
-    if not stack.any():
+    # the stack's largest part, with no temporary: NaN or inf where the stack
+    # holds one, and 0.0 where it is exactly zero, as the construction's
+    # identities mostly are; those need no eigensolve
+    parts = np.ascontiguousarray(stack).view(np.float64)
+    largest = max(float(parts.max(initial=0.0)), -float(parts.min(initial=0.0)))
+    if not math.isfinite(largest):
+        raise NonFiniteValue("operator norm: input has non-finite entries")
+    if largest == 0.0:
         return np.zeros(stack.shape[0])
     if stack.shape[1:] == (1, 1):
         # libm's hypot, which np.abs of a complex array does not always match
-        norms = np.hypot(stack.real[:, 0, 0], stack.imag[:, 0, 0])
-        if not math.isfinite(norms.max()):
-            raise NonFiniteValue("operator norm is NaN or infinite")
-        return norms
-    # A*A is finite once _lapack accepts it, so its eigenvalues are too; an
-    # overflow of A*A itself is rejected as non-finite input
-    gram = stack.conj().transpose(0, 2, 1) @ stack
-    top = _lapack(np.linalg.eigvalsh, gram, "operator norm eigensolve of A*A")[:, -1]
+        return _unless_overflow(np.hypot, stack.real[:, 0, 0], stack.imag[:, 0, 0])
+    norms = np.empty(len(stack))
+    exponents = np.empty(len(stack), dtype=int)
+    step = max(1, _WORKSPACE_BYTES // parts[0].nbytes)  # bounded temporaries
+    for lo in range(0, len(stack), step):
+        chunk = parts[lo : lo + step]
+        # each matrix at unit scale: its parts times 2^-p, exact for normal entries
+        p = exponents[lo : lo + step] = _exponents(np.abs(chunk).max(axis=(1, 2)))
+        unit = np.ldexp(chunk, -p[:, None, None]).view(np.complex128)
+        # parts of at most 1 keep A*A finite, so it needs no finiteness check
+        gram = unit.conj().transpose(0, 2, 1) @ unit
+        try:
+            norms[lo : lo + step] = np.linalg.eigvalsh(gram)[:, -1]
+        except np.linalg.LinAlgError as exc:
+            raise NonConvergence(f"operator norm eigensolve of A*A failed: {exc}") from exc
     # rounding may leave the top eigenvalue at or below zero; adding 0.0
     # turns a -0.0 from maximum into 0.0
-    return np.sqrt(np.maximum(top, 0.0) + 0.0)
+    return _unless_overflow(np.ldexp, np.sqrt(np.maximum(norms, 0.0) + 0.0), exponents)
+
+
+def _unless_overflow(ufunc, *args) -> np.ndarray:
+    """``ufunc(*args)``, raising NonFiniteValue where a norm overflows."""
+    try:
+        with np.errstate(over="raise"):
+            return ufunc(*args)
+    except FloatingPointError as exc:
+        raise NonFiniteValue("operator norm exceeds the largest double") from exc
 
 
 def _lapack(routine: Callable, a: np.ndarray, what: str):
@@ -169,7 +194,12 @@ def scale_exponents(stack: np.ndarray) -> np.ndarray:
     real or imaginary part, so scaling by 2^-p, exact for normal entries, brings
     every part to at most 1.  p is at least -1021, which keeps 2^-p finite for
     a matrix of subnormal entries only."""
-    _, p = np.frexp(np.abs(stack.view(np.float64)).max(axis=(1, 2)))
+    return _exponents(np.abs(stack.view(np.float64)).max(axis=(1, 2)))
+
+
+def _exponents(top: np.ndarray) -> np.ndarray:
+    """``scale_exponents`` from each matrix's largest part."""
+    _, p = np.frexp(top)
     return np.maximum(p, -1021)
 
 

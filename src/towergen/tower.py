@@ -10,7 +10,7 @@ the 2^-m margin the construction needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -81,17 +81,48 @@ def required_subrank(shapes: Sequence[Shape], level: int, active: int) -> int:
     return active * index_set_cardinality(shapes, level) + 3
 
 
-@dataclass
+@dataclass(frozen=True)
+class CommutantWitness:
+    """Per-level commuting approximants y_j and their distances to the x_j."""
+
+    level: int
+    approximants: Tuple[np.ndarray, ...]
+    distances: Tuple[float, ...]
+
+
+@dataclass(frozen=True)
 class TowerModel:
+    """A realized tower and its generators, with each level's commutant
+    witnesses, from ``witnesses_at_level`` once when the model is made.
+
+    The model is frozen, its blocks and generators are tuples and each
+    generator a read-only copy, so the witnesses cannot go stale: a model
+    with other generators is a new model, for example
+    ``dataclasses.replace(model, generators=...)``, with its own.
+    """
+
     spec: TowerSpec
     ambient_dim: int
-    blocks: List[MatrixUnitSystem]
-    generators: List[np.ndarray]
+    blocks: Tuple[MatrixUnitSystem, ...]
+    generators: Tuple[np.ndarray, ...]
     factor_dims: Tuple[int, ...]
+    witnesses: Tuple[CommutantWitness, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        gens = tuple(_read_only(np.array(x, dtype=np.complex128)) for x in self.generators)
+        object.__setattr__(self, "blocks", tuple(self.blocks))
+        object.__setattr__(self, "generators", gens)
+        witnesses = tuple(witnesses_at_level(self, n) for n in range(1, self.depth + 1))
+        object.__setattr__(self, "witnesses", witnesses)
 
     @property
     def depth(self) -> int:
         return len(self.blocks)
+
+
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x.flags.writeable = False
+    return x
 
 
 def _embed_factor(x: np.ndarray, factor_dims: Sequence[int], position: int) -> np.ndarray:
@@ -298,25 +329,20 @@ def build_tower(spec: TowerSpec, dim_cap: int = DEFAULT_DIM_CAP) -> TowerModel:
     )
 
 
-@dataclass
-class CommutantWitness:
-    """Per-level commuting approximants y_j and their distances to the x_j."""
-
-    level: int
-    approximants: List[np.ndarray]
-    distances: List[float]
-
-
 def witnesses_at_level(model: TowerModel, level: int) -> CommutantWitness:
+    """The level's witnesses: y_j = herm(E(x_j)), E the block's commutant
+    projection, for the first min(level, generators) generators, each
+    read-only, and ||x_j - y_j||.  A model computes its own once when it is
+    made (``TowerModel.witnesses``); everything else reads those."""
     block = model.blocks[level - 1]
     active = min(level, len(model.generators))
     approx = []
     dists = []
-    for j in range(active):
-        y = hermitian_part(commutant_projection(model.generators[j], block))
+    for x in model.generators[:active]:
+        y = _read_only(hermitian_part(commutant_projection(x, block)))
         approx.append(y)
-        dists.append(op_norm(model.generators[j] - y))
-    return CommutantWitness(level=level, approximants=approx, distances=dists)
+        dists.append(op_norm(x - y))
+    return CommutantWitness(level=level, approximants=tuple(approx), distances=tuple(dists))
 
 
 @dataclass
@@ -360,6 +386,6 @@ def check_conditions(model: TowerModel) -> ConditionReport:
         bound = 2.0 ** (-level)
         rows += [
             ReportRow(f"level{level}.distance_g{j}", dist, bound, dist < bound)
-            for j, dist in enumerate(witnesses_at_level(model, level).distances, start=1)
+            for j, dist in enumerate(model.witnesses[level - 1].distances, start=1)
         ]
     return ConditionReport(rows, "interleaving indices satisfied by tensor construction")

@@ -32,7 +32,6 @@ from .tower import (
     CommutantWitness,
     TowerModel,
     required_subrank,
-    witnesses_at_level,
 )
 from .units import MatrixUnitSystem, subrank
 
@@ -245,10 +244,9 @@ def build_ab(model: TowerModel, level_data: List[Tuple]) -> GeneratorPlan:
 
 def build_plan(model: TowerModel) -> GeneratorPlan:
     """Run the whole construction for every level of the tower."""
-    level_data = []
-    for n in range(1, model.depth + 1):
-        witness = witnesses_at_level(model, n)
-        level_data.append((witness, *build_z(model, witness, n)))
+    level_data = [
+        (witness, *build_z(model, witness, n)) for n, witness in enumerate(model.witnesses, start=1)
+    ]
     return build_ab(model, level_data)
 
 

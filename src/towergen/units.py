@@ -534,11 +534,18 @@ def factored_distance(approx: MatrixUnitSystem, other: MatrixUnitSystem) -> floa
     orthonormal columns, so the norm is ||R_i D R_j^*||: per block one
     batched QR and one ``op_norms`` over k^2 matrices of size at most
     m + c, with no d x d difference formed.
+
+    A block whose finite factors equal P bit for bit contributes exactly
+    0.0 with no QR: identical factors give identical products.  That is
+    also what the QR path gives a recovered level against the tower's 0/1
+    indicator factors, on which the Householder arithmetic is exact.
     """
     if approx.factors is None or (approx.shape, approx.ambient_dim) != (other.shape, other.ambient_dim):
         raise DimensionMismatch("factored_distance compares a factored system to one like it")
     worst = 0.0
     for f, p in zip(approx.factors, other.column_factors()):
+        if f.shape == p.shape and f.tobytes() == p.tobytes() and np.isfinite(f).all():
+            continue
         m = f.shape[2]
         r = _lapack(
             lambda x: np.linalg.qr(x, mode="r"), np.concatenate([f, p], axis=2),

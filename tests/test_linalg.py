@@ -67,7 +67,6 @@ def test_op_norms_match_singular_values():
     "entries",
     [[[np.nan, 0.0], [0.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]], [[np.nan]], [[complex(0, np.inf)]]],
 )
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf in A*A
 def test_op_norm_non_finite_fails_closed(entries):
     with pytest.raises(NonFiniteValue):
         op_norm(np.array(entries))
@@ -100,7 +99,6 @@ def test_stack_with_zero_members_matches_per_matrix_norms():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan), complex(0, np.inf)])
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf in A*A
 def test_non_finite_entry_of_a_zero_stack_fails_closed(bad):
     stack = np.zeros((3, 4, 4), dtype=complex)
     stack[2, 1, 3] = bad
@@ -108,6 +106,59 @@ def test_non_finite_entry_of_a_zero_stack_fails_closed(bad):
         op_norms(stack)
     with pytest.raises(NonFiniteValue):
         op_norm(stack[2])
+
+
+OP_NORM_SCALES = [1e-300, 1e-160, 1.0, 1e300]
+
+
+@pytest.mark.parametrize("scale", OP_NORM_SCALES)
+def test_op_norm_at_every_finite_scale(scale):
+    """A*A is formed at unit scale, so s A neither under- nor overflows in it:
+    each norm is s times the unit-scale norm, to the rounding of s A."""
+    rng = np.random.default_rng(8)
+    diag = np.diag([3.0, 4.0]).astype(complex)
+    for a in (diag, random_complex(rng, 5), rng.standard_normal((3, 4)) + 0j):
+        assert op_norm(scale * a) == pytest.approx(scale * op_norm(a), rel=1e-14)
+    assert op_norm(scale * diag) / scale == pytest.approx(4.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("exponent", [-996, -531, 0, 996])
+def test_op_norms_commute_with_power_of_two_scaling(exponent):
+    """2^k A, at about 1e-300, 1e-160, 1 and 1e300, is scaled to the same unit-scale
+    matrix as A, so its norms are A's scaled by 2^k, bit for bit."""
+    rng = np.random.default_rng(9)
+    stack = np.stack([random_complex(rng, 6) for _ in range(3)])
+    scaled = np.ldexp(stack.view(np.float64), exponent).view(np.complex128)
+    assert same_bits(op_norms(scaled), np.ldexp(op_norms(stack), exponent))
+
+
+def test_mixed_scale_stack_scales_each_matrix_alone():
+    rng = np.random.default_rng(10)
+    base = np.stack([random_complex(rng, 4) for _ in range(5)])
+    scales = np.array([1e-300, 1e-160, 1.0, 1e300, 0.0])
+    stack = base * scales[:, None, None]
+    norms = op_norms(stack)
+    assert list(norms) == [op_norm(m) for m in stack]
+    assert norms == pytest.approx(op_norms(base) * scales, rel=1e-14)
+
+
+def test_op_norm_of_subnormal_input_is_exact():
+    """5e-324 is 2^-1074, the least subnormal, so diag(3, 4) times it is exact.
+    Its exponent is clamped at -1021, and scaling by 2^1021 gives diag(3, 4) 2^-53
+    exactly; A*A = diag(9, 16) 2^-106 is exact at that scale, and so is the root
+    2^-51 of its top eigenvalue.  Scaled back by 2^-1021 that is 4 x 2^-1074,
+    a subnormal the format holds: the exact norm, 2e-323.  At the input's own
+    scale A*A underflows to zero."""
+    assert op_norm(5e-324 * np.diag([3.0, 4.0])) == 4 * 5e-324 == 2e-323
+
+
+def test_op_norm_beyond_the_largest_double_fails_closed():
+    """Finite input whose norm exceeds the largest double raises, with no warning."""
+    assert op_norm(np.full((2, 2), 0.75e308)) == pytest.approx(1.5e308, rel=1e-15)
+    with pytest.raises(NonFiniteValue):
+        op_norm(np.full((2, 2), 1.5e308))
+    with pytest.raises(NonFiniteValue):
+        op_norms(np.full((2, 1, 1), complex(1.5e308, 1.5e308)))
 
 
 def _ladder(b):

@@ -20,9 +20,10 @@ from hypothesis import strategies as st
 
 import towergen.recovery as recovery
 import towergen.tower as tower
+import towergen.units as units
 from towergen.cli import resolve_tower_spec
-from towergen.errors import TowergenError
-from towergen.linalg import hermitian_part, op_norm
+from towergen.errors import NonFiniteValue, TowergenError
+from towergen.linalg import hermitian_part, op_norm, op_norms
 from towergen.recovery import round_trip
 from towergen.stabilize import perturb_units, stabilize_units
 from towergen.tower import TowerSpec, build_tower, check_conditions
@@ -32,6 +33,8 @@ from towergen.units import (
     canonical_units,
     factored_distance,
 )
+
+from conftest import same_bits, small_towers
 
 EPS = np.finfo(float).eps
 
@@ -101,6 +104,109 @@ def test_planted_factor_defect_is_scored(t1_plan, delta):
     assert abs(residual - per_unit_distance(planted, exact)) <= 8 * top.ambient_dim * EPS
     scored = replace(report, unit_residuals=[*report.unit_residuals[:-1], residual])
     assert scored.passed() == (delta < recovery.UNIT_TOL)
+
+
+def qr_block_distance(f: np.ndarray, p: np.ndarray) -> float:
+    """max ||F_i F_j^* - P_i P_j^*|| of one block by the QR formula that
+    ``factored_distance`` applies to every block whose factors differ."""
+    r = np.linalg.qr(np.concatenate([f, p], axis=2), mode="r")
+    signed = r * np.concatenate([np.ones(f.shape[2]), -np.ones(p.shape[2])])
+    grid = signed[:, None] @ r.conj().transpose(0, 2, 1)[None, :]
+    return float(op_norms(grid.reshape(-1, *grid.shape[2:])).max())
+
+
+def qr_distance(approx: MatrixUnitSystem, other: MatrixUnitSystem) -> float:
+    return max(qr_block_distance(f, p) for f, p in zip(approx.factors, other.column_factors()))
+
+
+def factored_copy(system: MatrixUnitSystem) -> MatrixUnitSystem:
+    """A factored system whose factors are the system's column factors, bit for bit."""
+    factors = [f.copy() for f in system.column_factors()]
+    return MatrixUnitSystem(system.shape, system.ambient_dim, factors=factors)
+
+
+@pytest.fixture
+def qr_calls(monkeypatch):
+    """The shapes of every QR and ``op_norms`` stack ``factored_distance`` asks for."""
+    calls = []
+    qr, norms = np.linalg.qr, units.op_norms
+    monkeypatch.setattr(np.linalg, "qr", lambda a, mode: calls.append(a.shape) or qr(a, mode=mode))
+    monkeypatch.setattr(units, "op_norms", lambda a: calls.append(a.shape) or norms(a))
+    return calls
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(spec=small_towers())
+def test_bit_equal_blocks_of_exact_systems_are_zero_by_the_qr_formula(spec):
+    """On 0/1 indicator factors the Householder arithmetic is exact, so the
+    QR formula gives +0.0 on bit-equal blocks: the 0.0 the skip returns."""
+    for block in build_tower(spec).blocks:
+        copy = factored_copy(block)
+        for f, p in zip(copy.factors, block.column_factors()):
+            value = qr_block_distance(f, p)
+            assert value == 0.0 and not np.signbit(value)
+        assert factored_distance(copy, block) == 0.0
+
+
+ROUND_TRIP_CONFIGS = {
+    "T0": {"preset": "T0"},
+    "T1b": {"preset": "T1b"},
+    "T1": {"preset": "T1"},
+    "T1-uhf": {"preset": "T1", "recipe": "uhf"},
+    "T1-relaxed-g2": {"preset": "T1", "mode": "relaxed", "generators": 2},
+    "two-block": {"shapes": [[3, 3], [39]], "mode": "relaxed"},
+    "d24": {"shapes": [[24]]},
+}
+
+
+@pytest.mark.parametrize("config", list(ROUND_TRIP_CONFIGS.values()), ids=list(ROUND_TRIP_CONFIGS))
+def test_recovered_levels_give_the_qr_formulas_bits(config):
+    """Every recovered level's unit residual has the bits of the QR formula
+    over all of its blocks, and each block recovered bit for bit is +0.0 by
+    that formula.  Each tower above recovers some block bit for bit, except
+    relaxed [[3, 3], [39]], where every block goes through the QR path."""
+    plan = build_plan(build_tower(resolve_tower_spec(config)))
+    result, report = round_trip(plan)
+    equal = []
+    for lv, residual in zip(result.levels, report.unit_residuals):
+        block = plan.model.blocks[lv.level - 1]
+        for f, p in zip(lv.units.factors, block.column_factors()):
+            equal.append(same_bits(f, p))
+            if equal[-1]:
+                value = qr_block_distance(f, p)
+                assert value == 0.0 and not np.signbit(value)
+        assert same_bits(np.float64(residual), np.float64(qr_distance(lv.units, block)))
+    assert any(equal) == (config != ROUND_TRIP_CONFIGS["two-block"])
+
+
+def test_bit_equal_blocks_need_no_qr(qr_calls):
+    exact = canonical_units([2, 3], (2, 1))
+    assert factored_distance(factored_copy(exact), exact) == 0.0
+    assert factored_distance(factored_copy(exact), factored_copy(exact)) == 0.0
+    assert qr_calls == []
+
+
+@pytest.mark.parametrize("changed", [0, 1])
+def test_a_factor_one_ulp_off_takes_the_qr_path(qr_calls, changed):
+    """Equal shapes alone never skip, and one bit-equal block skips only itself."""
+    exact = canonical_units([2, 3], (2, 1))
+    copy = factored_copy(exact)
+    f = copy.factors[changed]
+    row, col = np.argwhere(f[1] == 1.0)[0]
+    f[1, row, col] = np.nextafter(1.0, 2.0)
+    value = factored_distance(copy, exact)
+    # one QR and one op_norms stack, for the changed block only
+    assert len(qr_calls) == 2 and qr_calls[0][2] == f.shape[2] + exact.rows[changed].shape[1]
+    assert value > 0.0
+    assert same_bits(np.float64(value), np.float64(qr_block_distance(f, exact.column_factors()[changed])))
+
+
+def test_bit_equal_non_finite_factors_fail_closed():
+    exact = canonical_units([2], (1,))
+    copy = factored_copy(exact)
+    copy.factors[0][0, 0, 0] = np.nan
+    with pytest.raises(NonFiniteValue):
+        factored_distance(copy, copy)
 
 
 def test_t1_round_trip_reads_no_factored_unit():

@@ -1,9 +1,12 @@
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
 from towergen.errors import DimensionMismatch, DimensionOverflow, StrictModeViolation
 from towergen.linalg import identity, op_norm
 import towergen.linalg as linalg
+import towergen.tower as tower
 from towergen.tower import (
     TowerSpec,
     _screened_max_commutator,
@@ -14,9 +17,10 @@ from towergen.tower import (
     required_subrank,
     witnesses_at_level,
 )
+from towergen.twogen import build_plan
 from towergen.units import canonical_units, rank
 
-from conftest import dense_units
+from conftest import dense_units, same_bits
 
 
 def test_build_t1_shape(t1_model):
@@ -80,20 +84,74 @@ def test_conditions_t1(t1_model):
 
 
 def test_generator_equal_to_unit_reports_distance(t1_model):
-    hacked = build_tower(t1_model.spec)
-    hacked.generators[0] = np.real_if_close(
-        (hacked.blocks[0].unit(1, 1, 2) + hacked.blocks[0].unit(1, 2, 1))
-    ).astype(np.complex128)
+    unit = t1_model.blocks[0].unit(1, 1, 2) + t1_model.blocks[0].unit(1, 2, 1)
+    hacked = replace(t1_model, generators=(unit,))
     witness = witnesses_at_level(hacked, 1)
     assert witness.distances[0] > 0.1
+    assert hacked.witnesses[0].distances == witness.distances
 
 
 def test_scalar_generator_zero_distance():
     spec = TowerSpec(block_shapes=((3,),), num_generators=1, mode="strict", generator_seed=1)
-    model = build_tower(spec)
-    model.generators[0] = 0.4 * identity(3)
+    model = replace(build_tower(spec), generators=(0.4 * identity(3),))
     witness = witnesses_at_level(model, 1)
     assert witness.distances[0] <= 1e-13
+    assert model.witnesses[0].distances == witness.distances
+
+
+def test_check_and_plan_read_the_witnesses_built_with_the_model(monkeypatch):
+    """Each level's witnesses are computed once, when the model is made;
+    check_conditions and build_plan both read those."""
+    calls = []
+    compute = tower.witnesses_at_level
+
+    def counted(model, level):
+        calls.append(level)
+        return compute(model, level)
+
+    monkeypatch.setattr(tower, "witnesses_at_level", counted)
+    model = build_tower(TowerSpec(block_shapes=((3,), (21,)), num_generators=2, mode="relaxed"))
+    assert calls == [1, 2]
+    projections = []
+    project = tower.commutant_projection
+    monkeypatch.setattr(
+        tower, "commutant_projection", lambda x, b: projections.append(1) or project(x, b)
+    )
+    report = check_conditions(model)
+    plan = build_plan(model)
+    assert calls == [1, 2] and not projections
+    assert all(lv.witness is witness for lv, witness in zip(plan.levels, model.witnesses, strict=True))
+    rows = {row.name: row.measured for row in report.rows}
+    for level, witness in enumerate(model.witnesses, start=1):
+        fresh = compute(model, level)
+        assert witness.level == level and witness.distances == fresh.distances
+        assert all(same_bits(y, z) for y, z in zip(witness.approximants, fresh.approximants))
+        names = [f"level{level}.distance_g{j}" for j in range(1, len(fresh.distances) + 1)]
+        assert [rows[name] for name in names] == list(fresh.distances)
+
+
+def test_swapped_generator_leaves_no_stale_witness(t1_model):
+    """A model's generators cannot change in place; a model with other
+    generators is a new model, with witnesses of its own."""
+    with pytest.raises(TypeError):
+        t1_model.generators[0] = identity(63)
+    with pytest.raises(ValueError):
+        t1_model.generators[0][0, 0] = 2.0
+    with pytest.raises(ValueError):
+        t1_model.witnesses[1].approximants[0][0, 0] = 2.0
+    with pytest.raises(FrozenInstanceError):
+        t1_model.generators = (identity(63),)
+    source = 0.4 * identity(63)
+    swapped = replace(t1_model, generators=(source,))
+    source[0, 0] = 5.0  # the model holds its own copy
+    assert swapped.generators[0][0, 0] == 0.4
+    assert max(max(w.distances) for w in swapped.witnesses) <= 1e-15
+    swapped_rows = {row.name: row.measured for row in check_conditions(swapped).rows}
+    rows = {row.name: row.measured for row in check_conditions(t1_model).rows}
+    assert swapped_rows["level1.distance_g1"] <= 1e-15 < 0.1 < rows["level1.distance_g1"]
+    swapped_plan, plan = build_plan(swapped), build_plan(t1_model)
+    assert not same_bits(swapped_plan.gen_a, plan.gen_a)
+    assert swapped_plan.levels[1].witness is swapped.witnesses[1]
 
 
 def test_cross_commutator_matches_all_pairs():
