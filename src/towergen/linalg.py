@@ -29,7 +29,11 @@ _HERMITIAN_TOL = 1e-12
 
 # Relative rounding margin of the Gram-power bound in ``screened_max_norm``:
 # t = f * ||(Y^*Y)^2||_F^(1/4) with Y = X / f and f the Frobenius norm, an upper
-# bound since ||X||^4 = lambda_max(X^*X)^2 <= ||(X^*X)^2||_F.  t is homogeneous
+# bound since ||X||^4 = lambda_max(X^*X)^2 <= ||(X^*X)^2||_F.  Where f at X's
+# own scale may have lost bits (``_SAFE_FROBENIUS``), t is formed for 2^-p X,
+# p by ``scale_exponents``' rule, exact for normal entries, and scaled back by
+# 2^p as ``op_norms`` scales its norm back: both roundings are monotone, so the
+# bound stays at or above that norm even where it is subnormal.  t is homogeneous
 # in f, so f's own rounding cancels and only that of Y's entries (eps each)
 # remains.  With u = eps / 2 the unit roundoff and ||Y||_F = 1, the computed
 # G = Y^*Y is off by at most about d u ||Y||_F^2 in Frobenius norm and ||G||_F >=
@@ -39,11 +43,23 @@ _HERMITIAN_TOL = 1e-12
 # DEFAULT_DIM_CAP, which the 1/4 power cuts to 1.4e-9; with the operator norm's
 # own relative rounding of order d^2 * eps, under 4e-9 up to DEFAULT_DIM_CAP, the
 # total, about 5.4e-9, stays under SCREEN_MARGIN (unrooted it would be 9.5e-9).
-# Entries of Y are at most 1 and ||G^2||_F >= d^-1.5, so neither stage under- or
-# overflows at any scale the Frobenius norm accepts; without the division by f,
-# (X^*X)^2 loses its bits to underflow for entries below about 1e-77 and
-# overflows above about 1e77.
+# Parts of 2^-p X are at most 1 and, unless X is subnormal, the largest is at
+# least 1/2, so f lies between 1/2 and sqrt(2) d at any finite scale of X; at
+# X's own scale f underflows for entries below about 1e-154 and overflows above
+# about 1e154.  Entries of Y are at most 1 and ||G^2||_F >= d^-1.5, so neither
+# stage under- or overflows; without the division by f, (X^*X)^2 loses its bits
+# to underflow for entries below about 1e-77 and overflows above about 1e77.
 SCREEN_MARGIN = 1e-8
+
+# Frobenius norms that ``screened_max_norm`` takes at the input's own scale:
+# within these, no square overflows, and squares lost to underflow, each below
+# 2^-1022, change f^2 >= 2^-800 by less than its rounding.
+_SAFE_FROBENIUS = (2.0**-400, 2.0**400)
+
+# Columns from which ``op_norms`` solves each matrix on its support.  Finding
+# the supports of a stack costs about 20-30 us, about what the eigensolve of
+# a 32 x 32 A*A costs; below that, compressing saves less than it costs.
+_SUPPORT_MIN_COLUMNS = 32
 
 # Bytes of one candidate stack formed by ``screened_max_norm``.
 _WORKSPACE_BYTES = 1 << 18
@@ -87,14 +103,19 @@ def identity(dim: int) -> np.ndarray:
 def op_norms(stack: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix of an (n, p, q) stack.
 
-    One Hermitian eigensolve of A*A per matrix, at unit scale: A is first
-    scaled by 2^-e, e its ``scale_exponents`` exponent, and the norm scaled
-    back by 2^e, so A*A neither under- nor overflows at any finite scale;
-    for normal entries both scalings are exact.  A 1 x 1 matrix gives its
-    modulus.  An empty stack, or one whose entries are all exactly zero
-    (signed zeros included), gives +0.0 for every matrix without any
-    eigensolve, the value the eigensolve gives it.  Each result is
-    bit-identical to ``op_norm`` of that matrix.
+    One Hermitian eigensolve of A*A per matrix.  A matrix of at least
+    ``_SUPPORT_MIN_COLUMNS`` columns with a zero row or column is solved
+    on its support, the rows and columns holding a nonzero entry, in their
+    order, which carry its norm; matrices whose supports are equally large
+    share one batched eigensolve, and a stack with no zero entry is solved
+    whole.  Each matrix is solved at unit scale: scaled by 2^-e, e its
+    ``scale_exponents`` exponent, and its norm scaled back by 2^e, so A*A
+    neither under- nor overflows at any finite scale; for normal entries
+    both scalings are exact.  A 1 x 1 matrix, or support, gives its
+    modulus.  An empty stack, or a matrix whose entries are all exactly
+    zero (signed zeros included), gives +0.0 without any eigensolve, the
+    value the eigensolve gives it.  Each result depends on its own matrix
+    alone, so it is bit-identical to ``op_norm`` of that matrix.
     Deterministic; for Hermitian input this equals the spectral radius.
     Raises NonFiniteValue on non-finite entries, and on a norm beyond the
     largest double.
@@ -119,16 +140,41 @@ def _op_norms(stack: np.ndarray) -> np.ndarray:
         raise NonFiniteValue("operator norm: input has non-finite entries")
     if largest == 0.0:
         return np.zeros(stack.shape[0])
+    if stack.shape[2] < _SUPPORT_MIN_COLUMNS or stack.all():
+        return _whole_norms(stack)
+    # each matrix on its own nonzero rows and columns, so its norm does not
+    # depend on the other matrices of the stack
+    nonzero = stack != 0
+    rows, cols = nonzero.any(axis=2), nonzero.any(axis=1)
+    if rows.all() and cols.all():
+        return _whole_norms(stack)
+    sizes = rows.sum(axis=1) * (stack.shape[2] + 1) + cols.sum(axis=1)
+    norms = np.zeros(len(stack))
+    for size in np.unique(sizes):
+        r, c = divmod(int(size), stack.shape[2] + 1)
+        members = np.flatnonzero(sizes == size)
+        if r:
+            ri = np.nonzero(rows[members])[1].reshape(-1, r, 1)
+            ci = np.nonzero(cols[members])[1].reshape(-1, 1, c)
+            norms[members] = _whole_norms(stack[members[:, None, None], ri, ci])
+    return norms
+
+
+def _whole_norms(stack: np.ndarray) -> np.ndarray:
+    """``op_norms`` of a finite stack, each matrix solved whole."""
     if stack.shape[1:] == (1, 1):
         # libm's hypot, which np.abs of a complex array does not always match
         return _unless_overflow(np.hypot, stack.real[:, 0, 0], stack.imag[:, 0, 0])
+    parts = np.ascontiguousarray(stack).view(np.float64)
     norms = np.empty(len(stack))
-    exponents = np.empty(len(stack), dtype=int)
+    exponents = np.empty(len(stack), dtype=np.intc)  # frexp's type, np.ldexp's fast loop
     step = max(1, _WORKSPACE_BYTES // parts[0].nbytes)  # bounded temporaries
     for lo in range(0, len(stack), step):
         chunk = parts[lo : lo + step]
-        # each matrix at unit scale: its parts times 2^-p, exact for normal entries
-        p = exponents[lo : lo + step] = _exponents(np.abs(chunk).max(axis=(1, 2)))
+        # each matrix at unit scale: its parts times 2^-p, exact for normal
+        # entries; np.ldexp with frexp's int32 exponents is faster here than a
+        # multiply by 2^-p, which gives the same bits
+        p = exponents[lo : lo + step] = _exponents(chunk)
         unit = np.ldexp(chunk, -p[:, None, None]).view(np.complex128)
         # parts of at most 1 keep A*A finite, so it needs no finiteness check
         gram = unit.conj().transpose(0, 2, 1) @ unit
@@ -194,12 +240,12 @@ def scale_exponents(stack: np.ndarray) -> np.ndarray:
     real or imaginary part, so scaling by 2^-p, exact for normal entries, brings
     every part to at most 1.  p is at least -1021, which keeps 2^-p finite for
     a matrix of subnormal entries only."""
-    return _exponents(np.abs(stack.view(np.float64)).max(axis=(1, 2)))
+    return _exponents(stack.view(np.float64))
 
 
-def _exponents(top: np.ndarray) -> np.ndarray:
-    """``scale_exponents`` from each matrix's largest part."""
-    _, p = np.frexp(top)
+def _exponents(parts: np.ndarray) -> np.ndarray:
+    """``scale_exponents`` of an (n, r, 2c) stack of real and imaginary parts."""
+    _, p = np.frexp(np.abs(parts).max(axis=(1, 2)))
     return np.maximum(p, -1021)
 
 
@@ -217,8 +263,10 @@ def screened_max_norm(
     time, and that block's Frobenius norms f give the Gram-power bound
     t = f * ||(Y^*Y)^2||_F^(1/4) with Y = X / f, the fourth root of the
     Frobenius norm of (X^*X)^2 computed at unit scale (||X||^4 <=
-    ||(X^*X)^2||_F <= ||X||_F^4).  Raised by SCREEN_MARGIN, t bounds the
-    norm from above.
+    ||(X^*X)^2||_F <= ||X||_F^4).  An X whose f may have lost bits at its
+    own scale is bounded as 2^-p X, as ``op_norms`` measures it, so t holds
+    at every finite scale.  Raised by SCREEN_MARGIN, t bounds the norm from
+    above.
 
     Each row's pairs are then measured in decreasing t order, the largest
     alone first, until the next t is at most the row's running maximum, so
@@ -229,22 +277,36 @@ def screened_max_norm(
     per_block = max(1, _WORKSPACE_BYTES // max(1, 16 * dim * dim))
     step = max(1, per_block // 4)  # a stage holds about four stacks at once
     power = np.empty(rows * cols)
+    exponents = np.zeros(rows * cols, dtype=np.intc)  # frexp's type, np.ldexp's fast loop
     for start in range(0, rows * cols, per_block):
         idx = np.arange(start, min(start + per_block, rows * cols))
-        x = residual(idx // cols, idx % cols)
-        fro = _frobenius_norms(x)
+        flat = np.ascontiguousarray(residual(idx // cols, idx % cols)).view(np.float64)
+        fro = _frobenius_norms(flat.view(np.complex128))
+        # X at unit scale where its own f may have lost bits: 2^-p X, as
+        # ``op_norms`` takes it; p = 0 keeps every other X and its f as they are
+        p = exponents[start : start + len(idx)]
+        lo, hi = _SAFE_FROBENIUS
+        if not (lo < fro.min() and fro.max() < hi):  # also where f is NaN
+            unsafe = ~((fro > lo) & (fro < hi))
+            p[unsafe] = _exponents(flat[unsafe])
+            if p.any():
+                flat = flat * np.ldexp(1.0, -p)[:, None, None]
+                fro = _frobenius_norms(flat.view(np.complex128))
         if not np.isfinite(fro).all():
             raise NonFiniteValue("Frobenius norm is NaN or infinite")
         # Y = X / f on the real and imaginary parts, the bits of a complex
         # division up to the sign of a zero; a zero X gives t = 0
-        flat = np.ascontiguousarray(x).view(np.float64)
         unit = np.where(fro > 0.0, fro, 1.0)[:, None, None]
         for part in range(0, len(idx), step):
             y = (flat[part : part + step] / unit[part : part + step]).view(np.complex128)
             gram = y.conj().transpose(0, 2, 1) @ y
             power[start + part : start + part + len(y)] = _frobenius_norms(gram @ gram)
         power[start : start + len(idx)] = fro * np.sqrt(np.sqrt(power[start : start + len(idx)]))
-    bound = power.reshape(rows, cols) * (1.0 + SCREEN_MARGIN)
+    # t at X's own scale: 2^p times the margin-raised unit-scale bound, rounded
+    # as ``op_norms`` rounds its norm back, so the bound still covers that norm;
+    # a bound past the largest double is inf, and the measured norm then raises
+    with np.errstate(over="ignore"):
+        bound = np.ldexp(power * (1.0 + SCREEN_MARGIN), exponents).reshape(rows, cols)
     order = np.argsort(-bound, axis=1, kind="stable")
     bound = np.take_along_axis(bound, order, axis=1)
     best = np.zeros(rows)

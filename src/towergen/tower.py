@@ -188,19 +188,37 @@ def _max_cross_commutator(left: MatrixUnitSystem, right: MatrixUnitSystem) -> fl
 
     Both products of two partial permutations are partial permutations, so
     [u, v] vanishes exactly when the composed column maps u[v] and v[u]
-    agree.  Only the units of pairs whose maps disagree go to the dense
-    ``_screened_max_commutator``, which gives every pair the bits the full
-    grid would; the others contribute exactly 0.
+    agree.  Each unit of an exact system is a product of its block's
+    generating units, e_ij = e_i1 e_1j exactly, so when those commute across
+    the two systems every pair does, and the maximum is exactly 0 with no
+    other map compared.  Otherwise only the units of pairs whose maps
+    disagree go to the dense ``_screened_max_commutator``, which gives every
+    pair the bits the full grid would; the others contribute exactly 0.
     """
     lmaps, rmaps = left.column_maps(), right.column_maps()
-    clash = np.stack([np.any(u[rmaps] != rmaps[:, u], axis=1) for u in lmaps])
-    li, ri = np.flatnonzero(clash.any(axis=1)), np.flatnonzero(clash.any(axis=0))
-    if not len(li):
+    if not _clashes(lmaps[_generating_units(left)], rmaps[_generating_units(right)]).any():
         return 0.0
+    clash = _clashes(lmaps, rmaps)
+    li, ri = np.flatnonzero(clash.any(axis=1)), np.flatnonzero(clash.any(axis=0))
     lkeys, rkeys = left.keys(), right.keys()
     return _screened_max_commutator(
         [left.unit(*lkeys[n]) for n in li], [right.unit(*rkeys[n]) for n in ri]
     )
+
+
+def _clashes(lmaps: np.ndarray, rmaps: np.ndarray) -> np.ndarray:
+    """Whether u[v] and v[u] disagree, for each column map u of ``lmaps`` (rows)
+    and v of ``rmaps`` (columns)."""
+    return np.stack([np.any(u[rmaps] != rmaps[:, u], axis=1) for u in lmaps])
+
+
+def _generating_units(system: MatrixUnitSystem) -> np.ndarray:
+    """Positions in ``keys()`` order of each block's units e_1j and e_j1."""
+    out, offset = [], 0
+    for k in system.shape:
+        out += [offset + j for j in range(k)] + [offset + i * k for i in range(1, k)]
+        offset += k * k
+    return np.array(out)
 
 
 def _draw_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from towergen.cli import resolve_tower_spec
 from towergen.errors import DimensionMismatch
@@ -118,6 +119,54 @@ def test_cross_commutator_of_one_factor_is_measured():
     assert _max_cross_commutator(right, left) == _screened_max_commutator(
         list(dense_units(right)), list(dense_units(left))
     )
+
+
+@st.composite
+def exact_pairs(draw):
+    """Two exact systems on one ambient space of dimension at most 16: either
+    units of two tensor factors, which commute, under one coordinate
+    permutation, or two systems with tables drawn independently, which
+    mostly clash, sometimes in a few units only."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if draw(st.booleans()):
+        first, second = (
+            canonical_units(draw(st.lists(st.integers(1, 2), min_size=1, max_size=2)))
+            for _ in range(2)
+        )
+        d1, d2 = first.ambient_dim, second.ambient_dim
+        perm = rng.permutation(d1 * d2)
+        return [
+            MatrixUnitSystem(s.shape, d1 * d2, rows=[perm[t] for t in s.rows])
+            for s in (amplify(first, 1, d2), amplify(second, d1, 1))
+        ]
+    dim = draw(st.integers(2, 16))
+    systems = []
+    for _ in range(2):
+        shape = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+        mult = draw(st.lists(st.integers(1, 2), min_size=len(shape), max_size=len(shape)))
+        while sum(k * c for k, c in zip(shape, mult)) > dim:
+            shape.pop(), mult.pop()
+        if not shape:
+            shape, mult = [1], [1]
+        coords = iter(rng.permutation(dim))
+        rows = [
+            np.array([[next(coords) for _ in range(c)] for _ in range(k)])
+            for k, c in zip(shape, mult)
+        ]
+        systems.append(MatrixUnitSystem(shape, dim, rows=rows))
+    return systems
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(pair=exact_pairs())
+def test_cross_commutator_equals_the_dense_all_pairs_maximum(pair):
+    """Whether the generating units commute decides only whether the full clash
+    table is needed: the result is the dense maximum over every pair of units,
+    bit for bit, commuting or not."""
+    left, right = pair
+    for a, b in ((left, right), (right, left)):
+        dense = max(op_norm(u @ v - v @ u) for u in dense_units(a) for v in dense_units(b))
+        assert same_bits(np.float64(_max_cross_commutator(a, b)), np.float64(dense))
 
 
 def test_amplify_matches_kron():

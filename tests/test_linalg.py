@@ -108,6 +108,97 @@ def test_non_finite_entry_of_a_zero_stack_fails_closed(bad):
         op_norm(stack[2])
 
 
+def _block_sparse_stack(rng, dim):
+    """Random matrices with zero rows, zero columns or both, an all-zero member,
+    a signed-zero member, a full-support member with zero entries, a member
+    with one nonzero entry, and members sharing a support size but not a
+    support."""
+    stack = np.stack([random_complex(rng, dim) for _ in range(9)])
+    stack[0, ::3] = 0.0
+    stack[1, :, 1::2] = 0.0
+    stack[2, : dim // 2] = 0.0
+    stack[2, :, dim // 3 :] = 0.0
+    stack[3] = 0.0
+    stack[4] = -0.0
+    stack[5][np.eye(dim, dtype=bool)] = 0.0
+    stack[6] = 0.0
+    stack[6, dim - 1, 0] = complex(0.0, -3.0)
+    stack[7, 1::3] = 0.0
+    stack[8, 2::3] = 0.0
+    return stack
+
+
+@pytest.mark.parametrize("dim", [8, linalg._SUPPORT_MIN_COLUMNS, 45])
+def test_op_norms_on_supports_are_each_matrix_alone(dim):
+    """Each matrix is solved on its own nonzero rows and columns, so a stack's
+    norms are those of its matrices one at a time, bit for bit, whatever the
+    other matrices' supports; and they are the largest singular values."""
+    rng = np.random.default_rng(dim)
+    stack = _block_sparse_stack(rng, dim)
+    norms = op_norms(stack)
+    assert same_bits(norms, np.array([op_norm(m) for m in stack]))
+    for order in (slice(None, None, -1), [2, 7, 8, 0]):
+        assert same_bits(op_norms(stack[order]), norms[order])
+    assert list(norms[[3, 4]]) == [0.0, 0.0] and not np.signbit(norms).any()
+    assert norms[6] == 3.0
+    assert norms == pytest.approx(np.linalg.norm(stack, ord=2, axis=(1, 2)), rel=1e-13)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 5),
+    rows=st.integers(1, 40),
+    cols=st.integers(1, 40),
+    density=st.sampled_from([0.05, 0.3, 0.9]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_op_norms_of_random_patterns_are_each_matrix_alone(n, rows, cols, density, seed):
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((n, rows, cols)) + 1j * rng.standard_normal((n, rows, cols))
+    stack[:, rng.random(rows) > density] = 0.0
+    stack[..., rng.random(cols) > density] = 0.0
+    stack[rng.random((n, rows, cols)) > density] = 0.0
+    norms = op_norms(stack)
+    assert same_bits(norms, np.array([op_norm(m) for m in stack]))
+    assert norms == pytest.approx(np.linalg.norm(stack, ord=2, axis=(1, 2)), rel=1e-13, abs=0.0)
+
+
+def test_op_norms_solve_each_support_once(monkeypatch):
+    """A*A is formed on the support alone: a 63 x 63 matrix living on 21 rows and
+    columns is one 21 x 21 eigensolve, matrices of one support size share one,
+    a stack with no zero entry is solved whole, and so is a stack of matrices
+    with fewer than ``_SUPPORT_MIN_COLUMNS`` columns."""
+    grams = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: grams.append(g.shape) or eigvalsh(g))
+    rng = np.random.default_rng(4)
+    sparse = np.zeros((3, 63, 63), dtype=complex)
+    sparse[0, ::3, 1::3] = random_complex(rng, 21)
+    sparse[1, 21:42, :21] = random_complex(rng, 21)
+    sparse[2, :42, :42] = random_complex(rng, 42)
+    op_norms(sparse)
+    assert sorted(grams) == [(1, 42, 42), (2, 21, 21)]
+    grams.clear()
+    op_norms(np.stack([random_complex(rng, 63) for _ in range(2)]))
+    small = np.zeros((1, 20, 20), dtype=complex)
+    small[0, :10, :10] = random_complex(rng, 10)
+    op_norms(small)
+    assert grams == [(2, 63, 63), (1, 20, 20)]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan), complex(0, -np.inf)])
+@pytest.mark.parametrize("dim", [8, 40])
+def test_non_finite_entry_in_a_zero_row_fails_closed(bad, dim):
+    rng = np.random.default_rng(6)
+    stack = np.stack([random_complex(rng, dim) for _ in range(3)])
+    stack[1, 2] = 0.0
+    stack[1, 2, 5] = bad
+    with pytest.raises(NonFiniteValue):
+        op_norms(stack)
+    with pytest.raises(NonFiniteValue):
+        op_norm(stack[1])
+
+
 OP_NORM_SCALES = [1e-300, 1e-160, 1.0, 1e300]
 
 
@@ -334,6 +425,47 @@ def test_max_distance_matches_per_pair_loop(dim):
     for bad in (ys[:-1], ys[0], ys[:, None], list(ys[1:])):
         with pytest.raises(DimensionMismatch):
             max_distance(xs, bad)
+
+
+@pytest.mark.parametrize("scale", OP_NORM_SCALES)
+def test_max_distance_at_every_finite_scale(scale):
+    """A difference whose Frobenius norm would under- or overflow at its own
+    scale is bounded at unit scale, as ``op_norms`` measures it: no bound
+    rules a pair out by underflowing, none overflows, and each row's maximum
+    is the unit-scale oracle's, scaled."""
+    pair = np.stack([np.diag([3.0, 4.0]), np.diag([5.0, 0.0])]).astype(complex)[None]
+    got = max_distance(scale * pair, np.zeros_like(pair))
+    assert got.tolist() == [op_norm(scale * pair[0, 1])]
+    assert got[0] == pytest.approx(5.0 * scale, rel=1e-15)
+    rng = np.random.default_rng(11)
+    xs = rng.standard_normal((3, 7, 4, 4)) + 1j * rng.standard_normal((3, 7, 4, 4))
+    ys = xs + 1e-3 * rng.standard_normal((3, 7, 4, 4))
+    oracle = max_distance(xs, ys)
+    got = max_distance(scale * xs, scale * ys)
+    assert got.tolist() == [max(op_norm(d) for d in row) for row in scale * xs - scale * ys]
+    assert got == pytest.approx(scale * oracle, rel=1e-12)
+
+
+@pytest.mark.parametrize("exponent", [-996, -531, 0, 996])
+def test_screened_max_norm_commutes_with_power_of_two_scaling(exponent):
+    """2^k X, at about 1e-300, 1e-160, 1 and 1e300, gives each row 2^k times its
+    unit-scale maximum, bit for bit."""
+    rng = np.random.default_rng(13)
+    residual = _grid(rng, 4, 9, 5, lambda w: w)
+
+    def scaled(li, ri):
+        return np.ldexp(residual(li, ri).view(np.float64), exponent).view(np.complex128)
+
+    unit = screened_max_norm(4, 9, 5, residual)
+    assert same_bits(screened_max_norm(4, 9, 5, scaled), np.ldexp(unit, exponent))
+    assert same_bits(screened_max_norm(4, 9, 5, scaled), _brute_rows(4, 9, scaled))
+
+
+def test_max_distance_of_subnormal_differences_is_exact():
+    """diag(3, 4) and diag(5, 0) times 5e-324 = 2^-1074 are exact, and so are
+    their norms: the row's maximum is 5 x 2^-1074, 2.5e-323."""
+    pair = 5e-324 * np.stack([np.diag([3.0, 4.0]), np.diag([5.0, 0.0])]).astype(complex)[None]
+    assert max_distance(pair, np.zeros_like(pair)).tolist() == [5 * 5e-324] == [2.5e-323]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

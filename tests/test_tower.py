@@ -171,6 +171,39 @@ def test_cross_commutator_of_commuting_levels_needs_no_norm(t1_model, monkeypatc
     assert calls == []
 
 
+def _recorded_clash_tables(monkeypatch):
+    """The (left, right) sizes of every clash table ``_max_cross_commutator`` builds."""
+    tables = []
+    clashes = tower._clashes
+
+    def recorded(lmaps, rmaps):
+        tables.append((len(lmaps), len(rmaps)))
+        return clashes(lmaps, rmaps)
+
+    monkeypatch.setattr(tower, "_clashes", recorded)
+    return tables
+
+
+def test_commuting_levels_compare_only_their_generating_units(t1_model, monkeypatch):
+    """T1's levels commute: comparing the 5 generating units e_1j, e_j1 of its
+    level 1 with the 41 of its level 2 gives exactly 0.0, with no 9 x 441
+    clash table and no commutator formed."""
+    tables = _recorded_clash_tables(monkeypatch)
+    monkeypatch.setattr(tower, "_screened_max_commutator", pytest.fail)
+    assert tower._max_cross_commutator(*t1_model.blocks) == 0.0
+    assert tables == [(5, 41)]
+
+
+def test_clashing_generating_units_fall_through_to_the_full_table(monkeypatch):
+    """Two systems on one factor clash in their generating units, so every pair's
+    maps are compared and the clashing pairs measured."""
+    tables = _recorded_clash_tables(monkeypatch)
+    left, right = canonical_units([3]), canonical_units([2, 1])
+    dense = max(op_norm(u @ v - v @ u) for u in dense_units(left) for v in dense_units(right))
+    assert tower._max_cross_commutator(left, right) == dense > 0.0
+    assert tables == [(5, 4), (9, 5)]
+
+
 def test_commutant_projection_fixed_point(t1_model):
     block = t1_model.blocks[0]
     x = np.kron(identity(3), np.diag(np.arange(21, dtype=float) / 21.0)).astype(complex)
