@@ -103,22 +103,25 @@ def identity(dim: int) -> np.ndarray:
 def op_norms(stack: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix of an (n, p, q) stack.
 
-    One Hermitian eigensolve of A*A per matrix.  A matrix of at least
-    ``_SUPPORT_MIN_COLUMNS`` columns with a zero row or column is solved
-    on its support, the rows and columns holding a nonzero entry, in their
+    A generalized diagonal, a matrix whose nonzero entries share no row and
+    no column (a 1 x 1 matrix, ``diag_term``, a partial permutation times a
+    diagonal), gives the largest modulus of its entries, libm's
+    ``hypot(re, im)``, with no eigensolve; a stack with no zero entry holds
+    none but 1 x 1 matrices and is not searched for them.  Every other
+    matrix takes one Hermitian eigensolve of A*A.  Such a matrix of at least
+    ``_SUPPORT_MIN_COLUMNS`` columns with a zero row or column is solved on
+    its support, the rows and columns holding a nonzero entry, in their
     order, which carry its norm; matrices whose supports are equally large
-    share one batched eigensolve, and a stack with no zero entry is solved
-    whole.  Each matrix is solved at unit scale: scaled by 2^-e, e its
-    ``scale_exponents`` exponent, and its norm scaled back by 2^e, so A*A
-    neither under- nor overflows at any finite scale; for normal entries
-    both scalings are exact.  A 1 x 1 matrix, or support, gives its
-    modulus.  An empty stack, or a matrix whose entries are all exactly
-    zero (signed zeros included), gives +0.0 without any eigensolve, the
-    value the eigensolve gives it.  Each result depends on its own matrix
-    alone, so it is bit-identical to ``op_norm`` of that matrix.
-    Deterministic; for Hermitian input this equals the spectral radius.
-    Raises NonFiniteValue on non-finite entries, and on a norm beyond the
-    largest double.
+    share one batched eigensolve.  Each matrix is solved at unit scale:
+    scaled by 2^-e, e its ``scale_exponents`` exponent, and its norm scaled
+    back by 2^e, so A*A neither under- nor overflows at any finite scale;
+    for normal entries both scalings are exact.  An empty stack, or a matrix
+    whose entries are all exactly zero (signed zeros included), gives +0.0
+    without any eigensolve, the value the eigensolve gives it.  Each result
+    depends on its own matrix alone, so it is bit-identical to ``op_norm``
+    of that matrix.  Deterministic; for Hermitian input this equals the
+    spectral radius.  Raises NonFiniteValue on non-finite entries, and on a
+    norm beyond the largest double.
     """
     return _op_norms(np.asarray(stack, dtype=np.complex128))
 
@@ -140,11 +143,46 @@ def _op_norms(stack: np.ndarray) -> np.ndarray:
         raise NonFiniteValue("operator norm: input has non-finite entries")
     if largest == 0.0:
         return np.zeros(stack.shape[0])
-    if stack.shape[2] < _SUPPORT_MIN_COLUMNS or stack.all():
+    if stack.shape[1] * stack.shape[2] == 1:
+        return _whole_norms(stack)  # the hypot of a generalized diagonal
+    nonzero = stack.astype(bool)
+    total = np.count_nonzero(nonzero)
+    if total == nonzero.size:  # no zero entry: no generalized diagonal above 1 x 1
         return _whole_norms(stack)
-    # each matrix on its own nonzero rows and columns, so its norm does not
-    # depend on the other matrices of the stack
-    nonzero = stack != 0
+    # one nonzero entry at most per row and per column, so at most min(p, q)
+    # in all: a cheap count keeps denser matrices off the row and column test;
+    # for one matrix, as ``op_norm`` asks, the stack's count is the matrix's
+    width = min(stack.shape[1:])
+    if len(stack) == 1 and total > width:
+        return _support_norms(stack, nonzero)
+    count = nonzero.reshape(len(stack), -1).sum(axis=1)
+    diagonal = count <= width
+    if diagonal.any():
+        maybe = nonzero[diagonal]
+        rows, cols = maybe.any(axis=2).sum(axis=1), maybe.any(axis=1).sum(axis=1)
+        diagonal[diagonal] = (rows == count[diagonal]) & (cols == count[diagonal])
+        if diagonal.all():
+            return _diagonal_norms(stack)
+        if diagonal.any():
+            norms = np.empty(len(stack))
+            norms[diagonal] = _diagonal_norms(stack[diagonal])
+            norms[~diagonal] = _support_norms(stack[~diagonal], nonzero[~diagonal])
+            return norms
+    return _support_norms(stack, nonzero)
+
+
+def _diagonal_norms(stack: np.ndarray) -> np.ndarray:
+    """``op_norms`` of a finite stack of generalized diagonals: the largest
+    ``hypot(re, im)`` of each matrix's entries, whose zeros give +0.0."""
+    return _unless_overflow(np.hypot, stack.real, stack.imag).max(axis=(1, 2))
+
+
+def _support_norms(stack: np.ndarray, nonzero: np.ndarray) -> np.ndarray:
+    """``op_norms`` of a finite stack whose nonzero entries ``nonzero`` marks,
+    each matrix of at least ``_SUPPORT_MIN_COLUMNS`` columns solved on its
+    support, so its norm does not depend on the other matrices of the stack."""
+    if stack.shape[2] < _SUPPORT_MIN_COLUMNS:
+        return _whole_norms(stack)
     rows, cols = nonzero.any(axis=2), nonzero.any(axis=1)
     if rows.all() and cols.all():
         return _whole_norms(stack)

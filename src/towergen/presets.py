@@ -35,6 +35,14 @@ _CATALOG = {
         "note": "relaxed: the strict level-2 bound 2*49+3 = 101 exceeds the block size; "
                 "one encoded generator needs only 52 rows",
     },
+    "T3": {
+        "spec": TowerSpec(block_shapes=((9,), (84,)), num_generators=1, mode="relaxed",
+                          generator_seed=7, generator_recipe="leading-factor"),
+        "claims": "depth-2 tower at d = 756, at the single-generator row-capacity bound "
+                  "1*81+3 = 84",
+        "note": "relaxed: the strict level-2 bound 2*81+3 = 165 exceeds the block size; "
+                "one encoded generator needs only 84 rows",
+    },
     "U2": {
         "spec": TowerSpec(block_shapes=((2,), (2,), (2,)), num_generators=1, mode="relaxed",
                           generator_seed=5, generator_recipe="uhf"),

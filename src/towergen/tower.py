@@ -237,35 +237,37 @@ def _block_traceless(h: np.ndarray, shape: Shape) -> np.ndarray:
     return out
 
 
-def _leading_factor_generators(spec: TowerSpec, factor_dims, blocks) -> List[np.ndarray]:
+def _leading_factor_generators(spec: TowerSpec, factor_dims, factor_blocks) -> List[np.ndarray]:
     """Seeded Hermitian contractions on the first tensor factor.
 
-    The part of each generator that fails to commute with block 1 is scaled
-    to spend only DISTANCE_MARGIN of the 2^-1 budget; deeper levels commute
-    exactly because the support stays on factor 1.
+    Each generator is drawn, projected onto the commutant of block 1 on its
+    own factor (``factor_blocks[0]``) and normed at d_1 x d_1, and then
+    embedded once as kron(x_1, I).  The part of each generator that fails
+    to commute with block 1 is scaled to spend only DISTANCE_MARGIN of the
+    2^-1 budget; deeper levels commute exactly because the support stays on
+    factor 1.
     """
     seeds = np.random.SeedSequence(spec.generator_seed).spawn(spec.num_generators)
     gens = []
     d1 = factor_dims[0]
     for seq in seeds:
         rng = np.random.default_rng(seq)
-        w_small = _draw_hermitian(rng, d1)
-        w_small = w_small / max(op_norm(w_small), 1e-300) + 0.3 * np.eye(d1)
-        w = _embed_factor(w_small, factor_dims, 0)
-        core = commutant_projection(w, blocks[0])
+        w = _draw_hermitian(rng, d1)
+        w = w / max(op_norm(w), 1e-300) + 0.3 * np.eye(d1)
+        core = commutant_projection(w, factor_blocks[0])
         dev = w - core
         dev_norm = op_norm(dev)
-        x = core.copy()
+        x = core
         if dev_norm > 1e-12:
             x = core + (DISTANCE_MARGIN * 0.5) * dev / dev_norm
         nrm = op_norm(x)
         if nrm > 1.0:
             x = x / nrm
-        gens.append(hermitian_part(x))
+        gens.append(_embed_factor(hermitian_part(x), factor_dims, 0))
     return gens
 
 
-def _uhf_generators(spec: TowerSpec, factor_dims, blocks) -> List[np.ndarray]:
+def _uhf_generators(spec: TowerSpec, factor_dims, factor_blocks) -> List[np.ndarray]:
     """Finite sums of weighted tensor words across the factors.
 
     Each word carries block-traceless slots, so it is annihilated by the
@@ -334,15 +336,17 @@ def build_tower(spec: TowerSpec, dim_cap: int = DEFAULT_DIM_CAP) -> TowerModel:
                 raise StrictModeViolation(
                     f"level {level} subrank {subrank(shape)} below strict bound {need}"
                 )
+    # each level's block on its own factor, then amplified to the ambient space
+    factor_blocks = [canonical_units(shape) for shape in shapes]
     blocks = []
-    for pos, shape in enumerate(shapes):
+    for pos, block in enumerate(factor_blocks):
         before, after = math.prod(factor_dims[:pos]), math.prod(factor_dims[pos + 1 :])
-        blocks.append(amplify(canonical_units(shape), before, after))
+        blocks.append(amplify(block, before, after))
     return TowerModel(
         spec=spec,
         ambient_dim=ambient,
         blocks=blocks,
-        generators=RECIPES[spec.generator_recipe](spec, factor_dims, blocks),
+        generators=RECIPES[spec.generator_recipe](spec, factor_dims, factor_blocks),
         factor_dims=factor_dims,
     )
 
@@ -351,16 +355,43 @@ def witnesses_at_level(model: TowerModel, level: int) -> CommutantWitness:
     """The level's witnesses: y_j = herm(E(x_j)), E the block's commutant
     projection, for the first min(level, generators) generators, each
     read-only, and ||x_j - y_j||.  A model computes its own once when it is
-    made (``TowerModel.witnesses``); everything else reads those."""
+    made (``TowerModel.witnesses``); everything else reads those.
+
+    At level 1, a generator that is bit for bit kron(x_1, I) of its
+    factor-1 part x_1, as the leading-factor recipe makes them, gets its
+    witness on factor 1: y_1 = herm(E_1(x_1)), E_1 the projection of
+    ``canonical_units`` of block 1's shape, y = kron(y_1, I) and the
+    distance ||x_1 - y_1||, which equal the dense ones in exact arithmetic.
+    Any other generator, and every deeper level, is projected and normed
+    at the ambient dimension.
+    """
     block = model.blocks[level - 1]
     active = min(level, len(model.generators))
     approx = []
     dists = []
     for x in model.generators[:active]:
-        y = _read_only(hermitian_part(commutant_projection(x, block)))
-        approx.append(y)
-        dists.append(op_norm(x - y))
+        x1 = _leading_part(x, model.factor_dims) if level == 1 else None
+        if x1 is None:
+            y = hermitian_part(commutant_projection(x, block))
+            dists.append(op_norm(x - y))
+        else:
+            y1 = hermitian_part(commutant_projection(x1, canonical_units(block.shape)))
+            y = _embed_factor(y1, model.factor_dims, 0)
+            dists.append(op_norm(x1 - y1))
+        approx.append(_read_only(y))
     return CommutantWitness(level=level, approximants=tuple(approx), distances=tuple(dists))
+
+
+def _leading_part(x: np.ndarray, factor_dims: Sequence[int]) -> np.ndarray | None:
+    """x_1 when x is bit for bit ``_embed_factor(x_1, factor_dims, 0)`` of a
+    smaller factor, else None: on a one-level tower factor 1 is the whole
+    space, and the dense witness is the factor-1 one."""
+    after = x.shape[0] // factor_dims[0]
+    if after == 1:
+        return None
+    x1 = x[::after, ::after]
+    embedded = _embed_factor(x1, factor_dims, 0)
+    return x1 if np.array_equal(embedded.view(np.int64), x.view(np.int64)) else None
 
 
 @dataclass

@@ -535,23 +535,39 @@ def factored_distance(approx: MatrixUnitSystem, other: MatrixUnitSystem) -> floa
     batched QR and one ``op_norms`` over k^2 matrices of size at most
     m + c, with no d x d difference formed.
 
-    A block whose finite factors equal P bit for bit contributes exactly
-    0.0 with no QR: identical factors give identical products.  That is
-    also what the QR path gives a recovered level against the tower's 0/1
-    indicator factors, on which the Householder arithmetic is exact.
+    A block whose finite factors equal P bit for bit, up to one column
+    permutation common to every unit row, contributes exactly 0.0 with no
+    QR: F_i = P_i Q for one permutation matrix Q gives
+    F_i F_j^* = P_i Q Q^* P_j^* = P_i P_j^*.  That is also what the QR path
+    gives a recovered level against the tower's 0/1 indicator factors, on
+    which the Householder arithmetic is exact.
     """
     if approx.factors is None or (approx.shape, approx.ambient_dim) != (other.shape, other.ambient_dim):
         raise DimensionMismatch("factored_distance compares a factored system to one like it")
     worst = 0.0
     for f, p in zip(approx.factors, other.column_factors()):
-        if f.shape == p.shape and f.tobytes() == p.tobytes() and np.isfinite(f).all():
-            continue
-        m = f.shape[2]
-        r = _lapack(
-            lambda x: np.linalg.qr(x, mode="r"), np.concatenate([f, p], axis=2),
-            "factored distance QR",
-        )
-        signed = r * np.concatenate([np.ones(m), -np.ones(p.shape[2])])
-        grid = signed[:, None] @ r.conj().transpose(0, 2, 1)[None, :]
-        worst = max(worst, float(op_norms(grid.reshape(-1, *grid.shape[2:])).max()))
+        if not _same_columns(f, p):
+            worst = max(worst, _block_distance(f, p))
     return worst
+
+
+def _same_columns(f: np.ndarray, p: np.ndarray) -> bool:
+    """Whether finite (k, d, m) factors f are p bit for bit up to one column
+    permutation common to every unit row: the m columns of the k stacked
+    rows, each as bytes, are the same multiset."""
+    if f.shape != p.shape or not np.isfinite(f).all():
+        return False
+    columns = [sorted(c.tobytes() for c in x.transpose(2, 0, 1)) for x in (f, p)]
+    return columns[0] == columns[1]
+
+
+def _block_distance(f: np.ndarray, p: np.ndarray) -> float:
+    """max ||F_i F_j^* - P_i P_j^*|| over one block's units, by the QR formula
+    of ``factored_distance``."""
+    m = f.shape[2]
+    r = _lapack(
+        lambda x: np.linalg.qr(x, mode="r"), np.concatenate([f, p], axis=2), "factored distance QR"
+    )
+    signed = r * np.concatenate([np.ones(m), -np.ones(p.shape[2])])
+    grid = signed[:, None] @ r.conj().transpose(0, 2, 1)[None, :]
+    return float(op_norms(grid.reshape(-1, *grid.shape[2:])).max())

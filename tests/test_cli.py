@@ -46,7 +46,7 @@ def test_unknown_field_rejected():
 
 def test_preset_catalog():
     catalog = list_presets()
-    assert set(catalog) == {"T0", "T1", "T1b", "T2", "U2"}
+    assert set(catalog) == {"T0", "T1", "T1b", "T2", "T3", "U2"}
     assert "21" in catalog["T1"]["claims"]
     assert catalog["U2"]["note"] is not None and "relaxed" in catalog["U2"]["note"]
     assert catalog["T1b"]["note"] is not None

@@ -199,6 +199,103 @@ def test_non_finite_entry_in_a_zero_row_fails_closed(bad, dim):
         op_norm(stack[1])
 
 
+def _generalized_diagonal(rng, rows, cols, scale=1.0):
+    """A rows x cols matrix with one complex entry of modulus about ``scale`` in
+    each of min(rows, cols) rows and columns, paired by a random permutation."""
+    out = np.zeros((rows, cols), dtype=complex)
+    n = min(rows, cols)
+    r, c = rng.permutation(rows)[:n], rng.permutation(cols)[:n]
+    out[r, c] = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return out
+
+
+def _mixed_stack(rng, dim):
+    """Permuted complex generalized diagonals (one at 1e-300, one at 1e300, one
+    real and diagonal, one with a signed zero and one zero entry), full
+    matrices, an all-zero matrix and matrices that are not generalized
+    diagonals although they have few nonzero entries."""
+    gd = [_generalized_diagonal(rng, dim, dim, scale) for scale in (1.0, 1e-300, 1e300, 0.5)]
+    gd.append(np.diag(rng.standard_normal(dim)).astype(complex))
+    r, c = np.nonzero(gd[3])
+    gd[3][r[0], c[0]] = 0.0
+    gd[3][r[1], c[1]] = complex(-0.0, 2.0)
+    two_in_a_row = np.zeros((dim, dim), dtype=complex)
+    two_in_a_row[0, :2] = [3.0, 4.0j]
+    two_in_a_col = two_in_a_row.T.copy()
+    full = [random_complex(rng, dim) for _ in range(2)]
+    zero = np.full((dim, dim), complex(-0.0, -0.0))
+    return np.stack(gd + full + [zero, two_in_a_row, two_in_a_col]), len(gd)
+
+
+def _gd_oracle(m: np.ndarray) -> float:
+    """The largest modulus of a generalized diagonal's entries, by libm's hypot."""
+    return float(np.hypot(m.real, m.imag).max())
+
+
+@pytest.mark.parametrize("dim", [3, 8, linalg._SUPPORT_MIN_COLUMNS, 45])
+def test_generalized_diagonals_are_normed_by_their_largest_entry(monkeypatch, dim):
+    """Each generalized diagonal of a mixed stack is its largest hypot(re, im),
+    with no eigensolve; every other matrix keeps its eigensolve; and each norm
+    is ``op_norm`` of its matrix alone, bit for bit, in any order of the stack,
+    and the largest singular value, at 1e-300 and 1e300 too."""
+    rng = np.random.default_rng(dim)
+    stack, diagonals = _mixed_stack(rng, dim)
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: solved.append(len(g)) or eigvalsh(g))
+    norms = op_norms(stack)
+    assert sum(solved) == len(stack) - diagonals - 1  # the zero matrix needs none either
+    assert same_bits(norms, np.array([op_norm(m) for m in stack]))
+    for order in (slice(None, None, -1), [5, 0, 7, 2, 8]):
+        assert same_bits(op_norms(stack[order]), norms[order])
+    assert list(norms[:diagonals]) == [_gd_oracle(m) for m in stack[:diagonals]]
+    assert norms[diagonals + 2] == 0.0 and not np.signbit(norms).any()
+    assert norms[-2] == norms[-1] == pytest.approx(5.0, rel=1e-15)
+    for m, norm in zip(stack, norms):  # the dense oracle, at the matrix's own scale
+        scale = np.abs(m).max() or 1.0
+        assert norm / scale == pytest.approx(np.linalg.norm(m / scale, ord=2), rel=1e-13)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 5),
+    rows=st.integers(1, 40),
+    cols=st.integers(1, 40),
+    kept=st.floats(0.0, 1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_random_generalized_diagonals_are_each_matrix_alone(n, rows, cols, kept, seed):
+    """Stacks of rectangular generalized diagonals with some entries zeroed, and
+    some of every other matrix made full: the invariant and the oracle hold."""
+    rng = np.random.default_rng(seed)
+    stack = np.stack([_generalized_diagonal(rng, rows, cols) for _ in range(n)])
+    stack[rng.random(stack.shape) > kept] = 0.0
+    full = random_complex(rng, max(rows, cols))[:rows, :cols]
+    stack[::2] += (rng.random(n) < 0.5)[::2, None, None] * full
+    norms = op_norms(stack)
+    assert same_bits(norms, np.array([op_norm(m) for m in stack]))
+    assert norms == pytest.approx(np.linalg.norm(stack, ord=2, axis=(1, 2)), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan), complex(0, -np.inf)])
+def test_non_finite_generalized_diagonal_fails_closed(bad):
+    stack = np.stack([np.diag([1.0, 2.0, 3.0]).astype(complex)] * 2)
+    stack[1, 2, 2] = bad
+    with pytest.raises(NonFiniteValue):
+        op_norms(stack)
+    with pytest.raises(NonFiniteValue):
+        op_norm(stack[1])
+
+
+def test_generalized_diagonal_norm_past_the_largest_double_fails_closed():
+    huge = np.zeros((2, 3, 3), dtype=complex)
+    huge[:, 0, 1] = complex(1.5e308, 1.5e308)
+    with pytest.raises(NonFiniteValue):
+        op_norms(huge)
+    with pytest.raises(NonFiniteValue):
+        op_norm(huge[0])
+
+
 OP_NORM_SCALES = [1e-300, 1e-160, 1.0, 1e300]
 
 
@@ -280,8 +377,13 @@ def test_lapack_failure_on_finite_input_is_non_convergence(monkeypatch):
     with pytest.raises(NonConvergence):  # an m = 2 rung: a 2 x 2 eigensolve of X X^*
         basis = np.eye(4, 2, dtype=complex)
         ladder_units([basis], np.ones((4, 4), dtype=complex), (2,), 1, trace=RecoveryTrace())
-    with pytest.raises(NonConvergence):
-        op_norm(identity(2))
+    with pytest.raises(NonConvergence):  # no generalized diagonal: an eigensolve of A*A
+        op_norm(np.ones((2, 2)))
+    # a generalized diagonal's norm is its largest modulus: no LAPACK call to fail
+    assert op_norm(identity(2)) == 1.0
+    assert op_norm(np.kron(identity(3), np.diag([1.0, -2.0]))) == 2.0
+    rectangular = _generalized_diagonal(np.random.default_rng(3), 5, 7)
+    assert op_norm(rectangular) == _gd_oracle(rectangular)
     # an m = 1 rung's 1 x 1 eigensolve is the closed form: no LAPACK call to fail
     _ladder(np.array([[0.0, 0.25], [0.25, 0.0]], dtype=complex))
 

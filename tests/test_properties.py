@@ -201,6 +201,67 @@ def test_a_factor_one_ulp_off_takes_the_qr_path(qr_calls, changed):
     assert same_bits(np.float64(value), np.float64(qr_block_distance(f, exact.column_factors()[changed])))
 
 
+@pytest.mark.parametrize("name", ["T1", "T1b", "T1-uhf", "T1-relaxed-g2"])
+def test_recovered_level_one_takes_the_column_order_skip(qr_calls, name):
+    """The recovered level-1 factors of T1-family towers are the indicator columns
+    in another column order, common to every unit row: not bit-equal, yet
+    0.0 with no QR, which is what the QR formula gives them too."""
+    plan = build_plan(build_tower(resolve_tower_spec(ROUND_TRIP_CONFIGS[name])))
+    result, report = round_trip(plan)
+    recovered, exact = result.levels[0].units, plan.model.blocks[0]
+    f, p = recovered.factors[0], exact.column_factors()[0]
+    assert not same_bits(f, p)
+    qr_calls.clear()
+    assert factored_distance(recovered, exact) == 0.0 == report.unit_residuals[0]
+    assert qr_calls == []
+    value = qr_block_distance(f, p)
+    assert value == 0.0 and not np.signbit(value)
+
+
+def test_a_column_order_that_differs_between_rows_takes_the_qr_path(qr_calls):
+    exact = canonical_units([3], (4,))
+    copy = factored_copy(exact)
+    f = copy.factors[0]
+    f[0] = f[0][:, [1, 0, 2, 3]]  # unit row 1 alone in another column order
+    assert factored_distance(copy, exact) == pytest.approx(2.0, rel=1e-15)
+    assert len(qr_calls) == 2
+    qr_calls.clear()
+    f[:] = exact.column_factors()[0][:, :, [3, 0, 2, 1]]  # one order for every row
+    assert factored_distance(copy, exact) == 0.0 and qr_calls == []
+
+
+def test_a_unitary_column_mix_takes_the_qr_path(qr_calls):
+    """F_i = P_i U for a unitary U that is no permutation leaves every e_ij the
+    same in exact arithmetic, but not bit for bit: the QR formula measures it."""
+    exact = canonical_units([3], (2,))
+    mix = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    factors = [exact.column_factors()[0] @ mix]
+    mixed = MatrixUnitSystem(exact.shape, exact.ambient_dim, factors=factors)
+    assert factored_distance(mixed, exact) <= 4 * EPS
+    assert len(qr_calls) == 2
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    k=st.integers(1, 4),
+    m=st.integers(1, 3),
+    extra=st.integers(0, 5),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_random_factors_get_the_qr_formula_unless_only_the_column_order_differs(k, m, extra, seed):
+    rng = np.random.default_rng(seed)
+    dim = k * m + extra
+    p = rng.standard_normal((k, dim, m)) + 1j * rng.standard_normal((k, dim, m))
+    f = p + 1e-3 * (rng.standard_normal(p.shape) + 1j * rng.standard_normal(p.shape))
+    other = MatrixUnitSystem((k,), dim, factors=[p])
+    approx = MatrixUnitSystem((k,), dim, factors=[f])
+    value = factored_distance(approx, other)
+    assert same_bits(np.float64(value), np.float64(qr_distance(approx, other)))
+    permuted = MatrixUnitSystem((k,), dim, factors=[p[:, :, rng.permutation(m)]])
+    assert factored_distance(permuted, other) == 0.0
+    assert qr_distance(permuted, other) <= 1e-12 * np.abs(p).max() ** 2
+
+
 def test_bit_equal_non_finite_factors_fail_closed():
     exact = canonical_units([2], (1,))
     copy = factored_copy(exact)

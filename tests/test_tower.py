@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from towergen.errors import DimensionMismatch, DimensionOverflow, StrictModeViolation
-from towergen.linalg import identity, op_norm
+from towergen.cli import resolve_tower_spec
+from towergen.linalg import hermitian_part, identity, op_norm
 import towergen.linalg as linalg
 import towergen.tower as tower
 from towergen.tower import (
     TowerSpec,
+    _embed_factor,
     _screened_max_commutator,
     build_tower,
     check_conditions,
@@ -128,6 +130,65 @@ def test_check_and_plan_read_the_witnesses_built_with_the_model(monkeypatch):
         assert all(same_bits(y, z) for y, z in zip(witness.approximants, fresh.approximants))
         names = [f"level{level}.distance_g{j}" for j in range(1, len(fresh.distances) + 1)]
         assert [rows[name] for name in names] == list(fresh.distances)
+
+
+LEADING_FACTOR_TOWERS = {
+    "T1": {"preset": "T1"},
+    "T1b": {"preset": "T1b"},
+    "T1-relaxed-g2": {"preset": "T1", "mode": "relaxed", "generators": 2},
+}
+
+
+def _recorded_projections(monkeypatch):
+    """The operand shape of every ``commutant_projection`` the tower module asks for."""
+    shapes = []
+    project = tower.commutant_projection
+    monkeypatch.setattr(
+        tower, "commutant_projection", lambda x, b: shapes.append(x.shape) or project(x, b)
+    )
+    return shapes
+
+
+@pytest.mark.parametrize(
+    "config", list(LEADING_FACTOR_TOWERS.values()), ids=list(LEADING_FACTOR_TOWERS)
+)
+def test_leading_factor_generators_and_witnesses_live_on_factor_one(monkeypatch, config):
+    """Each leading-factor generator is kron(x_1, I) of its factor-1 part, bit for
+    bit; its level-1 witness is projected on factor 1 and agrees with the dense
+    herm(E(x)), and its distance with ||x - herm(E(x))||, to 1e-14.  Level 2 is
+    projected at the ambient dimension."""
+    shapes = _recorded_projections(monkeypatch)
+    model = build_tower(resolve_tower_spec(config))
+    d1, dim, count = model.factor_dims[0], model.ambient_dim, len(model.generators)
+    # the recipe's projections, level 1's one witness, then level 2's
+    assert shapes == [(d1, d1)] * (count + 1) + [(dim, dim)] * count
+    after = dim // d1
+    for x in model.generators:
+        assert same_bits(_embed_factor(x[::after, ::after], model.factor_dims, 0), x)
+    for x, y, distance in zip(
+        model.generators, model.witnesses[0].approximants, model.witnesses[0].distances
+    ):
+        dense = hermitian_part(commutant_projection(x, model.blocks[0]))
+        assert np.abs(y - dense).max() <= 1e-14
+        assert abs(distance - op_norm(x - dense)) <= 1e-14
+
+
+@pytest.mark.parametrize("recipe", ["dense", "uhf"])
+def test_other_generators_take_the_dense_witness_path(monkeypatch, t1_model, recipe):
+    """A model given dense generators by ``dataclasses.replace``, and a uhf
+    model, project and norm every witness at the ambient dimension."""
+    shapes = _recorded_projections(monkeypatch)
+    if recipe == "uhf":
+        model = build_tower(replace(t1_model.spec, generator_recipe="uhf"))
+    else:
+        rng = np.random.default_rng(5)
+        x = hermitian_part(rng.standard_normal((63, 63)) + 1j * rng.standard_normal((63, 63)))
+        model = replace(t1_model, generators=(x / op_norm(x),))
+    assert shapes == [(63, 63), (63, 63)]
+    x = model.generators[0]
+    y = hermitian_part(commutant_projection(x, model.blocks[0]))
+    assert same_bits(model.witnesses[0].approximants[0], y)
+    assert model.witnesses[0].distances[0] == op_norm(x - y)
 
 
 def test_swapped_generator_leaves_no_stale_witness(t1_model):
