@@ -19,7 +19,7 @@ from typing import Dict, List
 import numpy as np
 
 from .closure import distance_to_span, subalgebra_closure
-from .errors import ConfigInvalid, DimensionMismatch, DimensionOverflow, TowergenError
+from .errors import ConfigInvalid, DimensionMismatch, DimensionOverflow
 from .linalg import _WORKSPACE_BYTES, DEFAULT_DIM_CAP, hermitian_part, identity, op_norms
 from .microstates import (
     bound_power,
@@ -211,27 +211,22 @@ def resolve_tower_spec(config: dict) -> TowerSpec:
     return TowerSpec(**given)
 
 
-def run_tower_check(config: dict) -> RunReport:
-    report = RunReport("tower-check", config)
+def run_tower_check(report: RunReport, config: dict) -> None:
     spec = resolve_tower_spec(config)
     model = build_tower(spec)
     cond = check_conditions(model)
     report.rows += cond.rows
     report.extra["interleaving"] = cond.interleaving_note
     report.extra["truncation_tail_bound"] = 2.0 ** (-model.depth)
-    return report.close()
 
 
-def run_gen_verify(config: dict) -> RunReport:
-    report = RunReport("gen-verify", config)
+def run_gen_verify(report: RunReport, config: dict) -> None:
     spec = resolve_tower_spec(config)
     model = build_tower(spec)
     report.rows += verify_facts(build_plan(model)).rows
-    return report.close()
 
 
-def run_recover(config: dict) -> RunReport:
-    report = RunReport("recover", config)
+def run_recover(report: RunReport, config: dict) -> None:
     spec = resolve_tower_spec(config)
     model = build_tower(spec)
     plan = build_plan(model)
@@ -239,19 +234,20 @@ def run_recover(config: dict) -> RunReport:
     report.rows += trip.rows
     report.extra["trace"] = result.trace_json()
 
-    if config.get("closure", False):
+    if not config.get("closure", False):
+        return
+    with report.stage("closure"):  # a closure that fails closed keeps the round-trip rows
         pair_basis = subalgebra_closure([plan.gen_a, plan.gen_b])
         oracle_gens = [lv.coupling for lv in plan.levels] + [identity(model.ambient_dim)]
         oracle_basis = subalgebra_closure(oracle_gens, systems=model.blocks)
         report.add(
-            "closure.dimension_match",
+            "dimension_match",
             pair_basis.size, oracle_basis.size, pair_basis.size == oracle_basis.size,
         )
         bound = plan.tail_bound + 1e-6
         for j, x in enumerate(model.generators, start=1):
             _, upper = distance_to_span(x, pair_basis)
-            report.check(f"closure.distance_g{j}", upper, bound)
-    return report.close()
+            report.check(f"distance_g{j}", upper, bound)
 
 
 def _seed_chunk(entries: int) -> int:
@@ -262,8 +258,7 @@ def _seed_chunk(entries: int) -> int:
     return max(1, 4 * _WORKSPACE_BYTES // (16 * entries))
 
 
-def run_stabilize_sweep(config: dict) -> RunReport:
-    report = RunReport("stabilize-sweep", config)
+def run_stabilize_sweep(report: RunReport, config: dict) -> None:
     shape = tuple(config.get("shape", [5, 5]))
     mult = tuple(config.get("multiplicities", [1] * len(shape)))
     deltas = config.get("deltas", [1e-6, 1e-4, 1e-3])
@@ -326,11 +321,9 @@ def run_stabilize_sweep(config: dict) -> RunReport:
     monotone = all(ordered[i] <= ordered[i + 1] + 1e-15 for i in range(len(ordered) - 1))
     report.add("median_distance_monotone", monotone, True, monotone)
     report.extra["sweep"] = sweep_rows
-    return report.close()
 
 
-def run_cover_estimate(config: dict) -> RunReport:
-    report = RunReport("cover-estimate", config)
+def run_cover_estimate(report: RunReport, config: dict) -> None:
     k = config.get("k", 1)
     radii = config.get("omegas", [0.5])
     samples = config.get("samples", 10000)
@@ -357,7 +350,6 @@ def run_cover_estimate(config: dict) -> RunReport:
             "note": "finite-k profile of the certified lower bound; carries no "
             "asymptotic meaning",
         }
-    return report.close()
 
 
 def _table_rows(shapes: np.ndarray, tables: np.ndarray) -> np.ndarray:
@@ -479,12 +471,11 @@ def _scan_shapes(max_dim: int) -> List[int]:
     return totals.tolist()
 
 
-def run_counting_check(config: dict) -> RunReport:
+def run_counting_check(report: RunReport, config: dict) -> None:
     """Counting's combinatorial facts on every sorted shape and multiplicity
     tuple with k = c . shape <= max_dim (see ``_scan_shapes``), then the
     pinching-defect sample on one shape.
     """
-    report = RunReport("counting-check", config)
     max_dim = config.get("max_dim", 12)
     cases, dim_mismatches, cap_violations, mult_mismatches, card_violations = _scan_shapes(max_dim)
     report.add("cases", cases, None, True)
@@ -541,11 +532,9 @@ def run_counting_check(config: dict) -> RunReport:
             f"compressed cover reference (12R/{omega:g})^(k^2/N)",
         )
         report.add(f"compressed_cover_reference_omega{omega:g}", reference, None, True)
-    return report.close()
 
 
-def run_lemma52_check(config: dict) -> RunReport:
-    report = RunReport("lemma52-check", config)
+def run_lemma52_check(report: RunReport, config: dict) -> None:
     shapes = [tuple(s) for s in config.get("shapes", [[2], [3], [2, 3]])]
     block_sizes = config.get("block_sizes", [2, 3])
     runs = config.get("runs", 100)
@@ -561,16 +550,13 @@ def run_lemma52_check(config: dict) -> RunReport:
     sweep = run_identity_sweep(shapes, block_sizes, runs, coeff_dim, seed)
     report.rows += sweep_rows(sweep)
     report.extra["rows"] = sweep
-    return report.close()
 
 
-def run_list_presets(config: dict) -> RunReport:
-    report = RunReport("list-presets", config)
+def run_list_presets(report: RunReport, config: dict) -> None:
     catalog = list_presets()
     for name, entry in catalog.items():
         report.add(f"preset.{name}", entry["spec"]["shapes"], None, True)
     report.extra["catalog"] = catalog
-    return report.close()
 
 
 ALL_SEGMENTS = [
@@ -586,12 +572,12 @@ ALL_SEGMENTS = [
 ]
 
 
-def run_all(config: dict) -> RunReport:
-    report = RunReport("all", config)
+def run_all(report: RunReport, config: dict) -> None:
+    """Every segment as a sibling stage, so one that fails leaves the others' rows."""
     for prefix, func, seg_config in ALL_SEGMENTS:
-        sub = func(dict(seg_config))
-        report.merge(prefix, sub)
-    return report.close()
+        with report.stage(prefix):
+            func(report, dict(seg_config))
+    report.extra.clear()  # the battery keeps its segments' rows, not their extras
 
 
 RUNNERS = {
@@ -608,15 +594,13 @@ RUNNERS = {
 
 
 def run(command: str, config: dict) -> RunReport:
-    """Validate and dispatch; errors come back as failed reports."""
+    """Validate, then run the command in the report's root stage: a failure
+    comes back as a failed ``error`` row after the rows measured before it."""
     validate_config(command, config)
-    try:
-        return RUNNERS[command](config)
-    except TowergenError as exc:
-        report = RunReport(command, config)
-        report.error = f"{type(exc).__name__}: {exc}"
-        report.add("error", type(exc).__name__, None, False)
-        return report.close()
+    report = RunReport(command, config)
+    with report.stage():
+        RUNNERS[command](report, config)
+    return report
 
 
 def _read_config(path: str):

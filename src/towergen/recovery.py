@@ -186,9 +186,9 @@ def recover_next_level(
     n = len(recovered) + 1
     trace = RecoveryTrace()
     shape = shapes[n - 1]
-    basis = recovered[-1].corner_basis if recovered else identity(a.shape[0])
-    a_in = hermitian_part(basis.conj().T @ a @ basis)
-    b_in = hermitian_part(basis.conj().T @ b @ basis)
+    # level 1 runs on a and b as they are: V is the identity, its products are skipped
+    basis = recovered[-1].corner_basis if recovered else None
+    a_in, b_in = (hermitian_part(basis.conj().T @ x @ basis if recovered else x) for x in (a, b))
 
     coefficients = [diag_coefficient(shapes, n, s) for s in range(1, len(shape) + 1)]
     bases = extract_corner_bases(a_in, coefficients, n, trace)
@@ -196,8 +196,10 @@ def recover_next_level(
     stabilized, moved = stabilize_units(candidate)
     trace.add(f"stabilize_l{n}", 1, moved)
 
-    chains = _decompression_chains(basis, recovered)
-    factors = [np.concatenate([w @ f for w in chains], axis=2) for f in stabilized.factors]
+    factors = stabilized.factors
+    if recovered:
+        chains = _decompression_chains(basis, recovered)
+        factors = [np.concatenate([w @ f for w in chains], axis=2) for f in factors]
     units = MatrixUnitSystem(shape=shape, ambient_dim=a.shape[0], factors=factors)
 
     last = np.concatenate([f[-1] for f in stabilized.factors], axis=1)
@@ -205,10 +207,10 @@ def recover_next_level(
     diag_sum = np.zeros_like(a_in)
     for c, f in zip(coefficients, stabilized.factors):
         diag_sum += c * (f[0] @ f[0].conj().T)
-    coupling = basis @ hermitian_part(comp @ a_in @ comp - diag_sum) @ basis.conj().T
-    return RecoveredLevel(
-        level=n, units=units, corner_basis=basis @ last, coupling=coupling, trace=trace
-    )
+    coupling = hermitian_part(comp @ a_in @ comp - diag_sum)
+    if recovered:
+        coupling, last = basis @ coupling @ basis.conj().T, basis @ last
+    return RecoveredLevel(level=n, units=units, corner_basis=last, coupling=coupling, trace=trace)
 
 
 def _decompression_chains(

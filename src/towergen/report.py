@@ -7,14 +7,16 @@ byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import time
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass, field, replace
+from typing import List, Tuple
 
 import numpy as np
 
 from . import __version__
+from .errors import TowergenError
 
 
 _PLAIN = frozenset({float, int, str, bool, type(None)})
@@ -66,9 +68,8 @@ class RunReport:
     config: dict
     rows: List[ReportRow] = field(default_factory=list)
     extra: dict = field(default_factory=dict)
-    error: Optional[str] = None
-    started: float = field(default_factory=time.time)
-    finished: Optional[float] = None
+    started: float = field(default_factory=time.time)  # epoch stamp
+    stages: List[Tuple[str, float]] = field(default_factory=list)  # (name, seconds); "" is the root
 
     def add(self, name: str, measured, threshold, passed: bool) -> None:
         self.rows.append(ReportRow(name, measured, threshold, bool(passed)))
@@ -77,21 +78,31 @@ class RunReport:
         """Add a row that passes when ``measured <= threshold``; NaN fails."""
         self.rows.append(ReportRow.check(name, measured, threshold))
 
-    def merge(self, prefix: str, other: "RunReport") -> None:
-        for row in other.rows:
-            self.rows.append(
-                ReportRow(f"{prefix}.{row.name}", row.measured, row.threshold, row.passed)
-            )
-        if other.error:
-            self.error = (self.error or "") + f"[{prefix}] {other.error}"
+    @contextlib.contextmanager
+    def stage(self, name: str = ""):
+        """A timed part of the run, whose rows are named ``<name>.<row>``.
+
+        A TowergenError inside it adds one failed row, ``<name>.error``
+        (``error`` in the unnamed root stage), measuring ``"<Type>: <message>"``,
+        after the rows measured before it; the code after the block goes on.
+        Its seconds go into ``to_json()["timing"]``, never into the body.
+        """
+        first_row, first_stage, start = len(self.rows), len(self.stages), time.perf_counter()
+        try:
+            yield
+        except TowergenError as exc:
+            self.add("error", f"{type(exc).__name__}: {exc}", None, False)
+        finally:
+            seconds = time.perf_counter() - start
+            if name:
+                rows, stages = self.rows[first_row:], self.stages[first_stage:]
+                self.rows[first_row:] = [replace(r, name=f"{name}.{r.name}") for r in rows]
+                self.stages[first_stage:] = [(f"{name}.{inner}", t) for inner, t in stages]
+            self.stages.append((name, seconds))
 
     @property
     def passed(self) -> bool:
-        return self.error is None and all(r.passed for r in self.rows)
-
-    def close(self) -> "RunReport":
-        self.finished = time.time()
-        return self
+        return all(r.passed for r in self.rows)
 
     def body(self) -> dict:
         out = {
@@ -103,8 +114,6 @@ class RunReport:
         }
         if self.extra:
             out["extra"] = sanitize(self.extra)
-        if self.error is not None:
-            out["error"] = self.error
         return out
 
     def body_bytes(self) -> bytes:
@@ -112,9 +121,11 @@ class RunReport:
 
     def to_json(self) -> dict:
         out = self.body()
+        seconds = dict(self.stages)
         out["timing"] = {
             "started": self.started,
-            "seconds": None if self.finished is None else self.finished - self.started,
+            "seconds": seconds.pop("", None),
+            "stages": seconds,
         }
         return out
 
@@ -124,6 +135,4 @@ class RunReport:
             status = "PASS" if r.passed else "FAIL"
             lines.append(f"{status}  {r.name}: measured={r.measured!r} threshold={r.threshold!r}")
         lines.append(("PASS" if self.passed else "FAIL") + f"  overall ({self.command})")
-        if self.error:
-            lines.append(f"ERROR {self.error}")
         return lines

@@ -90,35 +90,48 @@ def test_retired_omega_field_exits_2(tmp_path, capsys, config):
     assert "'omega'" in capsys.readouterr().err
 
 
+def error_of(report) -> str:
+    """The measured value of a report's one failed row, which is a stage's error row."""
+    (row,) = [r for r in report.rows if not r.passed]
+    assert row.name == "error" or row.name.endswith(".error"), row.name
+    assert row.threshold is None
+    return row.measured
+
+
 def test_error_path_structured_report():
     report = run("gen-verify", {"preset": "U2"})
     assert not report.passed
-    assert report.error is not None and "InsufficientSubrank" in report.error
+    assert error_of(report).startswith("InsufficientSubrank: ")
 
 
+# The last item of each case is the number of rows measured before the bound
+# fails: counting-check's scan rows, and the first omega's defect, come first.
 @pytest.mark.parametrize(
-    "command, config, bound",
+    "command, config, bound, kept",
     [
-        ("cover-estimate", {"k": 20, "omegas": [0.5], "samples": 3}, "upper bound"),
-        ("cover-estimate", {"k": 4097}, "cloud entries"),
-        ("cover-estimate", {"samples": 10**12}, "cloud entries"),
+        ("cover-estimate", {"k": 20, "omegas": [0.5], "samples": 3}, "upper bound", 0),
+        ("cover-estimate", {"k": 4097}, "cloud entries", 0),
+        ("cover-estimate", {"samples": 10**12}, "cloud entries", 0),
         # within the cloud cap, where a greedy scan would take hours
-        ("cover-estimate", {"k": 12, "omegas": [0.5], "samples": 116508}, "upper bound"),
+        ("cover-estimate", {"k": 12, "omegas": [0.5], "samples": 116508}, "upper bound", 0),
         (
             "counting-check",
             {"max_dim": 2, "pinching_shape": [2, 2], "pinching_multiplicities": [5, 5],
              "omegas": [0.001], "seeds": 1},
             "compressed cover reference",
+            6,
         ),
         (
             "counting-check",
             {"max_dim": 2, "pinching_shape": [2, 2], "pinching_multiplicities": [1025, 1024]},
             "pinching dimension 4098",
+            5,
         ),
         (
             "lemma52-check",
             {"shapes": [[2], [1, 1]], "block_sizes": [2], "runs": 1, "coeff_dim": 1025},
             "cross-check dimension 4100",
+            0,
         ),
     ],
     ids=[
@@ -127,7 +140,9 @@ def test_error_path_structured_report():
         "counting-check-pinching", "lemma52-check",
     ],
 )
-def test_bound_overflow_is_a_structured_report(tmp_path, monkeypatch, command, config, bound):
+def test_bound_overflow_is_a_structured_report(
+    tmp_path, monkeypatch, command, config, bound, kept
+):
     """A paper bound past the largest double, or a cloud or matrix past the
     dimension cap, fails closed, names the bound and allocates no matrices on
     the way: no Haar cloud is drawn."""
@@ -143,8 +158,8 @@ def test_bound_overflow_is_a_structured_report(tmp_path, monkeypatch, command, c
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert report.error.startswith("DimensionOverflow") and bound in report.error
-    assert [(row.name, row.passed) for row in report.rows] == [("error", False)]
+    assert error_of(report).startswith("DimensionOverflow: ") and bound in error_of(report)
+    assert [row.name for row in report.rows[kept:]] == ["error"]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "report.json")]) == 1
@@ -574,7 +589,7 @@ def test_lemma52_without_enough_subrank_is_a_failed_report(tmp_path):
     config = {"shapes": [[2]], "block_sizes": [3]}
     report = run("lemma52-check", config)
     assert not report.passed
-    assert report.error.startswith("SubrankTooSmall")
+    assert error_of(report).startswith("SubrankTooSmall: ")
     cfg = tmp_path / "small.json"
     cfg.write_text(json.dumps(config))
     assert main(["lemma52-check", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 1
@@ -917,16 +932,22 @@ def test_sweep_of_several_chunks_equals_the_seed_by_seed_loop(monkeypatch):
 
 def test_stabilize_sweep_reports_the_first_failing_seed(tmp_path, capsys):
     """All three seeds at delta 0.5 fail the Gram gate, each at its own defect;
-    the report names seed 0's in one error row, with exit status 1."""
+    the report names seed 0's in one error row after the rows of delta 1e-4,
+    with exit status 1."""
     config = {"shape": [5, 5], "deltas": [1e-4, 0.5], "seeds": 3}
     message = "StabilizationFailed: Gram defect 6.119e-01 of the first-column factors exceeds 0.1"
     report = run("stabilize-sweep", config)
-    assert report.error == message
-    assert [(r.name, r.passed) for r in report.rows] == [("error", False)]
+    assert error_of(report) == message
+    assert [(r.name, r.passed) for r in report.rows] == [
+        ("fixed_point_bitstable", True), ("fixed_point_distance", True),
+        ("delta0.0001.defects_out", True), ("delta0.0001.median_distance", True),
+        ("error", False),
+    ]
     cfg = tmp_path / "fails.json"
     cfg.write_text(json.dumps(config))
     assert main(["stabilize-sweep", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 1
-    assert json.loads((tmp_path / "r.json").read_text())["error"] == message
+    rows = json.loads((tmp_path / "r.json").read_text())["rows"]
+    assert rows[-1] == {"name": "error", "measured": message, "threshold": None, "pass": False}
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -958,7 +979,7 @@ def test_stabilize_sweep_over_the_dense_cap_fails_before_allocating(tmp_path, mo
 
     monkeypatch.setattr(cli, "canonical_units", unreachable)
     report = run("stabilize-sweep", {"shape": [200]})  # 200^2 units of 200 x 200: 23.8 GiB
-    assert report.error.startswith("DimensionOverflow")
+    assert error_of(report).startswith("DimensionOverflow: ")
     assert not report.passed
     cfg = tmp_path / "big.json"
     cfg.write_text(json.dumps({"shape": [200]}))
@@ -971,7 +992,7 @@ def test_lapack_failure_is_a_structured_report(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", fail)  # the stabilizer's eigensolves
     report = run("stabilize-sweep", {"shape": [2], "deltas": [1e-6], "seeds": 1})
-    assert report.error.startswith("NonConvergence")
+    assert error_of(report).startswith("NonConvergence: ")
     assert not report.passed
 
 
@@ -1029,7 +1050,6 @@ def test_stabilize_sweep_row_format():
 def test_summary_lines_format():
     report = RunReport("demo", {})
     report.add("alpha", 1.0, 2.0, True)
-    report.close()
     lines = report.summary_lines()
     assert lines[0].startswith("PASS")
     assert lines[-1].endswith("(demo)")
