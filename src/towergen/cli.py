@@ -238,12 +238,16 @@ def run_recover(report: RunReport, config: dict) -> None:
         return
     with report.stage("closure"):  # a closure that fails closed keeps the round-trip rows
         pair_basis = subalgebra_closure([plan.gen_a, plan.gen_b])
-        oracle_gens = [lv.coupling for lv in plan.levels] + [identity(model.ambient_dim)]
-        oracle_basis = subalgebra_closure(oracle_gens, systems=model.blocks)
-        report.add(
-            "dimension_match",
-            pair_basis.size, oracle_basis.size, pair_basis.size == oracle_basis.size,
-        )
+        # With one block per level, level n's units are I (x) e_ij (x) I for a
+        # full system e_ij of M_{d_n}; their products over the levels give
+        # every e_{i1 j1} (x) ... (x) e_{iN jN}, a basis of M_d, so the
+        # reference algebra is M_d.  A multi-block level needs the certificate.
+        if all(len(shape) == 1 for shape in spec.block_shapes):
+            oracle_size = model.ambient_dim**2
+        else:
+            oracle_gens = [lv.coupling for lv in plan.levels] + [identity(model.ambient_dim)]
+            oracle_size = subalgebra_closure(oracle_gens, systems=model.blocks).size
+        report.add("dimension_match", pair_basis.size, oracle_size, pair_basis.size == oracle_size)
         bound = plan.tail_bound + 1e-6
         for j, x in enumerate(model.generators, start=1):
             _, upper = distance_to_span(x, pair_basis)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from towergen import closure
+from towergen import cli, closure
 from towergen.cli import resolve_tower_spec, run
 from towergen.closure import EDGE_TOL, distance_to_span, subalgebra_closure
 from towergen.errors import DimensionMismatch, NonConvergence, NonFiniteValue, NoSpectralGap
@@ -134,7 +134,9 @@ ORACLE_TOWERS = [
     "config", ORACLE_TOWERS, ids=["T0", "T1b", "T1", "T1-uhf", "4-19", "20"]
 )
 def test_units_by_table_match_the_dense_unit_list(config):
-    """The oracle side of ``recover``: units, couplings and I."""
+    """The oracle side of ``recover``: units, couplings and I.  Its
+    ``cert.size == d^2`` on these towers, every level one block, is the
+    reference for ``recover`` taking d^2 from structure on such towers."""
     model = build_tower(resolve_tower_spec(config))
     extra = [lv.coupling for lv in build_plan(model).levels] + [identity(model.ambient_dim)]
     cert = subalgebra_closure(extra, systems=model.blocks)
@@ -233,8 +235,14 @@ def test_systems_alone_are_generators():
     assert cert.blocks == [(1, 2), (1, 1)]
 
 
-@pytest.mark.parametrize("config", [{"preset": "T1"}, {"shapes": [[20]]}], ids=["T1", "d20"])
-def test_recover_with_closure_forms_no_exact_unit(monkeypatch, config):
+@pytest.mark.parametrize(
+    "config, calls, oracle",
+    [({"preset": "T1"}, 1, 63**2), ({"shapes": [[20]]}, 1, 20**2), ({"shapes": [[3, 4]]}, 2, 25)],
+    ids=["T1", "d20", "3-4"],
+)
+def test_recover_with_closure_forms_no_exact_unit(monkeypatch, config, calls, oracle):
+    """A tower of single-block levels takes its reference d^2 from structure,
+    with one certificate; a multi-block level certifies its reference too."""
     dense_unit = MatrixUnitSystem.unit
 
     def unit(self, s, i, j):
@@ -242,10 +250,19 @@ def test_recover_with_closure_forms_no_exact_unit(monkeypatch, config):
             raise AssertionError(f"exact unit {(s, i, j)} formed densely")
         return dense_unit(self, s, i, j)
 
+    real, seen = cli.subalgebra_closure, []
+
+    def counted(*args, **kwargs):
+        seen.append(args)
+        return real(*args, **kwargs)
+
     monkeypatch.setattr(MatrixUnitSystem, "unit", unit)
+    monkeypatch.setattr(cli, "subalgebra_closure", counted)
     report = run("recover", dict(config, closure=True))
     assert report.passed
-    assert any(row.name == "closure.dimension_match" for row in report.rows)
+    assert len(seen) == calls
+    [match] = [row for row in report.rows if row.name == "closure.dimension_match"]
+    assert (match.measured, match.threshold) == (oracle, oracle)
 
 
 def test_bad_systems_fail_closed():

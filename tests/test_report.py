@@ -117,7 +117,7 @@ INJECTIONS = [
     ("construction", "verify_facts", 1, 0),
     ("recovery_t0", "round_trip", 1, 0),
     ("recovery_t1", "round_trip", 2, 0),
-    ("recovery_t1.closure", "subalgebra_closure", 2, 0),  # the oracle side, after the pair's
+    ("recovery_t1.closure", "subalgebra_closure", 1, 0),  # the pair side, T1's only certificate
     ("stabilizer", "stabilize_units", 2, 2),  # after the exact fixed point's two rows
     ("covering", "greedy_cover", 3, 3),  # after the first radius's three rows
     ("counting", "pinching_defect", 1, 5),  # after the scan's five rows
