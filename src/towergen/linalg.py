@@ -147,14 +147,28 @@ def _op_norms(stack: np.ndarray) -> np.ndarray:
         return _whole_norms(stack)  # the hypot of a generalized diagonal
     nonzero = stack.astype(bool)
     total = np.count_nonzero(nonzero)
+    width = min(stack.shape[1:])
+    if len(stack) == 1:
+        # one matrix, as ``op_norm`` asks: the cases below with the bookkeeping
+        # on Python scalars and the exponent taken from ``largest``
+        wide = stack.shape[2] >= _SUPPORT_MIN_COLUMNS
+        if total < nonzero.size and (total <= width or wide):
+            rows, cols = nonzero[0].any(axis=1), nonzero[0].any(axis=0)
+            if total <= width and np.count_nonzero(rows) == total == np.count_nonzero(cols):
+                return _diagonal_norms(stack)
+            if wide and not (rows.all() and cols.all()):  # its support, as ``_support_norms``
+                stack = stack[:, rows][:, :, cols]
+        p = max(math.frexp(largest)[1], -1021)  # ``_exponents`` of the matrix
+        unit = np.ldexp(np.ascontiguousarray(stack).view(np.float64), -p).view(np.complex128)
+        top = float(_top_eigenvalues(unit.conj().transpose(0, 2, 1) @ unit)[0])
+        try:
+            return np.array([math.ldexp(math.sqrt(max(top, 0.0) + 0.0), p)])
+        except OverflowError as exc:
+            raise NonFiniteValue("operator norm exceeds the largest double") from exc
     if total == nonzero.size:  # no zero entry: no generalized diagonal above 1 x 1
         return _whole_norms(stack)
     # one nonzero entry at most per row and per column, so at most min(p, q)
-    # in all: a cheap count keeps denser matrices off the row and column test;
-    # for one matrix, as ``op_norm`` asks, the stack's count is the matrix's
-    width = min(stack.shape[1:])
-    if len(stack) == 1 and total > width:
-        return _support_norms(stack, nonzero)
+    # in all: a cheap count keeps denser matrices off the row and column test
     count = nonzero.reshape(len(stack), -1).sum(axis=1)
     diagonal = count <= width
     if diagonal.any():
@@ -215,14 +229,18 @@ def _whole_norms(stack: np.ndarray) -> np.ndarray:
         p = exponents[lo : lo + step] = _exponents(chunk)
         unit = np.ldexp(chunk, -p[:, None, None]).view(np.complex128)
         # parts of at most 1 keep A*A finite, so it needs no finiteness check
-        gram = unit.conj().transpose(0, 2, 1) @ unit
-        try:
-            norms[lo : lo + step] = np.linalg.eigvalsh(gram)[:, -1]
-        except np.linalg.LinAlgError as exc:
-            raise NonConvergence(f"operator norm eigensolve of A*A failed: {exc}") from exc
+        norms[lo : lo + step] = _top_eigenvalues(unit.conj().transpose(0, 2, 1) @ unit)
     # rounding may leave the top eigenvalue at or below zero; adding 0.0
     # turns a -0.0 from maximum into 0.0
     return _unless_overflow(np.ldexp, np.sqrt(np.maximum(norms, 0.0) + 0.0), exponents)
+
+
+def _top_eigenvalues(gram: np.ndarray) -> np.ndarray:
+    """The largest eigenvalue of each A*A of a stack of Gram matrices."""
+    try:
+        return np.linalg.eigvalsh(gram)[:, -1]
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"operator norm eigensolve of A*A failed: {exc}") from exc
 
 
 def _unless_overflow(ufunc, *args) -> np.ndarray:

@@ -20,12 +20,14 @@ factors; no dense level unit or ambient corner projection is formed.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, LadderBreakdown, NoSpectralGap
+from .errors import DimensionMismatch, LadderBreakdown, NoSpectralGap, NonFiniteValue
 from .linalg import eigh, hermitian_part, identity, op_norm
 from .report import ReportRow
 from .stabilize import stabilize_units
@@ -113,9 +115,9 @@ def ladder_units(
     4^level, from the range of F_i to the complement of the block's factors
     so far, C = [F_1 ... F_i]: the thin m x d matrix
     X = 4^level F_i^* b (I - C C^*).  Its polar part with cutoff 1/2, from
-    one m x m eigensolve of X X^* (``eigh``: closed form at m = 1, with
-    LAPACK's bits), gives F_{i+1} = X^* U_+ s_+^(-1) U_+^* for the singular
-    values s_+ above the cutoff; in exact arithmetic that is v^* F_i for v
+    one m x m eigensolve of X X^* (at m = 1 ``eigh``'s closed form, taken on
+    Python floats with its bits), gives F_{i+1} = X^* U_+ s_+^(-1) U_+^* for
+    the singular values s_+ above the cutoff; in exact arithmetic that is v^* F_i for v
     the polar part of the dense rung F_i F_i^* b (I - C C^*).
     ``trace`` gets each rung's residual, the worst |s - 1| over the kept
     singular values and the largest dropped one.  Raises LadderBreakdown
@@ -133,22 +135,43 @@ def ladder_units(
         # BLAS dot, which sums in another order and changes the factors' bits
         covered = np.ascontiguousarray(basis)
         for i in range(1, k_s):
-            label = f"level {level} block {s}: rung {i}->{i + 1}"
             x = rescale * (covered[:, -m:].conj().T @ b_effective)
             x = x - (x @ covered) @ covered.conj().T
-            w, u = eigh(x @ x.conj().T, f"{label} eigensolve")
-            sv = np.sqrt(np.maximum(w, 0.0))
-            if sv[-1] < 1e-8:
-                raise LadderBreakdown(f"{label} has norm {sv[-1]:.2e}")
-            keep = sv > 0.5
-            # abs also maps a dropped -0.0 to +0.0, so the maximum has one bit pattern
-            misfit = np.abs(np.where(keep, sv - 1.0, sv)).max()
-            trace.add(f"ladder_l{level}_b{s}_r{i}", 1, misfit)
-            kept = u[:, keep]
-            grown = x.conj().T @ ((kept / sv[keep]) @ kept.conj().T)
-            covered = np.concatenate([covered, grown], axis=1)
+            gram = x @ x.conj().T
+            if m == 1:
+                # eigh's closed form on Python floats: eigenvalue Re X X^*,
+                # eigenvector [[1]]; the rung's label is formed only to raise
+                z = gram.item()
+                if not cmath.isfinite(z):
+                    raise NonFiniteValue(
+                        f"{_rung(level, s, i)} eigensolve: input has non-finite entries"
+                    )
+                sv = math.sqrt(max(z.real, 0.0))
+                if sv < 1e-8:
+                    raise LadderBreakdown(f"{_rung(level, s, i)} has norm {sv:.2e}")
+                keep = sv > 0.5
+                trace.add(f"ladder_l{level}_b{s}_r{i}", 1, abs(sv - 1.0) if keep else sv)
+                # U_+ s_+^(-1) U_+^* with the bits the eigenvector [[1]] gives it
+                polar = np.full((1, 1), 1.0 / sv if keep else 0.0, dtype=np.complex128)
+            else:
+                label = _rung(level, s, i)
+                w, u = eigh(gram, f"{label} eigensolve")
+                sv = np.sqrt(np.maximum(w, 0.0))
+                if sv[-1] < 1e-8:
+                    raise LadderBreakdown(f"{label} has norm {sv[-1]:.2e}")
+                keep = sv > 0.5
+                # abs also maps a dropped -0.0 to +0.0, so the maximum has one bit pattern
+                misfit = np.abs(np.where(keep, sv - 1.0, sv)).max()
+                trace.add(f"ladder_l{level}_b{s}_r{i}", 1, misfit)
+                kept = u[:, keep]
+                polar = (kept / sv[keep]) @ kept.conj().T
+            covered = np.concatenate([covered, x.conj().T @ polar], axis=1)
         factors.append(np.ascontiguousarray(covered.reshape(dim, k_s, m).transpose(1, 0, 2)))
     return MatrixUnitSystem(shape=shape, ambient_dim=dim, factors=factors)
+
+
+def _rung(level: int, block: int, i: int) -> str:
+    return f"level {level} block {block}: rung {i}->{i + 1}"
 
 
 @dataclass

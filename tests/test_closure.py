@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from towergen import cli, closure
 from towergen.cli import resolve_tower_spec, run
@@ -312,7 +313,7 @@ EDGE_WEIGHTS = st.one_of(
 @st.composite
 def symmetric_graphs(draw):
     n = draw(st.integers(min_value=1, max_value=14))
-    upper = draw(st.lists(EDGE_WEIGHTS, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    upper = draw(hnp.arrays(np.float64, n * (n - 1) // 2, elements=EDGE_WEIGHTS))
     w = np.zeros((n, n))
     w[np.triu_indices(n, 1)] = upper
     return w + w.T

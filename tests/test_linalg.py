@@ -349,6 +349,67 @@ def test_op_norm_beyond_the_largest_double_fails_closed():
         op_norms(np.full((2, 1, 1), complex(1.5e308, 1.5e308)))
 
 
+ONE_MATRIX_KINDS = ["dense", "generalized diagonal", "zero rows", "zero columns", "zero"]
+
+
+def _one_matrix(kind, rng, rows, cols):
+    """A rows x cols matrix of ``kind``: zero rows or columns each with chance 1/2."""
+    if kind == "generalized diagonal":
+        return _generalized_diagonal(rng, rows, cols)
+    a = random_complex(rng, max(rows, cols))[:rows, :cols]
+    if kind == "zero rows":
+        a[rng.random(rows) < 0.5] = 0.0
+    elif kind == "zero columns":
+        a[:, rng.random(cols) < 0.5] = 0.0
+    elif kind == "zero":
+        a[:] = complex(-0.0, 0.0)
+    return a
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    rows=st.integers(1, 45),
+    cols=st.integers(1, 45),
+    kind=st.sampled_from(ONE_MATRIX_KINDS),
+    exponent=st.integers(-1000, 1000),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_one_matrix_norm_is_its_norm_in_a_stack(rows, cols, kind, exponent, seed):
+    """``op_norm`` does its bookkeeping on Python scalars; the stack path does it
+    on arrays.  At every size and finite scale both give each matrix the same
+    bits, and the largest singular value."""
+    rng = np.random.default_rng(seed)
+    a, b = _one_matrix(kind, rng, rows, cols), random_complex(rng, max(rows, cols))[:rows, :cols]
+    a, b = (np.ldexp(m.view(np.float64), exponent).view(np.complex128) for m in (a, b))
+    norm = op_norm(a)
+    assert same_bits(np.array([norm]), op_norms(np.stack([b, a]))[1:])
+    assert same_bits(np.array([norm]), op_norms(a[None]))
+    unit = np.ldexp(a.view(np.float64), -exponent).view(np.complex128)
+    assert norm == pytest.approx(np.ldexp(np.linalg.norm(unit, ord=2), exponent), rel=1e-13)
+
+
+@pytest.mark.parametrize("kind", ONE_MATRIX_KINDS)
+@pytest.mark.parametrize("cols", [1, 3, 40])
+def test_one_matrix_norm_fails_closed(kind, cols):
+    """NaN and inf raise in ``op_norm`` as in a stack, and so does a norm past the
+    largest double: an entry 1.5e308 (1 + i), of modulus 2.1e308, in place of a
+    nonzero one keeps the matrix's kind."""
+    rng = np.random.default_rng(cols)
+    a = _one_matrix(kind, rng, 5, cols)
+    broken = [a.copy() for _ in range(3)]
+    for m, bad in zip(broken, (np.nan, np.inf, complex(0, -np.inf))):
+        m[2, cols // 2] = bad
+    if kind != "zero":
+        broken.append(a.copy())
+        broken[-1][tuple(np.argwhere(a)[0])] = complex(1.5e308, 1.5e308)
+    for m in broken:
+        with pytest.raises(NonFiniteValue):
+            op_norm(m)
+        for stack in (m[None], np.stack([a, m])):
+            with pytest.raises(NonFiniteValue):
+                op_norms(stack)
+
+
 def _ladder(b):
     """One rung of ``recovery.ladder_units`` on a 2 x 2 b: the polar part of
     X = 4 F_1^* b (I - F_1 F_1^*) from the singular values of X."""

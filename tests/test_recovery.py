@@ -9,7 +9,7 @@ import towergen.recovery as recovery
 from towergen.cli import resolve_tower_spec
 from towergen.closure import distance_to_span, subalgebra_closure
 from towergen.errors import DimensionMismatch, LadderBreakdown, NoSpectralGap, NonFiniteValue
-from towergen.linalg import hermitian_part, identity, max_distance, op_norm
+from towergen.linalg import eigh, hermitian_part, identity, max_distance, op_norm
 from towergen.recovery import (
     RecoveredLevel,
     RecoveryTrace,
@@ -152,16 +152,35 @@ def per_rung_ladder(bases, b_effective, shape, level, trace):
     return factors
 
 
-@pytest.mark.parametrize(
-    "config",
-    [{"preset": "T0"}, {"shapes": [[24]]}, {"shapes": [[4], [19]], "mode": "relaxed"},
-     {"shapes": [[3, 3], [39]], "mode": "relaxed"}],
-    ids=["T0", "d24", "relaxed-4-19", "relaxed-33-39"],
-)
-def test_ladder_matches_the_per_rung_oracle(config):
-    """Every ladder a round trip runs, m = 19 and two-block levels included,
-    gives the oracle's factor bytes and trace."""
-    plan = build_plan(build_tower(resolve_tower_spec(config)))
+def array_ladder(bases, b_effective, shape, level, trace):
+    """Reference for ``ladder_units``'s rank-one rungs: every rung on arrays,
+    its singular values, breakdown test, cutoff and misfit from ``eigh``'s
+    eigenvalues whatever m, and each rung's label formed before its eigensolve."""
+    dim = b_effective.shape[0]
+    factors = []
+    for s, (basis, k_s) in enumerate(zip(bases, shape), start=1):
+        m = basis.shape[1]
+        covered = np.ascontiguousarray(basis)
+        for i in range(1, k_s):
+            label = f"level {level} block {s}: rung {i}->{i + 1}"
+            x = 4.0**level * (covered[:, -m:].conj().T @ b_effective)
+            x = x - (x @ covered) @ covered.conj().T
+            w, u = eigh(x @ x.conj().T, f"{label} eigensolve")
+            sv = np.sqrt(np.maximum(w, 0.0))
+            if sv[-1] < 1e-8:
+                raise LadderBreakdown(f"{label} has norm {sv[-1]:.2e}")
+            keep = sv > 0.5
+            misfit = np.abs(np.where(keep, sv - 1.0, sv)).max()
+            trace.add(f"ladder_l{level}_b{s}_r{i}", 1, misfit)
+            kept = u[:, keep]
+            grown = x.conj().T @ ((kept / sv[keep]) @ kept.conj().T)
+            covered = np.concatenate([covered, grown], axis=1)
+        factors.append(np.ascontiguousarray(covered.reshape(dim, k_s, m).transpose(1, 0, 2)))
+    return factors
+
+
+def ladder_calls(plan):
+    """The arguments of every ``ladder_units`` call of a round trip of ``plan``."""
     calls = []
 
     def record(bases, b_effective, shape, level, trace):
@@ -171,13 +190,96 @@ def test_ladder_matches_the_per_rung_oracle(config):
     with mock.patch.object(recovery, "ladder_units", record):
         recover_all(plan.model.spec.block_shapes, plan.gen_a, plan.gen_b)
     assert len(calls) == plan.model.depth
-    for args in calls:
-        got, want = RecoveryTrace(), RecoveryTrace()
-        factors = ladder_units(*args, trace=got).factors
-        oracle = per_rung_ladder(*args, trace=want)
-        assert len(factors) == len(oracle)
-        assert all(same_bits(f, g) for f, g in zip(factors, oracle))
-        assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+    return calls
+
+
+def plan_of(config):
+    return build_plan(build_tower(resolve_tower_spec(config)))
+
+
+def assert_ladder_matches(args, oracle):
+    got, want = RecoveryTrace(), RecoveryTrace()
+    factors = ladder_units(*args, trace=got).factors
+    expected = oracle(*args, trace=want)
+    assert len(factors) == len(expected)
+    assert all(same_bits(f, g) for f, g in zip(factors, expected))
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 901])
+@pytest.mark.parametrize("k", range(2, 25))
+def test_rank_one_rungs_match_the_array_oracle(k, seed):
+    """Rank-one rungs on floats keep the array code's products: factor bytes and
+    trace alike on every ladder of [[k]] for k = 2..24.  [[2]] has no room for a
+    coupling (subrank 2 < 3), so its (a, b) carry a zero one."""
+    if k == 2:
+        plan = zero_coupling_plan(
+            TowerSpec(block_shapes=((2,),), mode="relaxed", generator_seed=seed)
+        )
+    else:
+        plan = plan_of({"shapes": [[k]], "seed": seed})
+    for args in ladder_calls(plan):
+        assert_ladder_matches(args, array_ladder)
+
+
+@pytest.mark.parametrize("preset", ["T0", "T1b", "T1"])
+def test_ladders_of_the_presets_match_the_array_oracle(preset):
+    """T0's rank-one rungs, and T1b's and T1's levels, whose level-2 rungs have m > 1."""
+    for args in ladder_calls(plan_of({"preset": preset})):
+        assert_ladder_matches(args, array_ladder)
+
+
+def _two_block_ladder(weak):
+    """Blocks e_1 -> e_2 and e_3 -> e_4 -> e_5 of b, each link 1/4 but the last,
+    which is ``weak``: block 2's rung 2->3 has norm 4 |weak|."""
+    b = np.zeros((5, 5), dtype=complex)
+    b[0, 1] = b[2, 3] = 0.25
+    b[3, 4] = weak
+    b = b + b.conj().T
+    return [identity(5)[:, [0]], identity(5)[:, [2]]], b, (2, 3), 1
+
+
+@pytest.mark.parametrize("weak", [0.0, -0.0, 1e-300, 2.4e-9, 2.6e-9, 0.1, 0.2, 0.3])
+def test_rank_one_rungs_break_down_as_the_array_oracle(weak):
+    """Below 1e-8 a rung raises the oracle's LadderBreakdown text; above it,
+    dropped at the cutoff or kept below or above 1, it gives the oracle's factors
+    and trace."""
+    args = _two_block_ladder(weak)
+    if 4 * weak >= 1e-8:
+        assert_ladder_matches(args, array_ladder)
+        return
+    with pytest.raises(LadderBreakdown) as want:
+        array_ladder(*args, trace=RecoveryTrace())
+    with pytest.raises(LadderBreakdown) as got:
+        ladder_units(*args, trace=RecoveryTrace())
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("level 1 block 2: rung 2->3 has norm ")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf in X
+def test_rank_one_rung_with_non_finite_x_fails_as_the_array_oracle(bad):
+    """A non-finite entry of b reaches the first rung's X through F_1^* b."""
+    args = _two_block_ladder(bad)
+    with pytest.raises(NonFiniteValue) as want:
+        array_ladder(*args, trace=RecoveryTrace())
+    with pytest.raises(NonFiniteValue) as got:
+        ladder_units(*args, trace=RecoveryTrace())
+    assert str(got.value) == str(want.value)
+    assert str(got.value) == "level 1 block 1: rung 1->2 eigensolve: input has non-finite entries"
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"preset": "T0"}, {"shapes": [[24]]}, {"shapes": [[4], [19]], "mode": "relaxed"},
+     {"shapes": [[3, 3], [39]], "mode": "relaxed"}],
+    ids=["T0", "d24", "relaxed-4-19", "relaxed-33-39"],
+)
+def test_ladder_matches_the_per_rung_oracle(config):
+    """Every ladder a round trip runs, m = 19 and two-block levels included,
+    gives the oracle's factor bytes and trace."""
+    for args in ladder_calls(plan_of(config)):
+        assert_ladder_matches(args, per_rung_ladder)
 
 
 def test_recover_next_level_t1(t1_plan):
