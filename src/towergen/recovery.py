@@ -266,9 +266,11 @@ def reconstruct_witness(
     sum_i F_i (F_2^* core F_2) F_i^*.  Deeper levels invert the row encoding
     per index atom, sum_i F_i (F_row^* core F_{row+1}) F_i^*, and lift it
     through each lower level's e_{i,k_s} . e_{k_t,j} as F_i (F_k^* . F_k) F_j^*,
-    so every inner product is m x m; the lifted terms are summed as blocks of
-    one matrix M in the columns of the outermost level, and X M X^* (X the
-    side-by-side factors) is the only d x d product.  An index below 1, or
+    so every inner product is m x m; each top block's F_row^* core for every
+    atom comes from one product of the rows' factors side by side with core.
+    The lifted terms are summed as blocks of one matrix M in the columns of
+    the outermost level, and X M X^* (X the side-by-side factors) is the
+    only other d x d product.  An index below 1, or
     one whose rows run past the top level's smallest block, raises
     DimensionMismatch; one whose rows fit but hold no witness may read zero.
     """
@@ -294,13 +296,23 @@ def reconstruct_witness(
     acc = np.zeros((offsets[-1], offsets[-1]), dtype=np.complex128)
     # cross[s][b] = F^(1)_{s,k_s}^* F^(b)_i of every top row i, (k_b, m_1, m_b)
     cross = [[f[-1].conj().T @ g for g in top] for f in factors[0]]
+    # heads[b][a] = F^(b)_{row-1}^* core for atom a's row: the atoms read the
+    # consecutive rows first .. first + card - 1, so one product of their
+    # factors side by side gives every head, each m x d, with the bits of
+    # its own product
+    first = coupling_row(card, generator_index, 0) - 1
+    heads = [
+        (stacked_factors([g[first : first + card]]).conj().T @ core).reshape(
+            card, g.shape[2], -1
+        )
+        for g in top
+    ]
     for a, atom in enumerate(index_atoms(shapes, level).tolist()):
         row = coupling_row(card, generator_index, a)
         i, s, j, t = atom[0]
         inner = sum(
-            ((left @ (g[row - 1].conj().T @ core @ g[row])) @ right.conj().transpose(0, 2, 1))
-            .sum(axis=0)
-            for left, right, g in zip(cross[s - 1], cross[t - 1], top)
+            ((left @ (head[a] @ g[row])) @ right.conj().transpose(0, 2, 1)).sum(axis=0)
+            for left, right, g, head in zip(cross[s - 1], cross[t - 1], top, heads)
         )
         for below, here, entry in zip(factors, factors[1:], atom[1:]):
             (i0, s0, j0, t0), (i, s, j, t) = (i, s, j, t), entry

@@ -195,9 +195,9 @@ def _max_cross_commutator(left: MatrixUnitSystem, right: MatrixUnitSystem) -> fl
     disagree go to the dense ``_screened_max_commutator``, which gives every
     pair the bits the full grid would; the others contribute exactly 0.
     """
-    lmaps, rmaps = left.column_maps(), right.column_maps()
-    if not _clashes(lmaps[_generating_units(left)], rmaps[_generating_units(right)]).any():
+    if not _clashes(_generating_maps(left), _generating_maps(right)).any():
         return 0.0
+    lmaps, rmaps = left.column_maps(), right.column_maps()
     clash = _clashes(lmaps, rmaps)
     li, ri = np.flatnonzero(clash.any(axis=1)), np.flatnonzero(clash.any(axis=0))
     lkeys, rkeys = left.keys(), right.keys()
@@ -212,13 +212,35 @@ def _clashes(lmaps: np.ndarray, rmaps: np.ndarray) -> np.ndarray:
     return np.stack([np.any(u[rmaps] != rmaps[:, u], axis=1) for u in lmaps])
 
 
-def _generating_units(system: MatrixUnitSystem) -> np.ndarray:
-    """Positions in ``keys()`` order of each block's units e_1j and e_j1."""
-    out, offset = [], 0
-    for k in system.shape:
-        out += [offset + j for j in range(k)] + [offset + i * k for i in range(1, k)]
-        offset += k * k
-    return np.array(out)
+def _generating_maps(system: MatrixUnitSystem) -> np.ndarray:
+    """``column_map`` of each block's units e_1j and then e_j1 (j >= 2), block
+    by block, with one scatter per kind: e_1j sends R[j] to R[1], e_j1 R[1] to R[j]."""
+    maps = []
+    for table in system.rows:
+        k = len(table)
+        block = np.full((2 * k - 1, system.ambient_dim + 1), -1, dtype=np.intp)
+        block[np.arange(k)[:, None], table] = table[0]
+        block[np.arange(k, 2 * k - 1)[:, None], table[0]] = table[1:]
+        maps.append(block)
+    return np.concatenate(maps)
+
+
+def _acts_after_factor_one(block: MatrixUnitSystem, factor_dim: int) -> bool:
+    """Whether an exact block is unital and each of its units is I (x) u, with
+    I the identity of the first tensor factor, of dimension ``factor_dim``.
+
+    Every unit of an exact system is a product e_i1 e_1j of its generating
+    units, so it is enough that each generating unit's column map sends
+    coordinate (f, r) to (f, u(r)) for every f, with u(r) and the zero
+    columns read from f = 0: an integer comparison, with no unit formed.
+    """
+    if block.rows is None or block.ambient_dim % factor_dim or block.unitality_defect() != 0.0:
+        return False
+    after = block.ambient_dim // factor_dim
+    maps = _generating_maps(block)[:, :-1].reshape(-1, factor_dim, after)
+    head = maps[:, :1]
+    shifted = np.where(head >= 0, head + after * np.arange(factor_dim)[:, None], -1)
+    return bool(np.array_equal(maps, shifted))
 
 
 def _draw_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -357,23 +379,29 @@ def witnesses_at_level(model: TowerModel, level: int) -> CommutantWitness:
     read-only, and ||x_j - y_j||.  A model computes its own once when it is
     made (``TowerModel.witnesses``); everything else reads those.
 
-    At level 1, a generator that is bit for bit kron(x_1, I) of its
-    factor-1 part x_1, as the leading-factor recipe makes them, gets its
-    witness on factor 1: y_1 = herm(E_1(x_1)), E_1 the projection of
+    A generator that is bit for bit kron(x_1, I) of its factor-1 part x_1,
+    as the leading-factor recipe makes them, is read on factor 1.  At level
+    1 its witness is y_1 = herm(E_1(x_1)), E_1 the projection of
     ``canonical_units`` of block 1's shape, y = kron(y_1, I) and the
     distance ||x_1 - y_1||, which equal the dense ones in exact arithmetic.
-    Any other generator, and every deeper level, is projected and normed
-    at the ambient dimension.
+    At a deeper level whose block is unital with units I (x) u
+    (``_acts_after_factor_one``), E(x) = x (x) sum_i u_ii = x exactly, so
+    the witness is x itself and the distance 0.0.  Any other generator or
+    block is projected and normed at the ambient dimension.
     """
     block = model.blocks[level - 1]
     active = min(level, len(model.generators))
+    fixed = level > 1 and _acts_after_factor_one(block, model.factor_dims[0])
     approx = []
     dists = []
     for x in model.generators[:active]:
-        x1 = _leading_part(x, model.factor_dims) if level == 1 else None
-        if x1 is None:
+        x1 = _leading_part(x, model.factor_dims) if level == 1 or fixed else None
+        if x1 is None or len(x) != block.ambient_dim:
             y = hermitian_part(commutant_projection(x, block))
             dists.append(op_norm(x - y))
+        elif fixed:
+            y = x
+            dists.append(0.0)
         else:
             y1 = hermitian_part(commutant_projection(x1, canonical_units(block.shape)))
             y = _embed_factor(y1, model.factor_dims, 0)
@@ -382,16 +410,25 @@ def witnesses_at_level(model: TowerModel, level: int) -> CommutantWitness:
     return CommutantWitness(level=level, approximants=tuple(approx), distances=tuple(dists))
 
 
+def leading_norm(x: np.ndarray, factor_dims: Sequence[int]) -> float:
+    """``op_norm(x)``, taken as ||x_1|| on the first factor when x is bit for
+    bit kron(x_1, I) (``_leading_part``); the two agree in exact arithmetic."""
+    x1 = _leading_part(x, factor_dims)
+    return op_norm(x if x1 is None else x1)
+
+
 def _leading_part(x: np.ndarray, factor_dims: Sequence[int]) -> np.ndarray | None:
     """x_1 when x is bit for bit ``_embed_factor(x_1, factor_dims, 0)`` of a
     smaller factor, else None: on a one-level tower factor 1 is the whole
     space, and the dense witness is the factor-1 one."""
-    after = x.shape[0] // factor_dims[0]
-    if after == 1:
+    after = len(x) // factor_dims[0]
+    if after == 1 or after * factor_dims[0] != len(x):
         return None
     x1 = x[::after, ::after]
-    embedded = _embed_factor(x1, factor_dims, 0)
-    return x1 if np.array_equal(embedded.view(np.int64), x.view(np.int64)) else None
+    # the elementwise product np.kron(x1, I) forms, so the same bits, without its overhead
+    embedded = x1[:, None, :, None] * np.eye(after)[None, :, None, :]
+    same = embedded.reshape(x.shape).view(np.int64) == x.view(np.int64)
+    return x1 if same.all() else None
 
 
 @dataclass

@@ -31,6 +31,7 @@ from .tower import (
     ROUNDING_TOL,
     CommutantWitness,
     TowerModel,
+    leading_norm,
     required_subrank,
 )
 from .units import MatrixUnitSystem, subrank
@@ -118,7 +119,9 @@ def build_z(
 
     Level 1 places the first witness into row 2 of every block.  Deeper
     levels sum the conjugated witnesses, each in its ``coupling_row``.  The
-    result is scaled to norm ``coupling_target(shapes, level)``.
+    result is scaled to norm ``coupling_target(shapes, level)``; at level 1
+    that norm is taken on the first factor when the sum is bit for bit
+    kron(t_1, I), as for leading-factor generators (``leading_norm``).
     """
     shapes = model.spec.block_shapes
     if witness.level != level or not witness.approximants:
@@ -156,7 +159,7 @@ def build_z(
                     rows[table[row - 1]] += part
         total = rows + rows.conj().T + 0.0
         vanishing = "coupling sum vanishes"
-    norm_total = op_norm(total)
+    norm_total = leading_norm(total, model.factor_dims) if level == 1 else op_norm(total)
     if norm_total < 1e-10:
         raise DegenerateWitness(f"level-{level} {vanishing}; re-seed the generator recipe")
     scale = coupling_target(shapes, level) / norm_total
@@ -298,6 +301,17 @@ class FactReport:
         return {"rows": [r.to_json() for r in self.rows], "pass": self.passed}
 
 
+def product_norm(left: np.ndarray, right: np.ndarray) -> float:
+    """``op_norm(left @ right)``, which is exactly 0.0 with no product formed
+    when both are finite and no column of ``left`` with a nonzero entry
+    meets a row of ``right`` with one: every entry of the product is then a
+    sum of terms with a zero factor."""
+    disjoint = not np.any((left != 0).any(axis=0) & (right != 0).any(axis=1))
+    if disjoint and np.isfinite(left).all() and np.isfinite(right).all():
+        return 0.0
+    return op_norm(left @ right)
+
+
 def verify_facts(plan: GeneratorPlan) -> FactReport:
     """Measure the orthogonality and norm identities of the construction.
 
@@ -305,6 +319,10 @@ def verify_facts(plan: GeneratorPlan) -> FactReport:
     2^-(r_1+...+r_{n-1}+1): the level-n summand is dominated by its block-1
     first-column term, whose weight the construction fixes exactly.  The
     0/1 diagonal p_n e_11 has norm 1.0 if its masks meet, else 0.0.
+    Level 1's terms are normed on the first factor when they are bit for
+    bit kron(t_1, I) (``leading_norm``): the ladder term always is, the
+    coupling and diagonal term for leading-factor generators.  Products of
+    two levels' terms with disjoint supports read 0.0 (``product_norm``).
     """
     model = plan.model
     dim = model.ambient_dim
@@ -330,18 +348,23 @@ def verify_facts(plan: GeneratorPlan) -> FactReport:
 
     f3 = eq9 = 0.0
     for la, lb in itertools.combinations(levels, 2):
-        f3 = max(f3, op_norm(la.coupling @ lb.coupling), op_norm(lb.coupling @ la.coupling))
-        eq9 = max(eq9, op_norm(la.diag_term @ lb.diag_term), op_norm(lb.diag_term @ la.diag_term))
+        f3 = max(f3, product_norm(la.coupling, lb.coupling), product_norm(lb.coupling, la.coupling))
+        eq9 = max(
+            eq9, product_norm(la.diag_term, lb.diag_term), product_norm(lb.diag_term, la.diag_term)
+        )
+
+    def norm(lv: PlanLevel, term: np.ndarray) -> float:
+        return leading_norm(term, model.factor_dims) if lv.level == 1 else op_norm(term)
 
     norms = [
         LevelNorms(
             level=lv.level,
             coupling_scale=lv.coupling_scale,
-            coupling_norm=op_norm(lv.coupling),
+            coupling_norm=norm(lv, lv.coupling),
             coupling_target=coupling_target(shapes, lv.level),
-            diag_norm=op_norm(lv.diag_term),
+            diag_norm=norm(lv, lv.diag_term),
             diag_target=diag_coefficient(shapes, lv.level, 1),
-            ladder_norm=op_norm(lv.ladder_term),
+            ladder_norm=norm(lv, lv.ladder_term),
             ladder_cap=2.0 ** (-2 * lv.level + 1),
         )
         for lv in levels

@@ -30,7 +30,7 @@ from towergen.twogen import (
     diag_coefficient,
     index_atoms,
 )
-from towergen.units import MatrixUnitSystem, canonical_units
+from towergen.units import MatrixUnitSystem, canonical_units, stacked_factors
 
 from conftest import dense_units, relaxed_towers, same_bits
 
@@ -401,6 +401,63 @@ def test_factored_witness_matches_dense_unit_products(shapes):
         rebuilt = reconstruct_witness(coupling, 2.0, blocks, 1)
         reference = dense_witness(coupling, 2.0, blocks, 1)
         assert op_norm(rebuilt - reference) <= 1e-13 * op_norm(reference)
+
+
+def atom_loop_witness(coupling, coupling_scale, units_by_level, generator_index):
+    """``reconstruct_witness`` at levels >= 2 with one F_row^* core F_{row+1}
+    product per index atom and top block, the loop the shared heads replaced."""
+    level = len(units_by_level)
+    shapes = [u.shape for u in units_by_level]
+    card = len(index_atoms(shapes, level))
+    factors = [u.column_factors() for u in units_by_level]
+    top, outer = factors[-1], factors[-2]
+    core = coupling / coupling_scale
+    offsets = np.cumsum([0] + [f.shape[0] * f.shape[2] for f in outer])
+    acc = np.zeros((offsets[-1], offsets[-1]), dtype=np.complex128)
+    cross = [[f[-1].conj().T @ g for g in top] for f in factors[0]]
+    for a, atom in enumerate(index_atoms(shapes, level).tolist()):
+        row = coupling_row(card, generator_index, a)
+        i, s, j, t = atom[0]
+        inner = sum(
+            ((left @ (g[row - 1].conj().T @ core @ g[row])) @ right.conj().transpose(0, 2, 1))
+            .sum(axis=0)
+            for left, right, g in zip(cross[s - 1], cross[t - 1], top)
+        )
+        for below, here, entry in zip(factors, factors[1:], atom[1:]):
+            (i0, s0, j0, t0), (i, s, j, t) = (i, s, j, t), entry
+            inner = (here[s - 1][-1].conj().T @ below[s0 - 1][i0 - 1]) @ inner @ (
+                below[t0 - 1][j0 - 1].conj().T @ here[t - 1][-1]
+            )
+        m_s, m_t = outer[s - 1].shape[2], outer[t - 1].shape[2]
+        r0, c0 = offsets[s - 1] + (i - 1) * m_s, offsets[t - 1] + (j - 1) * m_t
+        acc[r0 : r0 + m_s, c0 : c0 + m_t] += inner
+    x = stacked_factors(outer)
+    return hermitian_part(x @ acc @ x.conj().T)
+
+
+WITNESS_HEAD_TOWERS = {
+    "T1": {"preset": "T1"},
+    "T1b": {"preset": "T1b"},
+    "T1-relaxed-g2": {"preset": "T1", "mode": "relaxed", "generators": 2},
+    "3-3-39": {"shapes": [[3, 3], [39]], "mode": "relaxed"},
+    "T2": {"preset": "T2"},
+}
+
+
+@pytest.mark.parametrize(
+    "config", list(WITNESS_HEAD_TOWERS.values()), ids=list(WITNESS_HEAD_TOWERS)
+)
+def test_witness_heads_match_the_per_atom_loop(config):
+    """Level 2's witnesses, from the recovered units and from the exact blocks,
+    have the bytes of the per-atom products; [[3, 3], [39]] has atoms with
+    s != t, and relaxed T1 a second generator's rows."""
+    plan = build_plan(build_tower(resolve_tower_spec(config)))
+    result = recover_all(plan.model.spec.block_shapes, plan.gen_a, plan.gen_b)
+    coupling, scale = result.levels[1].coupling, plan.levels[1].coupling_scale
+    for chain in ([lv.units for lv in result.levels], list(plan.model.blocks)):
+        for j in range(1, len(plan.levels[1].witness.approximants) + 1):
+            rebuilt = reconstruct_witness(coupling, scale, chain, j)
+            assert same_bits(rebuilt, atom_loop_witness(coupling, scale, chain, j))
 
 
 def test_closure_identity_only():

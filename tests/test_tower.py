@@ -3,7 +3,12 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from towergen.errors import DimensionMismatch, DimensionOverflow, StrictModeViolation
+from towergen.errors import (
+    DimensionMismatch,
+    DimensionOverflow,
+    InsufficientSubrank,
+    StrictModeViolation,
+)
 from towergen.cli import resolve_tower_spec
 from towergen.linalg import hermitian_part, identity, op_norm
 import towergen.linalg as linalg
@@ -20,7 +25,7 @@ from towergen.tower import (
     witnesses_at_level,
 )
 from towergen.twogen import build_plan
-from towergen.units import canonical_units, rank
+from towergen.units import MatrixUnitSystem, amplify, canonical_units, rank
 
 from conftest import dense_units, same_bits
 
@@ -149,20 +154,31 @@ def _recorded_projections(monkeypatch):
     return shapes
 
 
+# relaxed depth-3 models: they build, and their plans stop at InsufficientSubrank
+DEPTH_THREE_TOWERS = {
+    "3-3-3": {"shapes": [[3], [3], [3]], "mode": "relaxed"},
+    "3-12-3": {"shapes": [[3], [12], [3]], "mode": "relaxed"},
+}
+
+
 @pytest.mark.parametrize(
-    "config", list(LEADING_FACTOR_TOWERS.values()), ids=list(LEADING_FACTOR_TOWERS)
+    "config",
+    [*LEADING_FACTOR_TOWERS.values(), *DEPTH_THREE_TOWERS.values()],
+    ids=[*LEADING_FACTOR_TOWERS, *DEPTH_THREE_TOWERS],
 )
 def test_leading_factor_generators_and_witnesses_live_on_factor_one(monkeypatch, config):
     """Each leading-factor generator is kron(x_1, I) of its factor-1 part, bit for
     bit; its level-1 witness is projected on factor 1 and agrees with the dense
-    herm(E(x)), and its distance with ||x - herm(E(x))||, to 1e-14.  Level 2 is
-    projected at the ambient dimension."""
+    herm(E(x)), and its distance with ||x - herm(E(x))||, to 1e-14.  At every
+    deeper level, whose units are I (x) u, nothing is projected at the ambient
+    dimension: the witness is the generator itself, bit for bit, at distance
+    exactly 0.0, and within 1e-15 of the dense herm(E_n(x))."""
     shapes = _recorded_projections(monkeypatch)
     model = build_tower(resolve_tower_spec(config))
-    d1, dim, count = model.factor_dims[0], model.ambient_dim, len(model.generators)
-    # the recipe's projections, level 1's one witness, then level 2's
-    assert shapes == [(d1, d1)] * (count + 1) + [(dim, dim)] * count
-    after = dim // d1
+    d1, count = model.factor_dims[0], len(model.generators)
+    # the recipe's projections and level 1's one witness, all on factor 1
+    assert shapes == [(d1, d1)] * (count + 1)
+    after = model.ambient_dim // d1
     for x in model.generators:
         assert same_bits(_embed_factor(x[::after, ::after], model.factor_dims, 0), x)
     for x, y, distance in zip(
@@ -171,6 +187,90 @@ def test_leading_factor_generators_and_witnesses_live_on_factor_one(monkeypatch,
         dense = hermitian_part(commutant_projection(x, model.blocks[0]))
         assert np.abs(y - dense).max() <= 1e-14
         assert abs(distance - op_norm(x - dense)) <= 1e-14
+    for block, witness in zip(model.blocks[1:], model.witnesses[1:]):
+        assert tower._acts_after_factor_one(block, d1)
+        assert witness.distances == (0.0,) * len(witness.approximants) and witness.distances
+        for x, y in zip(model.generators, witness.approximants, strict=False):
+            assert same_bits(y, x)
+            assert np.abs(y - hermitian_part(commutant_projection(x, block))).max() <= 1e-15
+
+
+@pytest.mark.parametrize("config", list(DEPTH_THREE_TOWERS.values()), ids=list(DEPTH_THREE_TOWERS))
+def test_depth_three_plans_stop_at_insufficient_subrank(config):
+    model = build_tower(resolve_tower_spec(config))
+    assert model.depth == 3
+    with pytest.raises(InsufficientSubrank):
+        build_plan(model)
+
+
+def _swapped_block(model, pair):
+    """Level 2's block with the two coordinates of ``pair`` swapped in its row
+    tables: still exact and unital, but no longer I (x) u."""
+    block = model.blocks[1]
+    swap = np.arange(model.ambient_dim)
+    swap[list(pair)] = swap[list(pair)[::-1]]
+    return MatrixUnitSystem(block.shape, block.ambient_dim, rows=[swap[t] for t in block.rows])
+
+
+# (0, d / d_1) moves the factor-1 coordinate; (d / d_1, d / d_1 + 1) keeps it,
+# but acts on factor 1's second slice by another u than on the first
+SWAPS = {"moves-factor-one": (0, 21), "other-u-on-one-slice": (21, 22)}
+
+
+@pytest.mark.parametrize("pair", list(SWAPS.values()), ids=list(SWAPS))
+def test_deeper_witness_premise_fails_closed(monkeypatch, t1_model, pair):
+    """A level-2 block whose units are not I (x) u, and a generator one entry off
+    its kron embedding, each take the dense path at the ambient dimension and
+    measure a nonzero distance, as the dense projection gives it."""
+    d1, dim = t1_model.factor_dims[0], t1_model.ambient_dim
+    swapped = _swapped_block(t1_model, pair)
+    assert swapped.unitality_defect() == 0.0
+    assert not tower._acts_after_factor_one(swapped, d1)
+    assert tower._acts_after_factor_one(t1_model.blocks[1], d1)
+    assert not tower._acts_after_factor_one(t1_model.blocks[0], d1)
+    off = np.array(t1_model.generators[0])
+    off[0, 0] += 1e-6
+    shapes = _recorded_projections(monkeypatch)
+    cases = [
+        replace(t1_model, blocks=(t1_model.blocks[0], swapped)),
+        replace(t1_model, generators=(off,)),
+    ]
+    # level 1 on factor 1 for the kron generator, at the ambient dimension for the
+    # other; level 2 at the ambient dimension for both
+    assert shapes == [(d1, d1), (dim, dim), (dim, dim), (dim, dim)]
+    for model in cases:
+        x, witness = model.generators[0], model.witnesses[1]
+        dense = hermitian_part(commutant_projection(x, model.blocks[1]))
+        assert same_bits(witness.approximants[0], dense)
+        assert witness.distances[0] == op_norm(x - dense) > 0.0
+    assert cases[0].witnesses[1].distances[0] > 1e-3
+
+
+def test_non_unital_block_is_not_read_as_fixing_the_generators(t1_model):
+    """A level-2 block I_3 (x) u whose units u miss one coordinate of factor 2 is
+    I (x) u in every generating unit, but E(x) = x (x) sum_i u_ii is not x, so
+    the premise fails and the dense path measures the distance."""
+    missing = MatrixUnitSystem((20,), 21, rows=[np.arange(20)[:, None]])
+    partial = amplify(missing, 3, 1)
+    assert partial.unitality_defect() == 1.0
+    assert not tower._acts_after_factor_one(partial, t1_model.factor_dims[0])
+    model = replace(t1_model, blocks=(t1_model.blocks[0], partial))
+    x = model.generators[0]
+    dense = hermitian_part(commutant_projection(x, partial))
+    assert same_bits(model.witnesses[1].approximants[0], dense)
+    assert model.witnesses[1].distances[0] == op_norm(x - dense) > 0.01
+
+
+@pytest.mark.parametrize(
+    "x",
+    [0.4 * identity(64), np.kron(np.diag([0.1, 0.2, 0.3]), np.eye(42))],
+    ids=["d64", "kron-d126"],
+)
+def test_generator_of_another_dimension_is_a_dimension_mismatch(t1_model, x):
+    """A generator that is not d x d takes the dense path, which raises, also
+    when it is kron(x_1, I) of a 3 x 3 x_1."""
+    with pytest.raises(DimensionMismatch):
+        replace(t1_model, generators=(x,))
 
 
 @pytest.mark.parametrize("recipe", ["dense", "uhf"])

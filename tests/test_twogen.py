@@ -8,21 +8,31 @@ same bits.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from towergen.errors import DegenerateWitness, DimensionMismatch, InsufficientSubrank
+import towergen.twogen as twogen
+from towergen.cli import resolve_tower_spec
+from towergen.errors import (
+    DegenerateWitness,
+    DimensionMismatch,
+    InsufficientSubrank,
+    NonFiniteValue,
+)
 from towergen.linalg import hermitian_part, identity, op_norm
 from towergen.recovery import round_trip
 from towergen.tower import (
     RECIPES,
     CommutantWitness,
     TowerSpec,
+    _leading_part,
     build_tower,
     index_set_cardinality,
+    leading_norm,
     witnesses_at_level,
 )
 from towergen.twogen import (
@@ -33,8 +43,10 @@ from towergen.twogen import (
     coordinate_mask,
     corner_mask,
     coupling_row,
+    coupling_target,
     diag_coefficient,
     index_atoms,
+    product_norm,
     verify_facts,
 )
 
@@ -417,3 +429,117 @@ def test_two_generator_strict_tower_at_capacity():
     report = verify_facts(plan)
     assert report.passed
     assert op_norm(plan.levels[1].coupling) == pytest.approx(0.125, abs=1e-10)
+
+
+FACTOR_ONE_PLANS = {"T1": {"preset": "T1"}, "T1b": {"preset": "T1b"}, "T3": {"preset": "T3"}}
+
+
+@pytest.mark.parametrize("config", list(FACTOR_ONE_PLANS.values()), ids=list(FACTOR_ONE_PLANS))
+def test_level_one_terms_are_normed_on_factor_one(monkeypatch, config):
+    """build_z's level-1 sum and verify_facts' level-1 coupling, diagonal and
+    ladder terms are each bit for bit kron(t_1, I) for leading-factor
+    generators, and normed as t_1: within 2e-15 relative of the dense norm.
+    The dense 756 x 756 eigensolve of T3's ladder term is itself 1.6e-15
+    relative off 0.5 cos(pi / 10), which the factor-1 norm meets to 1e-15."""
+    calls = []
+    norm = twogen.leading_norm
+
+    def recorded(x, factor_dims):
+        calls.append((x, norm(x, factor_dims)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(twogen, "leading_norm", recorded)
+    model = build_tower(resolve_tower_spec(config))
+    plan = build_plan(model)
+    level1 = verify_facts(plan).levels[0]
+    lv = plan.levels[0]
+    assert [x for x, _ in calls[1:]] == [lv.coupling, lv.diag_term, lv.ladder_term]
+    assert [n for _, n in calls[1:]] == [level1.coupling_norm, level1.diag_norm, level1.ladder_norm]
+    d1 = model.factor_dims[0]
+    for x, measured in calls:
+        x1 = _leading_part(x, model.factor_dims)
+        assert x1 is not None and x1.shape == (d1, d1)
+        assert measured == op_norm(x1)
+        dense = op_norm(x)
+        assert abs(measured - dense) <= 2e-15 * dense
+    assert lv.coupling_scale == coupling_target(model.spec.block_shapes, 1) / calls[0][1]
+    # b_1 = 2^-2 kron(L, I), L the d_1 x d_1 path adjacency of norm 2 cos(pi / (d_1 + 1))
+    assert abs(level1.ladder_norm - 0.5 * np.cos(np.pi / (d1 + 1))) <= 1e-15
+
+
+def test_uhf_level_one_coupling_takes_the_dense_norm(t1_model):
+    """A uhf coupling is not kron(t_1, I), so it is normed whole, with its bits."""
+    model = build_tower(replace(t1_model.spec, generator_recipe="uhf"))
+    plan = build_plan(model)
+    coupling = plan.levels[0].coupling
+    assert _leading_part(coupling, model.factor_dims) is None
+    assert leading_norm(coupling, model.factor_dims) == op_norm(coupling)
+    assert verify_facts(plan).levels[0].coupling_norm == op_norm(coupling)
+
+
+ORTHOGONALITY_PLANS = {
+    "T1": {"preset": "T1"},
+    "T1b": {"preset": "T1b"},
+    "T1-relaxed-g2": {"preset": "T1", "mode": "relaxed", "generators": 2},
+    "3-3-39": {"shapes": [[3, 3], [39]], "mode": "relaxed"},
+    "T2": {"preset": "T2"},
+}
+
+
+def dense_orthogonality(levels, term):
+    """Largest norm of the dense products of two levels' ``term``, in both orders."""
+    out = 0.0
+    for la, lb in itertools.combinations(levels, 2):
+        left, right = getattr(la, term), getattr(lb, term)
+        out = max(out, op_norm(left @ right), op_norm(right @ left))
+    return out
+
+
+@pytest.mark.parametrize(
+    "config", list(ORTHOGONALITY_PLANS.values()), ids=list(ORTHOGONALITY_PLANS)
+)
+def test_orthogonality_rows_match_the_dense_products(config):
+    """The presets' level terms have disjoint supports, so every product reads
+    0.0 with no product formed, the norm of the dense product."""
+    plan = build_plan(build_tower(resolve_tower_spec(config)))
+    rows = {row.name: row.measured for row in verify_facts(plan).rows}
+    for name, term in (
+        ("couplings_mutually_orthogonal", "coupling"),
+        ("diag_terms_mutually_orthogonal", "diag_term"),
+    ):
+        assert rows[name] == dense_orthogonality(plan.levels, term) == 0.0
+        for la, lb in itertools.permutations(plan.levels, 2):
+            left, right = getattr(la, term), getattr(lb, term)
+            assert (left != 0).any(axis=0) @ (right != 0).any(axis=1) == 0
+            assert product_norm(left, right) == op_norm(left @ right)
+
+
+def test_overlapping_level_terms_take_the_dense_product(t1_plan):
+    """Level terms whose supports meet are multiplied and normed as before."""
+    la, lb = t1_plan.levels
+    mixed = replace(
+        lb, coupling=lb.coupling + 0.01 * la.coupling, diag_term=lb.diag_term + 0.01 * la.diag_term
+    )
+    plan = replace(t1_plan, levels=[la, mixed])
+    rows = {row.name: row.measured for row in verify_facts(plan).rows}
+    for name, term in (
+        ("couplings_mutually_orthogonal", "coupling"),
+        ("diag_terms_mutually_orthogonal", "diag_term"),
+    ):
+        assert rows[name] == dense_orthogonality(plan.levels, term) > 1e-4
+
+
+def test_product_norm_reads_zero_only_for_disjoint_finite_supports():
+    """e_01 e_12 = e_02: the left's column 1 meets the right's row 1, so the
+    product is formed, though the left's rows and the right's columns are
+    disjoint.  Disjoint supports with a non-finite factor keep the dense
+    product too, whose 0 * inf raises, as before."""
+    e01, e12 = np.zeros((3, 3), dtype=complex), np.zeros((3, 3), dtype=complex)
+    e01[0, 1] = e12[1, 2] = 1.0
+    assert product_norm(e01, e12) == op_norm(e01 @ e12) == 1.0
+    assert product_norm(e12, e01) == op_norm(e12 @ e01) == 0.0
+    left = np.diag([1.0, 0.0]).astype(complex)
+    right = np.array([[0.0, 0.0], [np.inf, 0.0]], dtype=complex)
+    with pytest.raises(NonFiniteValue), np.errstate(invalid="ignore"):
+        product_norm(left, right)
+    assert product_norm(left, np.nan_to_num(right, posinf=1.0)) == 0.0
